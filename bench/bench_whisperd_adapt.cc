@@ -174,10 +174,10 @@ main()
     // proposed to the store the fleet predictor consults.
     ChunkProfiler::Options profOpt;
     profOpt.maxHardBranches = cfg.profile.maxHardBranches;
-    profOpt.statsWarmupRecords = window / 2; // per shard
-    ShardedProfiler shards(
-        cfg.whisper, 2, [&] { return makeTage(cfg.tageBudgetKB); },
-        profOpt);
+    profOpt.statsWarmupRecords = window / 2; // half the first window
+    ChunkProfiler profiler(cfg.whisper, makeTage(cfg.tageBudgetKB),
+                           profOpt);
+    BranchProfile accumulated(cfg.whisper);
     TrainingPool pool(4);
     WhisperTrainer trainer(cfg.whisper, globalTruthTables());
     HintInjector injector(cfg.injector);
@@ -201,7 +201,6 @@ main()
         return runPredictor(src, *pred);
     };
 
-    uint64_t absorbed = 0;
     auto onEpoch = [&](uint64_t nextEpoch) -> BranchPredictor * {
         size_t from = (nextEpoch - 1) * window;
         size_t to = std::min<size_t>(stream.size(), from + window);
@@ -209,11 +208,9 @@ main()
                                            stream.begin() + to);
 
         if (nextEpoch % trainEveryEpochs == 0) {
-            shards.drain();
-            BranchProfile profile = shards.aggregate();
-            if (profile.numBranches() > 0) {
+            if (accumulated.numBranches() > 0) {
                 HintBundle candidate;
-                candidate.hints = pool.train(trainer, profile);
+                candidate.hints = pool.train(trainer, accumulated);
                 ChunkSource placeSrc(finished);
                 candidate.placements =
                     injector.place(placeSrc, candidate.hints);
@@ -229,10 +226,7 @@ main()
             }
         }
 
-        TraceChunk chunk;
-        chunk.sequence = absorbed++;
-        chunk.records = std::move(finished);
-        shards.submit(std::move(chunk));
+        accumulated.mergeFrom(profiler.profileChunk(finished));
         return consultant.refresh(nextEpoch);
     };
 

@@ -86,102 +86,4 @@ ChunkProfiler::profileChunk(const std::vector<BranchRecord> &records)
     return profile;
 }
 
-ShardedProfiler::ShardedProfiler(const WhisperConfig &cfg,
-                                 unsigned shards,
-                                 const BaselineFactory &baseline,
-                                 const ChunkProfiler::Options &opt,
-                                 size_t queueCapacity)
-    : cfg_(cfg)
-{
-    whisper_assert(shards > 0);
-    for (unsigned s = 0; s < shards; ++s) {
-        shards_.push_back(std::make_unique<Shard>(
-            cfg, baseline(), opt, queueCapacity));
-    }
-    for (auto &shard : shards_) {
-        Shard *s = shard.get();
-        shard->worker = std::thread([this, s] { workerLoop(*s); });
-    }
-}
-
-ShardedProfiler::~ShardedProfiler()
-{
-    for (auto &shard : shards_)
-        shard->queue.close();
-    for (auto &shard : shards_)
-        if (shard->worker.joinable())
-            shard->worker.join();
-}
-
-void
-ShardedProfiler::workerLoop(Shard &shard)
-{
-    TraceChunk chunk;
-    while (shard.queue.pop(chunk)) {
-        BranchProfile partial =
-            shard.profiler.profileChunk(chunk.records);
-        {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            shard.accumulated.mergeFrom(partial);
-            ++shard.completed;
-            ++shard.chunks;
-        }
-        shard.idle.notify_all();
-    }
-}
-
-void
-ShardedProfiler::submit(TraceChunk chunk)
-{
-    Shard &shard = *shards_[chunk.sequence % shards_.size()];
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        ++shard.submitted;
-    }
-    bool pushed = shard.queue.push(std::move(chunk));
-    whisper_assert(pushed, "submit() after shutdown");
-}
-
-void
-ShardedProfiler::drain()
-{
-    for (auto &shard : shards_) {
-        std::unique_lock<std::mutex> lock(shard->mutex);
-        shard->idle.wait(lock, [&] {
-            return shard->completed == shard->submitted;
-        });
-    }
-}
-
-BranchProfile
-ShardedProfiler::aggregate()
-{
-    BranchProfile out(cfg_);
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        out.mergeFrom(shard->accumulated);
-    }
-    return out;
-}
-
-uint64_t
-ShardedProfiler::recordsProfiled() const
-{
-    uint64_t sum = 0;
-    for (const auto &shard : shards_)
-        sum += shard->profiler.recordsProfiled();
-    return sum;
-}
-
-uint64_t
-ShardedProfiler::chunksProfiled() const
-{
-    uint64_t sum = 0;
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        sum += shard->chunks;
-    }
-    return sum;
-}
-
 } // namespace whisper

@@ -13,7 +13,8 @@
  *   Profile::merge(profile(chunk A), profile(chunk B))
  *     == profile(chunk A ++ chunk B)
  *
- * which is what makes the sharded aggregation below associative.
+ * so a tenant's accumulated profile after any number of chunks is
+ * exactly the profile of their concatenation.
  *
  * Hard branches are promoted adaptively: once a branch has
  * accumulated enough lifetime mispredictions it starts collecting
@@ -27,16 +28,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bp/branch_predictor.hh"
 #include "core/profile.hh"
-#include "service/bounded_queue.hh"
-#include "service/trace_stream.hh"
 #include "trace/global_history.hh"
 
 namespace whisper
@@ -99,67 +96,6 @@ class ChunkProfiler
     /** Lifetime misprediction counts driving promotion. */
     std::unordered_map<uint64_t, uint64_t> lifetimeMispredicts_;
     uint64_t recordsProfiled_ = 0;
-};
-
-/**
- * Sharded profile aggregator: N worker threads each own a
- * ChunkProfiler and accumulate a shard profile; chunks are routed by
- * sequence number (deterministic regardless of thread timing) and
- * the aggregate is the associative merge of the shard profiles in
- * shard order.
- */
-class ShardedProfiler
-{
-  public:
-    ShardedProfiler(const WhisperConfig &cfg, unsigned shards,
-                    const BaselineFactory &baseline,
-                    const ChunkProfiler::Options &opt
-                    = ChunkProfiler::Options{},
-                    size_t queueCapacity = 4);
-    ~ShardedProfiler();
-
-    /** Route @p chunk to shard (sequence mod N); blocks when that
-     * shard's queue is full (backpressure). */
-    void submit(TraceChunk chunk);
-
-    /** Barrier: wait until every submitted chunk is folded in. */
-    void drain();
-
-    /** Deterministic merge of all shard profiles (drain() first). */
-    BranchProfile aggregate();
-
-    unsigned numShards() const { return static_cast<unsigned>(shards_.size()); }
-    uint64_t recordsProfiled() const;
-    uint64_t chunksProfiled() const;
-
-  private:
-    struct Shard
-    {
-        explicit Shard(const WhisperConfig &cfg,
-                       std::unique_ptr<BranchPredictor> baseline,
-                       const ChunkProfiler::Options &opt,
-                       size_t queueCapacity)
-            : queue(queueCapacity), profiler(cfg, std::move(baseline), opt),
-              accumulated(cfg)
-        {
-        }
-
-        BoundedQueue<TraceChunk> queue;
-        ChunkProfiler profiler;
-        BranchProfile accumulated;
-        std::thread worker;
-
-        std::mutex mutex;
-        std::condition_variable idle;
-        uint64_t submitted = 0;
-        uint64_t completed = 0;
-        uint64_t chunks = 0;
-    };
-
-    void workerLoop(Shard &shard);
-
-    WhisperConfig cfg_;
-    std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 } // namespace whisper

@@ -71,7 +71,6 @@ FaultInjector::reset()
     stallMs_ = 400;
     stallDone_ = false;
     killEnabled_ = false;
-    killWorker_ = 1;
     killDone_ = false;
     failTrainEnabled_ = false;
     failTrainIndex_ = 0;
@@ -174,14 +173,12 @@ FaultInjector::configure(const std::string &spec, std::string *error)
                 }
             }
         } else if (key == "kill-worker") {
+            // Which worker claims first is not observable under
+            // work stealing, so there is no worker id to pick.
+            if (!value.empty())
+                return fail("kill-worker: takes no value, got '" +
+                            value + "'");
             killEnabled_ = true;
-            if (!value.empty()) {
-                uint64_t v = 0;
-                if (!parseU64(value, v))
-                    return fail("kill-worker: bad id '" + value +
-                                "'");
-                killWorker_ = static_cast<unsigned>(v);
-            }
         } else if (key == "fail-train") {
             failTrainEnabled_ = true;
             if (!value.empty()) {
@@ -307,9 +304,9 @@ FaultInjector::maybeStallWorker(unsigned worker)
 }
 
 bool
-FaultInjector::shouldKillWorker(unsigned worker)
+FaultInjector::shouldKillWorker()
 {
-    if (!enabled_ || !killEnabled_ || worker != killWorker_)
+    if (!enabled_ || !killEnabled_)
         return false;
     if (killDone_.exchange(true))
         return false;

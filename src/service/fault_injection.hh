@@ -20,8 +20,9 @@
  *                         Default 2.
  *   stall-worker[=ID:MS]  training worker ID stalls MS milliseconds
  *                         on its first claimed task. Default 0:400.
- *   kill-worker[=ID]      training worker ID dies right after
- *                         claiming its first task. Default 1.
+ *   kill-worker           the first training worker to claim a
+ *                         task (whichever it is) dies right after
+ *                         claiming it. Supervised pools only.
  *   fail-train[=IDX:N]    training of work item IDX throws on its
  *                         first N attempts (N large = always, which
  *                         degrades the branch). Default 0:1000000.
@@ -103,8 +104,9 @@ class FaultInjector
     /** Stall hook for training worker @p worker (sleeps inline). */
     void maybeStallWorker(unsigned worker);
 
-    /** @return true when training worker @p worker should die now. */
-    bool shouldKillWorker(unsigned worker);
+    /** @return true for the first caller after kill-worker is armed:
+     * the training worker that just claimed a task should die. */
+    bool shouldKillWorker();
 
     /** @return true when the @p attempt-th (1-based) attempt at work
      * item @p taskIndex should fail. */
@@ -170,7 +172,6 @@ class FaultInjector
 
     // kill-worker
     bool killEnabled_ = false;
-    unsigned killWorker_ = 1;
     std::atomic<bool> killDone_{false};
 
     // fail-train

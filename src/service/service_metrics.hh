@@ -5,7 +5,7 @@
  * acceptance, and the per-epoch validation-MPKI movement of the
  * deployed configuration.
  *
- * A multi-tenant service additionally reports one metrics row per
+ * The service additionally reports one metrics row per
  * application (ingested/dropped chunks, epochs, train latency,
  * deployment state) plus an aggregate roll-up — the `tenants` map
  * below, rendered by dump(). Every cell of every table is rendered
@@ -122,8 +122,7 @@ struct ServiceMetrics
     uint64_t tenantsRegistered = 0;
     /** Chunks whose app matched no registered tenant (dropped). */
     uint64_t unknownAppChunks = 0;
-    /** Per-application metrics, keyed by app name. Empty in
-     * single-tenant runs. */
+    /** Per-application metrics, keyed by app name. */
     std::map<std::string, TenantMetrics> tenants;
 
     /** Render the aggregate table plus (when tenants exist) the
@@ -204,9 +203,6 @@ struct ServiceMetrics
         if (!tenants.empty())
             dumpTenants(os);
     }
-
-    /** Back-compat alias for dump(). */
-    void report(std::ostream &os) const { dump(os); }
 
   private:
     void

@@ -311,8 +311,9 @@ void
 TenantRouter::absorb(Tenant &tenant, TraceChunk chunk)
 {
     // The previous validation window becomes training data now that
-    // a newer one exists to validate on (same holdout discipline as
-    // the single-tenant service).
+    // a newer one exists to validate on. A chunk can arrive empty
+    // when every frame of its file slice failed validation; it is
+    // never folded in.
     if (tenant.validationChunk) {
         TraceChunk prev = std::move(*tenant.validationChunk);
         tenant.validationChunk.reset();
@@ -425,10 +426,10 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
     PredictorRunStats candidateStats =
         evalOnRecords(job.validation, &candidate);
 
-    // Warm-start safety valve (same contract as Whisperd): a warm
-    // candidate that is worse than the incumbent on the holdout —
-    // stale formulas pinning the search — forces a cold retrain of
-    // this epoch.
+    // Warm-start safety valve: a warm candidate that is worse than
+    // the incumbent on the holdout (not merely short of beating it)
+    // means stale formulas pinned the search, so this epoch is
+    // retrained cold.
     uint64_t warmFallback = 0;
     if (warmSeeds && stats.warmHits > 0 &&
         candidateStats.accuracy() + cfg_.warmFallbackMargin <

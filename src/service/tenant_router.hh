@@ -57,8 +57,7 @@
 namespace whisper
 {
 
-/** Multi-tenant service configuration (the per-app analog of
- * WhisperdConfig; one of these covers every tenant). */
+/** whisperd's configuration: one of these covers every tenant. */
 struct TenantRouterConfig
 {
     size_t chunkRecords = 50'000;  //!< ingest chunk granularity
@@ -201,8 +200,8 @@ class TenantRouter
      * producers for this to return. */
     void runFromQueue(BoundedQueue<TraceChunk> &queue);
 
-    /** Stream a directory of .whrt chunk files (ingest thread +
-     * runFromQueue), as Whisperd::run does for one tenant. */
+    /** Stream a directory of .whrt chunk files: an ingest thread
+     * feeds runFromQueue, each chunk tagged with its file's app. */
     void run(const std::string &chunkDir);
 
     /**

@@ -183,8 +183,7 @@ TrainingPool::train(const WhisperTrainer &trainer,
             // without one the injected fault would deadlock the pool
             // instead of exercising recovery.
             if (supervised &&
-                FaultInjector::instance().shouldKillWorker(
-                    workerId)) {
+                FaultInjector::instance().shouldKillWorker()) {
                 workersDied.fetch_add(1, std::memory_order_relaxed);
                 break;
             }

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
-#include "util/arena.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -87,19 +87,17 @@ planWindows(const BranchRecord *records, size_t count,
 /** Warm a clone then evaluate its window, mirroring runPredictor's
  * per-record accounting bit for bit. Both phases drive the clone
  * through predictMany() — one virtual call per kBatchRecords instead
- * of three per record — and take their scratch from the calling
- * worker's arena (reset between windows, so after the first window
- * the worker never touches the heap for scratch). */
+ * of three per record — and write misprediction bytes into the
+ * calling worker's @p miss buffer (kBatchRecords bytes, reused
+ * across that worker's windows). */
 PredictorRunStats
 evaluateWindow(const BranchRecord *records, const WindowPlan &plan,
-               uint64_t warmupLimit, MonotonicArena &arena,
+               uint64_t warmupLimit, uint8_t *miss,
                ShardTiming &timing)
 {
     auto pred = plan.prototype->clone();
     whisper_assert(pred != nullptr,
                    "predictor returned a null clone");
-
-    uint8_t *miss = arena.allocateArray<uint8_t>(kBatchRecords);
 
     auto warmStart = Clock::now();
     // Warm-up is the same per-record work minus statistics, so the
@@ -158,19 +156,18 @@ runPlans(const BranchRecord *records,
     auto wallStart = Clock::now();
     std::atomic<size_t> cursor{0};
     auto workerLoop = [&](unsigned workerId) {
-        // Worker-owned scratch arena, recycled across this worker's
-        // windows; never shared, so no synchronization.
-        MonotonicArena arena;
+        // Worker-owned misprediction bytes, reused across this
+        // worker's windows; never shared, so no synchronization.
+        std::vector<uint8_t> miss(kBatchRecords);
         for (;;) {
             size_t w = cursor.fetch_add(1);
             if (w >= plans.size())
                 return;
-            arena.reset();
             ShardTiming &t = timing.perShard[w];
             t.window = w;
             t.worker = workerId;
             perWindow[w] = evaluateWindow(records, plans[w],
-                                          warmupLimit, arena, t);
+                                          warmupLimit, miss.data(), t);
         }
     };
 

@@ -18,9 +18,9 @@
 #include "service/fault_injection.hh"
 #include "service/hint_journal.hh"
 #include "service/hint_store.hh"
+#include "service/tenant_router.hh"
 #include "service/trace_stream.hh"
 #include "service/training_pool.hh"
-#include "service/whisperd.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/crc32.hh"
@@ -551,7 +551,7 @@ TEST_F(FaultTest, SpecParsing)
 
     EXPECT_TRUE(fi.configure(
         "flip-chunks=0.01,fail-read=3,truncate-journal,"
-        "stall-worker=2:100,kill-worker=0,fail-train=1:2,seed=42",
+        "stall-worker=2:100,kill-worker,fail-train=1:2,seed=42",
         &error))
         << error;
     EXPECT_TRUE(fi.enabled());
@@ -559,6 +559,8 @@ TEST_F(FaultTest, SpecParsing)
     EXPECT_FALSE(fi.configure("no-such-fault", &error));
     EXPECT_FALSE(error.empty());
     EXPECT_FALSE(fi.configure("flip-chunks=abc", &error));
+    // kill-worker names no worker: the first claimer dies.
+    EXPECT_FALSE(fi.configure("kill-worker=1", &error));
 }
 
 // --------------------------------------------------------------------
@@ -624,7 +626,7 @@ TEST_F(FaultTest, KilledWorkerTaskIsRecovered)
 {
     PoolFixture fx;
     ASSERT_TRUE(
-        FaultInjector::instance().configure("kill-worker=1"));
+        FaultInjector::instance().configure("kill-worker"));
     TrainingPoolOptions opts;
     opts.workers = 4;
     opts.taskDeadlineMs = 400;
@@ -693,7 +695,8 @@ TEST_F(FaultTest, TransientTrainingFailureRetriesToSameResult)
 }
 
 // --------------------------------------------------------------------
-// Whisperd end to end: crash recovery and fault-injected runs
+// whisperd end to end (a one-tenant TenantRouter): crash recovery and
+// fault-injected runs
 // --------------------------------------------------------------------
 
 namespace
@@ -718,21 +721,31 @@ writeChunkDir(const fs::path &dir, uint64_t perFile, int files)
     }
 }
 
-WhisperdConfig
-demonConfig(const std::string &journal)
+/** A fresh, empty journal directory. */
+void
+resetJournalDir(const fs::path &journalDir)
 {
-    WhisperdConfig cfg;
+    fs::remove_all(journalDir);
+    fs::create_directories(journalDir);
+}
+
+TenantRouterConfig
+demonConfig(const fs::path &journalDir)
+{
+    TenantRouterConfig cfg;
     cfg.chunkRecords = 12'000;
     cfg.epochChunks = 2;
     cfg.trainWorkers = 2;
-    cfg.profileShards = 2;
     cfg.profilePolicy.maxHardBranches = 32;
     cfg.verbose = false;
-    cfg.journalPath = journal;
+    cfg.journalDir = journalDir.string();
     cfg.trainTaskDeadlineMs = 5'000;
     // Deploy every epoch so the test sees a deterministic number of
     // journaled generations regardless of validation noise.
     cfg.acceptMargin = -1.0;
+    // The chunk files' app registers the tenant, as in whisperd's
+    // default --tenants auto.
+    cfg.autoRegister = true;
     return cfg;
 }
 
@@ -741,61 +754,75 @@ demonConfig(const std::string &journal)
 TEST_F(FaultTest, WhisperdResumesFromJournalAfterCrash)
 {
     fs::path dir = "/tmp/whisper_test_crash_dir";
-    std::string journal = "/tmp/whisper_test_crash.wal";
-    std::remove(journal.c_str());
+    fs::path journalDir = "/tmp/whisper_test_crash_journal";
+    std::string journal = (journalDir / "kafka.journal").string();
+    resetJournalDir(journalDir);
     writeChunkDir(dir, 30'000, 3);
 
     // First life: deploy at least two epochs, journaled.
     uint64_t firstEpoch = 0;
     VersionedHintBundle lastDeployed;
     {
-        Whisperd daemon(demonConfig(journal), globalTruthTables());
-        daemon.run(dir.string());
-        ASSERT_NE(daemon.store().current(), nullptr);
-        ASSERT_GE(daemon.store().epoch(), 2u)
+        TenantRouter router(demonConfig(journalDir),
+                            globalTruthTables());
+        router.run(dir.string());
+        ASSERT_EQ(router.registry().size(), 1u);
+        const Tenant *tenant = router.registry().find("kafka");
+        ASSERT_NE(tenant, nullptr);
+        ASSERT_NE(tenant->store.current(), nullptr);
+        ASSERT_GE(tenant->store.epoch(), 2u)
             << "need >=2 deployed epochs for the crash test";
-        firstEpoch = daemon.store().epoch();
-        lastDeployed = *daemon.store().current();
-        // No clean shutdown path is exercised: the daemon object is
+        firstEpoch = tenant->store.epoch();
+        lastDeployed = *tenant->store.current();
+        // No clean shutdown path is exercised: the router object is
         // simply destroyed, as after a crash (the journal is synced
         // per-append, so nothing depends on a destructor).
     }
+    std::vector<VersionedHintBundle> beforeCrash =
+        HintJournal::replay(journal);
+    ASSERT_EQ(beforeCrash.size(), firstEpoch);
+    EXPECT_TRUE(beforeCrash.back() == lastDeployed);
 
     // The crash tears the journal mid-record.
     long full = fileSize(journal);
     ASSERT_GT(full, 12);
     truncateFile(journal, full - 5);
 
-    // Second life: must resume from the last *intact* epoch with a
-    // bit-identical deployed bundle.
+    // Second life: registering the tenant replays its journal; it
+    // must resume from the last *intact* epoch with a bit-identical
+    // deployed bundle.
     {
-        Whisperd daemon(demonConfig(journal), globalTruthTables());
-        EXPECT_EQ(daemon.resumedEpoch(), firstEpoch - 1);
-        EXPECT_EQ(daemon.recoveredGenerations(), firstEpoch - 1);
-        ASSERT_NE(daemon.store().current(), nullptr);
+        TenantRouter router(demonConfig(journalDir),
+                            globalTruthTables());
+        Tenant *tenant = router.addTenant("kafka");
+        TenantMetrics resumed = tenant->metrics();
+        EXPECT_EQ(resumed.journalResumedEpoch, firstEpoch - 1);
+        EXPECT_EQ(resumed.journalRecoveredRecords, firstEpoch - 1);
+        ASSERT_NE(tenant->store.current(), nullptr);
 
         // Re-derive what the first life deployed at that epoch from
         // the journal itself (pre-truncation it held everything).
         std::vector<VersionedHintBundle> replayed =
             HintJournal::replay(journal);
         ASSERT_EQ(replayed.size(), firstEpoch - 1);
-        EXPECT_TRUE(*daemon.store().current() == replayed.back());
+        EXPECT_TRUE(*tenant->store.current() == replayed.back());
+        EXPECT_TRUE(replayed.back() == beforeCrash[firstEpoch - 2]);
 
         // And it keeps operating: run more chunks, epochs continue
         // past the resumed number.
-        daemon.run(dir.string());
-        EXPECT_GT(daemon.store().epoch(), firstEpoch - 1);
+        router.run(dir.string());
+        EXPECT_GT(tenant->store.epoch(), firstEpoch - 1);
     }
 
     fs::remove_all(dir);
-    std::remove(journal.c_str());
+    fs::remove_all(journalDir);
 }
 
 TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
 {
     fs::path dir = "/tmp/whisper_test_faulty_dir";
-    std::string journal = "/tmp/whisper_test_faulty.wal";
-    std::remove(journal.c_str());
+    fs::path journalDir = "/tmp/whisper_test_faulty_journal";
+    resetJournalDir(journalDir);
     writeChunkDir(dir, 30'000, 3);
 
     // The acceptance scenario: ~1% corrupt frames, one stalled
@@ -803,26 +830,28 @@ TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
     ASSERT_TRUE(FaultInjector::instance().configure(
         "flip-chunks=0.01,stall-worker=0:300,truncate-journal=1"));
 
-    WhisperdConfig cfg = demonConfig(journal);
+    TenantRouterConfig cfg = demonConfig(journalDir);
     cfg.trainTaskDeadlineMs = 100;
-    Whisperd daemon(cfg, globalTruthTables());
-    daemon.run(dir.string());
+    TenantRouter router(cfg, globalTruthTables());
+    router.run(dir.string());
 
-    const ServiceMetrics &m = daemon.metrics();
-    EXPECT_GE(daemon.epochsRun(), 1u);
+    ServiceMetrics m = router.metrics();
+    const Tenant *tenant = router.registry().find("kafka");
+    ASSERT_NE(tenant, nullptr);
+    EXPECT_GE(m.epochsRun, 1u);
     EXPECT_GT(m.chunksSkipped, 0u);
     EXPECT_GT(m.recordsSkipped, 0u);
     // The torn write shows up and was repaired on the next append.
-    if (daemon.store().accepted() >= 2) {
+    if (tenant->store.accepted() >= 2) {
         EXPECT_GE(m.journalAppendFailures, 1u);
         EXPECT_GE(m.journalRepairs, 1u);
     }
     // The journal still replays to exactly the durable generations.
     std::vector<VersionedHintBundle> replayed =
-        HintJournal::replay(journal);
+        HintJournal::replay((journalDir / "kafka.journal").string());
     for (size_t i = 1; i < replayed.size(); ++i)
         EXPECT_GT(replayed[i].epoch, replayed[i - 1].epoch);
 
     fs::remove_all(dir);
-    std::remove(journal.c_str());
+    fs::remove_all(journalDir);
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for the whisperd service subsystem: bounded queue, streaming
  * trace ingest, merge-exact chunk profiling, the parallel training
- * pool's determinism, and the versioned hint store.
+ * pool's determinism, the versioned hint store, and the
+ * one-tenant service loop end to end.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +19,9 @@
 #include "service/bounded_queue.hh"
 #include "service/chunk_profiler.hh"
 #include "service/hint_store.hh"
+#include "service/tenant_router.hh"
 #include "service/trace_stream.hh"
 #include "service/training_pool.hh"
-#include "service/whisperd.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
@@ -415,36 +416,6 @@ TEST(ChunkProfiler, MergeIsAssociativeAndCommutative)
                 BranchProfile::merge(p2, p1));
 }
 
-TEST(ShardedProfiler, DeterministicAcrossRuns)
-{
-    std::vector<BranchRecord> records = kafkaRecords(0, 40'000);
-    WhisperConfig cfg;
-    ChunkProfiler::Options opt;
-    opt.maxHardBranches = 64;
-    BaselineFactory baseline = [] { return makeTage(64); };
-
-    auto runOnce = [&] {
-        ShardedProfiler shards(cfg, 2, baseline, opt);
-        for (size_t at = 0, seq = 0; at < records.size();
-             at += 10'000, ++seq) {
-            TraceChunk chunk;
-            chunk.sequence = seq;
-            chunk.records =
-                slice(records, at,
-                      std::min(records.size(), at + 10'000));
-            shards.submit(std::move(chunk));
-        }
-        shards.drain();
-        EXPECT_EQ(shards.recordsProfiled(), records.size());
-        return shards.aggregate();
-    };
-
-    BranchProfile a = runOnce();
-    BranchProfile b = runOnce();
-    EXPECT_TRUE(a == b);
-    EXPECT_GT(a.numBranches(), 0u);
-}
-
 // --------------------------------------------------------------------
 // TrainingPool
 // --------------------------------------------------------------------
@@ -626,21 +597,22 @@ TEST(AdaptiveRunner, EpochTotalsAddUpAndSwapsAreCounted)
 }
 
 // --------------------------------------------------------------------
-// Whisperd end to end (in-process, synthetic queue)
+// whisperd end to end: a one-tenant TenantRouter (in-process,
+// synthetic queue)
 // --------------------------------------------------------------------
 
-TEST(Whisperd, TrainsDeploysAndReportsFromQueue)
+TEST(OneTenantRouter, TrainsDeploysAndReportsFromQueue)
 {
-    WhisperdConfig cfg;
+    TenantRouterConfig cfg;
     cfg.chunkRecords = 15'000;
     cfg.epochChunks = 2;
     cfg.trainWorkers = 2;
-    cfg.profileShards = 2;
     cfg.tageBudgetKB = 64;
     cfg.profilePolicy.maxHardBranches = 64;
     cfg.verbose = false;
+    cfg.autoRegister = true;
 
-    Whisperd daemon(cfg, globalTruthTables());
+    TenantRouter router(cfg, globalTruthTables());
 
     BoundedQueue<TraceChunk> queue(4);
     std::vector<BranchRecord> records = kafkaRecords(0, 90'000);
@@ -658,15 +630,19 @@ TEST(Whisperd, TrainsDeploysAndReportsFromQueue)
         }
         queue.close();
     });
-    daemon.runFromQueue(queue);
+    router.runFromQueue(queue);
     producer.join();
 
-    EXPECT_GE(daemon.epochsRun(), 2u);
-    EXPECT_GE(daemon.store().accepted() + daemon.store().rejected(),
+    ASSERT_EQ(router.registry().size(), 1u);
+    const Tenant *tenant = router.registry().find("kafka");
+    ASSERT_NE(tenant, nullptr);
+    ServiceMetrics m = router.metrics();
+    EXPECT_GE(m.epochsRun, 2u);
+    EXPECT_GE(tenant->store.accepted() + tenant->store.rejected(),
               2u);
     // Something must have been deployable on a stable stream.
-    ASSERT_NE(daemon.store().current(), nullptr);
-    EXPECT_GT(daemon.store().current()->bundle.hints.size(), 0u);
-    EXPECT_EQ(daemon.metrics().chunksIngested, 6u);
-    EXPECT_EQ(daemon.metrics().recordsIngested, records.size());
+    ASSERT_NE(tenant->store.current(), nullptr);
+    EXPECT_GT(tenant->store.current()->bundle.hints.size(), 0u);
+    EXPECT_EQ(m.chunksIngested, 6u);
+    EXPECT_EQ(m.recordsIngested, records.size());
 }

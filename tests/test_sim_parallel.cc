@@ -369,6 +369,15 @@ constexpr Golden kGoldens[] = {
     {"kafka", 0, 120000, 55445, 1746, 539827},
 };
 
+// The test's display name comes from this, so it must not print the
+// `app` pointer: gtest's default dumps the struct's bytes, which ASLR
+// changes on every run.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.app << "_i" << g.input;
+}
+
 } // namespace
 
 class GoldenSnapshot : public ::testing::TestWithParam<Golden>

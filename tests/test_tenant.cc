@@ -572,7 +572,7 @@ TEST_F(TenantFaults, TrainingFailuresDegradeGracefully)
 TEST_F(TenantFaults, DeadTrainingWorkerIsSupervisedAway)
 {
     ASSERT_TRUE(
-        FaultInjector::instance().configure("kill-worker=0"));
+        FaultInjector::instance().configure("kill-worker"));
     TenantRouterConfig cfg = smallConfig();
     cfg.trainWorkers = 2;
     cfg.trainTaskDeadlineMs = 100;

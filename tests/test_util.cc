@@ -7,7 +7,6 @@
 
 #include <set>
 
-#include "util/arena.hh"
 #include "util/bits.hh"
 #include "util/histogram.hh"
 #include "util/rng.hh"
@@ -309,57 +308,4 @@ TEST(Table, Csv)
     std::ostringstream os;
     t.printCsv(os);
     EXPECT_EQ(os.str(), "a,b\nr,1\n");
-}
-
-TEST(Arena, BumpAllocationAndAlignment)
-{
-    MonotonicArena arena(256);
-    auto *a = static_cast<unsigned char *>(arena.allocate(10, 1));
-    auto *b = static_cast<unsigned char *>(arena.allocate(10, 1));
-    EXPECT_EQ(b, a + 10) << "bump allocation must be contiguous";
-
-    auto *c = arena.allocate(1, 64);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-    EXPECT_EQ(arena.blockCount(), 1u);
-}
-
-TEST(Arena, GrowsAndOversizedRequestsGetExactBlocks)
-{
-    MonotonicArena arena(128);
-    arena.allocate(100);
-    arena.allocate(100); // exceeds the first block: second block
-    EXPECT_EQ(arena.blockCount(), 2u);
-
-    arena.allocate(4096); // far above blockBytes: dedicated block
-    EXPECT_EQ(arena.blockCount(), 3u);
-    EXPECT_GE(arena.reservedBytes(), 4096u + 2 * 128u);
-}
-
-TEST(Arena, ResetRecyclesBlocksWithoutNewReservations)
-{
-    MonotonicArena arena(256);
-    for (int round = 0; round < 3; ++round) {
-        arena.reset();
-        EXPECT_EQ(arena.usedBytes(), 0u);
-        for (int i = 0; i < 8; ++i)
-            arena.allocate(100);
-    }
-    // Steady state: round 1 reserved everything rounds 2-3 needed.
-    size_t blocks = arena.blockCount();
-    arena.reset();
-    for (int i = 0; i < 8; ++i)
-        arena.allocate(100);
-    EXPECT_EQ(arena.blockCount(), blocks);
-}
-
-TEST(Arena, AllocatorWorksWithStdVector)
-{
-    MonotonicArena arena;
-    std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(arena)};
-    for (int i = 0; i < 1000; ++i)
-        v.push_back(i);
-    EXPECT_EQ(v.size(), 1000u);
-    EXPECT_EQ(v.front(), 0);
-    EXPECT_EQ(v.back(), 999);
-    EXPECT_GT(arena.usedBytes(), 1000u * sizeof(int) - 1);
 }

@@ -5,8 +5,11 @@
 # check that the final online bundle is no worse than a static
 # single-shot whisper_train bundle on the drifted input.
 #
+# Every chunk file is kafka, so whisperd (default --tenants auto) runs
+# as a one-tenant router and reports on whisperd[kafka] summary lines.
 # The deployment history is written through the crash-safe hint-store
-# journal. In the default mode a second whisperd is killed (-9)
+# journal (JOURNAL_DIR/kafka.journal). In the default mode a second
+# whisperd is killed (-9)
 # mid-run, the journal tail is torn, and a restarted daemon must
 # resume from the last durable epoch. With
 #   whisperd_demo.sh BIN_DIR --fault-spec SPEC
@@ -21,8 +24,10 @@ if [ "$2" = "--fault-spec" ]; then
     FAULT_SPEC="$3"
 fi
 WORK_DIR="${TMPDIR:-/tmp}/whisperd_demo_$$"
-JOURNAL="$WORK_DIR/hints.journal"
-mkdir -p "$WORK_DIR/chunks"
+JOURNAL_DIR="$WORK_DIR/journal"
+JOURNAL="$JOURNAL_DIR/kafka.journal"
+mkdir -p "$WORK_DIR/chunks" "$JOURNAL_DIR" "$WORK_DIR/out" \
+    "$WORK_DIR/out_cold" "$WORK_DIR/out2" "$WORK_DIR/out3"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
 # Drift stream: names encode arrival order (input 0, then input 1).
@@ -44,11 +49,11 @@ if [ -n "$FAULT_SPEC" ]; then
     # must degrade gracefully, not crash, and still beat the
     # baseline predictor on the held-out trace.
     "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-        --out "$WORK_DIR/online.vhints" \
-        --journal "$JOURNAL" \
+        --out-dir "$WORK_DIR/out" \
+        --journal-dir "$JOURNAL_DIR" \
         --fault-spec "$FAULT_SPEC" --deadline-ms 200 \
         --chunk-records 40000 --epoch-chunks 3 \
-        --workers 4 --shards 2 --max-hard 256 \
+        --workers 4 --max-hard 256 \
         --eval-trace "$WORK_DIR/eval_i1.whrt" \
         > "$WORK_DIR/whisperd.txt" 2>&1
     cat "$WORK_DIR/whisperd.txt"
@@ -78,23 +83,25 @@ if [ -n "$FAULT_SPEC" ]; then
 fi
 
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-    --out "$WORK_DIR/online.vhints" \
-    --journal "$JOURNAL" \
+    --out-dir "$WORK_DIR/out" \
+    --journal-dir "$JOURNAL_DIR" \
     --chunk-records 40000 --epoch-chunks 3 \
-    --workers 4 --shards 2 --max-hard 256 \
+    --workers 4 --max-hard 256 \
     --eval-trace "$WORK_DIR/eval_i1.whrt" \
     --compare-hints "$WORK_DIR/static.hints" \
     > "$WORK_DIR/whisperd.txt" 2>&1
 cat "$WORK_DIR/whisperd.txt"
 
+# Exactly one tenant, named by the traces' app.
+[ "$(grep -c '^whisperd\[.*\]: epochs=' "$WORK_DIR/whisperd.txt")" -eq 1 ]
 # A fresh journal starts empty: resume from epoch 0.
-grep -q "resumed from journal at epoch 0" "$WORK_DIR/whisperd.txt"
+grep -q '^whisperd\[kafka\]: .* resumed-epoch=0 ' "$WORK_DIR/whisperd.txt"
 # At least two training epochs ran...
-EPOCHS=$(sed -n 's/^whisperd: epochs=\([0-9]*\).*/\1/p' \
+EPOCHS=$(sed -n 's/^whisperd\[kafka\]: epochs=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt")
 [ "$EPOCHS" -ge 2 ]
 # ...at least one candidate was accepted and atomically deployed...
-ACCEPTED=$(sed -n 's/.*accepted=\([0-9]*\).*/\1/p' \
+ACCEPTED=$(sed -n 's/^whisperd\[kafka\]: .* accepted=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt")
 [ "$ACCEPTED" -ge 1 ]
 grep -q "deployed bundle (epoch" "$WORK_DIR/whisperd.txt"
@@ -107,25 +114,25 @@ grep -q "online wins or ties" "$WORK_DIR/whisperd.txt"
 # Training-knob phase: with the default --train-prune=on
 # --warm-start=on the summary must expose the warm/cold training
 # stats and per-branch train-time...
-grep -q "whisperd: training warm-hits=" "$WORK_DIR/whisperd.txt"
-BR_MS=$(sed -n 's/.*branch-train-ms=\([0-9.]*\).*/\1/p' \
+grep -q '^whisperd\[kafka\]: .* warm-hits=' "$WORK_DIR/whisperd.txt"
+BR_MS=$(sed -n 's/^whisperd\[kafka\]: .*branch-train-ms=\([0-9.]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt" | head -n 1)
 awk -v ms="$BR_MS" 'BEGIN { exit !(ms > 0) }'
 # ...and turning both knobs off must produce a purely cold run:
 # zero warm hits, every considered branch a cold search.
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-    --out "$WORK_DIR/online_cold.vhints" \
+    --out-dir "$WORK_DIR/out_cold" \
     --train-prune=off --warm-start=off \
     --chunk-records 40000 --epoch-chunks 3 \
-    --workers 4 --shards 2 --max-hard 256 \
+    --workers 4 --max-hard 256 \
     > "$WORK_DIR/whisperd_cold.txt" 2>&1
 cat "$WORK_DIR/whisperd_cold.txt"
-grep -q "whisperd: training warm-hits=0 " "$WORK_DIR/whisperd_cold.txt"
+grep -q '^whisperd\[kafka\]: .* warm-hits=0 ' "$WORK_DIR/whisperd_cold.txt"
 COLD_SEARCHES=$(sed -n \
-    's/.*training warm-hits=0 cold-searches=\([0-9]*\).*/\1/p' \
+    's/^whisperd\[kafka\]: .* warm-hits=0 cold-searches=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd_cold.txt")
 [ "$COLD_SEARCHES" -ge 1 ]
-COLD_BR_MS=$(sed -n 's/.*branch-train-ms=\([0-9.]*\).*/\1/p' \
+COLD_BR_MS=$(sed -n 's/^whisperd\[kafka\]: .*branch-train-ms=\([0-9.]*\).*/\1/p' \
     "$WORK_DIR/whisperd_cold.txt" | head -n 1)
 awk -v ms="$COLD_BR_MS" 'BEGIN { exit !(ms > 0) }'
 
@@ -133,10 +140,10 @@ awk -v ms="$COLD_BR_MS" 'BEGIN { exit !(ms > 0) }'
 # daemon mid-run, tear the journal tail, and check the restarted
 # daemon resumes from the last durable epoch instead of epoch 0.
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-    --out "$WORK_DIR/online2.vhints" \
-    --journal "$JOURNAL" \
+    --out-dir "$WORK_DIR/out2" \
+    --journal-dir "$JOURNAL_DIR" \
     --chunk-records 40000 --epoch-chunks 3 \
-    --workers 4 --shards 2 --max-hard 256 \
+    --workers 4 --max-hard 256 \
     > "$WORK_DIR/whisperd_bg.txt" 2>&1 &
 BG_PID=$!
 i=0
@@ -163,18 +170,18 @@ if [ "$TOTAL_GENERATIONS" -ge 2 ]; then
 fi
 
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-    --out "$WORK_DIR/online3.vhints" \
-    --journal "$JOURNAL" \
+    --out-dir "$WORK_DIR/out3" \
+    --journal-dir "$JOURNAL_DIR" \
     --chunk-records 40000 --epoch-chunks 3 \
-    --workers 4 --shards 2 --max-hard 256 \
+    --workers 4 --max-hard 256 \
     > "$WORK_DIR/whisperd_restart.txt" 2>&1
 cat "$WORK_DIR/whisperd_restart.txt"
 
 RESUMED=$(sed -n \
-    's/^whisperd: resumed from journal at epoch \([0-9]*\).*/\1/p' \
-    "$WORK_DIR/whisperd_restart.txt" | head -n 1)
+    's/^whisperd\[kafka\]: .* resumed-epoch=\([0-9]*\).*/\1/p' \
+    "$WORK_DIR/whisperd_restart.txt")
 [ "$RESUMED" -ge 1 ]
-FINAL_EPOCH=$(sed -n 's/.*deployed-epoch=\([0-9]*\).*/\1/p' \
+FINAL_EPOCH=$(sed -n 's/^whisperd\[kafka\]: .* deployed-epoch=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd_restart.txt")
 [ "$FINAL_EPOCH" -ge "$RESUMED" ]
 

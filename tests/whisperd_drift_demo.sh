@@ -15,7 +15,7 @@ set -e
 
 BIN_DIR="$1"
 WORK_DIR="${TMPDIR:-/tmp}/whisperd_drift_$$"
-mkdir -p "$WORK_DIR/chunks"
+mkdir -p "$WORK_DIR/chunks" "$WORK_DIR/journal" "$WORK_DIR/out"
 trap 'rm -rf "$WORK_DIR"' EXIT
 
 DRIFT="phase:period=225000,phases=2,intensity=0.7,seed=11"
@@ -36,20 +36,21 @@ cp "$WORK_DIR/chunks/000_kafka_drift.whrt" "$WORK_DIR/eval.whrt"
     --out "$WORK_DIR/static.hints" > /dev/null
 
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
-    --out "$WORK_DIR/online.vhints" \
-    --journal "$WORK_DIR/hints.journal" \
+    --out-dir "$WORK_DIR/out" \
+    --journal-dir "$WORK_DIR/journal" \
     --chunk-records 45000 --epoch-chunks 2 \
-    --workers 4 --shards 2 --max-hard 256 \
+    --workers 4 --max-hard 256 \
     --eval-trace "$WORK_DIR/eval.whrt" \
     --compare-hints "$WORK_DIR/static.hints" \
     > "$WORK_DIR/whisperd.txt" 2>&1
 cat "$WORK_DIR/whisperd.txt"
 
-# Contract 1: adaptation actually happened.
-EPOCHS=$(sed -n 's/^whisperd: epochs=\([0-9]*\).*/\1/p' \
+# Contract 1: adaptation actually happened (one tenant: the stream
+# is all kafka).
+EPOCHS=$(sed -n 's/^whisperd\[kafka\]: epochs=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt")
 [ "$EPOCHS" -ge 2 ]
-ACCEPTED=$(sed -n 's/.*accepted=\([0-9]*\).*/\1/p' \
+ACCEPTED=$(sed -n 's/^whisperd\[kafka\]: .* accepted=\([0-9]*\).*/\1/p' \
     "$WORK_DIR/whisperd.txt")
 [ "$ACCEPTED" -ge 1 ]
 grep -q "deployed bundle (epoch" "$WORK_DIR/whisperd.txt"

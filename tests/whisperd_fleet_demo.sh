@@ -132,7 +132,10 @@ cmp "$WORK_DIR/out/$ISO_APP.vhints" \
 BG_PID=$!
 i=0
 while [ "$i" -lt 150 ]; do
-    if grep -q "epoch" "$WORK_DIR/fleet_bg.txt" 2> /dev/null; then
+    # The first trained epoch, not the start-up banner (which also
+    # says "epoch="): the kill must land mid-training.
+    if grep -q '^info: whisperd\[.*\] epoch [0-9]*: ' \
+        "$WORK_DIR/fleet_bg.txt" 2> /dev/null; then
         break
     fi
     kill -0 "$BG_PID" 2> /dev/null || break

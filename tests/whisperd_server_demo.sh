@@ -11,10 +11,11 @@
 #                  load generator) is replayed through the in-process
 #                  --chunks ingest path; every tenant's deployed
 #                  bundle must be byte-identical to the wire run's.
-#   kill-9/WAL   — a second server is kill -9ed mid-load; a restart
-#                  on the same port resumes deployed tenants from
-#                  their journals while the still-running clients
-#                  reconnect and retransmit to completion.
+#   kill-9/WAL   — a second server deploys from a seed load, then is
+#                  kill -9ed mid-way through a live load on the same
+#                  tenants; a restart on the same port resumes them
+#                  from their journals while the still-running
+#                  clients reconnect and retransmit to completion.
 set -e
 
 BIN_DIR="$1"
@@ -125,52 +126,84 @@ done
 
 # ---- leg 3: kill -9 mid-load, restart, WAL resume ------------------
 
-PORT=$((21000 + $$ % 20000))
-"$BIN_DIR/whisperd" --listen 127.0.0.1:$PORT \
-    --tenants auto \
+# Per-epoch log lines ("info: whisperd[APP] epoch N: ...") so far.
+epoch_lines() {
+    grep -c '^info: whisperd\[.*\] epoch [0-9]*: ' "$1" || true
+}
+
+# Wait until server log $1 holds at least $2 per-epoch lines.
+wait_epoch_lines() {
+    i=0
+    while [ "$(epoch_lines "$1")" -lt "$2" ]; do
+        i=$((i + 1))
+        [ "$i" -le 3000 ] || {
+            echo "FAIL: $1 never reached $2 trained epochs"; exit 1; }
+        kill -0 "$SRV_PID" 2> /dev/null || {
+            echo "FAIL: server died before $2 trained epochs"; exit 1; }
+        sleep 0.02
+    done
+}
+
+# The first life takes an ephemeral port; the restart rebinds that
+# same port so the clients' reconnects find it.
+"$BIN_DIR/whisperd" --listen 127.0.0.1:0 \
+    --port-file "$WORK_DIR/kill_port1.txt" \
     --journal-dir "$WORK_DIR/kill_journal" \
     --out-dir "$WORK_DIR/kill_out" \
     --chunk-records 1000 --epoch-chunks 2 \
     --quota-chunks 64 --quota-jobs 65536 --max-hard 64 \
     > "$WORK_DIR/kill_s1.txt" 2>&1 &
 SRV_PID=$!
-sleep 0.3
-kill -0 "$SRV_PID" || {
-    echo "FAIL: kill-leg server did not start (port $PORT taken?)"
-    exit 1; }
+wait_port_file "$WORK_DIR/kill_port1.txt"
+PORT=$(cat "$WORK_DIR/kill_port1.txt")
 
-"$BIN_DIR/whisper_loadgen" --port $PORT \
+# Seed load: the same agents send SEED_CHUNKS chunks each and finish.
+# With --epoch-chunks 2 every agent's tenant then has exactly
+# (SEED_CHUNKS - 1) / 2 training jobs; once all of them are logged,
+# each ACCEPTED among them is durable (the line is logged after the
+# deployment's journal append returned), so the restart has
+# something to resume. The journal files themselves prove nothing:
+# they exist from tenant registration on.
+SEED_CHUNKS=8
+"$BIN_DIR/whisper_loadgen" --port "$PORT" \
+    --agents "$KILL_AGENTS" --chunks-per-agent $SEED_CHUNKS \
+    --chunk-records 1000 \
+    --timeout-ms 2000 --max-attempts 400 \
+    > "$WORK_DIR/kill_seed.txt" 2>&1 || {
+    cat "$WORK_DIR/kill_seed.txt"
+    echo "FAIL: seed load lost chunks"; exit 1; }
+SEED_EPOCHS=$((KILL_AGENTS * ((SEED_CHUNKS - 1) / 2)))
+wait_epoch_lines "$WORK_DIR/kill_s1.txt" "$SEED_EPOCHS"
+grep -q "ACCEPTED (deployed epoch" "$WORK_DIR/kill_s1.txt" || {
+    echo "FAIL: the seed load deployed no epoch"; exit 1; }
+
+# Live load on the same tenants. Each tenant already holds one
+# untrained chunk, so the first live chunk it absorbs completes an
+# epoch: one more epoch line means live traffic is flowing, with
+# most of each agent's KILL_CHUNKS still unsent. Kill -9 right then.
+"$BIN_DIR/whisper_loadgen" --port "$PORT" \
     --agents "$KILL_AGENTS" --chunks-per-agent "$KILL_CHUNKS" \
     --chunk-records 1000 \
     --timeout-ms 2000 --max-attempts 400 \
     --json "$WORK_DIR/bench_kill.json" \
     > "$WORK_DIR/kill_lg.txt" 2>&1 &
 LG_PID=$!
-
-# Kill once at least one tenant has journaled a deployment, so the
-# restart has something to resume — adapts to TSan-speed machines.
-i=0
-while ! ls "$WORK_DIR/kill_journal" | grep -q journal; do
-    i=$((i + 1))
-    [ "$i" -le 300 ] || {
-        echo "FAIL: no deployment journaled before load ended"
-        exit 1; }
-    kill -0 "$LG_PID" 2> /dev/null || break
-    sleep 0.1
-done
-sleep 0.3
+wait_epoch_lines "$WORK_DIR/kill_s1.txt" $((SEED_EPOCHS + 1))
 kill -9 "$SRV_PID"
 wait "$SRV_PID" 2> /dev/null || true
-sleep 0.5
 
-"$BIN_DIR/whisperd" --listen 127.0.0.1:$PORT \
-    --tenants auto \
+"$BIN_DIR/whisperd" --listen "127.0.0.1:$PORT" \
+    --port-file "$WORK_DIR/kill_port2.txt" \
     --journal-dir "$WORK_DIR/kill_journal" \
     --out-dir "$WORK_DIR/kill_out" \
     --chunk-records 1000 --epoch-chunks 2 \
     --quota-chunks 64 --quota-jobs 65536 --max-hard 64 \
     > "$WORK_DIR/kill_s2.txt" 2>&1 &
 SRV_PID=$!
+wait_port_file "$WORK_DIR/kill_port2.txt"
+[ "$(cat "$WORK_DIR/kill_port2.txt")" -eq "$PORT" ] || {
+    echo "FAIL: restart bound port $(cat "$WORK_DIR/kill_port2.txt")," \
+        "not $PORT"; exit 1; }
 
 wait "$LG_PID" || {
     cat "$WORK_DIR/kill_lg.txt"

@@ -2,32 +2,37 @@
  * @file
  * whisperd — continuous profile-guided optimization service CLI.
  *
- * Streams every .whrt file of a chunk directory (sorted by name, so
- * naming encodes the drift order) through the whisperd loop:
- * bounded-chunk ingest, sharded streaming profiling, parallel
- * formula training, validated hint-bundle deployment. Writes the
- * final deployed generation as an epoch-stamped bundle and can
- * evaluate it (and a static reference bundle) on a held-out trace.
+ * Every run is one TenantRouter: each chunk is routed by the app
+ * name it carries to that app's own loop (streaming profiling,
+ * parallel formula training, validated hint-bundle deployment), and
+ * training capacity is shared fairly across apps. With the default
+ * --tenants auto an app is registered on its first chunk, so a
+ * single-app stream is simply a one-tenant run.
+ *
+ * Chunks come from a directory (--chunks: every .whrt file, sorted
+ * by name, so naming encodes the drift order) or, with --listen
+ * [ADDR:]PORT, over the CRC-framed wire protocol (see src/net/),
+ * where clients also pull deployed bundles with epoch-based caching.
+ * SIGINT/SIGTERM triggers a graceful drain: stop the listener, drain
+ * every tenant queue and in-flight training job, flush the journals,
+ * then report.
  *
  * Usage:
- *   whisperd --chunks DIR --out FILE [--chunk-records N]
- *            [--epoch-chunks N] [--workers N] [--shards N]
- *            [--tage-kb N] [--max-hard N] [--margin F]
- *            [--journal FILE] [--fault-spec SPEC]
+ *   whisperd (--chunks DIR | --listen [ADDR:]PORT) [--tenants LIST]
+ *            [--journal-dir DIR] [--out-dir DIR] [--chunk-records N]
+ *            [--epoch-chunks N] [--workers N] [--tage-kb N]
+ *            [--max-hard N] [--margin F] [--fault-spec SPEC]
  *            [--deadline-ms N] [--max-attempts N]
  *            [--eval-trace FILE] [--compare-hints FILE] [--quiet]
  *
- * With --journal the deployed-generation history is written through
- * a crash-safe write-ahead journal; a restarted daemon replays it
- * and resumes from the last durable epoch. --fault-spec installs the
- * deterministic fault-injection harness (see fault_injection.hh).
- *
- * With --listen [ADDR:]PORT whisperd becomes an actual server:
- * chunks arrive over the CRC-framed wire protocol (see src/net/)
- * instead of from --chunks, and clients pull deployed bundles with
- * epoch-based caching. SIGINT/SIGTERM triggers a graceful drain:
- * stop the listener, drain every tenant queue and in-flight
- * training job, flush the journals, then write --out-dir bundles.
+ * With --journal-dir every app's deployed-generation history goes
+ * through a crash-safe write-ahead journal (DIR/<app>.journal); a
+ * restarted daemon replays it and resumes from the last durable
+ * epoch. --out-dir writes each deployed bundle to DIR/<app>.vhints.
+ * --eval-trace evaluates the deployed bundle of the trace's own app
+ * (and --compare-hints a static bundle) on that trace. --fault-spec
+ * installs the deterministic fault-injection harness (see
+ * fault_injection.hh).
  */
 
 #include <atomic>
@@ -45,7 +50,6 @@
 #include "net/wire_server.hh"
 #include "service/fault_injection.hh"
 #include "service/tenant_router.hh"
-#include "service/whisperd.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/table.hh"
@@ -60,37 +64,38 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: whisperd --chunks DIR --out FILE [options]\n"
-        "  --chunks DIR         directory of .whrt trace chunks\n"
-        "  --out FILE           final versioned bundle to write\n"
+        "usage: whisperd (--chunks DIR | --listen [ADDR:]PORT) "
+        "[options]\n"
+        "  --chunks DIR         stream a directory of .whrt trace "
+        "chunks\n"
+        "  --listen [ADDR:]PORT serve the wire protocol instead "
+        "(PORT 0 = ephemeral)\n"
+        "  --port-file FILE     write the bound port after listen\n"
+        "  --tenants LIST       comma-separated app names, or 'auto' "
+        "to register apps\n"
+        "                       on first chunk (default auto)\n"
+        "  --journal-dir DIR    per-app crash-safe journals "
+        "(DIR/<app>.journal, resume on restart)\n"
+        "  --out-dir DIR        per-app deployed bundles "
+        "(DIR/<app>.vhints)\n"
         "  --chunk-records N    ingest chunk size (default 50000)\n"
         "  --epoch-chunks N     training chunks per epoch "
         "(default 4)\n"
         "  --workers N          training pool width (default 4)\n"
-        "  --shards N           profile shards (default 2)\n"
+        "  --dispatchers N      training dispatcher threads "
+        "(default 1)\n"
         "  --tage-kb N          baseline budget (default 64)\n"
-        "  --max-hard N         hard-branch cap per shard "
+        "  --max-hard N         hard-branch cap per app "
         "(default 512)\n"
         "  --fraction F         randomized-testing fraction\n"
         "  --margin F           acceptance accuracy margin "
         "(default 0)\n"
-        "  --journal FILE       crash-safe deployment journal "
-        "(resume on restart)\n"
-        "  --tenants LIST       multi-tenant mode: comma-separated "
-        "app names, or 'auto'\n"
-        "                       to register apps on first chunk\n"
-        "  --journal-dir DIR    per-tenant journals "
-        "(DIR/<app>.journal)\n"
-        "  --out-dir DIR        per-tenant deployed bundles "
-        "(DIR/<app>.vhints)\n"
-        "  --quota-chunks [APP=]N  per-tenant queued-chunk quota "
+        "  --quota-chunks [APP=]N  per-app queued-chunk quota "
         "(default 16)\n"
-        "  --quota-jobs [APP=]N per-tenant pending-train-job quota "
+        "  --quota-jobs [APP=]N per-app pending-train-job quota "
         "(default 4)\n"
         "  --tenant-weight APP=W  fair-share weight (default 1; "
         "repeatable)\n"
-        "  --dispatchers N      training dispatcher threads "
-        "(default 1)\n"
         "  --train-prune=on|off sparse-correlation screening of "
         "the formula search (default on)\n"
         "  --warm-start=on|off  seed each epoch from the deployed "
@@ -101,17 +106,12 @@ usage()
         "requeue (default 30000)\n"
         "  --max-attempts N     training attempts before a branch "
         "is degraded (default 3)\n"
-        "  --listen [ADDR:]PORT serve the wire protocol instead of "
-        "streaming --chunks\n"
-        "                       (PORT 0 = ephemeral; requires "
-        "--tenants)\n"
-        "  --port-file FILE     write the bound port after listen\n"
         "  --retry-after-ms N   backpressure hint sent to clients "
         "(default 25)\n"
         "  --idle-timeout-ms N  reap connections stalled mid-frame "
         "(default 10000)\n"
-        "  --eval-trace FILE    evaluate the deployed bundle on a "
-        "trace\n"
+        "  --eval-trace FILE    evaluate the deployed bundle of the "
+        "trace's app on it\n"
         "  --compare-hints FILE also evaluate a static bundle on it\n"
         "  --quiet              no per-epoch log\n");
     std::exit(2);
@@ -187,43 +187,12 @@ parsePerApp(const std::string &value, uint64_t *global,
     return true;
 }
 
-/** Everything the multi-tenant modes (streaming and server) share. */
+/** The --tenants list and its per-app quota overrides. */
 struct TenantArgs
 {
-    std::string tenantsArg;
-    std::string journalDir;
-    std::string outDir;
-    unsigned dispatchers = 1;
-    TenantQuota defaultQuota;
+    std::string tenantsArg = "auto";
     std::map<std::string, uint64_t> quotaChunks, quotaJobs, weights;
 };
-
-TenantRouterConfig
-buildRouterConfig(const WhisperdConfig &cfg, const TenantArgs &args)
-{
-    TenantRouterConfig tcfg;
-    tcfg.chunkRecords = cfg.chunkRecords;
-    tcfg.epochChunks = cfg.epochChunks;
-    tcfg.trainWorkers = cfg.trainWorkers;
-    tcfg.trainDispatchers = args.dispatchers;
-    tcfg.queueCapacity = cfg.queueCapacity;
-    tcfg.tageBudgetKB = cfg.tageBudgetKB;
-    tcfg.acceptMargin = cfg.acceptMargin;
-    tcfg.profilePolicy = cfg.profilePolicy;
-    tcfg.whisper = cfg.whisper;
-    tcfg.injector = cfg.injector;
-    tcfg.verbose = cfg.verbose;
-    tcfg.journalDir = args.journalDir;
-    tcfg.trainTaskDeadlineMs = cfg.trainTaskDeadlineMs;
-    tcfg.trainMaxAttempts = cfg.trainMaxAttempts;
-    tcfg.trainPrune = cfg.trainPrune;
-    tcfg.screen = cfg.screen;
-    tcfg.warmStart = cfg.warmStart;
-    tcfg.warmFallbackMargin = cfg.warmFallbackMargin;
-    tcfg.defaultQuota = args.defaultQuota;
-    tcfg.autoRegister = args.tenantsArg == "auto";
-    return tcfg;
-}
 
 /** Register the --tenants list (no-op under auto-register).
  * @return false when the list named no apps. */
@@ -233,7 +202,7 @@ registerTenants(TenantRouter &router, const TenantArgs &args)
     if (args.tenantsArg == "auto")
         return true;
     auto quotaFor = [&](const std::string &app) {
-        TenantQuota q = args.defaultQuota;
+        TenantQuota q = router.config().defaultQuota;
         if (auto it = args.quotaChunks.find(app);
             it != args.quotaChunks.end())
             q.maxQueuedChunks = static_cast<size_t>(it->second);
@@ -258,7 +227,8 @@ registerTenants(TenantRouter &router, const TenantArgs &args)
     return router.registry().size() > 0;
 }
 
-/** Per-tenant summary lines + deployed-bundle save (--out-dir). */
+/** Per-tenant summary lines, the fault roll-up, the metrics tables,
+ * and the deployed-bundle save (--out-dir). */
 int
 reportTenants(TenantRouter &router, const std::string &outDir)
 {
@@ -284,6 +254,18 @@ reportTenants(TenantRouter &router, const std::string &outDir)
             static_cast<unsigned long long>(tm.warmFallbackEpochs),
             tm.branchTrainMsMean);
     }
+    std::printf(
+        "whisperd: faults skipped-chunks=%llu skipped-records=%llu "
+        "retries=%llu requeued-tasks=%llu degraded-branches=%llu "
+        "torn-writes=%llu workers-died=%llu\n",
+        static_cast<unsigned long long>(metrics.chunksSkipped),
+        static_cast<unsigned long long>(metrics.recordsSkipped),
+        static_cast<unsigned long long>(metrics.readRetries),
+        static_cast<unsigned long long>(metrics.tasksRequeued),
+        static_cast<unsigned long long>(metrics.branchesDegraded),
+        static_cast<unsigned long long>(
+            metrics.journalAppendFailures),
+        static_cast<unsigned long long>(metrics.workersDied));
     metrics.dump(std::cout);
 
     int status = 0;
@@ -316,40 +298,11 @@ reportTenants(TenantRouter &router, const std::string &outDir)
 }
 
 int
-runMultiTenant(const WhisperdConfig &cfg, const std::string &chunkDir,
-               const TenantArgs &args)
+runServer(TenantRouter &router, const std::string &listenArg,
+          const std::string &portFile, uint32_t retryAfterMs,
+          uint32_t idleTimeoutMs)
 {
-    TenantRouterConfig tcfg = buildRouterConfig(cfg, args);
-    TenantRouter router(tcfg, globalTruthTables());
-    if (!registerTenants(router, args)) {
-        std::fprintf(stderr, "error: --tenants named no apps\n");
-        return 2;
-    }
-
-    std::printf("whisperd: multi-tenant streaming %s (%zu tenants%s, "
-                "chunk=%zu records, epoch=%u chunks, %u train "
-                "workers, %u dispatchers)\n",
-                chunkDir.c_str(), router.registry().size(),
-                tcfg.autoRegister ? " + auto-register" : "",
-                tcfg.chunkRecords, tcfg.epochChunks,
-                tcfg.trainWorkers,
-                std::max(1u, tcfg.trainDispatchers));
-
-    router.run(chunkDir);
-    return reportTenants(router, args.outDir);
-}
-
-int
-runServer(const WhisperdConfig &cfg, const TenantArgs &args,
-          const std::string &listenArg, const std::string &portFile,
-          uint32_t retryAfterMs, uint32_t idleTimeoutMs)
-{
-    TenantRouterConfig tcfg = buildRouterConfig(cfg, args);
-    TenantRouter router(tcfg, globalTruthTables());
-    if (!registerTenants(router, args)) {
-        std::fprintf(stderr, "error: --tenants named no apps\n");
-        return 2;
-    }
+    const TenantRouterConfig &tcfg = router.config();
     router.start();
 
     WireServerConfig scfg;
@@ -364,7 +317,7 @@ runServer(const WhisperdConfig &cfg, const TenantArgs &args,
                                            10));
     scfg.retryAfterMs = retryAfterMs;
     scfg.idleTimeoutMs = idleTimeoutMs;
-    scfg.verbose = cfg.verbose;
+    scfg.verbose = tcfg.verbose;
 
     WireServer server(
         scfg,
@@ -400,7 +353,6 @@ runServer(const WhisperdConfig &cfg, const TenantArgs &args,
                 router.registry().size(),
                 tcfg.autoRegister ? " + auto-register" : "",
                 std::max(1u, tcfg.trainDispatchers));
-    std::fflush(stdout);
     if (!portFile.empty()) {
         // Written only after a successful bind, so a waiting script
         // can poll for this file and then connect immediately.
@@ -447,23 +399,80 @@ runServer(const WhisperdConfig &cfg, const TenantArgs &args,
         static_cast<unsigned long long>(ws.bundlesSent),
         static_cast<unsigned long long>(ws.bundlesUnchanged),
         static_cast<unsigned long long>(ws.listenerRestarts));
-    return reportTenants(router, args.outDir);
+    return 0;
+}
+
+/** Evaluate the bundle deployed for @p evalPath's app (and, with
+ * @p comparePath, a static bundle) against plain TAGE on that trace. */
+int
+evalDeployed(const TenantRouter &router, const std::string &evalPath,
+             const std::string &comparePath)
+{
+    BranchTrace evalTrace;
+    if (IoStatus st = evalTrace.load(evalPath); !st) {
+        std::fprintf(stderr, "error: %s\n", st.message.c_str());
+        return 1;
+    }
+    const Tenant *tenant = router.registry().find(evalTrace.app());
+    HintStore::Snapshot deployed =
+        tenant ? tenant->store.current() : nullptr;
+    if (!deployed) {
+        std::fprintf(stderr,
+                     "whisperd: no bundle deployed for app '%s'\n",
+                     evalTrace.app().c_str());
+        return 1;
+    }
+
+    const TenantRouterConfig &cfg = router.config();
+    double baseMpki = 0.0, onlineMpki = 0.0;
+    double baseAcc = evalBundleAccuracy(evalTrace, cfg.tageBudgetKB,
+                                        cfg.whisper, nullptr,
+                                        &baseMpki);
+    double onlineAcc = evalBundleAccuracy(
+        evalTrace, cfg.tageBudgetKB, cfg.whisper, &deployed->bundle,
+        &onlineMpki);
+    std::printf("eval %s: tage accuracy=%.4f%% mpki=%.3f\n",
+                evalPath.c_str(), 100.0 * baseAcc, baseMpki);
+    std::printf("eval %s: online-whisper accuracy=%.4f%% mpki=%.3f\n",
+                evalPath.c_str(), 100.0 * onlineAcc, onlineMpki);
+
+    if (comparePath.empty())
+        return 0;
+    HintBundle staticBundle;
+    if (IoStatus st = loadHintBundle(staticBundle, comparePath); !st) {
+        std::fprintf(stderr, "error: %s\n", st.message.c_str());
+        return 1;
+    }
+    double staticMpki = 0.0;
+    double staticAcc = evalBundleAccuracy(
+        evalTrace, cfg.tageBudgetKB, cfg.whisper, &staticBundle,
+        &staticMpki);
+    std::printf("eval %s: static-whisper accuracy=%.4f%% mpki=%.3f\n",
+                evalPath.c_str(), 100.0 * staticAcc, staticMpki);
+    std::printf("online-vs-static: %+.4fpp (%s)\n",
+                100.0 * (onlineAcc - staticAcc),
+                onlineAcc >= staticAcc ? "online wins or ties"
+                                       : "online loses");
+    return 0;
 }
 
 int
 main(int argc, char **argv)
 {
+    // Line-buffered even when redirected, so scripts watching the
+    // log (e.g. for an ACCEPTED line) see each line as it happens.
+    std::setvbuf(stdout, nullptr, _IOLBF, 0);
     // Wire sends use MSG_NOSIGNAL, but library code (journals,
     // stdout) can still hit a closed pipe; EPIPE as an error return
     // beats sudden death.
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::string chunkDir, outPath, evalPath, comparePath;
+    std::string chunkDir, outDir, evalPath, comparePath;
     std::string faultSpec;
     std::string listenArg, portFile;
     uint32_t retryAfterMs = 25, idleTimeoutMs = 10'000;
     TenantArgs tenants;
-    WhisperdConfig cfg;
+    TenantRouterConfig cfg;
     double fraction = -1.0;
 
     for (int i = 1; i < argc; ++i) {
@@ -475,8 +484,6 @@ main(int argc, char **argv)
         };
         if (arg == "--chunks")
             chunkDir = next();
-        else if (arg == "--out")
-            outPath = next();
         else if (arg == "--chunk-records")
             cfg.chunkRecords =
                 static_cast<size_t>(std::strtoull(next(), nullptr, 10));
@@ -484,9 +491,6 @@ main(int argc, char **argv)
             cfg.epochChunks = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--workers")
             cfg.trainWorkers = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--shards")
-            cfg.profileShards =
-                static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--tage-kb")
             cfg.tageBudgetKB = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--max-hard")
@@ -496,28 +500,25 @@ main(int argc, char **argv)
             fraction = std::atof(next());
         else if (arg == "--margin")
             cfg.acceptMargin = std::atof(next());
-        else if (arg == "--journal")
-            cfg.journalPath = next();
         else if (arg == "--tenants")
             tenants.tenantsArg = next();
         else if (arg == "--journal-dir")
-            tenants.journalDir = next();
+            cfg.journalDir = next();
         else if (arg == "--out-dir")
-            tenants.outDir = next();
+            outDir = next();
         else if (arg == "--dispatchers")
-            tenants.dispatchers =
+            cfg.trainDispatchers =
                 static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--quota-chunks") {
-            uint64_t v = tenants.defaultQuota.maxQueuedChunks;
+            uint64_t v = cfg.defaultQuota.maxQueuedChunks;
             if (!parsePerApp(next(), &v, tenants.quotaChunks))
                 usage();
-            tenants.defaultQuota.maxQueuedChunks =
-                static_cast<size_t>(v);
+            cfg.defaultQuota.maxQueuedChunks = static_cast<size_t>(v);
         } else if (arg == "--quota-jobs") {
-            uint64_t v = tenants.defaultQuota.maxPendingTrainJobs;
+            uint64_t v = cfg.defaultQuota.maxPendingTrainJobs;
             if (!parsePerApp(next(), &v, tenants.quotaJobs))
                 usage();
-            tenants.defaultQuota.maxPendingTrainJobs =
+            cfg.defaultQuota.maxPendingTrainJobs =
                 static_cast<size_t>(v);
         } else if (arg == "--tenant-weight") {
             uint64_t unused = 0;
@@ -564,18 +565,12 @@ main(int argc, char **argv)
         else
             usage();
     }
-    bool multiTenant = !tenants.tenantsArg.empty();
     bool serverMode = !listenArg.empty();
-    if (serverMode && !multiTenant) {
-        std::fprintf(stderr, "error: --listen requires --tenants\n");
-        return 2;
-    }
-    if (cfg.chunkRecords == 0 ||
-        (!serverMode &&
-         (chunkDir.empty() || (outPath.empty() && !multiTenant))))
+    if (cfg.chunkRecords == 0 || (!serverMode && chunkDir.empty()))
         usage();
     if (fraction > 0)
         cfg.whisper.formulaFraction = fraction;
+    cfg.autoRegister = tenants.tenantsArg == "auto";
     if (!faultSpec.empty()) {
         std::string error;
         if (!FaultInjector::instance().configure(faultSpec, &error)) {
@@ -586,117 +581,38 @@ main(int argc, char **argv)
         std::printf("whisperd: fault injection armed: %s\n",
                     faultSpec.c_str());
     }
-    if (serverMode)
-        return runServer(cfg, tenants, listenArg, portFile,
-                         retryAfterMs, idleTimeoutMs);
-    if (ChunkIngestor::listTraceFiles(chunkDir).empty()) {
+    if (!serverMode &&
+        ChunkIngestor::listTraceFiles(chunkDir).empty()) {
         std::fprintf(stderr, "error: no .whrt files in %s\n",
                      chunkDir.c_str());
         return 1;
     }
 
-    if (multiTenant)
-        return runMultiTenant(cfg, chunkDir, tenants);
-
-    std::printf("whisperd: streaming %s (chunk=%zu records, "
-                "epoch=%u chunks, %u train workers, %u shards)\n",
-                chunkDir.c_str(), cfg.chunkRecords, cfg.epochChunks,
-                cfg.trainWorkers, cfg.profileShards);
-
-    Whisperd daemon(cfg, globalTruthTables());
-    if (!cfg.journalPath.empty()) {
-        std::printf(
-            "whisperd: resumed from journal at epoch %llu "
-            "(%llu generations)\n",
-            static_cast<unsigned long long>(daemon.resumedEpoch()),
-            static_cast<unsigned long long>(
-                daemon.recoveredGenerations()));
+    TenantRouter router(cfg, globalTruthTables());
+    if (!registerTenants(router, tenants)) {
+        std::fprintf(stderr, "error: --tenants named no apps\n");
+        return 2;
     }
-    daemon.run(chunkDir);
 
-    const HintStore &store = daemon.store();
-    std::printf("whisperd: epochs=%llu accepted=%llu rejected=%llu "
-                "deployed-epoch=%llu\n",
-                static_cast<unsigned long long>(daemon.epochsRun()),
-                static_cast<unsigned long long>(store.accepted()),
-                static_cast<unsigned long long>(store.rejected()),
-                static_cast<unsigned long long>(store.epoch()));
-    const ServiceMetrics &sm = daemon.metrics();
-    std::printf(
-        "whisperd: training warm-hits=%llu cold-searches=%llu "
-        "warm-fallbacks=%llu branch-train-ms=%.3f\n",
-        static_cast<unsigned long long>(sm.warmHits),
-        static_cast<unsigned long long>(sm.coldSearches),
-        static_cast<unsigned long long>(sm.warmFallbackEpochs),
-        sm.branchTrainMs.mean());
-    std::printf(
-        "whisperd: faults skipped-chunks=%llu skipped-records=%llu "
-        "retries=%llu requeued-tasks=%llu degraded-branches=%llu "
-        "torn-writes=%llu workers-died=%llu\n",
-        static_cast<unsigned long long>(sm.chunksSkipped),
-        static_cast<unsigned long long>(sm.recordsSkipped),
-        static_cast<unsigned long long>(sm.readRetries),
-        static_cast<unsigned long long>(sm.tasksRequeued),
-        static_cast<unsigned long long>(sm.branchesDegraded),
-        static_cast<unsigned long long>(sm.journalAppendFailures),
-        static_cast<unsigned long long>(sm.workersDied));
-    daemon.metrics().report(std::cout);
-
-    HintStore::Snapshot deployed = store.current();
-    if (!deployed) {
-        std::fprintf(stderr,
-                     "whisperd: no bundle was ever deployed\n");
-        return 1;
+    if (serverMode) {
+        if (int status = runServer(router, listenArg, portFile,
+                                   retryAfterMs, idleTimeoutMs))
+            return status;
+    } else {
+        std::printf("whisperd: streaming %s (%zu tenants%s, "
+                    "chunk=%zu records, epoch=%u chunks, %u train "
+                    "workers, %u dispatchers)\n",
+                    chunkDir.c_str(), router.registry().size(),
+                    cfg.autoRegister ? " + auto-register" : "",
+                    cfg.chunkRecords, cfg.epochChunks,
+                    cfg.trainWorkers,
+                    std::max(1u, cfg.trainDispatchers));
+        router.run(chunkDir);
     }
-    if (!saveVersionedBundle(*deployed, outPath)) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     outPath.c_str());
-        return 1;
-    }
-    std::printf("whisperd: deployed bundle (epoch %llu, %zu hints) "
-                "-> %s\n",
-                static_cast<unsigned long long>(deployed->epoch),
-                deployed->bundle.hints.size(), outPath.c_str());
 
+    if (int status = reportTenants(router, outDir))
+        return status;
     if (evalPath.empty())
         return 0;
-
-    BranchTrace evalTrace;
-    if (IoStatus st = evalTrace.load(evalPath); !st) {
-        std::fprintf(stderr, "error: %s\n", st.message.c_str());
-        return 1;
-    }
-
-    double baseMpki = 0.0, onlineMpki = 0.0;
-    double baseAcc = evalBundleAccuracy(evalTrace, cfg.tageBudgetKB,
-                                        cfg.whisper, nullptr,
-                                        &baseMpki);
-    double onlineAcc = evalBundleAccuracy(
-        evalTrace, cfg.tageBudgetKB, cfg.whisper, &deployed->bundle,
-        &onlineMpki);
-    std::printf("eval %s: tage accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * baseAcc, baseMpki);
-    std::printf("eval %s: online-whisper accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * onlineAcc, onlineMpki);
-
-    if (!comparePath.empty()) {
-        HintBundle staticBundle;
-        if (IoStatus st = loadHintBundle(staticBundle, comparePath);
-            !st) {
-            std::fprintf(stderr, "error: %s\n", st.message.c_str());
-            return 1;
-        }
-        double staticMpki = 0.0;
-        double staticAcc = evalBundleAccuracy(
-            evalTrace, cfg.tageBudgetKB, cfg.whisper, &staticBundle,
-            &staticMpki);
-        std::printf(
-            "eval %s: static-whisper accuracy=%.4f%% mpki=%.3f\n",
-            evalPath.c_str(), 100.0 * staticAcc, staticMpki);
-        std::printf("online-vs-static: %+.4fpp (%s)\n",
-                    100.0 * (onlineAcc - staticAcc),
-                    onlineAcc >= staticAcc ? "online wins or ties"
-                                           : "online loses");
-    }
-    return 0;
+    return evalDeployed(router, evalPath, comparePath);
 }
