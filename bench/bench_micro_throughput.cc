@@ -1,22 +1,20 @@
 /**
  * @file
  * Simulation-throughput microbench: branches/sec/core for every
- * predictor on the mysql trace, serial (three virtual calls per
- * record) versus batched (one predictMany call per 4096 records),
- * plus the hint-buffer hot path measured in isolation against the
- * pre-refactor pointer-chasing implementation.
+ * predictor on the mysql trace, driven by the runners' per-record
+ * step, plus the hint-buffer hot path measured in isolation against
+ * the list+map reference model.
  *
  * This bench measures the simulator, not the modeled hardware: it
  * exists so the data-layout work (flat SoA predictor tables, the
- * open-addressing hint buffer, the batched dispatch path) has a
- * pinned, machine-readable trajectory. Besides the human tables it
- * writes BENCH_micro_throughput.json; CI's perf-smoke job parses
- * that file and the repo commits a reference copy at the root.
+ * hint buffer) has a pinned, machine-readable trajectory. Besides
+ * the human tables it writes BENCH_micro_throughput.json; CI's
+ * perf-smoke job parses that file and the repo commits a reference
+ * copy at the root.
  *
- * Every timed pair is also a correctness check: serial and batched
- * runs must report identical mispredict counts, and the legacy and
- * flat hint buffers must agree on every counter after replaying the
- * identical operation sequence.
+ * The hint-buffer timing is also a correctness check: the reference
+ * and the HintBuffer must agree on every counter and on recency
+ * order after replaying the identical operation sequence.
  */
 
 #include <chrono>
@@ -30,6 +28,7 @@
 #include "bp/perceptron.hh"
 #include "core/hint_buffer.hh"
 #include "core/legacy_hint_buffer.hh"
+#include "sim/runner.hh"
 #include "trace/branch_trace.hh"
 #include "util/logging.hh"
 
@@ -48,88 +47,40 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
-constexpr size_t kBatch = 4096;
-
 struct Throughput
 {
-    double serialBps = 0;  //!< conditional branches/sec, serial
-    double batchedBps = 0; //!< conditional branches/sec, batched
+    double bps = 0; //!< conditional branches/sec
     uint64_t mispredicts = 0;
 };
 
-/** Time one predictor both ways; assert identical outcomes. */
+/** Time one clone of @p proto over the whole trace. */
 Throughput
 measurePredictor(const BranchTrace &trace,
                  const BranchPredictor &proto)
 {
+    auto pred = proto.clone();
     Throughput out;
-
-    // Serial: the pre-batching driver loop, three virtual calls per
-    // record.
-    {
-        auto pred = proto.clone();
-        uint64_t mispredicts = 0;
-        auto start = Clock::now();
-        for (const BranchRecord &rec : trace) {
-            if (rec.isConditional()) {
-                bool p = pred->predict(rec.pc, rec.taken);
-                pred->update(rec.pc, rec.taken, p);
-                mispredicts += p != rec.taken;
-            }
-            pred->onRecord(rec);
-        }
-        double secs = secondsSince(start);
-        out.serialBps = trace.conditionals() / secs;
-        out.mispredicts = mispredicts;
-    }
-
-    // Batched: one virtual call per kBatch records.
-    {
-        auto pred = proto.clone();
-        std::vector<uint8_t> miss(kBatch);
-        uint64_t mispredicts = 0;
-        const BranchRecord *records = &trace[0];
-        size_t count = trace.size();
-        auto start = Clock::now();
-        for (size_t i = 0; i < count; i += kBatch) {
-            size_t n = std::min(kBatch, count - i);
-            pred->predictMany(records + i, n, miss.data());
-            for (size_t k = 0; k < n; ++k)
-                mispredicts += miss[k];
-        }
-        double secs = secondsSince(start);
-        out.batchedBps = trace.conditionals() / secs;
-        whisper_assert(mispredicts == out.mispredicts,
-                       "batched run diverged from serial run");
-    }
+    auto start = Clock::now();
+    for (const BranchRecord &rec : trace)
+        out.mispredicts += stepPredictor(*pred, rec);
+    out.bps = trace.conditionals() / secondsSince(start);
     return out;
 }
+
+/** One hint-buffer operation: a lookup, or an insert of @p hint. */
+struct BufOp
+{
+    uint64_t pc;
+    bool insert;
+    BrHint hint;
+};
 
 /**
  * The exact hint-buffer op sequence WhisperPredictor would issue
  * while replaying a trace: a lookup per conditional, inserts when a
- * record executes a predecessor block that carries brhints. Stored
- * run-structured — maximal runs of consecutive lookups separated by
- * insert bursts — which is also how the simulator sees the stream
- * (brhint triggers punctuate long stretches of plain conditionals).
- * The run structure is what lets the flat buffer amortize: each
- * lookup run becomes one lookupMany() call.
+ * record executes a predecessor block that carries brhints.
  */
-struct BufScript
-{
-    struct Run
-    {
-        uint32_t lookups; //!< consumed from lookupPcs
-        uint32_t inserts; //!< consumed from insertOps, after lookups
-    };
-
-    std::vector<Run> runs;
-    std::vector<uint64_t> lookupPcs;
-    std::vector<std::pair<uint64_t, BrHint>> insertOps;
-    size_t maxRun = 0;
-};
-
-BufScript
+std::vector<BufOp>
 hintBufferScript(const BranchTrace &trace, const WhisperBuild &build)
 {
     std::unordered_map<uint64_t, BrHint> hints;
@@ -139,73 +90,32 @@ hintBufferScript(const BranchTrace &trace, const WhisperBuild &build)
     for (const auto &pl : build.placements)
         triggers[pl.predecessorPc].push_back(pl.branchPc);
 
-    BufScript script;
-    BufScript::Run cur{0, 0};
+    std::vector<BufOp> script;
     for (const BranchRecord &rec : trace) {
-        if (rec.isConditional()) {
-            if (cur.inserts) { // insert burst ended: close the run
-                script.runs.push_back(cur);
-                cur = {0, 0};
-            }
-            script.lookupPcs.push_back(rec.pc);
-            ++cur.lookups;
-        }
+        if (rec.isConditional())
+            script.push_back({rec.pc, false, BrHint{}});
         auto it = triggers.find(rec.pc);
         if (it == triggers.end())
             continue;
-        for (uint64_t branchPc : it->second) {
-            script.insertOps.emplace_back(branchPc,
-                                          hints[branchPc]);
-            ++cur.inserts;
-        }
+        for (uint64_t branchPc : it->second)
+            script.push_back({branchPc, true, hints[branchPc]});
     }
-    if (cur.lookups || cur.inserts)
-        script.runs.push_back(cur);
-    for (const auto &run : script.runs)
-        script.maxRun = std::max<size_t>(script.maxRun, run.lookups);
     return script;
 }
 
-/** Replay the script per-op @p reps times; seconds elapsed. This is
- * the only way the pre-refactor buffer can be driven. */
+/** Replay the script @p reps times; seconds elapsed. */
 template <typename Buffer>
 double
-replayScript(Buffer &buf, const BufScript &script, unsigned reps)
+replayScript(Buffer &buf, const std::vector<BufOp> &script,
+             unsigned reps)
 {
     auto start = Clock::now();
     for (unsigned r = 0; r < reps; ++r) {
-        const uint64_t *pc = script.lookupPcs.data();
-        const auto *ins = script.insertOps.data();
-        for (const auto &run : script.runs) {
-            for (uint32_t i = 0; i < run.lookups; ++i)
-                buf.lookup(pc[i]);
-            pc += run.lookups;
-            for (uint32_t i = 0; i < run.inserts; ++i)
-                buf.insert(ins[i].first, ins[i].second);
-            ins += run.inserts;
-        }
-    }
-    return secondsSince(start);
-}
-
-/** Replay the script with each lookup run batched through
- * lookupMany() — observably identical to replayScript() (the
- * differential assert below holds it to that). */
-double
-replayScriptBatched(HintBuffer &buf, const BufScript &script,
-                    unsigned reps)
-{
-    std::vector<const BrHint *> out(script.maxRun);
-    auto start = Clock::now();
-    for (unsigned r = 0; r < reps; ++r) {
-        const uint64_t *pc = script.lookupPcs.data();
-        const auto *ins = script.insertOps.data();
-        for (const auto &run : script.runs) {
-            buf.lookupMany(pc, run.lookups, out.data());
-            pc += run.lookups;
-            for (uint32_t i = 0; i < run.inserts; ++i)
-                buf.insert(ins[i].first, ins[i].second);
-            ins += run.inserts;
+        for (const BufOp &op : script) {
+            if (op.insert)
+                buf.insert(op.pc, op.hint);
+            else
+                buf.lookup(op.pc);
         }
     }
     return secondsSince(start);
@@ -254,19 +164,18 @@ main()
     runOne("whisper_tage64", *makeWhisperPredictor(cfg, build));
 
     TableReporter table("simulator throughput (mysql)");
-    table.setHeader({"predictor", "serial Mbr/s", "batched Mbr/s",
-                     "batch speedup"});
+    table.setHeader({"predictor", "Mbr/s"});
     for (const auto &r : rows)
-        table.addRow(r.name,
-                     {r.t.serialBps / 1e6, r.t.batchedBps / 1e6,
-                      r.t.batchedBps / r.t.serialBps});
+        table.addRow(r.name, {r.t.bps / 1e6});
     table.print();
 
-    // --- hint-buffer hot path, flat vs pre-refactor legacy ---
-    BufScript script = hintBufferScript(trace, build);
-    uint64_t lookups = script.lookupPcs.size();
-    uint64_t inserts = script.insertOps.size();
-    size_t totalOps = lookups + inserts;
+    // --- hint-buffer hot path vs the list+map reference ---
+    std::vector<BufOp> script = hintBufferScript(trace, build);
+    uint64_t inserts = 0;
+    for (const BufOp &op : script)
+        inserts += op.insert;
+    size_t totalOps = script.size();
+    uint64_t lookups = totalOps - inserts;
 
     // Repeat the script so even heavily scaled-down CI runs time
     // tens of millions of ops.
@@ -275,53 +184,42 @@ main()
         ++reps;
 
     LegacyHintBuffer legacy(cfg.whisper.hintBufferEntries);
-    HintBuffer flatSerial(cfg.whisper.hintBufferEntries);
-    HintBuffer flat(cfg.whisper.hintBufferEntries);
+    HintBuffer buffer(cfg.whisper.hintBufferEntries);
     double legacySecs = replayScript(legacy, script, reps);
-    double flatSerialSecs = replayScript(flatSerial, script, reps);
-    double flatSecs = replayScriptBatched(flat, script, reps);
+    double bufferSecs = replayScript(buffer, script, reps);
 
-    // The timed replays double as a differential test: all three
-    // must land in the identical observable state.
-    auto sameState = [&](const auto &buf) {
-        return buf.hits() == legacy.hits() &&
-               buf.misses() == legacy.misses() &&
-               buf.insertions() == legacy.insertions() &&
-               buf.refreshes() == legacy.refreshes() &&
-               buf.evictions() == legacy.evictions() &&
-               buf.lruOrder() == legacy.lruOrder();
-    };
-    whisper_assert(sameState(flatSerial) && sameState(flat),
-                   "flat and legacy hint buffers diverged");
+    // The timed replays double as a differential test: both must
+    // land in the identical observable state.
+    whisper_assert(buffer.hits() == legacy.hits() &&
+                       buffer.misses() == legacy.misses() &&
+                       buffer.insertions() == legacy.insertions() &&
+                       buffer.refreshes() == legacy.refreshes() &&
+                       buffer.evictions() == legacy.evictions() &&
+                       buffer.lruOrder() == legacy.lruOrder(),
+                   "HintBuffer diverged from the legacy reference");
 
     // branches/sec through the buffer: one lookup per conditional.
     double legacyBps = lookups * reps / legacySecs;
-    double flatSerialBps = lookups * reps / flatSerialSecs;
-    double flatBps = lookups * reps / flatSecs;
+    double bufferBps = lookups * reps / bufferSecs;
 
     TableReporter buftab("hint-buffer path (per core)");
-    buftab.setHeader(
-        {"impl", "Mbranches/s", "vs pre-refactor"});
-    buftab.addRow("legacy", {legacyBps / 1e6, 1.0});
-    buftab.addRow("flat per-op",
-                  {flatSerialBps / 1e6, flatSerialBps / legacyBps});
-    buftab.addRow("flat batched",
-                  {flatBps / 1e6, flatBps / legacyBps});
+    buftab.setHeader({"impl", "Mbranches/s", "vs legacy"});
+    buftab.addRow("legacy list+map", {legacyBps / 1e6, 1.0});
+    buftab.addRow("HintBuffer", {bufferBps / 1e6, bufferBps / legacyBps});
     buftab.print();
-    std::printf("script: %zu ops (%llu lookups + %llu inserts) in"
-                " %zu runs x %u reps, %u entries\n",
+    std::printf("script: %zu ops (%llu lookups + %llu inserts)"
+                " x %u reps, %u entries\n",
                 totalOps,
                 static_cast<unsigned long long>(lookups),
-                static_cast<unsigned long long>(inserts),
-                script.runs.size(), reps,
+                static_cast<unsigned long long>(inserts), reps,
                 cfg.whisper.hintBufferEntries);
     std::printf("buffer service: hits=%llu misses=%llu"
                 " insertions=%llu refreshes=%llu evictions=%llu\n",
-                static_cast<unsigned long long>(flat.hits()),
-                static_cast<unsigned long long>(flat.misses()),
-                static_cast<unsigned long long>(flat.insertions()),
-                static_cast<unsigned long long>(flat.refreshes()),
-                static_cast<unsigned long long>(flat.evictions()));
+                static_cast<unsigned long long>(buffer.hits()),
+                static_cast<unsigned long long>(buffer.misses()),
+                static_cast<unsigned long long>(buffer.insertions()),
+                static_cast<unsigned long long>(buffer.refreshes()),
+                static_cast<unsigned long long>(buffer.evictions()));
 
     const char *jsonPath = "BENCH_micro_throughput.json";
     if (FILE *f = std::fopen(jsonPath, "w")) {
@@ -339,12 +237,9 @@ main()
                 f,
                 "    \"%s\": {\n"
                 "      \"serial_branches_per_sec\": %.0f,\n"
-                "      \"batched_branches_per_sec\": %.0f,\n"
-                "      \"batch_speedup\": %.3f,\n"
                 "      \"mispredicts\": %llu\n"
                 "    }%s\n",
-                r.name.c_str(), r.t.serialBps, r.t.batchedBps,
-                r.t.batchedBps / r.t.serialBps,
+                r.name.c_str(), r.t.bps,
                 static_cast<unsigned long long>(r.t.mispredicts),
                 i + 1 < rows.size() ? "," : "");
         }
@@ -358,16 +253,13 @@ main()
             "    \"inserts\": %llu,\n"
             "    \"reps\": %u,\n"
             "    \"legacy_branches_per_sec\": %.0f,\n"
-            "    \"flat_serial_branches_per_sec\": %.0f,\n"
-            "    \"flat_branches_per_sec\": %.0f,\n"
-            "    \"flat_serial_speedup\": %.3f,\n"
+            "    \"branches_per_sec\": %.0f,\n"
             "    \"speedup\": %.3f\n"
             "  }\n}\n",
             cfg.whisper.hintBufferEntries, totalOps,
             static_cast<unsigned long long>(lookups),
             static_cast<unsigned long long>(inserts), reps,
-            legacyBps, flatSerialBps, flatBps,
-            flatSerialBps / legacyBps, flatBps / legacyBps);
+            legacyBps, bufferBps, bufferBps / legacyBps);
         std::fclose(f);
         std::printf("\nwrote %s\n", jsonPath);
     } else {

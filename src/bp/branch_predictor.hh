@@ -61,37 +61,6 @@ class BranchPredictor
     virtual void onRecord(const BranchRecord &rec) { (void)rec; }
 
     /**
-     * Batched evaluation of @p n consecutive trace records: exactly
-     * the per-record predict/update/onRecord loop, in trace order,
-     * folded into a single virtual call. The batch does NOT reorder
-     * or parallelize work — outcomes still feed the history before
-     * the next prediction — it exists so hot predictors can override
-     * it with a devirtualized, inlinable inner loop (the per-record
-     * triple virtual dispatch is what it removes). Implementations
-     * MUST be observably identical to this default; the
-     * serial-vs-sharded differential harness pins that.
-     *
-     * @param outMispredicted one byte per record: 1 iff the record
-     *        is a conditional whose prediction missed, else 0.
-     */
-    virtual void
-    predictMany(const BranchRecord *records, size_t n,
-                uint8_t *outMispredicted)
-    {
-        for (size_t i = 0; i < n; ++i) {
-            const BranchRecord &rec = records[i];
-            uint8_t miss = 0;
-            if (rec.isConditional()) {
-                bool p = predict(rec.pc, rec.taken);
-                update(rec.pc, rec.taken, p);
-                miss = p != rec.taken;
-            }
-            onRecord(rec);
-            outMispredicted[i] = miss;
-        }
-    }
-
-    /**
      * Deep-copy this predictor, including all learned tables,
      * history registers, and in-flight prediction context, so the
      * copy's future predict/update sequence is bit-identical to the

@@ -108,22 +108,6 @@ PerceptronPredictor::reset()
     std::fill(history_.begin(), history_.end(), 0);
 }
 
-void
-PerceptronPredictor::predictMany(const BranchRecord *records, size_t n,
-                                 uint8_t *outMispredicted)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const BranchRecord &rec = records[i];
-        uint8_t miss = 0;
-        if (rec.isConditional()) {
-            bool p = PerceptronPredictor::predict(rec.pc, rec.taken);
-            PerceptronPredictor::update(rec.pc, rec.taken, p);
-            miss = p != rec.taken;
-        }
-        outMispredicted[i] = miss;
-    }
-}
-
 uint64_t
 PerceptronPredictor::storageBits() const
 {

@@ -35,23 +35,6 @@ BimodalPredictor::reset()
         c.set(1);
 }
 
-void
-BimodalPredictor::predictMany(const BranchRecord *records, size_t n,
-                              uint8_t *outMispredicted)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const BranchRecord &rec = records[i];
-        uint8_t miss = 0;
-        if (rec.isConditional()) {
-            SatCounter &ctr = table_[indexFor(rec.pc)];
-            bool p = ctr.predictTaken();
-            ctr.update(rec.taken);
-            miss = p != rec.taken;
-        }
-        outMispredicted[i] = miss;
-    }
-}
-
 GsharePredictor::GsharePredictor(unsigned log2Entries,
                                  unsigned historyLen)
     : historyLen_(historyLen),
@@ -86,24 +69,6 @@ GsharePredictor::reset()
     history_ = 0;
     for (auto &c : table_)
         c.set(1);
-}
-
-void
-GsharePredictor::predictMany(const BranchRecord *records, size_t n,
-                             uint8_t *outMispredicted)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const BranchRecord &rec = records[i];
-        uint8_t miss = 0;
-        if (rec.isConditional()) {
-            SatCounter &ctr = table_[indexFor(rec.pc)];
-            bool p = ctr.predictTaken();
-            ctr.update(rec.taken);
-            history_ = (history_ << 1) | static_cast<uint64_t>(rec.taken);
-            miss = p != rec.taken;
-        }
-        outMispredicted[i] = miss;
-    }
 }
 
 } // namespace whisper

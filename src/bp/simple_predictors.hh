@@ -68,8 +68,6 @@ class BimodalPredictor : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    void predictMany(const BranchRecord *records, size_t n,
-                     uint8_t *outMispredicted) override;
     std::unique_ptr<BranchPredictor>
     clone() const override
     {
@@ -99,8 +97,6 @@ class GsharePredictor : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    void predictMany(const BranchRecord *records, size_t n,
-                     uint8_t *outMispredicted) override;
     std::unique_ptr<BranchPredictor>
     clone() const override
     {

@@ -505,25 +505,6 @@ TageScl::decayUseful()
 }
 
 void
-TageScl::predictMany(const BranchRecord *records, size_t n,
-                     uint8_t *outMispredicted)
-{
-    // Identical to the base-class record loop, but with the
-    // predict/update calls devirtualized (onRecord is a no-op for
-    // TAGE-SC-L) so the whole per-record path inlines.
-    for (size_t i = 0; i < n; ++i) {
-        const BranchRecord &rec = records[i];
-        uint8_t miss = 0;
-        if (rec.isConditional()) {
-            bool p = TageScl::predict(rec.pc, rec.taken);
-            TageScl::update(rec.pc, rec.taken, p);
-            miss = p != rec.taken;
-        }
-        outMispredicted[i] = miss;
-    }
-}
-
-void
 TageScl::reset()
 {
     std::fill(tagKey_.begin(), tagKey_.end(), kFreeEntry);

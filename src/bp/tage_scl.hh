@@ -67,8 +67,6 @@ class TageScl : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    void predictMany(const BranchRecord *records, size_t n,
-                     uint8_t *outMispredicted) override;
     /** Deep copy: every table, folded-history view, LFSR and tick
      * state is value-copied, so clone-then-run is bit-identical. */
     std::unique_ptr<BranchPredictor>

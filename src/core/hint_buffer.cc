@@ -1,225 +1,48 @@
 #include "core/hint_buffer.hh"
 
 #include <algorithm>
-
-#include "util/logging.hh"
+#include <utility>
 
 namespace whisper
 {
 
 HintBuffer::HintBuffer(unsigned entries)
-    : capacity_(entries ? entries : 1)
+    : capacity_(entries ? entries : 1), pcs_(capacity_),
+      hints_(capacity_), lastUse_(capacity_)
 {
-    // Slot count: power of two at least 4x the capacity, so the
-    // load factor never exceeds 1/4 — probe clusters stay tiny,
-    // which matters most for eviction's backward-shift walk; the
-    // power-of-two size turns the modulo into a mask. At the
-    // paper's 32 entries this is still only 128 slots (~4KB with
-    // payloads), comfortably L1-resident.
-    size_t slots = 4;
-    unsigned log2Slots = 2;
-    while (slots < 4 * static_cast<size_t>(capacity_)) {
-        slots <<= 1;
-        ++log2Slots;
-    }
-    slotMask_ = slots - 1;
-    shift_ = 64 - log2Slots;
-
-    occ_.assign(slots, 0);
-    pcs_.assign(slots, 0);
-    hints_.assign(slots, BrHint{});
-    prev_.assign(slots, kNull);
-    next_.assign(slots, kNull);
-}
-
-int32_t
-HintBuffer::findSlot(uint64_t branchPc, uint64_t h) const
-{
-    size_t s = h >> shift_;
-    while (occ_[s]) {
-        if (pcs_[s] == branchPc)
-            return static_cast<int32_t>(s);
-        s = (s + 1) & slotMask_;
-    }
-    return kNull;
-}
-
-void
-HintBuffer::filterAdd(uint64_t h)
-{
-    unsigned sig = signatureOf(h);
-    if (filterCount_[sig]++ == 0)
-        filter_[sig >> 6] |= uint64_t{1} << (sig & 63);
-}
-
-void
-HintBuffer::filterDrop(uint64_t h)
-{
-    unsigned sig = signatureOf(h);
-    whisper_assert(filterCount_[sig] > 0,
-                   "hint-buffer filter count underflow");
-    if (--filterCount_[sig] == 0)
-        filter_[sig >> 6] &= ~(uint64_t{1} << (sig & 63));
-}
-
-/**
- * Remove the entry in slot @p s: unlink it from the recency list,
- * drop its filter signature, then backward-shift displaced entries
- * so linear probing never needs tombstones. A shifted entry keeps
- * its recency-list identity — its neighbours (or head/tail) are
- * re-pointed at the slot it moves into.
- */
-void
-HintBuffer::eraseSlot(size_t s)
-{
-    unlink(s);
-    filterDrop(hashPc(pcs_[s]));
-    --size_;
-
-    size_t hole = s;
-    size_t j = (hole + 1) & slotMask_;
-    while (occ_[j]) {
-        size_t home = hashPc(pcs_[j]) >> shift_;
-        // Shift j into the hole iff its probe path from home passes
-        // through the hole (cyclic distance comparison).
-        if (((j - home) & slotMask_) >= ((j - hole) & slotMask_)) {
-            pcs_[hole] = pcs_[j];
-            hints_[hole] = hints_[j];
-            int32_t p = prev_[j], n = next_[j];
-            prev_[hole] = p;
-            next_[hole] = n;
-            if (p != kNull)
-                next_[p] = static_cast<int32_t>(hole);
-            else
-                head_ = static_cast<int32_t>(hole);
-            if (n != kNull)
-                prev_[n] = static_cast<int32_t>(hole);
-            else
-                tail_ = static_cast<int32_t>(hole);
-            hole = j;
-        }
-        j = (j + 1) & slotMask_;
-    }
-    occ_[hole] = 0;
 }
 
 void
 HintBuffer::insert(uint64_t branchPc, const BrHint &hint)
 {
-    uint64_t h = hashPc(branchPc);
-    if (filterHas(h)) {
-        int32_t s = findSlot(branchPc, h);
-        if (s != kNull) {
-            // Refresh the existing entry and make it MRU. (The
-            // pre-refactor buffer also counted this as an insertion,
-            // overstating installs; see refreshes().)
-            ++refreshes_;
-            hints_[s] = hint;
-            touch(static_cast<size_t>(s));
-            return;
-        }
-    }
-
-    if (size_ >= capacity_) {
-        // O(1): the victim is the recency-list tail, exactly the
-        // entry a true LRU list would evict.
+    size_t s = find(branchPc);
+    if (s < size_) {
+        ++refreshes_;
+    } else if (size_ < capacity_) {
+        ++insertions_;
+        s = size_++;
+    } else {
+        ++insertions_;
         ++evictions_;
-        eraseSlot(static_cast<size_t>(tail_));
+        s = static_cast<size_t>(
+            std::min_element(lastUse_.begin(), lastUse_.end()) -
+            lastUse_.begin());
     }
-
-    // Probe fresh: an eviction above may have backward-shifted
-    // entries across this PC's probe path.
-    size_t s = h >> shift_;
-    while (occ_[s])
-        s = (s + 1) & slotMask_;
-    ++insertions_;
-    occ_[s] = 1;
     pcs_[s] = branchPc;
     hints_[s] = hint;
-    pushFront(s);
-    filterAdd(h);
-    ++size_;
-}
-
-void
-HintBuffer::lookupMany(const uint64_t *pcs, size_t n,
-                       const BrHint **out)
-{
-    // Short runs can't amortize the two-pass structure; the scalar
-    // loop is observably identical by construction.
-    if (n < 32) {
-        for (size_t i = 0; i < n; ++i)
-            out[i] = lookup(pcs[i]);
-        return;
-    }
-
-    constexpr size_t kChunk = 512;
-    uint32_t cand[kChunk];
-
-    for (size_t base = 0; base < n; base += kChunk) {
-        size_t m = std::min(kChunk, n - base);
-
-        // Pass 1, branchless: hash each PC, test the membership
-        // filter, and compact the indices of the (rare) survivors.
-        // No inserts happen during a batch, so the filter snapshot
-        // stays valid for the whole pass and every non-survivor is a
-        // certain miss (the counting filter has no false negatives).
-        size_t nc = 0;
-        for (size_t i = 0; i < m; ++i) {
-            uint64_t h = hashPc(pcs[base + i]);
-            unsigned sig = signatureOf(h);
-            uint64_t bit = (filter_[sig >> 6] >> (sig & 63)) & 1;
-            out[base + i] = nullptr;
-            cand[nc] = static_cast<uint32_t>(i);
-            nc += bit;
-        }
-        misses_ += m;
-
-        // Pass 2: probe the survivors in script order so recency
-        // refreshes land exactly as serial lookup() calls would.
-        for (size_t c = 0; c < nc; ++c) {
-            size_t i = base + cand[c];
-            uint64_t pc = pcs[i];
-            int32_t s = findSlot(pc, hashPc(pc));
-            if (s != kNull) {
-                ++hits_;
-                --misses_;
-                touch(static_cast<size_t>(s));
-                out[i] = &hints_[s];
-            }
-        }
-    }
-}
-
-void
-HintBuffer::clear()
-{
-    std::fill(occ_.begin(), occ_.end(), uint8_t{0});
-    std::fill(prev_.begin(), prev_.end(), kNull);
-    std::fill(next_.begin(), next_.end(), kNull);
-    filter_.fill(0);
-    filterCount_.fill(0);
-    head_ = tail_ = kNull;
-    size_ = 0;
-}
-
-void
-HintBuffer::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-    insertions_ = 0;
-    refreshes_ = 0;
-    evictions_ = 0;
+    lastUse_[s] = ++clock_;
 }
 
 std::vector<uint64_t>
 HintBuffer::lruOrder() const
 {
+    std::vector<std::pair<uint64_t, uint64_t>> byUse; // (stamp, pc)
+    for (size_t s = 0; s < size_; ++s)
+        byUse.emplace_back(lastUse_[s], pcs_[s]);
+    std::sort(byUse.rbegin(), byUse.rend());
     std::vector<uint64_t> order;
-    order.reserve(size_);
-    for (int32_t s = head_; s != kNull; s = next_[s])
-        order.push_back(pcs_[s]);
+    for (const auto &[stamp, pc] : byUse)
+        order.push_back(pc);
     return order;
 }
 

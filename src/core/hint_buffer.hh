@@ -1,45 +1,25 @@
 /**
  * @file
- * The run-time hint buffer (paper SIV, "Run-time hint usage").
+ * The run-time hint buffer (paper SIV, "Run-time hint usage"):
+ * executing a brhint places its decoded parameters in a small
+ * fully-associative buffer keyed by the hinted branch's PC, and a
+ * hit overrides the dynamic prediction. The paper settles on 32
+ * entries.
  *
- * Executing a brhint instruction places its four decoded parameters
- * in a small fully-associative buffer keyed by the hinted branch's
- * PC. The branch predictor queries the buffer in parallel with
- * TAGE-SC-L; a hit overrides the dynamic prediction. The paper's
- * sensitivity study settles on 32 entries.
- *
- * The buffer sits on the modeled front-end critical path and on the
- * simulator's hot path (one lookup per conditional branch), so the
- * implementation is data-oriented throughout — flat parallel arrays,
- * no per-entry allocation, no pointer chasing:
- *
- *  - Placement: linear-probing open addressing over parallel arrays
- *    (PCs, payloads, occupancy), power-of-two slot count, one-
- *    multiply Fibonacci hash. Deletion is backward-shift, so probing
- *    never meets tombstones.
- *  - Recency: an intrusive doubly-linked list threaded through two
- *    index arrays (prev/next per slot). Eviction pops the tail in
- *    O(1) and reproduces a true LRU list's victim order exactly. (An
- *    age-stamp-per-slot scheme was tried first; its min-stamp victim
- *    scan made inserts O(slots) and dominated the hot path.)
- *  - Miss filtering: lookups are overwhelmingly misses — most
- *    conditionals are not hinted — so a 1024-bit membership filter
- *    over a second hash of the PC rejects almost all of them with
- *    one AND. A per-signature count (updated on insert/evict) keeps
- *    the filter exact: no false negatives, ever.
- *
- * lookupMany() exploits the same layout to strip the remaining
- * per-lookup branching: a branchless hash+filter pass over the whole
- * batch, then short probes for the few candidates. It is observably
- * identical to calling lookup() in a loop; tests/test_hintbuf.cc
- * pins all of this differentially against the pre-refactor
- * list+map implementation (core/legacy_hint_buffer.hh).
+ * The model is that structure: parallel PC, payload and last-use
+ * stamp arrays. A lookup scans the PCs; an insert evicts the
+ * smallest stamp, which is exact LRU. At 32 entries the PCs fill
+ * four cache lines; on perfbench offline-mysql the scan costs 10-20
+ * ns per whisper+TAGE record more than a hashed table with a miss
+ * filter (core.whisper_ns_per_rec), while mrec_per_s stays within
+ * run-to-run noise, so the hashing does not pay for itself.
+ * tests/test_hintbuf.cc pins exact LRU equivalence to the list+map
+ * reference model (core/legacy_hint_buffer.hh).
  */
 
 #ifndef WHISPER_CORE_HINT_BUFFER_HH
 #define WHISPER_CORE_HINT_BUFFER_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -49,57 +29,32 @@
 namespace whisper
 {
 
-/** Fully-associative LRU buffer of decoded brhints (flat layout). */
+/** Fully-associative exact-LRU buffer of decoded brhints. */
 class HintBuffer
 {
   public:
+    /** Copies are deep: they keep contents, order and counters. */
     explicit HintBuffer(unsigned entries = 32);
-
-    // Memberwise copies are deep and correct: the slot arrays hold
-    // values and slot *indices* (never pointers), so a copy
-    // preserves contents, recency order, and counters.
 
     /** Install a hint (brhint executed); LRU-evicts when full. A
      * re-insert of a resident PC refreshes the payload and recency
      * and counts as a refresh, not an insertion. */
     void insert(uint64_t branchPc, const BrHint &hint);
 
-    /**
-     * Query for the branch at @p pc; refreshes recency on hit.
-     * @return pointer valid until the next insert, or nullptr.
-     */
+    /** Query for the branch at @p pc; refreshes recency on hit.
+     * @return pointer valid until the next insert, or nullptr. */
     const BrHint *
     lookup(uint64_t branchPc)
     {
-        uint64_t h = hashPc(branchPc);
-        if (!filterHas(h)) {
+        size_t s = find(branchPc);
+        if (s == size_) {
             ++misses_;
             return nullptr;
         }
-        size_t s = h >> shift_;
-        while (occ_[s]) {
-            if (pcs_[s] == branchPc) {
-                ++hits_;
-                touch(s);
-                return &hints_[s];
-            }
-            s = (s + 1) & slotMask_;
-        }
-        ++misses_;
-        return nullptr;
+        ++hits_;
+        lastUse_[s] = ++clock_;
+        return &hints_[s];
     }
-
-    /**
-     * Batched lookup: exactly lookup() applied to pcs[0..n) in
-     * order — same hits, misses, and recency refreshes — with the
-     * per-call branching hoisted out: a branchless hash-and-filter
-     * pass classifies the batch, then only the rare candidates
-     * (resident PCs and filter false positives) take the probe path.
-     * @param out out[i] receives the hint pointer or nullptr;
-     *        pointers are valid until the next insert.
-     */
-    void lookupMany(const uint64_t *pcs, size_t n,
-                    const BrHint **out);
 
     unsigned capacity() const { return capacity_; }
     size_t size() const { return size_; }
@@ -112,111 +67,43 @@ class HintBuffer
     uint64_t refreshes() const { return refreshes_; }
     uint64_t evictions() const { return evictions_; }
 
-    /**
-     * Drop all entries but keep the service counters: a hint-bundle
-     * redeploy empties the buffer, and the hit/miss/eviction totals
-     * are cumulative service metrics that must survive it. Use
-     * resetStats() for a full statistical reset.
-     */
-    void clear();
+    /** Drop all entries but keep the counters: a hint-bundle
+     * redeploy empties the buffer, and the totals are cumulative
+     * service metrics that must survive it. */
+    void clear() { size_ = 0; }
 
     /** Zero the hit/miss/insertion/refresh/eviction counters. */
-    void resetStats();
+    void
+    resetStats()
+    {
+        hits_ = misses_ = insertions_ = refreshes_ = evictions_ = 0;
+    }
 
     /** Resident PCs in recency order, most recently used first.
      * Introspection for the differential/golden tests. */
     std::vector<uint64_t> lruOrder() const;
 
   private:
-    static constexpr int32_t kNull = -1;
-    static constexpr unsigned kFilterBits = 1024;
-
-    /** One-multiply Fibonacci hash; the top bits index the table
-     * (via shift_) and bits 40.. index the membership filter. */
-    static uint64_t
-    hashPc(uint64_t pc)
+    /** Slot holding @p branchPc, or size_ if it is not resident. */
+    size_t
+    find(uint64_t branchPc) const
     {
-        return pc * 0x9E3779B97F4A7C15ull;
+        for (size_t s = 0; s < size_; ++s)
+            if (pcs_[s] == branchPc)
+                return s;
+        return size_;
     }
-
-    static unsigned
-    signatureOf(uint64_t h)
-    {
-        return (h >> 40) & (kFilterBits - 1);
-    }
-
-    bool
-    filterHas(uint64_t h) const
-    {
-        unsigned sig = signatureOf(h);
-        return (filter_[sig >> 6] >> (sig & 63)) & 1;
-    }
-
-    /** Move resident slot @p s to MRU. */
-    void
-    touch(size_t s)
-    {
-        if (static_cast<int32_t>(s) == head_)
-            return;
-        unlink(s);
-        pushFront(s);
-    }
-
-    void
-    unlink(size_t s)
-    {
-        int32_t p = prev_[s], n = next_[s];
-        if (p != kNull)
-            next_[p] = n;
-        else
-            head_ = n;
-        if (n != kNull)
-            prev_[n] = p;
-        else
-            tail_ = p;
-    }
-
-    void
-    pushFront(size_t s)
-    {
-        prev_[s] = kNull;
-        next_[s] = head_;
-        if (head_ != kNull)
-            prev_[head_] = static_cast<int32_t>(s);
-        else
-            tail_ = static_cast<int32_t>(s);
-        head_ = static_cast<int32_t>(s);
-    }
-
-    /** Probe for a resident PC known to pass the filter; kNull if
-     * it was a false positive. */
-    int32_t findSlot(uint64_t branchPc, uint64_t h) const;
-
-    void filterAdd(uint64_t h);
-    void filterDrop(uint64_t h);
-    void eraseSlot(size_t s);
 
     unsigned capacity_;
-    size_t slotMask_; //!< slots - 1; slots = pow2 >= 4 * capacity
-    unsigned shift_;  //!< 64 - log2(slots): home = hash >> shift_
-    size_t size_ = 0;
+    size_t size_ = 0;    //!< slots [0, size_) are resident
+    uint64_t clock_ = 0; //!< bumped on every hit, insert and refresh
 
-    std::vector<uint8_t> occ_;   //!< slot occupied?
-    std::vector<uint64_t> pcs_;  //!< key per slot
-    std::vector<BrHint> hints_;  //!< payload per slot
-    std::vector<int32_t> prev_;  //!< recency list, toward MRU
-    std::vector<int32_t> next_;  //!< recency list, toward LRU
-    int32_t head_ = kNull;       //!< most recently used slot
-    int32_t tail_ = kNull;       //!< least recently used slot
+    std::vector<uint64_t> pcs_;
+    std::vector<BrHint> hints_;
+    std::vector<uint64_t> lastUse_; //!< clock_ at the slot's last use
 
-    std::array<uint64_t, kFilterBits / 64> filter_{};
-    std::array<uint16_t, kFilterBits> filterCount_{};
-
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t insertions_ = 0;
-    uint64_t refreshes_ = 0;
-    uint64_t evictions_ = 0;
+    uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, refreshes_ = 0,
+             evictions_ = 0;
 };
 
 } // namespace whisper

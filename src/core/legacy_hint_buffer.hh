@@ -1,19 +1,19 @@
 /**
  * @file
- * The pre-refactor hint buffer: a std::list LRU chained to a
+ * Reference model of the hint buffer: a std::list LRU chained to a
  * std::unordered_map node index.
  *
- * Kept ONLY as a differential baseline — it is not used by any
- * predictor. tests/test_hintbuf.cc replays identical access scripts
- * against this and the flat open-addressing HintBuffer and asserts
+ * It is the test oracle, not used by any predictor: LRU order is
+ * obvious from a list, so tests/test_hintbuf.cc replays identical
+ * access scripts against this and HintBuffer and asserts
  * bit-identical hits/misses/insertions/refreshes/evictions, sizes
- * and recency order; bench_micro_throughput uses it as the
- * "pre-refactor baseline" series of the throughput trajectory.
- * Remove it once a couple of releases have pinned the flat table.
+ * and recency order; bench_micro_throughput replays the same op
+ * stream through both, asserts the same equality, and reports this
+ * model's rate next to HintBuffer's.
  *
- * The statistics semantics carry the same fixes as HintBuffer (a
- * refresh of a resident PC counts as a refresh, not an insertion;
- * clear() preserves counters; resetStats() zeroes them) so the two
+ * Its counters follow HintBuffer's semantics (a refresh of a
+ * resident PC counts as a refresh, not an insertion; clear()
+ * preserves counters; resetStats() zeroes them) so the two
  * implementations are comparable field for field.
  */
 

@@ -116,27 +116,6 @@ WhisperPredictor::update(uint64_t pc, bool taken, bool predicted,
 }
 
 void
-WhisperPredictor::predictMany(const BranchRecord *records, size_t n,
-                              uint8_t *outMispredicted)
-{
-    // Same per-record sequence as the base-class loop, with this
-    // class's predict/update/onRecord resolved statically. The base
-    // predictor is still reached through its vtable; TageScl et al.
-    // devirtualize their own inner loops when driven directly.
-    for (size_t i = 0; i < n; ++i) {
-        const BranchRecord &rec = records[i];
-        uint8_t miss = 0;
-        if (rec.isConditional()) {
-            bool p = WhisperPredictor::predict(rec.pc, rec.taken);
-            WhisperPredictor::update(rec.pc, rec.taken, p);
-            miss = p != rec.taken;
-        }
-        WhisperPredictor::onRecord(rec);
-        outMispredicted[i] = miss;
-    }
-}
-
-void
 WhisperPredictor::onRecord(const BranchRecord &rec)
 {
     auto it = triggers_.find(rec.pc);

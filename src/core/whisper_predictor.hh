@@ -64,8 +64,6 @@ class WhisperPredictor : public BranchPredictor
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
     void onRecord(const BranchRecord &rec) override;
-    void predictMany(const BranchRecord *records, size_t n,
-                     uint8_t *outMispredicted) override;
     std::unique_ptr<BranchPredictor>
     clone() const override
     {

@@ -14,8 +14,8 @@ HintStore::publish(std::shared_ptr<const VersionedHintBundle> next)
                      next->epoch, " (deployment proceeds, durability "
                      "degraded)");
     }
-    current_.store(next, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(historyMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    current_ = next;
     history_.push_back(std::move(next));
 }
 
@@ -38,11 +38,11 @@ HintStore::restore(std::vector<VersionedHintBundle> history)
     if (restored.empty())
         return 0;
 
-    whisper_assert(!current_.load() && generations() == 0,
+    std::lock_guard<std::mutex> lock(mutex_);
+    whisper_assert(!current_ && history_.empty(),
                    "restore() must precede any deployment");
-    current_.store(restored.back(), std::memory_order_release);
+    current_ = restored.back();
     nextEpoch_.store(lastEpoch + 1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(historyMutex_);
     history_ = std::move(restored);
     return history_.size();
 }
@@ -76,7 +76,7 @@ HintStore::rollback()
 {
     Snapshot previous;
     {
-        std::lock_guard<std::mutex> lock(historyMutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         // Nothing deployed, or only the first generation: there is
         // no earlier payload to return to (epoch 0 is "no hints",
         // not a generation). Clean error, never an out-of-bounds
@@ -98,7 +98,7 @@ HintStore::rollback()
 size_t
 HintStore::generations() const
 {
-    std::lock_guard<std::mutex> lock(historyMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return history_.size();
 }
 

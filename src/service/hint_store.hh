@@ -3,12 +3,13 @@
  * Versioned hint-bundle store: whisperd's deployment point.
  *
  * The consumer side (a simulated fleet, or the adaptive runner in
- * sim/runner) reads the currently deployed bundle wait-free through
- * an RCU-style std::atomic<std::shared_ptr>: readers pin whatever
- * generation they observed and keep using it while the trainer
- * publishes the next one. Epochs increase monotonically with every
- * deployment (including rollbacks, which re-publish an old payload
- * under a new epoch).
+ * sim/runner) reads the currently deployed bundle as a shared_ptr
+ * snapshot: readers pin whatever generation they observed and keep
+ * using it while the trainer publishes the next one. A mutex guards
+ * the pointer swap; readers take it once per bundle pull or
+ * validation, never per branch. Epochs increase monotonically with
+ * every deployment (including rollbacks, which re-publish an old
+ * payload under a new epoch).
  *
  * Deployment is guarded: a candidate bundle must beat the incumbent
  * on a held-out validation window or it is rejected — the
@@ -58,12 +59,12 @@ class HintStore
      * degraded until the journal self-heals). */
     uint64_t journalFailures() const { return journalFailures_.load(); }
 
-    /** Currently deployed bundle; nullptr before any deployment.
-     * Wait-free for readers. */
+    /** Currently deployed bundle; nullptr before any deployment. */
     Snapshot
     current() const
     {
-        return current_.load(std::memory_order_acquire);
+        std::lock_guard<std::mutex> lock(mutex_);
+        return current_;
     }
 
     /** Epoch of the deployed bundle (0 = nothing deployed). */
@@ -105,10 +106,8 @@ class HintStore
   private:
     void publish(std::shared_ptr<const VersionedHintBundle> next);
 
-    std::atomic<std::shared_ptr<const VersionedHintBundle>> current_{
-        nullptr};
-
-    mutable std::mutex historyMutex_;
+    mutable std::mutex mutex_; //!< guards current_ and history_
+    Snapshot current_;
     std::vector<Snapshot> history_;
 
     std::atomic<uint64_t> nextEpoch_{1};

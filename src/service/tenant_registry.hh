@@ -13,7 +13,7 @@
  *   bounded chunk queue (quota: maxQueuedChunks, drop-and-count)
  *     -> streaming ChunkProfiler + accumulated BranchProfile
  *     -> epoch train jobs (quota: maxPendingTrainJobs)
- *     -> RCU-style versioned HintStore, independently deployable
+ *     -> versioned HintStore, independently deployable
  *        and rollback-able, journaled to its own per-app WAL
  *
  * The TenantRegistry owns the tenants, opens each tenant's journal

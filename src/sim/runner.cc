@@ -27,26 +27,16 @@ runPredictor(BranchSource &source, BranchPredictor &predictor,
     BranchRecord rec;
     uint64_t seenInstructions = 0;
     while (source.next(rec)) {
-        seenInstructions += static_cast<uint64_t>(rec.instGap) + 1;
-        bool counting = seenInstructions > warmupLimit;
-
-        if (rec.isConditional()) {
-            bool pred = predictor.predict(rec.pc, rec.taken);
-            predictor.update(rec.pc, rec.taken, pred);
-            if (counting) {
-                ++stats.conditionals;
-                if (pred != rec.taken)
-                    ++stats.mispredicts;
-            }
+        bool miss = stepPredictor(predictor, rec);
+        uint64_t instructions = static_cast<uint64_t>(rec.instGap) + 1;
+        seenInstructions += instructions;
+        if (seenInstructions > warmupLimit) {
+            stats.conditionals += rec.isConditional();
+            stats.mispredicts += miss;
+            stats.instructions += instructions;
+        } else {
+            stats.warmupInstructions += instructions;
         }
-        predictor.onRecord(rec);
-
-        if (counting)
-            stats.instructions +=
-                static_cast<uint64_t>(rec.instGap) + 1;
-        else
-            stats.warmupInstructions +=
-                static_cast<uint64_t>(rec.instGap) + 1;
     }
     return stats;
 }
@@ -77,14 +67,8 @@ runPredictorAdaptive(
     source.rewind();
     BranchRecord rec;
     while (source.next(rec)) {
-        if (rec.isConditional()) {
-            bool pred = current->predict(rec.pc, rec.taken);
-            current->update(rec.pc, rec.taken, pred);
-            ++epoch.conditionals;
-            if (pred != rec.taken)
-                ++epoch.mispredicts;
-        }
-        current->onRecord(rec);
+        epoch.conditionals += rec.isConditional();
+        epoch.mispredicts += stepPredictor(*current, rec);
         epoch.instructions += static_cast<uint64_t>(rec.instGap) + 1;
 
         if (++inEpoch >= recordsPerEpoch) {

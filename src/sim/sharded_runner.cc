@@ -23,11 +23,6 @@ secondsSince(Clock::time_point start)
         .count();
 }
 
-/** Records per predictMany() call. Large enough to amortize the
- * virtual dispatch, small enough that the per-worker scratch stays
- * cache-resident. */
-constexpr size_t kBatchRecords = 4096;
-
 /** Sum of (instGap + 1) over [first, last). */
 uint64_t
 instructionSpan(const BranchRecord *records, size_t first,
@@ -84,55 +79,37 @@ planWindows(const BranchRecord *records, size_t count,
     return plans;
 }
 
-/** Warm a clone then evaluate its window, mirroring runPredictor's
- * per-record accounting bit for bit. Both phases drive the clone
- * through predictMany() — one virtual call per kBatchRecords instead
- * of three per record — and write misprediction bytes into the
- * calling worker's @p miss buffer (kBatchRecords bytes, reused
- * across that worker's windows). */
+/** Warm a clone then evaluate its window with runPredictor's
+ * per-record step and accounting, bit for bit. */
 PredictorRunStats
 evaluateWindow(const BranchRecord *records, const WindowPlan &plan,
-               uint64_t warmupLimit, uint8_t *miss,
-               ShardTiming &timing)
+               uint64_t warmupLimit, ShardTiming &timing)
 {
     auto pred = plan.prototype->clone();
     whisper_assert(pred != nullptr,
                    "predictor returned a null clone");
 
     auto warmStart = Clock::now();
-    // Warm-up is the same per-record work minus statistics, so the
-    // misprediction bytes are simply ignored.
-    for (size_t i = plan.warmFirst; i < plan.first;
-         i += kBatchRecords) {
-        size_t n = std::min(kBatchRecords, plan.first - i);
-        pred->predictMany(records + i, n, miss);
-    }
+    // Warm-up is the same per-record work minus statistics.
+    for (size_t i = plan.warmFirst; i < plan.first; ++i)
+        stepPredictor(*pred, records[i]);
     timing.warmSeconds = secondsSince(warmStart);
     timing.warmRecords = plan.first - plan.warmFirst;
 
     auto evalStart = Clock::now();
     PredictorRunStats stats;
     uint64_t seenInstructions = plan.instrBefore;
-    for (size_t i = plan.first; i < plan.last; i += kBatchRecords) {
-        size_t n = std::min(kBatchRecords, plan.last - i);
-        pred->predictMany(records + i, n, miss);
-        for (size_t k = 0; k < n; ++k) {
-            const BranchRecord &rec = records[i + k];
-            seenInstructions +=
-                static_cast<uint64_t>(rec.instGap) + 1;
-            bool counting = seenInstructions > warmupLimit;
-
-            if (counting) {
-                if (rec.isConditional()) {
-                    ++stats.conditionals;
-                    stats.mispredicts += miss[k];
-                }
-                stats.instructions +=
-                    static_cast<uint64_t>(rec.instGap) + 1;
-            } else {
-                stats.warmupInstructions +=
-                    static_cast<uint64_t>(rec.instGap) + 1;
-            }
+    for (size_t i = plan.first; i < plan.last; ++i) {
+        const BranchRecord &rec = records[i];
+        bool miss = stepPredictor(*pred, rec);
+        uint64_t instructions = static_cast<uint64_t>(rec.instGap) + 1;
+        seenInstructions += instructions;
+        if (seenInstructions > warmupLimit) {
+            stats.conditionals += rec.isConditional();
+            stats.mispredicts += miss;
+            stats.instructions += instructions;
+        } else {
+            stats.warmupInstructions += instructions;
         }
     }
     timing.evalSeconds = secondsSince(evalStart);
@@ -156,9 +133,6 @@ runPlans(const BranchRecord *records,
     auto wallStart = Clock::now();
     std::atomic<size_t> cursor{0};
     auto workerLoop = [&](unsigned workerId) {
-        // Worker-owned misprediction bytes, reused across this
-        // worker's windows; never shared, so no synchronization.
-        std::vector<uint8_t> miss(kBatchRecords);
         for (;;) {
             size_t w = cursor.fetch_add(1);
             if (w >= plans.size())
@@ -166,8 +140,8 @@ runPlans(const BranchRecord *records,
             ShardTiming &t = timing.perShard[w];
             t.window = w;
             t.worker = workerId;
-            perWindow[w] = evaluateWindow(records, plans[w],
-                                          warmupLimit, miss.data(), t);
+            perWindow[w] =
+                evaluateWindow(records, plans[w], warmupLimit, t);
         }
     };
 
