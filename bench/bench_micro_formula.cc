@@ -60,44 +60,72 @@ BM_FoldedHistoryPush(benchmark::State &state)
 }
 BENCHMARK(BM_FoldedHistoryPush);
 
-void
-BM_ScoreFormula(benchmark::State &state)
+/** A 256-key T/NT table of small random counts. */
+HashedSampleTable
+randomTable(uint64_t seed)
 {
-    static const TruthTableCache cache(8);
     HashedSampleTable table(8);
-    Rng rng(1);
+    Rng rng(seed);
     for (unsigned k = 0; k < 256; ++k) {
         table.taken[k] = static_cast<uint32_t>(rng.nextBelow(50));
         table.notTaken[k] = static_cast<uint32_t>(rng.nextBelow(50));
     }
+    return table;
+}
+
+void
+BM_ScoreFormula(benchmark::State &state)
+{
+    static const TruthTableCache cache(8);
+    const FormulaScorer scorer(randomTable(1));
     uint16_t enc = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            scoreFormula(cache.table(enc), table));
+        benchmark::DoNotOptimize(scorer.score(cache.table(enc)));
         enc = static_cast<uint16_t>((enc + 977) & 0x7FFF);
     }
 }
 BENCHMARK(BM_ScoreFormula);
 
 void
+BM_FormulaScorerBuild(benchmark::State &state)
+{
+    // Paid once per (branch, history length) search.
+    HashedSampleTable table = randomTable(1);
+    for (auto _ : state) {
+        FormulaScorer scorer(table);
+        benchmark::DoNotOptimize(&scorer);
+    }
+}
+BENCHMARK(BM_FormulaScorerBuild);
+
+void
+BM_TruthTableCacheBuild(benchmark::State &state)
+{
+    // All 32768 8-input truth tables plus support masks: paid once
+    // per process.
+    for (auto _ : state) {
+        TruthTableCache cache(8);
+        benchmark::DoNotOptimize(&cache);
+    }
+}
+BENCHMARK(BM_TruthTableCacheBuild)->Unit(benchmark::kMillisecond);
+
+void
 BM_Algorithm1Randomized(benchmark::State &state)
 {
-    // One branch x one history length at the paper's 0.1% operating
-    // point.
+    // One branch x one history length; the argument is the fraction
+    // of encodings scored in per mille: 10 is WhisperConfig's
+    // default 1%, 1 the paper's 0.1% operating point.
     static const TruthTableCache cache(8);
-    FormulaCandidates candidates(8, 0.001, 42);
-    HashedSampleTable table(8);
-    Rng rng(2);
-    for (unsigned k = 0; k < 256; ++k) {
-        table.taken[k] = static_cast<uint32_t>(rng.nextBelow(50));
-        table.notTaken[k] = static_cast<uint32_t>(rng.nextBelow(50));
-    }
+    FormulaCandidates candidates(
+        8, static_cast<double>(state.range(0)) / 1000.0, 42);
+    HashedSampleTable table = randomTable(2);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             findBooleanFormula(table, candidates.encodings(), cache));
     }
 }
-BENCHMARK(BM_Algorithm1Randomized);
+BENCHMARK(BM_Algorithm1Randomized)->Arg(10)->Arg(1);
 
 void
 BM_RombfEnumerate(benchmark::State &state)

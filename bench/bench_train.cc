@@ -6,9 +6,10 @@
  * length x formula scan), pruned (correlation-screened candidate
  * sets), and pruned+warm (screened, seeded with epoch 1's hints) —
  * and report train time against the coverage/accuracy each mode
- * achieves. Writes BENCH_train.json; CI's train-smoke job runs
- * `bench_train --quick`, which exits nonzero unless warm-started
- * retraining beats the cold scan on mean train time.
+ * achieves. Appends a run record to BENCH_train.json's history;
+ * CI's train-smoke job runs `bench_train --quick`, which exits
+ * nonzero unless warm-started retraining beats the cold scan on mean
+ * train time.
  */
 
 #include "common.hh"
@@ -84,18 +85,19 @@ fixed(double v, int precision)
     return buf;
 }
 
-void
-jsonMode(FILE *f, const char *key, const ModeResult &m,
-         const char *trailer)
+std::string
+jsonMode(const char *key, const ModeResult &m)
 {
-    std::fprintf(
-        f,
-        "      \"%s\": {\"seconds\": %.4f, \"formulas_scored\": "
-        "%llu, \"hints\": %zu, \"coverage_pct\": %.2f, "
-        "\"eval_accuracy_pct\": %.3f, \"warm_hits\": %llu}%s\n",
+    char buf[256];
+    std::snprintf(
+        buf, sizeof(buf),
+        "\"%s\": {\"seconds\": %.4f, \"formulas_scored\": %llu, "
+        "\"hints\": %zu, \"coverage_pct\": %.2f, "
+        "\"eval_accuracy_pct\": %.3f, \"warm_hits\": %llu}",
         key, m.seconds, static_cast<unsigned long long>(m.scored),
         m.hints, m.coveragePct, m.evalAccuracyPct,
-        static_cast<unsigned long long>(m.warmHits), trailer);
+        static_cast<unsigned long long>(m.warmHits));
+    return buf;
 }
 
 } // namespace
@@ -166,38 +168,35 @@ main(int argc, char **argv)
                 coldS.mean(), prunedS.mean(), speedupPruned,
                 warmS.mean(), speedupWarm);
 
-    const char *jsonPath = "BENCH_train.json";
-    if (FILE *f = std::fopen(jsonPath, "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"train\",\n");
-        std::fprintf(f, "  \"scale\": %.3f,\n", scaleFactor());
-        std::fprintf(f, "  \"quick\": %s,\n",
-                     quick ? "true" : "false");
-        std::fprintf(f, "  \"max_hard_branches\": %u,\n",
-                     cfg.profile.maxHardBranches);
-        std::fprintf(f, "  \"apps\": {\n");
-        for (size_t i = 0; i < results.size(); ++i) {
-            const AppResult &r = results[i];
-            std::fprintf(f, "    \"%s\": {\n", r.name.c_str());
-            jsonMode(f, "cold", r.cold, ",");
-            jsonMode(f, "pruned", r.pruned, ",");
-            jsonMode(f, "pruned_warm", r.warm, "");
-            std::fprintf(f, "    }%s\n",
-                         i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  },\n");
-        std::fprintf(
-            f,
-            "  \"summary\": {\"cold_mean_s\": %.4f, "
-            "\"pruned_mean_s\": %.4f, \"pruned_warm_mean_s\": %.4f, "
-            "\"speedup_pruned\": %.2f, \"speedup_pruned_warm\": "
-            "%.2f}\n}\n",
-            coldS.mean(), prunedS.mean(), warmS.mean(),
-            speedupPruned, speedupWarm);
-        std::fclose(f);
-        std::printf("wrote %s\n", jsonPath);
-    } else {
-        std::fprintf(stderr, "warning: cannot write %s\n", jsonPath);
+    // One run record: config, per-app modes, then the summary.
+    std::string fields =
+        "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
+        "      \"quick\": " + (quick ? "true" : "false") + ",\n" +
+        "      \"max_hard_branches\": " +
+        std::to_string(cfg.profile.maxHardBranches) + ",\n" +
+        "      \"apps\": {\n";
+    for (size_t i = 0; i < results.size(); ++i) {
+        const AppResult &r = results[i];
+        fields += "        \"" + r.name + "\": {\n" +
+                  "          " + jsonMode("cold", r.cold) + ",\n" +
+                  "          " + jsonMode("pruned", r.pruned) + ",\n" +
+                  "          " + jsonMode("pruned_warm", r.warm) +
+                  "\n        }" + (i + 1 < results.size() ? "," : "") +
+                  "\n";
     }
+    fields += "      },\n      \"summary\": {\"cold_mean_s\": " +
+              fixed(coldS.mean(), 4) + ", \"pruned_mean_s\": " +
+              fixed(prunedS.mean(), 4) +
+              ", \"pruned_warm_mean_s\": " + fixed(warmS.mean(), 4) +
+              ", \"speedup_pruned\": " + fixed(speedupPruned, 2) +
+              ", \"speedup_pruned_warm\": " + fixed(speedupWarm, 2) +
+              "}";
+    const char *jsonPath = "BENCH_train.json";
+    if (appendRunRecord(jsonPath, "train", fields))
+        std::printf("appended a run to %s\n", jsonPath);
+    else
+        std::fprintf(stderr, "warning: cannot append to %s\n",
+                     jsonPath);
 
     if (quick && !(warmS.mean() < coldS.mean())) {
         std::fprintf(stderr,

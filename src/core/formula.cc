@@ -61,17 +61,13 @@ BoolFormula::inverted() const
     return (encoding_ >> (2 * numNodes())) & 1;
 }
 
-bool
-BoolFormula::evaluate(uint8_t inputs) const
+uint64_t
+BoolFormula::reduce(uint64_t *vals) const
 {
     // Level-order evaluation of the complete binary tree: layer 0
     // combines input pairs, each following layer combines the
     // previous layer's outputs (Fig. 9's single-unit network).
-    bool vals[kMaxInputs];
     unsigned n = numInputs_;
-    for (unsigned i = 0; i < n; ++i)
-        vals[i] = (inputs >> i) & 1;
-
     unsigned node = 0;
     while (n > 1) {
         for (unsigned i = 0; i < n / 2; ++i) {
@@ -81,18 +77,36 @@ BoolFormula::evaluate(uint8_t inputs) const
         }
         n /= 2;
     }
-    return inverted() ? !vals[0] : vals[0];
+    return inverted() ? ~vals[0] : vals[0];
+}
+
+bool
+BoolFormula::evaluate(uint8_t inputs) const
+{
+    uint64_t vals[kMaxInputs];
+    for (unsigned i = 0; i < numInputs_; ++i)
+        vals[i] = (inputs >> i) & 1;
+    return reduce(vals) & 1;
 }
 
 TruthTable
 BoolFormula::truthTable() const
 {
+    // Input i's word w is bit i of the 64 input vectors that word
+    // covers; for n < 8 all 2^n vectors fit in word 0.
+    TruthTable in[kMaxInputs];
+    for (unsigned i = 0; i < numInputs_; ++i)
+        in[i] = inputTruthTable(i);
     TruthTable tt{};
-    unsigned count = 1u << numInputs_;
-    for (unsigned v = 0; v < count; ++v) {
-        if (evaluate(static_cast<uint8_t>(v)))
-            tt[v / 64] |= 1ULL << (v % 64);
+    unsigned words = numInputs_ == kMaxInputs ? 4 : 1;
+    for (unsigned w = 0; w < words; ++w) {
+        uint64_t vals[kMaxInputs];
+        for (unsigned i = 0; i < numInputs_; ++i)
+            vals[i] = in[i][w];
+        tt[w] = reduce(vals);
     }
+    if (numInputs_ < kMaxInputs)
+        tt[0] &= maskBits(1u << numInputs_);
     return tt;
 }
 

@@ -35,21 +35,26 @@ enum class BoolOp : uint8_t
     Cnimpl = 3, //!< converse non-implication: !a & b
 };
 
-/** Evaluate one single unit (Fig. 8). */
-inline bool
-applyBoolOp(BoolOp op, bool a, bool b)
+/**
+ * Evaluate one single unit (Fig. 8) bitwise: every bit of the result
+ * is @p op applied to the matching bits of @p a and @p b. evaluate()
+ * uses bit 0 (one input vector); truthTable() uses whole words (64
+ * input vectors at a time).
+ */
+inline uint64_t
+applyBoolOp(BoolOp op, uint64_t a, uint64_t b)
 {
     switch (op) {
       case BoolOp::And:
-        return a && b;
+        return a & b;
       case BoolOp::Or:
-        return a || b;
+        return a | b;
       case BoolOp::Impl:
-        return !a || b;
+        return ~a | b;
       case BoolOp::Cnimpl:
-        return !a && b;
+        return ~a & b;
     }
-    return false;
+    return 0;
 }
 
 /** Operation-family classification used for Fig. 7. */
@@ -68,6 +73,27 @@ const char *opClassName(OpClass c);
 
 /** 256-entry truth table packed into four 64-bit words. */
 using TruthTable = std::array<uint64_t, 4>;
+
+/**
+ * Truth table of the bare input @p input (0..7): bit v is set iff bit
+ * @p input of v is. Inputs 0-5 repeat one pattern in every word;
+ * inputs 6 and 7 select whole words.
+ */
+inline TruthTable
+inputTruthTable(unsigned input)
+{
+    static constexpr uint64_t kInWord[6] = {
+        0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL,
+        0xF0F0F0F0F0F0F0F0ULL, 0xFF00FF00FF00FF00ULL,
+        0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+    };
+    TruthTable tt{};
+    for (unsigned w = 0; w < 4; ++w) {
+        tt[w] = input < 6 ? kInWord[input]
+                          : ((w >> (input - 6)) & 1 ? ~0ULL : 0);
+    }
+    return tt;
+}
 
 /**
  * An encoded extended-ROMBF formula over n inputs.
@@ -109,8 +135,9 @@ class BoolFormula
     unsigned numNodes() const { return numInputs_ - 1; }
 
     /**
-     * Truth table over all 2^numInputs packed-input values. For
-     * n < 8 only the first 2^n bits are meaningful.
+     * Truth table over all 2^numInputs packed-input values: the tree
+     * evaluated on whole words, one 64-bit op per node per word. For
+     * n < 8 the bits past 2^n are zero.
      */
     TruthTable truthTable() const;
 
@@ -136,6 +163,10 @@ class BoolFormula
     }
 
   private:
+    /** Combine @p vals level by level (Fig. 9's single-unit network)
+     * and apply the output mux; @p vals is clobbered. */
+    uint64_t reduce(uint64_t *vals) const;
+
     uint16_t encoding_ = 0;
     uint8_t numInputs_ = 8;
 };

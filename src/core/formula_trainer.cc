@@ -8,34 +8,50 @@
 namespace whisper
 {
 
+namespace
+{
+
+/**
+ * Inputs whose flip changes @p tt somewhere. Flipping input i < 6
+ * pairs each bit with the one 2^i places up in the same word;
+ * flipping input 6 or 7 pairs whole words.
+ */
+uint8_t
+supportOf(const TruthTable &tt, unsigned numInputs)
+{
+    uint8_t mask = 0;
+    for (unsigned i = 0; i < numInputs; ++i) {
+        uint64_t diff = 0;
+        if (i < 6) {
+            // Compare only from the vectors with input i clear.
+            uint64_t low = ~inputTruthTable(i)[0];
+            for (uint64_t w : tt)
+                diff |= (w ^ (w >> (1u << i))) & low;
+        } else {
+            unsigned stride = 1u << (i - 6);
+            for (unsigned w = 0; w < 4; ++w)
+                if (!(w & stride))
+                    diff |= tt[w] ^ tt[w | stride];
+        }
+        if (diff)
+            mask |= static_cast<uint8_t>(1u << i);
+    }
+    return mask;
+}
+
+} // namespace
+
 TruthTableCache::TruthTableCache(unsigned numInputs)
     : numInputs_(numInputs)
 {
     uint32_t count = BoolFormula::encodingCount(numInputs);
     tables_.resize(count);
-    supports_.resize(count, 0);
-    uint32_t inputCount = 1u << numInputs;
+    supports_.resize(count);
     for (uint32_t enc = 0; enc < count; ++enc) {
         tables_[enc] =
             BoolFormula(static_cast<uint16_t>(enc), numInputs)
                 .truthTable();
-        const TruthTable &tt = tables_[enc];
-        uint8_t mask = 0;
-        for (unsigned bit = 0; bit < numInputs; ++bit) {
-            uint32_t flip = 1u << bit;
-            for (uint32_t v = 0; v < inputCount; ++v) {
-                if (v & flip)
-                    continue;
-                bool a = (tt[v / 64] >> (v % 64)) & 1;
-                uint32_t w = v | flip;
-                bool b = (tt[w / 64] >> (w % 64)) & 1;
-                if (a != b) {
-                    mask |= static_cast<uint8_t>(1u << bit);
-                    break;
-                }
-            }
-        }
-        supports_[enc] = mask;
+        supports_[enc] = supportOf(tables_[enc], numInputs);
     }
 }
 
@@ -72,21 +88,28 @@ FormulaCandidates::withFraction(double fraction) const
             permutation_.begin() + static_cast<long>(n)};
 }
 
-uint64_t
-scoreFormula(const TruthTable &tt, const HashedSampleTable &samples,
-             uint64_t earlyOut)
+FormulaScorer::FormulaScorer(const HashedSampleTable &samples)
 {
-    // Mispredictions = taken samples the formula calls not-taken plus
-    // not-taken samples it calls taken (Algorithm 1 lines 5-11).
-    uint64_t t = 0;
     size_t keys = samples.taken.size();
-    for (size_t k = 0; k < keys; ++k) {
-        bool sat = (tt[k / 64] >> (k % 64)) & 1;
-        t += sat ? samples.notTaken[k] : samples.taken[k];
-        if (t > earlyOut)
-            return t;
+    whisper_assert(keys <= kMaxKeys, "keys=", keys);
+    whisper_assert(samples.notTaken.size() == keys);
+    words_ = static_cast<unsigned>((keys + 63) / 64);
+    for (unsigned b = 0; b < 8 * words_; ++b) {
+        int64_t delta[8] = {};
+        for (unsigned j = 0; j < 8 && 8 * b + j < keys; ++j) {
+            size_t k = 8 * b + j;
+            takenSum_ += samples.taken[k];
+            delta[j] = static_cast<int64_t>(samples.notTaken[k]) -
+                       static_cast<int64_t>(samples.taken[k]);
+        }
+        // The subsets containing key j are those without it, plus
+        // key j: each pass doubles the filled prefix.
+        auto &sums = subsetSums_[b];
+        sums[0] = 0;
+        for (unsigned j = 0; j < 8; ++j)
+            for (unsigned s = 0; s < (1u << j); ++s)
+                sums[s + (1u << j)] = sums[s] + delta[j];
     }
-    return t;
 }
 
 FormulaSearchResult
@@ -94,10 +117,10 @@ findBooleanFormula(const HashedSampleTable &samples,
                    const std::vector<uint16_t> &candidates,
                    const TruthTableCache &cache)
 {
+    FormulaScorer scorer(samples);
     FormulaSearchResult best;
     for (uint16_t enc : candidates) {
-        uint64_t t = scoreFormula(cache.table(enc), samples,
-                                  best.mispredicts);
+        uint64_t t = scorer.score(cache.table(enc));
         ++best.explored;
         if (t < best.mispredicts) {
             best.mispredicts = t;

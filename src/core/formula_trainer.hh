@@ -7,6 +7,8 @@
 #ifndef WHISPER_CORE_FORMULA_TRAINER_HH
 #define WHISPER_CORE_FORMULA_TRAINER_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -103,19 +105,60 @@ struct FormulaSearchResult
 };
 
 /**
- * Count the mispredictions formula @p encoding incurs on @p samples
- * (the inner loop of Algorithm 1, lines 5-11).
+ * Algorithm 1's inner loop (lines 5-11) over words, for one T/NT
+ * table pair.
  *
- * @param earlyOut stop early once the count exceeds this bound
- *        (pass ~0 to disable).
+ * A formula mispredicts the taken samples of every key it maps to 0
+ * and the not-taken samples of every key it maps to 1, so
+ *   m(tt) = sum_k T[k] + sum_{k : tt(k) = 1} (NT[k] - T[k]).
+ * The scorer holds sum_k T[k] and, for each byte of keys, the sum of
+ * NT - T over each of the 256 subsets of that byte's 8 keys. Scoring
+ * a truth table is then one lookup per truth-table byte (32 for 256
+ * keys) instead of one bit test per key. Bytes past the last key
+ * weigh 0. Sums are 64-bit, exact for any uint32_t counts.
  */
-uint64_t scoreFormula(const TruthTable &tt,
-                      const HashedSampleTable &samples,
-                      uint64_t earlyOut = ~0ULL);
+class FormulaScorer
+{
+  public:
+    /** Largest key space a 256-bit truth table can score. */
+    static constexpr size_t kMaxKeys = 256;
+
+    explicit FormulaScorer(const HashedSampleTable &samples);
+
+    /** Mispredictions of the formula with truth table @p tt. */
+    uint64_t
+    score(const TruthTable &tt) const
+    {
+        // Four accumulators keep the lookups off one add chain.
+        int64_t a0 = takenSum_, a1 = 0, a2 = 0, a3 = 0;
+        for (unsigned w = 0; w < words_; ++w) {
+            const auto *sums = &subsetSums_[8 * w];
+            uint64_t x = tt[w];
+            a0 += sums[0][x & 0xFF];
+            a1 += sums[1][(x >> 8) & 0xFF];
+            a2 += sums[2][(x >> 16) & 0xFF];
+            a3 += sums[3][(x >> 24) & 0xFF];
+            a0 += sums[4][(x >> 32) & 0xFF];
+            a1 += sums[5][(x >> 40) & 0xFF];
+            a2 += sums[6][(x >> 48) & 0xFF];
+            a3 += sums[7][x >> 56];
+        }
+        return static_cast<uint64_t>(a0 + a1 + a2 + a3);
+    }
+
+  private:
+    int64_t takenSum_ = 0;
+    /** Truth-table words that cover the keys. */
+    unsigned words_ = 0;
+    /** Rows [0, 8 * words_) are filled by the constructor; score()
+     * reads no others, so the rest stay unwritten. */
+    std::array<std::array<int64_t, 256>, kMaxKeys / 8> subsetSums_;
+};
 
 /**
  * Algorithm 1: pick the candidate formula with the fewest
- * mispredictions on the T/NT tables.
+ * mispredictions on the T/NT tables. Candidates are scored in order;
+ * the first strict minimum wins and the scan stops at 0.
  */
 FormulaSearchResult findBooleanFormula(
     const HashedSampleTable &samples,

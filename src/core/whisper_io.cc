@@ -18,7 +18,8 @@ constexpr uint32_t kVersion = 1;
 /** Hard caps on untrusted length fields (counts, not bytes). */
 constexpr uint64_t kMaxHints = 1ULL << 24;
 constexpr uint64_t kMaxBranches = 1ULL << 32;
-constexpr uint64_t kMaxTableEntries = 1ULL << 20;
+/** Widest hashed history a 256-bit formula truth table can score. */
+constexpr unsigned kMaxHashWidth = 8;
 
 /** Minimal checked binary writer/reader over stdio. */
 class BinFile
@@ -174,12 +175,14 @@ putSampleTable(BinFile &f, const HashedSampleTable &t)
     f.putVec32(t.notTaken);
 }
 
+/** Read one T/NT table pair; both halves must have exactly
+ * 2^@p keyBits entries. */
 bool
-getSampleTable(BinFile &f, HashedSampleTable &t)
+getSampleTable(BinFile &f, HashedSampleTable &t, unsigned keyBits)
 {
-    return f.getVec32(t.taken, kMaxTableEntries) &&
-           f.getVec32(t.notTaken, kMaxTableEntries) &&
-           t.taken.size() == t.notTaken.size();
+    uint64_t keys = 1ULL << keyBits;
+    return f.getVec32(t.taken, keys) && t.taken.size() == keys &&
+           f.getVec32(t.notTaken, keys) && t.notTaken.size() == keys;
 }
 
 template <typename Writer>
@@ -301,7 +304,8 @@ loadProfile(BranchProfile &profile, const std::string &path)
     f.get(cfg.hashWidth);
     if (!f.valid() || cfg.numHistoryLengths < 2 ||
         cfg.numHistoryLengths > 16 ||
-        cfg.minHistoryLength >= cfg.maxHistoryLength) {
+        cfg.minHistoryLength >= cfg.maxHistoryLength ||
+        cfg.hashWidth < 1 || cfg.hashWidth > kMaxHashWidth) {
         return IoStatus::corruptFile(path,
                                      "implausible profile config");
     }
@@ -333,13 +337,13 @@ loadProfile(BranchProfile &profile, const std::string &path)
         if (hard) {
             loaded.markHard(pc);
             for (auto &table : e.byLength) {
-                if (!getSampleTable(f, table)) {
+                if (!getSampleTable(f, table, cfg.hashWidth)) {
                     return IoStatus::corruptFile(
                         path, "damaged sample table");
                 }
             }
-            if (!getSampleTable(f, e.raw4) ||
-                !getSampleTable(f, e.raw8)) {
+            if (!getSampleTable(f, e.raw4, 4) ||
+                !getSampleTable(f, e.raw8, 8)) {
                 return IoStatus::corruptFile(path,
                                              "damaged sample table");
             }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -14,27 +15,22 @@
 #include "core/formula_gates.hh"
 #include "core/formula_trainer.hh"
 #include "core/history_hash.hh"
+#include "sim/experiment.hh"
 #include "util/rng.hh"
 
 using namespace whisper;
 
 TEST(BoolOp, SingleUnitTruthTables)
 {
-    // Fig. 8: the four single-unit operations.
-    EXPECT_TRUE(applyBoolOp(BoolOp::And, true, true));
-    EXPECT_FALSE(applyBoolOp(BoolOp::And, true, false));
-    EXPECT_TRUE(applyBoolOp(BoolOp::Or, false, true));
-    EXPECT_FALSE(applyBoolOp(BoolOp::Or, false, false));
-    // a -> b
-    EXPECT_TRUE(applyBoolOp(BoolOp::Impl, false, false));
-    EXPECT_TRUE(applyBoolOp(BoolOp::Impl, false, true));
-    EXPECT_FALSE(applyBoolOp(BoolOp::Impl, true, false));
-    EXPECT_TRUE(applyBoolOp(BoolOp::Impl, true, true));
-    // converse non-implication: !a & b
-    EXPECT_FALSE(applyBoolOp(BoolOp::Cnimpl, false, false));
-    EXPECT_TRUE(applyBoolOp(BoolOp::Cnimpl, false, true));
-    EXPECT_FALSE(applyBoolOp(BoolOp::Cnimpl, true, false));
-    EXPECT_FALSE(applyBoolOp(BoolOp::Cnimpl, true, true));
+    // Fig. 8: the four single-unit operations, applied bitwise to
+    // the four (a, b) rows a = 0b1100, b = 0b1010.
+    const uint64_t a = 0xC, b = 0xA, rows = 0xF;
+    EXPECT_EQ(applyBoolOp(BoolOp::And, a, b) & rows, 0x8u);
+    EXPECT_EQ(applyBoolOp(BoolOp::Or, a, b) & rows, 0xEu);
+    // a -> b: false only on row (1, 0).
+    EXPECT_EQ(applyBoolOp(BoolOp::Impl, a, b) & rows, 0xBu);
+    // converse non-implication !a & b: true only on row (0, 1).
+    EXPECT_EQ(applyBoolOp(BoolOp::Cnimpl, a, b) & rows, 0x2u);
 }
 
 TEST(BoolFormula, EncodingWidths)
@@ -91,15 +87,20 @@ TEST(BoolFormula, NodeOpDecoding)
 
 TEST(BoolFormula, TruthTableMatchesEvaluate)
 {
-    Rng rng(42);
-    for (int trial = 0; trial < 50; ++trial) {
-        uint16_t enc = static_cast<uint16_t>(rng.nextBelow(32768));
-        BoolFormula f(enc, 8);
-        TruthTable tt = f.truthTable();
-        for (unsigned v = 0; v < 256; ++v) {
-            bool viaTable = (tt[v / 64] >> (v % 64)) & 1;
-            ASSERT_EQ(viaTable, f.evaluate(static_cast<uint8_t>(v)))
-                << "enc=" << enc << " v=" << v;
+    // Every encoding at every arity, input by input; bits past 2^n
+    // stay zero.
+    for (unsigned n : {2u, 4u, 8u}) {
+        for (uint32_t enc = 0; enc < BoolFormula::encodingCount(n);
+             ++enc) {
+            BoolFormula f(static_cast<uint16_t>(enc), n);
+            TruthTable tt = f.truthTable();
+            for (unsigned v = 0; v < 256; ++v) {
+                bool viaTable = (tt[v / 64] >> (v % 64)) & 1;
+                bool expect = v < (1u << n) &&
+                              f.evaluate(static_cast<uint8_t>(v));
+                ASSERT_EQ(viaTable, expect)
+                    << "n=" << n << " enc=" << enc << " v=" << v;
+            }
         }
     }
 }
@@ -222,13 +223,18 @@ TEST(GeometricLengths, ClampedSeriesSweep)
 
 TEST(TruthTableCache, MatchesDirectEvaluation)
 {
-    TruthTableCache cache(8);
-    Rng rng(11);
-    for (int trial = 0; trial < 64; ++trial) {
-        uint16_t enc = static_cast<uint16_t>(rng.nextBelow(32768));
-        uint8_t in = static_cast<uint8_t>(rng.nextBelow(256));
-        EXPECT_EQ(cache.evaluate(enc, in),
-                  BoolFormula(enc, 8).evaluate(in));
+    for (unsigned n : {2u, 4u, 8u}) {
+        TruthTableCache cache(n);
+        for (uint32_t enc = 0; enc < BoolFormula::encodingCount(n);
+             ++enc) {
+            auto e = static_cast<uint16_t>(enc);
+            BoolFormula f(e, n);
+            for (unsigned v = 0; v < (1u << n); ++v) {
+                auto in = static_cast<uint8_t>(v);
+                ASSERT_EQ(cache.evaluate(e, in), f.evaluate(in))
+                    << "n=" << n << " enc=" << enc << " v=" << v;
+            }
+        }
     }
 }
 
@@ -253,35 +259,174 @@ TEST(FormulaCandidates, FractionPrefixNesting)
     EXPECT_EQ(c.withFraction(1.0).size(), 32768u);
 }
 
+// ---------------------------------------------------------------
+// Reference models: Algorithm 1 one key and one candidate at a time.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** Lines 5-11 of Algorithm 1, one bit test per key. */
+uint64_t
+referenceScore(const TruthTable &tt, const HashedSampleTable &samples)
+{
+    uint64_t t = 0;
+    for (size_t k = 0; k < samples.taken.size(); ++k) {
+        bool sat = (tt[k / 64] >> (k % 64)) & 1;
+        t += sat ? samples.notTaken[k] : samples.taken[k];
+    }
+    return t;
+}
+
+/** findBooleanFormula over referenceScore. */
+FormulaSearchResult
+referenceSearch(const HashedSampleTable &samples,
+                const std::vector<uint16_t> &candidates,
+                const TruthTableCache &cache)
+{
+    FormulaSearchResult best;
+    for (uint16_t enc : candidates) {
+        uint64_t t = referenceScore(cache.table(enc), samples);
+        ++best.explored;
+        if (t < best.mispredicts) {
+            best.mispredicts = t;
+            best.formula = BoolFormula(enc, cache.numInputs());
+            best.valid = true;
+        }
+        if (best.mispredicts == 0)
+            break;
+    }
+    return best;
+}
+
+/** Random counts over 2^keyBits keys; @p huge puts them near 2^32. */
+HashedSampleTable
+randomTable(unsigned keyBits, Rng &rng, bool huge)
+{
+    HashedSampleTable t(keyBits);
+    for (size_t k = 0; k < t.taken.size(); ++k) {
+        auto draw = [&]() -> uint32_t {
+            if (rng.nextBool(0.3))
+                return 0;
+            return huge ? 0xFFFFFFFFu -
+                              static_cast<uint32_t>(rng.nextBelow(1000))
+                        : static_cast<uint32_t>(rng.nextBelow(100));
+        };
+        t.taken[k] = draw();
+        t.notTaken[k] = draw();
+    }
+    return t;
+}
+
+} // namespace
+
 TEST(ScoreFormula, CountsMispredictions)
 {
     // Table: key 0xFF taken 10 times; key 0x00 not-taken 5 times.
     HashedSampleTable t(8);
     t.taken[0xFF] = 10;
     t.notTaken[0x00] = 5;
+    FormulaScorer scorer(t);
 
     // all-AND: predicts taken only on 0xFF -> 0 misses.
-    TruthTable andTt = BoolFormula(0, 8).truthTable();
-    EXPECT_EQ(scoreFormula(andTt, t), 0u);
+    EXPECT_EQ(scorer.score(BoolFormula(0, 8).truthTable()), 0u);
 
     // NOT(all-AND): wrong everywhere -> 15 misses.
-    TruthTable notTt = BoolFormula(1u << 14, 8).truthTable();
-    EXPECT_EQ(scoreFormula(notTt, t), 15u);
+    EXPECT_EQ(scorer.score(BoolFormula(1u << 14, 8).truthTable()),
+              15u);
 }
 
-TEST(ScoreFormula, EarlyOutBounds)
+TEST(FormulaScorer, MatchesPerKeyReference)
 {
+    // Key spaces of hash widths 1, 4, 6 and 8 (bench_ablations'
+    // sweep), small counts and counts near 2^32, scored on formula
+    // truth tables and on arbitrary 256-bit tables.
+    const TruthTableCache &cache8 = globalTruthTables();
+    Rng rng(1701);
+    for (unsigned keyBits : {1u, 4u, 6u, 8u}) {
+        for (bool huge : {false, true}) {
+            for (int trial = 0; trial < 8; ++trial) {
+                HashedSampleTable t = randomTable(keyBits, rng, huge);
+                FormulaScorer scorer(t);
+                for (int i = 0; i < 200; ++i) {
+                    TruthTable tt = cache8.table(
+                        static_cast<uint16_t>(rng.nextBelow(32768)));
+                    ASSERT_EQ(scorer.score(tt), referenceScore(tt, t))
+                        << "keyBits=" << keyBits << " huge=" << huge;
+                    for (auto &w : tt)
+                        w = rng.next();
+                    ASSERT_EQ(scorer.score(tt), referenceScore(tt, t))
+                        << "keyBits=" << keyBits << " huge=" << huge;
+                }
+            }
+        }
+    }
+}
+
+TEST(FormulaScorer, ExactAtMaximumCounts)
+{
+    // 256 keys at UINT32_MAX: the worst case sums to 2^40 - 2^8,
+    // which wraps any 32-bit accumulator.
     HashedSampleTable t(8);
-    for (unsigned k = 0; k < 256; ++k)
-        t.notTaken[k] = 100;
-    // all-OR mispredicts every not-taken sample with any bit set.
-    uint16_t enc = 0;
-    for (unsigned n = 0; n < 7; ++n)
-        enc |= 1u << (2 * n);
-    TruthTable tt = BoolFormula(enc, 8).truthTable();
-    uint64_t bounded = scoreFormula(tt, t, 500);
-    EXPECT_GT(bounded, 500u);
-    EXPECT_LT(bounded, 25500u); // stopped early
+    std::fill(t.taken.begin(), t.taken.end(), 0xFFFFFFFFu);
+    std::fill(t.notTaken.begin(), t.notTaken.end(), 0xFFFFFFFFu);
+    t.notTaken[3] = 0;
+    FormulaScorer scorer(t);
+    const uint64_t all = 256ull * 0xFFFFFFFFull;
+    EXPECT_EQ(scorer.score(TruthTable{}), all);
+    EXPECT_EQ(scorer.score({~0ull, ~0ull, ~0ull, ~0ull}),
+              all - 0xFFFFFFFFull);
+    EXPECT_EQ(scorer.score({1ull << 3, 0, 0, 0}), all - 0xFFFFFFFFull);
+}
+
+TEST(FindBooleanFormula, MatchesReferenceSearch)
+{
+    const TruthTableCache &cache = globalTruthTables();
+    Rng rng(2718);
+    for (int trial = 0; trial < 40; ++trial) {
+        HashedSampleTable t = randomTable(8, rng, trial % 4 == 3);
+        std::vector<uint16_t> candidates(1 + rng.nextBelow(600));
+        for (auto &enc : candidates)
+            enc = static_cast<uint16_t>(rng.nextBelow(32768));
+        auto got = findBooleanFormula(t, candidates, cache);
+        auto want = referenceSearch(t, candidates, cache);
+        ASSERT_TRUE(got.valid);
+        EXPECT_EQ(got.formula, want.formula) << "trial " << trial;
+        EXPECT_EQ(got.mispredicts, want.mispredicts);
+        EXPECT_EQ(got.explored, want.explored);
+        EXPECT_EQ(got.explored, candidates.size());
+    }
+}
+
+TEST(FindBooleanFormula, StopsAtZeroMispredictCandidateMidList)
+{
+    // A planted formula sits mid-list over noise-free samples: the
+    // scan stops on it, having scored exactly its prefix.
+    const TruthTableCache &cache = globalTruthTables();
+    Rng rng(3141);
+    for (int trial = 0; trial < 10; ++trial) {
+        auto planted = static_cast<uint16_t>(rng.nextBelow(32768));
+        HashedSampleTable t(8);
+        for (unsigned k = 0; k < 256; ++k) {
+            auto weight = static_cast<uint32_t>(1 + rng.nextBelow(20));
+            if (cache.evaluate(planted, static_cast<uint8_t>(k)))
+                t.taken[k] = weight;
+            else
+                t.notTaken[k] = weight;
+        }
+        std::vector<uint16_t> candidates(300);
+        for (auto &enc : candidates)
+            enc = static_cast<uint16_t>(rng.nextBelow(32768));
+        size_t at = 50 + rng.nextBelow(200);
+        candidates[at] = planted;
+        auto got = findBooleanFormula(t, candidates, cache);
+        auto want = referenceSearch(t, candidates, cache);
+        ASSERT_TRUE(got.valid);
+        EXPECT_EQ(got.mispredicts, 0u);
+        EXPECT_EQ(got.formula, want.formula);
+        EXPECT_EQ(got.explored, want.explored);
+        EXPECT_LE(got.explored, at + 1);
+    }
 }
 
 TEST(FindBooleanFormula, RecoversPlantedFormula)

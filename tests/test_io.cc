@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/whisper_io.hh"
 #include "sim/experiment.hh"
@@ -25,7 +27,88 @@ smallProfile()
     return profileApp(appByName("kafka"), 0, cfg);
 }
 
+/**
+ * Hand-written profile file with one hard branch: the header claims
+ * @p hashWidth and every per-length table has @p keys entries (raw4
+ * and raw8 are well formed). Returns its path.
+ */
+std::string
+craftProfile(const char *name, unsigned hashWidth, uint64_t keys)
+{
+    std::string path =
+        std::string("/tmp/whisper_test_crafted_") + name + ".bin";
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    auto put = [f](auto v) { std::fwrite(&v, sizeof(v), 1, f); };
+    auto table = [&](uint64_t n) {
+        std::vector<uint32_t> counts(n, 1);
+        for (int half = 0; half < 2; ++half) {
+            put(n);
+            std::fwrite(counts.data(), sizeof(uint32_t), n, f);
+        }
+    };
+    WhisperConfig cfg;
+    put(uint32_t{0x57485052}); // "WHPR"
+    put(uint32_t{1});          // version
+    put(cfg.minHistoryLength);
+    put(cfg.maxHistoryLength);
+    put(cfg.numHistoryLengths);
+    put(hashWidth);
+    put(uint64_t{1000}); // instructions
+    put(uint64_t{100});  // conditionals
+    put(uint64_t{10});   // mispredicts
+    put(uint64_t{1});    // branches
+    put(uint64_t{0x400000});
+    put(uint64_t{100}); // executions
+    put(uint64_t{50});  // taken
+    put(uint64_t{10});  // baseline mispredicts
+    put(uint8_t{1});    // hard
+    for (size_t l = 0; l < geometricLengths(cfg).size(); ++l)
+        table(keys);
+    table(16);
+    table(256);
+    std::fclose(f);
+    return path;
+}
+
 } // namespace
+
+TEST(ProfileIo, CraftedWellFormedProfileLoads)
+{
+    // Control for the rejections below: the crafted layout itself
+    // is accepted when its widths are consistent.
+    std::string path = craftProfile("ok", 8, 256);
+    BranchProfile p;
+    EXPECT_TRUE(loadProfile(p, path).ok());
+    std::remove(path.c_str());
+    EXPECT_EQ(p.numHardBranches(), 1u);
+}
+
+TEST(ProfileIo, RejectsHashWidthBeyondShiftRange)
+{
+    // 1u << 40 would be undefined behaviour when marking the branch
+    // hard; the header check must stop it first.
+    std::string path = craftProfile("w40", 40, 256);
+    BranchProfile p;
+    EXPECT_TRUE(loadProfile(p, path).corrupt());
+    std::remove(path.c_str());
+}
+
+TEST(ProfileIo, RejectsHashWidthWiderThanTruthTable)
+{
+    // Nine bits is 512 keys: more than a 256-bit truth table covers.
+    std::string path = craftProfile("w9", 9, 512);
+    BranchProfile p;
+    EXPECT_TRUE(loadProfile(p, path).corrupt());
+    std::remove(path.c_str());
+}
+
+TEST(ProfileIo, RejectsTableLengthNotMatchingHashWidth)
+{
+    std::string path = craftProfile("t1024", 8, 1024);
+    BranchProfile p;
+    EXPECT_TRUE(loadProfile(p, path).corrupt());
+    std::remove(path.c_str());
+}
 
 TEST(ProfileIo, RoundTrip)
 {

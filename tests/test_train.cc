@@ -396,14 +396,11 @@ TEST(ScreenProperty, DisabledScreenIsAPassthrough)
 
 TEST(SupportMask, MatchesBruteForce)
 {
-    const TruthTableCache &cache = globalTruthTables();
-    Rng rng(77);
-    for (int trial = 0; trial < 100; ++trial) {
-        uint16_t enc = static_cast<uint16_t>(rng.nextBelow(32768));
-        BoolFormula f(enc, 8);
+    auto bruteForce = [](const BoolFormula &f) {
+        unsigned n = f.numInputs();
         uint8_t expect = 0;
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            for (unsigned v = 0; v < 256; ++v) {
+        for (unsigned bit = 0; bit < n; ++bit) {
+            for (unsigned v = 0; v < (1u << n); ++v) {
                 if (v & (1u << bit))
                     continue;
                 if (f.evaluate(static_cast<uint8_t>(v)) !=
@@ -413,6 +410,26 @@ TEST(SupportMask, MatchesBruteForce)
                 }
             }
         }
-        EXPECT_EQ(cache.supportMask(enc), expect) << "enc " << enc;
+        return expect;
+    };
+
+    // Every 2- and 4-input encoding, then a sample of 8-input ones.
+    for (unsigned n : {2u, 4u}) {
+        TruthTableCache cache(n);
+        for (uint32_t enc = 0; enc < BoolFormula::encodingCount(n);
+             ++enc) {
+            auto e = static_cast<uint16_t>(enc);
+            EXPECT_EQ(cache.supportMask(e),
+                      bruteForce(BoolFormula(e, n)))
+                << "n " << n << " enc " << enc;
+        }
+    }
+    const TruthTableCache &cache = globalTruthTables();
+    Rng rng(77);
+    for (int trial = 0; trial < 100; ++trial) {
+        uint16_t enc = static_cast<uint16_t>(rng.nextBelow(32768));
+        EXPECT_EQ(cache.supportMask(enc),
+                  bruteForce(BoolFormula(enc, 8)))
+            << "enc " << enc;
     }
 }
