@@ -188,7 +188,7 @@ main()
 
     auto evalWindow = [&](const std::vector<BranchRecord> &records,
                           const HintBundle *bundle) {
-        ChunkSource src(records);
+        TraceSource src(records);
         std::unique_ptr<BranchPredictor> pred;
         if (bundle) {
             pred = std::make_unique<WhisperPredictor>(
@@ -211,7 +211,7 @@ main()
             if (accumulated.numBranches() > 0) {
                 HintBundle candidate;
                 candidate.hints = pool.train(trainer, accumulated);
-                ChunkSource placeSrc(finished);
+                TraceSource placeSrc(finished);
                 candidate.placements =
                     injector.place(placeSrc, candidate.hints);
 
@@ -233,7 +233,7 @@ main()
     // Start the fleet on the consultant-managed predictor (no hints
     // deployed yet, so it behaves as plain TAGE); every later
     // deployment swaps hints in place with the tables kept warm.
-    ChunkSource onlineSource(stream);
+    TraceSource onlineSource(stream);
     AdaptiveRunStats online = runPredictorAdaptive(
         onlineSource, consultant.predictor(), window, onEpoch);
 

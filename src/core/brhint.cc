@@ -37,6 +37,12 @@ BrHint::decode(uint64_t bits)
     return h;
 }
 
+bool
+BrHint::validEncoding(uint64_t bits)
+{
+    return bits < (1ULL << kEncodedBits) && bitsOf(bits, 19, 2) < 3;
+}
+
 uint16_t
 BrHint::pcPointerFor(uint64_t branchPc)
 {

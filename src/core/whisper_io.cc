@@ -1,8 +1,9 @@
 #include "core/whisper_io.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <type_traits>
+
+#include "util/byte_codec.hh"
 
 namespace whisper
 {
@@ -21,7 +22,10 @@ constexpr uint64_t kMaxBranches = 1ULL << 32;
 /** Widest hashed history a 256-bit formula truth table can score. */
 constexpr unsigned kMaxHashWidth = 8;
 
-/** Minimal checked binary writer/reader over stdio. */
+/** Checked binary writer/reader over stdio: the file-backed twin
+ * of ByteWriter/ByteReader, same put/get/putVec32/getVec32/ok()
+ * interface, so putBundleBody/getBundleBody serve files and byte
+ * buffers alike. */
 class BinFile
 {
   public:
@@ -38,14 +42,14 @@ class BinFile
     BinFile &operator=(const BinFile &) = delete;
 
     bool opened() const { return f_ != nullptr; }
-    bool valid() const { return f_ != nullptr && ok_; }
+    bool ok() const { return f_ != nullptr && ok_; }
 
     template <typename T>
     void
     put(const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        if (valid() && std::fwrite(&v, 1, sizeof(T), f_) != sizeof(T))
+        if (ok() && std::fwrite(&v, 1, sizeof(T), f_) != sizeof(T))
             ok_ = false;
     }
 
@@ -54,7 +58,7 @@ class BinFile
     get(T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        if (valid() && std::fread(&v, 1, sizeof(T), f_) != sizeof(T))
+        if (ok() && std::fread(&v, 1, sizeof(T), f_) != sizeof(T))
             ok_ = false;
     }
 
@@ -62,7 +66,7 @@ class BinFile
     putVec32(const std::vector<uint32_t> &v)
     {
         put(static_cast<uint64_t>(v.size()));
-        if (valid() && !v.empty() &&
+        if (ok() && !v.empty() &&
             std::fwrite(v.data(), sizeof(uint32_t), v.size(), f_) !=
                 v.size()) {
             ok_ = false;
@@ -74,7 +78,7 @@ class BinFile
     {
         uint64_t n = 0;
         get(n);
-        if (!valid() || n > maxSize)
+        if (!ok() || n > maxSize)
             return false;
         v.resize(n);
         if (!v.empty() &&
@@ -82,89 +86,11 @@ class BinFile
                 v.size()) {
             ok_ = false;
         }
-        return valid();
+        return ok();
     }
 
   private:
     std::FILE *f_;
-    bool ok_ = true;
-};
-
-/** BinFile-compatible writer appending to a byte vector. */
-class MemWriter
-{
-  public:
-    bool valid() const { return true; }
-
-    template <typename T>
-    void
-    put(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const auto *p = reinterpret_cast<const unsigned char *>(&v);
-        buf_.insert(buf_.end(), p, p + sizeof(T));
-    }
-
-    void
-    putVec32(const std::vector<uint32_t> &v)
-    {
-        put(static_cast<uint64_t>(v.size()));
-        const auto *p =
-            reinterpret_cast<const unsigned char *>(v.data());
-        buf_.insert(buf_.end(), p, p + v.size() * sizeof(uint32_t));
-    }
-
-    std::vector<unsigned char> take() { return std::move(buf_); }
-
-  private:
-    std::vector<unsigned char> buf_;
-};
-
-/** BinFile-compatible bounds-checked reader over a byte buffer. */
-class MemReader
-{
-  public:
-    MemReader(const unsigned char *data, size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    bool valid() const { return ok_; }
-    bool exhausted() const { return pos_ == size_; }
-
-    template <typename T>
-    void
-    get(T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (!ok_ || size_ - pos_ < sizeof(T)) {
-            ok_ = false;
-            return;
-        }
-        std::memcpy(&v, data_ + pos_, sizeof(T));
-        pos_ += sizeof(T);
-    }
-
-    bool
-    getVec32(std::vector<uint32_t> &v, uint64_t maxSize)
-    {
-        uint64_t n = 0;
-        get(n);
-        if (!ok_ || n > maxSize ||
-            size_ - pos_ < n * sizeof(uint32_t)) {
-            ok_ = false;
-            return false;
-        }
-        v.resize(n);
-        std::memcpy(v.data(), data_ + pos_, n * sizeof(uint32_t));
-        pos_ += n * sizeof(uint32_t);
-        return true;
-    }
-
-  private:
-    const unsigned char *data_;
-    size_t size_;
-    size_t pos_ = 0;
     bool ok_ = true;
 };
 
@@ -212,16 +138,19 @@ template <typename Reader>
 bool
 getBundleBody(Reader &f, HintBundle &bundle)
 {
+    // Entries are appended as they arrive, so a smashed count can
+    // allocate no more than the input actually holds.
     uint64_t n = 0;
     f.get(n);
-    if (!f.valid() || n > kMaxHints)
+    if (!f.ok() || n > kMaxHints)
         return false;
-    bundle.hints.resize(n);
-    for (auto &h : bundle.hints) {
+    bundle.hints.clear();
+    for (uint64_t i = 0; i < n; ++i) {
+        TrainedHint &h = bundle.hints.emplace_back();
         uint64_t encoded = 0;
         f.get(h.pc);
         f.get(encoded);
-        if (!f.valid() || encoded >= (1ULL << BrHint::kEncodedBits))
+        if (!f.ok() || !BrHint::validEncoding(encoded))
             return false;
         h.hint = BrHint::decode(encoded);
         f.get(h.historyLength);
@@ -230,17 +159,18 @@ getBundleBody(Reader &f, HintBundle &bundle)
         f.get(h.executions);
     }
     f.get(n);
-    if (!f.valid() || n > kMaxHints)
+    if (!f.ok() || n > kMaxHints)
         return false;
-    bundle.placements.resize(n);
-    for (auto &p : bundle.placements) {
+    bundle.placements.clear();
+    for (uint64_t i = 0; i < n && f.ok(); ++i) {
+        HintPlacement &p = bundle.placements.emplace_back();
         f.get(p.branchPc);
         f.get(p.predecessorPc);
         f.get(p.coverage);
         f.get(p.precision);
         f.get(p.predecessorExecutions);
     }
-    return f.valid();
+    return f.ok();
 }
 
 } // namespace
@@ -249,7 +179,7 @@ bool
 saveProfile(const BranchProfile &profile, const std::string &path)
 {
     BinFile f(path, "wb");
-    if (!f.valid())
+    if (!f.ok())
         return false;
 
     f.put(kProfileMagic);
@@ -277,7 +207,7 @@ saveProfile(const BranchProfile &profile, const std::string &path)
             putSampleTable(f, e.raw8);
         }
     }
-    return f.valid();
+    return f.ok();
 }
 
 IoStatus
@@ -290,7 +220,7 @@ loadProfile(BranchProfile &profile, const std::string &path)
     uint32_t magic = 0, version = 0;
     f.get(magic);
     f.get(version);
-    if (!f.valid() || magic != kProfileMagic)
+    if (!f.ok() || magic != kProfileMagic)
         return IoStatus::corruptFile(path,
                                      "bad magic (not a profile)");
     if (version != kVersion)
@@ -302,7 +232,7 @@ loadProfile(BranchProfile &profile, const std::string &path)
     f.get(cfg.maxHistoryLength);
     f.get(cfg.numHistoryLengths);
     f.get(cfg.hashWidth);
-    if (!f.valid() || cfg.numHistoryLengths < 2 ||
+    if (!f.ok() || cfg.numHistoryLengths < 2 ||
         cfg.numHistoryLengths > 16 ||
         cfg.minHistoryLength >= cfg.maxHistoryLength ||
         cfg.hashWidth < 1 || cfg.hashWidth > kMaxHashWidth) {
@@ -317,14 +247,14 @@ loadProfile(BranchProfile &profile, const std::string &path)
 
     uint64_t numBranches = 0;
     f.get(numBranches);
-    if (!f.valid() || numBranches > kMaxBranches)
+    if (!f.ok() || numBranches > kMaxBranches)
         return IoStatus::corruptFile(path,
                                      "branch count out of bounds");
 
     for (uint64_t i = 0; i < numBranches; ++i) {
         uint64_t pc = 0;
         f.get(pc);
-        if (!f.valid())
+        if (!f.ok())
             return IoStatus::corruptFile(path, "truncated entry");
         BranchProfileEntry &e = loaded.entry(pc);
         f.get(e.executions);
@@ -332,7 +262,7 @@ loadProfile(BranchProfile &profile, const std::string &path)
         f.get(e.baselineMispredicts);
         uint8_t hard = 0;
         f.get(hard);
-        if (!f.valid())
+        if (!f.ok())
             return IoStatus::corruptFile(path, "truncated entry");
         if (hard) {
             loaded.markHard(pc);
@@ -349,7 +279,7 @@ loadProfile(BranchProfile &profile, const std::string &path)
             }
         }
     }
-    if (!f.valid())
+    if (!f.ok())
         return IoStatus::corruptFile(path, "truncated profile");
     profile = std::move(loaded);
     return IoStatus::okStatus();
@@ -359,12 +289,12 @@ bool
 saveHintBundle(const HintBundle &bundle, const std::string &path)
 {
     BinFile f(path, "wb");
-    if (!f.valid())
+    if (!f.ok())
         return false;
     f.put(kHintMagic);
     f.put(kVersion);
     putBundleBody(f, bundle);
-    return f.valid();
+    return f.ok();
 }
 
 IoStatus
@@ -376,7 +306,7 @@ loadHintBundle(HintBundle &bundle, const std::string &path)
     uint32_t magic = 0, version = 0;
     f.get(magic);
     f.get(version);
-    if (!f.valid() || magic != kHintMagic)
+    if (!f.ok() || magic != kHintMagic)
         return IoStatus::corruptFile(
             path, "bad magic (not a hint bundle)");
     if (version != kVersion)
@@ -396,14 +326,14 @@ saveVersionedBundle(const VersionedHintBundle &bundle,
                     const std::string &path)
 {
     BinFile f(path, "wb");
-    if (!f.valid())
+    if (!f.ok())
         return false;
     f.put(kEpochMagic);
     f.put(kVersion);
     f.put(bundle.epoch);
     f.put(bundle.validationAccuracy);
     putBundleBody(f, bundle.bundle);
-    return f.valid();
+    return f.ok();
 }
 
 IoStatus
@@ -416,7 +346,7 @@ loadVersionedBundle(VersionedHintBundle &bundle,
     uint32_t magic = 0, version = 0;
     f.get(magic);
     f.get(version);
-    if (!f.valid() || magic != kEpochMagic)
+    if (!f.ok() || magic != kEpochMagic)
         return IoStatus::corruptFile(
             path, "bad magic (not a versioned bundle)");
     if (version != kVersion)
@@ -426,7 +356,7 @@ loadVersionedBundle(VersionedHintBundle &bundle,
     VersionedHintBundle loaded;
     f.get(loaded.epoch);
     f.get(loaded.validationAccuracy);
-    if (!f.valid())
+    if (!f.ok())
         return IoStatus::corruptFile(path, "truncated epoch header");
     if (!getBundleBody(f, loaded.bundle))
         return IoStatus::corruptFile(path,
@@ -438,7 +368,7 @@ loadVersionedBundle(VersionedHintBundle &bundle,
 std::vector<unsigned char>
 encodeVersionedBundle(const VersionedHintBundle &bundle)
 {
-    MemWriter w;
+    ByteWriter w;
     w.put(bundle.epoch);
     w.put(bundle.validationAccuracy);
     putBundleBody(w, bundle.bundle);
@@ -449,16 +379,12 @@ bool
 decodeVersionedBundle(VersionedHintBundle &bundle,
                       const unsigned char *data, size_t size)
 {
-    MemReader r(data, size);
+    ByteReader r(data, size);
     VersionedHintBundle loaded;
     r.get(loaded.epoch);
     r.get(loaded.validationAccuracy);
-    if (!r.valid())
-        return false;
-    if (!getBundleBody(r, loaded.bundle))
-        return false;
-    if (!r.exhausted()) // trailing garbage = damaged record
-        return false;
+    if (!getBundleBody(r, loaded.bundle) || !r.done())
+        return false; // truncated, out of bounds or trailing garbage
     bundle = std::move(loaded);
     return true;
 }

@@ -1,46 +1,22 @@
 #include "net/wire_protocol.hh"
 
-#include <cstring>
-
+#include "trace/branch_trace.hh"
 #include "util/crc32.hh"
 
 namespace whisper
 {
 
-namespace
-{
-
-void
-putU32(std::vector<unsigned char> &buf, uint32_t v)
-{
-    buf.push_back(static_cast<unsigned char>(v));
-    buf.push_back(static_cast<unsigned char>(v >> 8));
-    buf.push_back(static_cast<unsigned char>(v >> 16));
-    buf.push_back(static_cast<unsigned char>(v >> 24));
-}
-
-uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<uint32_t>(p[0]) |
-           static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
-}
-
-} // namespace
-
 std::vector<unsigned char>
 encodeFrame(WireOp op, const std::vector<unsigned char> &payload)
 {
-    std::vector<unsigned char> out;
-    out.reserve(WireFrame::kHeaderBytes + payload.size());
-    putU32(out, WireFrame::kMagic);
-    putU32(out, static_cast<uint32_t>(op));
-    putU32(out, static_cast<uint32_t>(payload.size()));
-    putU32(out, crc32(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    ByteWriter w;
+    w.reserve(WireFrame::kHeaderBytes + payload.size());
+    w.put(WireFrame::kMagic);
+    w.put(static_cast<uint32_t>(op));
+    w.put(static_cast<uint32_t>(payload.size()));
+    w.put(crc32(payload.data(), payload.size()));
+    w.putBytes(payload.data(), payload.size());
+    return w.take();
 }
 
 void
@@ -64,11 +40,14 @@ FrameParser::next(WireFrame &out)
         return Result::NeedMore;
 
     const unsigned char *hdr = buffer_.data() + pos_;
-    if (getU32(hdr) != WireFrame::kMagic)
+    ByteReader r(hdr, WireFrame::kHeaderBytes);
+    uint32_t magic = 0, op = 0, length = 0, crc = 0;
+    r.get(magic);
+    r.get(op);
+    r.get(length);
+    r.get(crc);
+    if (magic != WireFrame::kMagic)
         return Result::BadMagic;
-    uint32_t op = getU32(hdr + 4);
-    uint32_t length = getU32(hdr + 8);
-    uint32_t crc = getU32(hdr + 12);
     if (length > WireFrame::kMaxPayload)
         return Result::TooLarge;
     if (buffered() < WireFrame::kHeaderBytes + length)
@@ -84,89 +63,14 @@ FrameParser::next(WireFrame &out)
     return crcOk ? Result::Frame : Result::BadCrc;
 }
 
-// ---- WireWriter / WireReader -------------------------------------
-
-void
-WireWriter::u32(uint32_t v)
-{
-    putU32(buf_, v);
-}
-
-void
-WireWriter::u64(uint64_t v)
-{
-    putU32(buf_, static_cast<uint32_t>(v));
-    putU32(buf_, static_cast<uint32_t>(v >> 32));
-}
-
-void
-WireWriter::str(const std::string &s)
-{
-    u32(static_cast<uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-}
-
-void
-WireWriter::bytes(const void *data, size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    buf_.insert(buf_.end(), p, p + n);
-}
-
-uint32_t
-WireReader::u32()
-{
-    if (!ok_ || size_ - pos_ < 4) {
-        ok_ = false;
-        return 0;
-    }
-    uint32_t v = getU32(data_ + pos_);
-    pos_ += 4;
-    return v;
-}
-
-uint64_t
-WireReader::u64()
-{
-    uint64_t lo = u32();
-    uint64_t hi = u32();
-    return lo | hi << 32;
-}
-
-std::string
-WireReader::str()
-{
-    uint32_t len = u32();
-    if (!ok_ || len > WireFrame::kMaxString ||
-        size_ - pos_ < len) {
-        ok_ = false;
-        return {};
-    }
-    std::string s(reinterpret_cast<const char *>(data_ + pos_), len);
-    pos_ += len;
-    return s;
-}
-
-bool
-WireReader::bytes(void *out, size_t n)
-{
-    if (!ok_ || size_ - pos_ < n) {
-        ok_ = false;
-        return false;
-    }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return true;
-}
-
 // ---- typed messages ----------------------------------------------
 
 std::vector<unsigned char>
 encodeHello(const HelloMsg &m)
 {
-    WireWriter w;
-    w.u32(m.version);
-    w.str(m.client);
+    ByteWriter w;
+    w.put(m.version);
+    w.putStr(m.client);
     return w.take();
 }
 
@@ -179,70 +83,71 @@ encodeHelloOk(const HelloMsg &m)
 bool
 decodeHello(const std::vector<unsigned char> &p, HelloMsg &m)
 {
-    WireReader r(p);
-    m.version = r.u32();
-    m.client = r.str();
+    ByteReader r(p);
+    r.get(m.version);
+    r.getStr(m.client);
     return r.done();
 }
 
 std::vector<unsigned char>
 encodeIngestChunk(const IngestChunkMsg &m)
 {
-    WireWriter w;
-    w.str(m.app);
-    w.str(m.stream);
-    w.u32(m.inputId);
-    w.u64(m.seq);
-    w.u32(static_cast<uint32_t>(m.records.size()));
-    w.bytes(m.records.data(),
-            m.records.size() * sizeof(BranchRecord));
-    return w.take();
+    ByteWriter w;
+    w.putStr(m.app);
+    w.putStr(m.stream);
+    w.put(m.inputId);
+    w.put(m.seq);
+    w.put(static_cast<uint32_t>(m.records.size()));
+    std::vector<unsigned char> payload = w.take();
+    appendRecordImage(payload, m.records);
+    return payload;
 }
 
 bool
 decodeIngestChunk(const std::vector<unsigned char> &p,
                   IngestChunkMsg &m)
 {
-    WireReader r(p);
-    m.app = r.str();
-    m.stream = r.str();
-    m.inputId = r.u32();
-    m.seq = r.u64();
-    uint32_t count = r.u32();
+    ByteReader r(p);
+    uint32_t count = 0;
+    r.getStr(m.app);
+    r.getStr(m.stream);
+    r.get(m.inputId);
+    r.get(m.seq);
+    r.get(count);
     if (!r.ok() ||
         static_cast<uint64_t>(count) * sizeof(BranchRecord) !=
             r.remaining()) {
         return false;
     }
     m.records.resize(count);
-    return r.bytes(m.records.data(), count * sizeof(BranchRecord)) &&
-           r.done();
+    return r.getBytes(m.records.data(), count * sizeof(BranchRecord)) &&
+           isCanonicalImage(m.records);
 }
 
 std::vector<unsigned char>
 encodeChunkAck(const ChunkAckMsg &m)
 {
-    WireWriter w;
-    w.u64(m.seq);
-    w.u32(m.status);
+    ByteWriter w;
+    w.put(m.seq);
+    w.put(m.status);
     return w.take();
 }
 
 bool
 decodeChunkAck(const std::vector<unsigned char> &p, ChunkAckMsg &m)
 {
-    WireReader r(p);
-    m.seq = r.u64();
-    m.status = r.u32();
+    ByteReader r(p);
+    r.get(m.seq);
+    r.get(m.status);
     return r.done();
 }
 
 std::vector<unsigned char>
 encodeRetryAfter(const RetryAfterMsg &m)
 {
-    WireWriter w;
-    w.u64(m.seq);
-    w.u32(m.waitMs);
+    ByteWriter w;
+    w.put(m.seq);
+    w.put(m.waitMs);
     return w.take();
 }
 
@@ -250,18 +155,18 @@ bool
 decodeRetryAfter(const std::vector<unsigned char> &p,
                  RetryAfterMsg &m)
 {
-    WireReader r(p);
-    m.seq = r.u64();
-    m.waitMs = r.u32();
+    ByteReader r(p);
+    r.get(m.seq);
+    r.get(m.waitMs);
     return r.done();
 }
 
 std::vector<unsigned char>
 encodePullBundle(const PullBundleMsg &m)
 {
-    WireWriter w;
-    w.str(m.app);
-    w.u64(m.cachedEpoch);
+    ByteWriter w;
+    w.putStr(m.app);
+    w.put(m.cachedEpoch);
     return w.take();
 }
 
@@ -269,17 +174,17 @@ bool
 decodePullBundle(const std::vector<unsigned char> &p,
                  PullBundleMsg &m)
 {
-    WireReader r(p);
-    m.app = r.str();
-    m.cachedEpoch = r.u64();
+    ByteReader r(p);
+    r.getStr(m.app);
+    r.get(m.cachedEpoch);
     return r.done();
 }
 
 std::vector<unsigned char>
 encodeBundleUnchanged(uint64_t epoch)
 {
-    WireWriter w;
-    w.u64(epoch);
+    ByteWriter w;
+    w.put(epoch);
     return w.take();
 }
 
@@ -287,26 +192,26 @@ bool
 decodeBundleUnchanged(const std::vector<unsigned char> &p,
                       uint64_t &epoch)
 {
-    WireReader r(p);
-    epoch = r.u64();
+    ByteReader r(p);
+    r.get(epoch);
     return r.done();
 }
 
 std::vector<unsigned char>
 encodeError(const ErrorMsg &m)
 {
-    WireWriter w;
-    w.u32(static_cast<uint32_t>(m.code));
-    w.str(m.message);
+    ByteWriter w;
+    w.put(m.code);
+    w.putStr(m.message);
     return w.take();
 }
 
 bool
 decodeError(const std::vector<unsigned char> &p, ErrorMsg &m)
 {
-    WireReader r(p);
-    m.code = static_cast<WireError>(r.u32());
-    m.message = r.str();
+    ByteReader r(p);
+    r.get(m.code);
+    r.getStr(m.message);
     return r.done();
 }
 

@@ -4,7 +4,8 @@
  * messages over TCP.
  *
  * Frame grammar (all integers little-endian, matching the .whrt
- * on-disk byte order):
+ * on-disk byte order; every header and payload is written and read
+ * with util/byte_codec.hh):
  *
  *   frame   := magic:u32 opcode:u32 length:u32 crc:u32 payload
  *   magic   := 0x5746524D ("WFRM")
@@ -13,13 +14,15 @@
  *   crc     := CRC32 of the payload bytes — the same IEEE CRC32 the
  *              .whrt v2 trace frames and the hint-store journal use
  *
- * Message payloads (str := len:u32 bytes, capped at kMaxString):
+ * Message payloads (str := len:u32 bytes, capped at kMaxStringBytes):
  *
  *   HELLO            ver:u32 client:str
  *   HELLO_OK         ver:u32 server:str
  *   INGEST_CHUNK     app:str stream:str inputId:u32 seq:u64
- *                    count:u32 records[count]   (raw BranchRecord
- *                    array, exactly the .whrt v2 frame payload)
+ *                    count:u32 records[count]   (record images
+ *                    from appendRecordImage, exactly the .whrt v2
+ *                    frame payload; invalid kind/taken bytes or
+ *                    nonzero padding are rejected)
  *   CHUNK_ACK        seq:u64 status:u32         (0 = accepted,
  *                    1 = duplicate — the idempotency reply)
  *   RETRY_AFTER      seq:u64 waitMs:u32         (backpressure: the
@@ -50,6 +53,7 @@
 
 #include "core/whisper_io.hh"
 #include "trace/branch_record.hh"
+#include "util/byte_codec.hh"
 
 namespace whisper
 {
@@ -82,7 +86,6 @@ struct WireFrame
 {
     static constexpr uint32_t kMagic = 0x5746524D; // "WFRM"
     static constexpr uint32_t kMaxPayload = 1u << 26;
-    static constexpr uint32_t kMaxString = 4096;
     static constexpr size_t kHeaderBytes = 16;
 
     WireOp op = WireOp::Error;
@@ -124,52 +127,6 @@ class FrameParser
   private:
     std::vector<unsigned char> buffer_;
     size_t pos_ = 0;
-};
-
-// ---- payload writers/readers -------------------------------------
-
-/** Bounds-checked little-endian payload writer. */
-class WireWriter
-{
-  public:
-    void u32(uint32_t v);
-    void u64(uint64_t v);
-    void str(const std::string &s);
-    void bytes(const void *data, size_t n);
-    std::vector<unsigned char> take() { return std::move(buf_); }
-
-  private:
-    std::vector<unsigned char> buf_;
-};
-
-/** Bounds-checked payload reader; any overrun poisons the reader. */
-class WireReader
-{
-  public:
-    WireReader(const unsigned char *data, size_t size)
-        : data_(data), size_(size)
-    {
-    }
-    explicit WireReader(const std::vector<unsigned char> &payload)
-        : WireReader(payload.data(), payload.size())
-    {
-    }
-
-    uint32_t u32();
-    uint64_t u64();
-    std::string str();
-    bool bytes(void *out, size_t n);
-
-    bool ok() const { return ok_; }
-    /** ok() and every byte consumed. */
-    bool done() const { return ok_ && pos_ == size_; }
-    size_t remaining() const { return size_ - pos_; }
-
-  private:
-    const unsigned char *data_;
-    size_t size_;
-    size_t pos_ = 0;
-    bool ok_ = true;
 };
 
 // ---- typed messages ----------------------------------------------

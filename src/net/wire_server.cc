@@ -15,7 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "service/fault_injection.hh"
+#include "util/fault_injection.hh"
 #include "util/logging.hh"
 
 namespace whisper

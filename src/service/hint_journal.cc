@@ -1,11 +1,10 @@
 #include "service/hint_journal.hh"
 
-#include <cstring>
-
 #include <unistd.h>
 
-#include "service/fault_injection.hh"
+#include "util/byte_codec.hh"
 #include "util/crc32.hh"
+#include "util/fault_injection.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -14,56 +13,54 @@ namespace whisper
 namespace
 {
 
-/** Parse the valid record prefix of an open journal stream.
- * @return bytes consumed by valid records (header excluded records
- * start after the 8-byte file header). */
+/** A journal file's valid record prefix. */
 struct ReplayResult
 {
     std::vector<VersionedHintBundle> bundles;
-    long validEnd = 0;     //!< offset just past the last valid record
-    bool sawGarbage = false;
+    size_t validEnd = 0; //!< offset just past the last valid record
+    size_t fileEnd = 0;  //!< file size; > validEnd = damaged tail
 };
 
+/** Read all of @p f and parse the header and every CRC-framed
+ * record up to the first torn or damaged one. A bad header leaves
+ * validEnd at 0: nothing is salvageable. */
 ReplayResult
-replayStream(std::FILE *f)
+replayFile(std::FILE *f)
 {
     ReplayResult result;
-    result.validEnd = std::ftell(f);
+    std::vector<unsigned char> bytes;
+    unsigned char buf[1 << 16];
+    for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+        bytes.insert(bytes.end(), buf, buf + n);
+    result.fileEnd = bytes.size();
 
+    ByteReader r(bytes);
+    uint32_t magic = 0, version = 0;
+    r.get(magic);
+    r.get(version);
+    if (!r.ok() || magic != HintJournal::kFileMagic ||
+        version != HintJournal::kVersion) {
+        return result;
+    }
     std::vector<unsigned char> payload;
     for (;;) {
-        uint32_t magic = 0, len = 0, crc = 0;
-        if (std::fread(&magic, 1, sizeof(magic), f) != sizeof(magic))
-            break; // clean EOF or torn header
-        if (magic != HintJournal::kRecordMagic) {
-            result.sawGarbage = true;
-            break;
-        }
-        if (std::fread(&len, 1, sizeof(len), f) != sizeof(len) ||
-            std::fread(&crc, 1, sizeof(crc), f) != sizeof(crc)) {
-            result.sawGarbage = true;
-            break;
-        }
-        if (len == 0 || len > HintJournal::kMaxPayload) {
-            result.sawGarbage = true;
-            break;
+        result.validEnd = bytes.size() - r.remaining();
+        uint32_t len = 0, crc = 0;
+        r.get(magic);
+        r.get(len);
+        r.get(crc);
+        if (!r.ok() || magic != HintJournal::kRecordMagic || len == 0 ||
+            len > HintJournal::kMaxPayload) {
+            break; // clean end, torn header or garbage
         }
         payload.resize(len);
-        if (std::fread(payload.data(), 1, len, f) != len) {
-            result.sawGarbage = true; // torn mid-payload
-            break;
-        }
-        if (crc32(payload.data(), len) != crc) {
-            result.sawGarbage = true; // bit rot / torn overwrite
-            break;
-        }
         VersionedHintBundle bundle;
-        if (!decodeVersionedBundle(bundle, payload.data(), len)) {
-            result.sawGarbage = true;
+        if (!r.getBytes(payload.data(), len) || // torn mid-payload
+            crc32(payload.data(), len) != crc || // bit rot
+            !decodeVersionedBundle(bundle, payload.data(), len)) {
             break;
         }
         result.bundles.push_back(std::move(bundle));
-        result.validEnd = std::ftell(f);
     }
     return result;
 }
@@ -90,20 +87,13 @@ frameRecord(const VersionedHintBundle &bundle)
 {
     std::vector<unsigned char> payload =
         encodeVersionedBundle(bundle);
-    std::vector<unsigned char> record;
-    record.reserve(12 + payload.size());
-    uint32_t magic = HintJournal::kRecordMagic;
-    uint32_t len = static_cast<uint32_t>(payload.size());
-    uint32_t crc = crc32(payload.data(), payload.size());
-    auto putU32 = [&](uint32_t v) {
-        const auto *p = reinterpret_cast<const unsigned char *>(&v);
-        record.insert(record.end(), p, p + sizeof(v));
-    };
-    putU32(magic);
-    putU32(len);
-    putU32(crc);
-    record.insert(record.end(), payload.begin(), payload.end());
-    return record;
+    ByteWriter w;
+    w.reserve(12 + payload.size());
+    w.put(HintJournal::kRecordMagic);
+    w.put(static_cast<uint32_t>(payload.size()));
+    w.put(crc32(payload.data(), payload.size()));
+    w.putBytes(payload.data(), payload.size());
+    return w.take();
 }
 
 } // namespace
@@ -133,36 +123,14 @@ HintJournal::open(const std::string &path,
     RecoveryInfo local;
 
     std::FILE *existing = std::fopen(path.c_str(), "rb");
-    bool needCompact = false;
-    long fileEnd = 0;
-    long validEnd = 0;
+    bool needCompact = true; // no file yet: write a fresh one
     if (existing) {
-        uint32_t magic = 0, version = 0;
-        bool headerOk =
-            std::fread(&magic, 1, sizeof(magic), existing) ==
-                sizeof(magic) &&
-            std::fread(&version, 1, sizeof(version), existing) ==
-                sizeof(version) &&
-            magic == kFileMagic && version == kVersion;
-        if (headerOk) {
-            ReplayResult replayed = replayStream(existing);
-            out = std::move(replayed.bundles);
-            validEnd = replayed.validEnd;
-            std::fseek(existing, 0, SEEK_END);
-            fileEnd = std::ftell(existing);
-            needCompact = replayed.sawGarbage || validEnd != fileEnd;
-        } else {
-            // Header unreadable: nothing salvageable; start fresh.
-            std::fseek(existing, 0, SEEK_END);
-            fileEnd = std::ftell(existing);
-            needCompact = fileEnd != 0;
-        }
+        ReplayResult replayed = replayFile(existing);
         std::fclose(existing);
-        local.tailBytesDiscarded =
-            static_cast<size_t>(fileEnd - validEnd);
+        out = std::move(replayed.bundles);
+        needCompact = replayed.validEnd != replayed.fileEnd;
+        local.tailBytesDiscarded = replayed.fileEnd - replayed.validEnd;
         local.recordsRecovered = out.size();
-    } else {
-        needCompact = true; // no file yet: write a fresh one
     }
 
     if (needCompact) {
@@ -251,28 +219,13 @@ HintJournal::replay(const std::string &path, RecoveryInfo *info)
     std::vector<VersionedHintBundle> out;
     RecoveryInfo local;
     std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        if (info)
-            *info = local;
-        return out;
-    }
-    uint32_t magic = 0, version = 0;
-    bool headerOk =
-        std::fread(&magic, 1, sizeof(magic), f) == sizeof(magic) &&
-        std::fread(&version, 1, sizeof(version), f) ==
-            sizeof(version) &&
-        magic == kFileMagic && version == kVersion;
-    if (headerOk) {
-        ReplayResult replayed = replayStream(f);
+    if (f) {
+        ReplayResult replayed = replayFile(f);
+        std::fclose(f);
         out = std::move(replayed.bundles);
-        long fileEnd = 0;
-        std::fseek(f, 0, SEEK_END);
-        fileEnd = std::ftell(f);
-        local.tailBytesDiscarded =
-            static_cast<size_t>(fileEnd - replayed.validEnd);
+        local.tailBytesDiscarded = replayed.fileEnd - replayed.validEnd;
         local.recordsRecovered = out.size();
     }
-    std::fclose(f);
     if (info)
         *info = local;
     return out;

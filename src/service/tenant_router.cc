@@ -4,6 +4,7 @@
 
 #include "core/whisper_predictor.hh"
 #include "sim/experiment.hh"
+#include "trace/branch_trace.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -375,7 +376,7 @@ PredictorRunStats
 TenantRouter::evalOnRecords(const std::vector<BranchRecord> &records,
                             const HintBundle *bundle) const
 {
-    ChunkSource source(records);
+    TraceSource source(records);
     std::unique_ptr<BranchPredictor> predictor;
     if (bundle) {
         predictor = std::make_unique<WhisperPredictor>(
@@ -415,7 +416,7 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
     auto placeCandidate = [&](HintBundle &bundle) {
         if (job.placement.empty())
             return;
-        ChunkSource placementSource(job.placement);
+        TraceSource placementSource(job.placement);
         bundle.placements =
             injector.place(placementSource, bundle.hints);
     };

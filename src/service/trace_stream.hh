@@ -3,21 +3,12 @@
  * Streaming trace ingest for whisperd.
  *
  * The offline tools load whole .whrt traces into memory; a
- * continuously profiling service cannot. TraceStreamReader walks a
- * trace file in bounded chunks, and ChunkIngestor runs a producer
- * thread over a directory of trace files (sorted by name, so file
- * naming encodes the drift sequence) feeding a BoundedQueue of
- * TraceChunks.
- *
- * The reader is hardened against the inputs production actually
- * delivers: version-2 traces are CRC32-framed, and a frame that
- * fails its checksum (bit rot, torn write, fault injection) is
- * skipped and counted instead of poisoning the profile or killing
- * the stream; a damaged frame header triggers a bounded resync scan
- * for the next frame magic; transient short reads are retried with
- * exponential backoff; and every length field is hard-capped so a
- * corrupt (or hostile) size can never drive an unbounded
- * allocation.
+ * continuously profiling service cannot. ChunkIngestor runs a
+ * producer thread over a directory of trace files (sorted by name,
+ * so file naming encodes the drift sequence), cuts each file into
+ * bounded TraceChunks with TraceStreamReader (src/trace/
+ * trace_reader.hh, which skips and counts damaged frames), and
+ * feeds them to a BoundedQueue.
  */
 
 #ifndef WHISPER_SERVICE_TRACE_STREAM_HH
@@ -25,15 +16,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/bounded_queue.hh"
 #include "trace/branch_record.hh"
-#include "trace/branch_source.hh"
-#include "util/io_status.hh"
+#include "trace/trace_reader.hh"
 
 namespace whisper
 {
@@ -46,115 +35,6 @@ struct TraceChunk
     uint32_t inputId = 0;     //!< workload input id
     std::string sourceFile;   //!< originating .whrt path
     std::vector<BranchRecord> records;
-};
-
-/** BranchSource view over a chunk's record array. */
-class ChunkSource : public BranchSource
-{
-  public:
-    explicit ChunkSource(const std::vector<BranchRecord> &records)
-        : records_(records)
-    {
-    }
-
-    bool
-    next(BranchRecord &rec) override
-    {
-        if (pos_ >= records_.size())
-            return false;
-        rec = records_[pos_++];
-        return true;
-    }
-
-    void rewind() override { pos_ = 0; }
-
-  private:
-    const std::vector<BranchRecord> &records_;
-    size_t pos_ = 0;
-};
-
-/**
- * Incremental .whrt reader: parses the header eagerly, then returns
- * records in caller-sized chunks so memory stays bounded no matter
- * how large the trace file is. Reads both format versions (raw v1,
- * CRC-framed v2); damaged v2 frames are skipped and counted.
- */
-class TraceStreamReader
-{
-  public:
-    /** Bytes scanned past a damaged frame header looking for the
-     * next frame magic before giving up on the file. */
-    static constexpr size_t kResyncWindowBytes = 4u << 20;
-    /** Transient-read retries before the error counts as hard. */
-    static constexpr unsigned kMaxReadRetries = 4;
-
-    explicit TraceStreamReader(const std::string &path);
-    ~TraceStreamReader();
-
-    TraceStreamReader(const TraceStreamReader &) = delete;
-    TraceStreamReader &operator=(const TraceStreamReader &) = delete;
-
-    /** Header parsed and magic/version verified. */
-    bool valid() const { return file_ != nullptr; }
-    /** Why the header was rejected (missing vs corrupt). */
-    const IoStatus &status() const { return status_; }
-
-    const std::string &app() const { return app_; }
-    uint32_t inputId() const { return inputId_; }
-    const std::string &path() const { return path_; }
-
-    /** Records the header promises / already delivered. */
-    uint64_t recordsTotal() const { return recordsTotal_; }
-    uint64_t recordsRead() const { return recordsRead_; }
-
-    /** Damaged frames dropped (CRC mismatch, bad header, torn
-     * tail). */
-    uint64_t framesSkipped() const { return framesSkipped_; }
-    /** Records lost to dropped frames. */
-    uint64_t recordsSkipped() const { return recordsSkipped_; }
-    /** Transient read errors that were retried. */
-    uint64_t readRetries() const { return readRetries_; }
-
-    /**
-     * Read up to @p maxRecords into @p out (replacing its contents).
-     * @return number of records delivered; 0 at end of stream.
-     * Damaged v2 frames are skipped (see framesSkipped()); a short
-     * v1 file (fewer records than the header claimed) invalidates
-     * the reader.
-     */
-    size_t readChunk(std::vector<BranchRecord> &out,
-                     size_t maxRecords);
-
-  private:
-    /** Outcome of trying to buffer the next v2 frame. */
-    enum class FrameResult
-    {
-        Loaded,
-        EndOfStream,
-    };
-
-    FrameResult loadNextFrame();
-    bool resyncToFrameMagic();
-    /** fread with bounded retry/backoff on transient errors; returns
-     * bytes actually read (< @p n only on EOF or hard error). */
-    size_t readWithRetry(void *p, size_t n);
-    void finishStream(bool corrupt);
-
-    std::string path_;
-    std::FILE *file_ = nullptr;
-    IoStatus status_;
-    uint32_t version_ = 0;
-    std::string app_;
-    uint32_t inputId_ = 0;
-    uint64_t recordsTotal_ = 0;
-    uint64_t recordsRead_ = 0;
-
-    std::vector<BranchRecord> frame_; //!< validated v2 frame buffer
-    size_t framePos_ = 0;
-
-    uint64_t framesSkipped_ = 0;
-    uint64_t recordsSkipped_ = 0;
-    uint64_t readRetries_ = 0;
 };
 
 /**

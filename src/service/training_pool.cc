@@ -10,7 +10,7 @@
 #include <thread>
 #include <unordered_map>
 
-#include "service/fault_injection.hh"
+#include "util/fault_injection.hh"
 #include "util/logging.hh"
 
 namespace whisper

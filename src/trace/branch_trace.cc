@@ -1,8 +1,13 @@
 #include "trace/branch_trace.hh"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
+#include "trace/trace_reader.hh"
+#include "util/byte_codec.hh"
 #include "util/crc32.hh"
 
 namespace whisper
@@ -11,12 +16,45 @@ namespace whisper
 namespace
 {
 
-constexpr uint32_t kMagic = BranchTrace::kFileMagic;
-constexpr uint32_t kVersion = BranchTrace::kFileVersion;
-constexpr uint32_t kFrameMagic = BranchTrace::kFrameMagic;
-constexpr uint32_t kMaxFrameRecords = BranchTrace::kMaxFrameRecords;
+/** The record image is the native layout: pc, target, kind, taken,
+ * instGap, then 4 bytes of tail padding up to the 8-byte alignment. */
+constexpr size_t kPaddingAt =
+    offsetof(BranchRecord, instGap) + sizeof(uint16_t);
+static_assert(sizeof(BranchRecord) == kPaddingAt + sizeof(uint32_t));
 
 } // namespace
+
+void
+appendRecordImage(std::vector<unsigned char> &out,
+                  std::span<const BranchRecord> records)
+{
+    const auto *raw =
+        reinterpret_cast<const unsigned char *>(records.data());
+    size_t at = out.size();
+    out.insert(out.end(), raw, raw + records.size_bytes());
+    for (size_t i = at + kPaddingAt; i < out.size();
+         i += sizeof(BranchRecord)) {
+        std::memset(out.data() + i, 0, sizeof(uint32_t));
+    }
+}
+
+bool
+isCanonicalImage(std::span<const BranchRecord> records)
+{
+    constexpr auto kMaxKind = static_cast<uint8_t>(BranchKind::Indirect);
+    const auto *raw =
+        reinterpret_cast<const unsigned char *>(records.data());
+    bool canonical = true;
+    for (size_t i = 0; i < records.size(); ++i) {
+        const unsigned char *rec = raw + i * sizeof(BranchRecord);
+        uint32_t padding;
+        std::memcpy(&padding, rec + kPaddingAt, sizeof(padding));
+        canonical &= padding == 0 &&
+                     rec[offsetof(BranchRecord, kind)] <= kMaxKind &&
+                     rec[offsetof(BranchRecord, taken)] <= 1;
+    }
+    return canonical;
+}
 
 void
 BranchTrace::fill(BranchSource &source, uint64_t maxRecords)
@@ -32,51 +70,34 @@ BranchTrace::save(const std::string &path) const
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return false;
-
-    bool ok = true;
-    auto put = [&](const void *p, size_t n) {
-        if (ok && std::fwrite(p, 1, n, f) != n)
-            ok = false;
+    auto write = [f](const std::vector<unsigned char> &bytes) {
+        return std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+               bytes.size();
     };
 
-    uint32_t magic = kMagic, version = kVersion;
-    put(&magic, sizeof(magic));
-    put(&version, sizeof(version));
-    uint32_t nameLen = static_cast<uint32_t>(app_.size());
-    put(&nameLen, sizeof(nameLen));
-    put(app_.data(), nameLen);
-    put(&inputId_, sizeof(inputId_));
-    uint64_t n = records_.size();
-    put(&n, sizeof(n));
+    ByteWriter header;
+    header.put(kFileMagic);
+    header.put(kFileVersion);
+    header.putStr(app_);
+    header.put(inputId_);
+    header.put(static_cast<uint64_t>(records_.size()));
+    bool ok = write(header.take());
 
     // CRC-framed record array: each frame checks independently, so a
     // reader can skip one damaged frame instead of losing the file.
-    // Records are staged through a zeroed buffer because BranchRecord
-    // has tail padding; writing the structs raw would leak
-    // indeterminate bytes and make identical traces byte-different.
-    std::vector<BranchRecord> staged;
-    for (size_t at = 0; at < records_.size();
+    std::vector<unsigned char> image;
+    for (size_t at = 0; ok && at < records_.size();
          at += kDefaultFrameRecords) {
-        uint32_t count = static_cast<uint32_t>(
-            std::min<size_t>(kDefaultFrameRecords,
-                             records_.size() - at));
-        size_t bytes = count * sizeof(BranchRecord);
-        staged.resize(count);
-        std::memset(static_cast<void *>(staged.data()), 0, bytes);
-        for (uint32_t i = 0; i < count; ++i) {
-            const BranchRecord &rec = records_[at + i];
-            staged[i].pc = rec.pc;
-            staged[i].target = rec.target;
-            staged[i].kind = rec.kind;
-            staged[i].taken = rec.taken;
-            staged[i].instGap = rec.instGap;
-        }
-        uint32_t crc = crc32(staged.data(), bytes);
-        uint32_t frameMagic = kFrameMagic;
-        put(&frameMagic, sizeof(frameMagic));
-        put(&count, sizeof(count));
-        put(&crc, sizeof(crc));
-        put(staged.data(), bytes);
+        std::span<const BranchRecord> frame =
+            records().subspan(at, std::min<size_t>(kDefaultFrameRecords,
+                                                   records_.size() - at));
+        image.clear();
+        appendRecordImage(image, frame);
+        ByteWriter frameHeader;
+        frameHeader.put(kFrameMagic);
+        frameHeader.put(static_cast<uint32_t>(frame.size()));
+        frameHeader.put(crc32(image.data(), image.size()));
+        ok = write(frameHeader.take()) && write(image);
     }
 
     std::fclose(f);
@@ -86,90 +107,37 @@ BranchTrace::save(const std::string &path) const
 IoStatus
 BranchTrace::load(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return IoStatus::missingFile(path);
-
-    bool ok = true;
-    auto get = [&](void *p, size_t n) {
-        if (ok && std::fread(p, 1, n, f) != n)
-            ok = false;
-    };
-    auto fail = [&](const char *why) {
-        std::fclose(f);
-        return IoStatus::corruptFile(path, why);
-    };
-
-    uint32_t magic = 0, version = 0;
-    get(&magic, sizeof(magic));
-    get(&version, sizeof(version));
-    if (!ok || magic != kMagic)
-        return fail("bad magic (not a .whrt trace)");
-    if (version != 1 && version != kVersion)
-        return fail("unsupported format version");
-
-    uint32_t nameLen = 0;
-    get(&nameLen, sizeof(nameLen));
-    if (!ok || nameLen > 4096)
-        return fail("oversized app-name length field");
-    std::string name(nameLen, '\0');
-    get(name.data(), nameLen);
-    uint32_t inputId = 0;
-    get(&inputId, sizeof(inputId));
-    uint64_t n = 0;
-    get(&n, sizeof(n));
-    if (!ok)
-        return fail("truncated header");
+    TraceStreamReader reader(path);
+    if (!reader.valid())
+        return reader.status();
 
     // Cap the claimed record count by what the file can actually
     // hold, so a corrupted (or hostile) length field errors out
     // instead of driving a multi-gigabyte allocation.
-    long bodyStart = std::ftell(f);
-    if (bodyStart < 0 || std::fseek(f, 0, SEEK_END) != 0)
-        return fail("unseekable file");
-    long fileEnd = std::ftell(f);
-    std::fseek(f, bodyStart, SEEK_SET);
-    uint64_t bodyBytes = static_cast<uint64_t>(fileEnd - bodyStart);
-    if (n * sizeof(BranchRecord) > bodyBytes)
-        return fail("record count exceeds file size");
+    std::error_code ec;
+    uint64_t fileBytes = std::filesystem::file_size(path, ec);
+    if (ec)
+        return IoStatus::corruptFile(path, "unsized file");
+    uint64_t n = reader.recordsTotal();
+    if (n > fileBytes / sizeof(BranchRecord))
+        return IoStatus::corruptFile(path,
+                                     "record count exceeds file size");
 
-    std::vector<BranchRecord> records;
+    std::vector<BranchRecord> records, beyond;
     records.reserve(n);
-    if (version == 1) {
-        records.resize(n);
-        if (!records.empty() &&
-            std::fread(records.data(), sizeof(BranchRecord), n, f) !=
-                n) {
-            return fail("truncated record array");
-        }
-    } else {
-        while (records.size() < n) {
-            uint32_t frameMagic = 0, count = 0, crc = 0;
-            get(&frameMagic, sizeof(frameMagic));
-            get(&count, sizeof(count));
-            get(&crc, sizeof(crc));
-            if (!ok || frameMagic != kFrameMagic)
-                return fail("bad frame header");
-            if (count == 0 || count > kMaxFrameRecords ||
-                records.size() + count > n) {
-                return fail("frame record count out of bounds");
-            }
-            size_t at = records.size();
-            records.resize(at + count);
-            if (std::fread(records.data() + at, sizeof(BranchRecord),
-                           count, f) != count) {
-                return fail("truncated frame");
-            }
-            if (crc32(records.data() + at,
-                      count * sizeof(BranchRecord)) != crc) {
-                return fail("frame CRC mismatch");
-            }
-        }
-    }
-    std::fclose(f);
+    reader.readChunk(records, n);
+    reader.readChunk(beyond, 1); // must find the end of the stream
+    if (!reader.status().ok())
+        return reader.status();
+    if (reader.framesSkipped() > 0)
+        return IoStatus::corruptFile(path, reader.firstSkipReason());
+    if (records.size() != n || !beyond.empty())
+        return IoStatus::corruptFile(path,
+                                     "record count disagrees with "
+                                     "header");
 
-    app_ = std::move(name);
-    inputId_ = inputId;
+    app_ = reader.app();
+    inputId_ = reader.inputId();
     records_ = std::move(records);
     instructions_ = 0;
     conditionals_ = 0;

@@ -7,6 +7,7 @@
 #define WHISPER_TRACE_BRANCH_TRACE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,12 +27,13 @@ namespace whisper
 class BranchTrace
 {
   public:
-    /** .whrt on-disk format identity, shared with the streaming
-     * reader in src/service/trace_stream.*. The layout is: magic,
-     * version, name length + bytes, input id, record count, then the
-     * record array. Version 2 stores the array as CRC32-framed
-     * chunks (frame magic, record count, CRC, records) so damage is
-     * localized to one frame; version 1 (raw array) is still read. */
+    /** .whrt on-disk format identity; save() writes it and
+     * TraceStreamReader (src/trace/trace_reader.hh) is its only
+     * parser. The layout is: magic, version, name length + bytes,
+     * input id, record count, then the record array. Version 2
+     * stores the array as CRC32-framed chunks (frame magic, record
+     * count, CRC, record images) so damage is localized to one
+     * frame; version 1 (raw array) is still read. */
     static constexpr uint32_t kFileMagic = 0x57485254; // "WHRT"
     static constexpr uint32_t kFileVersion = 2;
     static constexpr uint32_t kFrameMagic = 0x57484652; // "WHFR"
@@ -73,10 +75,13 @@ class BranchTrace
 
     auto begin() const { return records_.begin(); }
     auto end() const { return records_.end(); }
+    std::span<const BranchRecord> records() const { return records_; }
 
     /** Binary round-trip. save() overwrites @p path and returns
      * false on I/O failure; load() replaces the current contents and
-     * reports missing-vs-corrupt through its IoStatus. */
+     * reports missing-vs-corrupt through its IoStatus. load() is
+     * strict: any frame TraceStreamReader had to skip, or a record
+     * count that disagrees with the header, makes it corrupt. */
     bool save(const std::string &path) const;
     IoStatus load(const std::string &path);
 
@@ -88,25 +93,34 @@ class BranchTrace
     uint64_t conditionals_ = 0;
 };
 
-/** BranchSource view over a materialized trace. */
+/** BranchSource view over a record array: a materialized trace, a
+ * whisperd chunk, or any vector of records. The array must outlive
+ * the source and not be resized while it is in use. */
 class TraceSource : public BranchSource
 {
   public:
-    explicit TraceSource(const BranchTrace &trace) : trace_(trace) {}
+    explicit TraceSource(std::span<const BranchRecord> records)
+        : records_(records)
+    {
+    }
+    explicit TraceSource(const BranchTrace &trace)
+        : TraceSource(trace.records())
+    {
+    }
 
     bool
     next(BranchRecord &rec) override
     {
-        if (pos_ >= trace_.size())
+        if (pos_ >= records_.size())
             return false;
-        rec = trace_[pos_++];
+        rec = records_[pos_++];
         return true;
     }
 
     void rewind() override { pos_ = 0; }
 
   private:
-    const BranchTrace &trace_;
+    std::span<const BranchRecord> records_;
     size_t pos_ = 0;
 };
 
@@ -145,6 +159,20 @@ class LimitSource : public BranchSource
     uint64_t limit_;
     uint64_t produced_ = 0;
 };
+
+/**
+ * Append the record image of @p records to @p out: each record's
+ * native 24-byte layout with its 4 tail-padding bytes zeroed, so
+ * equal records always encode to equal bytes. A .whrt v2 frame body
+ * and the wire's INGEST_CHUNK record section are exactly this.
+ */
+void appendRecordImage(std::vector<unsigned char> &out,
+                       std::span<const BranchRecord> records);
+
+/** True when @p records hold exactly the bytes appendRecordImage()
+ * writes for valid records: a BranchKind in range, taken 0 or 1, and
+ * zero tail padding. Decoders of outside input accept nothing else. */
+bool isCanonicalImage(std::span<const BranchRecord> records);
 
 } // namespace whisper
 

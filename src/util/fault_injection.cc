@@ -1,4 +1,4 @@
-#include "service/fault_injection.hh"
+#include "util/fault_injection.hh"
 
 #include <chrono>
 #include <cmath>

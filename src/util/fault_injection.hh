@@ -10,11 +10,16 @@
  * (e.g. via `whisperd --fault-spec`):
  *
  *   flip-chunks[=P]       corrupt every P-th trace frame read by the
- *                         streaming reader, starting with the first
+ *                         .whrt reader, starting with the first
  *                         (P<1 is treated as a rate: P=1/rate).
  *                         Default P=100 (~1% of frames).
  *   fail-read[=N]         the first N frame reads fail transiently
  *                         (exercises bounded retry/backoff). Default 2.
+ *
+ * The two read faults apply to every .whrt read in the process:
+ * TraceStreamReader (src/trace/trace_reader.hh) is the only .whrt
+ * parser, so strict BranchTrace::load calls see them too, and a
+ * flipped frame makes a strict load fail as corrupt.
  *   truncate-journal[=N]  the N-th journal append (1-based) is torn:
  *                         only half the record reaches the file.
  *                         Default 2.
@@ -55,8 +60,8 @@
  * event counters, so a failing run replays exactly.
  */
 
-#ifndef WHISPER_SERVICE_FAULT_INJECTION_HH
-#define WHISPER_SERVICE_FAULT_INJECTION_HH
+#ifndef WHISPER_UTIL_FAULT_INJECTION_HH
+#define WHISPER_UTIL_FAULT_INJECTION_HH
 
 #include <atomic>
 #include <cstddef>
@@ -205,4 +210,4 @@ class FaultInjector
 
 } // namespace whisper
 
-#endif // WHISPER_SERVICE_FAULT_INJECTION_HH
+#endif // WHISPER_UTIL_FAULT_INJECTION_HH

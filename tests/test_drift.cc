@@ -28,10 +28,10 @@
 
 #include "service/chunk_profiler.hh"
 #include "service/hint_store.hh"
-#include "service/trace_stream.hh"
 #include "service/training_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/sharded_runner.hh"
+#include "trace/branch_trace.hh"
 #include "trace/cbp_reader.hh"
 #include "workloads/app_workload.hh"
 
@@ -152,7 +152,7 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
 
     auto evalWindow = [&](const std::vector<BranchRecord> &records,
                           const HintBundle *bundle) {
-        ChunkSource src(records);
+        TraceSource src(records);
         std::unique_ptr<BranchPredictor> pred;
         if (bundle) {
             pred = std::make_unique<WhisperPredictor>(
@@ -196,7 +196,7 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
                     trainTotals->formulasScored +=
                         tstats.formulasScored;
                 }
-                ChunkSource placeSrc(recent);
+                TraceSource placeSrc(recent);
                 candidate.placements =
                     injector.place(placeSrc, candidate.hints);
 
@@ -222,7 +222,7 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
         return consultant.refresh(nextEpoch);
     };
 
-    ChunkSource src(stream);
+    TraceSource src(stream);
     return runPredictorAdaptive(src, consultant.predictor(), window,
                                 onEpoch);
 }
@@ -498,7 +498,7 @@ TEST(Workload, AdversarialDecorrelationDegradesTage)
 
     auto runTage = [&](const std::vector<BranchRecord> &stream) {
         auto tage = makeTage(64);
-        ChunkSource src(stream);
+        TraceSource src(stream);
         return runPredictorAdaptive(src, *tage, window, nullptr);
     };
     AdaptiveRunStats baseRun = runTage(base);
@@ -641,7 +641,7 @@ TEST(Equivalence, SerialVsShardedAdaptiveOnDriftingStream)
     std::vector<BranchRecord> stream = genDrift(app, 0, n, drift);
 
     auto serialTage = makeTage(64);
-    ChunkSource src(stream);
+    TraceSource src(stream);
     AdaptiveRunStats serial =
         runPredictorAdaptive(src, *serialTage, window, nullptr);
 
@@ -827,13 +827,13 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
     HintInjector injector(cfg.injector);
     HintBundle stale;
     stale.hints = pool.train(trainer, staleProfile);
-    ChunkSource placeSrc(prefixRecent);
+    TraceSource placeSrc(prefixRecent);
     stale.placements = injector.place(placeSrc, stale.hints);
 
     std::vector<BranchRecord> tailWindow(stream.end() - window,
                                          stream.end());
     auto evalOnTail = [&](const HintBundle *bundle) {
-        ChunkSource src(tailWindow);
+        TraceSource src(tailWindow);
         std::unique_ptr<BranchPredictor> pred;
         if (bundle) {
             pred = std::make_unique<WhisperPredictor>(
@@ -860,7 +860,7 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
     // predictor (TAGE + whatever hints survived validation) may not
     // do materially worse than plain TAGE.
     auto tage = makeTage(cfg.tageBudgetKB);
-    ChunkSource tageSrc(stream);
+    TraceSource tageSrc(stream);
     AdaptiveRunStats tageRun =
         runPredictorAdaptive(tageSrc, *tage, window, nullptr);
     EXPECT_LE(epochRate(online, 11),

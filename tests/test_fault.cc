@@ -15,15 +15,15 @@
 #include <thread>
 #include <vector>
 
-#include "service/fault_injection.hh"
 #include "service/hint_journal.hh"
 #include "service/hint_store.hh"
 #include "service/tenant_router.hh"
-#include "service/trace_stream.hh"
 #include "service/training_pool.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
+#include "trace/trace_reader.hh"
 #include "util/crc32.hh"
+#include "util/fault_injection.hh"
 #include "workloads/app_workload.hh"
 
 using namespace whisper;

@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -28,8 +29,9 @@
 #include "net/whisper_client.hh"
 #include "net/wire_protocol.hh"
 #include "net/wire_server.hh"
-#include "service/fault_injection.hh"
+#include "trace/branch_trace.hh"
 #include "util/crc32.hh"
+#include "util/fault_injection.hh"
 #include "workloads/app_workload.hh"
 
 using namespace whisper;
@@ -284,10 +286,10 @@ TEST(WireCodec, FrameRoundTripsThroughParser)
     EXPECT_EQ(back.inputId, msg.inputId);
     EXPECT_EQ(back.seq, msg.seq);
     ASSERT_EQ(back.records.size(), msg.records.size());
-    EXPECT_EQ(0, std::memcmp(back.records.data(),
-                             msg.records.data(),
-                             msg.records.size() *
-                                 sizeof(BranchRecord)));
+    std::vector<unsigned char> sent, received;
+    appendRecordImage(sent, msg.records);
+    appendRecordImage(received, back.records);
+    EXPECT_EQ(received, sent);
     EXPECT_EQ(parser.next(frame), FrameParser::Result::NeedMore);
     EXPECT_EQ(parser.buffered(), 0u);
 }
@@ -416,11 +418,13 @@ TEST(WireCodec, ReaderOverrunPoisonsNotCrashes)
 {
     // A string length pointing past the payload end must fail the
     // decode, not read out of bounds.
-    WireWriter w;
-    w.u32(4096); // claims 4096 bytes follow; none do
+    ByteWriter w;
+    w.put(uint32_t{4096}); // claims 4096 bytes follow; none do
     auto payload = w.take();
-    WireReader r(payload);
-    EXPECT_EQ(r.str(), "");
+    ByteReader r(payload);
+    std::string s;
+    EXPECT_FALSE(r.getStr(s));
+    EXPECT_EQ(s, "");
     EXPECT_FALSE(r.ok());
 
     IngestChunkMsg msg;
@@ -437,6 +441,65 @@ TEST(WireCodec, IngestRecordCountMustMatchPayload)
     payload.pop_back(); // count now disagrees with the byte count
     IngestChunkMsg out;
     EXPECT_FALSE(decodeIngestChunk(payload, out));
+}
+
+TEST(WireCodec, IngestRecordsAreTheTraceFrameBody)
+{
+    // Garbage in BranchRecord's tail padding never reaches the wire:
+    // identical chunks encode to identical bytes, and the record
+    // section is the frame body BranchTrace::save() writes.
+    IngestChunkMsg clean;
+    clean.app = "kafka";
+    clean.stream = "s";
+    clean.records = someRecords(50);
+    IngestChunkMsg dirty = clean;
+    auto *raw = reinterpret_cast<unsigned char *>(dirty.records.data());
+    for (size_t i = 0; i < dirty.records.size(); ++i)
+        std::memset(raw + i * sizeof(BranchRecord) + 20, 0xAB, 4);
+
+    std::vector<unsigned char> payload = encodeIngestChunk(dirty);
+    EXPECT_EQ(payload, encodeIngestChunk(clean));
+
+    BranchTrace trace("kafka", 0);
+    for (const BranchRecord &rec : dirty.records)
+        trace.append(rec);
+    std::string path = "/tmp/whisper_test_wire_frame_body.whrt";
+    ASSERT_TRUE(trace.save(path));
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::vector<unsigned char> file(4096);
+    file.resize(std::fread(file.data(), 1, file.size(), f));
+    std::fclose(f);
+    std::remove(path.c_str());
+
+    size_t body = 50 * sizeof(BranchRecord);
+    ASSERT_GT(file.size(), body);
+    ASSERT_GT(payload.size(), body);
+    EXPECT_TRUE(std::equal(payload.end() - body, payload.end(),
+                           file.end() - body, file.end()));
+}
+
+TEST(WireCodec, NonCanonicalRecordsAreRejected)
+{
+    // The decoder accepts only what the encoder produces for valid
+    // records, so an accepted chunk re-encodes to the bytes it
+    // arrived as and never carries a bool or kind out of range.
+    IngestChunkMsg msg;
+    msg.app = "kafka";
+    msg.stream = "s";
+    msg.records = someRecords(8);
+    const std::vector<unsigned char> payload = encodeIngestChunk(msg);
+    IngestChunkMsg out;
+    ASSERT_TRUE(decodeIngestChunk(payload, out));
+    EXPECT_EQ(encodeIngestChunk(out), payload);
+
+    // Offsets into the last record: kind, taken, padding.
+    const size_t last = payload.size() - sizeof(BranchRecord);
+    for (size_t at : {last + 16, last + 17, last + 22}) {
+        std::vector<unsigned char> bad = payload;
+        bad[at] = 0xAB;
+        EXPECT_FALSE(decodeIngestChunk(bad, out)) << at;
+    }
 }
 
 // ---- loopback server/client --------------------------------------

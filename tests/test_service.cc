@@ -25,6 +25,7 @@
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
+#include "trace/trace_reader.hh"
 #include "workloads/app_workload.hh"
 
 using namespace whisper;
@@ -564,7 +565,7 @@ TEST(HintStore, ReadersSurviveConcurrentSwaps)
 TEST(AdaptiveRunner, EpochTotalsAddUpAndSwapsAreCounted)
 {
     std::vector<BranchRecord> records = kafkaRecords(0, 30'000);
-    ChunkSource source(records);
+    TraceSource source(records);
 
     HintStore store;
     WhisperConfig cfg;

@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "core/whisper_io.hh"
-#include "service/fault_injection.hh"
 #include "service/tenant_registry.hh"
 #include "service/tenant_router.hh"
 #include "sim/experiment.hh"
+#include "util/fault_injection.hh"
 #include "workloads/app_workload.hh"
 
 using namespace whisper;

@@ -7,11 +7,110 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <span>
 
 #include "trace/branch_trace.hh"
 #include "trace/global_history.hh"
+#include "trace/trace_reader.hh"
+#include "util/byte_codec.hh"
+#include "util/crc32.hh"
 
 using namespace whisper;
+
+namespace
+{
+
+/** @p n pseudo-random records, padding bytes included zeroed. */
+std::vector<BranchRecord>
+lcgRecords(size_t n)
+{
+    std::vector<BranchRecord> records(n);
+    std::memset(static_cast<void *>(records.data()), 0,
+                n * sizeof(BranchRecord));
+    uint64_t seed = 11;
+    for (BranchRecord &rec : records) {
+        seed = seed * 2862933555777941757ULL + 3037000493ULL;
+        rec.pc = 0x400000 + (seed & 0xFFFF);
+        rec.target = rec.pc + 16;
+        rec.taken = (seed >> 17) & 1;
+        rec.kind = static_cast<BranchKind>((seed >> 20) % 5);
+        rec.instGap = (seed >> 24) & 0xF;
+    }
+    return records;
+}
+
+std::vector<unsigned char>
+imageOf(std::span<const BranchRecord> records)
+{
+    std::vector<unsigned char> image;
+    appendRecordImage(image, records);
+    return image;
+}
+
+/** Header bytes of the traces built below: app "app", input 3. */
+constexpr size_t kHeaderBytes = 4 + 4 + 4 + 3 + 4 + 8;
+
+/** A .whrt file built by hand: a version-1 raw array, or version-2
+ * frames of @p frames records each. */
+std::vector<unsigned char>
+traceFile(const std::vector<BranchRecord> &records, uint32_t version,
+          const std::vector<size_t> &frames = {})
+{
+    ByteWriter w;
+    w.put(BranchTrace::kFileMagic);
+    w.put(version);
+    w.putStr("app");
+    w.put(uint32_t{3});
+    w.put(static_cast<uint64_t>(records.size()));
+    std::vector<unsigned char> out = w.take();
+    if (version == 1) {
+        appendRecordImage(out, records);
+        return out;
+    }
+    size_t at = 0;
+    for (size_t n : frames) {
+        std::vector<unsigned char> image =
+            imageOf(std::span(records).subspan(at, n));
+        ByteWriter frame;
+        frame.put(BranchTrace::kFrameMagic);
+        frame.put(static_cast<uint32_t>(n));
+        frame.put(crc32(image.data(), image.size()));
+        frame.putBytes(image.data(), image.size());
+        std::vector<unsigned char> bytes = frame.take();
+        out.insert(out.end(), bytes.begin(), bytes.end());
+        at += n;
+    }
+    return out;
+}
+
+void
+writeFile(const std::string &path, const std::vector<unsigned char> &b)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+    std::fclose(f);
+}
+
+std::vector<unsigned char>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+template <typename T>
+void
+poke(std::vector<unsigned char> &bytes, size_t at, T v)
+{
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+} // namespace
 
 TEST(GlobalHistory, PushAndBit)
 {
@@ -155,6 +254,146 @@ TEST(BranchTrace, LoadRejectsGarbage)
     BranchTrace t;
     EXPECT_TRUE(t.load(path).corrupt());
     std::remove(path.c_str());
+}
+
+TEST(BranchTrace, ReadsVersion1RawArray)
+{
+    std::vector<BranchRecord> records = lcgRecords(100);
+    std::string path = "/tmp/whisper_test_v1.whrt";
+    writeFile(path, traceFile(records, 1));
+
+    BranchTrace loaded;
+    ASSERT_TRUE(loaded.load(path).ok());
+    EXPECT_EQ(loaded.app(), "app");
+    EXPECT_EQ(loaded.inputId(), 3u);
+    EXPECT_EQ(imageOf(loaded.records()), imageOf(records));
+
+    TraceStreamReader reader(path);
+    ASSERT_TRUE(reader.valid());
+    std::vector<BranchRecord> streamed, chunk;
+    while (reader.readChunk(chunk, 7) > 0)
+        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+    EXPECT_TRUE(reader.status().ok());
+    EXPECT_EQ(imageOf(streamed), imageOf(records));
+    std::remove(path.c_str());
+}
+
+TEST(BranchTrace, TruncatedVersion1IsCorrupt)
+{
+    std::vector<BranchRecord> records = lcgRecords(100);
+    std::vector<unsigned char> bytes = traceFile(records, 1);
+    bytes.resize(bytes.size() - 10); // tear the last record
+    std::string path = "/tmp/whisper_test_v1_torn.whrt";
+    writeFile(path, bytes);
+
+    BranchTrace loaded;
+    IoStatus st = loaded.load(path);
+    EXPECT_TRUE(st.corrupt());
+    EXPECT_NE(st.message.find("truncated record array"),
+              std::string::npos);
+
+    TraceStreamReader reader(path);
+    ASSERT_TRUE(reader.valid());
+    std::vector<BranchRecord> chunk;
+    size_t got = 0;
+    while (reader.readChunk(chunk, 16) > 0)
+        got += chunk.size();
+    EXPECT_EQ(got, 99u);
+    EXPECT_TRUE(reader.status().corrupt());
+    EXPECT_NE(reader.status().message.find("truncated record array"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(BranchTrace, LoadRejectsEveryDamageKind)
+{
+    // Three frames of 40, 50 and 30 records; frame i starts at
+    // frameAt[i]. Every rejection the strict load makes, each with
+    // the message that names it.
+    std::vector<BranchRecord> records = lcgRecords(120);
+    const std::vector<unsigned char> good =
+        traceFile(records, 2, {40, 50, 30});
+    const size_t countAt = kHeaderBytes - 8;
+    const size_t frameAt[] = {kHeaderBytes, kHeaderBytes + 12 + 40 * 24,
+                              kHeaderBytes + 24 + 90 * 24};
+    std::string path = "/tmp/whisper_test_damage.whrt";
+
+    writeFile(path, good);
+    BranchTrace loaded;
+    ASSERT_TRUE(loaded.load(path).ok());
+    EXPECT_EQ(imageOf(loaded.records()), imageOf(records));
+
+    struct Damage
+    {
+        const char *what;
+        std::function<void(std::vector<unsigned char> &)> apply;
+    };
+    const Damage damages[] = {
+        {"bad magic", [](auto &b) { b[0] ^= 1; }},
+        {"unsupported format version",
+         [](auto &b) { poke(b, 4, uint32_t{7}); }},
+        {"oversized app-name",
+         [](auto &b) { poke(b, 8, kMaxStringBytes + 1); }},
+        {"record count exceeds file size",
+         [&](auto &b) { poke(b, countAt, uint64_t{1} << 40); }},
+        {"bad frame header",
+         [&](auto &b) { b[frameAt[1]] ^= 0x10; }},
+        {"frame record count out of bounds",
+         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{0}); }},
+        {"frame record count out of bounds",
+         [&](auto &b) {
+             poke(b, frameAt[2] + 4, BranchTrace::kMaxFrameRecords + 1);
+         }},
+        {"truncated frame", [](auto &b) { b.resize(b.size() - 5); }},
+        {"frame CRC mismatch",
+         [&](auto &b) { b[frameAt[2] + 12 + 100] ^= 0x01; }},
+        {"record count disagrees with header",
+         [&](auto &b) { poke(b, countAt, uint64_t{119}); }},
+        {"record count disagrees with header",
+         [&](auto &b) { poke(b, countAt, uint64_t{121}); }},
+    };
+    for (const Damage &d : damages) {
+        std::vector<unsigned char> bytes = good;
+        d.apply(bytes);
+        writeFile(path, bytes);
+        IoStatus st = loaded.load(path);
+        EXPECT_TRUE(st.corrupt()) << d.what;
+        EXPECT_NE(st.message.find(d.what), std::string::npos)
+            << d.what << ": " << st.message;
+        // A failed load leaves the previous contents alone.
+        EXPECT_EQ(loaded.size(), records.size()) << d.what;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(RecordImage, ZeroesPaddingAndIsTheFrameBody)
+{
+    // Records whose tail padding holds garbage encode exactly like
+    // zero-initialised ones, and the image is byte for byte the
+    // frame body save() writes.
+    std::vector<BranchRecord> clean = lcgRecords(64);
+    std::vector<BranchRecord> dirty = clean;
+    auto *raw = reinterpret_cast<unsigned char *>(dirty.data());
+    for (size_t i = 0; i < dirty.size(); ++i)
+        std::memset(raw + i * sizeof(BranchRecord) + 20, 0xAB, 4);
+    ASSERT_FALSE(isCanonicalImage(dirty));
+    EXPECT_TRUE(isCanonicalImage(clean));
+
+    std::vector<unsigned char> image = imageOf(dirty);
+    EXPECT_EQ(image, imageOf(clean));
+    ASSERT_EQ(image.size(), 64 * sizeof(BranchRecord));
+
+    BranchTrace trace("app", 3);
+    for (const BranchRecord &rec : dirty)
+        trace.append(rec);
+    std::string path = "/tmp/whisper_test_record_image.whrt";
+    ASSERT_TRUE(trace.save(path));
+    std::vector<unsigned char> file = readFile(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(file, traceFile(clean, 2, {64}));
+    ASSERT_EQ(file.size(), kHeaderBytes + 12 + image.size());
+    EXPECT_TRUE(std::equal(image.begin(), image.end(),
+                           file.begin() + kHeaderBytes + 12));
 }
 
 TEST(TraceSource, IteratesAndRewinds)

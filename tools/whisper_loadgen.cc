@@ -39,9 +39,10 @@
 #include <vector>
 
 #include "net/whisper_client.hh"
-#include "service/fault_injection.hh"
 #include "service/trace_stream.hh"
 #include "trace/branch_trace.hh"
+#include "trace/trace_reader.hh"
+#include "util/fault_injection.hh"
 #include "util/stdio_guard.hh"
 #include "workloads/app_workload.hh"
 

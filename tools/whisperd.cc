@@ -32,7 +32,8 @@
  * --eval-trace evaluates the deployed bundle of the trace's own app
  * (and --compare-hints a static bundle) on that trace. --fault-spec
  * installs the deterministic fault-injection harness (see
- * fault_injection.hh).
+ * fault_injection.hh); its read faults hit every .whrt read, so a
+ * flipped frame in the --eval-trace file fails that strict load.
  */
 
 #include <atomic>
@@ -48,10 +49,10 @@
 
 #include "core/whisper_io.hh"
 #include "net/wire_server.hh"
-#include "service/fault_injection.hh"
 #include "service/tenant_router.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
+#include "util/fault_injection.hh"
 #include "util/table.hh"
 
 using namespace whisper;
