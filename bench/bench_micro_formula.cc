@@ -2,12 +2,17 @@
  * @file
  * Google-benchmark microbenchmarks for the formula machinery: the
  * per-prediction costs Whisper adds (formula evaluation, hashed
- * history maintenance) and the offline costs (Algorithm 1 scoring,
- * candidate search).
+ * history maintenance for a whole whisper+TAGE-SC-L stack) and the
+ * offline costs (Algorithm 1 scoring, candidate search).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "bp/tage_scl.hh"
 #include "core/formula.hh"
 #include "core/formula_trainer.hh"
 #include "core/history_hash.hh"
@@ -45,18 +50,54 @@ BM_TruthTableLookup(benchmark::State &state)
 }
 BENCHMARK(BM_TruthTableLookup);
 
+/**
+ * The folded views one whisper+TAGE-SC-L 64KB stack reads per
+ * branch: TAGE's index and two tag views per tagged table (the
+ * geometric series TageScl builds) plus its five SC views, and
+ * Whisper's 16 hashed lengths.
+ */
+GlobalHistory
+whisperTageHistory(std::vector<size_t> &views)
+{
+    TageSclConfig cfg;
+    GlobalHistory h(4096);
+    double ratio = std::pow(static_cast<double>(cfg.maxHist) / cfg.minHist,
+                            1.0 / (cfg.numTables - 1));
+    double len = cfg.minHist;
+    unsigned prev = 0;
+    for (unsigned i = 0; i < cfg.numTables; ++i) {
+        unsigned l = std::max(static_cast<unsigned>(len + 0.5), prev + 1);
+        unsigned tagBits = 8 + std::min(3u, i / 4);
+        views.push_back(h.addFoldedView(l, cfg.logTagged));
+        views.push_back(h.addFoldedView(l, tagBits));
+        views.push_back(h.addFoldedView(l, tagBits - 1));
+        prev = l;
+        len *= ratio;
+    }
+    for (unsigned l : {4u, 10u, 16u, 27u, 44u})
+        views.push_back(h.addFoldedView(l, cfg.logSc));
+    for (unsigned l : geometricLengths(WhisperConfig{}))
+        views.push_back(h.addFoldedView(l, 8));
+    return h;
+}
+
 void
 BM_FoldedHistoryPush(benchmark::State &state)
 {
-    // The 16 folded views Whisper maintains at run time.
-    GlobalHistory h(2048);
-    for (unsigned len : geometricLengths(WhisperConfig{}))
-        h.addFoldedView(len, 8);
+    // What one predict/update pair costs the history: one push and
+    // one read of every view.
+    std::vector<size_t> views;
+    GlobalHistory h = whisperTageHistory(views);
     bool bit = false;
+    uint32_t sink = 0;
     for (auto _ : state) {
         h.push(bit);
+        for (size_t v : views)
+            sink ^= h.foldedValue(v);
+        benchmark::DoNotOptimize(sink);
         bit = !bit;
     }
+    state.counters["views"] = static_cast<double>(views.size());
 }
 BENCHMARK(BM_FoldedHistoryPush);
 

@@ -8,9 +8,10 @@
  * This bench measures the simulator, not the modeled hardware: it
  * exists so the data-layout work (flat SoA predictor tables, the
  * hint buffer) has a pinned, machine-readable trajectory. Besides
- * the human tables it writes BENCH_micro_throughput.json; CI's
- * perf-smoke job parses that file and the repo commits a reference
- * copy at the root.
+ * the human tables it appends a run record to
+ * BENCH_micro_throughput.json in its working directory; CI's
+ * perf-smoke job checks the newest record, and the repo commits the
+ * history at the root.
  *
  * The hint-buffer timing is also a correctness check: the reference
  * and the HintBuffer must agree on every counter and on recency
@@ -221,49 +222,45 @@ main()
                 static_cast<unsigned long long>(buffer.refreshes()),
                 static_cast<unsigned long long>(buffer.evictions()));
 
-    const char *jsonPath = "BENCH_micro_throughput.json";
-    if (FILE *f = std::fopen(jsonPath, "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"micro_throughput\",\n");
-        std::fprintf(f, "  \"scale\": %.3f,\n", scaleFactor());
-        std::fprintf(f, "  \"trace\": \"%s\",\n", app.name.c_str());
-        std::fprintf(f, "  \"records\": %zu,\n", trace.size());
-        std::fprintf(f, "  \"conditionals\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         trace.conditionals()));
-        std::fprintf(f, "  \"predictors\": {\n");
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const Row &r = rows[i];
-            std::fprintf(
-                f,
-                "    \"%s\": {\n"
-                "      \"serial_branches_per_sec\": %.0f,\n"
-                "      \"mispredicts\": %llu\n"
-                "    }%s\n",
-                r.name.c_str(), r.t.bps,
-                static_cast<unsigned long long>(r.t.mispredicts),
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(f, "  },\n");
-        std::fprintf(
-            f,
-            "  \"hint_buffer\": {\n"
-            "    \"entries\": %u,\n"
-            "    \"script_ops\": %zu,\n"
-            "    \"lookups\": %llu,\n"
-            "    \"inserts\": %llu,\n"
-            "    \"reps\": %u,\n"
-            "    \"legacy_branches_per_sec\": %.0f,\n"
-            "    \"branches_per_sec\": %.0f,\n"
-            "    \"speedup\": %.3f\n"
-            "  }\n}\n",
-            cfg.whisper.hintBufferEntries, totalOps,
-            static_cast<unsigned long long>(lookups),
-            static_cast<unsigned long long>(inserts), reps,
-            legacyBps, bufferBps, bufferBps / legacyBps);
-        std::fclose(f);
-        std::printf("\nwrote %s\n", jsonPath);
-    } else {
-        std::fprintf(stderr, "warning: cannot write %s\n", jsonPath);
+    // whisper+TAGE (the last row) relative to TAGE alone (the first):
+    // what the hint path costs the simulator. Reported, not gated.
+    double whisperOverTage = rows.back().t.bps / rows.front().t.bps;
+    std::printf("\nwhisper_tage64 / tage64 throughput: %.3f\n",
+                whisperOverTage);
+
+    // One run record: config, per-predictor rows, the ratio, then the
+    // hint-buffer path.
+    std::string fields =
+        "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
+        "      \"trace\": \"" + app.name + "\",\n" +
+        "      \"records\": " + std::to_string(trace.size()) + ",\n" +
+        "      \"conditionals\": " +
+        std::to_string(trace.conditionals()) + ",\n" +
+        "      \"predictors\": {\n";
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const Row &r = rows[i];
+        fields += "        \"" + r.name +
+                  "\": {\"serial_branches_per_sec\": " +
+                  fixed(r.t.bps, 0) + ", \"mispredicts\": " +
+                  std::to_string(r.t.mispredicts) + "}" +
+                  (i + 1 < rows.size() ? "," : "") + "\n";
     }
+    fields += "      },\n      \"whisper_over_tage\": " +
+              fixed(whisperOverTage, 3) + ",\n" +
+              "      \"hint_buffer\": {\"entries\": " +
+              std::to_string(cfg.whisper.hintBufferEntries) +
+              ", \"script_ops\": " + std::to_string(totalOps) +
+              ", \"lookups\": " + std::to_string(lookups) +
+              ", \"inserts\": " + std::to_string(inserts) +
+              ", \"reps\": " + std::to_string(reps) +
+              ", \"legacy_branches_per_sec\": " + fixed(legacyBps, 0) +
+              ", \"branches_per_sec\": " + fixed(bufferBps, 0) +
+              ", \"speedup\": " + fixed(bufferBps / legacyBps, 3) + "}";
+    const char *jsonPath = "BENCH_micro_throughput.json";
+    if (appendRunRecord(jsonPath, "micro_throughput", fields))
+        std::printf("appended a run to %s\n", jsonPath);
+    else
+        std::fprintf(stderr, "warning: cannot append to %s\n",
+                     jsonPath);
     return 0;
 }

@@ -78,14 +78,6 @@ struct AppResult
 };
 
 std::string
-fixed(double v, int precision)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-    return buf;
-}
-
-std::string
 jsonMode(const char *key, const ModeResult &m)
 {
     char buf[256];

@@ -104,6 +104,15 @@ addAverageRow(TableReporter &table,
     table.addRow("Avg", avg, precision);
 }
 
+/** @p v printed with @p precision decimals, for run-record JSON. */
+inline std::string
+fixed(double v, int precision)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+    return buf;
+}
+
 /**
  * Append one run record to the bench history at @p path, a JSON file
  * laid out as

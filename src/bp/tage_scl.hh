@@ -67,8 +67,9 @@ class TageScl : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    /** Deep copy: every table, folded-history view, LFSR and tick
-     * state is value-copied, so clone-then-run is bit-identical. */
+    /** Deep copy: every table, the global history (raw ring and
+     * per-width prefix rings), the LFSR and the tick state are
+     * value-copied, so clone-then-run is bit-identical. */
     std::unique_ptr<BranchPredictor>
     clone() const override
     {

@@ -144,7 +144,7 @@ TrainingPool::train(const WhisperTrainer &trainer,
         }
     };
 
-    auto runWorker = [&](unsigned workerId) {
+    auto runWorker = [&] {
         for (;;) {
             size_t i;
             {
@@ -178,7 +178,7 @@ TrainingPool::train(const WhisperTrainer &trainer,
             tasks[i].claimedAtMs.store(nowMs(),
                                        std::memory_order_relaxed);
 
-            FaultInjector::instance().maybeStallWorker(workerId);
+            FaultInjector::instance().maybeStallWorker();
             // Only die when a supervisor exists to reclaim our task;
             // without one the injected fault would deadlock the pool
             // instead of exercising recovery.
@@ -284,12 +284,12 @@ TrainingPool::train(const WhisperTrainer &trainer,
     }
 
     if (spawned <= 1 && !supervised) {
-        runWorker(0);
+        runWorker();
     } else {
         std::vector<std::thread> threads;
         threads.reserve(spawned);
         for (unsigned w = 0; w < spawned; ++w)
-            threads.emplace_back(runWorker, w);
+            threads.emplace_back(runWorker);
         for (auto &t : threads)
             t.join();
     }

@@ -17,55 +17,39 @@ namespace whisper
 {
 
 /**
- * A folded view of the last @p length history bits compressed to
- * @p width bits, maintained incrementally in O(1) per branch.
- *
- * This is the circular-shift-register construction used by TAGE for
- * index/tag hashing and by Whisper for its 8-bit hashed histories
- * (paper SIII-A: "branch predictors used in today's hardware already
- * use a similar hashing mechanism").
- */
-class FoldedHistory
-{
-  public:
-    FoldedHistory() = default;
-
-    /**
-     * @param length number of history bits covered (>= 1)
-     * @param width folded register width in bits (1..32)
-     */
-    FoldedHistory(unsigned length, unsigned width);
-
-    /**
-     * Push the newest bit and retire the bit that falls off the end
-     * of the covered window.
-     *
-     * @param newBit direction of the branch just resolved
-     * @param evictedBit value of the bit at distance 'length' before
-     *        this update (i.e., the one leaving the window)
-     */
-    void update(bool newBit, bool evictedBit);
-
-    uint32_t value() const { return folded_; }
-    unsigned length() const { return length_; }
-    unsigned width() const { return width_; }
-
-    void reset() { folded_ = 0; }
-
-  private:
-    unsigned length_ = 0;
-    unsigned width_ = 0;
-    unsigned outPoint_ = 0; //!< length % width: where evictions land
-    uint32_t folded_ = 0;
-};
-
-/**
  * Global direction history with random access to recent bits and a
  * bank of folded views.
  *
  * The raw ring stores the most recent 'capacity' outcomes (default
  * 4096, comfortably above Whisper's N = 1024 maximum correlation
  * length). bit(0) is the most recent outcome.
+ *
+ * A folded view of length L and width w is the value of TAGE's
+ * circular-shift register over the last L bits (paper SIII-A:
+ * "branch predictors used in today's hardware already use a similar
+ * hashing mechanism"). That register always equals
+ *
+ *     fold(L) = XOR over i < L of h_i << (i mod w)
+ *
+ * with h_0 the newest bit. Writing b_a for the a-th bit ever pushed
+ * and keeping, per distinct width, the prefix register
+ *
+ *     R(n) = XOR over a < n of b_a << ((-a) mod w)
+ *
+ * plus a ring of its past values, every view of that width is
+ *
+ *     fold(L) = rotl_w(R(n) ^ R(n - L), (n - 1) mod w).
+ *
+ * So push() costs one XOR, one ring store and one multiply per
+ * distinct width, however many views share it, and a read costs two
+ * loads and a rotate. The rotate works on the doubled value
+ * v * (2^w + 1), two copies of v side by side, where rotl_w(v, r) is
+ * the w bits starting at bit w - r; XOR commutes with the doubling,
+ * so a read is one multiply, one XOR and one shift by at most w, and
+ * no shift reaches the width of its 64-bit operand. Each ring holds the next power of
+ * two above its longest view, so R(n - L) is never overwritten;
+ * before L pushes that slot has never been written and reads 0,
+ * matching a register that has not yet filled its window.
  */
 class GlobalHistory
 {
@@ -73,14 +57,28 @@ class GlobalHistory
     explicit GlobalHistory(unsigned capacity = 4096);
 
     /** Record one resolved conditional-branch direction. */
-    void push(bool taken);
+    void
+    push(bool taken)
+    {
+        uint32_t b = taken ? 1 : 0;
+        bits_[count_ & bitsMask_] = static_cast<uint8_t>(b);
+        recent_ = (recent_ << 1) | b;
+        ++count_;
+        for (Lane &lane : lanes_) {
+            // Bit number count-1 lands at (-(count-1)) mod width.
+            lane.prefix ^= b << (lane.rshift - 1);
+            lane.ring[count_ & lane.ringMask] = lane.prefix;
+            lane.doubled = lane.prefix * lane.dup;
+            lane.rshift = lane.rshift == 1 ? lane.width : lane.rshift - 1;
+        }
+    }
 
     /** The i-th most recent direction (i = 0 is the newest). */
     bool
     bit(unsigned i) const
     {
         whisper_assert(i < capacity_);
-        return bits_[(head_ + capacity_ - 1 - i) % capacity_];
+        return bits_[(count_ - 1 - i) & bitsMask_];
     }
 
     /** Number of outcomes pushed so far (not capped). */
@@ -91,17 +89,24 @@ class GlobalHistory
      * The last @p n bits packed into a uint64 (bit 0 = most recent).
      * @p n must be <= 64.
      */
-    uint64_t lastBits(unsigned n) const;
+    uint64_t
+    lastBits(unsigned n) const
+    {
+        whisper_assert(n <= 64 && n <= capacity_);
+        return recent_ & maskBits(n);
+    }
 
     /**
      * XOR-fold of the last @p length bits into @p width bits,
-     * computed from the raw ring (reference implementation; the
-     * folded registers below give the same quality in O(1)).
+     * computed from the raw ring by running the circular-shift
+     * register bit by bit (reference implementation for the folded
+     * views).
      */
     uint32_t foldedHash(unsigned length, unsigned width) const;
 
     /**
-     * Register a folded view maintained incrementally. Returns the
+     * Register a folded view of the last @p length bits (1 ..
+     * capacity()) folded to @p width bits (1 .. 32). Returns the
      * view's index for later lookup. Must be called before any
      * push().
      */
@@ -111,20 +116,42 @@ class GlobalHistory
     uint32_t
     foldedValue(size_t idx) const
     {
-        return views_[idx].value();
+        const View &view = views_[idx];
+        const Lane &lane = lanes_[view.lane];
+        uint64_t old = lane.ring[(count_ - view.length) & lane.ringMask];
+        uint64_t x = lane.doubled ^ old * lane.dup;
+        return static_cast<uint32_t>(x >> lane.rshift) & lane.mask;
     }
-
-    const FoldedHistory &view(size_t idx) const { return views_[idx]; }
-    size_t numViews() const { return views_.size(); }
 
     void reset();
 
   private:
+    /** The prefix register and its ring for one distinct width. */
+    struct Lane
+    {
+        unsigned width = 0;
+        unsigned rshift = 1;  //!< width - ((count - 1) mod width)
+        uint32_t mask = 0;    //!< the low 'width' bits
+        uint32_t prefix = 0;  //!< R(count)
+        uint64_t dup = 0;     //!< 2^width + 1
+        uint64_t doubled = 0; //!< prefix * dup
+        uint64_t ringMask = 0;
+        std::vector<uint32_t> ring; //!< ring[n & ringMask] = R(n)
+    };
+
+    struct View
+    {
+        unsigned lane;
+        unsigned length;
+    };
+
     unsigned capacity_;
-    std::vector<uint8_t> bits_;
-    unsigned head_ = 0; //!< next write position
+    uint64_t bitsMask_;
+    std::vector<uint8_t> bits_; //!< raw ring, power-of-two sized
     uint64_t count_ = 0;
-    std::vector<FoldedHistory> views_;
+    uint64_t recent_ = 0;       //!< the last 64 bits, newest at bit 0
+    std::vector<Lane> lanes_;
+    std::vector<View> views_;
 };
 
 } // namespace whisper

@@ -67,7 +67,6 @@ FaultInjector::reset()
     readsAttempted_ = 0;
     tornAppend_ = 0;
     stallEnabled_ = false;
-    stallWorker_ = 0;
     stallMs_ = 400;
     stallDone_ = false;
     killEnabled_ = false;
@@ -155,23 +154,11 @@ FaultInjector::configure(const std::string &spec, std::string *error)
             if (tornAppend_ == 0)
                 return fail("truncate-journal: value is 1-based");
         } else if (key == "stall-worker") {
+            // Like kill-worker, the stall lands on the first claim
+            // by any worker: a fixed worker id may never claim.
             stallEnabled_ = true;
-            if (!value.empty()) {
-                std::string id, ms;
-                splitPair(value, id, ms);
-                uint64_t v = 0;
-                if (!id.empty()) {
-                    if (!parseU64(id, v))
-                        return fail("stall-worker: bad id '" + id +
-                                    "'");
-                    stallWorker_ = static_cast<unsigned>(v);
-                }
-                if (!ms.empty()) {
-                    if (!parseU64(ms, stallMs_))
-                        return fail("stall-worker: bad ms '" + ms +
-                                    "'");
-                }
-            }
+            if (!value.empty() && !parseU64(value, stallMs_))
+                return fail("stall-worker: bad ms '" + value + "'");
         } else if (key == "kill-worker") {
             // Which worker claims first is not observable under
             // work stealing, so there is no worker id to pick.
@@ -293,9 +280,9 @@ FaultInjector::journalWritePlan(uint64_t appendIndex)
 }
 
 void
-FaultInjector::maybeStallWorker(unsigned worker)
+FaultInjector::maybeStallWorker()
 {
-    if (!enabled_ || !stallEnabled_ || worker != stallWorker_)
+    if (!enabled_ || !stallEnabled_)
         return;
     if (stallDone_.exchange(true))
         return;

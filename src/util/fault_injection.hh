@@ -23,8 +23,9 @@
  *   truncate-journal[=N]  the N-th journal append (1-based) is torn:
  *                         only half the record reaches the file.
  *                         Default 2.
- *   stall-worker[=ID:MS]  training worker ID stalls MS milliseconds
- *                         on its first claimed task. Default 0:400.
+ *   stall-worker[=MS]     the first training worker to claim a
+ *                         task (whichever it is) stalls MS
+ *                         milliseconds on it. Default 400.
  *   kill-worker           the first training worker to claim a
  *                         task (whichever it is) dies right after
  *                         claiming it. Supervised pools only.
@@ -106,8 +107,9 @@ class FaultInjector
     };
     WritePlan journalWritePlan(uint64_t appendIndex);
 
-    /** Stall hook for training worker @p worker (sleeps inline). */
-    void maybeStallWorker(unsigned worker);
+    /** Stall hook called after every task claim: the first caller
+     * after stall-worker is armed sleeps inline. */
+    void maybeStallWorker();
 
     /** @return true for the first caller after kill-worker is armed:
      * the training worker that just claimed a task should die. */
@@ -171,7 +173,6 @@ class FaultInjector
 
     // stall-worker
     bool stallEnabled_ = false;
-    unsigned stallWorker_ = 0;
     uint64_t stallMs_ = 400;
     std::atomic<bool> stallDone_{false};
 

@@ -551,7 +551,7 @@ TEST_F(FaultTest, SpecParsing)
 
     EXPECT_TRUE(fi.configure(
         "flip-chunks=0.01,fail-read=3,truncate-journal,"
-        "stall-worker=2:100,kill-worker,fail-train=1:2,seed=42",
+        "stall-worker=100,kill-worker,fail-train=1:2,seed=42",
         &error))
         << error;
     EXPECT_TRUE(fi.enabled());
@@ -559,8 +559,10 @@ TEST_F(FaultTest, SpecParsing)
     EXPECT_FALSE(fi.configure("no-such-fault", &error));
     EXPECT_FALSE(error.empty());
     EXPECT_FALSE(fi.configure("flip-chunks=abc", &error));
-    // kill-worker names no worker: the first claimer dies.
+    // kill-worker and stall-worker name no worker: the first
+    // claimer dies or stalls.
     EXPECT_FALSE(fi.configure("kill-worker=1", &error));
+    EXPECT_FALSE(fi.configure("stall-worker=0:100", &error));
 }
 
 // --------------------------------------------------------------------
@@ -600,12 +602,13 @@ struct PoolFixture
 TEST_F(FaultTest, StalledWorkerTaskIsRequeuedAndResultUnchanged)
 {
     PoolFixture fx;
-    // Worker 0 stalls 1.5s on its first task; the deadline is far
-    // shorter, so the supervisor requeues it and another worker
-    // finishes the branch. The deadline still leaves generous room
-    // for honest training even under sanitizer slowdown.
+    // The first worker to claim a task stalls 1.5s on it; the
+    // deadline is far shorter, so the supervisor requeues it and
+    // another worker finishes the branch. The deadline still leaves
+    // generous room for honest training even under sanitizer
+    // slowdown.
     ASSERT_TRUE(FaultInjector::instance().configure(
-        "stall-worker=0:1500"));
+        "stall-worker=1500"));
     TrainingPoolOptions opts;
     opts.workers = 4;
     opts.taskDeadlineMs = 400;
@@ -828,7 +831,7 @@ TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
     // The acceptance scenario: ~1% corrupt frames, one stalled
     // worker, one torn journal write.
     ASSERT_TRUE(FaultInjector::instance().configure(
-        "flip-chunks=0.01,stall-worker=0:300,truncate-journal=1"));
+        "flip-chunks=0.01,stall-worker=300,truncate-journal=1"));
 
     TenantRouterConfig cfg = demonConfig(journalDir);
     cfg.trainTaskDeadlineMs = 100;

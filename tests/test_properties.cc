@@ -49,7 +49,7 @@ INSTANTIATE_TEST_SUITE_P(
     LengthWidthGrid, FoldedHistoryProperty,
     ::testing::Combine(::testing::Values(1u, 5u, 8u, 11, 26u, 64u,
                                          303u, 1024u),
-                       ::testing::Values(4u, 8u, 11u, 16u)));
+                       ::testing::Values(4u, 8u, 11u, 16u, 24u, 32u)));
 
 // ---------------------------------------------------------------
 // The whole geometric series behaves: every candidate length's

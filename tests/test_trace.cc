@@ -12,6 +12,8 @@
 #include <functional>
 #include <iterator>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "trace/branch_trace.hh"
 #include "trace/global_history.hh"
@@ -191,6 +193,80 @@ TEST(FoldedHistory, ResetClears)
     h.reset();
     EXPECT_EQ(h.foldedValue(v), 0u);
     EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(FoldedHistory, MixedWidthsMatchReferenceThroughResetAndCopy)
+{
+    // Every width TAGE-SC-L, Whisper and the classifier use, plus 32,
+    // on one history. Lengths straddle powers of two, and each width
+    // stops at its own longest view (2^k - 1, 2^k, 2^k + 1 or the
+    // full, non-power-of-two capacity), which sizes its prefix ring.
+    GlobalHistory h(300);
+    const std::vector<std::pair<unsigned, unsigned>> widthMaxLen = {
+        {7, 300}, {8, 256}, {9, 255}, {10, 257},
+        {11, 128}, {12, 65}, {24, 127}, {32, 64}};
+    std::vector<unsigned> lengths = {1};
+    for (unsigned k = 3; k <= 8; ++k)
+        lengths.insert(lengths.end(),
+                       {(1u << k) - 1, 1u << k, (1u << k) + 1});
+    lengths.push_back(h.capacity());
+
+    struct Probe
+    {
+        size_t idx;
+        unsigned length, width;
+    };
+    std::vector<Probe> probes;
+    for (auto [w, maxLen] : widthMaxLen)
+        for (unsigned len : lengths)
+            if (len <= maxLen)
+                probes.push_back({h.addFoldedView(len, w), len, w});
+
+    auto matches = [&](const GlobalHistory &g) {
+        for (const Probe &p : probes) {
+            uint32_t got = g.foldedValue(p.idx);
+            uint32_t want = g.foldedHash(p.length, p.width);
+            if (got != want)
+                return ::testing::AssertionFailure()
+                       << "len=" << p.length << " width=" << p.width
+                       << " got=" << got << " want=" << want;
+        }
+        return ::testing::AssertionSuccess();
+    };
+
+    uint64_t seed = 2024;
+    auto nextBit = [&] {
+        seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+        return ((seed >> 41) & 3) != 0; // ~75% taken
+    };
+
+    // Before the longest window fills, and well past the ring wrap.
+    for (int i = 0; i < 700; ++i) {
+        h.push(nextBit());
+        ASSERT_TRUE(matches(h)) << "fill step " << i;
+    }
+
+    // A copy taken mid-stream and driven alongside the original.
+    GlobalHistory copy = h;
+    for (int i = 0; i < 400; ++i) {
+        bool b = nextBit();
+        h.push(b);
+        copy.push(b);
+        ASSERT_TRUE(matches(h)) << "original step " << i;
+        ASSERT_TRUE(matches(copy)) << "copy step " << i;
+    }
+
+    // reset() mid-stream refills from zero; the copy is unaffected.
+    h.reset();
+    EXPECT_EQ(h.count(), 0u);
+    for (const Probe &p : probes)
+        ASSERT_EQ(h.foldedValue(p.idx), 0u) << p.length << "/" << p.width;
+    for (int i = 0; i < 400; ++i) {
+        h.push(nextBit());
+        copy.push(nextBit());
+        ASSERT_TRUE(matches(h)) << "after-reset step " << i;
+        ASSERT_TRUE(matches(copy)) << "copy step " << 400 + i;
+    }
 }
 
 TEST(BranchTrace, AppendAccumulates)

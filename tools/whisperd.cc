@@ -102,7 +102,7 @@ usage()
         "  --warm-start=on|off  seed each epoch from the deployed "
         "bundle (default on)\n"
         "  --fault-spec SPEC    deterministic fault injection "
-        "(e.g. flip-chunks=0.01,stall-worker)\n"
+        "(e.g. flip-chunks=0.01,stall-worker=400)\n"
         "  --deadline-ms N      training task deadline before "
         "requeue (default 30000)\n"
         "  --max-attempts N     training attempts before a branch "
