@@ -60,7 +60,7 @@ main()
         {
             TrainingStats s;
             WhisperTrainer trainer(cfg.whisper, globalTruthTables());
-            trainer.train(profile, &s);
+            trainer.train(profile, nullptr, &s);
             tw.add(s.trainSeconds);
         }
     }

@@ -189,15 +189,8 @@ main()
     auto evalWindow = [&](const std::vector<BranchRecord> &records,
                           const HintBundle *bundle) {
         TraceSource src(records);
-        std::unique_ptr<BranchPredictor> pred;
-        if (bundle) {
-            pred = std::make_unique<WhisperPredictor>(
-                makeTage(cfg.tageBudgetKB), cfg.whisper,
-                globalTruthTables(), bundle->hints,
-                bundle->placements);
-        } else {
-            pred = makeTage(cfg.tageBudgetKB);
-        }
+        auto pred = makeBundlePredictor(cfg.tageBudgetKB, cfg.whisper,
+                                        globalTruthTables(), bundle);
         return runPredictor(src, *pred);
     };
 
@@ -332,63 +325,44 @@ main()
                 static_cast<unsigned long long>(fleet.epochs),
                 fleet.wallSeconds, chunksPerSec);
 
-    // ---- machine-readable summary ----
-    const char *jsonPath = "BENCH_whisperd.json";
-    if (std::FILE *f = std::fopen(jsonPath, "w")) {
-        std::fprintf(f, "{\n  \"bench\": \"whisperd\",\n");
-        std::fprintf(f, "  \"scale\": %.3f,\n", scaleFactor());
-        std::fprintf(
-            f,
-            "  \"drift\": {\n"
-            "    \"epochs\": %zu,\n"
-            "    \"accepted\": %llu,\n"
-            "    \"rejected\": %llu,\n"
-            "    \"predictor_swaps\": %llu,\n"
-            "    \"tage_mpki\": %.6f,\n"
-            "    \"static_whisper_mpki\": %.6f,\n"
-            "    \"online_whisperd_mpki\": %.6f\n"
-            "  },\n",
-            online.perEpoch.size(),
-            static_cast<unsigned long long>(store.accepted()),
-            static_cast<unsigned long long>(store.rejected()),
-            static_cast<unsigned long long>(online.predictorSwaps),
-            tageRun.total.mpki(), staticRun.total.mpki(),
-            online.total.mpki());
-        std::fprintf(f,
-                     "  \"fleet\": {\n"
-                     "    \"tenants\": %zu,\n"
-                     "    \"noisy_tenant\": \"%s\",\n"
-                     "    \"chunks\": %llu,\n"
-                     "    \"records\": %llu,\n"
-                     "    \"epochs\": %llu,\n"
-                     "    \"wall_seconds\": %.3f,\n"
-                     "    \"chunks_per_sec\": %.2f,\n"
-                     "    \"apps\": {\n",
-                     fleet.apps.size(), noisy.c_str(),
-                     static_cast<unsigned long long>(fleet.chunks),
-                     static_cast<unsigned long long>(fleet.records),
-                     static_cast<unsigned long long>(fleet.epochs),
-                     fleet.wallSeconds, chunksPerSec);
-        size_t i = 0;
-        for (const auto &[app, r] : fleet.apps) {
-            std::fprintf(
-                f,
-                "      \"%s\": {\"chunks\": %llu, \"epochs\": "
-                "%llu, \"accepted\": %llu, \"deployed_epoch\": "
-                "%llu, \"mispredict_rate\": %.6f}%s\n",
-                app.c_str(),
-                static_cast<unsigned long long>(r.chunks),
-                static_cast<unsigned long long>(r.epochs),
-                static_cast<unsigned long long>(r.accepted),
-                static_cast<unsigned long long>(r.deployedEpoch),
-                r.mispredictRate,
-                ++i < fleet.apps.size() ? "," : "");
-        }
-        std::fprintf(f, "    }\n  }\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", jsonPath);
-    } else {
-        std::fprintf(stderr, "warning: cannot write %s\n", jsonPath);
+    // ---- machine-readable summary: one run record ----
+    auto count = [](uint64_t v) { return std::to_string(v); };
+    std::string fields =
+        "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
+        "      \"drift\": {\"epochs\": " +
+        count(online.perEpoch.size()) +
+        ", \"accepted\": " + count(store.accepted()) +
+        ", \"rejected\": " + count(store.rejected()) +
+        ", \"predictor_swaps\": " + count(online.predictorSwaps) +
+        ", \"tage_mpki\": " + fixed(tageRun.total.mpki(), 6) +
+        ", \"static_whisper_mpki\": " +
+        fixed(staticRun.total.mpki(), 6) +
+        ", \"online_whisperd_mpki\": " + fixed(online.total.mpki(), 6) +
+        "},\n" +
+        "      \"fleet\": {\"tenants\": " + count(fleet.apps.size()) +
+        ", \"noisy_tenant\": \"" + noisy +
+        "\", \"chunks\": " + count(fleet.chunks) +
+        ", \"records\": " + count(fleet.records) +
+        ", \"epochs\": " + count(fleet.epochs) +
+        ", \"wall_seconds\": " + fixed(fleet.wallSeconds, 3) +
+        ", \"chunks_per_sec\": " + fixed(chunksPerSec, 2) +
+        ",\n        \"apps\": {\n";
+    size_t i = 0;
+    for (const auto &[app, r] : fleet.apps) {
+        fields += "          \"" + app + "\": {\"chunks\": " +
+                  count(r.chunks) + ", \"epochs\": " + count(r.epochs) +
+                  ", \"accepted\": " + count(r.accepted) +
+                  ", \"deployed_epoch\": " + count(r.deployedEpoch) +
+                  ", \"mispredict_rate\": " +
+                  fixed(r.mispredictRate, 6) + "}" +
+                  (++i < fleet.apps.size() ? "," : "") + "\n";
     }
+    fields += "        }}";
+    const char *jsonPath = "BENCH_whisperd.json";
+    if (appendRunRecord(jsonPath, "whisperd", fields))
+        std::printf("appended a run to %s\n", jsonPath);
+    else
+        std::fprintf(stderr, "warning: cannot append to %s\n",
+                     jsonPath);
     return 0;
 }

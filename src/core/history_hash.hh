@@ -52,7 +52,11 @@ struct WhisperConfig
      * an unseen one).
      */
     double minGainPerExecution = 0.005;
-    /** Ignore branches with fewer profiled mispredictions. */
+    /**
+     * Fewest baseline mispredictions that make a branch hard: the
+     * offline and streaming profilers collect sample tables only at
+     * or above it, and the trainer ignores branches below it.
+     */
     uint64_t minMispredictions = 16;
     /**
      * Warm-start quality retention. A warm seed skips the cold

@@ -42,6 +42,15 @@ HashedSampleTable::oracleMispredicts() const
     return sum;
 }
 
+GlobalHistory
+sampleHistory(const WhisperConfig &cfg)
+{
+    GlobalHistory history(2 * cfg.maxHistoryLength);
+    for (unsigned len : geometricLengths(cfg))
+        history.addFoldedView(len, cfg.hashWidth);
+    return history;
+}
+
 BranchProfile::BranchProfile(const WhisperConfig &cfg)
     : cfg_(cfg), lengths_(geometricLengths(cfg))
 {
@@ -61,6 +70,31 @@ BranchProfile::find(uint64_t pc) const
 {
     auto it = entries_.find(pc);
     return it == entries_.end() ? nullptr : &it->second;
+}
+
+BranchProfileEntry *
+BranchProfile::find(uint64_t pc)
+{
+    auto it = entries_.find(pc);
+    return it == entries_.end() ? nullptr : &it->second;
+}
+
+BranchProfileEntry *
+BranchProfile::count(const BranchRecord &rec, bool miss)
+{
+    totalInstructions += static_cast<uint64_t>(rec.instGap) + 1;
+    if (!rec.isConditional())
+        return nullptr;
+    ++totalConditionals;
+    BranchProfileEntry &e = entry(rec.pc);
+    ++e.executions;
+    if (rec.taken)
+        ++e.takenCount;
+    if (miss) {
+        ++e.baselineMispredicts;
+        ++totalMispredicts;
+    }
+    return &e;
 }
 
 void

@@ -8,6 +8,11 @@
  * LBR provides); and for branches selected as "hard", the
  * taken/not-taken sample tables keyed by hashed history at each
  * candidate length (the information derived from Intel PT traces).
+ *
+ * Both profilers (sim/collectProfile over a trace, service/
+ * ChunkProfiler over a chunk stream) fill a profile through the same
+ * two steps: count() per record, then sample() per hard-branch
+ * execution, reading a history from sampleHistory().
  */
 
 #ifndef WHISPER_CORE_PROFILE_HH
@@ -20,6 +25,8 @@
 #include <vector>
 
 #include "core/history_hash.hh"
+#include "trace/branch_record.hh"
+#include "trace/global_history.hh"
 
 namespace whisper
 {
@@ -102,8 +109,29 @@ struct BranchProfileEntry
                     executions;
     }
 
+    /**
+     * Sample step (PT stand-in): record one execution of this hard
+     * branch resolving @p taken under every hashed-history view of
+     * @p history (built by sampleHistory()) and under the raw last-4
+     * and last-8 bits.
+     */
+    void
+    sample(bool taken, const GlobalHistory &history)
+    {
+        for (size_t l = 0; l < byLength.size(); ++l)
+            byLength[l].record(history.foldedValue(l), taken);
+        raw4.record(static_cast<unsigned>(history.lastBits(4)), taken);
+        raw8.record(static_cast<unsigned>(history.lastBits(8)), taken);
+    }
+
     bool operator==(const BranchProfileEntry &o) const = default;
 };
+
+/**
+ * The global history the sample step reads: one folded view of
+ * hashWidth bits per candidate length of @p cfg, in series order.
+ */
+GlobalHistory sampleHistory(const WhisperConfig &cfg);
 
 /**
  * Whole-application profile: per-branch entries plus trace-level
@@ -120,6 +148,16 @@ class BranchProfile
     /** Find-or-create the entry for @p pc. */
     BranchProfileEntry &entry(uint64_t pc);
     const BranchProfileEntry *find(uint64_t pc) const;
+    BranchProfileEntry *find(uint64_t pc);
+
+    /**
+     * Count step (LBR stand-in): add @p rec's instructions to the
+     * totals and, for a conditional, one execution to its branch's
+     * entry, with a baseline misprediction when @p miss (the
+     * stepPredictor() verdict of the profiled predictor).
+     * @return the branch's entry, or nullptr for a non-conditional.
+     */
+    BranchProfileEntry *count(const BranchRecord &rec, bool miss);
 
     /** Allocate the detailed tables for @p pc and mark it hard. */
     void markHard(uint64_t pc);

@@ -71,19 +71,6 @@ WhisperTrainer::monotoneCandidates()
     return out;
 }
 
-bool
-WhisperTrainer::trainBranch(const BranchProfileEntry &entry,
-                            const std::vector<unsigned> &lengths,
-                            TrainedHint &out, uint64_t *scored) const
-{
-    BranchTrainOutcome outcome;
-    bool produced = trainBranchSeeded(entry, lengths, nullptr, out,
-                                      &outcome);
-    if (scored)
-        *scored += outcome.scored;
-    return produced;
-}
-
 namespace
 {
 
@@ -122,7 +109,7 @@ WhisperTrainer::trainBranchSeeded(const BranchProfileEntry &entry,
                                   TrainedHint &out,
                                   BranchTrainOutcome *outcome) const
 {
-    whisper_assert(entry.hard, "trainBranch needs detailed tables");
+    whisper_assert(entry.hard, "training needs detailed tables");
     whisper_assert(entry.byLength.size() == lengths.size());
     auto t0 = std::chrono::steady_clock::now();
 
@@ -243,53 +230,60 @@ WhisperTrainer::trainBranchSeeded(const BranchProfileEntry &entry,
     return finish(true);
 }
 
-std::vector<TrainedHint>
-WhisperTrainer::train(const BranchProfile &profile,
-                      TrainingStats *stats) const
+std::vector<TrainingTask>
+WhisperTrainer::workList(const BranchProfile &profile,
+                         const std::vector<TrainedHint> *warmSeeds) const
 {
-    return train(profile, nullptr, stats);
-}
-
-std::vector<TrainedHint>
-WhisperTrainer::train(const BranchProfile &profile,
-                      const std::vector<TrainedHint> *warmSeeds,
-                      TrainingStats *stats) const
-{
-    auto start = std::chrono::steady_clock::now();
-    TrainingStats local;
-
     std::unordered_map<uint64_t, const TrainedHint *> seeds;
     if (warmSeeds)
         for (const TrainedHint &h : *warmSeeds)
             seeds.emplace(h.pc, &h);
 
-    std::vector<TrainedHint> hints;
+    std::vector<TrainingTask> work;
     for (const BranchProfileEntry *entry : profile.hardBranches()) {
         if (entry->baselineMispredicts < cfg_.minMispredictions)
             continue;
-        ++local.branchesConsidered;
-        const TrainedHint *warm = nullptr;
-        if (auto it = seeds.find(entry->pc); it != seeds.end())
-            warm = it->second;
-        TrainedHint hint;
-        BranchTrainOutcome outcome;
-        bool produced = trainBranchSeeded(*entry, profile.lengths(),
-                                          warm, hint, &outcome);
-        local.formulasScored += outcome.scored;
-        if (outcome.warmHit)
+        auto it = seeds.find(entry->pc);
+        work.push_back({entry, it == seeds.end() ? nullptr : it->second});
+    }
+    return work;
+}
+
+TrainingTaskResult
+WhisperTrainer::trainTask(const TrainingTask &task,
+                          const std::vector<unsigned> &lengths) const
+{
+    TrainingTaskResult result;
+    TrainedHint hint;
+    if (trainBranchSeeded(*task.entry, lengths, task.warm, hint,
+                          &result.outcome))
+        result.hint = hint;
+    return result;
+}
+
+std::vector<TrainedHint>
+WhisperTrainer::assemble(const std::vector<TrainingTaskResult> &results,
+                         std::chrono::steady_clock::time_point start,
+                         TrainingStats *stats)
+{
+    TrainingStats local;
+    local.branchesConsidered = results.size();
+    std::vector<TrainedHint> hints;
+    for (const TrainingTaskResult &r : results) {
+        local.formulasScored += r.outcome.scored;
+        if (r.outcome.warmHit)
             ++local.warmHits;
         else
             ++local.coldSearches;
-        local.branchSecondsSum += outcome.seconds;
+        local.branchSecondsSum += r.outcome.seconds;
         local.branchSecondsMax =
-            std::max(local.branchSecondsMax, outcome.seconds);
-        if (produced) {
-            local.coveredMispredicts += hint.profiledMispredicts;
-            local.expectedRemaining += hint.expectedMispredicts;
-            hints.push_back(hint);
+            std::max(local.branchSecondsMax, r.outcome.seconds);
+        if (r.hint) {
+            local.coveredMispredicts += r.hint->profiledMispredicts;
+            local.expectedRemaining += r.hint->expectedMispredicts;
+            hints.push_back(*r.hint);
         }
     }
-
     local.hintsEmitted = hints.size();
     local.trainSeconds =
         std::chrono::duration<double>(
@@ -298,6 +292,20 @@ WhisperTrainer::train(const BranchProfile &profile,
     if (stats)
         *stats = local;
     return hints;
+}
+
+std::vector<TrainedHint>
+WhisperTrainer::train(const BranchProfile &profile,
+                      const std::vector<TrainedHint> *warmSeeds,
+                      TrainingStats *stats) const
+{
+    auto start = std::chrono::steady_clock::now();
+    std::vector<TrainingTask> work = workList(profile, warmSeeds);
+    std::vector<TrainingTaskResult> results;
+    results.reserve(work.size());
+    for (const TrainingTask &task : work)
+        results.push_back(trainTask(task, profile.lengths()));
+    return assemble(results, start, stats);
 }
 
 } // namespace whisper

@@ -12,7 +12,9 @@
 #ifndef WHISPER_CORE_WHISPER_TRAINER_HH
 #define WHISPER_CORE_WHISPER_TRAINER_HH
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/brhint.hh"
@@ -60,12 +62,26 @@ struct TrainingStats
     double branchSecondsMax = 0.0;
 };
 
-/** Per-branch outcome of one trainBranchSeeded call. */
+/** Per-branch outcome of one trainBranchSeeded() call. */
 struct BranchTrainOutcome
 {
     bool warmHit = false;  //!< emitted straight from the warm seed
     uint64_t scored = 0;   //!< formulas scored for this branch
     double seconds = 0.0;  //!< wall time spent on this branch
+};
+
+/** One branch of a training run's work list. */
+struct TrainingTask
+{
+    const BranchProfileEntry *entry = nullptr;
+    const TrainedHint *warm = nullptr; //!< warm seed; nullptr = cold
+};
+
+/** What training one task produced. */
+struct TrainingTaskResult
+{
+    std::optional<TrainedHint> hint; //!< empty when no hint was emitted
+    BranchTrainOutcome outcome;
 };
 
 /** Whisper's offline trainer. */
@@ -80,29 +96,41 @@ class WhisperTrainer
                    const TruthTableCache &cache);
 
     /**
-     * Train hints for every hard branch of @p profile.
+     * Train hints for every hard branch of @p profile: run
+     * trainTask() over workList() in order, then assemble().
+     * @param warmSeeds optional seeds for the per-branch search
+     *        (typically the previous epoch's deployed hints);
+     *        branches without a seed train cold
      * @param stats optional run statistics out-param
-     */
-    std::vector<TrainedHint> train(const BranchProfile &profile,
-                                   TrainingStats *stats = nullptr) const;
-
-    /**
-     * Warm-started variant: @p warmSeeds (typically the previous
-     * epoch's deployed hints) seed the per-branch search; branches
-     * without a seed train cold.
      */
     std::vector<TrainedHint>
     train(const BranchProfile &profile,
-          const std::vector<TrainedHint> *warmSeeds,
-          TrainingStats *stats) const;
+          const std::vector<TrainedHint> *warmSeeds = nullptr,
+          TrainingStats *stats = nullptr) const;
 
     /**
-     * Train a single branch; returns false when no hint beats the
-     * profiled predictor for it.
+     * The work list of train(): every hard branch of @p profile with
+     * at least minMispredictions baseline mispredictions, in
+     * hardBranches() order, each with its seed from @p warmSeeds.
      */
-    bool trainBranch(const BranchProfileEntry &entry,
-                     const std::vector<unsigned> &lengths,
-                     TrainedHint &out, uint64_t *scored = nullptr) const;
+    std::vector<TrainingTask>
+    workList(const BranchProfile &profile,
+             const std::vector<TrainedHint> *warmSeeds) const;
+
+    /** Train one work-list task with trainBranchSeeded(). */
+    TrainingTaskResult
+    trainTask(const TrainingTask &task,
+              const std::vector<unsigned> &lengths) const;
+
+    /**
+     * Assemble per-task @p results (in work-list order) into the
+     * emitted hints, in that order, and their summed TrainingStats;
+     * @p start is when the run began (for trainSeconds).
+     */
+    static std::vector<TrainedHint>
+    assemble(const std::vector<TrainingTaskResult> &results,
+             std::chrono::steady_clock::time_point start,
+             TrainingStats *stats);
 
     /**
      * Train one branch, optionally warm-started from @p warm (the

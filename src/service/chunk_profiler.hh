@@ -16,10 +16,13 @@
  * so a tenant's accumulated profile after any number of chunks is
  * exactly the profile of their concatenation.
  *
- * Hard branches are promoted adaptively: once a branch has
- * accumulated enough lifetime mispredictions it starts collecting
- * the hashed-history sample tables of Algorithm 1 (the offline
- * profiler instead selects them between its two passes).
+ * Each record runs the same two steps as the offline profiler:
+ * BranchProfile's count step, then its sample step for hard
+ * branches. Hard branches are promoted adaptively: once a branch has
+ * accumulated WhisperConfig::minMispredictions lifetime
+ * mispredictions it starts collecting the hashed-history sample
+ * tables of Algorithm 1 (the offline profiler instead selects them
+ * between its two passes).
  */
 
 #ifndef WHISPER_SERVICE_CHUNK_PROFILER_HH
@@ -51,11 +54,6 @@ class ChunkProfiler
     {
         /** Cap on branches with detailed tables (memory bound). */
         unsigned maxHardBranches = 512;
-        /** Lifetime mispredictions before a branch turns hard. */
-        uint64_t promoteMispredicts = 16;
-        /** When false, only branches pre-registered via trackHard()
-         * collect tables (used by the merge-equality tests). */
-        bool adaptivePromotion = true;
         /**
          * Lifetime records to run through the baseline before any
          * statistics are recorded — the streaming analog of the
@@ -76,21 +74,13 @@ class ChunkProfiler
     {
     }
 
-    /** Pre-designate @p pc as hard (tables from the next record). */
-    void trackHard(uint64_t pc);
-
     /** Profile one chunk, advancing the persistent state. */
     BranchProfile profileChunk(const std::vector<BranchRecord> &records);
-
-    size_t numHardTracked() const { return hard_.size(); }
-    uint64_t recordsProfiled() const { return recordsProfiled_; }
-    const WhisperConfig &config() const { return cfg_; }
 
   private:
     WhisperConfig cfg_;
     Options opt_;
     std::unique_ptr<BranchPredictor> baseline_;
-    std::vector<unsigned> lengths_;
     GlobalHistory history_;
     std::unordered_set<uint64_t> hard_;
     /** Lifetime misprediction counts driving promotion. */

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "core/whisper_predictor.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/logging.hh"
@@ -181,27 +180,16 @@ TenantRouter::start()
 bool
 TenantRouter::offer(TraceChunk chunk)
 {
-    Tenant *tenant = registry_.find(chunk.app);
-    if (!tenant) {
-        if (!cfg_.autoRegister) {
-            ++unknownAppChunks_;
-            return false;
-        }
-        tenant = addTenant(chunk.app);
-    }
+    std::string app = chunk.app;
     size_t records = chunk.records.size();
-    if (!tenant->queue.tryPush(std::move(chunk))) {
-        tenant->withCounters([&](Tenant::Counters &c) {
+    OfferOutcome outcome = tryOffer(std::move(chunk));
+    if (outcome == OfferOutcome::Backpressure) {
+        registry_.find(app)->withCounters([&](Tenant::Counters &c) {
             ++c.chunksDropped;
             c.recordsDropped += records;
         });
-        return false;
     }
-    tenant->withCounters([&](Tenant::Counters &c) {
-        ++c.chunksRouted;
-        c.recordsRouted += records;
-    });
-    return true;
+    return outcome == OfferOutcome::Accepted;
 }
 
 TenantRouter::OfferOutcome
@@ -377,14 +365,8 @@ TenantRouter::evalOnRecords(const std::vector<BranchRecord> &records,
                             const HintBundle *bundle) const
 {
     TraceSource source(records);
-    std::unique_ptr<BranchPredictor> predictor;
-    if (bundle) {
-        predictor = std::make_unique<WhisperPredictor>(
-            makeTage(cfg_.tageBudgetKB), cfg_.whisper, cache_,
-            bundle->hints, bundle->placements);
-    } else {
-        predictor = makeTage(cfg_.tageBudgetKB);
-    }
+    auto predictor = makeBundlePredictor(cfg_.tageBudgetKB, cfg_.whisper,
+                                         cache_, bundle);
     return runPredictor(source, *predictor);
 }
 

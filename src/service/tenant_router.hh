@@ -170,13 +170,6 @@ class TenantRouter
     /** Spawn the per-tenant absorbers and the dispatchers. */
     void start();
 
-    /**
-     * Route one chunk to its tenant (quota-checked, never blocks).
-     * @return false when the chunk was dropped: unknown app (unless
-     * autoRegister) or the tenant's queue was full.
-     */
-    bool offer(TraceChunk chunk);
-
     /** Distinguishes the wire server's reply per tryOffer() verdict:
      * ack, permanent error, or RETRY_AFTER. */
     enum class OfferOutcome
@@ -187,13 +180,21 @@ class TenantRouter
     };
 
     /**
-     * Like offer(), but a full tenant queue is reported as
-     * Backpressure WITHOUT counting a drop: the caller (the wire
-     * server) answers RETRY_AFTER and the client retransmits, so
-     * nothing was lost. Only unknown apps still count (the chunk is
-     * genuinely refused).
+     * Route one chunk to its tenant (quota-checked, never blocks),
+     * registering an unknown app when autoRegister is set. A full
+     * tenant queue is reported as Backpressure WITHOUT counting a
+     * drop: the caller (the wire server) answers RETRY_AFTER and the
+     * client retransmits, so nothing was lost. Only unknown apps
+     * count (the chunk is genuinely refused).
      */
     OfferOutcome tryOffer(TraceChunk chunk);
+
+    /**
+     * tryOffer() for a caller that cannot retry: a Backpressure
+     * verdict counts the chunk as dropped by its tenant.
+     * @return true iff the chunk was accepted.
+     */
+    bool offer(TraceChunk chunk);
 
     /** Consume an externally produced chunk stream: start(), route
      * every chunk, then finish(). The queue must be closed by its

@@ -5,10 +5,8 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "util/fault_injection.hh"
 #include "util/logging.hh"
@@ -63,37 +61,13 @@ TrainingPool::TrainingPool(const TrainingPoolOptions &options)
 std::vector<TrainedHint>
 TrainingPool::train(const WhisperTrainer &trainer,
                     const BranchProfile &profile,
-                    TrainingStats *stats) const
-{
-    return train(trainer, profile, nullptr, stats);
-}
-
-std::vector<TrainedHint>
-TrainingPool::train(const WhisperTrainer &trainer,
-                    const BranchProfile &profile,
                     const std::vector<TrainedHint> *warmSeeds,
                     TrainingStats *stats) const
 {
     auto start = std::chrono::steady_clock::now();
-    const WhisperConfig &cfg = trainer.config();
-
-    std::unordered_map<uint64_t, const TrainedHint *> seeds;
-    if (warmSeeds)
-        for (const TrainedHint &h : *warmSeeds)
-            seeds.emplace(h.pc, &h);
-
-    // Same work list and order as WhisperTrainer::train.
-    std::vector<const BranchProfileEntry *> work;
-    std::vector<const TrainedHint *> warm;
-    for (const BranchProfileEntry *entry : profile.hardBranches())
-        if (entry->baselineMispredicts >= cfg.minMispredictions) {
-            work.push_back(entry);
-            auto it = seeds.find(entry->pc);
-            warm.push_back(it == seeds.end() ? nullptr : it->second);
-        }
-
-    std::vector<std::optional<TrainedHint>> slots(work.size());
-    std::vector<BranchTrainOutcome> outcomes(work.size());
+    std::vector<TrainingTask> work = trainer.workList(profile, warmSeeds);
+    // A degraded branch keeps an empty slot: no hint, default outcome.
+    std::vector<TrainingTaskResult> slots(work.size());
     std::vector<Task> tasks(work.size());
 
     std::mutex mtx;
@@ -138,7 +112,7 @@ TrainingPool::train(const WhisperTrainer &trainer,
                                                    kDegraded)) {
             branchesDegraded.fetch_add(1, std::memory_order_relaxed);
             whisper_warn("training pool: degrading branch 0x",
-                         std::hex, work[i]->pc, std::dec,
+                         std::hex, work[i].entry->pc, std::dec,
                          " to baseline after repeated failures");
             resolve();
         }
@@ -188,9 +162,7 @@ TrainingPool::train(const WhisperTrainer &trainer,
                 break;
             }
 
-            TrainedHint hint;
-            BranchTrainOutcome outcome;
-            bool produced = false;
+            TrainingTaskResult result;
             bool failed = false;
             try {
                 if (FaultInjector::instance().failTraining(i,
@@ -198,14 +170,12 @@ TrainingPool::train(const WhisperTrainer &trainer,
                     throw std::runtime_error(
                         "injected training failure");
                 }
-                produced = trainer.trainBranchSeeded(
-                    *work[i], profile.lengths(), warm[i], hint,
-                    &outcome);
+                result = trainer.trainTask(work[i], profile.lengths());
             } catch (const std::exception &e) {
                 failed = true;
                 taskFailures.fetch_add(1, std::memory_order_relaxed);
                 whisper_warn("training pool: branch 0x", std::hex,
-                             work[i]->pc, std::dec, " attempt ",
+                             work[i].entry->pc, std::dec, " attempt ",
                              attempt, " failed: ", e.what());
             }
 
@@ -222,15 +192,13 @@ TrainingPool::train(const WhisperTrainer &trainer,
             // were merely slow) or a rival worker re-claimed it: CAS
             // from any non-terminal state. kDone is terminal, so
             // exactly one completion wins and writes the slot — and
-            // trainBranch is deterministic, so any winner produces
+            // trainTask is deterministic, so any winner produces
             // identical bytes.
             int state = tasks[i].state.load(std::memory_order_acquire);
             while (state == kRunning || state == kPending) {
                 if (tasks[i].state.compare_exchange_weak(state,
                                                          kDone)) {
-                    if (produced)
-                        slots[i] = hint;
-                    outcomes[i] = outcome;
+                    slots[i] = std::move(result);
                     resolve();
                     break;
                 }
@@ -301,32 +269,7 @@ TrainingPool::train(const WhisperTrainer &trainer,
     supervision_.branchesDegraded = branchesDegraded.load();
     supervision_.workersDied = workersDied.load();
 
-    TrainingStats local;
-    local.branchesConsidered = work.size();
-    std::vector<TrainedHint> hints;
-    for (size_t i = 0; i < work.size(); ++i) {
-        local.formulasScored += outcomes[i].scored;
-        if (outcomes[i].warmHit)
-            ++local.warmHits;
-        else
-            ++local.coldSearches;
-        local.branchSecondsSum += outcomes[i].seconds;
-        local.branchSecondsMax =
-            std::max(local.branchSecondsMax, outcomes[i].seconds);
-        if (slots[i]) {
-            local.coveredMispredicts += slots[i]->profiledMispredicts;
-            local.expectedRemaining += slots[i]->expectedMispredicts;
-            hints.push_back(*slots[i]);
-        }
-    }
-    local.hintsEmitted = hints.size();
-    local.trainSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (stats)
-        *stats = local;
-    return hints;
+    return WhisperTrainer::assemble(slots, start, stats);
 }
 
 } // namespace whisper

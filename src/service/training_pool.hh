@@ -9,9 +9,10 @@
  * worker threads through a shared ready-queue (work stealing:
  * whichever worker finishes first grabs the next branch, so skewed
  * per-branch costs balance automatically) and writes each result
- * into a per-branch slot. Because branches are assembled back in
- * list order — and trainBranch is deterministic — the emitted bundle
- * is bit-identical for any worker count: N=4 must equal N=1.
+ * into a per-branch slot. The work list and the assembly of the
+ * slots are WhisperTrainer's own (workList(), assemble()), and
+ * training a branch is deterministic, so the emitted bundle is
+ * bit-identical to WhisperTrainer::train() for any worker count.
  *
  * A long-running service also has to survive its own workers. With a
  * task deadline configured, a supervisor thread watches per-task
@@ -59,7 +60,7 @@ struct SupervisionStats
     uint64_t workersDied = 0;      //!< workers that exited early
 };
 
-/** Work-stealing, supervised wrapper around trainBranch. */
+/** Work-stealing, supervised wrapper around WhisperTrainer::trainTask. */
 class TrainingPool
 {
   public:
@@ -68,27 +69,15 @@ class TrainingPool
 
     /**
      * Train hints for every hard branch of @p profile — the exact
-     * result of WhisperTrainer::train(), computed on the pool.
-     * Branches whose training failed maxAttempts times are omitted
-     * (graceful degradation); see supervision() for the tally.
-     */
-    std::vector<TrainedHint> train(const WhisperTrainer &trainer,
-                                   const BranchProfile &profile,
-                                   TrainingStats *stats
-                                   = nullptr) const;
-
-    /**
-     * Warm-started variant — the exact result of
-     * WhisperTrainer::train(profile, warmSeeds): each branch with a
-     * seed in @p warmSeeds (typically the previous epoch's deployed
-     * hints) re-scores it first and skips the cold search when it
-     * still clears the gates. Deterministic and bit-identical for
-     * any worker count, like the cold path.
+     * result of trainer.train(profile, warmSeeds, stats), computed
+     * on the pool. Branches whose training failed maxAttempts times
+     * are omitted (graceful degradation); see supervision() for the
+     * tally.
      */
     std::vector<TrainedHint>
     train(const WhisperTrainer &trainer, const BranchProfile &profile,
-          const std::vector<TrainedHint> *warmSeeds,
-          TrainingStats *stats) const;
+          const std::vector<TrainedHint> *warmSeeds = nullptr,
+          TrainingStats *stats = nullptr) const;
 
     /** Supervision tally of the most recent train() call. */
     const SupervisionStats &supervision() const { return supervision_; }

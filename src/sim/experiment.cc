@@ -20,6 +20,18 @@ makeTage(unsigned budgetKB)
 }
 
 std::unique_ptr<BranchPredictor>
+makeBundlePredictor(unsigned tageBudgetKB, const WhisperConfig &cfg,
+                    const TruthTableCache &cache,
+                    const HintBundle *bundle)
+{
+    if (!bundle)
+        return makeTage(tageBudgetKB);
+    return std::make_unique<WhisperPredictor>(
+        makeTage(tageBudgetKB), cfg, cache, bundle->hints,
+        bundle->placements);
+}
+
+std::unique_ptr<BranchPredictor>
 makeMtage(const ExperimentConfig &cfg)
 {
     return makeTage(cfg.mtageBudgetKB);
@@ -43,7 +55,7 @@ trainWhisperWith(const AppConfig &app, uint32_t trainInput,
                  const WhisperTrainer &trainer)
 {
     WhisperBuild build;
-    build.hints = trainer.train(profile, &build.stats);
+    build.hints = trainer.train(profile, nullptr, &build.stats);
 
     AppWorkload trace(app, trainInput, cfg.trainRecords);
     HintInjector injector(cfg.injector);

@@ -18,6 +18,7 @@
 #include "bp/tage_scl.hh"
 #include "branchnet/branchnet_predictor.hh"
 #include "core/hint_injection.hh"
+#include "core/whisper_io.hh"
 #include "core/whisper_predictor.hh"
 #include "core/whisper_trainer.hh"
 #include "rombf/rombf_predictor.hh"
@@ -50,6 +51,16 @@ const TruthTableCache &globalTruthTables();
 
 /** Fresh TAGE-SC-L at the given budget. */
 std::unique_ptr<BranchPredictor> makeTage(unsigned budgetKB);
+
+/**
+ * Fresh TAGE-SC-L at @p tageBudgetKB running @p bundle's hints and
+ * placements under Whisper, or the plain TAGE-SC-L when @p bundle is
+ * null (no bundle deployed yet).
+ */
+std::unique_ptr<BranchPredictor>
+makeBundlePredictor(unsigned tageBudgetKB, const WhisperConfig &cfg,
+                    const TruthTableCache &cache,
+                    const HintBundle *bundle);
 
 /** Fresh MTAGE-SC stand-in (very large TAGE-SC-L). */
 std::unique_ptr<BranchPredictor> makeMtage(const ExperimentConfig &cfg);

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "branchnet/branchnet_predictor.hh"
-#include "trace/global_history.hh"
-#include "util/logging.hh"
+#include "sim/runner.hh"
 
 namespace whisper
 {
@@ -29,36 +28,15 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
     trace.rewind();
     uint64_t seen = 0;
     while (trace.next(rec)) {
-        bool counting = ++seen > warmupRecords;
-        if (counting) {
-            profile.totalInstructions +=
-                static_cast<uint64_t>(rec.instGap) + 1;
-        }
-        if (!rec.isConditional()) {
-            baseline.onRecord(rec);
-            continue;
-        }
-        bool pred = baseline.predict(rec.pc, rec.taken);
-        baseline.update(rec.pc, rec.taken, pred);
-        baseline.onRecord(rec);
-        if (!counting)
-            continue;
-
-        ++profile.totalConditionals;
-        BranchProfileEntry &e = profile.entry(rec.pc);
-        ++e.executions;
-        if (rec.taken)
-            ++e.takenCount;
-        if (pred != rec.taken) {
-            ++e.baselineMispredicts;
-            ++profile.totalMispredicts;
-        }
+        bool miss = stepPredictor(baseline, rec);
+        if (++seen > warmupRecords)
+            profile.count(rec, miss);
     }
 
     // ---- Hard-branch selection ----
     std::vector<BranchProfileEntry *> candidates;
     for (auto &[pc, e] : profile.entries()) {
-        if (e.baselineMispredicts >= opt.minMispredicts &&
+        if (e.baselineMispredicts >= cfg.minMispredictions &&
             e.baselineAccuracy() <= opt.maxAccuracy) {
             candidates.push_back(&e);
         }
@@ -83,9 +61,7 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
         opt.branchNetStore->setTracked(hardPcs);
 
     // ---- Pass 2: sample tables for hard branches (PT stand-in) ----
-    GlobalHistory history(2 * cfg.maxHistoryLength);
-    for (unsigned len : profile.lengths())
-        history.addFoldedView(len, cfg.hashWidth);
+    GlobalHistory history = sampleHistory(cfg);
     TokenHistory tokens;
 
     trace.rewind();
@@ -94,18 +70,9 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
         bool counting = ++seen > warmupRecords;
         if (!rec.isConditional())
             continue;
-        BranchProfileEntry &e = profile.entry(rec.pc);
-        if (e.hard && counting) {
-            for (size_t l = 0; l < profile.lengths().size(); ++l) {
-                e.byLength[l].record(
-                    history.foldedValue(l), rec.taken);
-            }
-            e.raw4.record(
-                static_cast<unsigned>(history.lastBits(4)),
-                rec.taken);
-            e.raw8.record(
-                static_cast<unsigned>(history.lastBits(8)),
-                rec.taken);
+        BranchProfileEntry *e = counting ? profile.find(rec.pc) : nullptr;
+        if (e && e->hard) {
+            e->sample(rec.taken, history);
             if (opt.branchNetStore) {
                 BranchNetSample sample;
                 sample.tokens = tokens.snapshot();

@@ -3,11 +3,10 @@
  * In-production profile collection (paper SIV, step 1).
  *
  * Two passes over the training trace stand in for Intel LBR + PT:
- * pass 1 runs the baseline predictor and records per-branch
- * execution/misprediction counts (LBR's prediction-accuracy bit);
- * pass 2 selects the hard branches and fills their hashed-history
- * and raw-history sample tables (decoded PT trace), optionally also
- * gathering BranchNet training samples.
+ * pass 1 runs the baseline predictor through BranchProfile's count
+ * step (LBR's prediction-accuracy bit); the hard branches are then
+ * selected, and pass 2 runs the sample step on them (decoded PT
+ * trace), optionally also gathering BranchNet training samples.
  */
 
 #ifndef WHISPER_SIM_PROFILER_HH
@@ -28,9 +27,9 @@ struct ProfileOptions
 {
     /** Cap on branches with detailed tables (memory bound). */
     unsigned maxHardBranches = 2048;
-    /** A branch must mispredict at least this often... */
-    uint64_t minMispredicts = 16;
-    /** ...and be below this baseline accuracy to count as hard. */
+    /** A hard branch mispredicts at least
+     * WhisperConfig::minMispredictions times and is below this
+     * baseline accuracy. */
     double maxAccuracy = 0.9975;
     /**
      * Leading fraction of the trace excluded from all profile

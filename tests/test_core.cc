@@ -224,7 +224,7 @@ TEST(WhisperTrainer, RecoversLengthAndBeatsBaseline)
         makePlantedProfile(0x1B3A, plantedIdx, 0x7F0, cfg);
 
     TrainingStats stats;
-    auto hints = trainer.train(profile, &stats);
+    auto hints = trainer.train(profile, nullptr, &stats);
     ASSERT_EQ(hints.size(), 1u);
     EXPECT_EQ(hints[0].pc, 0x7F0u);
     EXPECT_EQ(hints[0].hint.historyIdx, plantedIdx);

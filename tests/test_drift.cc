@@ -153,15 +153,8 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
     auto evalWindow = [&](const std::vector<BranchRecord> &records,
                           const HintBundle *bundle) {
         TraceSource src(records);
-        std::unique_ptr<BranchPredictor> pred;
-        if (bundle) {
-            pred = std::make_unique<WhisperPredictor>(
-                makeTage(cfg.tageBudgetKB), cfg.whisper,
-                globalTruthTables(), bundle->hints,
-                bundle->placements);
-        } else {
-            pred = makeTage(cfg.tageBudgetKB);
-        }
+        auto pred = makeBundlePredictor(cfg.tageBudgetKB, cfg.whisper,
+                                        globalTruthTables(), bundle);
         return runPredictor(src, *pred);
     };
 
@@ -834,15 +827,8 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
                                          stream.end());
     auto evalOnTail = [&](const HintBundle *bundle) {
         TraceSource src(tailWindow);
-        std::unique_ptr<BranchPredictor> pred;
-        if (bundle) {
-            pred = std::make_unique<WhisperPredictor>(
-                makeTage(cfg.tageBudgetKB), cfg.whisper,
-                globalTruthTables(), bundle->hints,
-                bundle->placements);
-        } else {
-            pred = makeTage(cfg.tageBudgetKB);
-        }
+        auto pred = makeBundlePredictor(cfg.tageBudgetKB, cfg.whisper,
+                                        globalTruthTables(), bundle);
         return runPredictor(src, *pred).accuracy();
     };
     HintStore::Snapshot incumbent = store.current();

@@ -92,7 +92,8 @@ TEST_P(PlantedLengthProperty, TrainerPicksThePlantedLength)
     e.baselineMispredicts = 1000;
 
     TrainedHint hint;
-    ASSERT_TRUE(trainer.trainBranch(e, profile.lengths(), hint));
+    ASSERT_TRUE(trainer.trainBranchSeeded(e, profile.lengths(), nullptr,
+                                          hint));
     EXPECT_EQ(hint.hint.historyIdx, lengthIdx);
     EXPECT_EQ(hint.expectedMispredicts, 0u);
     EXPECT_EQ(hint.historyLength, profile.lengths()[lengthIdx]);

@@ -431,12 +431,12 @@ TEST(TrainingPool, BitIdenticalAcrossWorkerCounts)
 
     TrainingStats serialStats;
     std::vector<TrainedHint> serial =
-        trainer.train(profile, &serialStats);
+        trainer.train(profile, nullptr, &serialStats);
 
     for (unsigned workers : {1u, 4u}) {
         TrainingStats poolStats;
         std::vector<TrainedHint> pooled = TrainingPool(workers).train(
-            trainer, profile, &poolStats);
+            trainer, profile, nullptr, &poolStats);
         ASSERT_EQ(pooled.size(), serial.size())
             << "workers=" << workers;
         for (size_t i = 0; i < serial.size(); ++i)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "bp/simple_predictors.hh"
+#include "service/chunk_profiler.hh"
 #include "sim/analysis.hh"
 #include "trace/branch_trace.hh"
 #include "sim/classifier.hh"
@@ -88,8 +89,44 @@ TEST(Profiler, HardSelectionRespectsThresholds)
     BranchProfile profile = profileApp(app, 0, cfg);
     for (const auto *e : profile.hardBranches()) {
         EXPECT_GE(e->baselineMispredicts,
-                  cfg.profile.minMispredicts);
+                  cfg.whisper.minMispredictions);
         EXPECT_LE(e->baselineAccuracy(), cfg.profile.maxAccuracy);
+    }
+}
+
+TEST(Profiler, OfflineAndStreamingProfilesCountAlike)
+{
+    // Both profilers run the same count step over the same records:
+    // collectProfile's warm-up fraction, expressed as records, is the
+    // ChunkProfiler's statsWarmupRecords.
+    ExperimentConfig cfg;
+    std::vector<BranchRecord> records;
+    AppWorkload workload(appByName("mysql"), 0, 200'000);
+    BranchRecord rec;
+    while (workload.next(rec))
+        records.push_back(rec);
+
+    TraceSource source(records);
+    auto offlineTage = makeTage(64);
+    BranchProfile offline =
+        collectProfile(source, *offlineTage, cfg.whisper, cfg.profile);
+
+    ChunkProfiler::Options opt;
+    opt.statsWarmupRecords = static_cast<uint64_t>(
+        cfg.profile.statsWarmupFraction * records.size());
+    ChunkProfiler streaming(cfg.whisper, makeTage(64), opt);
+    BranchProfile online = streaming.profileChunk(records);
+
+    EXPECT_EQ(offline.totalInstructions, online.totalInstructions);
+    EXPECT_EQ(offline.totalConditionals, online.totalConditionals);
+    EXPECT_EQ(offline.totalMispredicts, online.totalMispredicts);
+    EXPECT_EQ(offline.numBranches(), online.numBranches());
+    for (const auto &[pc, e] : offline.entries()) {
+        const BranchProfileEntry *o = online.find(pc);
+        ASSERT_NE(o, nullptr) << "pc 0x" << std::hex << pc;
+        EXPECT_EQ(e.executions, o->executions);
+        EXPECT_EQ(e.takenCount, o->takenCount);
+        EXPECT_EQ(e.baselineMispredicts, o->baselineMispredicts);
     }
 }
 

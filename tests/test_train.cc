@@ -87,12 +87,12 @@ TEST(Prune, WithinBoundOfFullSearchOnApps)
 
         WhisperTrainer full(cfg.whisper, globalTruthTables());
         TrainingStats fullStats;
-        full.train(profile, &fullStats);
+        full.train(profile, nullptr, &fullStats);
 
         WhisperTrainer pruned(cfg.whisper, globalTruthTables());
         pruned.setScreen(ScreenConfig{});
         TrainingStats prunedStats;
-        pruned.train(profile, &prunedStats);
+        pruned.train(profile, nullptr, &prunedStats);
 
         double fullRate = expectedHardRate(profile, fullStats);
         double prunedRate = expectedHardRate(profile, prunedStats);

@@ -132,14 +132,8 @@ evalBundleAccuracy(const BranchTrace &trace, unsigned tageKb,
                    const WhisperConfig &cfg, const HintBundle *bundle,
                    double *mpki)
 {
-    std::unique_ptr<BranchPredictor> pred;
-    if (bundle) {
-        pred = std::make_unique<WhisperPredictor>(
-            makeTage(tageKb), cfg, globalTruthTables(),
-            bundle->hints, bundle->placements);
-    } else {
-        pred = makeTage(tageKb);
-    }
+    auto pred =
+        makeBundlePredictor(tageKb, cfg, globalTruthTables(), bundle);
     TraceSource src(trace);
     PredictorRunStats stats = runPredictor(src, *pred, 0.5);
     if (mpki)
