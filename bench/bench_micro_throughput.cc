@@ -54,16 +54,14 @@ struct Throughput
     uint64_t mispredicts = 0;
 };
 
-/** Time one clone of @p proto over the whole trace. */
+/** Time a fresh @p pred over the whole trace. */
 Throughput
-measurePredictor(const BranchTrace &trace,
-                 const BranchPredictor &proto)
+measurePredictor(const BranchTrace &trace, BranchPredictor &pred)
 {
-    auto pred = proto.clone();
     Throughput out;
     auto start = Clock::now();
     for (const BranchRecord &rec : trace)
-        out.mispredicts += stepPredictor(*pred, rec);
+        out.mispredicts += stepPredictor(pred, rec);
     out.bps = trace.conditionals() / secondsSince(start);
     return out;
 }
@@ -154,15 +152,15 @@ main()
     std::vector<Row> rows;
 
     auto runOne = [&](const std::string &label,
-                      const BranchPredictor &proto) {
-        rows.push_back({label, measurePredictor(trace, proto)});
+                      std::unique_ptr<BranchPredictor> pred) {
+        rows.push_back({label, measurePredictor(trace, *pred)});
     };
 
-    runOne("tage64", *makeTage(cfg.tageBudgetKB));
-    runOne("bimodal", BimodalPredictor());
-    runOne("gshare", GsharePredictor());
-    runOne("perceptron", PerceptronPredictor());
-    runOne("whisper_tage64", *makeWhisperPredictor(cfg, build));
+    runOne("tage64", makeTage(cfg.tageBudgetKB));
+    runOne("bimodal", std::make_unique<BimodalPredictor>());
+    runOne("gshare", std::make_unique<GsharePredictor>());
+    runOne("perceptron", std::make_unique<PerceptronPredictor>());
+    runOne("whisper_tage64", makeWhisperPredictor(cfg, build));
 
     TableReporter table("simulator throughput (mysql)");
     table.setHeader({"predictor", "Mbr/s"});

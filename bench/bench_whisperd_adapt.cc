@@ -27,7 +27,7 @@
 #include "service/tenant_router.hh"
 #include "service/training_pool.hh"
 #include "sim/runner.hh"
-#include "sim/sharded_runner.hh"
+#include "trace/branch_trace.hh"
 
 using namespace whisper;
 using namespace whisper::bench;
@@ -230,24 +230,17 @@ main()
     AdaptiveRunStats online = runPredictorAdaptive(
         onlineSource, consultant.predictor(), window, onEpoch);
 
-    // References over the same stream, cut at the same windows,
-    // evaluated on the shard-parallel engine. Full-prefix warm-up
-    // keeps the numbers bit-identical to the serial adaptive runner
-    // (no predictor swaps happen in these runs) while the epochs
-    // spread across WHISPER_BENCH_JOBS worker threads.
-    ShardedRunConfig shardCfg = benchShardConfig(window);
+    // References over the same stream, cut at the same windows.
     std::unique_ptr<BranchPredictor> tage =
         makeTage(cfg.tageBudgetKB);
-    AdaptiveShardedRunStats tageSharded =
-        runPredictorAdaptiveSharded(stream, *tage, window, nullptr,
-                                    shardCfg);
-    const AdaptiveRunStats &tageRun = tageSharded.stats;
+    TraceSource tageSource(stream);
+    AdaptiveRunStats tageRun =
+        runPredictorAdaptive(tageSource, *tage, window, nullptr);
 
     auto staticPred = makeWhisperPredictor(cfg, staticBuild);
-    AdaptiveShardedRunStats staticSharded =
-        runPredictorAdaptiveSharded(stream, *staticPred, window,
-                                    nullptr, shardCfg);
-    const AdaptiveRunStats &staticRun = staticSharded.stats;
+    TraceSource staticSource(stream);
+    AdaptiveRunStats staticRun =
+        runPredictorAdaptive(staticSource, *staticPred, window, nullptr);
 
     TableReporter table("per-epoch MPKI over the drift stream "
                         "(inputs #0 -> #1 at the midpoint)");
@@ -278,20 +271,6 @@ main()
                 100.0 * tageRun.total.accuracy(),
                 100.0 * staticRun.total.accuracy(),
                 100.0 * online.total.accuracy());
-
-    auto timingLine = [](const char *label,
-                         const ShardedRunTiming &t) {
-        double busy = 0.0;
-        for (const auto &s : t.perShard)
-            busy += s.warmSeconds + s.evalSeconds;
-        std::printf("%s: jobs=%u shards=%zu wall-seconds=%.3f "
-                    "cpu-seconds=%.3f\n",
-                    label, t.jobs, t.perShard.size(),
-                    t.wallSeconds, busy);
-    };
-    std::printf("\nreference-run shard timing (full-prefix warm):\n");
-    timingLine("  tage", tageSharded.timing);
-    timingLine("  static-whisper", staticSharded.timing);
 
     // ---- mixed-fleet scenario: 12 tenants, one 10x noisy ----
     const std::string noisy = "kafka";

@@ -22,7 +22,6 @@
 
 #include "bp/simple_predictors.hh"
 #include "sim/experiment.hh"
-#include "sim/sharded_runner.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 #include "workloads/app_workload.hh"
@@ -50,31 +49,6 @@ defaultConfig(double extraScale = 1.0)
     cfg.trainRecords =
         static_cast<uint64_t>(cfg.trainRecords * s);
     cfg.testRecords = static_cast<uint64_t>(cfg.testRecords * s);
-    return cfg;
-}
-
-/** Worker threads for shard-parallel evaluation runs, from the
- * WHISPER_BENCH_JOBS environment variable (default: all cores). */
-inline unsigned
-benchJobs()
-{
-    const char *env = std::getenv("WHISPER_BENCH_JOBS");
-    if (!env)
-        return 0; // resolved to hardware_concurrency by the runner
-    long v = std::strtol(env, nullptr, 10);
-    return v > 0 ? static_cast<unsigned>(v) : 0;
-}
-
-/** Sharded-run configuration for bench evaluation sweeps: exact
- * full-prefix warm-up, so tables are bit-identical to the serial
- * engine's, parallel when cores are available. */
-inline ShardedRunConfig
-benchShardConfig(uint64_t windowRecords)
-{
-    ShardedRunConfig cfg;
-    cfg.jobs = benchJobs();
-    cfg.windowRecords = windowRecords;
-    cfg.warmupRecords = ShardedRunConfig::kFullPrefix;
     return cfg;
 }
 

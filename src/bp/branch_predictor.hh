@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "trace/branch_record.hh"
@@ -60,21 +59,8 @@ class BranchPredictor
      */
     virtual void onRecord(const BranchRecord &rec) { (void)rec; }
 
-    /**
-     * Deep-copy this predictor, including all learned tables,
-     * history registers, and in-flight prediction context, so the
-     * copy's future predict/update sequence is bit-identical to the
-     * original's. The sharded trace runner clones one prototype per
-     * evaluation window; clones share only immutable data (e.g. the
-     * truth-table cache) and are safe to drive from separate threads.
-     */
-    virtual std::unique_ptr<BranchPredictor> clone() const = 0;
-
     /** Human-readable name for reports. */
     virtual std::string name() const = 0;
-
-    /** Drop all learned state and history. */
-    virtual void reset() = 0;
 
     /** Nominal hardware storage budget in bits (0 if not meaningful). */
     virtual uint64_t storageBits() const { return 0; }

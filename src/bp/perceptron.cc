@@ -100,14 +100,6 @@ PerceptronPredictor::update(uint64_t pc, bool taken, bool predicted,
     }
 }
 
-void
-PerceptronPredictor::reset()
-{
-    std::fill(weights_.begin(), weights_.end(), 0);
-    std::fill(bias_.begin(), bias_.end(), 0);
-    std::fill(history_.begin(), history_.end(), 0);
-}
-
 uint64_t
 PerceptronPredictor::storageBits() const
 {

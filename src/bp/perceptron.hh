@@ -41,13 +41,7 @@ class PerceptronPredictor : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<PerceptronPredictor>(*this);
-    }
     std::string name() const override { return "perceptron"; }
-    void reset() override;
     uint64_t storageBits() const override;
 
   private:

@@ -28,13 +28,6 @@ BimodalPredictor::update(uint64_t pc, bool taken, bool, bool)
     table_[indexFor(pc)].update(taken);
 }
 
-void
-BimodalPredictor::reset()
-{
-    for (auto &c : table_)
-        c.set(1);
-}
-
 GsharePredictor::GsharePredictor(unsigned log2Entries,
                                  unsigned historyLen)
     : historyLen_(historyLen),
@@ -61,14 +54,6 @@ GsharePredictor::update(uint64_t pc, bool taken, bool, bool)
 {
     table_[indexFor(pc)].update(taken);
     history_ = (history_ << 1) | static_cast<uint64_t>(taken);
-}
-
-void
-GsharePredictor::reset()
-{
-    history_ = 0;
-    for (auto &c : table_)
-        c.set(1);
 }
 
 } // namespace whisper

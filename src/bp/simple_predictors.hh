@@ -25,13 +25,7 @@ class StaticPredictor : public BranchPredictor
 
     bool predict(uint64_t, bool) override { return taken_; }
     void update(uint64_t, bool, bool, bool) override {}
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<StaticPredictor>(*this);
-    }
     std::string name() const override { return "static"; }
-    void reset() override {}
 
   private:
     bool taken_;
@@ -49,13 +43,7 @@ class IdealPredictor : public BranchPredictor
         return oracleTaken;
     }
     void update(uint64_t, bool, bool, bool) override {}
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<IdealPredictor>(*this);
-    }
     std::string name() const override { return "ideal"; }
-    void reset() override {}
 };
 
 /** Classic per-PC 2-bit counter table. */
@@ -68,13 +56,7 @@ class BimodalPredictor : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<BimodalPredictor>(*this);
-    }
     std::string name() const override { return "bimodal"; }
-    void reset() override;
     uint64_t storageBits() const override { return table_.size() * 2; }
 
   private:
@@ -97,13 +79,7 @@ class GsharePredictor : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<GsharePredictor>(*this);
-    }
     std::string name() const override { return "gshare"; }
-    void reset() override;
     uint64_t storageBits() const override { return table_.size() * 2; }
 
   private:

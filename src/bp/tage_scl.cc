@@ -504,27 +504,6 @@ TageScl::decayUseful()
         u >>= 1;
 }
 
-void
-TageScl::reset()
-{
-    std::fill(tagKey_.begin(), tagKey_.end(), kFreeEntry);
-    std::fill(tagCtr_.begin(), tagCtr_.end(), 0);
-    std::fill(tagUseful_.begin(), tagUseful_.end(), 0);
-    std::fill(bimodal_.begin(), bimodal_.end(), 0);
-    for (auto &t : scTables_)
-        std::fill(t.begin(), t.end(), 0);
-    std::fill(scBias_.begin(), scBias_.end(), 0);
-    std::fill(loop_.begin(), loop_.end(), LoopEntry{});
-    history_.reset();
-    useAltOnNa_ = 0;
-    scThreshold_ = 6;
-    scThresholdCtr_ = 0;
-    updates_ = 0;
-    tick_ = 0;
-    lfsr_ = 0xACE1u;
-    ctx_ = PredictContext{};
-}
-
 unsigned
 TageScl::lastProviderHistLen() const
 {

@@ -67,16 +67,7 @@ class TageScl : public BranchPredictor
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    /** Deep copy: every table, the global history (raw ring and
-     * per-width prefix rings), the LFSR and the tick state are
-     * value-copied, so clone-then-run is bit-identical. */
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<TageScl>(*this);
-    }
     std::string name() const override;
-    void reset() override;
     uint64_t storageBits() const override;
 
     const TageSclConfig &config() const { return cfg_; }

@@ -16,17 +16,6 @@ BranchNetPredictor::BranchNetPredictor(
         byPc_[models_[i].pc] = i;
 }
 
-BranchNetPredictor::BranchNetPredictor(
-    const BranchNetPredictor &other)
-    : base_(other.base_->clone()), models_(other.models_),
-      byPc_(other.byPc_), label_(other.label_),
-      history_(other.history_), usedCnn_(other.usedCnn_),
-      basePred_(other.basePred_),
-      cnnPredictions_(other.cnnPredictions_),
-      cnnCorrect_(other.cnnCorrect_)
-{
-}
-
 std::string
 BranchNetPredictor::name() const
 {
@@ -63,17 +52,6 @@ BranchNetPredictor::update(uint64_t pc, bool taken, bool predicted,
         ++cnnCorrect_;
     base_->update(pc, taken, basePred_, allocate && !usedCnn_);
     history_.push(pc, taken);
-}
-
-void
-BranchNetPredictor::reset()
-{
-    base_->reset();
-    history_.reset();
-    usedCnn_ = false;
-    basePred_ = false;
-    cnnPredictions_ = 0;
-    cnnCorrect_ = 0;
 }
 
 } // namespace whisper

@@ -63,20 +63,10 @@ class BranchNetPredictor : public BranchPredictor
                        std::vector<BranchNetDeployment> models,
                        std::string label);
 
-    /** Deep copy: clones the owned dynamic predictor and copies the
-     * deployed CNNs (inference-only weights) and token history. */
-    BranchNetPredictor(const BranchNetPredictor &other);
-
     bool predict(uint64_t pc, bool oracleTaken) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<BranchNetPredictor>(*this);
-    }
     std::string name() const override;
-    void reset() override;
     uint64_t storageBits() const override;
 
     uint64_t cnnPredictions() const { return cnnPredictions_; }

@@ -11,33 +11,6 @@ LegacyHintBuffer::LegacyHintBuffer(unsigned entries)
     whisper_assert(entries >= 1);
 }
 
-LegacyHintBuffer::LegacyHintBuffer(const LegacyHintBuffer &other)
-    : capacity_(other.capacity_), lru_(other.lru_),
-      hits_(other.hits_), misses_(other.misses_),
-      insertions_(other.insertions_), refreshes_(other.refreshes_),
-      evictions_(other.evictions_)
-{
-    for (auto it = lru_.begin(); it != lru_.end(); ++it)
-        map_[it->pc] = it;
-}
-
-LegacyHintBuffer &
-LegacyHintBuffer::operator=(const LegacyHintBuffer &other)
-{
-    if (this == &other)
-        return *this;
-    LegacyHintBuffer copy(other);
-    capacity_ = copy.capacity_;
-    lru_ = std::move(copy.lru_);
-    map_ = std::move(copy.map_);
-    hits_ = copy.hits_;
-    misses_ = copy.misses_;
-    insertions_ = copy.insertions_;
-    refreshes_ = copy.refreshes_;
-    evictions_ = copy.evictions_;
-    return *this;
-}
-
 void
 LegacyHintBuffer::insert(uint64_t branchPc, const BrHint &hint)
 {

@@ -36,11 +36,10 @@ class LegacyHintBuffer
   public:
     explicit LegacyHintBuffer(unsigned entries = 32);
 
-    /** Copying preserves contents, LRU order, and counters; the
-     * PC-to-node index is rebuilt so it points into the copy's own
-     * list (a memberwise copy would alias the source's nodes). */
-    LegacyHintBuffer(const LegacyHintBuffer &other);
-    LegacyHintBuffer &operator=(const LegacyHintBuffer &other);
+    /** Not copyable: a memberwise copy would alias the source's
+     * list nodes through the PC-to-node index. */
+    LegacyHintBuffer(const LegacyHintBuffer &) = delete;
+    LegacyHintBuffer &operator=(const LegacyHintBuffer &) = delete;
     LegacyHintBuffer(LegacyHintBuffer &&) = default;
     LegacyHintBuffer &operator=(LegacyHintBuffer &&) = default;
 

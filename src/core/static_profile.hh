@@ -11,7 +11,6 @@
 #define WHISPER_CORE_STATIC_PROFILE_HH
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 
 #include "bp/branch_predictor.hh"
@@ -37,13 +36,7 @@ class StaticProfilePredictor : public BranchPredictor
 
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t, bool, bool, bool = true) override {}
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<StaticProfilePredictor>(*this);
-    }
     std::string name() const override { return "profile-static"; }
-    void reset() override {}
 
     size_t coveredBranches() const { return direction_.size(); }
 

@@ -24,18 +24,6 @@ WhisperPredictor::WhisperPredictor(
     replaceHints(hints, placements);
 }
 
-WhisperPredictor::WhisperPredictor(const WhisperPredictor &other)
-    : base_(other.base_->clone()), cfg_(other.cfg_),
-      cache_(other.cache_), lengths_(other.lengths_),
-      hints_(other.hints_), triggers_(other.triggers_),
-      buffer_(other.buffer_), history_(other.history_),
-      usedHint_(other.usedHint_), basePred_(other.basePred_),
-      hintPredictions_(other.hintPredictions_),
-      hintCorrect_(other.hintCorrect_),
-      dynamicHints_(other.dynamicHints_)
-{
-}
-
 void
 WhisperPredictor::replaceHints(
     const std::vector<TrainedHint> &hints,
@@ -127,20 +115,6 @@ WhisperPredictor::onRecord(const BranchRecord &rec)
         ++dynamicHints_;
         buffer_.insert(branchPc, hints_[branchPc]);
     }
-}
-
-void
-WhisperPredictor::reset()
-{
-    base_->reset();
-    buffer_.clear();
-    buffer_.resetStats();
-    history_.reset();
-    usedHint_ = false;
-    basePred_ = false;
-    hintPredictions_ = 0;
-    hintCorrect_ = 0;
-    dynamicHints_ = 0;
 }
 
 } // namespace whisper

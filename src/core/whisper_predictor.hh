@@ -55,22 +55,11 @@ class WhisperPredictor : public BranchPredictor
     void replaceHints(const std::vector<TrainedHint> &hints,
                       const std::vector<HintPlacement> &placements);
 
-    /** Deep copy: clones the owned dynamic predictor and copies the
-     * hint buffer, history, and statistics; the truth-table cache is
-     * shared (it is immutable after construction). */
-    WhisperPredictor(const WhisperPredictor &other);
-
     bool predict(uint64_t pc, bool oracleTaken) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
     void onRecord(const BranchRecord &rec) override;
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<WhisperPredictor>(*this);
-    }
     std::string name() const override;
-    void reset() override;
     uint64_t storageBits() const override;
 
     // --- statistics ---

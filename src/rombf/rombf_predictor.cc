@@ -16,16 +16,6 @@ RombfPredictor::RombfPredictor(std::unique_ptr<BranchPredictor> base,
         hints_[h.pc] = Annotation{h.tableIdx, h.biasTaken};
 }
 
-RombfPredictor::RombfPredictor(const RombfPredictor &other)
-    : base_(other.base_->clone()), enum_(other.enum_),
-      histLen_(other.histLen_), hints_(other.hints_),
-      history_(other.history_), usedHint_(other.usedHint_),
-      basePred_(other.basePred_),
-      hintPredictions_(other.hintPredictions_),
-      hintCorrect_(other.hintCorrect_)
-{
-}
-
 std::string
 RombfPredictor::name() const
 {
@@ -67,17 +57,6 @@ RombfPredictor::update(uint64_t pc, bool taken, bool predicted,
         ++hintCorrect_;
     base_->update(pc, taken, basePred_, allocate && !usedHint_);
     history_.push(taken);
-}
-
-void
-RombfPredictor::reset()
-{
-    base_->reset();
-    history_.reset();
-    usedHint_ = false;
-    basePred_ = false;
-    hintPredictions_ = 0;
-    hintCorrect_ = 0;
 }
 
 } // namespace whisper

@@ -30,21 +30,10 @@ class RombfPredictor : public BranchPredictor
                    const RombfTrainer &trainer,
                    const std::vector<RombfHint> &hints);
 
-    /** Deep copy: clones the owned dynamic predictor; the formula
-     * enumeration stays shared with the trainer that produced it
-     * (read-only), so the trainer must outlive clones too. */
-    RombfPredictor(const RombfPredictor &other);
-
     bool predict(uint64_t pc, bool oracleTaken) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
-    std::unique_ptr<BranchPredictor>
-    clone() const override
-    {
-        return std::make_unique<RombfPredictor>(*this);
-    }
     std::string name() const override;
-    void reset() override;
     uint64_t storageBits() const override;
 
     uint64_t hintPredictions() const { return hintPredictions_; }

@@ -7,12 +7,12 @@ namespace whisper
 
 PredictorRunStats
 runPredictor(BranchSource &source, BranchPredictor &predictor,
-             double warmupFraction, uint64_t totalInstructionsHint)
+             double warmupFraction)
 {
     whisper_assert(warmupFraction >= 0.0 && warmupFraction < 1.0);
 
-    uint64_t total = totalInstructionsHint;
-    if (warmupFraction > 0.0 && total == 0) {
+    uint64_t total = 0;
+    if (warmupFraction > 0.0) {
         // Pre-pass to learn the stream's instruction count.
         source.rewind();
         BranchRecord rec;

@@ -73,8 +73,7 @@ stepPredictor(BranchPredictor &predictor, const BranchRecord &rec)
  */
 PredictorRunStats runPredictor(BranchSource &source,
                                BranchPredictor &predictor,
-                               double warmupFraction = 0.0,
-                               uint64_t totalInstructionsHint = 0);
+                               double warmupFraction = 0.0);
 
 /** Statistics of an epoch-adaptive run. */
 struct AdaptiveRunStats

@@ -186,16 +186,6 @@ TEST(TageScl, BiggerBudgetNeverMuchWorse)
     EXPECT_LT(mrLarge, mrSmall);
 }
 
-TEST(TageScl, ResetRestoresColdState)
-{
-    TageScl p(TageSclConfig::forBudgetKB(16));
-    auto oracle = [](int i, uint64_t) { return i % 4 == 0; };
-    double warm = missRate(p, oracle, 40000);
-    p.reset();
-    double again = missRate(p, oracle, 40000);
-    EXPECT_NEAR(warm, again, 0.02);
-}
-
 TEST(TageScl, NoAllocFreezesLearning)
 {
     // With allocation suppressed the tagged tables stay empty, so a

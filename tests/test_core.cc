@@ -380,11 +380,6 @@ TEST(WhisperPredictor, StatsAndReset)
     wp.predict(0x10, true);
     wp.update(0x10, true, true);
     EXPECT_EQ(wp.hintPredictions(), 1u);
-
-    wp.reset();
-    EXPECT_EQ(wp.hintPredictions(), 0u);
-    EXPECT_EQ(wp.dynamicHintInstructions(), 0u);
-    EXPECT_EQ(wp.hintBuffer().size(), 0u);
 }
 
 TEST(BranchProfileMerge, SumsCounts)

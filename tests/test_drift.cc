@@ -2,10 +2,9 @@
  * @file
  * Scenario-diversity stress suite (registered under the `drift.`
  * ctest prefix): DriftSpec parsing, drifting/adversarial AppWorkload
- * semantics, CBP-style foreign-trace import, serial-vs-sharded
- * adaptive equivalence on drifting streams, and — the headline — an
- * end-to-end whisperd adaptation harness asserting concrete recovery
- * contracts:
+ * semantics, CBP-style foreign-trace import, and — the headline —
+ * an end-to-end whisperd adaptation harness asserting concrete
+ * recovery contracts:
  *
  *  - after a phase change, retraining + validated redeployment pulls
  *    the per-epoch mispredict rate back to within a stated bound of
@@ -30,7 +29,6 @@
 #include "service/hint_store.hh"
 #include "service/training_pool.hh"
 #include "sim/experiment.hh"
-#include "sim/sharded_runner.hh"
 #include "trace/branch_trace.hh"
 #include "trace/cbp_reader.hh"
 #include "workloads/app_workload.hh"
@@ -615,50 +613,6 @@ TEST(Cbp, DistinguishesMissingFromMalformed)
     EXPECT_FALSE(source.next(rec));
     EXPECT_TRUE(source.status().corrupt());
     std::remove(path.c_str());
-}
-
-// --------------------------------------------------------------------
-// Serial vs sharded adaptive equivalence under drift
-// --------------------------------------------------------------------
-
-TEST(Equivalence, SerialVsShardedAdaptiveOnDriftingStream)
-{
-    const AppConfig &app = appByName("kafka");
-    DriftSpec drift;
-    drift.kind = DriftKind::Phase;
-    drift.periodRecords = 30'000;
-    drift.phases = 3;
-    drift.intensity = 0.6;
-    const uint64_t n = 120'000, window = 20'000;
-
-    std::vector<BranchRecord> stream = genDrift(app, 0, n, drift);
-
-    auto serialTage = makeTage(64);
-    TraceSource src(stream);
-    AdaptiveRunStats serial =
-        runPredictorAdaptive(src, *serialTage, window, nullptr);
-
-    ShardedRunConfig scfg;
-    scfg.jobs = 2;
-    scfg.warmupRecords = ShardedRunConfig::kFullPrefix;
-    auto shardedTage = makeTage(64);
-    AdaptiveShardedRunStats sharded = runPredictorAdaptiveSharded(
-        stream, *shardedTage, window, nullptr, scfg);
-
-    ASSERT_EQ(sharded.stats.perEpoch.size(), serial.perEpoch.size());
-    for (size_t e = 0; e < serial.perEpoch.size(); ++e) {
-        EXPECT_EQ(sharded.stats.perEpoch[e].instructions,
-                  serial.perEpoch[e].instructions)
-            << "epoch " << e;
-        EXPECT_EQ(sharded.stats.perEpoch[e].conditionals,
-                  serial.perEpoch[e].conditionals)
-            << "epoch " << e;
-        EXPECT_EQ(sharded.stats.perEpoch[e].mispredicts,
-                  serial.perEpoch[e].mispredicts)
-            << "epoch " << e;
-    }
-    EXPECT_EQ(sharded.stats.total.mispredicts,
-              serial.total.mispredicts);
 }
 
 // --------------------------------------------------------------------

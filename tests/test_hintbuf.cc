@@ -165,24 +165,6 @@ TYPED_TEST(HintBufferGolden, CapacityOneDegenerate)
     EXPECT_EQ(buf.evictions(), 1u);
 }
 
-TYPED_TEST(HintBufferGolden, CopyIsDeep)
-{
-    TypeParam a(4);
-    a.insert(1, hintFor(1));
-    a.insert(2, hintFor(2));
-    a.lookup(1);
-
-    TypeParam b(a);
-    EXPECT_EQ(b.lruOrder(), a.lruOrder());
-    EXPECT_EQ(b.hits(), a.hits());
-
-    // Mutating the copy must not disturb the original.
-    b.insert(3, hintFor(3));
-    b.lookup(2);
-    EXPECT_EQ(a.size(), 2u);
-    EXPECT_EQ(a.lruOrder(), (std::vector<uint64_t>{1, 2}));
-}
-
 // ---------------------------------------------------------------
 // Randomized differential property: both implementations replay the
 // same script and must agree on every observable after every op.

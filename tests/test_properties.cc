@@ -15,7 +15,6 @@
 #include "core/formula_trainer.hh"
 #include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
-#include "sim/sharded_runner.hh"
 #include "trace/global_history.hh"
 #include "uarch/cache.hh"
 #include "util/rng.hh"
@@ -241,100 +240,3 @@ TEST_P(TageBudgetProperty, StorageMatchesBudgetClass)
 INSTANTIATE_TEST_SUITE_P(Budgets, TageBudgetProperty,
                          ::testing::Values(8u, 16u, 32u, 64u, 128u,
                                            256u, 512u, 1024u));
-
-// ---------------------------------------------------------------
-// Sharded-runner property: for randomized traces, full-prefix
-// sharded runs equal the serial runner at every job count, and
-// bounded-warm runs are independent of the job count.
-// ---------------------------------------------------------------
-
-namespace
-{
-
-std::vector<BranchRecord>
-randomShardTrace(uint64_t seed, uint64_t n)
-{
-    Rng rng(seed);
-    std::vector<BranchRecord> records;
-    records.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        BranchRecord rec;
-        rec.pc = 0x4000 + 8 * rng.nextBelow(211);
-        rec.kind = rng.nextBool(0.8) ? BranchKind::Conditional
-                                     : BranchKind::Unconditional;
-        rec.taken = (i % 5 < 2) ? (i % 2 == 0) : rng.nextBool(0.65);
-        rec.instGap = static_cast<uint8_t>(1 + rng.nextBelow(9));
-        records.push_back(rec);
-    }
-    return records;
-}
-
-class RecordsSource : public BranchSource
-{
-  public:
-    explicit RecordsSource(const std::vector<BranchRecord> &records)
-        : records_(records)
-    {
-    }
-
-    bool
-    next(BranchRecord &rec) override
-    {
-        if (pos_ >= records_.size())
-            return false;
-        rec = records_[pos_++];
-        return true;
-    }
-
-    void rewind() override { pos_ = 0; }
-
-  private:
-    const std::vector<BranchRecord> &records_;
-    size_t pos_ = 0;
-};
-
-class ShardedJobsProperty
-    : public ::testing::TestWithParam<unsigned>
-{
-};
-
-} // namespace
-
-TEST_P(ShardedJobsProperty, RandomTraceSerialEquivalence)
-{
-    unsigned jobs = GetParam();
-    auto records = randomShardTrace(1000 + jobs, 20000);
-
-    GsharePredictor serial;
-    RecordsSource src(records);
-    PredictorRunStats want = runPredictor(src, serial, 0.0);
-
-    GsharePredictor proto;
-    ShardedRunConfig cfg;
-    cfg.jobs = jobs;
-    cfg.windowRecords = 4096;
-    cfg.warmupRecords = ShardedRunConfig::kFullPrefix;
-    auto exact = runPredictorSharded(records, proto, cfg);
-    EXPECT_EQ(exact.total.instructions, want.instructions);
-    EXPECT_EQ(exact.total.conditionals, want.conditionals);
-    EXPECT_EQ(exact.total.mispredicts, want.mispredicts);
-
-    // Bounded warm-up: compare against the jobs=1 run of the same
-    // configuration, window by window.
-    cfg.warmupRecords = 2048;
-    auto bounded = runPredictorSharded(records, proto, cfg);
-    cfg.jobs = 1;
-    auto reference = runPredictorSharded(records, proto, cfg);
-    ASSERT_EQ(bounded.perWindow.size(), reference.perWindow.size());
-    for (size_t w = 0; w < bounded.perWindow.size(); ++w) {
-        EXPECT_EQ(bounded.perWindow[w].mispredicts,
-                  reference.perWindow[w].mispredicts)
-            << "jobs=" << jobs << " window=" << w;
-        EXPECT_EQ(bounded.perWindow[w].conditionals,
-                  reference.perWindow[w].conditionals)
-            << "jobs=" << jobs << " window=" << w;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(JobGrid, ShardedJobsProperty,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u));

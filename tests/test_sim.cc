@@ -57,6 +57,62 @@ TEST(Runner, WarmupExcludesEarlyStats)
                 0.5, 0.05);
 }
 
+// ---------------------------------------------------------------
+// Golden regression snapshots: exact integer counts for two catalog
+// workloads. The workload generators replay deterministically
+// (tools_pipeline.sh), so these are stable until someone changes
+// the predictor or the generator — which is exactly what this test
+// is meant to catch.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+struct Golden
+{
+    const char *app;
+    uint32_t input;
+    uint64_t records;
+    uint64_t conditionals;
+    uint64_t mispredicts;
+    uint64_t instructions;
+};
+
+// TAGE-SC-L 64KB, stats warm-up fraction 0.5.
+constexpr Golden kGoldens[] = {
+    {"mysql", 0, 120000, 54686, 5110, 540547},
+    {"kafka", 0, 120000, 55445, 1746, 539827},
+};
+
+// The test's display name comes from this, so it must not print the
+// `app` pointer: gtest's default dumps the struct's bytes, which ASLR
+// changes on every run.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.app << "_i" << g.input;
+}
+
+} // namespace
+
+class GoldenSnapshot : public ::testing::TestWithParam<Golden>
+{
+};
+
+TEST_P(GoldenSnapshot, SerialMatchesTheSnapshot)
+{
+    const Golden &g = GetParam();
+    AppWorkload trace(appByName(g.app), g.input, g.records);
+    auto pred = makeTage(64);
+    PredictorRunStats stats = runPredictor(trace, *pred, 0.5);
+    EXPECT_EQ(stats.conditionals, g.conditionals) << g.app;
+    EXPECT_EQ(stats.mispredicts, g.mispredicts) << g.app;
+    EXPECT_EQ(stats.instructions, g.instructions) << g.app;
+}
+
+INSTANTIATE_TEST_SUITE_P(CatalogWorkloads, GoldenSnapshot,
+                         ::testing::ValuesIn(kGoldens));
+
 TEST(Profiler, CollectsEntriesAndHardTables)
 {
     ExperimentConfig cfg = smallConfig();

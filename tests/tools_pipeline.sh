@@ -31,6 +31,23 @@ trap 'rm -rf "$WORK_DIR"' EXIT
 grep -q "whisper+tage" "$WORK_DIR/eval.txt"
 grep -q "profile-static" "$WORK_DIR/eval.txt"
 
+# Bad numeric flags are usage errors (exit 2), never an abort or a
+# silent default.
+expect_usage_error() {
+    rc=0
+    "$BIN_DIR/whisper_eval" --trace "$WORK_DIR/test.whrt" "$@" \
+        > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "whisper_eval $*: exit $rc, want 2" >&2
+        exit 1
+    fi
+}
+expect_usage_error --warmup 1
+expect_usage_error --warmup -0.5
+expect_usage_error --warmup abc
+expect_usage_error --tage-kb 0
+expect_usage_error --per-epoch --epoch-records 0
+
 # Determinism: regenerating the same trace must be byte-identical.
 "$BIN_DIR/whisper_trace_gen" --app kafka --input 0 \
     --records 150000 --out "$WORK_DIR/train2.whrt"

@@ -4,7 +4,7 @@
 # file byte for byte (catches silent format or generator drift);
 # (2) CLI CBP round-trip — .whrt -> .cbp -> .whrt must reproduce the
 # original file exactly; (3) the foreign .cbp feeds whisper_eval
-# end to end.
+# end to end; (4) an empty trace reports 0.0 shares, not nan.
 set -e
 
 BIN_DIR="$1"
@@ -41,5 +41,17 @@ grep -q "trace: app=kafka input=0 records=50000" \
     > "$WORK_DIR/eval.txt"
 grep -q "evaluation: kafka input #0" "$WORK_DIR/eval.txt"
 grep -q "tage-sc-l" "$WORK_DIR/eval.txt"
+
+# An empty trace has no denominator for any share column.
+"$BIN_DIR/whisper_trace_gen" --app kafka --input 0 --records 0 \
+    --out "$WORK_DIR/empty.whrt" > /dev/null
+"$BIN_DIR/whisper_trace_stats" "$WORK_DIR/empty.whrt" \
+    > "$WORK_DIR/empty.txt"
+grep -q "records=0" "$WORK_DIR/empty.txt"
+if grep -qi nan "$WORK_DIR/empty.txt"; then
+    echo "empty-trace stats print nan:" >&2
+    cat "$WORK_DIR/empty.txt" >&2
+    exit 1
+fi
 
 echo "trace_stats golden OK"

@@ -9,16 +9,14 @@
  *   whisper_eval --trace mysql_i1.whrt [--hints mysql.hints]
  *                [--tage-kb 64] [--warmup 0.5] [--pipeline]
  *                [--predictors tage,whisper,mtage,ideal,gshare,...]
- *                [--jobs N] [--window N] [--shard-warmup N|full]
  *
- * With --jobs the accuracy runs go through the shard-parallel
- * engine (sim/sharded_runner): the trace is cut into --window-record
- * shards evaluated on N worker threads, each shard's predictor clone
- * warmed on the --shard-warmup records before it ("full" replays the
- * whole prefix: bit-identical to the serial engine, but with no
- * wall-clock win). A per-shard timing block follows the table.
+ * Each predictor runs once over the whole trace, in order, with its
+ * state carried from the first record to the last.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -34,7 +32,6 @@
 #include "util/stdio_guard.hh"
 #include "trace/cbp_reader.hh"
 #include "sim/experiment.hh"
-#include "sim/sharded_runner.hh"
 #include "util/table.hh"
 
 using namespace whisper;
@@ -57,18 +54,46 @@ usage()
         "  --pipeline        also run the timing model\n"
         "  --predictors LIST comma list of: tage, whisper, mtage,\n"
         "                    ideal, gshare, bimodal, perceptron\n"
-        "  --jobs N          shard-parallel accuracy runs on N\n"
-        "                    worker threads (0 = all cores)\n"
-        "  --window N        records per shard (default 262144)\n"
-        "  --shard-warmup N  warm-prefix records per shard, or\n"
-        "                    'full' for the exact serial-equivalent\n"
-        "                    mode (default: half a window)\n"
         "  --per-epoch       dump per-epoch accuracy lines (one\n"
         "                    key=value line per epoch window) from\n"
         "                    an epoch-adaptive run of each predictor\n"
         "  --epoch-records N records per epoch window for\n"
         "                    --per-epoch (default 262144)\n");
     std::exit(2);
+}
+
+/** Exit 2 with a message naming @p flag and its bad @p value. */
+[[noreturn]] void
+badValue(const char *flag, const char *value, const char *want)
+{
+    std::fprintf(stderr, "error: %s '%s': expected %s\n", flag, value,
+                 want);
+    std::exit(2);
+}
+
+/** Whole-string decimal integer, 1 to @p max. */
+uint64_t
+parsePositive(const char *flag, const char *value,
+              uint64_t max = UINT64_MAX)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(value, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+        *end != '\0' || errno == ERANGE || v < 1 || v > max)
+        badValue(flag, value, "a positive integer");
+    return v;
+}
+
+/** Whole-string fraction in [0, 1). */
+double
+parseFraction(const char *flag, const char *value)
+{
+    char *end = nullptr;
+    double v = std::strtod(value, &end);
+    if (end == value || *end != '\0' || !(v >= 0.0 && v < 1.0))
+        badValue(flag, value, "a fraction in [0, 1)");
+    return v;
 }
 
 std::vector<std::string>
@@ -93,12 +118,8 @@ main(int argc, char **argv)
     unsigned tageKb = 64;
     double warmup = 0.5;
     bool pipeline = false;
-    bool sharded = false;
     bool perEpoch = false;
     uint64_t epochRecords = 262'144;
-    ShardedRunConfig shardCfg;
-    shardCfg.windowRecords = 262'144;
-    bool shardWarmupSet = false;
     std::vector<std::string> predictors = {"tage"};
 
     for (int i = 1; i < argc; ++i) {
@@ -115,46 +136,23 @@ main(int argc, char **argv)
         else if (arg == "--profile")
             profilePath = next();
         else if (arg == "--tage-kb")
-            tageKb = static_cast<unsigned>(std::atoi(next()));
+            tageKb = static_cast<unsigned>(
+                parsePositive("--tage-kb", next(), UINT32_MAX));
         else if (arg == "--warmup")
-            warmup = std::atof(next());
+            warmup = parseFraction("--warmup", next());
         else if (arg == "--pipeline")
             pipeline = true;
         else if (arg == "--predictors")
             predictors = splitList(next());
-        else if (arg == "--jobs") {
-            sharded = true;
-            shardCfg.jobs = static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--window")
-            shardCfg.windowRecords =
-                static_cast<uint64_t>(std::atoll(next()));
-        else if (arg == "--shard-warmup") {
-            std::string v = next();
-            shardCfg.warmupRecords = v == "full"
-                ? ShardedRunConfig::kFullPrefix
-                : static_cast<uint64_t>(std::atoll(v.c_str()));
-            shardWarmupSet = true;
-        } else if (arg == "--per-epoch")
+        else if (arg == "--per-epoch")
             perEpoch = true;
         else if (arg == "--epoch-records")
-            epochRecords = static_cast<uint64_t>(std::atoll(next()));
+            epochRecords = parsePositive("--epoch-records", next());
         else
             usage();
     }
     if (tracePath.empty())
         usage();
-    if (epochRecords == 0) {
-        std::fprintf(stderr,
-                     "error: --epoch-records must be positive\n");
-        return 2;
-    }
-    if (shardCfg.windowRecords == 0) {
-        std::fprintf(stderr, "error: --window must be positive\n");
-        return 2;
-    }
-    if (!shardWarmupSet)
-        shardCfg.warmupRecords = shardCfg.windowRecords / 2;
-    shardCfg.statsWarmupFraction = warmup;
 
     BranchTrace trace;
     bool isCbp = tracePath.size() >= 4 &&
@@ -238,25 +236,10 @@ main(int argc, char **argv)
         header.push_back("IPC");
     table.setHeader(header);
 
-    struct TimedRun
-    {
-        std::string predictor;
-        ShardedRunTiming timing;
-    };
-    std::vector<TimedRun> timedRuns;
-
     for (const auto &name : predictors) {
         auto pred = makeByName(name);
-        PredictorRunStats stats;
-        if (sharded) {
-            auto run = runPredictorSharded(trace, *pred, shardCfg);
-            stats = run.total;
-            timedRuns.push_back({pred->name(),
-                                 std::move(run.timing)});
-        } else {
-            TraceSource src(trace);
-            stats = runPredictor(src, *pred, warmup);
-        }
+        TraceSource src(trace);
+        PredictorRunStats stats = runPredictor(src, *pred, warmup);
         std::vector<std::string> row = {
             pred->name(), TableReporter::formatDouble(stats.mpki()),
             TableReporter::formatDouble(100.0 * stats.accuracy()),
@@ -277,20 +260,11 @@ main(int argc, char **argv)
         // window from an epoch-adaptive run (static predictor — the
         // refresh hook stays empty, so this shows how a fixed bundle
         // ages across a drifting stream).
-        std::vector<BranchRecord> records(trace.begin(),
-                                          trace.end());
         for (const auto &name : predictors) {
             auto pred = makeByName(name);
-            AdaptiveRunStats stats;
-            if (sharded) {
-                auto run = runPredictorAdaptiveSharded(
-                    records, *pred, epochRecords, nullptr, shardCfg);
-                stats = std::move(run.stats);
-            } else {
-                TraceSource src(trace);
-                stats = runPredictorAdaptive(src, *pred,
-                                             epochRecords, nullptr);
-            }
+            TraceSource src(trace);
+            AdaptiveRunStats stats =
+                runPredictorAdaptive(src, *pred, epochRecords, nullptr);
             for (size_t e = 0; e < stats.perEpoch.size(); ++e) {
                 const auto &ep = stats.perEpoch[e];
                 std::printf(
@@ -316,26 +290,5 @@ main(int argc, char **argv)
         }
     }
 
-    if (sharded) {
-        // Per-shard timing block: the measurable side of the
-        // sharding; stats above never depend on these clocks.
-        for (const auto &run : timedRuns) {
-            std::printf("\nshard timing: %s  jobs=%u shards=%zu "
-                        "wall-seconds=%.3f\n",
-                        run.predictor.c_str(), run.timing.jobs,
-                        run.timing.perShard.size(),
-                        run.timing.wallSeconds);
-            for (const auto &s : run.timing.perShard)
-                std::printf("  shard %3llu: records=%llu "
-                            "warm=%llu worker=%u "
-                            "warm-s=%.3f eval-s=%.3f\n",
-                            static_cast<unsigned long long>(s.window),
-                            static_cast<unsigned long long>(
-                                s.records),
-                            static_cast<unsigned long long>(
-                                s.warmRecords),
-                            s.worker, s.warmSeconds, s.evalSeconds);
-        }
-    }
     return 0;
 }

@@ -46,6 +46,13 @@ loadAnyTrace(const std::string &path, BranchTrace *out)
     return out->load(path);
 }
 
+/** @p n as a percentage of @p total; 0 for an empty total. */
+double
+percent(uint64_t n, uint64_t total)
+{
+    return total ? 100.0 * n / total : 0.0;
+}
+
 } // namespace
 
 int
@@ -136,15 +143,13 @@ main(int argc, char **argv)
     for (int k = 0; k < 5; ++k) {
         mix.addRow({names[k], std::to_string(kinds[k]),
                     TableReporter::formatDouble(
-                        100.0 * kinds[k] / trace.size())});
+                        percent(kinds[k], trace.size()))});
     }
     mix.print();
 
     std::printf("static conditional branches: %zu; taken rate "
                 "%.1f%%\n\n",
-                perPc.size(),
-                100.0 * takenConds /
-                    std::max<uint64_t>(1, trace.conditionals()));
+                perPc.size(), percent(takenConds, trace.conditionals()));
 
     std::vector<std::pair<uint64_t, uint64_t>> hot(perPc.begin(),
                                                    perPc.end());
@@ -161,7 +166,7 @@ main(int argc, char **argv)
                       static_cast<unsigned long long>(pc));
         top.addRow({buf, std::to_string(n),
                     TableReporter::formatDouble(
-                        100.0 * n / trace.conditionals())});
+                        percent(n, trace.conditionals()))});
     }
     top.print();
     // A truncated pipe (`| head`) is a normal way to consume this
