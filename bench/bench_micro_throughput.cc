@@ -2,8 +2,10 @@
  * @file
  * Simulation-throughput microbench: branches/sec/core for every
  * predictor on the mysql trace, driven by the runners' per-record
- * step, plus the hint-buffer hot path measured in isolation against
- * the list+map reference model.
+ * step, the frontend model (PipelineModel with an ideal direction
+ * predictor, so only caches, BTB, RAS and IBTB cost), plus the
+ * hint-buffer hot path measured in isolation against the list+map
+ * reference model.
  *
  * This bench measures the simulator, not the modeled hardware: it
  * exists so the data-layout work (flat SoA predictor tables, the
@@ -31,6 +33,7 @@
 #include "core/legacy_hint_buffer.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
+#include "uarch/pipeline.hh"
 #include "util/logging.hh"
 
 using namespace whisper;
@@ -168,6 +171,18 @@ main()
         table.addRow(r.name, {r.t.bps / 1e6});
     table.print();
 
+    // --- frontend model: records/sec with a perfect predictor ---
+    TraceSource feSource(trace);
+    IdealPredictor ideal;
+    auto feStart = Clock::now();
+    PipelineStats fe = PipelineModel().run(feSource, ideal);
+    double feRps = trace.size() / secondsSince(feStart);
+    std::printf("frontend model: %.2f Mrec/s  l1i_misses=%llu"
+                "  btb_misses=%llu\n\n",
+                feRps / 1e6,
+                static_cast<unsigned long long>(fe.l1iMisses),
+                static_cast<unsigned long long>(fe.btbMisses));
+
     // --- hint-buffer hot path vs the list+map reference ---
     std::vector<BufOp> script = hintBufferScript(trace, build);
     uint64_t inserts = 0;
@@ -226,8 +241,8 @@ main()
     std::printf("\nwhisper_tage64 / tage64 throughput: %.3f\n",
                 whisperOverTage);
 
-    // One run record: config, per-predictor rows, the ratio, then the
-    // hint-buffer path.
+    // One run record: config, per-predictor rows, the ratio, the
+    // frontend model, then the hint-buffer path.
     std::string fields =
         "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
         "      \"trace\": \"" + app.name + "\",\n" +
@@ -245,6 +260,10 @@ main()
     }
     fields += "      },\n      \"whisper_over_tage\": " +
               fixed(whisperOverTage, 3) + ",\n" +
+              "      \"frontend\": {\"records_per_sec\": " +
+              fixed(feRps, 0) + ", \"l1i_misses\": " +
+              std::to_string(fe.l1iMisses) + ", \"btb_misses\": " +
+              std::to_string(fe.btbMisses) + "},\n" +
               "      \"hint_buffer\": {\"entries\": " +
               std::to_string(cfg.whisper.hintBufferEntries) +
               ", \"script_ops\": " + std::to_string(totalOps) +

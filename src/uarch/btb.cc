@@ -1,29 +1,44 @@
 #include "uarch/btb.hh"
 
+#include <algorithm>
+
 #include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace whisper
 {
 
+namespace
+{
+
+/** Marks an empty way. */
+constexpr uint64_t kEmpty = ~uint64_t{0};
+
+} // namespace
+
 Btb::Btb(unsigned entries, unsigned ways) : ways_(ways)
 {
     whisper_assert(entries >= ways && ways >= 1);
-    numSets_ = entries / ways;
-    whisper_assert(isPowerOfTwo(numSets_));
-    sets_.assign(static_cast<size_t>(numSets_) * ways_, Entry{});
+    uint64_t sets = entries / ways;
+    whisper_assert(isPowerOfTwo(sets));
+    setMask_ = sets - 1;
+    entries_.assign(sets * ways_, Entry{kEmpty, 0});
+}
+
+Btb::Entry *
+Btb::setFor(uint64_t pc)
+{
+    return &entries_[(pcIndexBits(pc) & setMask_) * ways_];
 }
 
 bool
 Btb::lookup(uint64_t pc, uint64_t &target)
 {
-    ++clock_;
-    size_t set = (pcIndexBits(pc) & (numSets_ - 1)) * ways_;
+    Entry *set = setFor(pc);
     for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = sets_[set + w];
-        if (e.valid && e.pc == pc) {
-            e.lastUse = clock_;
-            target = e.target;
+        if (set[w].pc == pc) {
+            target = set[w].target;
+            std::rotate(set, set + w, set + w + 1);
             ++hits_;
             return true;
         }
@@ -35,36 +50,15 @@ Btb::lookup(uint64_t pc, uint64_t &target)
 void
 Btb::update(uint64_t pc, uint64_t target)
 {
-    ++clock_;
-    size_t set = (pcIndexBits(pc) & (numSets_ - 1)) * ways_;
-    Entry *victim = &sets_[set];
-    for (unsigned w = 0; w < ways_; ++w) {
-        Entry &e = sets_[set + w];
-        if (e.valid && e.pc == pc) {
-            e.target = target;
-            e.lastUse = clock_;
-            return;
-        }
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->pc = pc;
-    victim->target = target;
-    victim->valid = true;
-    victim->lastUse = clock_;
-}
-
-void
-Btb::reset()
-{
-    std::fill(sets_.begin(), sets_.end(), Entry{});
-    clock_ = 0;
-    hits_ = 0;
-    misses_ = 0;
+    whisper_assert(pc != kEmpty, "pc ~0 marks an empty BTB way");
+    Entry *set = setFor(pc);
+    // Stop at the match, else at the tail: the LRU entry or, while
+    // the set is not yet full, an empty way.
+    unsigned w = 0;
+    while (w + 1 < ways_ && set[w].pc != pc)
+        ++w;
+    std::copy_backward(set, set + w, set + w + 1);
+    set[0] = {pc, target};
 }
 
 } // namespace whisper

@@ -12,13 +12,18 @@
 namespace whisper
 {
 
-/** Set-associative BTB with true-LRU replacement. */
+/**
+ * Set-associative BTB with true-LRU replacement. Each set holds its
+ * entries ordered most recent first, so the LRU victim is always the
+ * tail way; empty ways hold a sentinel pc (~0) and sort last.
+ */
 class Btb
 {
   public:
     /**
-     * @param entries total entries (power of two)
-     * @param ways associativity
+     * @param entries total entries
+     * @param ways associativity; entries / ways must be a power of
+     *        two
      */
     explicit Btb(unsigned entries = 8192, unsigned ways = 4);
 
@@ -32,24 +37,21 @@ class Btb
     /** Install/refresh the mapping after resolution. */
     void update(uint64_t pc, uint64_t target);
 
-    void reset();
-
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
 
   private:
     struct Entry
     {
-        uint64_t pc = 0;
-        uint64_t target = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
+        uint64_t pc;
+        uint64_t target;
     };
 
+    Entry *setFor(uint64_t pc);
+
     unsigned ways_;
-    unsigned numSets_;
-    std::vector<Entry> sets_;
-    uint64_t clock_ = 0;
+    uint64_t setMask_;
+    std::vector<Entry> entries_; //!< numSets x ways, MRU first
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
 };

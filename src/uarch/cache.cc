@@ -1,107 +1,57 @@
 #include "uarch/cache.hh"
 
+#include <algorithm>
+
 #include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace whisper
 {
 
+namespace
+{
+
+/** Marks an empty way; no line number reaches it. */
+constexpr uint64_t kEmpty = ~uint64_t{0};
+
+} // namespace
+
 Cache::Cache(uint64_t sizeBytes, unsigned ways, unsigned lineBytes)
-    : ways_(ways), lineBytes_(lineBytes)
+    : ways_(ways), lineShift_(floorLog2(lineBytes))
 {
     whisper_assert(isPowerOfTwo(lineBytes));
     whisper_assert(ways >= 1);
     uint64_t lines = sizeBytes / lineBytes;
     whisper_assert(lines >= ways, "cache smaller than one set");
-    numSets_ = static_cast<unsigned>(lines / ways);
-    whisper_assert(numSets_ >= 1);
-    sets_.assign(static_cast<size_t>(numSets_) * ways_, Way{});
-}
-
-uint64_t
-Cache::lineFor(uint64_t addr) const
-{
-    return addr / lineBytes_;
-}
-
-Cache::Way *
-Cache::findWay(uint64_t line)
-{
-    size_t set = (line % numSets_) * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = sets_[set + w];
-        if (way.valid && way.tag == line)
-            return &way;
-    }
-    return nullptr;
-}
-
-const Cache::Way *
-Cache::findWay(uint64_t line) const
-{
-    size_t set = (line % numSets_) * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        const Way &way = sets_[set + w];
-        if (way.valid && way.tag == line)
-            return &way;
-    }
-    return nullptr;
+    uint64_t sets = lines / ways;
+    whisper_assert(isPowerOfTwo(sets), "set count must be a power of two");
+    setMask_ = sets - 1;
+    lines_.assign(sets * ways_, kEmpty);
 }
 
 bool
 Cache::access(uint64_t addr)
 {
-    ++clock_;
-    uint64_t line = lineFor(addr);
-    if (Way *way = findWay(line)) {
-        way->lastUse = clock_;
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    fill(addr);
-    return false;
+    uint64_t line = addr >> lineShift_;
+    uint64_t *set = &lines_[(line & setMask_) * ways_];
+    // Stop at the match, else at the tail: the LRU line or, while
+    // the set is not yet full, an empty way.
+    unsigned w = 0;
+    while (w + 1 < ways_ && set[w] != line)
+        ++w;
+    bool hit = set[w] == line;
+    std::copy_backward(set, set + w, set + w + 1);
+    set[0] = line;
+    ++(hit ? hits_ : misses_);
+    return hit;
 }
 
 bool
 Cache::contains(uint64_t addr) const
 {
-    return findWay(lineFor(addr)) != nullptr;
-}
-
-bool
-Cache::fill(uint64_t addr)
-{
-    ++clock_;
-    uint64_t line = lineFor(addr);
-    if (Way *way = findWay(line)) {
-        way->lastUse = clock_;
-        return false;
-    }
-    size_t set = (line % numSets_) * ways_;
-    Way *victim = &sets_[set];
-    for (unsigned w = 1; w < ways_; ++w) {
-        Way &way = sets_[set + w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-    victim->tag = line;
-    victim->valid = true;
-    victim->lastUse = clock_;
-    return true;
-}
-
-void
-Cache::reset()
-{
-    std::fill(sets_.begin(), sets_.end(), Way{});
-    clock_ = 0;
-    hits_ = 0;
-    misses_ = 0;
+    uint64_t line = addr >> lineShift_;
+    const uint64_t *set = &lines_[(line & setMask_) * ways_];
+    return std::find(set, set + ways_, line) != set + ways_;
 }
 
 InstructionHierarchy::InstructionHierarchy()
@@ -125,26 +75,6 @@ InstructionHierarchy::fetch(uint64_t addr)
     if (l3_.access(addr))
         return cfg_.l3Latency;
     return cfg_.memLatency;
-}
-
-void
-InstructionHierarchy::prefetch(uint64_t addr)
-{
-    // FDIP fills through the hierarchy ahead of fetch; by the time
-    // the fetch unit arrives the line is resident in L1.
-    if (!l1_.contains(addr)) {
-        l2_.access(addr);
-        l3_.access(addr);
-        l1_.fill(addr);
-    }
-}
-
-void
-InstructionHierarchy::reset()
-{
-    l1_.reset();
-    l2_.reset();
-    l3_.reset();
 }
 
 } // namespace whisper

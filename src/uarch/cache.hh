@@ -15,7 +15,11 @@
 namespace whisper
 {
 
-/** A single cache level. */
+/**
+ * A single cache level. Each set holds its resident line numbers
+ * ordered most recent first, so the LRU victim is always the tail
+ * way; empty ways hold a sentinel and sort last.
+ */
 class Cache
 {
   public:
@@ -23,6 +27,8 @@ class Cache
      * @param sizeBytes total capacity
      * @param ways associativity
      * @param lineBytes line size (power of two)
+     *
+     * The resulting set count must be a power of two.
      */
     Cache(uint64_t sizeBytes, unsigned ways,
           unsigned lineBytes = 64);
@@ -36,34 +42,15 @@ class Cache
     /** Probe without fill or LRU update. */
     bool contains(uint64_t addr) const;
 
-    /** Install the line (prefetch path). @return true if new. */
-    bool fill(uint64_t addr);
-
-    void reset();
-
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
-    unsigned numSets() const { return numSets_; }
-    unsigned ways() const { return ways_; }
-    unsigned lineBytes() const { return lineBytes_; }
+    unsigned numSets() const { return static_cast<unsigned>(setMask_ + 1); }
 
   private:
-    struct Way
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
-    uint64_t lineFor(uint64_t addr) const;
-    Way *findWay(uint64_t line);
-    const Way *findWay(uint64_t line) const;
-
     unsigned ways_;
-    unsigned lineBytes_;
-    unsigned numSets_;
-    std::vector<Way> sets_;
-    uint64_t clock_ = 0;
+    unsigned lineShift_;
+    uint64_t setMask_;
+    std::vector<uint64_t> lines_; //!< numSets x ways, MRU first
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
 };
@@ -93,15 +80,6 @@ class InstructionHierarchy
      * @return added latency in cycles (0 = L1 hit)
      */
     unsigned fetch(uint64_t addr);
-
-    /** Prefetch the line into L1 (FDIP path); no latency charged. */
-    void prefetch(uint64_t addr);
-
-    void reset();
-
-    const Cache &l1() const { return l1_; }
-    const Cache &l2() const { return l2_; }
-    const Cache &l3() const { return l3_; }
 
   private:
     Config cfg_;

@@ -6,12 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <vector>
+
 #include "bp/simple_predictors.hh"
+#include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "uarch/btb.hh"
 #include "uarch/cache.hh"
 #include "uarch/pipeline.hh"
 #include "uarch/ras.hh"
+#include "util/bits.hh"
 #include "util/rng.hh"
 #include "workloads/app_workload.hh"
 
@@ -60,15 +67,6 @@ TEST(Cache, CapacitySweepMonotone)
     EXPECT_GT(medium, large);
 }
 
-TEST(Cache, PrefetchAvoidsDemandMiss)
-{
-    InstructionHierarchy h;
-    h.prefetch(0x4000);
-    EXPECT_EQ(h.fetch(0x4000), 0u);
-    // Unprefetched cold line pays the full memory latency.
-    EXPECT_GT(h.fetch(0x123400), 0u);
-}
-
 TEST(Cache, HierarchyLatencies)
 {
     InstructionHierarchy::Config cfg;
@@ -111,6 +109,145 @@ TEST(Btb, RetargetUpdates)
     uint64_t target = 0;
     ASSERT_TRUE(btb.lookup(0x10, target));
     EXPECT_EQ(target, 0x200u);
+}
+
+namespace
+{
+
+/**
+ * Reference replacement model for Cache and Btb, timestamp LRU: a
+ * touch stamps the way it finds, and a fill takes the first invalid
+ * way, else the way with the smallest stamp.
+ */
+struct ReferenceLru
+{
+    struct Way
+    {
+        uint64_t key = 0;
+        uint64_t value = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    ReferenceLru(uint64_t sets, unsigned ways)
+        : ways(ways), table(sets * ways)
+    {
+    }
+
+    Way *
+    find(uint64_t set, uint64_t key)
+    {
+        for (unsigned w = 0; w < ways; ++w) {
+            Way &way = table[set * ways + w];
+            if (way.valid && way.key == key)
+                return &way;
+        }
+        return nullptr;
+    }
+
+    Way *
+    touch(uint64_t set, uint64_t key)
+    {
+        Way *way = find(set, key);
+        if (way)
+            way->lastUse = ++clock;
+        return way;
+    }
+
+    void
+    fill(uint64_t set, uint64_t key, uint64_t value)
+    {
+        Way *first = &table[set * ways];
+        Way *victim = first;
+        for (Way *way = first; way != first + ways; ++way) {
+            if (!way->valid) {
+                victim = way;
+                break;
+            }
+            if (way->lastUse < victim->lastUse)
+                victim = way;
+        }
+        *victim = {key, value, ++clock, true};
+    }
+
+    unsigned ways;
+    std::vector<Way> table;
+    uint64_t clock = 0;
+};
+
+/**
+ * An address over twice the capacity of @p lines lines: half the
+ * draws from a hot eighth of it, so sets both hit and evict.
+ */
+uint64_t
+drawAddress(Rng &rng, uint64_t lines)
+{
+    uint64_t span = rng.nextBool(0.5) ? lines / 4 + 1 : 2 * lines;
+    return rng.nextBelow(span) * 64 + rng.nextBelow(64);
+}
+
+} // namespace
+
+TEST(Cache, MatchesTimestampLruReference)
+{
+    for (auto [sets, ways] : {std::pair<uint64_t, unsigned>{2, 2},
+                              {64, 8}, {8192, 20}}) {
+        SCOPED_TRACE(testing::Message() << sets << "x" << ways);
+        uint64_t lines = sets * ways, refHits = 0;
+        Cache cache(lines * 64, ways);
+        ReferenceLru ref(sets, ways);
+        Rng rng(17 + ways);
+        uint64_t accesses = std::max<uint64_t>(20000, 4 * lines);
+        for (uint64_t i = 0; i < accesses; ++i) {
+            uint64_t addr = drawAddress(rng, lines), line = addr / 64;
+            bool hit = ref.touch(line % sets, line) != nullptr;
+            if (!hit)
+                ref.fill(line % sets, line, 0);
+            refHits += hit;
+            ASSERT_EQ(cache.access(addr), hit) << i;
+        }
+        EXPECT_EQ(cache.hits(), refHits);
+        EXPECT_EQ(cache.misses(), accesses - refHits);
+        EXPECT_GT(refHits, 0u);
+        EXPECT_GT(accesses - refHits, lines);
+        for (uint64_t line = 0; line < 2 * lines; ++line)
+            ASSERT_EQ(cache.contains(line * 64),
+                      ref.find(line % sets, line) != nullptr) << line;
+    }
+}
+
+TEST(Btb, MatchesTimestampLruReference)
+{
+    for (unsigned entries : {256u, 8192u}) {
+        SCOPED_TRACE(testing::Message() << entries << " entries");
+        uint64_t sets = entries / 4, refHits = 0;
+        Btb btb(entries, 4);
+        ReferenceLru ref(sets, 4);
+        Rng rng(29 + entries);
+        for (int i = 0; i < 200000; ++i) {
+            uint64_t pc = 0x400000 + drawAddress(rng, entries) / 16;
+            uint64_t set = pcIndexBits(pc) % sets, got = 0;
+            auto *way = ref.touch(set, pc);
+            refHits += way != nullptr;
+            ASSERT_EQ(btb.lookup(pc, got), way != nullptr) << i;
+            if (way) {
+                ASSERT_EQ(got, way->value) << i;
+            }
+            if (rng.nextBool(0.7)) {
+                // Four targets per pc: frequent re-targets.
+                uint64_t target = pc * 2 + rng.nextBelow(4);
+                btb.update(pc, target);
+                if (auto *w = ref.touch(set, pc))
+                    w->value = target;
+                else
+                    ref.fill(set, pc, target);
+            }
+        }
+        EXPECT_EQ(btb.hits(), refHits);
+        EXPECT_EQ(btb.misses(), 200000 - refHits);
+        EXPECT_GT(refHits, 0u);
+        EXPECT_GT(200000 - refHits, entries);
+    }
 }
 
 namespace
@@ -332,4 +469,46 @@ TEST(Pipeline, IndirectDispatchExercisesIbtb)
     PipelineStats stats = PipelineModel().run(wl, ideal);
     EXPECT_GT(stats.indirectMisses, 0u);
     EXPECT_LT(stats.indirectMisses, indirects);
+}
+
+namespace
+{
+
+/** Every PipelineStats counter, then each cycle component's bits. */
+std::array<uint64_t, 13>
+flatten(const PipelineStats &s)
+{
+    return {s.instructions, s.branches, s.conditionals,
+            s.mispredicts, s.btbMisses, s.rasMisses,
+            s.indirectMisses, s.l1iMisses,
+            std::bit_cast<uint64_t>(s.baseCycles),
+            std::bit_cast<uint64_t>(s.squashCycles),
+            std::bit_cast<uint64_t>(s.frontendStallCycles),
+            std::bit_cast<uint64_t>(s.btbStallCycles),
+            std::bit_cast<uint64_t>(s.indirectStallCycles)};
+}
+
+} // namespace
+
+TEST(Pipeline, GoldenStats)
+{
+    // Pinned outcome of the model on the first 200k records of mysql
+    // input 1, recorded with timestamp-LRU sets (ReferenceLru's rule):
+    // any change to hit/miss order or to the cycle arithmetic shows
+    // here, bit for bit.
+    AppWorkload wl(appByName("mysql"), 1, 200000);
+    IdealPredictor ideal;
+    std::array<uint64_t, 13> idealGolden = {
+        1804333, 200000, 182871, 0, 30751, 0, 1088, 64745,
+        0x4130fa600444445dull, 0x0ull, 0x4126c00aaaaaaaaeull,
+        0x410685d000000000ull, 0x40cfe00000000000ull};
+    EXPECT_EQ(flatten(PipelineModel().run(wl, ideal)), idealGolden);
+
+    auto tage = makeTage(64);
+    std::array<uint64_t, 13> tageGolden = {
+        1804333, 200000, 182871, 21089, 30751, 0, 1088, 64745,
+        0x4130fa600444445dull, 0x41134ebc00000000ull,
+        0x4131817755555532ull, 0x410685d000000000ull,
+        0x40cfe00000000000ull};
+    EXPECT_EQ(flatten(PipelineModel().run(wl, *tage)), tageGolden);
 }
