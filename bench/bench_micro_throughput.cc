@@ -3,9 +3,9 @@
  * Simulation-throughput microbench: branches/sec/core for every
  * predictor on the mysql trace, driven by the runners' per-record
  * step, the frontend model (PipelineModel with an ideal direction
- * predictor, so only caches, BTB, RAS and IBTB cost), plus the
- * hint-buffer hot path measured in isolation against the list+map
- * reference model.
+ * predictor, so only caches, BTB, RAS and IBTB cost), the
+ * hint-buffer hot path measured in isolation, and the CRC-32 that
+ * frames every .whrt chunk, wire frame and journal record.
  *
  * This bench measures the simulator, not the modeled hardware: it
  * exists so the data-layout work (flat SoA predictor tables, the
@@ -14,10 +14,6 @@
  * BENCH_micro_throughput.json in its working directory; CI's
  * perf-smoke job checks the newest record, and the repo commits the
  * history at the root.
- *
- * The hint-buffer timing is also a correctness check: the reference
- * and the HintBuffer must agree on every counter and on recency
- * order after replaying the identical operation sequence.
  */
 
 #include <chrono>
@@ -30,11 +26,10 @@
 #include "common.hh"
 #include "bp/perceptron.hh"
 #include "core/hint_buffer.hh"
-#include "core/legacy_hint_buffer.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
 #include "uarch/pipeline.hh"
-#include "util/logging.hh"
+#include "util/crc32.hh"
 
 using namespace whisper;
 using namespace whisper::bench;
@@ -106,9 +101,8 @@ hintBufferScript(const BranchTrace &trace, const WhisperBuild &build)
 }
 
 /** Replay the script @p reps times; seconds elapsed. */
-template <typename Buffer>
 double
-replayScript(Buffer &buf, const std::vector<BufOp> &script,
+replayScript(HintBuffer &buf, const std::vector<BufOp> &script,
              unsigned reps)
 {
     auto start = Clock::now();
@@ -183,7 +177,7 @@ main()
                 static_cast<unsigned long long>(fe.l1iMisses),
                 static_cast<unsigned long long>(fe.btbMisses));
 
-    // --- hint-buffer hot path vs the list+map reference ---
+    // --- hint-buffer hot path ---
     std::vector<BufOp> script = hintBufferScript(trace, build);
     uint64_t inserts = 0;
     for (const BufOp &op : script)
@@ -197,30 +191,13 @@ main()
     while (reps * totalOps < 8'000'000)
         ++reps;
 
-    LegacyHintBuffer legacy(cfg.whisper.hintBufferEntries);
     HintBuffer buffer(cfg.whisper.hintBufferEntries);
-    double legacySecs = replayScript(legacy, script, reps);
     double bufferSecs = replayScript(buffer, script, reps);
 
-    // The timed replays double as a differential test: both must
-    // land in the identical observable state.
-    whisper_assert(buffer.hits() == legacy.hits() &&
-                       buffer.misses() == legacy.misses() &&
-                       buffer.insertions() == legacy.insertions() &&
-                       buffer.refreshes() == legacy.refreshes() &&
-                       buffer.evictions() == legacy.evictions() &&
-                       buffer.lruOrder() == legacy.lruOrder(),
-                   "HintBuffer diverged from the legacy reference");
-
     // branches/sec through the buffer: one lookup per conditional.
-    double legacyBps = lookups * reps / legacySecs;
     double bufferBps = lookups * reps / bufferSecs;
-
-    TableReporter buftab("hint-buffer path (per core)");
-    buftab.setHeader({"impl", "Mbranches/s", "vs legacy"});
-    buftab.addRow("legacy list+map", {legacyBps / 1e6, 1.0});
-    buftab.addRow("HintBuffer", {bufferBps / 1e6, bufferBps / legacyBps});
-    buftab.print();
+    std::printf("hint-buffer path: %.2f Mbranches/s per core\n",
+                bufferBps / 1e6);
     std::printf("script: %zu ops (%llu lookups + %llu inserts)"
                 " x %u reps, %u entries\n",
                 totalOps,
@@ -235,6 +212,22 @@ main()
                 static_cast<unsigned long long>(buffer.refreshes()),
                 static_cast<unsigned long long>(buffer.evictions()));
 
+    // --- CRC-32 over the trace's record image (the .whrt/wire
+    // payload bytes), repeated to at least 64 MB ---
+    std::vector<unsigned char> image;
+    appendRecordImage(image, trace.records());
+    unsigned crcReps = 1;
+    while (crcReps * image.size() < (64u << 20))
+        ++crcReps;
+    uint32_t crc = 0;
+    auto crcStart = Clock::now();
+    for (unsigned r = 0; r < crcReps; ++r)
+        crc = crc32(image.data(), image.size(), crc);
+    double crcMBps = image.size() * crcReps / secondsSince(crcStart) / 1e6;
+    std::printf("crc32: %.0f MB/s over %zu bytes x %u reps"
+                " (crc %08x)\n",
+                crcMBps, image.size(), crcReps, crc);
+
     // whisper+TAGE (the last row) relative to TAGE alone (the first):
     // what the hint path costs the simulator. Reported, not gated.
     double whisperOverTage = rows.back().t.bps / rows.front().t.bps;
@@ -242,7 +235,7 @@ main()
                 whisperOverTage);
 
     // One run record: config, per-predictor rows, the ratio, the
-    // frontend model, then the hint-buffer path.
+    // frontend model, the hint-buffer path, then the CRC rate.
     std::string fields =
         "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
         "      \"trace\": \"" + app.name + "\",\n" +
@@ -270,9 +263,9 @@ main()
               ", \"lookups\": " + std::to_string(lookups) +
               ", \"inserts\": " + std::to_string(inserts) +
               ", \"reps\": " + std::to_string(reps) +
-              ", \"legacy_branches_per_sec\": " + fixed(legacyBps, 0) +
-              ", \"branches_per_sec\": " + fixed(bufferBps, 0) +
-              ", \"speedup\": " + fixed(bufferBps / legacyBps, 3) + "}";
+              ", \"branches_per_sec\": " + fixed(bufferBps, 0) + "},\n" +
+              "      \"crc32\": {\"mb_per_s\": " + fixed(crcMBps, 1) +
+              ", \"bytes\": " + std::to_string(image.size()) + "}";
     const char *jsonPath = "BENCH_micro_throughput.json";
     if (appendRunRecord(jsonPath, "micro_throughput", fields))
         std::printf("appended a run to %s\n", jsonPath);

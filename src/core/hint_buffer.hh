@@ -13,8 +13,8 @@
  * ns per whisper+TAGE record more than a hashed table with a miss
  * filter (core.whisper_ns_per_rec), while mrec_per_s stays within
  * run-to-run noise, so the hashing does not pay for itself.
- * tests/test_hintbuf.cc pins exact LRU equivalence to the list+map
- * reference model (core/legacy_hint_buffer.hh).
+ * tests/test_hintbuf.cc pins exact LRU equivalence to a list+map
+ * reference model defined there.
  */
 
 #ifndef WHISPER_CORE_HINT_BUFFER_HH

@@ -13,56 +13,61 @@ namespace whisper
 namespace
 {
 
-/** A journal file's valid record prefix. */
-struct ReplayResult
-{
-    std::vector<VersionedHintBundle> bundles;
-    size_t validEnd = 0; //!< offset just past the last valid record
-    size_t fileEnd = 0;  //!< file size; > validEnd = damaged tail
-};
+using Tail = HintJournal::Tail;
 
 /** Read all of @p f and parse the header and every CRC-framed
- * record up to the first torn or damaged one. A bad header leaves
- * validEnd at 0: nothing is salvageable. */
-ReplayResult
-replayFile(std::FILE *f)
+ * record up to the first torn or damaged one into @p out; @p info
+ * tells what was kept and what follows it. @return false when the
+ * file header is missing or bad: nothing is salvageable. */
+bool
+replayFile(std::FILE *f, std::vector<VersionedHintBundle> &out,
+           HintJournal::RecoveryInfo &info)
 {
-    ReplayResult result;
     std::vector<unsigned char> bytes;
     unsigned char buf[1 << 16];
     for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
         bytes.insert(bytes.end(), buf, buf + n);
-    result.fileEnd = bytes.size();
 
+    // Keep everything before @p at; the rest is a @p tail.
+    auto stopAt = [&](size_t at, Tail tail) {
+        info.recordsRecovered = out.size();
+        info.tailBytesDiscarded = bytes.size() - at;
+        info.tail = at == bytes.size() ? Tail::Clean : tail;
+    };
     ByteReader r(bytes);
     uint32_t magic = 0, version = 0;
     r.get(magic);
     r.get(version);
     if (!r.ok() || magic != HintJournal::kFileMagic ||
         version != HintJournal::kVersion) {
-        return result;
+        stopAt(0, r.ok() ? Tail::Corrupt : Tail::Torn);
+        return false;
     }
     std::vector<unsigned char> payload;
     for (;;) {
-        result.validEnd = bytes.size() - r.remaining();
+        size_t at = bytes.size() - r.remaining();
         uint32_t len = 0, crc = 0;
         r.get(magic);
         r.get(len);
         r.get(crc);
-        if (!r.ok() || magic != HintJournal::kRecordMagic || len == 0 ||
-            len > HintJournal::kMaxPayload) {
-            break; // clean end, torn header or garbage
+        bool headerOk = magic == HintJournal::kRecordMagic && len > 0 &&
+                    len <= HintJournal::kMaxPayload;
+        if (!r.ok() || (headerOk && r.remaining() < len)) {
+            stopAt(at, Tail::Torn); // the file ends in this record
+            return true;
         }
-        payload.resize(len);
         VersionedHintBundle bundle;
-        if (!r.getBytes(payload.data(), len) || // torn mid-payload
-            crc32(payload.data(), len) != crc || // bit rot
-            !decodeVersionedBundle(bundle, payload.data(), len)) {
-            break;
+        if (headerOk) {
+            payload.resize(len);
+            r.getBytes(payload.data(), len);
         }
-        result.bundles.push_back(std::move(bundle));
+        if (!headerOk || crc32(payload.data(), len) != crc ||
+            !decodeVersionedBundle(bundle, payload.data(), len)) {
+            stopAt(at, Tail::Corrupt);
+            return true;
+        }
+        out.push_back(std::move(bundle));
     }
-    return result;
 }
 
 bool
@@ -123,14 +128,11 @@ HintJournal::open(const std::string &path,
     RecoveryInfo local;
 
     std::FILE *existing = std::fopen(path.c_str(), "rb");
-    bool needCompact = true; // no file yet: write a fresh one
+    bool needCompact = true; // no file or no header: write a fresh one
     if (existing) {
-        ReplayResult replayed = replayFile(existing);
+        needCompact = !replayFile(existing, out, local) ||
+                      local.tail != Tail::Clean;
         std::fclose(existing);
-        out = std::move(replayed.bundles);
-        needCompact = replayed.validEnd != replayed.fileEnd;
-        local.tailBytesDiscarded = replayed.fileEnd - replayed.validEnd;
-        local.recordsRecovered = out.size();
     }
 
     if (needCompact) {
@@ -220,11 +222,8 @@ HintJournal::replay(const std::string &path, RecoveryInfo *info)
     RecoveryInfo local;
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f) {
-        ReplayResult replayed = replayFile(f);
+        replayFile(f, out, local);
         std::fclose(f);
-        out = std::move(replayed.bundles);
-        local.tailBytesDiscarded = replayed.fileEnd - replayed.validEnd;
-        local.recordsRecovered = out.size();
     }
     if (info)
         *info = local;

@@ -10,9 +10,11 @@
  * on open() the journal replays records until the first one that
  * fails validation, discards everything from there on, and compacts
  * the surviving prefix through a temp file + atomic rename so the
- * file on disk is valid again. whisperd feeds the replayed bundles
- * into HintStore::restore() and resumes from the last intact epoch
- * instead of epoch 0.
+ * file on disk is valid again. Recovery reports whether the
+ * discarded tail was torn (the file ends inside a record) or
+ * corrupt (a complete header or record fails a check).
+ * whisperd feeds the replayed bundles into HintStore::restore() and
+ * resumes from the last intact epoch instead of epoch 0.
  *
  * A torn append observed *in-process* (injected via
  * `truncate-journal`, or a real ENOSPC) is self-healed: the next
@@ -43,11 +45,23 @@ class HintJournal
     /** Cap on one record's payload size (bounds allocations). */
     static constexpr uint32_t kMaxPayload = 1u << 26;
 
+    /** How a journal file ends after its valid record prefix. */
+    enum class Tail
+    {
+        Clean,   //!< nothing follows the last valid record
+        Torn,    //!< the file ends inside a header, or inside the
+                 //!< payload of a sound record header: an
+                 //!< interrupted write
+        Corrupt, //!< a complete header or record fails its magic,
+                 //!< length, CRC or decode check
+    };
+
     /** What open()/replay() found on disk. */
     struct RecoveryInfo
     {
         size_t recordsRecovered = 0;
         size_t tailBytesDiscarded = 0; //!< torn/corrupt tail dropped
+        Tail tail = Tail::Clean;
         bool compacted = false;        //!< file was rewritten clean
     };
 

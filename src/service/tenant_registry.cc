@@ -31,8 +31,11 @@ Tenant::openJournal(const std::string &journalDir)
     size_t kept = store.restore(std::move(replayed));
     store.attachJournal(&journal);
     if (recovery.tailBytesDiscarded > 0) {
-        whisper_warn("whisperd[", name, "]: journal had a torn tail (",
-                     recovery.tailBytesDiscarded,
+        whisper_warn("whisperd[", name, "]: journal had a ",
+                     recovery.tail == HintJournal::Tail::Torn
+                         ? "torn"
+                         : "corrupt",
+                     " tail (", recovery.tailBytesDiscarded,
                      " bytes discarded, file compacted)");
     }
     withCounters([&](Counters &c) {

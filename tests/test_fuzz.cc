@@ -3,8 +3,9 @@
  * Deterministic mutation tests (`ctest -R fuzz.`) for the record
  * codec's entry points: a .whrt trace read strictly by
  * BranchTrace::load and leniently by TraceStreamReader, a versioned
- * hint bundle (the journal record and BUNDLE payload), and an
- * INGEST_CHUNK wire payload and frame.
+ * hint bundle (the journal record and BUNDLE payload), a hint-store
+ * journal file replayed by HintJournal, and an INGEST_CHUNK wire
+ * payload and frame.
  *
  * Each valid input is mutated from a fixed seed — bit flips, byte
  * overwrites, truncations and smashed length fields — and every
@@ -18,12 +19,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/whisper_io.hh"
 #include "net/wire_protocol.hh"
+#include "service/hint_journal.hh"
 #include "trace/branch_trace.hh"
 #include "trace/trace_reader.hh"
 #include "util/byte_codec.hh"
@@ -144,13 +148,23 @@ traceFile(const std::string &app, uint32_t inputId,
     return w.take();
 }
 
+Bytes
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
 void
 writeFile(const std::string &path, const Bytes &bytes)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-              bytes.size());
+    // fwrite's buffer must not be null, even for zero bytes.
+    if (!bytes.empty()) {
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    }
     std::fclose(f);
 }
 
@@ -174,6 +188,52 @@ wholeFramesInOrder(const Bytes &got, const std::vector<Bytes> &frames)
         }
     }
     return p == got.size();
+}
+
+/** A bundle of @p hints hints and @p placements placements, every
+ * field set. */
+VersionedHintBundle
+sampleBundle(uint64_t epoch, unsigned hints, unsigned placements)
+{
+    VersionedHintBundle v;
+    v.epoch = epoch;
+    v.validationAccuracy = 0.84 + 0.01 * static_cast<double>(epoch);
+    for (unsigned i = 0; i < hints; ++i) {
+        TrainedHint h;
+        h.pc = 0x400000 + 64 * (i + 16 * epoch);
+        h.hint.historyIdx = static_cast<uint8_t>(i + 2);
+        h.hint.formula = static_cast<uint16_t>(0x1234 + i);
+        h.hint.bias = static_cast<HintBias>(i % 3);
+        h.hint.pcPointer = BrHint::pcPointerFor(h.pc);
+        h.historyLength = 8u << i;
+        h.expectedMispredicts = 10 + i;
+        h.profiledMispredicts = 40 + i;
+        h.executions = 1000 + i;
+        v.bundle.hints.push_back(h);
+    }
+    for (unsigned i = 0; i < placements; ++i) {
+        HintPlacement p;
+        p.branchPc = 0x400000 + 64 * (i + 16 * epoch);
+        p.predecessorPc = p.branchPc - 0x100;
+        p.coverage = 0.5 + 0.25 * i;
+        p.precision = 0.75;
+        p.predecessorExecutions = 500 + i;
+        v.bundle.placements.push_back(p);
+    }
+    return v;
+}
+
+/** @p v framed as HintJournal::append writes it. */
+Bytes
+journalRecord(const VersionedHintBundle &v)
+{
+    const Bytes payload = encodeVersionedBundle(v);
+    ByteWriter w;
+    w.put(HintJournal::kRecordMagic);
+    w.put(static_cast<uint32_t>(payload.size()));
+    w.put(crc32(payload.data(), payload.size()));
+    w.putBytes(payload.data(), payload.size());
+    return w.take();
 }
 
 } // namespace
@@ -269,31 +329,7 @@ TEST(RecordCodec, TraceFileMutations)
 
 TEST(RecordCodec, BundleMutations)
 {
-    VersionedHintBundle v;
-    v.epoch = 9;
-    v.validationAccuracy = 0.93;
-    for (unsigned i = 0; i < 3; ++i) {
-        TrainedHint h;
-        h.pc = 0x400000 + 64 * i;
-        h.hint.historyIdx = static_cast<uint8_t>(i + 2);
-        h.hint.formula = static_cast<uint16_t>(0x1234 + i);
-        h.hint.bias = static_cast<HintBias>(i);
-        h.hint.pcPointer = BrHint::pcPointerFor(h.pc);
-        h.historyLength = 8u << i;
-        h.expectedMispredicts = 10 + i;
-        h.profiledMispredicts = 40 + i;
-        h.executions = 1000 + i;
-        v.bundle.hints.push_back(h);
-    }
-    for (unsigned i = 0; i < 2; ++i) {
-        HintPlacement p;
-        p.branchPc = 0x400000 + 64 * i;
-        p.predecessorPc = 0x3FFF00 + 64 * i;
-        p.coverage = 0.5 + 0.25 * i;
-        p.precision = 0.75;
-        p.predecessorExecutions = 500 + i;
-        v.bundle.placements.push_back(p);
-    }
+    const VersionedHintBundle v = sampleBundle(9, 3, 2);
     const Bytes good = encodeVersionedBundle(v);
     // epoch, accuracy, hint count, 3 x 44-byte hints, placement count.
     const std::vector<LengthField> fields = {{16, 8}, {24 + 3 * 44, 8}};
@@ -359,4 +395,129 @@ TEST(RecordCodec, IngestChunkMutations)
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
+}
+
+TEST(RecordCodec, JournalMutations)
+{
+    using Tail = HintJournal::Tail;
+    const std::string path = "/tmp/whisper_fuzz_journal.wal";
+    const std::vector<VersionedHintBundle> gens = {
+        sampleBundle(1, 3, 2), sampleBundle(2, 1, 1),
+        sampleBundle(3, 4, 0)};
+    std::remove(path.c_str());
+    {
+        HintJournal journal;
+        std::vector<VersionedHintBundle> none;
+        ASSERT_TRUE(journal.open(path, none).ok());
+        for (const VersionedHintBundle &v : gens)
+            ASSERT_TRUE(journal.append(v));
+    }
+    // The file is the header, then each generation framed; record k
+    // spans bound[k] to bound[k + 1].
+    const Bytes good = readFile(path);
+    ByteWriter expect;
+    expect.put(HintJournal::kFileMagic);
+    expect.put(HintJournal::kVersion);
+    std::vector<size_t> bound = {8};
+    for (const VersionedHintBundle &v : gens) {
+        Bytes rec = journalRecord(v);
+        expect.putBytes(rec.data(), rec.size());
+        bound.push_back(bound.back() + rec.size());
+    }
+    ASSERT_EQ(expect.take(), good);
+
+    // Replay @p bytes: exactly the first @p records generations come
+    // back, each re-encoding to its bytes on disk, and what follows
+    // them is reported as @p tail (a bad header keeps nothing).
+    auto check = [&](const Bytes &bytes, size_t records, Tail tail,
+                     const std::string &what) {
+        writeFile(path, bytes);
+        HintJournal::RecoveryInfo info;
+        std::vector<VersionedHintBundle> got =
+            HintJournal::replay(path, &info);
+        ASSERT_EQ(got.size(), records) << what;
+        for (size_t k = 0; k < records; ++k) {
+            ASSERT_EQ(journalRecord(got[k]),
+                      Bytes(good.begin() + bound[k],
+                            good.begin() + bound[k + 1]))
+                << what << ", record " << k;
+        }
+        EXPECT_EQ(info.recordsRecovered, records) << what;
+        EXPECT_EQ(info.tail, tail) << what;
+        bool headerOk = bytes.size() >= 8 &&
+                        std::equal(bytes.begin(), bytes.begin() + 8,
+                                   good.begin());
+        EXPECT_EQ(info.tailBytesDiscarded,
+                  bytes.size() - (headerOk ? bound[records] : 0))
+            << what;
+    };
+    check(good, gens.size(), Tail::Clean, "intact");
+    Bytes garbage = good;
+    for (char c : std::string("not a record"))
+        garbage.push_back(static_cast<unsigned char>(c));
+    check(garbage, gens.size(), Tail::Corrupt, "garbage tail");
+
+    // A crash at every byte. On a sample of the cuts (each open()
+    // fsyncs), open() compacts the torn tail away, an empty file
+    // included, and the journal takes the lost append again.
+    for (size_t cut = 0, k = 0; cut < good.size(); ++cut) {
+        k += cut == bound[k + 1];
+        bool atBound = cut == 0 || cut == bound[k];
+        check(Bytes(good.begin(), good.begin() + cut), k,
+              atBound ? Tail::Clean : Tail::Torn,
+              "cut at " + std::to_string(cut));
+        if (cut % 29 != 0)
+            continue;
+        HintJournal journal;
+        std::vector<VersionedHintBundle> replayed;
+        HintJournal::RecoveryInfo info;
+        ASSERT_TRUE(journal.open(path, replayed, &info).ok());
+        EXPECT_EQ(info.compacted, !atBound || cut == 0) << cut;
+        ASSERT_TRUE(journal.append(gens[k]));
+        journal.close();
+        EXPECT_EQ(readFile(path),
+                  Bytes(good.begin(), good.begin() + bound[k + 1]))
+            << "cut at " << cut;
+    }
+
+    // Every bit of the file header, and of each record's magic, CRC
+    // and payload (its length is next).
+    for (size_t byte = 0; byte < good.size(); ++byte) {
+        // Record k holds the byte; a header flip keeps nothing.
+        size_t k = byte < 8 ? 0
+                            : std::upper_bound(bound.begin(), bound.end(),
+                                               byte) -
+                                  bound.begin() - 1;
+        if (byte >= 8 && byte - bound[k] >= 4 && byte - bound[k] < 8)
+            continue;
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            Bytes bytes = good;
+            bytes[byte] ^= static_cast<unsigned char>(1u << bit);
+            check(bytes, k, Tail::Corrupt,
+                  "byte " + std::to_string(byte) + " bit " +
+                      std::to_string(bit));
+        }
+    }
+    // A smashed length: a record that now runs past the end of the
+    // file reads as torn, any other wrong length as corrupt.
+    for (size_t k = 0; k < gens.size(); ++k) {
+        uint32_t len = 0;
+        std::memcpy(&len, good.data() + bound[k] + 4, sizeof(len));
+        std::vector<uint32_t> lengths = {HintJournal::kMaxPayload + 1,
+                                         0xFFFFFFFFu};
+        for (unsigned bit = 0; bit < 32; ++bit)
+            lengths.push_back(len ^ (1u << bit));
+        for (uint32_t smashed : lengths) {
+            Bytes bytes = good;
+            std::memcpy(bytes.data() + bound[k] + 4, &smashed,
+                        sizeof(smashed));
+            bool torn = smashed > 0 &&
+                        smashed <= HintJournal::kMaxPayload &&
+                        bound[k] + 12 + smashed > good.size();
+            check(bytes, k, torn ? Tail::Torn : Tail::Corrupt,
+                  "record " + std::to_string(k) + " length " +
+                      std::to_string(smashed));
+        }
+    }
+    std::remove(path.c_str());
 }

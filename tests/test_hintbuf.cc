@@ -2,7 +2,8 @@
  * @file
  * Differential and golden tests for the last-use-stamp HintBuffer
  * against LegacyHintBuffer, the std::list + std::unordered_map
- * reference model of an LRU buffer.
+ * reference model of an LRU buffer (the layout HintBuffer replaced),
+ * defined in this file.
  *
  * The HintBuffer claims *exact* LRU-equivalence: same hit/miss
  * outcomes, same eviction victims, same recency order, same
@@ -16,11 +17,102 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "core/hint_buffer.hh"
-#include "core/legacy_hint_buffer.hh"
 #include "util/rng.hh"
+
+namespace whisper
+{
+
+/** The list+map LRU that HintBuffer replaced, kept as its reference:
+ * same interface and counter semantics (a refresh is not an
+ * insertion; clear() keeps the counters). Front of the list = MRU. */
+class LegacyHintBuffer
+{
+  public:
+    explicit LegacyHintBuffer(unsigned entries) : capacity_(entries) {}
+
+    const BrHint *
+    lookup(uint64_t pc)
+    {
+        const BrHint *hint = touch(pc);
+        ++(hint ? hits_ : misses_);
+        return hint;
+    }
+
+    void
+    insert(uint64_t pc, const BrHint &hint)
+    {
+        if (BrHint *resident = touch(pc)) {
+            ++refreshes_;
+            *resident = hint;
+            return;
+        }
+        if (map_.size() == capacity_) {
+            ++evictions_;
+            map_.erase(lru_.back().first);
+            lru_.pop_back();
+        }
+        ++insertions_;
+        lru_.emplace_front(pc, hint);
+        map_[pc] = lru_.begin();
+    }
+
+    void
+    clear()
+    {
+        lru_.clear();
+        map_.clear();
+    }
+
+    void
+    resetStats()
+    {
+        hits_ = misses_ = insertions_ = refreshes_ = evictions_ = 0;
+    }
+
+    std::vector<uint64_t>
+    lruOrder() const
+    {
+        std::vector<uint64_t> order;
+        for (const auto &[pc, hint] : lru_)
+            order.push_back(pc);
+        return order;
+    }
+
+    unsigned capacity() const { return capacity_; }
+    size_t size() const { return map_.size(); }
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+    uint64_t insertions() const { return insertions_; }
+    uint64_t refreshes() const { return refreshes_; }
+    uint64_t evictions() const { return evictions_; }
+
+  private:
+    using Lru = std::list<std::pair<uint64_t, BrHint>>;
+
+    /** The resident hint of @p pc, moved to MRU; nullptr if absent. */
+    BrHint *
+    touch(uint64_t pc)
+    {
+        auto it = map_.find(pc);
+        if (it == map_.end())
+            return nullptr;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return &lru_.front().second;
+    }
+
+    unsigned capacity_;
+    Lru lru_;
+    std::unordered_map<uint64_t, Lru::iterator> map_;
+    uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, refreshes_ = 0,
+             evictions_ = 0;
+};
+
+} // namespace whisper
 
 using namespace whisper;
 
