@@ -2,7 +2,10 @@
  * @file
  * Simulation-throughput microbench: branches/sec/core for every
  * predictor on the mysql trace, driven by the runners' per-record
- * step, the frontend model (PipelineModel with an ideal direction
+ * step, TAGE-SC-L 64KB with its statistical corrector and loop
+ * predictor each switched off (what each component costs the
+ * simulator, next to what it buys in mispredicts), the frontend
+ * model (PipelineModel with an ideal direction
  * predictor, so only caches, BTB, RAS and IBTB cost), the
  * hint-buffer hot path measured in isolation, and the CRC-32 that
  * frames every .whrt chunk, wire frame and journal record.
@@ -25,6 +28,7 @@
 
 #include "common.hh"
 #include "bp/perceptron.hh"
+#include "bp/tage_scl.hh"
 #include "core/hint_buffer.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
@@ -49,6 +53,7 @@ secondsSince(Clock::time_point start)
 struct Throughput
 {
     double bps = 0; //!< conditional branches/sec
+    double rps = 0; //!< records/sec
     uint64_t mispredicts = 0;
 };
 
@@ -60,7 +65,9 @@ measurePredictor(const BranchTrace &trace, BranchPredictor &pred)
     auto start = Clock::now();
     for (const BranchRecord &rec : trace)
         out.mispredicts += stepPredictor(pred, rec);
-    out.bps = trace.conditionals() / secondsSince(start);
+    double seconds = secondsSince(start);
+    out.bps = trace.conditionals() / seconds;
+    out.rps = trace.size() / seconds;
     return out;
 }
 
@@ -165,6 +172,33 @@ main()
         table.addRow(r.name, {r.t.bps / 1e6});
     table.print();
 
+    // --- TAGE-SC-L 64KB by component ---
+    struct Component
+    {
+        const char *name;
+        bool useSc, useLoop;
+    };
+    const Component components[] = {{"full", true, true},
+                                    {"no_sc", false, true},
+                                    {"no_loop", true, false},
+                                    {"tage_only", false, false}};
+    std::vector<Row> componentRows;
+    for (const Component &c : components) {
+        TageSclConfig tc = TageSclConfig::forBudgetKB(cfg.tageBudgetKB);
+        tc.useSc = c.useSc;
+        tc.useLoop = c.useLoop;
+        TageScl pred(tc);
+        componentRows.push_back({c.name, measurePredictor(trace, pred)});
+    }
+    TableReporter compTable("TAGE-SC-L 64KB by component (mysql)");
+    compTable.setHeader({"config", "Mrec/s", "ns/rec", "mispredicts"});
+    for (const auto &r : componentRows) {
+        compTable.addRow({r.name, TableReporter::formatDouble(r.t.rps / 1e6),
+                          TableReporter::formatDouble(1e9 / r.t.rps, 1),
+                          std::to_string(r.t.mispredicts)});
+    }
+    compTable.print();
+
     // --- frontend model: records/sec with a perfect predictor ---
     TraceSource feSource(trace);
     IdealPredictor ideal;
@@ -235,7 +269,8 @@ main()
                 whisperOverTage);
 
     // One run record: config, per-predictor rows, the ratio, the
-    // frontend model, the hint-buffer path, then the CRC rate.
+    // frontend model, the hint-buffer path, the CRC rate, then the
+    // TAGE-SC-L component rows.
     std::string fields =
         "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
         "      \"trace\": \"" + app.name + "\",\n" +
@@ -265,7 +300,16 @@ main()
               ", \"reps\": " + std::to_string(reps) +
               ", \"branches_per_sec\": " + fixed(bufferBps, 0) + "},\n" +
               "      \"crc32\": {\"mb_per_s\": " + fixed(crcMBps, 1) +
-              ", \"bytes\": " + std::to_string(image.size()) + "}";
+              ", \"bytes\": " + std::to_string(image.size()) + "},\n" +
+              "      \"tage_components\": {\n";
+    for (size_t i = 0; i < componentRows.size(); ++i) {
+        const Row &r = componentRows[i];
+        fields += "        \"" + r.name + "\": {\"records_per_sec\": " +
+                  fixed(r.t.rps, 0) + ", \"mispredicts\": " +
+                  std::to_string(r.t.mispredicts) + "}" +
+                  (i + 1 < componentRows.size() ? "," : "") + "\n";
+    }
+    fields += "      }";
     const char *jsonPath = "BENCH_micro_throughput.json";
     if (appendRunRecord(jsonPath, "micro_throughput", fields))
         std::printf("appended a run to %s\n", jsonPath);

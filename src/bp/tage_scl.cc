@@ -1,6 +1,7 @@
 #include "bp/tage_scl.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/bits.hh"
@@ -40,6 +41,9 @@ TageScl::TageScl(const TageSclConfig &cfg)
 {
     whisper_assert(cfg.numTables >= 2 &&
                    cfg.numTables <= kMaxTables);
+    whisper_assert(cfg.numTables % 4 == 0,
+                   "tagged views are read in groups of four tables");
+    whisper_assert(cfg.logTagged < 28, "tagged slots must fit 32 bits");
     whisper_assert(cfg.maxHist > cfg.minHist);
     whisper_assert(cfg.maxHist < history_.capacity());
 
@@ -61,20 +65,26 @@ TageScl::TageScl(const TageSclConfig &cfg)
     for (unsigned i = 0; i < cfg.numTables; ++i)
         tagBits_[i] = 8 + std::min(3u, i / 4);
 
+    idxMask_ = static_cast<uint32_t>(maskBits(cfg.logTagged));
+    for (unsigned i = 0; i < cfg.numTables; ++i)
+        tagMask_[i] = static_cast<uint16_t>(maskBits(tagBits_[i]));
+
     size_t taggedTotal = static_cast<size_t>(cfg.numTables)
                          << cfg.logTagged;
     tagKey_.assign(taggedTotal, kFreeEntry);
     tagCtr_.assign(taggedTotal, 0);
     tagUseful_.assign(taggedTotal, 0);
 
-    // Folded history views: one for the index, two for the tag.
-    for (unsigned i = 0; i < cfg.numTables; ++i) {
-        idxView_.push_back(
-            history_.addFoldedView(histLens_[i], cfg.logTagged));
-        tag1View_.push_back(
-            history_.addFoldedView(histLens_[i], tagBits_[i]));
-        tag2View_.push_back(
-            history_.addFoldedView(histLens_[i], tagBits_[i] - 1));
+    // Folded history views: one for the index, two for the tag,
+    // registered four tables at a time (layout in tage_scl.hh).
+    tagFirstView_ = static_cast<unsigned>(history_.numViews());
+    for (unsigned b = 0; b < cfg.numTables; b += 4) {
+        for (unsigned i = b; i < b + 4; ++i)
+            history_.addFoldedView(histLens_[i], cfg.logTagged);
+        for (unsigned i = b; i < b + 4; ++i)
+            history_.addFoldedView(histLens_[i], tagBits_[i]);
+        for (unsigned i = b; i < b + 4; ++i)
+            history_.addFoldedView(histLens_[i], tagBits_[i] - 1);
     }
 
     // Statistical corrector: bias + GEHL components on short
@@ -82,11 +92,12 @@ TageScl::TageScl(const TageSclConfig &cfg)
     scHistLens_ = {4, 10, 16, 27, 44};
     whisper_assert(scHistLens_.size() <= kMaxScTables);
     scTables_.assign(scHistLens_.size(), {});
+    scFirstView_ = static_cast<unsigned>(history_.numViews());
     for (size_t t = 0; t < scHistLens_.size(); ++t) {
         scTables_[t].assign(1ULL << cfg.logSc, 0);
-        scView_.push_back(
-            history_.addFoldedView(scHistLens_[t], cfg.logSc));
+        history_.addFoldedView(scHistLens_[t], cfg.logSc);
     }
+    whisper_assert(history_.numViews() <= kMaxViews);
 }
 
 std::string
@@ -122,57 +133,46 @@ TageScl::nextRandom()
     return lfsr_;
 }
 
-uint32_t
-TageScl::taggedIndex(unsigned t, uint64_t pc) const
-{
-    uint64_t idx = pcIndexBits(pc) ^ (pc >> (cfg_.logTagged - (t % 4))) ^
-                   history_.foldedValue(idxView_[t]);
-    return idx & maskBits(cfg_.logTagged);
-}
-
-uint16_t
-TageScl::taggedTag(unsigned t, uint64_t pc) const
-{
-    uint64_t tag = pcIndexBits(pc) ^ history_.foldedValue(tag1View_[t]) ^
-                   (history_.foldedValue(tag2View_[t]) << 1);
-    return static_cast<uint16_t>(tag & maskBits(tagBits_[t]));
-}
-
 void
-TageScl::computeTagePrediction(uint64_t pc)
+TageScl::computeTagePrediction(uint64_t pc, const uint32_t *fold)
 {
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        ctx_.indices[t] = taggedIndex(t, pc);
-        ctx_.tags[t] = taggedTag(t, pc);
-    }
-
-    // Longest-history match scan: one compare per table against the
-    // contiguous key array (the kFreeEntry sentinel makes the
-    // validity check implicit in the tag compare).
-    ctx_.providerTable = -1;
-    ctx_.altTable = -1;
-    for (int t = cfg_.numTables - 1; t >= 0; --t) {
-        if (tagKey_[taggedSlot(t, ctx_.indices[t])] == ctx_.tags[t]) {
-            if (ctx_.providerTable < 0) {
-                ctx_.providerTable = t;
-            } else {
-                ctx_.altTable = t;
-                break;
-            }
+    // Slot and tag of every table, and a bitmask of the tables
+    // whose key matches (the kFreeEntry sentinel makes the validity
+    // check implicit in the tag compare). Table t's index mixes in
+    // pc >> (logTagged - t % 4): four shifts serve all tables.
+    uint32_t pcBits = static_cast<uint32_t>(pcIndexBits(pc));
+    std::array<uint32_t, 4> pcIdx;
+    for (unsigned k = 0; k < 4; ++k)
+        pcIdx[k] = pcBits ^ static_cast<uint32_t>(pc >> (cfg_.logTagged - k));
+    uint32_t hits = 0;
+    uint32_t slotBase = 0; // table t's first slot, t << logTagged
+    for (unsigned b = 0; b < cfg_.numTables; b += 4, fold += 12) {
+        const uint16_t tagMask = tagMask_[b]; // one tag width per block
+        for (unsigned k = 0; k < 4; ++k, slotBase += idxMask_ + 1) {
+            uint32_t slot = slotBase + ((pcIdx[k] ^ fold[k]) & idxMask_);
+            uint16_t tag = static_cast<uint16_t>(
+                (pcBits ^ fold[4 + k] ^ (fold[8 + k] << 1)) & tagMask);
+            ctx_.slots[b + k] = slot;
+            ctx_.tags[b + k] = tag;
+            hits |= static_cast<uint32_t>(tagKey_[slot] == tag) << (b + k);
         }
     }
+
+    // The provider is the longest-history match, the alternate the
+    // next longest: the two highest set bits (-1 when absent).
+    ctx_.providerTable = static_cast<int>(std::bit_width(hits)) - 1;
+    ctx_.altTable =
+        static_cast<int>(std::bit_width(hits ^ std::bit_floor(hits))) - 1;
 
     bool basePred = bimodal_[pcIndexBits(pc) & maskBits(cfg_.logBimodal)] >= 2;
     ctx_.altPred = basePred;
     if (ctx_.altTable >= 0) {
         ctx_.altPred =
-            tagCtr_[taggedSlot(ctx_.altTable,
-                               ctx_.indices[ctx_.altTable])] >= 0;
+            tagCtr_[ctx_.slots[ctx_.altTable]] >= 0;
     }
 
     if (ctx_.providerTable >= 0) {
-        size_t slot = taggedSlot(ctx_.providerTable,
-                                 ctx_.indices[ctx_.providerTable]);
+        uint32_t slot = ctx_.slots[ctx_.providerTable];
         int8_t ctr = tagCtr_[slot];
         ctx_.providerPred = ctr >= 0;
         // Newly allocated: weak counter and no proven usefulness.
@@ -189,21 +189,17 @@ TageScl::computeTagePrediction(uint64_t pc)
     }
 }
 
-int
-TageScl::scIndex(unsigned t, uint64_t pc, bool tagePred) const
-{
-    uint64_t idx = pcIndexBits(pc) ^ history_.foldedValue(scView_[t]) ^
-                   (static_cast<uint64_t>(tagePred) << (cfg_.logSc - 1));
-    return static_cast<int>(idx & maskBits(cfg_.logSc));
-}
-
 void
-TageScl::computeScPrediction(uint64_t pc)
+TageScl::computeScPrediction(uint64_t pc, const uint32_t *fold)
 {
-    int sum = 2 * scBias_[pcIndexBits(pc) & maskBits(cfg_.logSc)] + 1;
+    uint64_t pcBits = pcIndexBits(pc);
+    uint64_t tageBit = static_cast<uint64_t>(ctx_.tagePred)
+                       << (cfg_.logSc - 1);
+    int sum = 2 * scBias_[pcBits & maskBits(cfg_.logSc)] + 1;
     sum += ctx_.tagePred ? 8 : -8;
     for (size_t t = 0; t < scTables_.size(); ++t) {
-        ctx_.scIndices[t] = scIndex(t, pc, ctx_.tagePred);
+        ctx_.scIndices[t] = static_cast<uint32_t>(
+            (pcBits ^ fold[t] ^ tageBit) & maskBits(cfg_.logSc));
         sum += 2 * scTables_[t][ctx_.scIndices[t]] + 1;
     }
     ctx_.scSum = sum;
@@ -213,56 +209,67 @@ TageScl::computeScPrediction(uint64_t pc)
                   std::abs(sum) >= scThreshold_;
 }
 
-TageScl::LoopEntry *
-TageScl::findLoopEntry(uint64_t pc, bool allocate)
+void
+TageScl::probeLoop(uint64_t pc)
 {
-    uint32_t set = pcIndexBits(pc) & maskBits(cfg_.logLoop);
-    uint16_t tag = static_cast<uint16_t>((pc >> (1 + cfg_.logLoop)) &
+    ctx_.loopSet = static_cast<uint32_t>(
+        (pcIndexBits(pc) & maskBits(cfg_.logLoop)) * loopWays_);
+    ctx_.loopTag = static_cast<uint16_t>((pc >> (1 + cfg_.logLoop)) &
                                          maskBits(14));
-    LoopEntry *victim = nullptr;
+    ctx_.loopHit = -1;
+    ctx_.loopVictim = -1;
     for (uint32_t w = 0; w < loopWays_; ++w) {
-        LoopEntry &e = loop_[set * loopWays_ + w];
-        if (e.valid && e.tag == tag)
-            return &e;
+        int slot = static_cast<int>(ctx_.loopSet + w);
+        const LoopEntry &e = loop_[slot];
+        if (e.valid && e.tag == ctx_.loopTag) {
+            ctx_.loopHit = slot;
+            return;
+        }
         if (!e.valid || e.age == 0)
-            victim = &e;
+            ctx_.loopVictim = slot;
     }
-    if (!allocate)
-        return nullptr;
-    if (!victim) {
+}
+
+void
+TageScl::computeLoopPrediction()
+{
+    ctx_.loopUsed = false;
+    if (ctx_.loopHit < 0)
+        return;
+    const LoopEntry &e = loop_[ctx_.loopHit];
+    if (e.confidence < 7 || e.pastIter == 0)
+        return;
+    // Predict the loop exit on the final iteration.
+    ctx_.loopPred = (e.currentIter + 1 == e.pastIter) ? !e.dir : e.dir;
+    ctx_.loopUsed = true;
+}
+
+TageScl::LoopEntry *
+TageScl::claimLoopEntry()
+{
+    // predict()'s probe still holds: only this update writes loop_.
+    if (ctx_.loopHit >= 0)
+        return &loop_[ctx_.loopHit];
+    if (ctx_.loopVictim < 0) {
         for (uint32_t w = 0; w < loopWays_; ++w) {
-            LoopEntry &e = loop_[set * loopWays_ + w];
+            LoopEntry &e = loop_[ctx_.loopSet + w];
             if (e.age > 0)
                 --e.age;
         }
         return nullptr;
     }
+    LoopEntry *victim = &loop_[ctx_.loopVictim];
     *victim = LoopEntry{};
-    victim->tag = tag;
+    victim->tag = ctx_.loopTag;
     victim->valid = true;
     victim->age = 7;
     return victim;
 }
 
 void
-TageScl::computeLoopPrediction(uint64_t pc)
+TageScl::updateLoop(bool taken)
 {
-    ctx_.loopValid = false;
-    ctx_.loopUsed = false;
-    LoopEntry *e = findLoopEntry(pc, false);
-    if (!e || e->confidence < 7 || e->pastIter == 0)
-        return;
-    ctx_.loopValid = true;
-    // Predict the loop exit on the final iteration.
-    ctx_.loopPred = (e->currentIter + 1 == e->pastIter) ? !e->dir
-                                                        : e->dir;
-    ctx_.loopUsed = true;
-}
-
-void
-TageScl::updateLoop(uint64_t pc, bool taken)
-{
-    LoopEntry *e = findLoopEntry(pc, true);
+    LoopEntry *e = claimLoopEntry();
     if (!e)
         return;
 
@@ -330,16 +337,18 @@ TageScl::updateLoop(uint64_t pc, bool taken)
 bool
 TageScl::predict(uint64_t pc, bool)
 {
-    ctx_ = PredictContext{};
+    std::array<uint32_t, kMaxViews> fold;
+    history_.foldedValues(fold.data());
+
     ctx_.pc = pc;
-    computeTagePrediction(pc);
+    computeTagePrediction(pc, fold.data() + tagFirstView_);
 
     bool pred = ctx_.tagePred;
     ctx_.provider = ctx_.providerTable >= 0 ? Provider::Tagged
                                             : Provider::Bimodal;
 
     if (cfg_.useSc) {
-        computeScPrediction(pc);
+        computeScPrediction(pc, fold.data() + scFirstView_);
         if (ctx_.scUsed) {
             pred = ctx_.scPred;
             ctx_.provider = Provider::Sc;
@@ -347,7 +356,8 @@ TageScl::predict(uint64_t pc, bool)
     }
 
     if (cfg_.useLoop) {
-        computeLoopPrediction(pc);
+        probeLoop(pc);
+        computeLoopPrediction();
         if (ctx_.loopUsed) {
             pred = ctx_.loopPred;
             ctx_.provider = Provider::Loop;
@@ -359,9 +369,8 @@ TageScl::predict(uint64_t pc, bool)
 }
 
 void
-TageScl::allocateEntries(uint64_t pc, bool taken)
+TageScl::allocateEntries(bool taken)
 {
-    (void)pc;
     int start = ctx_.providerTable + 1;
     if (start >= static_cast<int>(cfg_.numTables))
         return;
@@ -374,7 +383,7 @@ TageScl::allocateEntries(uint64_t pc, bool taken)
 
     unsigned allocated = 0, blocked = 0;
     for (unsigned t = start; t < cfg_.numTables && allocated < 2; ++t) {
-        size_t slot = taggedSlot(t, ctx_.indices[t]);
+        uint32_t slot = ctx_.slots[t];
         if (tagUseful_[slot] == 0) {
             tagKey_[slot] = ctx_.tags[t];
             tagCtr_[slot] = taken ? 0 : -1;
@@ -444,7 +453,7 @@ TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
     ++updates_;
 
     if (cfg_.useLoop)
-        updateLoop(pc, taken);
+        updateLoop(taken);
     if (cfg_.useSc)
         updateSc(taken);
 
@@ -462,8 +471,7 @@ TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
 
     // Update the provider (or bimodal).
     if (ctx_.providerTable >= 0) {
-        size_t slot = taggedSlot(ctx_.providerTable,
-                                 ctx_.indices[ctx_.providerTable]);
+        uint32_t slot = ctx_.slots[ctx_.providerTable];
         int lim = (1 << (cfg_.ctrBits - 1)) - 1;
         int v = tagCtr_[slot] + (taken ? 1 : -1);
         tagCtr_[slot] = static_cast<int8_t>(std::clamp(v, -lim - 1, lim));
@@ -492,7 +500,7 @@ TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
 
     // Allocate on a wrong TAGE prediction.
     if (allocate && ctx_.tagePred != taken)
-        allocateEntries(pc, taken);
+        allocateEntries(taken);
 
     history_.push(taken);
 }

@@ -10,6 +10,15 @@
  * multi-MB via Config::forBudgetKB so the paper's predictor-size
  * sweep (Fig. 21) and the MTAGE-SC "unlimited" reference (Fig. 12)
  * use the same code.
+ *
+ * One predict() reads every folded history it needs (index, tag and
+ * shifted-tag views of each tagged table, plus the SC views) with a
+ * single GlobalHistory::foldedValues() call. The tagged views are
+ * registered four tables at a time: for tables 4b..4b+3 the four
+ * index views (width logTagged), then the four tag views and the
+ * four shifted-tag views (tag widths change only every four tables),
+ * so every batch group is four views of one width. The SC views
+ * follow. Hence the constructor's numTables % 4 == 0 requirement.
  */
 
 #ifndef WHISPER_BP_TAGE_SCL_HH
@@ -63,6 +72,8 @@ class TageScl : public BranchPredictor
      * predict(); the arrays keep the hot path allocation-free). */
     static constexpr unsigned kMaxTables = 16;
     static constexpr unsigned kMaxScTables = 8;
+    /** Folded views: three per tagged table plus one per SC table. */
+    static constexpr unsigned kMaxViews = 3 * kMaxTables + kMaxScTables;
 
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
@@ -91,80 +102,85 @@ class TageScl : public BranchPredictor
         bool valid = false;
     };
 
-    /** Per-prediction context carried from predict() to update(). */
+    /**
+     * Per-prediction context carried from predict() to update().
+     * predict() writes every field update() reads (the SC and loop
+     * fields only when that component is enabled), so it is not
+     * cleared between predictions; ctx_ is zeroed once at
+     * construction.
+     */
     struct PredictContext
     {
-        uint64_t pc = 0;
+        uint64_t pc;
         int providerTable = -1;     //!< -1 = bimodal
-        int altTable = -1;
-        bool providerPred = false;
-        bool altPred = false;
-        bool tagePred = false;      //!< after use-alt policy
-        bool newlyAllocated = false;
-        bool finalPred = false;
-        Provider provider = Provider::Bimodal;
+        int altTable;
+        bool providerPred;
+        bool altPred;
+        bool tagePred;              //!< after use-alt policy
+        bool newlyAllocated;
+        bool finalPred;
+        Provider provider;
         // SC state
-        int scSum = 0;
-        bool scPred = false;
-        bool scUsed = false;
-        // Loop state
-        bool loopPred = false;
-        bool loopValid = false;
-        bool loopUsed = false;
-        std::array<uint32_t, kMaxTables> indices{};
-        std::array<uint32_t, kMaxTables> tags{};
-        std::array<uint32_t, kMaxScTables> scIndices{};
+        int scSum;
+        bool scPred;
+        bool scUsed;
+        // Loop state: the one probe of the loop table per branch.
+        bool loopPred;
+        bool loopUsed;
+        uint16_t loopTag;
+        uint32_t loopSet;           //!< slot of the set's first way
+        int loopHit;                //!< slot of the matching entry, or -1
+        int loopVictim;             //!< replaceable slot, or -1
+        /** Entry of each table in the SoA arrays, which hold every
+         * table in one allocation per field: table t's entry idx is
+         * at (t << logTagged) + idx. */
+        std::array<uint32_t, kMaxTables> slots;
+        std::array<uint16_t, kMaxTables> tags;
+        std::array<uint32_t, kMaxScTables> scIndices;
     };
 
     // --- tagged path ---
-    uint32_t taggedIndex(unsigned table, uint64_t pc) const;
-    uint16_t taggedTag(unsigned table, uint64_t pc) const;
-    void computeTagePrediction(uint64_t pc);
-    void allocateEntries(uint64_t pc, bool taken);
+    void computeTagePrediction(uint64_t pc, const uint32_t *fold);
+    void allocateEntries(bool taken);
 
     // --- statistical corrector ---
-    int scIndex(unsigned table, uint64_t pc, bool tagePred) const;
-    void computeScPrediction(uint64_t pc);
+    void computeScPrediction(uint64_t pc, const uint32_t *fold);
     void updateSc(bool taken);
 
     // --- loop predictor ---
-    LoopEntry *findLoopEntry(uint64_t pc, bool allocate);
-    void computeLoopPrediction(uint64_t pc);
-    void updateLoop(uint64_t pc, bool taken);
+    void probeLoop(uint64_t pc);
+    void computeLoopPrediction();
+    LoopEntry *claimLoopEntry();
+    void updateLoop(bool taken);
 
     void decayUseful();
     uint32_t nextRandom();
 
-    /** Slot of tagged entry @p idx of table @p t in the SoA arrays:
-     * all tables share one contiguous allocation per field, indexed
-     * with shifts and masks (every table is 2^logTagged entries). */
-    size_t
-    taggedSlot(unsigned t, uint32_t idx) const
-    {
-        return (static_cast<size_t>(t) << cfg_.logTagged) + idx;
-    }
-
-    /** tagKey_ value marking an empty (never-allocated) entry. Tags
-     * are at most 16 bits wide, so the sentinel can never collide
-     * with a computed tag. */
-    static constexpr uint32_t kFreeEntry = ~0u;
+    /** tagKey_ value marking an empty (never-allocated) entry. Keys
+     * are 16 bits and tags at most 11 (8 + min(3, table / 4)), so
+     * the sentinel can never collide with a computed tag. */
+    static constexpr uint16_t kFreeEntry = 0xFFFF;
 
     TageSclConfig cfg_;
     std::vector<unsigned> histLens_;
     std::vector<unsigned> tagBits_;
+    // Mask constants of the index and tag hashes.
+    std::array<uint16_t, kMaxTables> tagMask_{}; //!< low tagBits_[t]
+    uint32_t idxMask_ = 0;                       //!< low logTagged
     // Tagged components as structure-of-arrays: the lookup loop
     // touches only tagKey_ (tag match + validity in one compare),
     // the provider update touches tagCtr_/tagUseful_. One flat
     // allocation per field replaces the per-table node vectors.
-    std::vector<uint32_t> tagKey_;   //!< tag, or kFreeEntry
+    std::vector<uint16_t> tagKey_;   //!< tag, or kFreeEntry
     std::vector<int8_t> tagCtr_;     //!< signed, taken when >= 0
     std::vector<uint8_t> tagUseful_;
     std::vector<int8_t> bimodal_;  //!< 2-bit counters stored as int
 
     GlobalHistory history_;
-    std::vector<size_t> idxView_;   //!< folded views for indices
-    std::vector<size_t> tag1View_;  //!< folded views for tags
-    std::vector<size_t> tag2View_;
+    /** Index of the first tagged view (the layout in the file
+     * comment) and of the first SC view in foldedValues() order. */
+    unsigned tagFirstView_ = 0;
+    unsigned scFirstView_ = 0;
 
     // use-alt-on-newly-allocated counter (4 bits signed)
     int useAltOnNa_ = 0;
@@ -173,7 +189,6 @@ class TageScl : public BranchPredictor
     std::vector<unsigned> scHistLens_;
     std::vector<std::vector<int8_t>> scTables_;
     std::vector<int8_t> scBias_;
-    std::vector<size_t> scView_;
     int scThreshold_ = 6;
     int scThresholdCtr_ = 0;
 
@@ -184,7 +199,7 @@ class TageScl : public BranchPredictor
     int tick_ = 0;
     uint32_t lfsr_ = 0xACE1u;
 
-    PredictContext ctx_;
+    PredictContext ctx_{};
 };
 
 } // namespace whisper

@@ -233,7 +233,7 @@ loadProfile(BranchProfile &profile, const std::string &path)
     f.get(cfg.numHistoryLengths);
     f.get(cfg.hashWidth);
     if (!f.ok() || cfg.numHistoryLengths < 2 ||
-        cfg.numHistoryLengths > 16 ||
+        cfg.numHistoryLengths > 16 || cfg.minHistoryLength < 1 ||
         cfg.minHistoryLength >= cfg.maxHistoryLength ||
         cfg.hashWidth < 1 || cfg.hashWidth > kMaxHashWidth) {
         return IoStatus::corruptFile(path,

@@ -1,5 +1,7 @@
 #include "core/whisper_predictor.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace whisper
@@ -30,15 +32,48 @@ WhisperPredictor::replaceHints(
     const std::vector<HintPlacement> &placements)
 {
     hints_.clear();
-    triggers_.clear();
     buffer_.clear();
     for (const auto &h : hints)
         hints_[h.pc] = h.hint;
+
+    // Pass 1: one slot per predecessor PC, counting its placements.
+    triggerSlots_.assign(std::bit_ceil(2 * placements.size() + 1),
+                         TriggerSlot{});
     for (const auto &pl : placements) {
         whisper_assert(hints_.count(pl.branchPc),
                        "placement for unknown hint");
-        triggers_[pl.predecessorPc].push_back(pl.branchPc);
+        TriggerSlot &slot = triggerSlots_[findTrigger(pl.predecessorPc)];
+        slot.pc = pl.predecessorPc;
+        ++slot.count;
     }
+    // Pass 2: lay the slots' runs out back to back and fill each
+    // from its end, walking the placements backwards so every run
+    // keeps placement order.
+    uint32_t end = 0;
+    for (TriggerSlot &slot : triggerSlots_) {
+        end += slot.count;
+        slot.first = end;
+    }
+    triggerHints_.resize(end);
+    for (auto pl = placements.rbegin(); pl != placements.rend(); ++pl) {
+        TriggerSlot &slot = triggerSlots_[findTrigger(pl->predecessorPc)];
+        triggerHints_[--slot.first] = {pl->branchPc,
+                                       hints_.at(pl->branchPc)};
+    }
+}
+
+size_t
+WhisperPredictor::findTrigger(uint64_t pc) const
+{
+    // Fibonacci hashing (the product's high bits mix every PC bit),
+    // then linear probing to @p pc's slot or the empty slot ending
+    // its probe sequence.
+    size_t mask = triggerSlots_.size() - 1;
+    size_t i = static_cast<size_t>((pc * 0x9E3779B97F4A7C15ULL) >> 40) &
+               mask;
+    while (triggerSlots_[i].count != 0 && triggerSlots_[i].pc != pc)
+        i = (i + 1) & mask;
+    return i;
 }
 
 std::string
@@ -106,14 +141,13 @@ WhisperPredictor::update(uint64_t pc, bool taken, bool predicted,
 void
 WhisperPredictor::onRecord(const BranchRecord &rec)
 {
-    auto it = triggers_.find(rec.pc);
-    if (it == triggers_.end())
-        return;
-    // This block carries brhint instructions: executing it decodes
-    // each hint into the hint buffer.
-    for (uint64_t branchPc : it->second) {
+    // A block carrying brhint instructions decodes each hint into
+    // the hint buffer; other blocks land on an empty slot.
+    const TriggerSlot &slot = triggerSlots_[findTrigger(rec.pc)];
+    for (uint32_t k = 0; k < slot.count; ++k) {
+        const auto &[branchPc, hint] = triggerHints_[slot.first + k];
         ++dynamicHints_;
-        buffer_.insert(branchPc, hints_[branchPc]);
+        buffer_.insert(branchPc, hint);
     }
 }
 

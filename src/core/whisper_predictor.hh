@@ -74,7 +74,17 @@ class WhisperPredictor : public BranchPredictor
     bool lastUsedHint() const { return usedHint_; }
 
   private:
+    /** One predecessor block carrying brhints: its hints are
+     * triggerHints_[first, first + count), in placement order. */
+    struct TriggerSlot
+    {
+        uint64_t pc = 0;
+        uint32_t first = 0;
+        uint32_t count = 0; //!< 0 marks an empty slot
+    };
+
     bool evaluateHint(const BrHint &hint) const;
+    size_t findTrigger(uint64_t pc) const;
 
     std::unique_ptr<BranchPredictor> base_;
     WhisperConfig cfg_;
@@ -83,8 +93,12 @@ class WhisperPredictor : public BranchPredictor
 
     /** hint payload per hinted branch PC. */
     std::unordered_map<uint64_t, BrHint> hints_;
-    /** predecessor PC -> hints injected there. */
-    std::unordered_map<uint64_t, std::vector<uint64_t>> triggers_;
+    /** predecessor PC -> hints injected there: an open-addressing
+     * table (linear probing, at most half full) over the flat
+     * (branch PC, hint) list, probed once per record. Runs are laid
+     * out by slot; each keeps its placements' order. */
+    std::vector<TriggerSlot> triggerSlots_;
+    std::vector<std::pair<uint64_t, BrHint>> triggerHints_;
 
     HintBuffer buffer_;
     GlobalHistory history_;

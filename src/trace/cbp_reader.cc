@@ -1,5 +1,7 @@
 #include "trace/cbp_reader.hh"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -13,14 +15,18 @@ namespace
 
 constexpr uint16_t kDefaultGap = 8;
 
+/** A whole-token unsigned number in @p base (hex may carry 0x).
+ * strtoull alone would accept a sign (negating the value) and
+ * saturate an out-of-range value to 2^64 - 1. */
 bool
-parseHex(const std::string &tok, uint64_t *out)
+parseUnsigned(const std::string &tok, int base, uint64_t *out)
 {
-    if (tok.empty())
+    if (tok.empty() || tok[0] == '-' || tok[0] == '+')
         return false;
     char *end = nullptr;
-    *out = std::strtoull(tok.c_str(), &end, 16);
-    return end && *end == '\0';
+    errno = 0;
+    *out = std::strtoull(tok.c_str(), &end, base);
+    return end != tok.c_str() && *end == '\0' && errno != ERANGE;
 }
 
 bool
@@ -88,8 +94,14 @@ parseCbpLine(const std::string &line, BranchRecord *rec,
                 *app = e == std::string::npos ? std::string()
                                               : v.substr(0, e + 1);
             } else if (body.rfind("input=", 0) == 0) {
-                *inputId = static_cast<uint32_t>(
-                    std::strtoul(body.c_str() + 6, nullptr, 10));
+                std::string v = body.substr(6);
+                v.erase(v.find_last_not_of(" \t\r") + 1);
+                uint64_t id = 0;
+                if (!parseUnsigned(v, 10, &id) || id > UINT32_MAX) {
+                    *error = "bad input id '" + v + "'";
+                    return LineResult::Error;
+                }
+                *inputId = static_cast<uint32_t>(id);
             }
         }
         return LineResult::Skip;
@@ -107,7 +119,7 @@ parseCbpLine(const std::string &line, BranchRecord *rec,
     }
 
     BranchRecord r;
-    if (!parseHex(toks[0], &r.pc)) {
+    if (!parseUnsigned(toks[0], 16, &r.pc)) {
         *error = "bad hex pc '" + toks[0] + "'";
         return LineResult::Error;
     }
@@ -118,7 +130,7 @@ parseCbpLine(const std::string &line, BranchRecord *rec,
     r.target = r.pc + 4;
     r.kind = BranchKind::Conditional;
     r.instGap = kDefaultGap;
-    if (toks.size() >= 3 && !parseHex(toks[2], &r.target)) {
+    if (toks.size() >= 3 && !parseUnsigned(toks[2], 16, &r.target)) {
         *error = "bad hex target '" + toks[2] + "'";
         return LineResult::Error;
     }
@@ -127,9 +139,8 @@ parseCbpLine(const std::string &line, BranchRecord *rec,
         return LineResult::Error;
     }
     if (toks.size() >= 5) {
-        char *end = nullptr;
-        uint64_t gap = std::strtoull(toks[4].c_str(), &end, 10);
-        if (!end || *end != '\0' || gap > UINT16_MAX) {
+        uint64_t gap = 0;
+        if (!parseUnsigned(toks[4], 10, &gap) || gap > UINT16_MAX) {
             *error = "bad gap '" + toks[4] + "'";
             return LineResult::Error;
         }

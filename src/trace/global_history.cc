@@ -44,16 +44,26 @@ GlobalHistory::addFoldedView(unsigned length, unsigned width)
         lane = lanes_.emplace(lanes_.end());
         lane->width = width;
         lane->mask = static_cast<uint32_t>(maskBits(width));
-        lane->dup = (uint64_t{1} << width) + 1;
     }
     size_t slots = std::bit_ceil(length + size_t{1});
     if (slots > lane->ring.size()) {
         lane->ring.assign(slots, 0);
         lane->ringMask = slots - 1;
     }
-    views_.push_back({static_cast<unsigned>(lane - lanes_.begin()),
-                      length});
-    return views_.size() - 1;
+    unsigned laneIdx = static_cast<unsigned>(lane - lanes_.begin());
+    unsigned viewIdx = static_cast<unsigned>(views_.size());
+    views_.push_back({laneIdx, length});
+
+    // Join the previous view's group when it has the same width and
+    // room; otherwise open a group padded with this length.
+    if (groups_.empty() || groups_.back().lane != laneIdx ||
+        groups_.back().count == 4) {
+        groups_.push_back({laneIdx, viewIdx, 0, {}});
+        groups_.back().length.fill(length);
+    }
+    Group &g = groups_.back();
+    g.length[g.count++] = length;
+    return viewIdx;
 }
 
 void
@@ -65,7 +75,6 @@ GlobalHistory::reset()
     for (Lane &lane : lanes_) {
         std::fill(lane.ring.begin(), lane.ring.end(), 0);
         lane.prefix = 0;
-        lane.doubled = 0;
         lane.rshift = 1;
     }
 }

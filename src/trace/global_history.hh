@@ -7,6 +7,7 @@
 #ifndef WHISPER_TRACE_GLOBAL_HISTORY_HH
 #define WHISPER_TRACE_GLOBAL_HISTORY_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -40,16 +41,22 @@ namespace whisper
  *
  *     fold(L) = rotl_w(R(n) ^ R(n - L), (n - 1) mod w).
  *
- * So push() costs one XOR, one ring store and one multiply per
- * distinct width, however many views share it, and a read costs two
- * loads and a rotate. The rotate works on the doubled value
- * v * (2^w + 1), two copies of v side by side, where rotl_w(v, r) is
- * the w bits starting at bit w - r; XOR commutes with the doubling,
- * so a read is one multiply, one XOR and one shift by at most w, and
- * no shift reaches the width of its 64-bit operand. Each ring holds the next power of
- * two above its longest view, so R(n - L) is never overwritten;
- * before L pushes that slot has never been written and reads 0,
- * matching a register that has not yet filled its window.
+ * So push() costs one XOR and one ring store per distinct width,
+ * however many views share it, and a read costs two loads, an XOR
+ * and a rotate. The rotate's right shift by up to w = 32 is done as
+ * two shifts, so no shift reaches the width of its 32-bit operand.
+ * Each ring holds the next power of two above its longest view, so
+ * R(n - L) is never overwritten; before L pushes that slot has never
+ * been written and reads 0, matching a register that has not yet
+ * filled its window.
+ *
+ * foldedValues() reads every view in one call. Views are batched in
+ * registration order: each run of up to four consecutively
+ * registered views of the same width is one group, read with one
+ * load of its width's prefix register and rotate amount and four
+ * ring loads, XORs and rotates by that same amount. A caller that
+ * registers its views four at a time per width (as TageScl does)
+ * gets only full groups; any order is correct.
  */
 class GlobalHistory
 {
@@ -68,7 +75,6 @@ class GlobalHistory
             // Bit number count-1 lands at (-(count-1)) mod width.
             lane.prefix ^= b << (lane.rshift - 1);
             lane.ring[count_ & lane.ringMask] = lane.prefix;
-            lane.doubled = lane.prefix * lane.dup;
             lane.rshift = lane.rshift == 1 ? lane.width : lane.rshift - 1;
         }
     }
@@ -118,9 +124,32 @@ class GlobalHistory
     {
         const View &view = views_[idx];
         const Lane &lane = lanes_[view.lane];
-        uint64_t old = lane.ring[(count_ - view.length) & lane.ringMask];
-        uint64_t x = lane.doubled ^ old * lane.dup;
-        return static_cast<uint32_t>(x >> lane.rshift) & lane.mask;
+        return lane.rotate(
+            lane.prefix ^ lane.ring[(count_ - view.length) & lane.ringMask]);
+    }
+
+    /** Number of registered folded views. */
+    size_t numViews() const { return views_.size(); }
+
+    /**
+     * Every view's current value in one call: out[i] = foldedValue(i)
+     * for each i < numViews(). @p out must hold numViews() values.
+     */
+    void
+    foldedValues(uint32_t *out) const
+    {
+        if (groups_.empty())
+            return;
+        // Every group but the last stores all four values: a partial
+        // group's spare values land on the next group's slots, which
+        // that group then overwrites.
+        for (size_t g = 0; g + 1 < groups_.size(); ++g)
+            readGroup(groups_[g], out + groups_[g].first);
+        const Group &last = groups_.back();
+        uint32_t v[4];
+        readGroup(last, v);
+        for (unsigned k = 0; k < last.count; ++k)
+            out[last.first + k] = v[k];
     }
 
     void reset();
@@ -133,10 +162,18 @@ class GlobalHistory
         unsigned rshift = 1;  //!< width - ((count - 1) mod width)
         uint32_t mask = 0;    //!< the low 'width' bits
         uint32_t prefix = 0;  //!< R(count)
-        uint64_t dup = 0;     //!< 2^width + 1
-        uint64_t doubled = 0; //!< prefix * dup
         uint64_t ringMask = 0;
         std::vector<uint32_t> ring; //!< ring[n & ringMask] = R(n)
+
+        /** rotl_width(@p x, (count - 1) mod width) of a width-bit
+         * @p x. The right shift by rshift (1 .. width, so up to 32)
+         * is split in two so that neither shift reaches 32. */
+        uint32_t
+        rotate(uint32_t x) const
+        {
+            return ((x << (width - rshift)) | ((x >> 1) >> (rshift - 1))) &
+                   mask;
+        }
     };
 
     struct View
@@ -145,6 +182,28 @@ class GlobalHistory
         unsigned length;
     };
 
+    /** Up to four consecutively registered views of one width. A
+     * group of fewer than four repeats its first length in the spare
+     * slots, whose values are computed but not stored. */
+    struct Group
+    {
+        unsigned lane;
+        unsigned first; //!< index of the group's first view
+        unsigned count; //!< views in the group, 1..4
+        std::array<unsigned, 4> length;
+    };
+
+    /** The four values of group @p g (spare slots included). */
+    void
+    readGroup(const Group &g, uint32_t *out) const
+    {
+        const Lane &lane = lanes_[g.lane];
+        for (unsigned k = 0; k < 4; ++k) {
+            out[k] = lane.rotate(
+                lane.prefix ^ lane.ring[(count_ - g.length[k]) & lane.ringMask]);
+        }
+    }
+
     unsigned capacity_;
     uint64_t bitsMask_;
     std::vector<uint8_t> bits_; //!< raw ring, power-of-two sized
@@ -152,6 +211,7 @@ class GlobalHistory
     uint64_t recent_ = 0;       //!< the last 64 bits, newest at bit 0
     std::vector<Lane> lanes_;
     std::vector<View> views_;
+    std::vector<Group> groups_;
 };
 
 } // namespace whisper

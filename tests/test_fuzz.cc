@@ -4,8 +4,9 @@
  * codec's entry points: a .whrt trace read strictly by
  * BranchTrace::load and leniently by TraceStreamReader, a versioned
  * hint bundle (the journal record and BUNDLE payload), a hint-store
- * journal file replayed by HintJournal, and an INGEST_CHUNK wire
- * payload and frame.
+ * journal file replayed by HintJournal, an INGEST_CHUNK wire
+ * payload and frame, a CBP-style text trace read by loadCbpTrace,
+ * and a profile file read by loadProfile.
  *
  * Each valid input is mutated from a fixed seed — bit flips, byte
  * overwrites, truncations and smashed length fields — and every
@@ -25,10 +26,12 @@
 #include <string>
 #include <vector>
 
+#include "core/profile.hh"
 #include "core/whisper_io.hh"
 #include "net/wire_protocol.hh"
 #include "service/hint_journal.hh"
 #include "trace/branch_trace.hh"
+#include "trace/cbp_reader.hh"
 #include "trace/trace_reader.hh"
 #include "util/byte_codec.hh"
 #include "util/crc32.hh"
@@ -520,4 +523,292 @@ TEST(RecordCodec, JournalMutations)
         }
     }
     std::remove(path.c_str());
+}
+
+namespace
+{
+
+/** @p a and @p b hold the same metadata and records. */
+bool
+sameTrace(const BranchTrace &a, const BranchTrace &b)
+{
+    return a.app() == b.app() && a.inputId() == b.inputId() &&
+           imageOf(a.records()) == imageOf(b.records());
+}
+
+/** @p bytes with [at, at + len) replaced by @p text. */
+Bytes
+splice(const Bytes &bytes, size_t at, size_t len, const std::string &text)
+{
+    Bytes out(bytes.begin(), bytes.begin() + at);
+    out.insert(out.end(), text.begin(), text.end());
+    out.insert(out.end(), bytes.begin() + at + len, bytes.end());
+    return out;
+}
+
+} // namespace
+
+TEST(RecordCodec, CbpMutations)
+{
+    const std::vector<BranchRecord> records = kafkaRecords(40);
+    BranchTrace original("kafka", 3);
+    for (const BranchRecord &rec : records)
+        original.append(rec);
+    const std::string path = "/tmp/whisper_fuzz_trace.cbp";
+    const std::string again = "/tmp/whisper_fuzz_trace_again.cbp";
+    ASSERT_TRUE(saveCbpTrace(original, path));
+    const Bytes good = readFile(path);
+
+    BranchTrace missing;
+    EXPECT_TRUE(loadCbpTrace("/tmp/whisper_fuzz_no_such.cbp", &missing)
+                    .missing());
+
+    // Load @p bytes; an accepted trace must survive save + load
+    // unchanged, a rejected one must be reported corrupt (the file
+    // exists, so never missing). Returns whether it was accepted.
+    auto check = [&](const Bytes &bytes, BranchTrace *out,
+                     const std::string &what) {
+        writeFile(path, bytes);
+        IoStatus st = loadCbpTrace(path, out);
+        EXPECT_FALSE(st.missing()) << what;
+        if (!st.ok()) {
+            EXPECT_TRUE(st.corrupt()) << what;
+            return false;
+        }
+        BranchTrace back;
+        EXPECT_TRUE(saveCbpTrace(*out, again)) << what;
+        EXPECT_TRUE(loadCbpTrace(again, &back).ok()) << what;
+        EXPECT_TRUE(sameTrace(back, *out)) << what;
+        return true;
+    };
+
+    BranchTrace loaded;
+    ASSERT_TRUE(check(good, &loaded, "intact"));
+    ASSERT_TRUE(sameTrace(loaded, original));
+    ASSERT_TRUE(saveCbpTrace(loaded, again));
+    ASSERT_EQ(readFile(again), good);
+
+    // Line starts: four metadata comments, then one line per record.
+    std::vector<size_t> lineStart = {0};
+    for (size_t i = 0; i + 1 < good.size(); ++i)
+        if (good[i] == '\n')
+            lineStart.push_back(i + 1);
+    ASSERT_EQ(lineStart.size(), 4 + records.size());
+    const size_t firstRecord = lineStart[4];
+
+    // A cut at every byte: a torn last line that no longer parses
+    // (say, a PC without a direction) is corrupt; whatever is
+    // accepted is the records whose lines survived whole, plus at
+    // most one cut-down last line.
+    for (size_t cut = 0; cut < good.size(); ++cut) {
+        BranchTrace t;
+        std::string what = "cut at " + std::to_string(cut);
+        if (!check(Bytes(good.begin(), good.begin() + cut), &t, what))
+            continue;
+        size_t whole = 0;
+        while (4 + whole + 1 < lineStart.size() &&
+               lineStart[4 + whole + 1] <= cut)
+            ++whole;
+        ASSERT_GE(t.size(), whole) << what;
+        ASSERT_LE(t.size(), whole + 1) << what;
+        EXPECT_EQ(imageOf(t.records().subspan(0, whole)),
+                  imageOf(std::span(records).subspan(0, whole)))
+            << what;
+    }
+
+    // Every bit of the metadata header and of the first record line
+    // (PC, direction, target, kind and gap fields).
+    for (size_t at = 0; at < lineStart[5]; ++at) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            Bytes bytes = good;
+            bytes[at] ^= static_cast<unsigned char>(1u << bit);
+            BranchTrace t;
+            check(bytes, &t,
+                  "flip " + std::to_string(at) + "." + std::to_string(bit));
+        }
+    }
+
+    // Numeric fields at their caps: the input id (32 bits), the PC
+    // (64-bit hex) and the gap (16 bits), at cap + 1 and 0xFFFFFFFF.
+    const std::string text(good.begin(), good.end());
+    const size_t inputAt = text.find("# input=") + 8;
+    const size_t inputLen = text.find('\n', inputAt) - inputAt;
+    const size_t pcLen = text.find(' ', firstRecord) - firstRecord;
+    const size_t gapAt = text.rfind(' ', lineStart[5]) + 1;
+    const size_t gapLen = lineStart[5] - 1 - gapAt;
+    struct Case
+    {
+        size_t at, len;
+        std::string value;
+        bool accepted;
+    };
+    const Case cases[] = {
+        {inputAt, inputLen, "4294967296", false},
+        {inputAt, inputLen, "4294967295", true},
+        {firstRecord, pcLen, "10000000000000000", false},
+        {firstRecord, pcLen, "ffffffff", true},
+        {gapAt, gapLen, "65536", false},
+        {gapAt, gapLen, "4294967295", false},
+    };
+    for (const Case &c : cases) {
+        BranchTrace t;
+        EXPECT_EQ(check(splice(good, c.at, c.len, c.value), &t,
+                        "set " + c.value),
+                  c.accepted)
+            << c.value;
+    }
+    BranchTrace t;
+    ASSERT_TRUE(check(splice(good, inputAt, inputLen, "4294967295"), &t,
+                      "max input id"));
+    EXPECT_EQ(t.inputId(), 0xFFFFFFFFu);
+    std::remove(path.c_str());
+    std::remove(again.c_str());
+}
+
+TEST(RecordCodec, ProfileMutations)
+{
+    // Three branches, the middle one hard; two history lengths of a
+    // 2-bit hash keep the hard tables small (4 keys).
+    WhisperConfig cfg;
+    cfg.minHistoryLength = 4;
+    cfg.maxHistoryLength = 16;
+    cfg.numHistoryLengths = 2;
+    cfg.hashWidth = 2;
+    BranchProfile original(cfg);
+    original.totalInstructions = 90000;
+    original.totalConditionals = 12000;
+    original.totalMispredicts = 700;
+    for (uint64_t i = 0; i < 3; ++i) {
+        BranchProfileEntry &e = original.entry(0x400000 + 0x40 * i);
+        e.executions = 1000 * (i + 1);
+        e.takenCount = 300 * (i + 1);
+        e.baselineMispredicts = 50 + i;
+    }
+    original.markHard(0x400040);
+    BranchProfileEntry &hard = *original.find(0x400040);
+    for (unsigned k = 0; k < 4; ++k) {
+        hard.byLength[0].record(k, k % 2 == 0);
+        hard.byLength[1].record(k, true);
+        hard.raw4.record(k * 3, false);
+        hard.raw8.record(k * 60, true);
+    }
+
+    const std::string path = "/tmp/whisper_fuzz_profile.bin";
+    const std::string again = "/tmp/whisper_fuzz_profile_again.bin";
+    ASSERT_TRUE(saveProfile(original, path));
+    const Bytes good = readFile(path);
+
+    BranchProfile none;
+    EXPECT_TRUE(loadProfile(none, "/tmp/whisper_fuzz_no_such.bin")
+                    .missing());
+
+    auto sameConfig = [](const WhisperConfig &a, const WhisperConfig &b) {
+        return a.minHistoryLength == b.minHistoryLength &&
+               a.maxHistoryLength == b.maxHistoryLength &&
+               a.numHistoryLengths == b.numHistoryLengths &&
+               a.hashWidth == b.hashWidth;
+    };
+    // Load @p bytes; an accepted profile must survive save + load
+    // unchanged, a rejected one must be reported corrupt.
+    auto check = [&](const Bytes &bytes, const std::string &what) {
+        writeFile(path, bytes);
+        BranchProfile p;
+        IoStatus st = loadProfile(p, path);
+        EXPECT_FALSE(st.missing()) << what;
+        if (!st.ok()) {
+            EXPECT_TRUE(st.corrupt()) << what;
+            return false;
+        }
+        BranchProfile back;
+        EXPECT_TRUE(saveProfile(p, again)) << what;
+        EXPECT_TRUE(loadProfile(back, again).ok()) << what;
+        EXPECT_TRUE(back == p) << what;
+        EXPECT_TRUE(sameConfig(back.config(), p.config())) << what;
+        return true;
+    };
+
+    ASSERT_TRUE(check(good, "intact"));
+    {
+        BranchProfile p;
+        ASSERT_TRUE(loadProfile(p, path).ok());
+        ASSERT_TRUE(p == original);
+        ASSERT_TRUE(sameConfig(p.config(), cfg));
+    }
+
+    // Header: magic, version, the four config words, three totals and
+    // the branch count. Entries follow in the file's order; the hard
+    // entry's tables are each a 64-bit length and that many words.
+    const size_t headerBytes = 4 + 4 + 4 * 4 + 3 * 8 + 8;
+    const size_t countAt = headerBytes - 8;
+    struct Field
+    {
+        size_t at;
+        uint64_t cap;
+    };
+    std::vector<Field> lengths;
+    size_t at = headerBytes;
+    for (int i = 0; i < 3; ++i) {
+        at += 4 * 8;
+        bool isHard = good[at] != 0;
+        at += 1;
+        if (!isHard)
+            continue;
+        for (uint64_t keys : {4, 4, 16, 256}) {
+            for (int half = 0; half < 2; ++half) {
+                lengths.push_back({at, keys});
+                at += 8 + 4 * keys;
+            }
+        }
+    }
+    ASSERT_EQ(at, good.size());
+    ASSERT_EQ(lengths.size(), 8u);
+
+    // A cut at every byte: the format has no optional tail, so every
+    // cut is corrupt.
+    for (size_t cut = 0; cut < good.size(); ++cut) {
+        EXPECT_FALSE(check(Bytes(good.begin(), good.begin() + cut),
+                           "cut at " + std::to_string(cut)));
+    }
+
+    // Every bit of the header and of every table length.
+    std::vector<size_t> flipAt;
+    for (size_t i = 0; i < headerBytes; ++i)
+        flipAt.push_back(i);
+    for (const Field &f : lengths)
+        for (size_t i = 0; i < 8; ++i)
+            flipAt.push_back(f.at + i);
+    size_t accepted = 0;
+    for (size_t i : flipAt) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            Bytes bytes = good;
+            bytes[i] ^= static_cast<unsigned char>(1u << bit);
+            accepted += check(bytes, "flip " + std::to_string(i) + "." +
+                                         std::to_string(bit));
+        }
+    }
+    EXPECT_GT(accepted, 0u); // the totals carry no redundancy
+
+    // Counts at cap + 1 and at 0xFFFFFFFF: the branch count (cap
+    // 2^32, but the file holds three), the number of history lengths
+    // (cap 16), the hash width (cap 8) and every table length (cap
+    // its key count). All are corrupt, and none may allocate more
+    // than the file holds.
+    auto setCount = [&](size_t where, size_t bytes, uint64_t value) {
+        Bytes b = good;
+        std::memcpy(b.data() + where, &value, bytes);
+        return b;
+    };
+    std::vector<std::pair<Field, size_t>> counts = {
+        {{countAt, 1ULL << 32}, 8}, {{16, 16}, 4}, {{20, 8}, 4}};
+    for (const Field &f : lengths)
+        counts.push_back({f, 8});
+    for (const auto &[f, bytes] : counts) {
+        for (uint64_t value : {f.cap + 1, uint64_t{0xFFFFFFFF}}) {
+            EXPECT_FALSE(check(setCount(f.at, bytes, value),
+                               "count at " + std::to_string(f.at) +
+                                   " = " + std::to_string(value)));
+        }
+    }
+    std::remove(path.c_str());
+    std::remove(again.c_str());
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "bp/simple_predictors.hh"
 #include "bp/tage_scl.hh"
@@ -39,8 +40,14 @@ TEST_P(FoldedHistoryProperty, IncrementalEqualsReference)
     Rng rng(length * 131 + width);
     for (int i = 0; i < 600; ++i) {
         h.push(rng.nextBool(0.37));
-        ASSERT_EQ(h.foldedValue(v), h.foldedHash(length, width))
+        std::vector<uint32_t> batch(h.numViews());
+        h.foldedValues(batch.data());
+        uint32_t want = h.foldedHash(length, width);
+        ASSERT_EQ(h.foldedValue(v), want)
             << "len=" << length << " width=" << width << " i=" << i;
+        ASSERT_EQ(batch[v], want)
+            << "batched len=" << length << " width=" << width
+            << " i=" << i;
     }
 }
 
@@ -48,7 +55,8 @@ INSTANTIATE_TEST_SUITE_P(
     LengthWidthGrid, FoldedHistoryProperty,
     ::testing::Combine(::testing::Values(1u, 5u, 8u, 11, 26u, 64u,
                                          303u, 1024u),
-                       ::testing::Values(4u, 8u, 11u, 16u, 24u, 32u)));
+                       ::testing::Values(4u, 8u, 11u, 16u, 24u, 32u,
+                                         1u)));
 
 // ---------------------------------------------------------------
 // The whole geometric series behaves: every candidate length's

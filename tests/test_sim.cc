@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "bp/simple_predictors.hh"
+#include "bp/tage_scl.hh"
+#include "core/whisper_predictor.hh"
 #include "service/chunk_profiler.hh"
 #include "sim/analysis.hh"
 #include "trace/branch_trace.hh"
@@ -112,6 +117,113 @@ TEST_P(GoldenSnapshot, SerialMatchesTheSnapshot)
 
 INSTANTIATE_TEST_SUITE_P(CatalogWorkloads, GoldenSnapshot,
                          ::testing::ValuesIn(kGoldens));
+
+// ---------------------------------------------------------------
+// TAGE-SC-L golden grid: the ends and the baseline of the Fig. 21
+// size sweep (8KB, 64KB, 1MB) and 8MB, which like the 4MB MTAGE
+// stand-in uses the 3000-bit history, with the statistical corrector
+// and loop predictor each on and off, on two catalog workloads.
+// Exact counts, so any change to a prediction in any configuration
+// fails here.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+struct TageGolden
+{
+    const char *app;
+    unsigned kb;
+    bool useSc;
+    bool useLoop;
+    uint64_t conditionals;
+    uint64_t mispredicts;
+};
+
+// Input 0, 60k records, stats warm-up fraction 0.5.
+constexpr TageGolden kTageGoldens[] = {
+    {"mysql", 8, true, true, 27489, 3756},
+    {"mysql", 8, false, true, 27489, 3666},
+    {"mysql", 8, true, false, 27489, 3756},
+    {"mysql", 8, false, false, 27489, 3666},
+    {"mysql", 64, true, true, 27489, 3085},
+    {"mysql", 64, false, true, 27489, 3497},
+    {"mysql", 64, true, false, 27489, 3061},
+    {"mysql", 64, false, false, 27489, 3491},
+    {"mysql", 1024, true, true, 27489, 2920},
+    {"mysql", 1024, false, true, 27489, 3374},
+    {"mysql", 1024, true, false, 27489, 2896},
+    {"mysql", 1024, false, false, 27489, 3357},
+    {"mysql", 8192, true, true, 27489, 3169},
+    {"mysql", 8192, false, true, 27489, 3355},
+    {"mysql", 8192, true, false, 27489, 3151},
+    {"mysql", 8192, false, false, 27489, 3336},
+    {"finagle-http", 8, true, true, 27562, 672},
+    {"finagle-http", 8, false, true, 27562, 700},
+    {"finagle-http", 8, true, false, 27562, 662},
+    {"finagle-http", 8, false, false, 27562, 698},
+    {"finagle-http", 64, true, true, 27562, 477},
+    {"finagle-http", 64, false, true, 27562, 627},
+    {"finagle-http", 64, true, false, 27562, 451},
+    {"finagle-http", 64, false, false, 27562, 602},
+    {"finagle-http", 1024, true, true, 27562, 508},
+    {"finagle-http", 1024, false, true, 27562, 590},
+    {"finagle-http", 1024, true, false, 27562, 497},
+    {"finagle-http", 1024, false, false, 27562, 579},
+    {"finagle-http", 8192, true, true, 27562, 548},
+    {"finagle-http", 8192, false, true, 27562, 621},
+    {"finagle-http", 8192, true, false, 27562, 537},
+    {"finagle-http", 8192, false, false, 27562, 610},
+};
+
+void
+PrintTo(const TageGolden &g, std::ostream *os)
+{
+    std::string app = g.app;
+    std::replace(app.begin(), app.end(), '-', '_');
+    *os << app << "_" << g.kb << "kb" << (g.useSc ? "" : "_nosc")
+        << (g.useLoop ? "" : "_noloop");
+}
+
+} // namespace
+
+class TageSclGolden : public ::testing::TestWithParam<TageGolden>
+{
+};
+
+TEST_P(TageSclGolden, MatchesTheSnapshot)
+{
+    const TageGolden &g = GetParam();
+    TageSclConfig cfg = TageSclConfig::forBudgetKB(g.kb);
+    cfg.useSc = g.useSc;
+    cfg.useLoop = g.useLoop;
+    TageScl pred(cfg);
+    AppWorkload trace(appByName(g.app), 0, 60000);
+    PredictorRunStats stats = runPredictor(trace, pred, 0.5);
+    EXPECT_EQ(stats.conditionals, g.conditionals);
+    EXPECT_EQ(stats.mispredicts, g.mispredicts);
+}
+
+INSTANTIATE_TEST_SUITE_P(BudgetsAndComponents, TageSclGolden,
+                         ::testing::ValuesIn(kTageGoldens));
+
+TEST(WhisperTageGolden, HintedUpdatesMatchTheSnapshot)
+{
+    // Hinted branches update TAGE-SC-L with allocate=false, a path
+    // the plain grid never takes.
+    ExperimentConfig cfg = smallConfig();
+    const AppConfig &app = appByName("mysql");
+    BranchProfile profile = profileApp(app, 0, cfg);
+    WhisperBuild build = trainWhisper(app, 0, profile, cfg);
+    auto pred = makeWhisperPredictor(cfg, build);
+    AppWorkload trace(app, 0, 60000);
+    PredictorRunStats stats = runPredictor(trace, *pred, 0.5);
+    const auto &whisper = static_cast<const WhisperPredictor &>(*pred);
+    EXPECT_EQ(build.hints.size(), 124u);
+    EXPECT_EQ(whisper.hintPredictions(), 5782u);
+    EXPECT_EQ(stats.conditionals, 27489u);
+    EXPECT_EQ(stats.mispredicts, 2794u);
+}
 
 TEST(Profiler, CollectsEntriesAndHardTables)
 {

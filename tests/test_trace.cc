@@ -197,13 +197,16 @@ TEST(FoldedHistory, ResetClears)
 
 TEST(FoldedHistory, MixedWidthsMatchReferenceThroughResetAndCopy)
 {
-    // Every width TAGE-SC-L, Whisper and the classifier use, plus 32,
-    // on one history. Lengths straddle powers of two, and each width
-    // stops at its own longest view (2^k - 1, 2^k, 2^k + 1 or the
-    // full, non-power-of-two capacity), which sizes its prefix ring.
+    // Every width TAGE-SC-L, Whisper and the classifier use, plus 1,
+    // 4 and 32, on one history. Lengths straddle powers of two, and
+    // each width stops at its own longest view (2^k - 1, 2^k, 2^k + 1
+    // or the full, non-power-of-two capacity), which sizes its prefix
+    // ring. Views are read one by one and in one foldedValues() batch;
+    // the per-width view counts (not multiples of four) leave partial
+    // batch groups mid-sequence and at the end.
     GlobalHistory h(300);
     const std::vector<std::pair<unsigned, unsigned>> widthMaxLen = {
-        {7, 300}, {8, 256}, {9, 255}, {10, 257},
+        {1, 129}, {4, 300}, {7, 300}, {8, 256}, {9, 255}, {10, 257},
         {11, 128}, {12, 65}, {24, 127}, {32, 64}};
     std::vector<unsigned> lengths = {1};
     for (unsigned k = 3; k <= 8; ++k)
@@ -223,13 +226,16 @@ TEST(FoldedHistory, MixedWidthsMatchReferenceThroughResetAndCopy)
                 probes.push_back({h.addFoldedView(len, w), len, w});
 
     auto matches = [&](const GlobalHistory &g) {
+        std::vector<uint32_t> batch(g.numViews());
+        g.foldedValues(batch.data());
         for (const Probe &p : probes) {
             uint32_t got = g.foldedValue(p.idx);
             uint32_t want = g.foldedHash(p.length, p.width);
-            if (got != want)
+            if (got != want || batch[p.idx] != want)
                 return ::testing::AssertionFailure()
                        << "len=" << p.length << " width=" << p.width
-                       << " got=" << got << " want=" << want;
+                       << " got=" << got << " batch=" << batch[p.idx]
+                       << " want=" << want;
         }
         return ::testing::AssertionSuccess();
     };
@@ -259,6 +265,7 @@ TEST(FoldedHistory, MixedWidthsMatchReferenceThroughResetAndCopy)
     // reset() mid-stream refills from zero; the copy is unaffected.
     h.reset();
     EXPECT_EQ(h.count(), 0u);
+    ASSERT_TRUE(matches(h)) << "after reset";
     for (const Probe &p : probes)
         ASSERT_EQ(h.foldedValue(p.idx), 0u) << p.length << "/" << p.width;
     for (int i = 0; i < 400; ++i) {
