@@ -99,7 +99,6 @@ runMixedFleet(const ExperimentConfig &cfg, const std::string &noisy,
         BranchRecord rec;
         for (unsigned i = 0; i < n; ++i) {
             chunks[i].app = app.name;
-            chunks[i].sequence = i;
             chunks[i].records.reserve(chunkRecords);
             while (chunks[i].records.size() < chunkRecords &&
                    workload.next(rec))

@@ -66,6 +66,26 @@ class BranchPredictor
     virtual uint64_t storageBits() const { return 0; }
 };
 
+/**
+ * Drive @p predictor through one trace record, the step every trace
+ * driver shares (runners, profilers, the pipeline model, the
+ * analyses): a conditional is predicted and then updated with its
+ * outcome, and every record is passed to onRecord().
+ * @return true iff @p rec is a conditional the predictor missed.
+ */
+inline bool
+stepPredictor(BranchPredictor &predictor, const BranchRecord &rec)
+{
+    bool miss = false;
+    if (rec.isConditional()) {
+        bool pred = predictor.predict(rec.pc, rec.taken);
+        predictor.update(rec.pc, rec.taken, pred);
+        miss = pred != rec.taken;
+    }
+    predictor.onRecord(rec);
+    return miss;
+}
+
 } // namespace whisper
 
 #endif // WHISPER_BP_BRANCH_PREDICTOR_HH

@@ -440,17 +440,14 @@ WireServer::handleIngest(Connection &conn, const WireFrame &frame)
     }
 
     TraceChunk chunk;
-    chunk.sequence = arrivals_;
     chunk.app = msg.app;
     chunk.inputId = msg.inputId;
-    chunk.sourceFile = "wire:" + msg.stream;
     chunk.records = std::move(msg.records);
     size_t recordCount = chunk.records.size();
 
     ChunkSinkResult result = sink_(std::move(chunk));
     switch (result) {
     case ChunkSinkResult::Accepted: {
-        ++arrivals_;
         storeNextSeq(streamKey, msg.seq + 1);
         stats_.chunksAccepted.fetch_add(1);
         stats_.recordsAccepted.fetch_add(recordCount);

@@ -62,14 +62,6 @@
 namespace whisper
 {
 
-/** Non-blocking verdict of the ingest sink for one chunk. */
-enum class ChunkSinkResult
-{
-    Accepted,     //!< queued for the tenant's absorber
-    UnknownApp,   //!< no such tenant (permanent error to the client)
-    Backpressure, //!< tenant queue full (client should retry later)
-};
-
 struct WireServerConfig
 {
     std::string bindAddress = "127.0.0.1";
@@ -195,7 +187,6 @@ class WireServer
      * them. */
     std::map<std::string, uint64_t> nextSeqCur_;
     std::map<std::string, uint64_t> nextSeqPrev_;
-    uint64_t arrivals_ = 0; //!< global chunk arrival counter
 
     // Counters are atomics so stats() is callable mid-run.
     struct AtomicStats

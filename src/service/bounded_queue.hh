@@ -1,20 +1,19 @@
 /**
  * @file
- * Bounded multi-producer queue connecting whisperd's ingest threads
- * to its consumers.
+ * Bounded queue between whisperd's router and a tenant's absorber.
  *
- * A fixed-capacity ring guarded by one mutex and two condition
- * variables: producers block when the ring is full (backpressure
- * toward the trace readers instead of unbounded buffering), consumers
- * block when it is empty. close() wakes everyone; a closed queue
- * drains its remaining elements before pop() starts returning false,
- * so no ingested chunk is ever dropped.
+ * A fixed-capacity deque guarded by one mutex and one condition
+ * variable: producers never block (tryPush() refuses when the queue
+ * is full, and the caller decides between backpressure and a
+ * counted drop), consumers block when it is empty. close() wakes
+ * every consumer; a closed queue drains its remaining elements
+ * before pop() starts returning false, so no queued chunk is ever
+ * lost.
  */
 
 #ifndef WHISPER_SERVICE_BOUNDED_QUEUE_HH
 #define WHISPER_SERVICE_BOUNDED_QUEUE_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -26,7 +25,7 @@
 namespace whisper
 {
 
-/** Bounded blocking MPSC/MPMC queue. */
+/** Bounded MPMC queue with a non-blocking push. */
 template <typename T>
 class BoundedQueue
 {
@@ -34,42 +33,6 @@ class BoundedQueue
     explicit BoundedQueue(size_t capacity) : capacity_(capacity)
     {
         whisper_assert(capacity > 0);
-    }
-
-    /**
-     * Block until there is room, then enqueue.
-     * @return false when the queue was closed (item not enqueued).
-     */
-    bool
-    push(T item)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        notFull_.wait(lock, [&] {
-            return closed_ || items_.size() < capacity_;
-        });
-        if (closed_)
-            return false;
-        items_.push_back(std::move(item));
-        notEmpty_.notify_one();
-        return true;
-    }
-
-    /**
-     * Block until an element is available or the queue is closed and
-     * drained. @return false only in the latter case.
-     */
-    bool
-    pop(T &out)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        notEmpty_.wait(lock,
-                       [&] { return closed_ || !items_.empty(); });
-        if (items_.empty())
-            return false;
-        out = std::move(items_.front());
-        items_.pop_front();
-        notFull_.notify_one();
-        return true;
     }
 
     /**
@@ -91,40 +54,19 @@ class BoundedQueue
     }
 
     /**
-     * Timed push: block up to @p timeout for room, then enqueue.
-     * @return false when the deadline passed with the queue still
-     * full, or the queue was closed (item not enqueued either way).
-     * close() wakes blocked timed pushers immediately — shutdown
-     * never waits out the timeout.
+     * Block until an element is available or the queue is closed and
+     * drained. @return false only in the latter case.
      */
-    template <typename Rep, typename Period>
     bool
-    tryPushFor(T item,
-               const std::chrono::duration<Rep, Period> &timeout)
+    pop(T &out)
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (!notFull_.wait_for(lock, timeout, [&] {
-                return closed_ || items_.size() < capacity_;
-            })) {
-            return false; // deadline passed, still full
-        }
-        if (closed_)
-            return false;
-        items_.push_back(std::move(item));
-        notEmpty_.notify_one();
-        return true;
-    }
-
-    /** Non-blocking pop. @return false when nothing was available. */
-    bool
-    tryPop(T &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
+        notEmpty_.wait(lock,
+                       [&] { return closed_ || !items_.empty(); });
         if (items_.empty())
             return false;
         out = std::move(items_.front());
         items_.pop_front();
-        notFull_.notify_one();
         return true;
     }
 
@@ -135,14 +77,6 @@ class BoundedQueue
         std::lock_guard<std::mutex> lock(mutex_);
         closed_ = true;
         notEmpty_.notify_all();
-        notFull_.notify_all();
-    }
-
-    bool
-    closed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return closed_;
     }
 
     size_t
@@ -152,13 +86,10 @@ class BoundedQueue
         return items_.size();
     }
 
-    size_t capacity() const { return capacity_; }
-
   private:
     const size_t capacity_;
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
-    std::condition_variable notFull_;
     std::deque<T> items_;
     bool closed_ = false;
 };

@@ -76,11 +76,13 @@ struct TenantMetrics
 /** Counters and accumulators for one service run. */
 struct ServiceMetrics
 {
-    // -- ingest (written by the consumer loop) --
+    // -- ingest (counted where the router decides on a chunk) --
     uint64_t chunksIngested = 0;
     uint64_t recordsIngested = 0;
     uint64_t filesIngested = 0;
-    RunningStat ingestRate; //!< records/sec, one sample per chunk
+    /** Records/sec since the router was built, one sample per
+     * chunk. */
+    RunningStat ingestRate;
 
     // -- training --
     uint64_t epochsRun = 0;

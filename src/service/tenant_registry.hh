@@ -49,8 +49,9 @@ namespace whisper
 struct TenantQuota
 {
     /** Chunks buffered between the router and this tenant's
-     * absorber; a full queue drops the chunk (and counts it) instead
-     * of letting one tenant's backlog block the shared ingest path. */
+     * absorber; a full queue refuses the chunk (RETRY_AFTER on the
+     * wire, a counted drop from a directory) instead of letting one
+     * tenant's backlog block the shared offer path. */
     size_t maxQueuedChunks = 16;
     /** Training epochs queued in the fair-share scheduler; a breach
      * drops the job (the absorbed chunks stay in the profile, so the

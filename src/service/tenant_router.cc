@@ -182,88 +182,70 @@ TenantRouter::offer(TraceChunk chunk)
 {
     std::string app = chunk.app;
     size_t records = chunk.records.size();
-    OfferOutcome outcome = tryOffer(std::move(chunk));
-    if (outcome == OfferOutcome::Backpressure) {
+    ChunkSinkResult outcome = tryOffer(std::move(chunk));
+    if (outcome == ChunkSinkResult::Backpressure) {
         registry_.find(app)->withCounters([&](Tenant::Counters &c) {
             ++c.chunksDropped;
             c.recordsDropped += records;
         });
+        countIngested(records, false);
     }
-    return outcome == OfferOutcome::Accepted;
+    return outcome == ChunkSinkResult::Accepted;
 }
 
-TenantRouter::OfferOutcome
+ChunkSinkResult
 TenantRouter::tryOffer(TraceChunk chunk)
 {
-    Tenant *tenant = registry_.find(chunk.app);
-    if (!tenant) {
-        if (!cfg_.autoRegister) {
-            ++unknownAppChunks_;
-            return OfferOutcome::UnknownApp;
-        }
-        tenant = addTenant(chunk.app);
-    }
     size_t records = chunk.records.size();
+    Tenant *tenant = registry_.find(chunk.app);
+    if (!tenant && cfg_.autoRegister)
+        tenant = addTenant(chunk.app);
+    if (!tenant) {
+        countIngested(records, true);
+        return ChunkSinkResult::UnknownApp;
+    }
     if (!tenant->queue.tryPush(std::move(chunk))) {
         // Not a drop: the caller reports backpressure and the client
         // retransmits, so no counter moves here.
-        return OfferOutcome::Backpressure;
+        return ChunkSinkResult::Backpressure;
     }
     tenant->withCounters([&](Tenant::Counters &c) {
         ++c.chunksRouted;
         c.recordsRouted += records;
     });
-    return OfferOutcome::Accepted;
+    countIngested(records, false);
+    return ChunkSinkResult::Accepted;
 }
 
 void
-TenantRouter::runFromQueue(BoundedQueue<TraceChunk> &queue)
+TenantRouter::countIngested(size_t records, bool unknownApp)
 {
-    if (!started_)
-        start();
     using clock = std::chrono::steady_clock;
-    auto runStart = clock::now();
-    uint64_t recordsAtStart = recordsIngested_;
-    TraceChunk chunk;
-    while (queue.pop(chunk)) {
-        recordsIngested_ += chunk.records.size();
-        ++chunksIngested_;
-        offer(std::move(chunk));
-        double elapsed =
-            std::chrono::duration<double>(clock::now() - runStart)
-                .count();
-        if (elapsed > 0.0)
-            ingestRate_.add(
-                static_cast<double>(recordsIngested_ -
-                                    recordsAtStart) /
-                elapsed);
-    }
-    finish();
+    std::lock_guard<std::mutex> lock(ingestMutex_);
+    ++chunksIngested_;
+    recordsIngested_ += records;
+    unknownAppChunks_ += unknownApp;
+    double elapsed =
+        std::chrono::duration<double>(clock::now() - ingestStart_)
+            .count();
+    if (elapsed > 0.0)
+        ingestRate_.add(static_cast<double>(recordsIngested_) /
+                        elapsed);
 }
 
 void
 TenantRouter::run(const std::string &chunkDir)
 {
-    BoundedQueue<TraceChunk> queue(cfg_.queueCapacity);
-    std::atomic<uint64_t> sequence{0};
-    ChunkIngestor ingestor(ChunkIngestor::listTraceFiles(chunkDir),
-                           cfg_.chunkRecords, queue, sequence);
-    ingestor.start();
-    std::thread closer([&] {
-        ingestor.join();
-        queue.close();
-    });
-
-    runFromQueue(queue);
-
-    closer.join();
-    filesIngested_ += ingestor.filesIngested();
-    chunksSkipped_ += ingestor.framesSkipped();
-    recordsSkipped_ += ingestor.recordsSkipped();
-    readRetries_ += ingestor.readRetries();
-    corruptFiles_ += ingestor.errors().size();
-    for (const std::string &bad : ingestor.errors())
+    if (!started_)
+        start();
+    ChunkTally tally = chunkTraceDir(
+        chunkDir, cfg_.chunkRecords,
+        [this](TraceChunk chunk) { offer(std::move(chunk)); });
+    finish();
+    for (const std::string &bad : tally.errors)
         whisper_warn("whisperd: could not ingest ", bad);
+    std::lock_guard<std::mutex> lock(ingestMutex_);
+    dirTally_ = std::move(tally);
 }
 
 void
@@ -494,16 +476,19 @@ ServiceMetrics
 TenantRouter::metrics() const
 {
     ServiceMetrics m;
-    m.chunksIngested = chunksIngested_;
-    m.recordsIngested = recordsIngested_;
-    m.filesIngested = filesIngested_;
-    m.ingestRate = ingestRate_;
-    m.chunksSkipped = chunksSkipped_;
-    m.recordsSkipped = recordsSkipped_;
-    m.readRetries = readRetries_;
-    m.corruptFiles = corruptFiles_;
+    {
+        std::lock_guard<std::mutex> lock(ingestMutex_);
+        m.chunksIngested = chunksIngested_;
+        m.recordsIngested = recordsIngested_;
+        m.unknownAppChunks = unknownAppChunks_;
+        m.ingestRate = ingestRate_;
+        m.filesIngested = dirTally_.files;
+        m.chunksSkipped = dirTally_.framesSkipped;
+        m.recordsSkipped = dirTally_.recordsSkipped;
+        m.readRetries = dirTally_.readRetries;
+        m.corruptFiles = dirTally_.errors.size();
+    }
     m.tenantsRegistered = registry_.size();
-    m.unknownAppChunks = unknownAppChunks_;
     {
         std::lock_guard<std::mutex> lock(aggMutex_);
         m.trainLatency = aggTrainLatency_;

@@ -5,9 +5,12 @@
  *
  * Topology (one TenantRouter per service process):
  *
- *   ingest queue (chunks tagged with their app name)
- *        │ router thread: lookup tenant, enforce maxQueuedChunks
- *        ▼ (tryPush; full queue = drop-and-count, never block)
+ *   tryOffer()/offer(), the only way in (chunks tagged with their
+ *        app name; called by the wire server's event thread, or by
+ *        run() for each chunk of a directory): lookup tenant,
+ *        enforce maxQueuedChunks
+ *        ▼ (tryPush; full queue = backpressure or drop-and-count,
+ *        never block)
  *   per-tenant chunk queue ──▶ per-tenant absorber thread:
  *        ChunkProfiler + validation-window holdout; every
  *        epochChunks boundary snapshots (profile, validation,
@@ -37,7 +40,7 @@
 #ifndef WHISPER_SERVICE_TENANT_ROUTER_HH
 #define WHISPER_SERVICE_TENANT_ROUTER_HH
 
-#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -67,7 +70,6 @@ struct TenantRouterConfig
      * owns its own supervised TrainingPool; per-tenant jobs stay
      * FIFO regardless (the scheduler's in-flight cap enforces it). */
     unsigned trainDispatchers = 1;
-    size_t queueCapacity = 8;      //!< shared ingest queue bound
     unsigned tageBudgetKB = 64;    //!< baseline predictor budget
     double acceptMargin = 0.0;
     ChunkProfiler::Options profilePolicy;
@@ -170,39 +172,28 @@ class TenantRouter
     /** Spawn the per-tenant absorbers and the dispatchers. */
     void start();
 
-    /** Distinguishes the wire server's reply per tryOffer() verdict:
-     * ack, permanent error, or RETRY_AFTER. */
-    enum class OfferOutcome
-    {
-        Accepted,
-        UnknownApp,
-        Backpressure,
-    };
+    /** ChunkSinkResult under the name perfbench/service.cc uses. */
+    using OfferOutcome = ChunkSinkResult;
 
     /**
      * Route one chunk to its tenant (quota-checked, never blocks),
-     * registering an unknown app when autoRegister is set. A full
-     * tenant queue is reported as Backpressure WITHOUT counting a
-     * drop: the caller (the wire server) answers RETRY_AFTER and the
-     * client retransmits, so nothing was lost. Only unknown apps
-     * count (the chunk is genuinely refused).
+     * registering an unknown app when autoRegister is set; the wire
+     * server's sink. A full tenant queue is reported as Backpressure
+     * WITHOUT counting the chunk: the wire server answers
+     * RETRY_AFTER and the client retransmits, so nothing was lost.
+     * Accepted and unknown-app chunks count as ingested.
      */
-    OfferOutcome tryOffer(TraceChunk chunk);
+    ChunkSinkResult tryOffer(TraceChunk chunk);
 
     /**
      * tryOffer() for a caller that cannot retry: a Backpressure
-     * verdict counts the chunk as dropped by its tenant.
-     * @return true iff the chunk was accepted.
+     * verdict counts the chunk as ingested and dropped by its
+     * tenant. @return true iff the chunk was accepted.
      */
     bool offer(TraceChunk chunk);
 
-    /** Consume an externally produced chunk stream: start(), route
-     * every chunk, then finish(). The queue must be closed by its
-     * producers for this to return. */
-    void runFromQueue(BoundedQueue<TraceChunk> &queue);
-
-    /** Stream a directory of .whrt chunk files: an ingest thread
-     * feeds runFromQueue, each chunk tagged with its file's app. */
+    /** Stream a directory of .whrt files: start(), offer() every
+     * chunkTraceDir() chunk from the calling thread, then finish(). */
     void run(const std::string &chunkDir);
 
     /**
@@ -221,6 +212,9 @@ class TenantRouter
     ServiceMetrics metrics() const;
 
   private:
+    /** Count one chunk the router decided on (accepted, dropped or
+     * refused as an unknown app). */
+    void countIngested(size_t records, bool unknownApp);
     void absorberLoop(Tenant &tenant);
     void dispatcherLoop(unsigned dispatcherIndex);
     void absorb(Tenant &tenant, TraceChunk chunk);
@@ -238,18 +232,16 @@ class TenantRouter
     bool started_ = false;
     bool finished_ = false;
 
-    // Router-thread ingest counters (single writer; snapshot after
-    // finish()).
+    // Ingest counters: the offer path writes them from whichever
+    // thread offers, metrics() reads them.
+    mutable std::mutex ingestMutex_;
+    const std::chrono::steady_clock::time_point ingestStart_ =
+        std::chrono::steady_clock::now();
     uint64_t chunksIngested_ = 0;
     uint64_t recordsIngested_ = 0;
-    /** Atomic: bumped from the wire server's event thread too. */
-    std::atomic<uint64_t> unknownAppChunks_{0};
-    uint64_t filesIngested_ = 0;
-    uint64_t chunksSkipped_ = 0;
-    uint64_t recordsSkipped_ = 0;
-    uint64_t readRetries_ = 0;
-    uint64_t corruptFiles_ = 0;
+    uint64_t unknownAppChunks_ = 0;
     RunningStat ingestRate_;
+    ChunkTally dirTally_; //!< run()'s directory pass
 
     // Aggregate training accumulators (dispatcher threads write;
     // metrics() reads).

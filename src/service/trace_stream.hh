@@ -1,101 +1,70 @@
 /**
  * @file
- * Streaming trace ingest for whisperd.
+ * whisperd's unit of ingest and the directory chunker.
  *
  * The offline tools load whole .whrt traces into memory; a
- * continuously profiling service cannot. ChunkIngestor runs a
- * producer thread over a directory of trace files (sorted by name,
- * so file naming encodes the drift sequence), cuts each file into
- * bounded TraceChunks with TraceStreamReader (src/trace/
- * trace_reader.hh, which skips and counts damaged frames), and
- * feeds them to a BoundedQueue.
+ * continuously profiling service cannot. Every chunk enters whisperd
+ * through TenantRouter::tryOffer/offer, whether it came off the wire
+ * or out of a directory: chunkTraceDir() reads a directory's trace
+ * files (sorted by name, so file naming encodes the drift sequence)
+ * and cuts each into bounded TraceChunks with TraceStreamReader
+ * (src/trace/trace_reader.hh, which skips and counts damaged
+ * frames). whisper_loadgen --chunks uses the same chunker, so a
+ * replayed directory is partitioned exactly as whisperd --chunks
+ * partitions it.
  */
 
 #ifndef WHISPER_SERVICE_TRACE_STREAM_HH
 #define WHISPER_SERVICE_TRACE_STREAM_HH
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "service/bounded_queue.hh"
 #include "trace/branch_record.hh"
-#include "trace/trace_reader.hh"
 
 namespace whisper
 {
 
-/** One bounded slice of a trace file, the service's unit of work. */
+/** One bounded slice of a trace, the service's unit of work. */
 struct TraceChunk
 {
-    uint64_t sequence = 0;    //!< global arrival index
     std::string app;          //!< application the trace came from
     uint32_t inputId = 0;     //!< workload input id
-    std::string sourceFile;   //!< originating .whrt path
     std::vector<BranchRecord> records;
 };
 
-/**
- * Producer side of the ingest pipeline: streams every trace file of
- * a directory, in name order, as TraceChunks into a shared queue.
- * Several ingestors may feed one queue (MPSC); each runs one thread.
- */
-class ChunkIngestor
+/** The ingest path's non-blocking verdict on one chunk. */
+enum class ChunkSinkResult
 {
-  public:
-    /**
-     * @param chunkRecords chunk granularity (records per chunk)
-     * @param queue destination; NOT closed by the ingestor (the
-     *        coordinator closes it once all producers joined)
-     * @param sequence shared arrival counter for deterministic chunk
-     *        numbering across producers (may be shared or private)
-     */
-    ChunkIngestor(std::vector<std::string> files, size_t chunkRecords,
-                  BoundedQueue<TraceChunk> &queue,
-                  std::atomic<uint64_t> &sequence);
-    ~ChunkIngestor();
+    Accepted,     //!< queued for the tenant's absorber
+    UnknownApp,   //!< no such tenant (permanent error to the client)
+    Backpressure, //!< tenant queue full (client should retry later)
+};
 
-    /** Spawn the producer thread. */
-    void start();
-    /** Wait for the producer to finish its file list. */
-    void join();
-
-    uint64_t filesIngested() const { return filesIngested_; }
-    uint64_t chunksProduced() const { return chunksProduced_; }
-    uint64_t recordsIngested() const { return recordsIngested_; }
-    /** Damaged frames skipped across all files. */
-    uint64_t framesSkipped() const { return framesSkipped_; }
-    /** Records lost to skipped frames across all files. */
-    uint64_t recordsSkipped() const { return recordsSkipped_; }
-    /** Transient read errors retried across all files. */
-    uint64_t readRetries() const { return readRetries_; }
+/** What one chunkTraceDir() pass read and skipped. */
+struct ChunkTally
+{
+    uint64_t files = 0;          //!< files read to their end
+    uint64_t framesSkipped = 0;  //!< damaged frames dropped
+    uint64_t recordsSkipped = 0; //!< records lost to those frames
+    uint64_t readRetries = 0;    //!< transient read errors retried
     /** Files that failed to open/parse, with the reason (missing vs
      * corrupt header vs truncated body). */
-    const std::vector<std::string> &errors() const { return errors_; }
-
-    /** All .whrt files directly inside @p dir, sorted by name. */
-    static std::vector<std::string>
-    listTraceFiles(const std::string &dir);
-
-  private:
-    void produce();
-
-    std::vector<std::string> files_;
-    size_t chunkRecords_;
-    BoundedQueue<TraceChunk> &queue_;
-    std::atomic<uint64_t> &sequence_;
-    std::thread thread_;
-
-    uint64_t filesIngested_ = 0;
-    uint64_t chunksProduced_ = 0;
-    uint64_t recordsIngested_ = 0;
-    uint64_t framesSkipped_ = 0;
-    uint64_t recordsSkipped_ = 0;
-    uint64_t readRetries_ = 0;
-    std::vector<std::string> errors_;
+    std::vector<std::string> errors;
 };
+
+/** All .whrt files directly inside @p dir, sorted by name. */
+std::vector<std::string> listTraceFiles(const std::string &dir);
+
+/**
+ * Cut every .whrt file of @p dir, in name order, into chunks of at
+ * most @p chunkRecords records tagged with the file's app and input
+ * id, and hand each to @p sink on the calling thread.
+ */
+ChunkTally chunkTraceDir(const std::string &dir, size_t chunkRecords,
+                         const std::function<void(TraceChunk)> &sink);
 
 } // namespace whisper
 

@@ -14,17 +14,9 @@ mispredictsPerBranch(BranchSource &source,
     CountHistogram hist;
     source.rewind();
     BranchRecord rec;
-    while (source.next(rec)) {
-        if (!rec.isConditional()) {
-            predictor.onRecord(rec);
-            continue;
-        }
-        bool pred = predictor.predict(rec.pc, rec.taken);
-        predictor.update(rec.pc, rec.taken, pred);
-        predictor.onRecord(rec);
-        if (pred != rec.taken)
+    while (source.next(rec))
+        if (stepPredictor(predictor, rec))
             hist.add(rec.pc);
-    }
     return hist;
 }
 

@@ -49,13 +49,9 @@ classifyMispredictions(BranchSource &source,
     source.rewind();
     BranchRecord rec;
     while (source.next(rec)) {
-        if (!rec.isConditional()) {
-            predictor.onRecord(rec);
+        bool miss = stepPredictor(predictor, rec);
+        if (!rec.isConditional())
             continue;
-        }
-        bool pred = predictor.predict(rec.pc, rec.taken);
-        predictor.update(rec.pc, rec.taken, pred);
-        predictor.onRecord(rec);
 
         uint64_t key = hashCombine(
             mix64(rec.pc),
@@ -66,7 +62,7 @@ classifyMispredictions(BranchSource &source,
         auto [it, newSubstream] = substreams.try_emplace(key);
         SubstreamInfo &info = it->second;
 
-        if (pred != rec.taken) {
+        if (miss) {
             ++result.total;
             MispredictClass cls;
             if (newPc) {

@@ -46,25 +46,6 @@ struct PredictorRunStats
 };
 
 /**
- * Drive @p predictor through one trace record, the step every runner
- * shares: a conditional is predicted and then updated with its
- * outcome, and every record is passed to onRecord().
- * @return true iff @p rec is a conditional the predictor missed.
- */
-inline bool
-stepPredictor(BranchPredictor &predictor, const BranchRecord &rec)
-{
-    bool miss = false;
-    if (rec.isConditional()) {
-        bool pred = predictor.predict(rec.pc, rec.taken);
-        predictor.update(rec.pc, rec.taken, pred);
-        miss = pred != rec.taken;
-    }
-    predictor.onRecord(rec);
-    return miss;
-}
-
-/**
  * Run @p source to exhaustion through @p predictor.
  *
  * @param warmupFraction fraction of the stream's instructions whose

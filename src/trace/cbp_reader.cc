@@ -164,34 +164,19 @@ lineError(const std::string &path, uint64_t lineNo,
 IoStatus
 loadCbpTrace(const std::string &path, BranchTrace *out)
 {
-    std::ifstream in(path);
-    if (!in)
-        return IoStatus::missingFile(path);
-
-    std::string app;
-    uint32_t inputId = 0;
+    CbpFileSource source(path);
     std::vector<BranchRecord> records;
-    std::string line, error;
-    uint64_t lineNo = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        BranchRecord rec;
-        switch (parseCbpLine(line, &rec, &app, &inputId, &error)) {
-          case LineResult::Record:
-            records.push_back(rec);
-            break;
-          case LineResult::Skip:
-            break;
-          case LineResult::Error:
-            return lineError(path, lineNo, error);
-        }
-    }
+    BranchRecord rec;
+    while (source.next(rec))
+        records.push_back(rec);
+    if (!source.status().ok())
+        return source.status();
     if (records.empty())
         return IoStatus::corruptFile(path, "no branch records");
 
-    *out = BranchTrace(app, inputId);
-    for (const auto &rec : records)
-        out->append(rec);
+    *out = BranchTrace(source.app(), source.inputId());
+    for (const auto &r : records)
+        out->append(r);
     return IoStatus::okStatus();
 }
 
@@ -237,6 +222,12 @@ CbpFileSource::next(BranchRecord &rec)
     std::string line, error;
     while (std::getline(in_, line)) {
         ++lineNo_;
+        if (in_.eof()) {
+            // saveCbpTrace ends every line with '\n'; a last line
+            // without one was cut short and may still parse.
+            status_ = lineError(path_, lineNo_, "torn last line");
+            return false;
+        }
         switch (parseCbpLine(line, &rec, &app_, &inputId_, &error)) {
           case LineResult::Record:
             return true;

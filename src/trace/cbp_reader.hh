@@ -21,11 +21,12 @@
  *    (BranchRecord::instGap); default 8
  *  - TARGET defaults to PC + 4 when the source format omits it
  *
- * Lines starting with '#' are comments; `# app=NAME` and
- * `# input=N` comments carry trace metadata. The full grammar is
- * what saveCbpTrace() emits, so a .whrt trace exported to .cbp and
- * re-imported reproduces the original record stream exactly;
- * minimal two-column foreign files import with the defaults.
+ * Every line, the last included, ends with '\n'. Lines starting
+ * with '#' are comments; `# app=NAME` and `# input=N` comments carry
+ * trace metadata. The full grammar is what saveCbpTrace() emits, so
+ * a .whrt trace exported to .cbp and re-imported reproduces the
+ * original record stream exactly; minimal two-column foreign files
+ * import with the defaults.
  */
 
 #ifndef WHISPER_TRACE_CBP_READER_HH
@@ -40,9 +41,10 @@
 namespace whisper
 {
 
-/** Materialize a CBP-style text trace. Missing file vs. malformed
- * line are distinguished through the IoStatus, with the line number
- * named in the message. */
+/** Materialize a CBP-style text trace: a strict loop over
+ * CbpFileSource. Missing file vs. malformed or torn line are
+ * distinguished through the IoStatus, with the line number named in
+ * the message. */
 IoStatus loadCbpTrace(const std::string &path, BranchTrace *out);
 
 /** Write @p trace as CBP-style text (full grammar, with metadata
@@ -55,7 +57,8 @@ bool saveCbpTrace(const BranchTrace &trace, const std::string &path);
  * The file is re-read on rewind(), so multi-pass consumers
  * (profilers, trainers) work without materializing the trace.
  * Construction reports open failures through status(); a malformed
- * line ends the stream early and is reported the same way.
+ * line, or a last line without its '\n', ends the stream early and
+ * is reported the same way.
  */
 class CbpFileSource : public BranchSource
 {

@@ -1,8 +1,9 @@
 /**
  * @file
- * TraceStreamReader, the one .whrt parser: whisperd's ChunkIngestor,
- * the load generator and the strict BranchTrace::load (which fails on
- * any frame the reader skipped) all read traces through it.
+ * TraceStreamReader, the one .whrt parser: the directory chunker
+ * behind whisperd --chunks and whisper_loadgen --chunks, and the
+ * strict BranchTrace::load (which fails on any frame the reader
+ * skipped) all read traces through it.
  *
  * The reader is hardened against the inputs production actually
  * delivers: version-2 traces are CRC32-framed, and a frame that

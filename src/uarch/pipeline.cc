@@ -70,11 +70,12 @@ PipelineModel::run(BranchSource &source, BranchPredictor &predictor)
             }
         }
 
+        // The predictor never reads the frontend state below, so
+        // stepping it first is the same as stepping it last.
+        bool miss = stepPredictor(predictor, rec);
         if (rec.isConditional()) {
             ++stats.conditionals;
-            bool pred = predictor.predict(rec.pc, rec.taken);
-            predictor.update(rec.pc, rec.taken, pred);
-            if (pred != rec.taken) {
+            if (miss) {
                 ++stats.mispredicts;
                 stats.squashCycles += cfg_.mispredictPenalty;
                 runAhead = 0;
@@ -132,8 +133,6 @@ PipelineModel::run(BranchSource &source, BranchPredictor &predictor)
                 ras.push(rec.pc + cfg_.bytesPerInstruction);
             }
         }
-
-        predictor.onRecord(rec);
 
         fetchAddr = rec.taken && rec.target != 0
             ? rec.target

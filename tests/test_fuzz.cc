@@ -596,10 +596,9 @@ TEST(RecordCodec, CbpMutations)
     ASSERT_EQ(lineStart.size(), 4 + records.size());
     const size_t firstRecord = lineStart[4];
 
-    // A cut at every byte: a torn last line that no longer parses
-    // (say, a PC without a direction) is corrupt; whatever is
-    // accepted is the records whose lines survived whole, plus at
-    // most one cut-down last line.
+    // A cut at every byte: a torn last line (no '\n') is corrupt
+    // even when what is left of it still parses; whatever is
+    // accepted is exactly the records whose lines survived whole.
     for (size_t cut = 0; cut < good.size(); ++cut) {
         BranchTrace t;
         std::string what = "cut at " + std::to_string(cut);
@@ -609,8 +608,7 @@ TEST(RecordCodec, CbpMutations)
         while (4 + whole + 1 < lineStart.size() &&
                lineStart[4 + whole + 1] <= cut)
             ++whole;
-        ASSERT_GE(t.size(), whole) << what;
-        ASSERT_LE(t.size(), whole + 1) << what;
+        ASSERT_EQ(t.size(), whole) << what;
         EXPECT_EQ(imageOf(t.records().subspan(0, whole)),
                   imageOf(std::span(records).subspan(0, whole)))
             << what;

@@ -5,8 +5,9 @@
  * feeds, bad magic, hostile lengths, corrupt CRCs), and the loopback
  * server/client contract — ack/duplicate idempotency, RETRY_AFTER
  * backpressure, retransmission under injected wire faults, epoch-
- * cached bundle pulls, slow-loris reaping, listener restart, and
- * prompt shutdown.
+ * cached bundle pulls, slow-loris reaping, listener restart, prompt
+ * shutdown, and the tenant router's ingest counters behind the
+ * server.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,8 @@
 #include "net/whisper_client.hh"
 #include "net/wire_protocol.hh"
 #include "net/wire_server.hh"
+#include "service/tenant_router.hh"
+#include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/crc32.hh"
 #include "util/fault_injection.hh"
@@ -951,4 +954,52 @@ TEST_F(NetTest, ManyAgentsConcurrently)
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(h.sink.acceptedCount(), kAgents * kChunks);
     EXPECT_EQ(h.server->stats().chunksAccepted, kAgents * kChunks);
+}
+
+TEST_F(NetTest, RouterCountsWireChunksAsIngested)
+{
+    // whisperd --listen: the router's offer path is the wire sink, and
+    // the ingest counters count every chunk the router decided on,
+    // the refused unknown-app chunk included.
+    TenantRouterConfig rcfg;
+    rcfg.epochChunks = 2;
+    rcfg.trainWorkers = 1;
+    rcfg.tageBudgetKB = 16;
+    rcfg.profilePolicy.maxHardBranches = 16;
+    rcfg.verbose = false;
+    rcfg.trainTaskDeadlineMs = 0;
+    TenantRouter router(rcfg, globalTruthTables());
+    router.addTenant("kafka");
+    router.start();
+    WireServer server(
+        WireServerConfig{},
+        [&router](TraceChunk chunk) {
+            return router.tryOffer(std::move(chunk));
+        },
+        [](const std::string &) -> std::optional<HintStore::Snapshot> {
+            return std::nullopt;
+        });
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    constexpr uint32_t kChunks = 4;
+    uint64_t recordsSent = 0;
+    WhisperClient client(clientConfig(server.boundPort()));
+    for (uint32_t i = 0; i < kChunks; ++i) {
+        std::vector<BranchRecord> records =
+            someRecords(1'000 + 250 * i, i);
+        recordsSent += records.size();
+        ASSERT_TRUE(client.ingestChunk("kafka", i, records));
+    }
+    EXPECT_FALSE(client.ingestChunk("nosuch", 0, someRecords(100)));
+    server.stop();
+    router.finish();
+
+    ServiceMetrics m = router.metrics();
+    EXPECT_EQ(server.stats().chunksAccepted, kChunks);
+    EXPECT_EQ(m.chunksIngested, kChunks + 1);
+    EXPECT_EQ(m.recordsIngested, recordsSent + 100);
+    EXPECT_EQ(m.unknownAppChunks, 1u);
+    EXPECT_EQ(m.tenants.at("kafka").chunksRouted, kChunks);
+    EXPECT_GT(m.ingestRate.count(), 0u);
 }

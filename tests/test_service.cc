@@ -61,22 +61,24 @@ TEST(BoundedQueue, FifoOrder)
 {
     BoundedQueue<int> q(8);
     for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(q.push(i));
+        ASSERT_TRUE(q.tryPush(i));
+    EXPECT_EQ(q.size(), 5u);
+    q.close();
     int v = -1;
     for (int i = 0; i < 5; ++i) {
         ASSERT_TRUE(q.pop(v));
         EXPECT_EQ(v, i);
     }
-    EXPECT_FALSE(q.tryPop(v));
+    EXPECT_FALSE(q.pop(v));
 }
 
 TEST(BoundedQueue, CloseDrainsRemainingItems)
 {
     BoundedQueue<int> q(4);
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
+    ASSERT_TRUE(q.tryPush(1));
+    ASSERT_TRUE(q.tryPush(2));
     q.close();
-    EXPECT_FALSE(q.push(3));
+    EXPECT_FALSE(q.tryPush(3));
     int v = 0;
     EXPECT_TRUE(q.pop(v));
     EXPECT_EQ(v, 1);
@@ -87,51 +89,27 @@ TEST(BoundedQueue, CloseDrainsRemainingItems)
 
 TEST(BoundedQueue, BlockingHandoffAcrossThreads)
 {
-    // Capacity 1 forces the producer to block on every push, so this
-    // exercises the full backpressure path.
+    // Capacity 1 makes the producer find the queue full again and
+    // again: a full queue refuses the item (never blocks, never
+    // drops it silently), and the producer retries it.
     BoundedQueue<int> q(1);
     constexpr int kItems = 2000;
     std::thread producer([&] {
         for (int i = 0; i < kItems; ++i)
-            ASSERT_TRUE(q.push(i));
+            while (!q.tryPush(i))
+                std::this_thread::yield();
         q.close();
     });
     long long sum = 0;
-    int count = 0, v = 0;
+    int count = 0, v = 0, expect = 0;
     while (q.pop(v)) {
+        EXPECT_EQ(v, expect++);
         sum += v;
         ++count;
     }
     producer.join();
     EXPECT_EQ(count, kItems);
     EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
-}
-
-TEST(BoundedQueue, CloseWhileProducersBlocked)
-{
-    // Producers blocked on a full queue must wake and fail cleanly
-    // when the queue closes — a wedged producer would hang whisperd's
-    // shutdown forever.
-    BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(0)); // fill the queue
-    constexpr int kProducers = 4;
-    std::atomic<int> rejected{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&] {
-            if (!q.push(1))
-                ++rejected;
-        });
-    }
-    // Give the producers time to block on the full queue.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-    for (auto &t : producers)
-        t.join(); // must not deadlock
-    EXPECT_EQ(rejected.load(), kProducers);
-    int v = -1;
-    EXPECT_TRUE(q.pop(v)); // pre-close item still drains
-    EXPECT_FALSE(q.pop(v));
 }
 
 TEST(BoundedQueue, CloseWhileConsumersBlocked)
@@ -156,20 +134,24 @@ TEST(BoundedQueue, CloseWhileConsumersBlocked)
 
 TEST(BoundedQueue, ShutdownStressManyProducersConsumers)
 {
-    // Hammer push/pop/close from many threads; run under
+    // Hammer tryPush/pop/close from many threads; run under
     // ThreadSanitizer in CI. Every item pushed before close must be
     // popped exactly once, and nothing may deadlock.
     BoundedQueue<int> q(2);
     constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 500;
     std::atomic<long long> pushedSum{0}, poppedSum{0};
     std::atomic<int> pushed{0}, popped{0};
+    std::atomic<bool> closing{false};
     std::vector<std::thread> threads;
     for (int p = 0; p < kProducers; ++p) {
         threads.emplace_back([&, p] {
             for (int i = 0; i < kPerProducer; ++i) {
                 int v = p * kPerProducer + i;
-                if (!q.push(v))
-                    return; // closed under us: fine
+                while (!q.tryPush(v)) {
+                    if (closing)
+                        return; // closed under us: fine
+                    std::this_thread::yield();
+                }
                 pushedSum += v;
                 ++pushed;
             }
@@ -185,6 +167,7 @@ TEST(BoundedQueue, ShutdownStressManyProducersConsumers)
         });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    closing = true;
     q.close();
     for (auto &t : threads)
         t.join();
@@ -192,60 +175,8 @@ TEST(BoundedQueue, ShutdownStressManyProducersConsumers)
     EXPECT_EQ(poppedSum.load(), pushedSum.load());
 }
 
-TEST(BoundedQueue, TryPushForDeadlineSemantics)
-{
-    BoundedQueue<int> q(1);
-    // Room available: succeeds immediately regardless of timeout.
-    EXPECT_TRUE(q.tryPushFor(1, std::chrono::milliseconds(0)));
-    // Full: a short deadline expires and reports failure without
-    // dropping or duplicating anything.
-    auto t0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(q.tryPushFor(2, std::chrono::milliseconds(50)));
-    auto waited = std::chrono::steady_clock::now() - t0;
-    EXPECT_GE(waited, std::chrono::milliseconds(45));
-    // Room reappears: a concurrently waiting timed push completes
-    // well before its deadline.
-    std::thread consumer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        int v = 0;
-        ASSERT_TRUE(q.pop(v));
-    });
-    EXPECT_TRUE(q.tryPushFor(3, std::chrono::seconds(10)));
-    consumer.join();
-    int v = 0;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 3);
-}
-
-TEST(BoundedQueue, CloseWakesBlockedTimedPushPromptly)
-{
-    // The shutdown race this API exists for: a producer parked in a
-    // long timed push must observe close() immediately, not wait out
-    // its deadline. Generous threshold (2s vs the 30s deadline) to
-    // absorb scheduler noise on loaded CI machines.
-    BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(0)); // fill
-    std::atomic<bool> pushed{false};
-    std::chrono::steady_clock::duration blockedFor{};
-    std::thread producer([&] {
-        auto t0 = std::chrono::steady_clock::now();
-        pushed = q.tryPushFor(1, std::chrono::seconds(30));
-        blockedFor = std::chrono::steady_clock::now() - t0;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-    producer.join();
-    EXPECT_FALSE(pushed.load());
-    EXPECT_LT(blockedFor, std::chrono::seconds(2));
-    // Pre-close items still drain after the aborted push.
-    int v = -1;
-    EXPECT_TRUE(q.pop(v));
-    EXPECT_EQ(v, 0);
-    EXPECT_FALSE(q.pop(v));
-}
-
 // --------------------------------------------------------------------
-// TraceStreamReader / ChunkIngestor
+// TraceStreamReader / chunkTraceDir
 // --------------------------------------------------------------------
 
 TEST(TraceStream, ChunkedReadMatchesFullLoad)
@@ -305,31 +236,24 @@ TEST(TraceStream, IngestorDeliversEverythingInOrder)
     ASSERT_TRUE(t0.save((dir / "000_kafka.whrt").string()));
     ASSERT_TRUE(t1.save((dir / "001_kafka.whrt").string()));
 
-    BoundedQueue<TraceChunk> queue(2);
-    std::atomic<uint64_t> sequence{0};
-    ChunkIngestor ingestor(
-        ChunkIngestor::listTraceFiles(dir.string()), 5'000, queue,
-        sequence);
-    ingestor.start();
-    std::thread closer([&] {
-        ingestor.join();
-        queue.close();
-    });
-
     std::vector<BranchRecord> delivered;
-    uint64_t expectSeq = 0;
-    TraceChunk chunk;
-    while (queue.pop(chunk)) {
-        EXPECT_EQ(chunk.sequence, expectSeq++);
-        EXPECT_EQ(chunk.app, "kafka");
-        delivered.insert(delivered.end(), chunk.records.begin(),
-                         chunk.records.end());
-    }
-    closer.join();
+    std::vector<uint32_t> inputs;
+    ChunkTally tally =
+        chunkTraceDir(dir.string(), 5'000, [&](TraceChunk chunk) {
+            EXPECT_EQ(chunk.app, "kafka");
+            EXPECT_LE(chunk.records.size(), 5'000u);
+            inputs.push_back(chunk.inputId);
+            delivered.insert(delivered.end(), chunk.records.begin(),
+                             chunk.records.end());
+        });
     fs::remove_all(dir);
 
-    EXPECT_EQ(ingestor.filesIngested(), 2u);
-    EXPECT_TRUE(ingestor.errors().empty());
+    // 12k records per file in chunks of 5k: 3 chunks per file, the
+    // first file's before the second's.
+    EXPECT_EQ(inputs, (std::vector<uint32_t>{0, 0, 0, 1, 1, 1}));
+    EXPECT_EQ(tally.files, 2u);
+    EXPECT_EQ(tally.framesSkipped, 0u);
+    EXPECT_TRUE(tally.errors.empty());
     ASSERT_EQ(delivered.size(), all.size());
     for (size_t i = 0; i < delivered.size(); ++i)
         ASSERT_EQ(delivered[i].pc, all[i].pc);
@@ -598,12 +522,16 @@ TEST(AdaptiveRunner, EpochTotalsAddUpAndSwapsAreCounted)
 }
 
 // --------------------------------------------------------------------
-// whisperd end to end: a one-tenant TenantRouter (in-process,
-// synthetic queue)
+// whisperd end to end: a one-tenant TenantRouter over a directory
 // --------------------------------------------------------------------
 
 TEST(OneTenantRouter, TrainsDeploysAndReportsFromQueue)
 {
+    namespace fs = std::filesystem;
+    fs::path dir = "/tmp/whisper_test_router_dir";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
     TenantRouterConfig cfg;
     cfg.chunkRecords = 15'000;
     cfg.epochChunks = 2;
@@ -613,26 +541,18 @@ TEST(OneTenantRouter, TrainsDeploysAndReportsFromQueue)
     cfg.verbose = false;
     cfg.autoRegister = true;
 
-    TenantRouter router(cfg, globalTruthTables());
-
-    BoundedQueue<TraceChunk> queue(4);
+    // Two files of 45k records: three 15k chunks each, routed
+    // through offer() into the tenant's queue in name order.
     std::vector<BranchRecord> records = kafkaRecords(0, 90'000);
-    std::thread producer([&] {
-        uint64_t seq = 0;
-        for (size_t at = 0; at < records.size();
-             at += cfg.chunkRecords) {
-            TraceChunk chunk;
-            chunk.sequence = seq++;
-            chunk.app = "kafka";
-            chunk.records = slice(
-                records, at,
-                std::min(records.size(), at + cfg.chunkRecords));
-            queue.push(std::move(chunk));
-        }
-        queue.close();
-    });
-    router.runFromQueue(queue);
-    producer.join();
+    BranchTrace t0("kafka", 0), t1("kafka", 0);
+    for (size_t i = 0; i < records.size(); ++i)
+        (i < 45'000 ? t0 : t1).append(records[i]);
+    ASSERT_TRUE(t0.save((dir / "000_kafka.whrt").string()));
+    ASSERT_TRUE(t1.save((dir / "001_kafka.whrt").string()));
+
+    TenantRouter router(cfg, globalTruthTables());
+    router.run(dir.string());
+    fs::remove_all(dir);
 
     ASSERT_EQ(router.registry().size(), 1u);
     const Tenant *tenant = router.registry().find("kafka");
@@ -646,4 +566,9 @@ TEST(OneTenantRouter, TrainsDeploysAndReportsFromQueue)
     EXPECT_GT(tenant->store.current()->bundle.hints.size(), 0u);
     EXPECT_EQ(m.chunksIngested, 6u);
     EXPECT_EQ(m.recordsIngested, records.size());
+    EXPECT_EQ(m.filesIngested, 2u);
+    EXPECT_EQ(m.corruptFiles, 0u);
+    TenantMetrics tm = tenant->metrics();
+    EXPECT_EQ(tm.chunksRouted, 6u);
+    EXPECT_EQ(tm.chunksDropped, 0u);
 }

@@ -54,7 +54,6 @@ appChunks(const std::string &app, uint64_t perChunk, unsigned chunks)
     for (unsigned i = 0; i < chunks; ++i) {
         TraceChunk chunk;
         chunk.app = app;
-        chunk.sequence = i;
         chunk.records.assign(records.begin() + i * perChunk,
                              records.begin() + (i + 1) * perChunk);
         out.push_back(std::move(chunk));

@@ -17,8 +17,8 @@
  *    input can be replayed through in-process `whisperd --chunks`
  *    and the deployed bundles compared byte-for-byte.
  *  - replay (--chunks DIR): one agent per application found in the
- *    directory, chunked with TraceStreamReader exactly as whisperd's
- *    own ChunkIngestor would (same --chunk-records ⇒ same chunks).
+ *    directory, cut by chunkTraceDir(), the chunker behind whisperd
+ *    --chunks (same --chunk-records ⇒ same chunks).
  *
  * Reports sustained chunks/sec and p50/p99 per-chunk ingest latency
  * (wall time from first transmission to acknowledgment, retries
@@ -41,7 +41,6 @@
 #include "net/whisper_client.hh"
 #include "service/trace_stream.hh"
 #include "trace/branch_trace.hh"
-#include "trace/trace_reader.hh"
 #include "util/fault_injection.hh"
 #include "util/stdio_guard.hh"
 #include "workloads/app_workload.hh"
@@ -130,31 +129,21 @@ makeSyntheticPlan(const AppConfig &base, const std::string &prefix,
     return plan;
 }
 
-/** Replay plan: group the directory's files by app and chunk each
- * file with TraceStreamReader — the exact partitioning whisperd's
- * in-process ChunkIngestor produces for the same --chunk-records. */
+/** Replay plan: group the directory's chunks by app, cut by the
+ * chunker whisperd --chunks uses for the same --chunk-records. */
 std::vector<AgentPlan>
 makeReplayPlans(const std::string &dir, size_t chunkRecords)
 {
     std::map<std::string, AgentPlan> byApp;
-    for (const std::string &file :
-         ChunkIngestor::listTraceFiles(dir)) {
-        TraceStreamReader reader(file);
-        if (!reader.valid()) {
-            std::fprintf(stderr, "warn: skipping %s: %s\n",
-                         file.c_str(),
-                         reader.status().message.c_str());
-            continue;
-        }
-        std::vector<BranchRecord> records;
-        while (reader.readChunk(records, chunkRecords) > 0) {
-            AgentPlan &plan = byApp[reader.app()];
-            plan.app = reader.app();
-            plan.chunks.emplace_back(reader.inputId(),
-                                     std::move(records));
-            records = {};
-        }
-    }
+    ChunkTally tally =
+        chunkTraceDir(dir, chunkRecords, [&](TraceChunk chunk) {
+            AgentPlan &plan = byApp[chunk.app];
+            plan.app = chunk.app;
+            plan.chunks.emplace_back(chunk.inputId,
+                                     std::move(chunk.records));
+        });
+    for (const std::string &bad : tally.errors)
+        std::fprintf(stderr, "warn: skipping %s\n", bad.c_str());
     std::vector<AgentPlan> plans;
     plans.reserve(byApp.size());
     for (auto &[app, plan] : byApp)

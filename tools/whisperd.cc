@@ -317,15 +317,7 @@ runServer(TenantRouter &router, const std::string &listenArg,
     WireServer server(
         scfg,
         [&router](TraceChunk chunk) {
-            switch (router.tryOffer(std::move(chunk))) {
-            case TenantRouter::OfferOutcome::Accepted:
-                return ChunkSinkResult::Accepted;
-            case TenantRouter::OfferOutcome::UnknownApp:
-                return ChunkSinkResult::UnknownApp;
-            case TenantRouter::OfferOutcome::Backpressure:
-            default:
-                return ChunkSinkResult::Backpressure;
-            }
+            return router.tryOffer(std::move(chunk));
         },
         [&router](const std::string &app)
             -> std::optional<HintStore::Snapshot> {
@@ -576,8 +568,7 @@ main(int argc, char **argv)
         std::printf("whisperd: fault injection armed: %s\n",
                     faultSpec.c_str());
     }
-    if (!serverMode &&
-        ChunkIngestor::listTraceFiles(chunkDir).empty()) {
+    if (!serverMode && listTraceFiles(chunkDir).empty()) {
         std::fprintf(stderr, "error: no .whrt files in %s\n",
                      chunkDir.c_str());
         return 1;
