@@ -2,9 +2,9 @@
  * @file
  * Crash-safe write-ahead journal for the versioned hint store.
  *
- * Every accepted deployment (and rollback) is appended as one
- * self-checking record — record magic, payload length, payload CRC32,
- * then the encoded VersionedHintBundle — written with a single
+ * Every accepted deployment is appended as one self-checking
+ * record — record magic, payload length, payload CRC32, then the
+ * encoded VersionedHintBundle — written with a single
  * fwrite and made durable with fflush+fsync before the append
  * returns. A crash can therefore only ever produce a torn *tail*:
  * on open() the journal replays records until the first one that
@@ -24,6 +24,7 @@
 #ifndef WHISPER_SERVICE_HINT_JOURNAL_HH
 #define WHISPER_SERVICE_HINT_JOURNAL_HH
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -92,9 +93,9 @@ class HintJournal
     bool isOpen() const { return file_ != nullptr; }
     const std::string &path() const { return path_; }
 
-    uint64_t appends() const { return appends_; }
-    uint64_t appendFailures() const { return appendFailures_; }
-    uint64_t repairs() const { return repairs_; }
+    /** Safe to read while another thread appends (metrics()). */
+    uint64_t appendFailures() const { return appendFailures_.load(); }
+    uint64_t repairs() const { return repairs_.load(); }
 
     /** Read-only replay of @p path's valid record prefix. */
     static std::vector<VersionedHintBundle>
@@ -108,8 +109,8 @@ class HintJournal
     /** A previous append tore; truncate before the next one. */
     bool repairPending_ = false;
     uint64_t appends_ = 0;
-    uint64_t appendFailures_ = 0;
-    uint64_t repairs_ = 0;
+    std::atomic<uint64_t> appendFailures_{0};
+    std::atomic<uint64_t> repairs_{0};
 };
 
 } // namespace whisper

@@ -5,46 +5,30 @@
 namespace whisper
 {
 
-void
-HintStore::publish(std::shared_ptr<const VersionedHintBundle> next)
-{
-    if (journal_ && !journal_->append(*next)) {
-        journalFailures_.fetch_add(1, std::memory_order_relaxed);
-        whisper_warn("hint store: journal append failed for epoch ",
-                     next->epoch, " (deployment proceeds, durability "
-                     "degraded)");
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    current_ = next;
-    history_.push_back(std::move(next));
-}
-
 size_t
 HintStore::restore(std::vector<VersionedHintBundle> history)
 {
-    std::vector<Snapshot> restored;
-    uint64_t lastEpoch = 0;
+    VersionedHintBundle *last = nullptr;
+    size_t kept = 0;
     for (VersionedHintBundle &bundle : history) {
+        uint64_t lastEpoch = last ? last->epoch : 0;
         if (bundle.epoch <= lastEpoch) {
             whisper_warn("hint store: dropping non-monotonic journal "
                          "record (epoch ", bundle.epoch, " after ",
                          lastEpoch, ")");
             continue;
         }
-        lastEpoch = bundle.epoch;
-        restored.push_back(std::make_shared<VersionedHintBundle>(
-            std::move(bundle)));
+        last = &bundle;
+        ++kept;
     }
-    if (restored.empty())
+    if (!last)
         return 0;
 
     std::lock_guard<std::mutex> lock(mutex_);
-    whisper_assert(!current_ && history_.empty(),
-                   "restore() must precede any deployment");
-    current_ = restored.back();
-    nextEpoch_.store(lastEpoch + 1, std::memory_order_relaxed);
-    history_ = std::move(restored);
-    return history_.size();
+    whisper_assert(!current_, "restore() must precede any deployment");
+    nextEpoch_.store(last->epoch + 1, std::memory_order_relaxed);
+    current_ = std::make_shared<VersionedHintBundle>(std::move(*last));
+    return kept;
 }
 
 void
@@ -66,40 +50,16 @@ HintStore::propose(HintBundle candidate, double candidateAccuracy,
         nextEpoch_.fetch_add(1, std::memory_order_relaxed);
     version->validationAccuracy = candidateAccuracy;
     version->bundle = std::move(candidate);
-    publish(std::move(version));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-HintStore::rollback()
-{
-    Snapshot previous;
+    if (journal_ && !journal_->append(*version))
+        whisper_warn("hint store: journal append failed for epoch ",
+                     version->epoch, " (deployment proceeds, "
+                     "durability degraded)");
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        // Nothing deployed, or only the first generation: there is
-        // no earlier payload to return to (epoch 0 is "no hints",
-        // not a generation). Clean error, never an out-of-bounds
-        // history index.
-        if (history_.size() < 2)
-            return false;
-        previous = history_[history_.size() - 2];
+        current_ = std::move(version);
     }
-    auto version = std::make_shared<VersionedHintBundle>();
-    version->epoch =
-        nextEpoch_.fetch_add(1, std::memory_order_relaxed);
-    version->validationAccuracy = previous->validationAccuracy;
-    version->bundle = previous->bundle;
-    publish(std::move(version));
-    rollbacks_.fetch_add(1, std::memory_order_relaxed);
+    accepted_.fetch_add(1, std::memory_order_relaxed);
     return true;
-}
-
-size_t
-HintStore::generations() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return history_.size();
 }
 
 HintStoreConsultant::HintStoreConsultant(const HintStore &store,

@@ -8,8 +8,8 @@
  * using it while the trainer publishes the next one. A mutex guards
  * the pointer swap; readers take it once per bundle pull or
  * validation, never per branch. Epochs increase monotonically with
- * every deployment (including rollbacks, which re-publish an old
- * payload under a new epoch).
+ * every deployment; the store keeps only the deployed generation
+ * (the journal keeps the history on disk).
  *
  * Deployment is guarded: a candidate bundle must beat the incumbent
  * on a held-out validation window or it is rejected — the
@@ -44,20 +44,18 @@ class HintStore
     /**
      * Preload the store from journal-replayed generations (ascending
      * epochs; out-of-order records are dropped as corrupt). The last
-     * one becomes the deployed bundle and new epochs continue after
-     * it — a restarted service resumes instead of starting at 0.
-     * Must be called before any propose(). @return generations kept.
+     * monotonic one becomes the deployed bundle and new epochs
+     * continue after it — a restarted service resumes instead of
+     * starting at 0. Must be called before any propose().
+     * @return generations replayed (non-monotonic ones excluded).
      */
     size_t restore(std::vector<VersionedHintBundle> history);
 
-    /** Journal every subsequent deployment (including rollbacks)
-     * to @p journal (not owned; may be nullptr to detach). Already
-     * restored generations are NOT re-journaled. */
+    /** Journal every subsequent deployment to @p journal (not
+     * owned; may be nullptr to detach). Already restored generations
+     * are NOT re-journaled. A failed append leaves the deployment up
+     * (the journal counts it and self-heals on the next append). */
     void attachJournal(HintJournal *journal);
-
-    /** Appends that failed (deployment stays up, durability is
-     * degraded until the journal self-heals). */
-    uint64_t journalFailures() const { return journalFailures_.load(); }
 
     /** Currently deployed bundle; nullptr before any deployment. */
     Snapshot
@@ -88,35 +86,18 @@ class HintStore
     bool propose(HintBundle candidate, double candidateAccuracy,
                  double incumbentAccuracy, double margin = 0.0);
 
-    /**
-     * Re-deploy the previously accepted bundle under a fresh epoch
-     * (manual regression escape hatch). Rolling back an empty store,
-     * or past the first generation (epoch 0 has no payload to return
-     * to), is a clean `false` — never UB.
-     */
-    bool rollback();
-
     uint64_t accepted() const { return accepted_.load(); }
     uint64_t rejected() const { return rejected_.load(); }
-    uint64_t rollbacks() const { return rollbacks_.load(); }
-
-    /** Number of generations ever deployed. */
-    size_t generations() const;
 
   private:
-    void publish(std::shared_ptr<const VersionedHintBundle> next);
-
-    mutable std::mutex mutex_; //!< guards current_ and history_
+    mutable std::mutex mutex_; //!< guards current_
     Snapshot current_;
-    std::vector<Snapshot> history_;
 
     std::atomic<uint64_t> nextEpoch_{1};
     std::atomic<uint64_t> accepted_{0};
     std::atomic<uint64_t> rejected_{0};
-    std::atomic<uint64_t> rollbacks_{0};
 
     HintJournal *journal_ = nullptr;
-    std::atomic<uint64_t> journalFailures_{0};
 };
 
 /**

@@ -38,9 +38,9 @@ Tenant::openJournal(const std::string &journalDir)
                      " tail (", recovery.tailBytesDiscarded,
                      " bytes discarded, file compacted)");
     }
-    withCounters([&](Counters &c) {
-        c.journalResumedEpoch = store.epoch();
-        c.journalRecoveredRecords = kept;
+    withMetrics([&](TenantMetrics &m, auto &) {
+        m.journalResumedEpoch = store.epoch();
+        m.journalRecoveredRecords = kept;
     });
 }
 
@@ -49,35 +49,22 @@ Tenant::metrics() const
 {
     TenantMetrics m;
     {
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        m.chunksRouted = counters_.chunksRouted;
-        m.recordsRouted = counters_.recordsRouted;
-        m.chunksDropped = counters_.chunksDropped;
-        m.recordsDropped = counters_.recordsDropped;
-        m.trainJobsDropped = counters_.trainJobsDropped;
-        m.epochsRun = counters_.epochsRun;
-        m.trainLatencyMean = counters_.trainLatency.mean();
-        m.trainLatencyMax = counters_.trainLatency.max();
-        m.hintsPerEpochMean = counters_.hintsPerEpoch.mean();
-        m.warmHits = counters_.warmHits;
-        m.coldSearches = counters_.coldSearches;
-        m.warmFallbackEpochs = counters_.warmFallbackEpochs;
-        m.branchTrainMsMean = counters_.branchTrainMs.mean();
-        m.branchTrainMsMax = counters_.branchTrainMs.max();
-        m.lastValidationAccuracy = counters_.lastValidationAccuracy;
-        m.journalResumedEpoch = counters_.journalResumedEpoch;
-        m.journalRecoveredRecords = counters_.journalRecoveredRecords;
-        m.tasksRequeued = counters_.tasksRequeued;
-        m.taskFailures = counters_.taskFailures;
-        m.branchesDegraded = counters_.branchesDegraded;
-        m.workersDied = counters_.workersDied;
+        std::lock_guard<std::mutex> lock(metricsMutex_);
+        m = record_;
+        m.trainLatencyMean = samples_.trainLatency.mean();
+        m.trainLatencyMax = samples_.trainLatency.max();
+        m.hintsPerEpochMean = samples_.hintsPerEpoch.mean();
+        m.branchTrainMsMean = samples_.branchTrainMs.mean();
+        m.branchTrainMsMax = samples_.branchTrainMs.max();
+        m.deployedMpkiDeltaMean = samples_.deployedMpkiDelta.mean();
     }
     m.bundlesAccepted = store.accepted();
     m.bundlesRejected = store.rejected();
-    m.rollbacks = store.rollbacks();
     m.deployedEpoch = store.epoch();
     if (HintStore::Snapshot snap = store.current())
         m.hintsDeployed = snap->bundle.hints.size();
+    m.journalAppendFailures = journal.appendFailures();
+    m.journalRepairs = journal.repairs();
     return m;
 }
 

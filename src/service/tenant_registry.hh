@@ -13,8 +13,8 @@
  *   bounded chunk queue (quota: maxQueuedChunks, drop-and-count)
  *     -> streaming ChunkProfiler + accumulated BranchProfile
  *     -> epoch train jobs (quota: maxPendingTrainJobs)
- *     -> versioned HintStore, independently deployable
- *        and rollback-able, journaled to its own per-app WAL
+ *     -> versioned HintStore, independently deployable,
+ *        journaled to its own per-app WAL
  *
  * The TenantRegistry owns the tenants, opens each tenant's journal
  * (journalDir/<app>.journal) at registration, and hands out stable
@@ -41,6 +41,7 @@
 #include "service/hint_store.hh"
 #include "service/service_metrics.hh"
 #include "service/trace_stream.hh"
+#include "util/stats.hh"
 
 namespace whisper
 {
@@ -58,10 +59,6 @@ struct TenantQuota
      * next epoch trains on strictly more data — nothing is lost, the
      * tenant just trains less often under pressure). */
     size_t maxPendingTrainJobs = 4;
-    /** Concurrent training jobs for this tenant. Keep at 1 for
-     * deterministic per-tenant epoch ordering (the isolation
-     * guarantee relies on per-tenant FIFO execution). */
-    unsigned maxInFlightTrainJobs = 1;
     /** Deficit-round-robin weight: a tenant with weight W is served
      * W epoch jobs per scheduler round. */
     unsigned weight = 1;
@@ -114,46 +111,34 @@ class Tenant
      * no durability). */
     void openJournal(const std::string &journalDir);
 
-    /** Mutable operational counters, guarded by their own mutex
-     * (router, absorber, and dispatcher all report here). */
-    struct Counters
+    /** The samples behind the record's per-epoch mean/max fields. */
+    struct EpochSamples
     {
-        uint64_t chunksRouted = 0;
-        uint64_t recordsRouted = 0;
-        uint64_t chunksDropped = 0;  //!< maxQueuedChunks breaches
-        uint64_t recordsDropped = 0;
-        uint64_t trainJobsDropped = 0; //!< maxPendingTrainJobs breaches
-        uint64_t epochsRun = 0;
-        RunningStat trainLatency;
+        RunningStat trainLatency; //!< seconds per epoch
         RunningStat hintsPerEpoch;
-        uint64_t warmHits = 0;
-        uint64_t coldSearches = 0;
-        uint64_t warmFallbackEpochs = 0;
-        RunningStat branchTrainMs;
-        double lastValidationAccuracy = 0.0;
-        uint64_t journalResumedEpoch = 0;
-        uint64_t journalRecoveredRecords = 0;
-        uint64_t tasksRequeued = 0;
-        uint64_t taskFailures = 0;
-        uint64_t branchesDegraded = 0;
-        uint64_t workersDied = 0;
+        RunningStat branchTrainMs; //!< one sample = one epoch's mean
+        RunningStat deployedMpkiDelta;
     };
 
-    /** Run @p fn with the counters locked. */
+    /** Run @p fn(record, samples) with the tenant's metrics locked
+     * (router, absorber, and dispatcher all report here). */
     template <typename Fn>
     void
-    withCounters(Fn &&fn)
+    withMetrics(Fn &&fn)
     {
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        fn(counters_);
+        std::lock_guard<std::mutex> lock(metricsMutex_);
+        fn(record_, samples_);
     }
 
-    /** Copy of the counters plus store-derived deployment state. */
+    /** Copy of the record with its means and maxima filled in from
+     * the samples, plus the store- and journal-derived fields.
+     * Callable mid-run. */
     TenantMetrics metrics() const;
 
   private:
-    mutable std::mutex countersMutex_;
-    Counters counters_;
+    mutable std::mutex metricsMutex_;
+    TenantMetrics record_;
+    EpochSamples samples_;
 };
 
 /** Owner of all tenants; registration order is iteration order. */

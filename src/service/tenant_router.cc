@@ -55,58 +55,25 @@ FairShareScheduler::next(TrainJob &out)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        bool anyJobs = false;
         for (size_t scanned = 0; scanned < ring_.size(); ++scanned) {
-            Entry &e = *ring_[cursor_ % ring_.size()];
-            unsigned cap =
-                std::max(1u, e.tenant->quota.maxInFlightTrainJobs);
-            if (!e.jobs.empty())
-                anyJobs = true;
-            if (!e.jobs.empty() && e.inFlight < cap) {
-                if (!e.charged) {
-                    // One quantum per service visit: weight W buys W
-                    // unit-cost jobs before the cursor moves on.
-                    e.deficit +=
-                        std::max(1u, e.tenant->quota.weight);
-                    e.charged = true;
-                }
-                if (e.deficit >= 1.0) {
-                    e.deficit -= 1.0;
-                    out = std::move(e.jobs.front());
-                    e.jobs.pop_front();
-                    ++e.inFlight;
-                    if (e.deficit < 1.0 || e.jobs.empty()) {
-                        // Visit exhausted; an emptied queue forfeits
-                        // leftover credit (no hoarding while idle).
-                        e.charged = false;
-                        if (e.jobs.empty())
-                            e.deficit = 0.0;
-                        cursor_ = (cursor_ + 1) % ring_.size();
-                    }
-                    return true;
-                }
-            } else if (e.jobs.empty()) {
-                e.deficit = 0.0;
-                e.charged = false;
+            Entry &e = *ring_[cursor_];
+            if (e.jobs.empty()) {
+                cursor_ = (cursor_ + 1) % ring_.size();
+                continue;
             }
-            // At-cap tenants keep their credit; they are skipped,
-            // not punished, until done() frees a slot.
-            cursor_ = (cursor_ + 1) % ring_.size();
+            out = std::move(e.jobs.front());
+            e.jobs.pop_front();
+            if (++e.served >= std::max(1u, e.tenant->quota.weight) ||
+                e.jobs.empty()) {
+                e.served = 0;
+                cursor_ = (cursor_ + 1) % ring_.size();
+            }
+            return true;
         }
-        if (!anyJobs && closed_)
+        if (closed_)
             return false;
         ready_.wait(lock);
     }
-}
-
-void
-FairShareScheduler::done(Tenant *tenant)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry *e = entryFor(tenant);
-    whisper_assert(e != nullptr && e->inFlight > 0);
-    --e->inFlight;
-    ready_.notify_all();
 }
 
 void
@@ -170,11 +137,7 @@ TenantRouter::start()
     for (Tenant *tenant : registry_.all())
         tenant->worker =
             std::thread([this, tenant] { absorberLoop(*tenant); });
-    unsigned dispatchers = std::max(1u, cfg_.trainDispatchers);
-    dispatchers_.reserve(dispatchers);
-    for (unsigned i = 0; i < dispatchers; ++i)
-        dispatchers_.emplace_back(
-            [this, i] { dispatcherLoop(i); });
+    dispatcher_ = std::thread([this] { dispatcherLoop(); });
 }
 
 bool
@@ -184,9 +147,9 @@ TenantRouter::offer(TraceChunk chunk)
     size_t records = chunk.records.size();
     ChunkSinkResult outcome = tryOffer(std::move(chunk));
     if (outcome == ChunkSinkResult::Backpressure) {
-        registry_.find(app)->withCounters([&](Tenant::Counters &c) {
-            ++c.chunksDropped;
-            c.recordsDropped += records;
+        registry_.find(app)->withMetrics([&](TenantMetrics &m, auto &) {
+            ++m.chunksDropped;
+            m.recordsDropped += records;
         });
         countIngested(records, false);
     }
@@ -209,9 +172,9 @@ TenantRouter::tryOffer(TraceChunk chunk)
         // retransmits, so no counter moves here.
         return ChunkSinkResult::Backpressure;
     }
-    tenant->withCounters([&](Tenant::Counters &c) {
-        ++c.chunksRouted;
-        c.recordsRouted += records;
+    tenant->withMetrics([&](TenantMetrics &m, auto &) {
+        ++m.chunksRouted;
+        m.recordsRouted += records;
     });
     countIngested(records, false);
     return ChunkSinkResult::Accepted;
@@ -220,17 +183,16 @@ TenantRouter::tryOffer(TraceChunk chunk)
 void
 TenantRouter::countIngested(size_t records, bool unknownApp)
 {
-    using clock = std::chrono::steady_clock;
+    auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(ingestMutex_);
+    if (chunksIngested_ == 0) {
+        firstIngest_ = now;
+        firstChunkRecords_ = records;
+    }
+    lastIngest_ = now;
     ++chunksIngested_;
     recordsIngested_ += records;
     unknownAppChunks_ += unknownApp;
-    double elapsed =
-        std::chrono::duration<double>(clock::now() - ingestStart_)
-            .count();
-    if (elapsed > 0.0)
-        ingestRate_.add(static_cast<double>(recordsIngested_) /
-                        elapsed);
 }
 
 void
@@ -262,8 +224,7 @@ TenantRouter::finish()
         if (tenant->worker.joinable())
             tenant->worker.join();
     scheduler_.close();
-    for (std::thread &d : dispatchers_)
-        d.join();
+    dispatcher_.join();
 }
 
 void
@@ -315,16 +276,15 @@ TenantRouter::enqueueEpochJob(Tenant &tenant)
         // Quota breach: the epoch is skipped, not lost — absorbed
         // chunks stay in the accumulated profile, so the tenant's
         // next job trains on strictly more data.
-        tenant.withCounters(
-            [](Tenant::Counters &c) { ++c.trainJobsDropped; });
+        tenant.withMetrics(
+            [](TenantMetrics &m, auto &) { ++m.trainJobsDropped; });
     }
     tenant.chunksSinceTrain = 0;
 }
 
 void
-TenantRouter::dispatcherLoop(unsigned dispatcherIndex)
+TenantRouter::dispatcherLoop()
 {
-    (void)dispatcherIndex;
     TrainingPoolOptions opts;
     opts.workers = cfg_.trainWorkers;
     opts.taskDeadlineMs = cfg_.trainTaskDeadlineMs;
@@ -334,7 +294,6 @@ TenantRouter::dispatcherLoop(unsigned dispatcherIndex)
     TrainJob job;
     while (scheduler_.next(job)) {
         trainEpoch(pool, job);
-        scheduler_.done(job.tenant);
         // Release the snapshot before blocking for the next job.
         job.profile = BranchProfile(cfg_.whisper);
         job.validation.clear();
@@ -427,32 +386,26 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
     const SupervisionStats &sup = pool.supervision();
     double deployedAccuracy = accepted ? candidateStats.accuracy()
                                        : incumbentStats.accuracy();
-    tenant.withCounters([&](Tenant::Counters &c) {
-        ++c.epochsRun;
-        c.trainLatency.add(trainSecs);
-        c.hintsPerEpoch.add(static_cast<double>(hints));
-        c.warmHits += stats.warmHits;
-        c.coldSearches += stats.coldSearches;
-        c.warmFallbackEpochs += warmFallback;
+    tenant.withMetrics([&](TenantMetrics &m, Tenant::EpochSamples &s) {
+        ++m.epochsRun;
+        s.trainLatency.add(trainSecs);
+        s.hintsPerEpoch.add(static_cast<double>(hints));
+        s.deployedMpkiDelta.add(
+            accepted ? candidateStats.mpki() - incumbentStats.mpki()
+                     : 0.0);
+        m.warmHits += stats.warmHits;
+        m.coldSearches += stats.coldSearches;
+        m.warmFallbackEpochs += warmFallback;
         if (stats.branchesConsidered > 0)
-            c.branchTrainMs.add(
+            s.branchTrainMs.add(
                 1e3 * stats.branchSecondsSum /
                 static_cast<double>(stats.branchesConsidered));
-        c.lastValidationAccuracy = deployedAccuracy;
-        c.tasksRequeued += sup.tasksRequeued;
-        c.taskFailures += sup.taskFailures;
-        c.branchesDegraded += sup.branchesDegraded;
-        c.workersDied += sup.workersDied;
+        m.lastValidationAccuracy = deployedAccuracy;
+        m.tasksRequeued += sup.tasksRequeued;
+        m.taskFailures += sup.taskFailures;
+        m.branchesDegraded += sup.branchesDegraded;
+        m.workersDied += sup.workersDied;
     });
-    {
-        std::lock_guard<std::mutex> lock(aggMutex_);
-        aggTrainLatency_.add(trainSecs);
-        aggHintsPerEpoch_.add(static_cast<double>(hints));
-        aggDeployedMpkiDelta_.add(
-            (accepted ? candidateStats.mpki()
-                      : incumbentStats.mpki()) -
-            incumbentStats.mpki());
-    }
 
     if (cfg_.verbose) {
         whisper_inform(
@@ -481,7 +434,14 @@ TenantRouter::metrics() const
         m.chunksIngested = chunksIngested_;
         m.recordsIngested = recordsIngested_;
         m.unknownAppChunks = unknownAppChunks_;
-        m.ingestRate = ingestRate_;
+        double span =
+            std::chrono::duration<double>(lastIngest_ - firstIngest_)
+                .count();
+        if (span > 0.0)
+            m.ingestRate =
+                static_cast<double>(recordsIngested_ -
+                                    firstChunkRecords_) /
+                span;
         m.filesIngested = dirTally_.files;
         m.chunksSkipped = dirTally_.framesSkipped;
         m.recordsSkipped = dirTally_.recordsSkipped;
@@ -489,34 +449,8 @@ TenantRouter::metrics() const
         m.corruptFiles = dirTally_.errors.size();
     }
     m.tenantsRegistered = registry_.size();
-    {
-        std::lock_guard<std::mutex> lock(aggMutex_);
-        m.trainLatency = aggTrainLatency_;
-        m.hintsPerEpoch = aggHintsPerEpoch_;
-        m.deployedMpkiDelta = aggDeployedMpkiDelta_;
-    }
-    for (const Tenant *tenant : registry_.all()) {
-        TenantMetrics tm = tenant->metrics();
-        m.epochsRun += tm.epochsRun;
-        m.bundleAcceptance.add(
-            tm.bundlesAccepted,
-            tm.bundlesAccepted + tm.bundlesRejected);
-        m.tasksRequeued += tm.tasksRequeued;
-        m.taskFailures += tm.taskFailures;
-        m.branchesDegraded += tm.branchesDegraded;
-        m.workersDied += tm.workersDied;
-        m.warmHits += tm.warmHits;
-        m.coldSearches += tm.coldSearches;
-        m.warmFallbackEpochs += tm.warmFallbackEpochs;
-        if (tm.epochsRun > 0)
-            m.branchTrainMs.add(tm.branchTrainMsMean);
-        m.journalAppendFailures += tenant->journal.appendFailures();
-        m.journalRepairs += tenant->journal.repairs();
-        m.journalResumedEpoch = std::max(m.journalResumedEpoch,
-                                         tm.journalResumedEpoch);
-        m.journalRecoveredRecords += tm.journalRecoveredRecords;
-        m.tenants.emplace(tenant->name, std::move(tm));
-    }
+    for (const Tenant *tenant : registry_.all())
+        m.tenants.emplace(tenant->name, tenant->metrics());
     return m;
 }
 

@@ -18,18 +18,18 @@
  *        │ FairShareScheduler::submit (maxPendingTrainJobs quota)
  *        ▼
  *   FairShareScheduler: deficit-round-robin across tenants with
- *        pending jobs, weight W = W jobs per round, per-tenant
- *        in-flight cap (1 by default, preserving per-tenant FIFO)
+ *        pending jobs, weight W = W jobs per round
  *        │
  *        ▼
- *   dispatcher thread(s): train on a supervised TrainingPool,
+ *   one dispatcher thread: train on a supervised TrainingPool,
  *        validate candidate vs incumbent on the tenant's held-out
  *        window, propose to the tenant's own versioned HintStore
  *        (journaled per app)
  *
  * Isolation: a TrainJob is a pure function of one tenant's chunk
- * sequence, and jobs of one tenant execute FIFO — so every tenant's
- * bundle history is byte-identical to what it gets running alone,
+ * sequence, and the one dispatcher runs one job at a time, so each
+ * tenant's jobs execute FIFO: every tenant's bundle history is
+ * byte-identical to what it gets running alone,
  * no matter what the co-tenants do (the mixed-fleet tests assert
  * exactly this). Fairness: the deficit-round-robin scheduler bounds
  * how far a noisy tenant can push ahead — with equal weights a
@@ -65,11 +65,7 @@ struct TenantRouterConfig
 {
     size_t chunkRecords = 50'000;  //!< ingest chunk granularity
     unsigned epochChunks = 4;      //!< training chunks per epoch
-    unsigned trainWorkers = 4;     //!< TrainingPool width per dispatcher
-    /** Dispatcher threads draining the fair-share scheduler. Each
-     * owns its own supervised TrainingPool; per-tenant jobs stay
-     * FIFO regardless (the scheduler's in-flight cap enforces it). */
-    unsigned trainDispatchers = 1;
+    unsigned trainWorkers = 4;     //!< TrainingPool width
     unsigned tageBudgetKB = 64;    //!< baseline predictor budget
     double acceptMargin = 0.0;
     ChunkProfiler::Options profilePolicy;
@@ -103,13 +99,11 @@ struct TenantRouterConfig
  * Deficit-round-robin scheduler over per-tenant training-job queues.
  *
  * Each scheduler round visits the tenants in registration order;
- * a tenant with pending jobs earns its weight in deficit and is
- * served while the deficit lasts (unit job cost), so weight W buys W
- * epochs per round. Tenants without pending work earn nothing — an
- * idle tenant cannot hoard credit and then monopolize the pool.
- * A tenant at its in-flight cap is skipped (its jobs stay queued)
- * until done() frees a slot, which keeps per-tenant execution FIFO
- * when the cap is 1. submit() never blocks: a tenant already at
+ * with unit job cost, a visit serves a tenant with pending jobs up
+ * to its weight W, so weight W buys W epochs per round. A visit ends
+ * early when the tenant's queue empties: an idle tenant cannot hoard
+ * credit and then monopolize the pool.
+ * submit() never blocks: a tenant already at
  * maxPendingTrainJobs has the job rejected (drop-and-count at the
  * caller) so a stalled training pool cannot wedge the absorbers.
  */
@@ -127,9 +121,6 @@ class FairShareScheduler
      * @return false once the scheduler is closed and drained. */
     bool next(TrainJob &out);
 
-    /** Report @p tenant's in-flight job finished. */
-    void done(Tenant *tenant);
-
     /** No further submissions; next() drains what remains. */
     void close();
 
@@ -141,10 +132,7 @@ class FairShareScheduler
     {
         Tenant *tenant = nullptr;
         std::deque<TrainJob> jobs;
-        double deficit = 0.0;
-        /** Quantum already granted for the current service visit. */
-        bool charged = false;
-        unsigned inFlight = 0;
+        unsigned served = 0; //!< jobs served in the current visit
     };
 
     Entry *entryFor(Tenant *tenant);
@@ -169,7 +157,7 @@ class TenantRouter
     Tenant *addTenant(const std::string &name,
                       const TenantQuota &quota);
 
-    /** Spawn the per-tenant absorbers and the dispatchers. */
+    /** Spawn the per-tenant absorbers and the dispatcher. */
     void start();
 
     /** ChunkSinkResult under the name perfbench/service.cc uses. */
@@ -198,8 +186,8 @@ class TenantRouter
 
     /**
      * Drain and stop: close tenant queues, join absorbers (each
-     * flushes a final partial epoch), drain the scheduler, join
-     * dispatchers. Idempotent; called by the destructor if needed.
+     * flushes a final partial epoch), drain the scheduler, join the
+     * dispatcher. Idempotent; called by the destructor if needed.
      */
     void finish();
 
@@ -207,7 +195,7 @@ class TenantRouter
     const TenantRegistry &registry() const { return registry_; }
     const TenantRouterConfig &config() const { return cfg_; }
 
-    /** Aggregate + per-tenant metrics snapshot (callable anytime,
+    /** Ingest counters + one record per tenant (callable anytime,
      * but consistent only after finish()). */
     ServiceMetrics metrics() const;
 
@@ -216,7 +204,7 @@ class TenantRouter
      * refused as an unknown app). */
     void countIngested(size_t records, bool unknownApp);
     void absorberLoop(Tenant &tenant);
-    void dispatcherLoop(unsigned dispatcherIndex);
+    void dispatcherLoop();
     void absorb(Tenant &tenant, TraceChunk chunk);
     void enqueueEpochJob(Tenant &tenant);
     void trainEpoch(TrainingPool &pool, TrainJob &job);
@@ -228,27 +216,20 @@ class TenantRouter
     const TruthTableCache &cache_;
     TenantRegistry registry_;
     FairShareScheduler scheduler_;
-    std::vector<std::thread> dispatchers_;
+    std::thread dispatcher_;
     bool started_ = false;
     bool finished_ = false;
 
     // Ingest counters: the offer path writes them from whichever
     // thread offers, metrics() reads them.
     mutable std::mutex ingestMutex_;
-    const std::chrono::steady_clock::time_point ingestStart_ =
-        std::chrono::steady_clock::now();
     uint64_t chunksIngested_ = 0;
     uint64_t recordsIngested_ = 0;
     uint64_t unknownAppChunks_ = 0;
-    RunningStat ingestRate_;
+    uint64_t firstChunkRecords_ = 0;
+    std::chrono::steady_clock::time_point firstIngest_;
+    std::chrono::steady_clock::time_point lastIngest_;
     ChunkTally dirTally_; //!< run()'s directory pass
-
-    // Aggregate training accumulators (dispatcher threads write;
-    // metrics() reads).
-    mutable std::mutex aggMutex_;
-    RunningStat aggTrainLatency_;
-    RunningStat aggHintsPerEpoch_;
-    RunningStat aggDeployedMpkiDelta_;
 };
 
 } // namespace whisper

@@ -4,20 +4,23 @@
  * per-tenant quota enforcement (drop-and-count, no deadlock),
  * deficit-round-robin fair-share scheduling, the per-app isolation
  * guarantee (fleet bundles byte-identical to solo bundles), per-app
- * journal resume, fault-injection behavior, and the zero-filled
- * per-tenant metrics dump. Registered under the `tenant.` ctest
- * prefix; the CI fleet-smoke job runs them under ThreadSanitizer.
+ * journal resume, fault-injection behavior, the ingest rate, and the
+ * zero-filled per-tenant metrics dump with its ALL roll-up.
+ * Registered under the `tenant.` ctest prefix; the CI fleet-smoke
+ * job runs them under ThreadSanitizer.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/whisper_io.hh"
@@ -158,7 +161,6 @@ TEST(FairShare, EqualWeightsInterleaveTenants)
 {
     TenantQuota quota;
     quota.maxPendingTrainJobs = 100;
-    quota.maxInFlightTrainJobs = 100; // caps out of the way
     auto a = bareTenant("a", quota);
     auto b = bareTenant("b", quota);
 
@@ -176,10 +178,8 @@ TEST(FairShare, EqualWeightsInterleaveTenants)
     // within the first 4 slots, not after a's 8.
     std::vector<std::string> order;
     TrainJob job;
-    while (sched.next(job)) {
+    while (sched.next(job))
         order.push_back(job.tenant->name);
-        sched.done(job.tenant);
-    }
     ASSERT_EQ(order.size(), 10u);
     std::vector<std::string> head(order.begin(), order.begin() + 4);
     EXPECT_EQ(head,
@@ -193,11 +193,9 @@ TEST(FairShare, WeightsBuyProportionalService)
     TenantQuota heavy;
     heavy.weight = 3;
     heavy.maxPendingTrainJobs = 100;
-    heavy.maxInFlightTrainJobs = 100;
     TenantQuota light;
     light.weight = 1;
     light.maxPendingTrainJobs = 100;
-    light.maxInFlightTrainJobs = 100;
     auto a = bareTenant("heavy", heavy);
     auto b = bareTenant("light", light);
 
@@ -212,46 +210,12 @@ TEST(FairShare, WeightsBuyProportionalService)
 
     std::vector<std::string> order;
     TrainJob job;
-    while (sched.next(job)) {
+    while (sched.next(job))
         order.push_back(job.tenant->name);
-        sched.done(job.tenant);
-    }
     // Weight 3 serves three jobs per round to the light tenant's one.
     EXPECT_EQ(order, (std::vector<std::string>{
                          "heavy", "heavy", "heavy", "light",
                          "heavy", "heavy", "heavy", "light"}));
-}
-
-TEST(FairShare, InFlightCapDefersNotDrops)
-{
-    TenantQuota quota;
-    quota.maxPendingTrainJobs = 100;
-    quota.maxInFlightTrainJobs = 1;
-    auto a = bareTenant("a", quota);
-    auto b = bareTenant("b", quota);
-
-    FairShareScheduler sched;
-    sched.add(a.get());
-    sched.add(b.get());
-    ASSERT_TRUE(sched.submit(jobFor(a.get(), 0)));
-    ASSERT_TRUE(sched.submit(jobFor(a.get(), 1)));
-    ASSERT_TRUE(sched.submit(jobFor(b.get(), 0)));
-    sched.close();
-
-    TrainJob job;
-    ASSERT_TRUE(sched.next(job));
-    EXPECT_EQ(job.tenant->name, "a");
-    // a is at its in-flight cap: the next job must come from b, and
-    // a's second job only after done(a).
-    ASSERT_TRUE(sched.next(job));
-    EXPECT_EQ(job.tenant->name, "b");
-    sched.done(a.get());
-    ASSERT_TRUE(sched.next(job));
-    EXPECT_EQ(job.tenant->name, "a");
-    EXPECT_EQ(job.jobIndex, 1u);
-    sched.done(b.get());
-    sched.done(a.get());
-    EXPECT_FALSE(sched.next(job));
 }
 
 TEST(FairShare, PendingQuotaRejectsExcessJobs)
@@ -270,11 +234,7 @@ TEST(FairShare, PendingQuotaRejectsExcessJobs)
     // Draining one pending job frees a slot.
     TrainJob job;
     ASSERT_TRUE(sched.next(job));
-    sched.done(a.get());
     EXPECT_TRUE(sched.submit(jobFor(a.get(), 3)));
-    sched.close();
-    while (sched.next(job))
-        sched.done(job.tenant);
 }
 
 // --------------------------------------------------------------------
@@ -379,6 +339,25 @@ TEST(TenantRouting, TrainJobQuotaDropsAndCounts)
     // Dropped jobs skip training, never lose data: every epoch that
     // did run trained on the full accumulated profile.
     EXPECT_EQ(tm.chunksDropped, 0u);
+}
+
+TEST(TenantRouting, IngestRateCountsIngestTimeNotIdleTime)
+{
+    auto chunks = appChunks("kafka", 1000, 4);
+    TenantRouter router(smallConfig(), globalTruthTables());
+    router.addTenant("kafka");
+    // The service sits idle before its first chunk; the sleep only
+    // creates that idle time, nothing waits on it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    for (auto &c : chunks)
+        ASSERT_TRUE(router.offer(std::move(c)));
+    router.finish();
+
+    ServiceMetrics m = router.metrics();
+    ASSERT_EQ(m.recordsIngested, 4000u);
+    // Four back-to-back chunks arrive far faster than their records
+    // spread over the idle time would suggest.
+    EXPECT_GT(m.ingestRate, 4000.0 / 0.2);
 }
 
 // --------------------------------------------------------------------
@@ -671,4 +650,109 @@ TEST(TenantMetricsDump, RollupSumsTenantRows)
     EXPECT_EQ(chunks, "8");
     EXPECT_EQ(epochs, "6");
     EXPECT_EQ(accept, "3");
+}
+
+namespace
+{
+
+/** Cells of the row labelled @p label in the dump table titled
+ * @p title, keyed by the table's header names. */
+std::map<std::string, std::string>
+tableRow(const std::string &text, const std::string &title,
+         const std::string &label)
+{
+    std::istringstream lines(text.substr(text.find("== " + title)));
+    std::string line;
+    std::getline(lines, line); // title
+    std::getline(lines, line); // header
+    std::vector<std::string> header;
+    {
+        std::istringstream f(line);
+        std::string tok;
+        while (f >> tok)
+            header.push_back(tok);
+    }
+    std::map<std::string, std::string> cells;
+    while (std::getline(lines, line) && !line.empty()) {
+        std::istringstream f(line);
+        std::string first;
+        f >> first;
+        if (first != label)
+            continue;
+        cells[header[0]] = first;
+        std::string tok;
+        for (size_t i = 1; f >> tok && i < header.size(); ++i)
+            cells[header[i]] = tok;
+    }
+    return cells;
+}
+
+/** Value cell of the aggregate table's @p metric row. */
+std::string
+aggregateValue(const std::string &text, const std::string &metric)
+{
+    size_t begin = text.find("\n" + metric + " ");
+    if (begin == std::string::npos)
+        return "";
+    begin += 1 + metric.size();
+    std::istringstream f(text.substr(begin, text.find('\n', begin) - begin));
+    std::string value;
+    f >> value;
+    return value;
+}
+
+} // namespace
+
+TEST(TenantMetricsDump, IdleTenantDoesNotDiluteAllRow)
+{
+    ServiceMetrics m;
+    m.tenants["idle-app"] = TenantMetrics{};
+    TenantMetrics busy;
+    busy.epochsRun = 3;
+    busy.trainLatencyMean = 0.5;
+    busy.trainLatencyMax = 0.75;
+    busy.branchTrainMsMean = 2.0;
+    busy.lastValidationAccuracy = 0.9;
+    m.tenants["busy-app"] = busy;
+
+    std::ostringstream os;
+    m.dump(os);
+    std::map<std::string, std::string> all =
+        tableRow(os.str(), "whisperd per-tenant metrics", "ALL");
+    EXPECT_EQ(all["epochs"], "3");
+    EXPECT_EQ(all["train-s"], "0.500");
+    EXPECT_EQ(all["br-ms"], "2.000");
+    EXPECT_EQ(all["val-acc%"], "90.000");
+}
+
+TEST(TenantMetricsDump, AggregateTableAgreesWithAllRow)
+{
+    // Two tenants, one of which never trains (a lone chunk is only
+    // ever held out for validation): the aggregate table and the ALL
+    // row must report the same training figures.
+    TenantRouter router(smallConfig(), globalTruthTables());
+    router.addTenant("kafka");
+    router.addTenant("mysql");
+    router.start();
+    for (auto &c : appChunks("kafka", 3000, 5))
+        ASSERT_TRUE(router.offer(std::move(c)));
+    for (auto &c : appChunks("mysql", 3000, 1))
+        ASSERT_TRUE(router.offer(std::move(c)));
+    router.finish();
+
+    ServiceMetrics m = router.metrics();
+    ASSERT_GE(m.tenants.at("kafka").epochsRun, 1u);
+    ASSERT_EQ(m.tenants.at("mysql").epochsRun, 0u);
+    std::ostringstream os;
+    m.dump(os);
+    std::string text = os.str();
+    std::map<std::string, std::string> all =
+        tableRow(text, "whisperd per-tenant metrics", "ALL");
+    std::map<std::string, std::string> kafka =
+        tableRow(text, "whisperd per-tenant metrics", "kafka");
+    EXPECT_EQ(aggregateValue(text, "training latency (s, mean)"),
+              all["train-s"]);
+    EXPECT_EQ(all["train-s"], kafka["train-s"]);
+    EXPECT_EQ(aggregateValue(text, "training epochs"), all["epochs"]);
+    EXPECT_EQ(all["val-acc%"], kafka["val-acc%"]);
 }

@@ -34,19 +34,26 @@ grep -q "profile-static" "$WORK_DIR/eval.txt"
 # Bad numeric flags are usage errors (exit 2), never an abort or a
 # silent default.
 expect_usage_error() {
+    tool="$1"
+    shift
     rc=0
-    "$BIN_DIR/whisper_eval" --trace "$WORK_DIR/test.whrt" "$@" \
-        > /dev/null 2>&1 || rc=$?
+    "$BIN_DIR/$tool" "$@" > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 2 ]; then
-        echo "whisper_eval $*: exit $rc, want 2" >&2
+        echo "$tool $*: exit $rc, want 2" >&2
         exit 1
     fi
 }
-expect_usage_error --warmup 1
-expect_usage_error --warmup -0.5
-expect_usage_error --warmup abc
-expect_usage_error --tage-kb 0
-expect_usage_error --per-epoch --epoch-records 0
+EVAL_TRACE="$WORK_DIR/test.whrt"
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --warmup 1
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --warmup -0.5
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --warmup abc
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --tage-kb 0
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" \
+    --per-epoch --epoch-records 0
+expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
+    --out "$WORK_DIR/bad.hints" --tage-kb x
+expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0
+expect_usage_error whisperd --listen 127.0.0.1:abc
 
 # Determinism: regenerating the same trace must be byte-identical.
 "$BIN_DIR/whisper_trace_gen" --app kafka --input 0 \

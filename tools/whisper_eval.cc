@@ -14,8 +14,6 @@
  * state carried from the first record to the last.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +31,8 @@
 #include "trace/cbp_reader.hh"
 #include "sim/experiment.hh"
 #include "util/table.hh"
+
+#include "cli_parse.hh"
 
 using namespace whisper;
 
@@ -60,40 +60,6 @@ usage()
         "  --epoch-records N records per epoch window for\n"
         "                    --per-epoch (default 262144)\n");
     std::exit(2);
-}
-
-/** Exit 2 with a message naming @p flag and its bad @p value. */
-[[noreturn]] void
-badValue(const char *flag, const char *value, const char *want)
-{
-    std::fprintf(stderr, "error: %s '%s': expected %s\n", flag, value,
-                 want);
-    std::exit(2);
-}
-
-/** Whole-string decimal integer, 1 to @p max. */
-uint64_t
-parsePositive(const char *flag, const char *value,
-              uint64_t max = UINT64_MAX)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
-        *end != '\0' || errno == ERANGE || v < 1 || v > max)
-        badValue(flag, value, "a positive integer");
-    return v;
-}
-
-/** Whole-string fraction in [0, 1). */
-double
-parseFraction(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || !(v >= 0.0 && v < 1.0))
-        badValue(flag, value, "a fraction in [0, 1)");
-    return v;
 }
 
 std::vector<std::string>

@@ -11,8 +11,10 @@
  *                 [--profile-out mysql.profile] [--verbose]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/whisper_io.hh"
@@ -20,6 +22,8 @@
 #include "util/stdio_guard.hh"
 #include "sim/experiment.hh"
 #include "util/table.hh"
+
+#include "cli_parse.hh"
 
 using namespace whisper;
 
@@ -50,20 +54,6 @@ usage()
     std::exit(2);
 }
 
-bool
-parseOnOff(const std::string &value, bool *out)
-{
-    if (value == "on" || value == "1" || value == "true") {
-        *out = true;
-        return true;
-    }
-    if (value == "off" || value == "0" || value == "false") {
-        *out = false;
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 int
@@ -89,18 +79,21 @@ main(int argc, char **argv)
         else if (arg == "--out")
             outPath = next();
         else if (arg == "--tage-kb")
-            tageKb = static_cast<unsigned>(std::atoi(next()));
+            tageKb = static_cast<unsigned>(
+                parsePositive("--tage-kb", next(), UINT32_MAX));
         else if (arg == "--fraction")
-            fraction = std::atof(next());
+            fraction = parseReal("--fraction", next(),
+                                 std::numeric_limits<double>::min(), 1.0,
+                                 "a fraction in (0, 1]");
         else if (arg == "--max-hard")
-            maxHard = static_cast<unsigned>(std::atoi(next()));
+            maxHard = static_cast<unsigned>(
+                parsePositive("--max-hard", next(), UINT32_MAX));
         else if (arg == "--train-prune" ||
                  arg.rfind("--train-prune=", 0) == 0) {
             std::string v = arg == "--train-prune"
                 ? std::string(next())
                 : arg.substr(sizeof("--train-prune=") - 1);
-            if (!parseOnOff(v, &trainPrune))
-                usage();
+            trainPrune = parseOnOff("--train-prune", v);
         } else if (arg == "--warm-hints")
             warmPath = next();
         else if (arg == "--profile-out")

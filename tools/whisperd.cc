@@ -34,14 +34,18 @@
  * installs the deterministic fault-injection harness (see
  * fault_injection.hh); its read faults hit every .whrt read, so a
  * flipped frame in the --eval-trace file fails that strict load.
+ * Numeric flags are parsed strictly (cli_parse.hh): a malformed or
+ * out-of-range value exits 2 naming the flag.
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -54,6 +58,8 @@
 #include "trace/branch_trace.hh"
 #include "util/fault_injection.hh"
 #include "util/table.hh"
+
+#include "cli_parse.hh"
 
 using namespace whisper;
 
@@ -82,15 +88,15 @@ usage()
         "  --chunk-records N    ingest chunk size (default 50000)\n"
         "  --epoch-chunks N     training chunks per epoch "
         "(default 4)\n"
-        "  --workers N          training pool width (default 4)\n"
-        "  --dispatchers N      training dispatcher threads "
-        "(default 1)\n"
+        "  --workers N          training pool width of the one "
+        "dispatcher (default 4)\n"
         "  --tage-kb N          baseline budget (default 64)\n"
         "  --max-hard N         hard-branch cap per app "
         "(default 512)\n"
-        "  --fraction F         randomized-testing fraction\n"
-        "  --margin F           acceptance accuracy margin "
-        "(default 0)\n"
+        "  --fraction F         randomized-testing fraction, in "
+        "(0, 1]\n"
+        "  --margin F           acceptance accuracy margin, in "
+        "[-1, 1] (default 0)\n"
         "  --quota-chunks [APP=]N  per-app queued-chunk quota "
         "(default 16)\n"
         "  --quota-jobs [APP=]N per-app pending-train-job quota "
@@ -114,7 +120,9 @@ usage()
         "  --eval-trace FILE    evaluate the deployed bundle of the "
         "trace's app on it\n"
         "  --compare-hints FILE also evaluate a static bundle on it\n"
-        "  --quiet              no per-epoch log\n");
+        "  --quiet              no per-epoch log\n"
+        "A malformed or out-of-range value exits 2 naming its "
+        "flag.\n");
     std::exit(2);
 }
 
@@ -143,43 +151,21 @@ evalBundleAccuracy(const BranchTrace &trace, unsigned tageKb,
 
 } // namespace
 
-/** Parse an "on"/"off" value (for --train-prune / --warm-start,
- * accepted both as "--flag on" and "--flag=on"). */
-bool
-parseOnOff(const std::string &value, bool *out)
-{
-    if (value == "on" || value == "1" || value == "true") {
-        *out = true;
-        return true;
-    }
-    if (value == "off" || value == "0" || value == "false") {
-        *out = false;
-        return true;
-    }
-    return false;
-}
-
-/** Parse "[APP=]N": a bare number applies to every tenant, an
- * APP=N pair to one. @return false on a malformed value. */
-bool
-parsePerApp(const std::string &value, uint64_t *global,
-            std::map<std::string, uint64_t> &perApp)
+/** Parse "[APP=]N" (N positive): a bare number applies to every
+ * tenant, an APP=N pair to one. Bad values exit 2. */
+void
+parsePerApp(const char *flag, const std::string &value,
+            uint64_t *global, std::map<std::string, uint64_t> &perApp)
 {
     size_t eq = value.find('=');
-    char *end = nullptr;
     if (eq == std::string::npos) {
-        uint64_t v = std::strtoull(value.c_str(), &end, 10);
-        if (!end || *end != '\0')
-            return false;
-        *global = v;
-        return true;
+        *global = parsePositive(flag, value.c_str());
+        return;
     }
     std::string app = value.substr(0, eq);
-    uint64_t v = std::strtoull(value.c_str() + eq + 1, &end, 10);
-    if (app.empty() || !end || *end != '\0')
-        return false;
-    perApp[app] = v;
-    return true;
+    if (app.empty())
+        badValue(flag, value.c_str(), "[APP=]N");
+    perApp[app] = parsePositive(flag, value.c_str() + eq + 1);
 }
 
 /** The --tenants list and its per-app quota overrides. */
@@ -228,6 +214,7 @@ int
 reportTenants(TenantRouter &router, const std::string &outDir)
 {
     ServiceMetrics metrics = router.metrics();
+    TenantMetrics all = metrics.all();
     for (const auto &[app, tm] : metrics.tenants) {
         std::printf(
             "whisperd[%s]: epochs=%llu accepted=%llu rejected=%llu "
@@ -256,11 +243,10 @@ reportTenants(TenantRouter &router, const std::string &outDir)
         static_cast<unsigned long long>(metrics.chunksSkipped),
         static_cast<unsigned long long>(metrics.recordsSkipped),
         static_cast<unsigned long long>(metrics.readRetries),
-        static_cast<unsigned long long>(metrics.tasksRequeued),
-        static_cast<unsigned long long>(metrics.branchesDegraded),
-        static_cast<unsigned long long>(
-            metrics.journalAppendFailures),
-        static_cast<unsigned long long>(metrics.workersDied));
+        static_cast<unsigned long long>(all.tasksRequeued),
+        static_cast<unsigned long long>(all.branchesDegraded),
+        static_cast<unsigned long long>(all.journalAppendFailures),
+        static_cast<unsigned long long>(all.workersDied));
     metrics.dump(std::cout);
 
     int status = 0;
@@ -292,26 +278,26 @@ reportTenants(TenantRouter &router, const std::string &outDir)
     return status;
 }
 
-int
-runServer(TenantRouter &router, const std::string &listenArg,
-          const std::string &portFile, uint32_t retryAfterMs,
-          uint32_t idleTimeoutMs)
+/** Split "--listen [ADDR:]PORT" into @p scfg (PORT 0 = ephemeral). */
+void
+parseListen(const std::string &listenArg, WireServerConfig &scfg)
 {
-    const TenantRouterConfig &tcfg = router.config();
-    router.start();
-
-    WireServerConfig scfg;
     size_t colon = listenArg.rfind(':');
     std::string portStr = listenArg;
     if (colon != std::string::npos) {
         scfg.bindAddress = listenArg.substr(0, colon);
         portStr = listenArg.substr(colon + 1);
     }
-    scfg.port =
-        static_cast<uint16_t>(std::strtoul(portStr.c_str(), nullptr,
-                                           10));
-    scfg.retryAfterMs = retryAfterMs;
-    scfg.idleTimeoutMs = idleTimeoutMs;
+    scfg.port = static_cast<uint16_t>(
+        parseInteger("--listen", portStr.c_str(), 0, UINT16_MAX));
+}
+
+int
+runServer(TenantRouter &router, WireServerConfig scfg,
+          const std::string &portFile)
+{
+    const TenantRouterConfig &tcfg = router.config();
+    router.start();
     scfg.verbose = tcfg.verbose;
 
     WireServer server(
@@ -329,17 +315,16 @@ runServer(TenantRouter &router, const std::string &listenArg,
 
     std::string error;
     if (!server.start(&error)) {
-        std::fprintf(stderr, "error: cannot listen on %s: %s\n",
-                     listenArg.c_str(), error.c_str());
+        std::fprintf(stderr, "error: cannot listen on %s:%u: %s\n",
+                     scfg.bindAddress.c_str(),
+                     static_cast<unsigned>(scfg.port), error.c_str());
         router.finish();
         return 1;
     }
-    std::printf("whisperd: listening on %s:%u (%zu tenants%s, "
-                "%u dispatchers)\n",
+    std::printf("whisperd: listening on %s:%u (%zu tenants%s)\n",
                 scfg.bindAddress.c_str(), server.boundPort(),
                 router.registry().size(),
-                tcfg.autoRegister ? " + auto-register" : "",
-                std::max(1u, tcfg.trainDispatchers));
+                tcfg.autoRegister ? " + auto-register" : "");
     if (!portFile.empty()) {
         // Written only after a successful bind, so a waiting script
         // can poll for this file and then connect immediately.
@@ -363,7 +348,7 @@ runServer(TenantRouter &router, const std::string &listenArg,
     // Graceful drain: stop accepting bytes first, then let every
     // queued chunk and in-flight training job complete (journal
     // appends happen on the deployment path, so joining the
-    // dispatchers flushes them too).
+    // dispatcher flushes them too).
     std::printf("whisperd: shutdown signal, draining\n");
     server.stop();
     router.finish();
@@ -456,8 +441,9 @@ main(int argc, char **argv)
 
     std::string chunkDir, outDir, evalPath, comparePath;
     std::string faultSpec;
-    std::string listenArg, portFile;
-    uint32_t retryAfterMs = 25, idleTimeoutMs = 10'000;
+    std::string portFile;
+    bool serverMode = false;
+    WireServerConfig scfg;
     TenantArgs tenants;
     TenantRouterConfig cfg;
     double fraction = -1.0;
@@ -469,80 +455,86 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Strict values for this flag: out of range exits 2.
+        auto integer = [&](uint64_t min, uint64_t max) {
+            return parseInteger(arg.c_str(), next(), min, max);
+        };
+        auto positive = [&]() {
+            return static_cast<unsigned>(
+                integer(1, std::numeric_limits<unsigned>::max()));
+        };
         if (arg == "--chunks")
             chunkDir = next();
         else if (arg == "--chunk-records")
             cfg.chunkRecords =
-                static_cast<size_t>(std::strtoull(next(), nullptr, 10));
+                static_cast<size_t>(integer(1, SIZE_MAX));
         else if (arg == "--epoch-chunks")
-            cfg.epochChunks = static_cast<unsigned>(std::atoi(next()));
+            cfg.epochChunks = positive();
         else if (arg == "--workers")
-            cfg.trainWorkers = static_cast<unsigned>(std::atoi(next()));
+            cfg.trainWorkers = positive();
         else if (arg == "--tage-kb")
-            cfg.tageBudgetKB = static_cast<unsigned>(std::atoi(next()));
+            cfg.tageBudgetKB = positive();
         else if (arg == "--max-hard")
-            cfg.profilePolicy.maxHardBranches =
-                static_cast<unsigned>(std::atoi(next()));
+            cfg.profilePolicy.maxHardBranches = positive();
         else if (arg == "--fraction")
-            fraction = std::atof(next());
+            fraction = parseReal("--fraction", next(),
+                                 std::numeric_limits<double>::min(), 1.0,
+                                 "a fraction in (0, 1]");
         else if (arg == "--margin")
-            cfg.acceptMargin = std::atof(next());
+            cfg.acceptMargin = parseReal("--margin", next(), -1.0, 1.0,
+                                         "an accuracy margin in [-1, 1]");
         else if (arg == "--tenants")
             tenants.tenantsArg = next();
         else if (arg == "--journal-dir")
             cfg.journalDir = next();
         else if (arg == "--out-dir")
             outDir = next();
-        else if (arg == "--dispatchers")
-            cfg.trainDispatchers =
-                static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--quota-chunks") {
             uint64_t v = cfg.defaultQuota.maxQueuedChunks;
-            if (!parsePerApp(next(), &v, tenants.quotaChunks))
-                usage();
+            parsePerApp("--quota-chunks", next(), &v,
+                        tenants.quotaChunks);
             cfg.defaultQuota.maxQueuedChunks = static_cast<size_t>(v);
         } else if (arg == "--quota-jobs") {
             uint64_t v = cfg.defaultQuota.maxPendingTrainJobs;
-            if (!parsePerApp(next(), &v, tenants.quotaJobs))
-                usage();
+            parsePerApp("--quota-jobs", next(), &v, tenants.quotaJobs);
             cfg.defaultQuota.maxPendingTrainJobs =
                 static_cast<size_t>(v);
         } else if (arg == "--tenant-weight") {
             uint64_t unused = 0;
             std::string value = next();
-            if (value.find('=') == std::string::npos ||
-                !parsePerApp(value, &unused, tenants.weights))
-                usage();
-        } else if (arg == "--listen")
-            listenArg = next();
-        else if (arg == "--port-file")
+            if (value.find('=') == std::string::npos)
+                badValue("--tenant-weight", value.c_str(), "APP=W");
+            parsePerApp("--tenant-weight", value, &unused,
+                        tenants.weights);
+        } else if (arg == "--listen") {
+            parseListen(next(), scfg);
+            serverMode = true;
+        } else if (arg == "--port-file")
             portFile = next();
         else if (arg == "--retry-after-ms")
-            retryAfterMs = static_cast<uint32_t>(std::atoi(next()));
+            scfg.retryAfterMs =
+                static_cast<uint32_t>(integer(0, UINT32_MAX));
         else if (arg == "--idle-timeout-ms")
-            idleTimeoutMs = static_cast<uint32_t>(std::atoi(next()));
+            scfg.idleTimeoutMs =
+                static_cast<uint32_t>(integer(0, UINT32_MAX));
         else if (arg == "--train-prune" ||
                  arg.rfind("--train-prune=", 0) == 0) {
             std::string v = arg == "--train-prune"
                 ? std::string(next())
                 : arg.substr(sizeof("--train-prune=") - 1);
-            if (!parseOnOff(v, &cfg.trainPrune))
-                usage();
+            cfg.trainPrune = parseOnOff("--train-prune", v);
         } else if (arg == "--warm-start" ||
                    arg.rfind("--warm-start=", 0) == 0) {
             std::string v = arg == "--warm-start"
                 ? std::string(next())
                 : arg.substr(sizeof("--warm-start=") - 1);
-            if (!parseOnOff(v, &cfg.warmStart))
-                usage();
+            cfg.warmStart = parseOnOff("--warm-start", v);
         } else if (arg == "--fault-spec")
             faultSpec = next();
         else if (arg == "--deadline-ms")
-            cfg.trainTaskDeadlineMs =
-                static_cast<uint64_t>(std::strtoull(next(), nullptr, 10));
+            cfg.trainTaskDeadlineMs = integer(0, UINT64_MAX);
         else if (arg == "--max-attempts")
-            cfg.trainMaxAttempts =
-                static_cast<unsigned>(std::atoi(next()));
+            cfg.trainMaxAttempts = positive();
         else if (arg == "--eval-trace")
             evalPath = next();
         else if (arg == "--compare-hints")
@@ -552,8 +544,7 @@ main(int argc, char **argv)
         else
             usage();
     }
-    bool serverMode = !listenArg.empty();
-    if (cfg.chunkRecords == 0 || (!serverMode && chunkDir.empty()))
+    if (!serverMode && chunkDir.empty())
         usage();
     if (fraction > 0)
         cfg.whisper.formulaFraction = fraction;
@@ -581,18 +572,16 @@ main(int argc, char **argv)
     }
 
     if (serverMode) {
-        if (int status = runServer(router, listenArg, portFile,
-                                   retryAfterMs, idleTimeoutMs))
+        if (int status = runServer(router, scfg, portFile))
             return status;
     } else {
         std::printf("whisperd: streaming %s (%zu tenants%s, "
                     "chunk=%zu records, epoch=%u chunks, %u train "
-                    "workers, %u dispatchers)\n",
+                    "workers)\n",
                     chunkDir.c_str(), router.registry().size(),
                     cfg.autoRegister ? " + auto-register" : "",
                     cfg.chunkRecords, cfg.epochChunks,
-                    cfg.trainWorkers,
-                    std::max(1u, cfg.trainDispatchers));
+                    cfg.trainWorkers);
         router.run(chunkDir);
     }
 
