@@ -25,7 +25,6 @@
 #include "service/chunk_profiler.hh"
 #include "service/hint_store.hh"
 #include "service/tenant_router.hh"
-#include "service/training_pool.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
 
@@ -71,7 +70,7 @@ struct FleetRunResult
 /**
  * Mixed fleet: every data center app streams into one TenantRouter
  * at its own rate — @p noisy gets 10x the chunks of everyone else —
- * and the deficit-round-robin scheduler shares the training pool.
+ * and the deficit-round-robin scheduler shares the training workers.
  */
 FleetRunResult
 runMixedFleet(const ExperimentConfig &cfg, const std::string &noisy,
@@ -177,7 +176,6 @@ main()
     ChunkProfiler profiler(cfg.whisper, makeTage(cfg.tageBudgetKB),
                            profOpt);
     BranchProfile accumulated(cfg.whisper);
-    TrainingPool pool(4);
     WhisperTrainer trainer(cfg.whisper, globalTruthTables());
     HintInjector injector(cfg.injector);
     HintStore store;
@@ -202,7 +200,8 @@ main()
         if (nextEpoch % trainEveryEpochs == 0) {
             if (accumulated.numBranches() > 0) {
                 HintBundle candidate;
-                candidate.hints = pool.train(trainer, accumulated);
+                candidate.hints =
+                    trainer.train(accumulated, nullptr, nullptr, 4);
                 TraceSource placeSrc(finished);
                 candidate.placements =
                     injector.place(placeSrc, candidate.hints);

@@ -1,9 +1,14 @@
 #include "core/whisper_trainer.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 #include <unordered_map>
 
+#include "util/fault_injection.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -230,7 +235,7 @@ WhisperTrainer::trainBranchSeeded(const BranchProfileEntry &entry,
     return finish(true);
 }
 
-std::vector<TrainingTask>
+std::vector<WhisperTrainer::TrainingTask>
 WhisperTrainer::workList(const BranchProfile &profile,
                          const std::vector<TrainedHint> *warmSeeds) const
 {
@@ -249,7 +254,7 @@ WhisperTrainer::workList(const BranchProfile &profile,
     return work;
 }
 
-TrainingTaskResult
+WhisperTrainer::TrainingTaskResult
 WhisperTrainer::trainTask(const TrainingTask &task,
                           const std::vector<unsigned> &lengths) const
 {
@@ -297,15 +302,49 @@ WhisperTrainer::assemble(const std::vector<TrainingTaskResult> &results,
 std::vector<TrainedHint>
 WhisperTrainer::train(const BranchProfile &profile,
                       const std::vector<TrainedHint> *warmSeeds,
-                      TrainingStats *stats) const
+                      TrainingStats *stats, unsigned workers) const
 {
     auto start = std::chrono::steady_clock::now();
     std::vector<TrainingTask> work = workList(profile, warmSeeds);
-    std::vector<TrainingTaskResult> results;
-    results.reserve(work.size());
-    for (const TrainingTask &task : work)
-        results.push_back(trainTask(task, profile.lengths()));
-    return assemble(results, start, stats);
+    // A degraded branch keeps an empty slot: no hint, default outcome.
+    std::vector<TrainingTaskResult> slots(work.size());
+    std::atomic<size_t> nextTask{0};
+    std::atomic<uint64_t> degraded{0};
+
+    auto runWorker = [&] {
+        for (;;) {
+            size_t i = nextTask.fetch_add(1, std::memory_order_relaxed);
+            if (i >= work.size())
+                return;
+            try {
+                if (FaultInjector::instance().failTraining(i))
+                    throw std::runtime_error("injected training failure");
+                slots[i] = trainTask(work[i], profile.lengths());
+            } catch (const std::exception &e) {
+                degraded.fetch_add(1, std::memory_order_relaxed);
+                whisper_warn("training: degrading branch 0x", std::hex,
+                             work[i].entry->pc, std::dec,
+                             " to baseline: ", e.what());
+            }
+        }
+    };
+
+    size_t threads = std::min<size_t>(workers, work.size());
+    if (threads <= 1) {
+        runWorker();
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (size_t w = 0; w < threads; ++w)
+            pool.emplace_back(runWorker);
+        for (std::thread &t : pool)
+            t.join();
+    }
+
+    std::vector<TrainedHint> hints = assemble(slots, start, stats);
+    if (stats)
+        stats->branchesDegraded = degraded.load();
+    return hints;
 }
 
 } // namespace whisper

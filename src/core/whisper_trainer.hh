@@ -60,6 +60,8 @@ struct TrainingStats
      * branchesConsidered). */
     double branchSecondsSum = 0.0;
     double branchSecondsMax = 0.0;
+    /** Branches whose training threw: no hint, TAGE-SC-L fallback. */
+    uint64_t branchesDegraded = 0;
 };
 
 /** Per-branch outcome of one trainBranchSeeded() call. */
@@ -68,20 +70,6 @@ struct BranchTrainOutcome
     bool warmHit = false;  //!< emitted straight from the warm seed
     uint64_t scored = 0;   //!< formulas scored for this branch
     double seconds = 0.0;  //!< wall time spent on this branch
-};
-
-/** One branch of a training run's work list. */
-struct TrainingTask
-{
-    const BranchProfileEntry *entry = nullptr;
-    const TrainedHint *warm = nullptr; //!< warm seed; nullptr = cold
-};
-
-/** What training one task produced. */
-struct TrainingTaskResult
-{
-    std::optional<TrainedHint> hint; //!< empty when no hint was emitted
-    BranchTrainOutcome outcome;
 };
 
 /** Whisper's offline trainer. */
@@ -96,8 +84,14 @@ class WhisperTrainer
                    const TruthTableCache &cache);
 
     /**
-     * Train hints for every hard branch of @p profile: run
-     * trainTask() over workList() in order, then assemble().
+     * Train hints for every hard branch of @p profile (Algorithm 1
+     * per branch). Branches train independently: up to @p workers
+     * threads each claim the next branch of the work list, and the
+     * results are assembled in work-list order, so the output is
+     * bit-identical for any worker count (1 = the calling thread
+     * alone). A branch whose training throws is degraded, not
+     * retried: it gets no hint, so the predictor falls back to
+     * TAGE-SC-L for it (TrainingStats::branchesDegraded).
      * @param warmSeeds optional seeds for the per-branch search
      *        (typically the previous epoch's deployed hints);
      *        branches without a seed train cold
@@ -106,31 +100,7 @@ class WhisperTrainer
     std::vector<TrainedHint>
     train(const BranchProfile &profile,
           const std::vector<TrainedHint> *warmSeeds = nullptr,
-          TrainingStats *stats = nullptr) const;
-
-    /**
-     * The work list of train(): every hard branch of @p profile with
-     * at least minMispredictions baseline mispredictions, in
-     * hardBranches() order, each with its seed from @p warmSeeds.
-     */
-    std::vector<TrainingTask>
-    workList(const BranchProfile &profile,
-             const std::vector<TrainedHint> *warmSeeds) const;
-
-    /** Train one work-list task with trainBranchSeeded(). */
-    TrainingTaskResult
-    trainTask(const TrainingTask &task,
-              const std::vector<unsigned> &lengths) const;
-
-    /**
-     * Assemble per-task @p results (in work-list order) into the
-     * emitted hints, in that order, and their summed TrainingStats;
-     * @p start is when the run began (for trainSeconds).
-     */
-    static std::vector<TrainedHint>
-    assemble(const std::vector<TrainingTaskResult> &results,
-             std::chrono::steady_clock::time_point start,
-             TrainingStats *stats);
+          TrainingStats *stats = nullptr, unsigned workers = 1) const;
 
     /**
      * Train one branch, optionally warm-started from @p warm (the
@@ -177,6 +147,44 @@ class WhisperTrainer
     static std::vector<uint16_t> monotoneCandidates();
 
   private:
+    /** One branch of a training run's work list. */
+    struct TrainingTask
+    {
+        const BranchProfileEntry *entry = nullptr;
+        const TrainedHint *warm = nullptr; //!< warm seed; nullptr = cold
+    };
+
+    /** What training one task produced. */
+    struct TrainingTaskResult
+    {
+        std::optional<TrainedHint> hint; //!< empty: no hint emitted
+        BranchTrainOutcome outcome;
+    };
+
+    /**
+     * The work list of train(): every hard branch of @p profile with
+     * at least minMispredictions baseline mispredictions, in
+     * hardBranches() order, each with its seed from @p warmSeeds.
+     */
+    std::vector<TrainingTask>
+    workList(const BranchProfile &profile,
+             const std::vector<TrainedHint> *warmSeeds) const;
+
+    /** Train one work-list task with trainBranchSeeded(). */
+    TrainingTaskResult
+    trainTask(const TrainingTask &task,
+              const std::vector<unsigned> &lengths) const;
+
+    /**
+     * Assemble per-task @p results (in work-list order) into the
+     * emitted hints, in that order, and their summed TrainingStats;
+     * @p start is when the run began (for trainSeconds).
+     */
+    static std::vector<TrainedHint>
+    assemble(const std::vector<TrainingTaskResult> &results,
+             std::chrono::steady_clock::time_point start,
+             TrainingStats *stats);
+
     /** selected_ filtered to formulas supported by @p mask (with
      * the unfiltered fallback when too few survive). */
     std::vector<uint16_t> maskedCandidates(uint8_t mask) const;

@@ -4,11 +4,11 @@
  *
  * TenantMetrics is the one list of per-tenant fields: each tenant
  * keeps one record of it (see Tenant::metrics()), and every
- * service-wide figure about routing, training, deployment,
- * durability or supervision is the roll-up of those records,
- * ServiceMetrics::all(). The roll-up sums the counts, takes the
- * maximum of each maximum (and of the two epoch numbers), weights
- * each per-epoch mean by the tenant's epochsRun, and averages
+ * service-wide figure about routing, training, deployment or
+ * durability is the roll-up of those records, ServiceMetrics::all().
+ * The roll-up sums the counts, takes the maximum of each maximum
+ * (and of the two epoch numbers), weights each per-epoch mean by the
+ * tenant's epochsRun, and averages
  * lastValidationAccuracy over the tenants that ran at least one
  * epoch — so an idle tenant changes no mean. Both dump() tables,
  * whisperd's fault line and the tests read the roll-up; nothing
@@ -79,11 +79,8 @@ struct TenantMetrics
     uint64_t journalAppendFailures = 0;   //!< torn/failed appends
     uint64_t journalRepairs = 0;          //!< in-place tail truncations
 
-    // -- training supervision --
-    uint64_t tasksRequeued = 0;    //!< deadline-expired reclaims
-    uint64_t taskFailures = 0;     //!< training attempts that threw
+    // -- training failures --
     uint64_t branchesDegraded = 0; //!< fell back to TAGE-SC-L
-    uint64_t workersDied = 0;      //!< training workers lost
 };
 
 /** Counters for one service run: the router's own plus one record
@@ -149,10 +146,7 @@ struct ServiceMetrics
             a.journalRecoveredRecords += m.journalRecoveredRecords;
             a.journalAppendFailures += m.journalAppendFailures;
             a.journalRepairs += m.journalRepairs;
-            a.tasksRequeued += m.tasksRequeued;
-            a.taskFailures += m.taskFailures;
             a.branchesDegraded += m.branchesDegraded;
-            a.workersDied += m.workersDied;
         }
         if (a.epochsRun > 0) {
             double epochs = static_cast<double>(a.epochsRun);
@@ -210,11 +204,8 @@ struct ServiceMetrics
         t.addRow({"records skipped (corrupt)", count(recordsSkipped)});
         t.addRow({"read retries", count(readRetries)});
         t.addRow({"files rejected", count(corruptFiles)});
-        t.addRow({"training tasks requeued", count(a.tasksRequeued)});
-        t.addRow({"training task failures", count(a.taskFailures)});
         t.addRow({"branches degraded to baseline",
                   count(a.branchesDegraded)});
-        t.addRow({"training workers died", count(a.workersDied)});
         t.addRow({"journal append failures",
                   count(a.journalAppendFailures)});
         t.addRow({"journal repairs", count(a.journalRepairs)});

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/logging.hh"
@@ -285,15 +286,9 @@ TenantRouter::enqueueEpochJob(Tenant &tenant)
 void
 TenantRouter::dispatcherLoop()
 {
-    TrainingPoolOptions opts;
-    opts.workers = cfg_.trainWorkers;
-    opts.taskDeadlineMs = cfg_.trainTaskDeadlineMs;
-    opts.maxAttempts = cfg_.trainMaxAttempts;
-    TrainingPool pool(opts);
-
     TrainJob job;
     while (scheduler_.next(job)) {
-        trainEpoch(pool, job);
+        trainEpoch(job);
         // Release the snapshot before blocking for the next job.
         job.profile = BranchProfile(cfg_.whisper);
         job.validation.clear();
@@ -312,7 +307,7 @@ TenantRouter::evalOnRecords(const std::vector<BranchRecord> &records,
 }
 
 void
-TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
+TenantRouter::trainEpoch(TrainJob &job)
 {
     Tenant &tenant = *job.tenant;
     using clock = std::chrono::steady_clock;
@@ -332,8 +327,8 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
 
     TrainingStats stats;
     HintBundle candidate;
-    candidate.hints =
-        pool.train(trainer, job.profile, warmSeeds, &stats);
+    candidate.hints = trainer.train(job.profile, warmSeeds, &stats,
+                                    cfg_.trainWorkers);
 
     HintInjector injector(cfg_.injector);
     auto placeCandidate = [&](HintBundle &bundle) {
@@ -361,8 +356,8 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
         warmFallback = 1;
         TrainingStats coldStats;
         HintBundle coldCandidate;
-        coldCandidate.hints =
-            pool.train(trainer, job.profile, nullptr, &coldStats);
+        coldCandidate.hints = trainer.train(job.profile, nullptr,
+                                            &coldStats, cfg_.trainWorkers);
         placeCandidate(coldCandidate);
         candidate = std::move(coldCandidate);
         candidateStats = evalOnRecords(job.validation, &candidate);
@@ -373,6 +368,7 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
         stats.warmHits = 0;
         stats.coldSearches = coldStats.coldSearches;
         stats.hintsEmitted = coldStats.hintsEmitted;
+        stats.branchesDegraded += coldStats.branchesDegraded;
     }
 
     double trainSecs =
@@ -383,7 +379,6 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
         std::move(candidate), candidateStats.accuracy(),
         incumbentStats.accuracy(), cfg_.acceptMargin);
 
-    const SupervisionStats &sup = pool.supervision();
     double deployedAccuracy = accepted ? candidateStats.accuracy()
                                        : incumbentStats.accuracy();
     tenant.withMetrics([&](TenantMetrics &m, Tenant::EpochSamples &s) {
@@ -401,10 +396,7 @@ TenantRouter::trainEpoch(TrainingPool &pool, TrainJob &job)
                 1e3 * stats.branchSecondsSum /
                 static_cast<double>(stats.branchesConsidered));
         m.lastValidationAccuracy = deployedAccuracy;
-        m.tasksRequeued += sup.tasksRequeued;
-        m.taskFailures += sup.taskFailures;
-        m.branchesDegraded += sup.branchesDegraded;
-        m.workersDied += sup.workersDied;
+        m.branchesDegraded += stats.branchesDegraded;
     });
 
     if (cfg_.verbose) {

@@ -21,7 +21,7 @@
  *        pending jobs, weight W = W jobs per round
  *        │
  *        ▼
- *   one dispatcher thread: train on a supervised TrainingPool,
+ *   one dispatcher thread: train on trainWorkers threads,
  *        validate candidate vs incumbent on the tenant's held-out
  *        window, propose to the tenant's own versioned HintStore
  *        (journaled per app)
@@ -54,7 +54,6 @@
 #include "core/formula_trainer.hh"
 #include "core/hint_injection.hh"
 #include "service/tenant_registry.hh"
-#include "service/training_pool.hh"
 #include "sim/runner.hh"
 
 namespace whisper
@@ -65,7 +64,7 @@ struct TenantRouterConfig
 {
     size_t chunkRecords = 50'000;  //!< ingest chunk granularity
     unsigned epochChunks = 4;      //!< training chunks per epoch
-    unsigned trainWorkers = 4;     //!< TrainingPool width
+    unsigned trainWorkers = 4;     //!< WhisperTrainer::train width
     unsigned tageBudgetKB = 64;    //!< baseline predictor budget
     double acceptMargin = 0.0;
     ChunkProfiler::Options profilePolicy;
@@ -75,8 +74,6 @@ struct TenantRouterConfig
 
     /** Directory for per-app journals (<app>.journal); "" = none. */
     std::string journalDir;
-    uint64_t trainTaskDeadlineMs = 30'000;
-    unsigned trainMaxAttempts = 3;
 
     /** Sparse-correlation screening before formula search
      * (--train-prune); applies to every tenant. */
@@ -102,10 +99,10 @@ struct TenantRouterConfig
  * with unit job cost, a visit serves a tenant with pending jobs up
  * to its weight W, so weight W buys W epochs per round. A visit ends
  * early when the tenant's queue empties: an idle tenant cannot hoard
- * credit and then monopolize the pool.
+ * credit and then monopolize the dispatcher.
  * submit() never blocks: a tenant already at
  * maxPendingTrainJobs has the job rejected (drop-and-count at the
- * caller) so a stalled training pool cannot wedge the absorbers.
+ * caller) so a slow training epoch cannot wedge the absorbers.
  */
 class FairShareScheduler
 {
@@ -207,7 +204,7 @@ class TenantRouter
     void dispatcherLoop();
     void absorb(Tenant &tenant, TraceChunk chunk);
     void enqueueEpochJob(Tenant &tenant);
-    void trainEpoch(TrainingPool &pool, TrainJob &job);
+    void trainEpoch(TrainJob &job);
     PredictorRunStats evalOnRecords(
         const std::vector<BranchRecord> &records,
         const HintBundle *bundle) const;

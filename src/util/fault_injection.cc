@@ -1,10 +1,7 @@
 #include "util/fault_injection.hh"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <thread>
-#include <vector>
 
 namespace whisper
 {
@@ -66,14 +63,8 @@ FaultInjector::reset()
     failReads_ = 0;
     readsAttempted_ = 0;
     tornAppend_ = 0;
-    stallEnabled_ = false;
-    stallMs_ = 400;
-    stallDone_ = false;
-    killEnabled_ = false;
-    killDone_ = false;
     failTrainEnabled_ = false;
     failTrainIndex_ = 0;
-    failTrainAttempts_ = 1'000'000;
     wireCorruptPeriod_ = 0;
     wireTearPeriod_ = 0;
     wireKillPeriod_ = 0;
@@ -86,8 +77,6 @@ FaultInjector::reset()
     framesCorrupted_ = 0;
     readsFailed_ = 0;
     writesTorn_ = 0;
-    workerStalls_ = 0;
-    workerKills_ = 0;
     trainFailures_ = 0;
     wireCorrupted_ = 0;
     wireTorn_ = 0;
@@ -153,38 +142,12 @@ FaultInjector::configure(const std::string &spec, std::string *error)
                             "'");
             if (tornAppend_ == 0)
                 return fail("truncate-journal: value is 1-based");
-        } else if (key == "stall-worker") {
-            // Like kill-worker, the stall lands on the first claim
-            // by any worker: a fixed worker id may never claim.
-            stallEnabled_ = true;
-            if (!value.empty() && !parseU64(value, stallMs_))
-                return fail("stall-worker: bad ms '" + value + "'");
-        } else if (key == "kill-worker") {
-            // Which worker claims first is not observable under
-            // work stealing, so there is no worker id to pick.
-            if (!value.empty())
-                return fail("kill-worker: takes no value, got '" +
-                            value + "'");
-            killEnabled_ = true;
         } else if (key == "fail-train") {
             failTrainEnabled_ = true;
-            if (!value.empty()) {
-                std::string idx, n;
-                splitPair(value, idx, n);
-                uint64_t v = 0;
-                if (!idx.empty()) {
-                    if (!parseU64(idx, v))
-                        return fail("fail-train: bad index '" + idx +
-                                    "'");
-                    failTrainIndex_ = static_cast<size_t>(v);
-                }
-                if (!n.empty()) {
-                    if (!parseU64(n, v))
-                        return fail("fail-train: bad count '" + n +
-                                    "'");
-                    failTrainAttempts_ = static_cast<unsigned>(v);
-                }
-            }
+            uint64_t v = 0;
+            if (!value.empty() && !parseU64(value, v))
+                return fail("fail-train: bad index '" + value + "'");
+            failTrainIndex_ = static_cast<size_t>(v);
         } else if (key == "wire-corrupt") {
             wireCorruptPeriod_ = 8;
             if (!value.empty() &&
@@ -279,28 +242,6 @@ FaultInjector::journalWritePlan(uint64_t appendIndex)
     return WritePlan::Torn;
 }
 
-void
-FaultInjector::maybeStallWorker()
-{
-    if (!enabled_ || !stallEnabled_)
-        return;
-    if (stallDone_.exchange(true))
-        return;
-    workerStalls_.fetch_add(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(stallMs_));
-}
-
-bool
-FaultInjector::shouldKillWorker()
-{
-    if (!enabled_ || !killEnabled_)
-        return false;
-    if (killDone_.exchange(true))
-        return false;
-    workerKills_.fetch_add(1);
-    return true;
-}
-
 FaultInjector::WireSendPlan
 FaultInjector::wireSendPlan(unsigned attempt)
 {
@@ -352,13 +293,11 @@ FaultInjector::shouldRestartListener()
 }
 
 bool
-FaultInjector::failTraining(size_t taskIndex, unsigned attempt)
+FaultInjector::failTraining(size_t taskIndex)
 {
     if (!enabled_ || !failTrainEnabled_ ||
-        taskIndex != failTrainIndex_ ||
-        attempt > failTrainAttempts_) {
+        taskIndex != failTrainIndex_)
         return false;
-    }
     trainFailures_.fetch_add(1);
     return true;
 }

@@ -3,8 +3,8 @@
  * Deterministic fault injection for whisperd's recovery paths.
  *
  * Every fault-tolerance mechanism in the service — CRC-framed chunk
- * skipping, read retry/backoff, journal torn-write repair, training
- * supervision with requeue and degradation — is exercised by tests
+ * skipping, read retry/backoff, journal torn-write repair, degrading
+ * a branch whose training throws — is exercised by tests
  * and the demo script through this harness rather than hoped for.
  * A fault spec is a comma-separated token list installed process-wide
  * (e.g. via `whisperd --fault-spec`):
@@ -23,15 +23,9 @@
  *   truncate-journal[=N]  the N-th journal append (1-based) is torn:
  *                         only half the record reaches the file.
  *                         Default 2.
- *   stall-worker[=MS]     the first training worker to claim a
- *                         task (whichever it is) stalls MS
- *                         milliseconds on it. Default 400.
- *   kill-worker           the first training worker to claim a
- *                         task (whichever it is) dies right after
- *                         claiming it. Supervised pools only.
- *   fail-train[=IDX:N]    training of work item IDX throws on its
- *                         first N attempts (N large = always, which
- *                         degrades the branch). Default 0:1000000.
+ *   fail-train[=IDX]      training of work item IDX throws in
+ *                         every training run, which degrades that
+ *                         branch to TAGE-SC-L. Default 0.
  *   seed=N                RNG seed for bit-flip positions.
  *
  * Wire-layer faults (client side, applied to the FIRST transmission
@@ -107,17 +101,9 @@ class FaultInjector
     };
     WritePlan journalWritePlan(uint64_t appendIndex);
 
-    /** Stall hook called after every task claim: the first caller
-     * after stall-worker is armed sleeps inline. */
-    void maybeStallWorker();
-
-    /** @return true for the first caller after kill-worker is armed:
-     * the training worker that just claimed a task should die. */
-    bool shouldKillWorker();
-
-    /** @return true when the @p attempt-th (1-based) attempt at work
-     * item @p taskIndex should fail. */
-    bool failTraining(size_t taskIndex, unsigned attempt);
+    /** @return true when training work item @p taskIndex should
+     * fail. */
+    bool failTraining(size_t taskIndex);
 
     // ---- wire-layer hooks (see src/net/) ----
 
@@ -144,8 +130,6 @@ class FaultInjector
     uint64_t framesCorrupted() const { return framesCorrupted_; }
     uint64_t readsFailed() const { return readsFailed_; }
     uint64_t writesTorn() const { return writesTorn_; }
-    uint64_t workerStalls() const { return workerStalls_; }
-    uint64_t workerKills() const { return workerKills_; }
     uint64_t trainFailures() const { return trainFailures_; }
     uint64_t wireFramesCorrupted() const { return wireCorrupted_; }
     uint64_t wireFramesTorn() const { return wireTorn_; }
@@ -171,19 +155,9 @@ class FaultInjector
     // truncate-journal
     uint64_t tornAppend_ = 0; //!< 1-based; 0 = disabled
 
-    // stall-worker
-    bool stallEnabled_ = false;
-    uint64_t stallMs_ = 400;
-    std::atomic<bool> stallDone_{false};
-
-    // kill-worker
-    bool killEnabled_ = false;
-    std::atomic<bool> killDone_{false};
-
     // fail-train
     bool failTrainEnabled_ = false;
     size_t failTrainIndex_ = 0;
-    unsigned failTrainAttempts_ = 1'000'000;
 
     // wire faults (periods advance on first-attempt sends only)
     uint64_t wireCorruptPeriod_ = 0; //!< 0 = disabled
@@ -199,8 +173,6 @@ class FaultInjector
     std::atomic<uint64_t> framesCorrupted_{0};
     std::atomic<uint64_t> readsFailed_{0};
     std::atomic<uint64_t> writesTorn_{0};
-    std::atomic<uint64_t> workerStalls_{0};
-    std::atomic<uint64_t> workerKills_{0};
     std::atomic<uint64_t> trainFailures_{0};
     std::atomic<uint64_t> wireCorrupted_{0};
     std::atomic<uint64_t> wireTorn_{0};

@@ -27,7 +27,7 @@
 
 #include "service/chunk_profiler.hh"
 #include "service/hint_store.hh"
-#include "service/training_pool.hh"
+#include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "trace/cbp_reader.hh"
@@ -143,7 +143,6 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
     if (trainPrune)
         trainer.setScreen(ScreenConfig{});
     HintInjector injector(cfg.injector);
-    TrainingPool pool(2);
     HintStoreConsultant consultant(
         store, cfg.whisper, globalTruthTables(),
         [&] { return makeTage(cfg.tageBudgetKB); });
@@ -176,9 +175,9 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
                 HintStore::Snapshot seed =
                     warmStart ? store.current() : nullptr;
                 TrainingStats tstats;
-                candidate.hints = pool.train(
-                    trainer, profile,
-                    seed ? &seed->bundle.hints : nullptr, &tstats);
+                candidate.hints = trainer.train(
+                    profile, seed ? &seed->bundle.hints : nullptr,
+                    &tstats, 2);
                 if (trainTotals) {
                     trainTotals->branchesConsidered +=
                         tstats.branchesConsidered;
@@ -770,10 +769,9 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
     BranchProfile staleProfile = profiler.profileChunk(prefixRecent);
     ASSERT_GT(staleProfile.numBranches(), 0u);
     WhisperTrainer trainer(cfg.whisper, globalTruthTables());
-    TrainingPool pool(2);
     HintInjector injector(cfg.injector);
     HintBundle stale;
-    stale.hints = pool.train(trainer, staleProfile);
+    stale.hints = trainer.train(staleProfile, nullptr, nullptr, 2);
     TraceSource placeSrc(prefixRecent);
     stale.placements = injector.place(placeSrc, stale.hints);
 

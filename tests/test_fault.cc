@@ -3,7 +3,7 @@
  * Fault-tolerance tests: CRC32, the crash-safe hint-store journal
  * (torn-tail recovery, resume-from-epoch), corrupt-trace skipping,
  * hostile length fields, the fault-injection harness itself, and the
- * training pool's supervision (requeue, degradation, dead workers).
+ * degradation of a branch whose training throws.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "service/hint_journal.hh"
 #include "service/hint_store.hh"
 #include "service/tenant_router.hh"
-#include "service/training_pool.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "trace/trace_reader.hh"
@@ -603,151 +602,62 @@ TEST_F(FaultTest, SpecParsing)
     EXPECT_FALSE(fi.enabled());
 
     EXPECT_TRUE(fi.configure(
-        "flip-chunks=0.01,fail-read=3,truncate-journal,"
-        "stall-worker=100,kill-worker,fail-train=1:2,seed=42",
+        "flip-chunks=0.01,fail-read=3,truncate-journal,fail-train=1,"
+        "seed=42",
         &error))
         << error;
     EXPECT_TRUE(fi.enabled());
 
+    // An unknown token fails loudly instead of arming nothing.
     EXPECT_FALSE(fi.configure("no-such-fault", &error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find("unknown fault token"), std::string::npos);
+    EXPECT_FALSE(fi.enabled());
     EXPECT_FALSE(fi.configure("flip-chunks=abc", &error));
-    // kill-worker and stall-worker name no worker: the first
-    // claimer dies or stalls.
-    EXPECT_FALSE(fi.configure("kill-worker=1", &error));
-    EXPECT_FALSE(fi.configure("stall-worker=0:100", &error));
+    // A training task runs once, so fail-train takes no attempt
+    // count.
+    EXPECT_FALSE(fi.configure("fail-train=0:2", &error));
 }
 
 // --------------------------------------------------------------------
-// TrainingPool supervision
+// Degraded training
 // --------------------------------------------------------------------
-
-namespace
-{
-
-struct PoolFixture
-{
-    ExperimentConfig ecfg;
-    BranchProfile profile;
-    WhisperTrainer trainer;
-    std::vector<TrainedHint> serial;
-
-    PoolFixture()
-        : ecfg(makeCfg()),
-          profile(profileApp(appByName("kafka"), 0, ecfg)),
-          trainer(ecfg.whisper, globalTruthTables()),
-          serial(trainer.train(profile))
-    {
-    }
-
-    static ExperimentConfig
-    makeCfg()
-    {
-        ExperimentConfig cfg;
-        cfg.trainRecords = 60'000;
-        cfg.profile.maxHardBranches = 32;
-        return cfg;
-    }
-};
-
-} // namespace
-
-TEST_F(FaultTest, StalledWorkerTaskIsRequeuedAndResultUnchanged)
-{
-    PoolFixture fx;
-    // The first worker to claim a task stalls 1.5s on it; the
-    // deadline is far shorter, so the supervisor requeues it and
-    // another worker finishes the branch. The deadline still leaves
-    // generous room for honest training even under sanitizer
-    // slowdown.
-    ASSERT_TRUE(FaultInjector::instance().configure(
-        "stall-worker=1500"));
-    TrainingPoolOptions opts;
-    opts.workers = 4;
-    opts.taskDeadlineMs = 400;
-    opts.superviseIntervalMs = 10;
-    opts.maxAttempts = 6;
-    TrainingPool pool(opts);
-    std::vector<TrainedHint> hints =
-        pool.train(fx.trainer, fx.profile);
-
-    ASSERT_EQ(hints.size(), fx.serial.size());
-    for (size_t i = 0; i < hints.size(); ++i)
-        EXPECT_TRUE(hints[i] == fx.serial[i]) << "hint " << i;
-    EXPECT_GE(pool.supervision().tasksRequeued, 1u);
-    EXPECT_EQ(pool.supervision().branchesDegraded, 0u);
-}
-
-TEST_F(FaultTest, KilledWorkerTaskIsRecovered)
-{
-    PoolFixture fx;
-    ASSERT_TRUE(
-        FaultInjector::instance().configure("kill-worker"));
-    TrainingPoolOptions opts;
-    opts.workers = 4;
-    opts.taskDeadlineMs = 400;
-    opts.superviseIntervalMs = 10;
-    opts.maxAttempts = 6;
-    TrainingPool pool(opts);
-    std::vector<TrainedHint> hints =
-        pool.train(fx.trainer, fx.profile);
-
-    ASSERT_EQ(hints.size(), fx.serial.size());
-    for (size_t i = 0; i < hints.size(); ++i)
-        EXPECT_TRUE(hints[i] == fx.serial[i]) << "hint " << i;
-    EXPECT_EQ(pool.supervision().workersDied, 1u);
-    EXPECT_GE(pool.supervision().tasksRequeued, 1u);
-}
 
 TEST_F(FaultTest, RepeatedlyFailingBranchIsDegraded)
 {
-    PoolFixture fx;
-    // Work item 0 always fails: after maxAttempts it must be dropped
-    // (TAGE-SC-L fallback), not retried forever.
-    ASSERT_TRUE(
-        FaultInjector::instance().configure("fail-train=0:1000000"));
-    TrainingPoolOptions opts;
-    opts.workers = 2;
-    opts.taskDeadlineMs = 0; // supervision not needed for this path
-    opts.maxAttempts = 3;
-    TrainingPool pool(opts);
-    std::vector<TrainedHint> hints =
-        pool.train(fx.trainer, fx.profile);
+    ExperimentConfig ecfg;
+    ecfg.trainRecords = 60'000;
+    ecfg.profile.maxHardBranches = 32;
+    BranchProfile profile = profileApp(appByName("kafka"), 0, ecfg);
+    WhisperTrainer trainer(ecfg.whisper, globalTruthTables());
+    std::vector<TrainedHint> serial = trainer.train(profile);
 
-    // Everything except the degraded branch trains normally. The
-    // serial reference includes work item 0 only if it produced a
-    // hint; degraded output must be a subset missing at most that
-    // one branch.
-    EXPECT_GE(pool.supervision().taskFailures, 3u);
-    EXPECT_EQ(pool.supervision().branchesDegraded, 1u);
-    EXPECT_GE(hints.size() + 1, fx.serial.size());
-    for (const TrainedHint &h : hints) {
-        bool found = false;
-        for (const TrainedHint &s : fx.serial)
-            found = found || h == s;
-        EXPECT_TRUE(found) << "unexpected hint for pc " << h.pc;
+    // Work item 0 is the first hard branch the trainer considers.
+    uint64_t failedPc = 0;
+    for (const BranchProfileEntry *entry : profile.hardBranches()) {
+        if (entry->baselineMispredicts >= ecfg.whisper.minMispredictions) {
+            failedPc = entry->pc;
+            break;
+        }
     }
-}
+    std::vector<TrainedHint> expected;
+    for (const TrainedHint &h : serial)
+        if (h.pc != failedPc)
+            expected.push_back(h);
+    ASSERT_EQ(expected.size() + 1, serial.size())
+        << "work item 0 must emit a hint for this test to bite";
 
-TEST_F(FaultTest, TransientTrainingFailureRetriesToSameResult)
-{
-    PoolFixture fx;
-    // Work item 0 fails once, then succeeds: the retry must land the
-    // exact same bundle as the serial trainer.
-    ASSERT_TRUE(
-        FaultInjector::instance().configure("fail-train=0:1"));
-    TrainingPoolOptions opts;
-    opts.workers = 2;
-    opts.maxAttempts = 3;
-    TrainingPool pool(opts);
-    std::vector<TrainedHint> hints =
-        pool.train(fx.trainer, fx.profile);
-
-    ASSERT_EQ(hints.size(), fx.serial.size());
-    for (size_t i = 0; i < hints.size(); ++i)
-        EXPECT_TRUE(hints[i] == fx.serial[i]) << "hint " << i;
-    EXPECT_EQ(pool.supervision().taskFailures, 1u);
-    EXPECT_EQ(pool.supervision().branchesDegraded, 0u);
+    // Work item 0 throws: it runs once, is degraded to TAGE-SC-L
+    // and every other branch trains as in the serial run.
+    for (unsigned workers : {1u, 4u}) {
+        ASSERT_TRUE(FaultInjector::instance().configure("fail-train"));
+        TrainingStats stats;
+        std::vector<TrainedHint> hints =
+            trainer.train(profile, nullptr, &stats, workers);
+        EXPECT_EQ(hints, expected) << workers << " workers";
+        EXPECT_EQ(stats.branchesDegraded, 1u) << workers;
+        EXPECT_EQ(FaultInjector::instance().trainFailures(), 1u)
+            << workers;
+    }
 }
 
 // --------------------------------------------------------------------
@@ -795,7 +705,6 @@ demonConfig(const fs::path &journalDir)
     cfg.profilePolicy.maxHardBranches = 32;
     cfg.verbose = false;
     cfg.journalDir = journalDir.string();
-    cfg.trainTaskDeadlineMs = 5'000;
     // Deploy every epoch so the test sees a deterministic number of
     // journaled generations regardless of validation noise.
     cfg.acceptMargin = -1.0;
@@ -881,14 +790,12 @@ TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
     resetJournalDir(journalDir);
     writeChunkDir(dir, 30'000, 3);
 
-    // The acceptance scenario: ~1% corrupt frames, one stalled
-    // worker, one torn journal write.
+    // The acceptance scenario: ~1% corrupt frames, a branch whose
+    // training throws in every epoch, one torn journal write.
     ASSERT_TRUE(FaultInjector::instance().configure(
-        "flip-chunks=0.01,stall-worker=300,truncate-journal=1"));
+        "flip-chunks=0.01,fail-train,truncate-journal=1"));
 
-    TenantRouterConfig cfg = demonConfig(journalDir);
-    cfg.trainTaskDeadlineMs = 100;
-    TenantRouter router(cfg, globalTruthTables());
+    TenantRouter router(demonConfig(journalDir), globalTruthTables());
     router.run(dir.string());
 
     ServiceMetrics m = router.metrics();
@@ -898,6 +805,12 @@ TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
     EXPECT_GE(all.epochsRun, 1u);
     EXPECT_GT(m.chunksSkipped, 0u);
     EXPECT_GT(m.recordsSkipped, 0u);
+    // Every injected training failure degraded one branch, and every
+    // degradation reached the metrics (a warm-fallback retrain's
+    // included).
+    EXPECT_GE(all.branchesDegraded, 1u);
+    EXPECT_EQ(all.branchesDegraded,
+              FaultInjector::instance().trainFailures());
     // The torn write shows up and was repaired on the next append.
     if (tenant->store.accepted() >= 2) {
         EXPECT_GE(all.journalAppendFailures, 1u);
@@ -911,4 +824,28 @@ TEST_F(FaultTest, WhisperdSurvivesCombinedFaults)
 
     fs::remove_all(dir);
     fs::remove_all(journalDir);
+}
+
+TEST_F(FaultTest, WarmFallbackCountsBothPassesDegradedBranches)
+{
+    fs::path dir = "/tmp/whisper_test_fallback_dir";
+    writeChunkDir(dir, 30'000, 3);
+
+    // A margin of -1 sends every epoch with a warm hit back through a
+    // cold retrain, and work item 0 throws in both passes: the epoch
+    // must count both degradations, not just the cold pass's.
+    ASSERT_TRUE(FaultInjector::instance().configure("fail-train"));
+    TenantRouterConfig cfg = demonConfig("");
+    cfg.warmFallbackMargin = -1.0;
+    TenantRouter router(cfg, globalTruthTables());
+    router.run(dir.string());
+
+    TenantMetrics all = router.metrics().all();
+    ASSERT_GE(all.warmFallbackEpochs, 1u);
+    EXPECT_EQ(all.branchesDegraded,
+              FaultInjector::instance().trainFailures());
+    EXPECT_EQ(all.branchesDegraded,
+              all.epochsRun + all.warmFallbackEpochs);
+
+    fs::remove_all(dir);
 }

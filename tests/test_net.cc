@@ -967,7 +967,6 @@ TEST_F(NetTest, RouterCountsWireChunksAsIngested)
     rcfg.tageBudgetKB = 16;
     rcfg.profilePolicy.maxHardBranches = 16;
     rcfg.verbose = false;
-    rcfg.trainTaskDeadlineMs = 0;
     TenantRouter router(rcfg, globalTruthTables());
     router.addTenant("kafka");
     router.start();

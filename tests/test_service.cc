@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the whisperd service subsystem: bounded queue, streaming
- * trace ingest, merge-exact chunk profiling, the parallel training
- * pool's determinism, the versioned hint store, and the
+ * trace ingest, merge-exact chunk profiling, the determinism of
+ * training on N workers, the versioned hint store, and the
  * one-tenant service loop end to end.
  */
 
@@ -21,7 +21,6 @@
 #include "service/hint_store.hh"
 #include "service/tenant_router.hh"
 #include "service/trace_stream.hh"
-#include "service/training_pool.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "trace/branch_trace.hh"
@@ -342,34 +341,40 @@ TEST(ChunkProfiler, MergeIsAssociativeAndCommutative)
 }
 
 // --------------------------------------------------------------------
-// TrainingPool
+// WhisperTrainer on N workers
 // --------------------------------------------------------------------
 
-TEST(TrainingPool, BitIdenticalAcrossWorkerCounts)
+TEST(WhisperTrainer, BitIdenticalAcrossWorkerCounts)
 {
-    ExperimentConfig ecfg;
-    ecfg.trainRecords = 80'000;
-    ecfg.profile.maxHardBranches = 64;
-    BranchProfile profile = profileApp(appByName("kafka"), 0, ecfg);
-    WhisperTrainer trainer(ecfg.whisper, globalTruthTables());
+    // The 64-branch profile spreads branches over every worker count;
+    // the 4-branch one leaves most of 8 workers without a branch.
+    for (unsigned maxHard : {64u, 4u}) {
+        ExperimentConfig ecfg;
+        ecfg.trainRecords = 80'000;
+        ecfg.profile.maxHardBranches = maxHard;
+        BranchProfile profile =
+            profileApp(appByName("kafka"), 0, ecfg);
+        WhisperTrainer trainer(ecfg.whisper, globalTruthTables());
 
-    TrainingStats serialStats;
-    std::vector<TrainedHint> serial =
-        trainer.train(profile, nullptr, &serialStats);
+        TrainingStats serialStats;
+        std::vector<TrainedHint> serial =
+            trainer.train(profile, nullptr, &serialStats);
+        ASSERT_GT(serialStats.hintsEmitted, 0u) << "maxHard=" << maxHard;
+        if (maxHard == 4u) {
+            ASSERT_LT(serialStats.branchesConsidered, 8u);
+        }
 
-    for (unsigned workers : {1u, 4u}) {
-        TrainingStats poolStats;
-        std::vector<TrainedHint> pooled = TrainingPool(workers).train(
-            trainer, profile, nullptr, &poolStats);
-        ASSERT_EQ(pooled.size(), serial.size())
-            << "workers=" << workers;
-        for (size_t i = 0; i < serial.size(); ++i)
-            ASSERT_TRUE(pooled[i] == serial[i])
-                << "workers=" << workers << " hint " << i;
-        EXPECT_EQ(poolStats.branchesConsidered,
-                  serialStats.branchesConsidered);
-        EXPECT_EQ(poolStats.formulasScored,
-                  serialStats.formulasScored);
+        for (unsigned workers : {1u, 2u, 3u, 8u}) {
+            TrainingStats stats;
+            std::vector<TrainedHint> hints =
+                trainer.train(profile, nullptr, &stats, workers);
+            EXPECT_EQ(hints, serial)
+                << "maxHard=" << maxHard << " workers=" << workers;
+            EXPECT_EQ(stats.branchesConsidered,
+                      serialStats.branchesConsidered);
+            EXPECT_EQ(stats.formulasScored, serialStats.formulasScored);
+            EXPECT_EQ(stats.branchesDegraded, 0u);
+        }
     }
 }
 

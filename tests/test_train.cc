@@ -17,7 +17,7 @@
 #include <set>
 
 #include "core/correlation_screen.hh"
-#include "service/training_pool.hh"
+#include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "util/rng.hh"
 
@@ -183,19 +183,18 @@ TEST(Warm, PoolIsBitIdenticalToSerialForAnyWorkerCount)
         trainer.train(epoch2, &seeds, &serialStats);
 
     for (unsigned workers : {1u, 4u}) {
-        TrainingPool pool(workers);
-        TrainingStats poolStats;
+        TrainingStats stats;
         std::vector<TrainedHint> hints =
-            pool.train(trainer, epoch2, &seeds, &poolStats);
+            trainer.train(epoch2, &seeds, &stats, workers);
         EXPECT_EQ(hints, serial) << workers << " workers";
-        EXPECT_EQ(poolStats.formulasScored,
+        EXPECT_EQ(stats.formulasScored,
                   serialStats.formulasScored) << workers;
-        EXPECT_EQ(poolStats.warmHits, serialStats.warmHits)
+        EXPECT_EQ(stats.warmHits, serialStats.warmHits)
             << workers;
-        EXPECT_EQ(poolStats.coldSearches, serialStats.coldSearches)
+        EXPECT_EQ(stats.coldSearches, serialStats.coldSearches)
             << workers;
-        EXPECT_EQ(poolStats.warmHits + poolStats.coldSearches,
-                  poolStats.branchesConsidered) << workers;
+        EXPECT_EQ(stats.warmHits + stats.coldSearches,
+                  stats.branchesConsidered) << workers;
     }
 }
 

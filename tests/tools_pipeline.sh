@@ -54,6 +54,16 @@ expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
     --out "$WORK_DIR/bad.hints" --tage-kb x
 expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0
 expect_usage_error whisperd --listen 127.0.0.1:abc
+expect_usage_error whisper_trace_stats "$WORK_DIR/train.whrt" --top x
+expect_usage_error whisper_loadgen --port 1 --agents x
+expect_usage_error whisper_loadgen --port 70000
+# A bad record count leaves no trace behind.
+expect_usage_error whisper_trace_gen --app kafka --records x \
+    --out "$WORK_DIR/bad.whrt"
+if [ -e "$WORK_DIR/bad.whrt" ]; then
+    echo "whisper_trace_gen --records x wrote a trace" >&2
+    exit 1
+fi
 
 # Determinism: regenerating the same trace must be byte-identical.
 "$BIN_DIR/whisper_trace_gen" --app kafka --input 0 \

@@ -51,7 +51,7 @@ if [ -n "$FAULT_SPEC" ]; then
     "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \
         --out-dir "$WORK_DIR/out" \
         --journal-dir "$JOURNAL_DIR" \
-        --fault-spec "$FAULT_SPEC" --deadline-ms 200 \
+        --fault-spec "$FAULT_SPEC" \
         --chunk-records 40000 --epoch-chunks 3 \
         --workers 4 --max-hard 256 \
         --eval-trace "$WORK_DIR/eval_i1.whrt" \

@@ -54,7 +54,7 @@ done
 TENANTS=$(echo $APPS | tr ' ' ',')
 FAULT_ARGS=""
 if [ -n "$FAULT_SPEC" ]; then
-    FAULT_ARGS="--fault-spec $FAULT_SPEC --deadline-ms 200"
+    FAULT_ARGS="--fault-spec $FAULT_SPEC"
 fi
 
 "$BIN_DIR/whisperd" --chunks "$WORK_DIR/chunks" \

@@ -30,6 +30,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +46,8 @@
 #include "util/fault_injection.hh"
 #include "util/stdio_guard.hh"
 #include "workloads/app_workload.hh"
+
+#include "cli_parse.hh"
 
 using namespace whisper;
 
@@ -202,31 +206,36 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--port")
-            port = static_cast<uint16_t>(std::atoi(next()));
+            port = static_cast<uint16_t>(
+                parseInteger("--port", next(), 1, UINT16_MAX));
         else if (arg == "--host")
             host = next();
         else if (arg == "--agents")
-            agents = static_cast<unsigned>(std::atoi(next()));
+            agents = static_cast<unsigned>(
+                parsePositive("--agents", next(), UINT_MAX));
         else if (arg == "--base-app")
             baseApp = next();
         else if (arg == "--app-prefix")
             appPrefix = next();
         else if (arg == "--chunk-records")
             chunkRecords = static_cast<size_t>(
-                std::strtoull(next(), nullptr, 10));
+                parsePositive("--chunk-records", next(), SIZE_MAX));
         else if (arg == "--chunks-per-agent")
-            chunksPerAgent =
-                static_cast<unsigned>(std::atoi(next()));
+            chunksPerAgent = static_cast<unsigned>(parseInteger(
+                "--chunks-per-agent", next(), 0, UINT_MAX));
         else if (arg == "--chunks")
             chunkDir = next();
         else if (arg == "--dump-dir")
             dumpDir = next();
         else if (arg == "--pull-every")
-            pullEvery = static_cast<unsigned>(std::atoi(next()));
+            pullEvery = static_cast<unsigned>(
+                parseInteger("--pull-every", next(), 0, UINT_MAX));
         else if (arg == "--timeout-ms")
-            timeoutMs = static_cast<uint32_t>(std::atoi(next()));
+            timeoutMs = static_cast<uint32_t>(
+                parseInteger("--timeout-ms", next(), 0, UINT32_MAX));
         else if (arg == "--max-attempts")
-            maxAttempts = static_cast<unsigned>(std::atoi(next()));
+            maxAttempts = static_cast<unsigned>(
+                parsePositive("--max-attempts", next(), UINT_MAX));
         else if (arg == "--fault-spec")
             faultSpec = next();
         else if (arg == "--json")
@@ -234,7 +243,7 @@ main(int argc, char **argv)
         else
             usage();
     }
-    if (port == 0 || agents == 0 || chunkRecords == 0)
+    if (port == 0)
         usage();
 
     if (!faultSpec.empty()) {

@@ -10,6 +10,7 @@
  *                     --out mysql_i0.whrt
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,8 @@
 #include "trace/branch_trace.hh"
 #include "util/stdio_guard.hh"
 #include "workloads/app_workload.hh"
+
+#include "cli_parse.hh"
 
 using namespace whisper;
 
@@ -65,9 +68,10 @@ main(int argc, char **argv)
         if (arg == "--app")
             appName = next();
         else if (arg == "--input")
-            input = static_cast<uint32_t>(std::atoi(next()));
+            input = static_cast<uint32_t>(
+                parseInteger("--input", next(), 0, UINT32_MAX));
         else if (arg == "--records")
-            records = std::strtoull(next(), nullptr, 10);
+            records = parseInteger("--records", next(), 0, UINT64_MAX);
         else if (arg == "--drift")
             driftArg = next();
         else if (arg == "--out")

@@ -12,8 +12,8 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,6 +23,8 @@
 #include "util/stdio_guard.hh"
 #include "util/table.hh"
 #include "workloads/app_workload.hh"
+
+#include "cli_parse.hh"
 
 using namespace whisper;
 
@@ -111,7 +113,8 @@ main(int argc, char **argv)
 
     size_t topN = 10;
     if (argc >= 4 && std::string(argv[2]) == "--top")
-        topN = std::strtoull(argv[3], nullptr, 10);
+        topN = static_cast<size_t>(
+            parseInteger("--top", argv[3], 0, SIZE_MAX));
 
     BranchTrace trace;
     if (IoStatus st = loadAnyTrace(argv[1], &trace); !st) {

@@ -22,7 +22,6 @@
  *            [--journal-dir DIR] [--out-dir DIR] [--chunk-records N]
  *            [--epoch-chunks N] [--workers N] [--tage-kb N]
  *            [--max-hard N] [--margin F] [--fault-spec SPEC]
- *            [--deadline-ms N] [--max-attempts N]
  *            [--eval-trace FILE] [--compare-hints FILE] [--quiet]
  *
  * With --journal-dir every app's deployed-generation history goes
@@ -88,7 +87,7 @@ usage()
         "  --chunk-records N    ingest chunk size (default 50000)\n"
         "  --epoch-chunks N     training chunks per epoch "
         "(default 4)\n"
-        "  --workers N          training pool width of the one "
+        "  --workers N          training threads of the one "
         "dispatcher (default 4)\n"
         "  --tage-kb N          baseline budget (default 64)\n"
         "  --max-hard N         hard-branch cap per app "
@@ -108,11 +107,7 @@ usage()
         "  --warm-start=on|off  seed each epoch from the deployed "
         "bundle (default on)\n"
         "  --fault-spec SPEC    deterministic fault injection "
-        "(e.g. flip-chunks=0.01,stall-worker=400)\n"
-        "  --deadline-ms N      training task deadline before "
-        "requeue (default 30000)\n"
-        "  --max-attempts N     training attempts before a branch "
-        "is degraded (default 3)\n"
+        "(e.g. flip-chunks=0.01,fail-train)\n"
         "  --retry-after-ms N   backpressure hint sent to clients "
         "(default 25)\n"
         "  --idle-timeout-ms N  reap connections stalled mid-frame "
@@ -238,15 +233,12 @@ reportTenants(TenantRouter &router, const std::string &outDir)
     }
     std::printf(
         "whisperd: faults skipped-chunks=%llu skipped-records=%llu "
-        "retries=%llu requeued-tasks=%llu degraded-branches=%llu "
-        "torn-writes=%llu workers-died=%llu\n",
+        "retries=%llu degraded-branches=%llu torn-writes=%llu\n",
         static_cast<unsigned long long>(metrics.chunksSkipped),
         static_cast<unsigned long long>(metrics.recordsSkipped),
         static_cast<unsigned long long>(metrics.readRetries),
-        static_cast<unsigned long long>(all.tasksRequeued),
         static_cast<unsigned long long>(all.branchesDegraded),
-        static_cast<unsigned long long>(all.journalAppendFailures),
-        static_cast<unsigned long long>(all.workersDied));
+        static_cast<unsigned long long>(all.journalAppendFailures));
     metrics.dump(std::cout);
 
     int status = 0;
@@ -531,10 +523,6 @@ main(int argc, char **argv)
             cfg.warmStart = parseOnOff("--warm-start", v);
         } else if (arg == "--fault-spec")
             faultSpec = next();
-        else if (arg == "--deadline-ms")
-            cfg.trainTaskDeadlineMs = integer(0, UINT64_MAX);
-        else if (arg == "--max-attempts")
-            cfg.trainMaxAttempts = positive();
         else if (arg == "--eval-trace")
             evalPath = next();
         else if (arg == "--compare-hints")
