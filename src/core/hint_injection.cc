@@ -1,10 +1,10 @@
 #include "core/hint_injection.hh"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "util/logging.hh"
+#include "util/pc_index.hh"
 
 namespace whisper
 {
@@ -22,37 +22,55 @@ std::vector<HintPlacement>
 HintInjector::place(BranchSource &trace,
                     const std::vector<TrainedHint> &hints) const
 {
-    std::unordered_set<uint64_t> hinted;
+    // Dense ids for the trace's PCs, the hinted branches first: a
+    // record executes a hinted branch iff its id < numHinted.
+    PcIndex pcs(hints.size());
     for (const auto &h : hints)
-        hinted.insert(h.pc);
+        pcs.insert(h.pc);
+    const size_t numHinted = pcs.size();
+    std::vector<uint64_t> execCount(numHinted), branchExec(numHinted);
+    std::vector<uint8_t> marked(numHinted); // dedupes one window
 
-    // cooccur[branch][pred] = branch executions with pred in the
-    // preceding window (each pred counted once per branch execution).
-    std::unordered_map<uint64_t,
-                       std::unordered_map<uint64_t, uint64_t>>
-        cooccur;
-    std::unordered_map<uint64_t, uint64_t> execCount;
-    std::unordered_map<uint64_t, uint64_t> branchExec;
+    // pairs.keys()[i] = hinted branch id << 32 | predecessor id, in
+    // first-seen order; coCount[i] = the branch executions with the
+    // predecessor in the preceding window.
+    PcIndex pairs;
+    std::vector<uint64_t> coCount;
 
     trace.rewind();
-    std::deque<uint64_t> window;
+    std::vector<uint32_t> window(cfg_.window); // ring of PC ids
+    size_t filled = 0, next = 0;
     BranchRecord rec;
-    std::unordered_set<uint64_t> seen;
     while (trace.next(rec)) {
-        ++execCount[rec.pc];
-        if (rec.isConditional() && hinted.count(rec.pc)) {
-            ++branchExec[rec.pc];
-            auto &preds = cooccur[rec.pc];
-            seen.clear();
-            for (uint64_t p : window) {
-                if (seen.insert(p).second)
-                    ++preds[p];
+        uint32_t id = pcs.insert(rec.pc);
+        execCount.resize(pcs.size());
+        marked.resize(pcs.size());
+        ++execCount[id];
+        if (rec.isConditional() && id < numHinted) {
+            ++branchExec[id];
+            size_t at = filled == window.size() ? next : 0; // oldest
+            for (size_t k = 0; k < filled; ++k) {
+                uint32_t pred = window[at];
+                at = at + 1 == window.size() ? 0 : at + 1;
+                if (marked[pred])
+                    continue;
+                marked[pred] = 1;
+                uint32_t pair = pairs.insert(uint64_t{id} << 32 | pred);
+                coCount.resize(pairs.size());
+                ++coCount[pair];
             }
+            for (size_t k = 0; k < filled; ++k)
+                marked[window[k]] = 0;
         }
-        window.push_back(rec.pc);
-        if (window.size() > cfg_.window)
-            window.pop_front();
+        window[next] = id;
+        next = next + 1 == window.size() ? 0 : next + 1;
+        filled = std::min(filled + 1, window.size());
     }
+
+    // Each hinted branch's pair ids, in first-seen order.
+    std::vector<std::vector<uint32_t>> byBranch(numHinted);
+    for (uint32_t i = 0; i < pairs.size(); ++i)
+        byBranch[pairs.keys()[i] >> 32].push_back(i);
 
     std::vector<HintPlacement> placements;
     placements.reserve(hints.size());
@@ -60,29 +78,33 @@ HintInjector::place(BranchSource &trace,
         HintPlacement pl;
         pl.branchPc = h.pc;
 
-        uint64_t execs = branchExec[h.pc];
+        // Scoring walks the predecessors in the iteration order of an
+        // unordered_map filled in first-seen order: the first best
+        // score wins, so that order is the tie-break. A branch that
+        // never executed has none.
+        uint32_t branch = pcs.find(h.pc), best = branch;
+        std::unordered_map<uint64_t, uint32_t> preds;
+        for (uint32_t pair : byBranch[branch])
+            preds[pcs.keys()[pairs.keys()[pair] & 0xFFFFFFFF]] = pair;
         double bestScore = -1.0;
-        const auto it = cooccur.find(h.pc);
-        if (it != cooccur.end() && execs > 0) {
-            for (const auto &[pred, count] : it->second) {
-                double coverage =
-                    static_cast<double>(count) / execs;
-                // A branch may execute several times inside one
-                // predecessor window; cap so precision stays a
-                // probability.
-                double precision = std::min(
-                    1.0,
-                    static_cast<double>(count) / execCount[pred]);
-                // Conditional-probability score: a good predecessor
-                // covers the branch and rarely fires spuriously.
-                double score = coverage * precision;
-                if (coverage >= cfg_.minCoverage &&
-                    score > bestScore) {
-                    bestScore = score;
-                    pl.predecessorPc = pred;
-                    pl.coverage = coverage;
-                    pl.precision = precision;
-                }
+        for (const auto &[predPc, pair] : preds) {
+            uint32_t pred = static_cast<uint32_t>(pairs.keys()[pair]);
+            double coverage =
+                static_cast<double>(coCount[pair]) / branchExec[branch];
+            // A branch may execute several times inside one
+            // predecessor window; cap so precision stays a
+            // probability.
+            double precision = std::min(
+                1.0, static_cast<double>(coCount[pair]) / execCount[pred]);
+            // Conditional-probability score: a good predecessor
+            // covers the branch and rarely fires spuriously.
+            double score = coverage * precision;
+            if (coverage >= cfg_.minCoverage && score > bestScore) {
+                bestScore = score;
+                best = pred;
+                pl.predecessorPc = predPc;
+                pl.coverage = coverage;
+                pl.precision = precision;
             }
         }
         if (bestScore < 0.0) {
@@ -92,7 +114,7 @@ HintInjector::place(BranchSource &trace,
             pl.coverage = 1.0;
             pl.precision = 1.0;
         }
-        pl.predecessorExecutions = execCount[pl.predecessorPc];
+        pl.predecessorExecutions = execCount[best];
         placements.push_back(pl);
     }
     return placements;

@@ -17,7 +17,6 @@
 #define WHISPER_CORE_HINT_INJECTION_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/whisper_trainer.hh"

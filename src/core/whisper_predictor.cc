@@ -1,7 +1,5 @@
 #include "core/whisper_predictor.hh"
 
-#include <bit>
-
 #include "util/logging.hh"
 
 namespace whisper
@@ -36,44 +34,30 @@ WhisperPredictor::replaceHints(
     for (const auto &h : hints)
         hints_[h.pc] = h.hint;
 
-    // Pass 1: one slot per predecessor PC, counting its placements.
-    triggerSlots_.assign(std::bit_ceil(2 * placements.size() + 1),
-                         TriggerSlot{});
+    // Pass 1: one run per predecessor PC, counting its placements.
+    triggerIds_ = PcIndex(placements.size());
+    triggerRuns_.clear();
     for (const auto &pl : placements) {
         whisper_assert(hints_.count(pl.branchPc),
                        "placement for unknown hint");
-        TriggerSlot &slot = triggerSlots_[findTrigger(pl.predecessorPc)];
-        slot.pc = pl.predecessorPc;
-        ++slot.count;
+        uint32_t id = triggerIds_.insert(pl.predecessorPc);
+        triggerRuns_.resize(triggerIds_.size());
+        ++triggerRuns_[id].count;
     }
-    // Pass 2: lay the slots' runs out back to back and fill each
-    // from its end, walking the placements backwards so every run
-    // keeps placement order.
+    // Pass 2: lay the runs out back to back and fill each from its
+    // end, walking the placements backwards so every run keeps
+    // placement order.
     uint32_t end = 0;
-    for (TriggerSlot &slot : triggerSlots_) {
-        end += slot.count;
-        slot.first = end;
+    for (TriggerRun &run : triggerRuns_) {
+        end += run.count;
+        run.first = end;
     }
     triggerHints_.resize(end);
     for (auto pl = placements.rbegin(); pl != placements.rend(); ++pl) {
-        TriggerSlot &slot = triggerSlots_[findTrigger(pl->predecessorPc)];
-        triggerHints_[--slot.first] = {pl->branchPc,
-                                       hints_.at(pl->branchPc)};
+        TriggerRun &run = triggerRuns_[triggerIds_.find(pl->predecessorPc)];
+        triggerHints_[--run.first] = {pl->branchPc,
+                                      hints_.at(pl->branchPc)};
     }
-}
-
-size_t
-WhisperPredictor::findTrigger(uint64_t pc) const
-{
-    // Fibonacci hashing (the product's high bits mix every PC bit),
-    // then linear probing to @p pc's slot or the empty slot ending
-    // its probe sequence.
-    size_t mask = triggerSlots_.size() - 1;
-    size_t i = static_cast<size_t>((pc * 0x9E3779B97F4A7C15ULL) >> 40) &
-               mask;
-    while (triggerSlots_[i].count != 0 && triggerSlots_[i].pc != pc)
-        i = (i + 1) & mask;
-    return i;
 }
 
 std::string
@@ -142,10 +126,13 @@ void
 WhisperPredictor::onRecord(const BranchRecord &rec)
 {
     // A block carrying brhint instructions decodes each hint into
-    // the hint buffer; other blocks land on an empty slot.
-    const TriggerSlot &slot = triggerSlots_[findTrigger(rec.pc)];
-    for (uint32_t k = 0; k < slot.count; ++k) {
-        const auto &[branchPc, hint] = triggerHints_[slot.first + k];
+    // the hint buffer; other blocks are not in the table.
+    uint32_t id = triggerIds_.find(rec.pc);
+    if (id == PcIndex::kNone)
+        return;
+    const TriggerRun &run = triggerRuns_[id];
+    for (uint32_t k = 0; k < run.count; ++k) {
+        const auto &[branchPc, hint] = triggerHints_[run.first + k];
         ++dynamicHints_;
         buffer_.insert(branchPc, hint);
     }

@@ -24,6 +24,7 @@
 #include "core/hint_injection.hh"
 #include "core/history_hash.hh"
 #include "trace/global_history.hh"
+#include "util/pc_index.hh"
 
 namespace whisper
 {
@@ -76,15 +77,13 @@ class WhisperPredictor : public BranchPredictor
   private:
     /** One predecessor block carrying brhints: its hints are
      * triggerHints_[first, first + count), in placement order. */
-    struct TriggerSlot
+    struct TriggerRun
     {
-        uint64_t pc = 0;
         uint32_t first = 0;
-        uint32_t count = 0; //!< 0 marks an empty slot
+        uint32_t count = 0;
     };
 
     bool evaluateHint(const BrHint &hint) const;
-    size_t findTrigger(uint64_t pc) const;
 
     std::unique_ptr<BranchPredictor> base_;
     WhisperConfig cfg_;
@@ -93,11 +92,12 @@ class WhisperPredictor : public BranchPredictor
 
     /** hint payload per hinted branch PC. */
     std::unordered_map<uint64_t, BrHint> hints_;
-    /** predecessor PC -> hints injected there: an open-addressing
-     * table (linear probing, at most half full) over the flat
-     * (branch PC, hint) list, probed once per record. Runs are laid
-     * out by slot; each keeps its placements' order. */
-    std::vector<TriggerSlot> triggerSlots_;
+    /** predecessor PC -> hints injected there: a flat PC table,
+     * probed once per record, naming a run of the flat (branch PC,
+     * hint) list. Runs are laid out by id; each keeps its
+     * placements' order. */
+    PcIndex triggerIds_;
+    std::vector<TriggerRun> triggerRuns_;
     std::vector<std::pair<uint64_t, BrHint>> triggerHints_;
 
     HintBuffer buffer_;

@@ -4,6 +4,7 @@
 
 #include "branchnet/branchnet_predictor.hh"
 #include "sim/runner.hh"
+#include "util/pc_index.hh"
 
 namespace whisper
 {
@@ -52,13 +53,14 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
               });
     if (candidates.size() > opt.maxHardBranches)
         candidates.resize(opt.maxHardBranches);
-    std::vector<uint64_t> hardPcs;
+    // Pass 2 finds a hard branch as candidates[hardIds.find(pc)].
+    PcIndex hardIds(candidates.size());
     for (auto *e : candidates) {
         profile.markHard(e->pc);
-        hardPcs.push_back(e->pc);
+        hardIds.insert(e->pc);
     }
     if (opt.branchNetStore)
-        opt.branchNetStore->setTracked(hardPcs);
+        opt.branchNetStore->setTracked(hardIds.keys());
 
     // ---- Pass 2: sample tables for hard branches (PT stand-in) ----
     GlobalHistory history = sampleHistory(cfg);
@@ -70,9 +72,9 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
         bool counting = ++seen > warmupRecords;
         if (!rec.isConditional())
             continue;
-        BranchProfileEntry *e = counting ? profile.find(rec.pc) : nullptr;
-        if (e && e->hard) {
-            e->sample(rec.taken, history);
+        uint32_t id = counting ? hardIds.find(rec.pc) : PcIndex::kNone;
+        if (id != PcIndex::kNone) {
+            candidates[id]->sample(rec.taken, history);
             if (opt.branchNetStore) {
                 BranchNetSample sample;
                 sample.tokens = tokens.snapshot();
@@ -81,7 +83,8 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
             }
         }
         history.push(rec.taken);
-        tokens.push(rec.pc, rec.taken);
+        if (opt.branchNetStore)
+            tokens.push(rec.pc, rec.taken);
     }
 
     return profile;

@@ -119,17 +119,19 @@ FaultInjector::configure(const std::string &spec, std::string *error)
         if (key == "flip-chunks") {
             flipChunks_ = true;
             if (!value.empty()) {
-                // Accept either a period ("100") or a rate ("0.01").
-                double rate = std::atof(value.c_str());
-                if (rate <= 0.0)
+                // Accept either a whole period ("100") or a rate
+                // ("0.01", at least 1e-18 so the period fits).
+                uint64_t period = 0;
+                char *end = nullptr;
+                double rate = std::strtod(value.c_str(), &end);
+                if (parseU64(value, period) && period >= 1)
+                    flipPeriod_ = period;
+                else if (*end == '\0' && rate >= 1e-18 && rate < 1.0)
+                    flipPeriod_ =
+                        static_cast<uint64_t>(std::llround(1.0 / rate));
+                else
                     return fail("flip-chunks: bad value '" + value +
                                 "'");
-                flipPeriod_ =
-                    rate < 1.0
-                        ? static_cast<uint64_t>(std::lround(1.0 / rate))
-                        : static_cast<uint64_t>(std::lround(rate));
-                if (flipPeriod_ == 0)
-                    flipPeriod_ = 1;
             }
         } else if (key == "fail-read") {
             failReads_ = 2;

@@ -11,7 +11,8 @@
  *
  *   flip-chunks[=P]       corrupt every P-th trace frame read by the
  *                         .whrt reader, starting with the first
- *                         (P<1 is treated as a rate: P=1/rate).
+ *                         (P is a whole period >= 1, or a rate
+ *                         in (0, 1): P=1/rate).
  *                         Default P=100 (~1% of frames).
  *   fail-read[=N]         the first N frame reads fail transiently
  *                         (exercises bounded retry/backoff). Default 2.

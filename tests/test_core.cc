@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "bp/simple_predictors.hh"
 #include "core/brhint.hh"
@@ -16,6 +21,7 @@
 #include "core/static_profile.hh"
 #include "core/whisper_predictor.hh"
 #include "core/whisper_trainer.hh"
+#include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/rng.hh"
 
@@ -100,6 +106,106 @@ TEST(HintBuffer, ReinsertRefreshes)
 namespace
 {
 
+/**
+ * The placement pass HintInjector::place replaced, kept as its
+ * reference: per-record unordered_map counts, a std::deque window
+ * and an unordered_set dedupe per branch execution. place() must
+ * return exactly this, the tie-break among equal scores included
+ * (the first best in the co-occurrence map's iteration order).
+ */
+std::vector<HintPlacement>
+referencePlacement(BranchSource &trace,
+                   const std::vector<TrainedHint> &hints,
+                   const HintInjector::Config &cfg = {})
+{
+    std::unordered_set<uint64_t> hinted;
+    for (const auto &h : hints)
+        hinted.insert(h.pc);
+
+    std::unordered_map<uint64_t,
+                       std::unordered_map<uint64_t, uint64_t>>
+        cooccur;
+    std::unordered_map<uint64_t, uint64_t> execCount;
+    std::unordered_map<uint64_t, uint64_t> branchExec;
+
+    trace.rewind();
+    std::deque<uint64_t> window;
+    BranchRecord rec;
+    std::unordered_set<uint64_t> seen;
+    while (trace.next(rec)) {
+        ++execCount[rec.pc];
+        if (rec.isConditional() && hinted.count(rec.pc)) {
+            ++branchExec[rec.pc];
+            auto &preds = cooccur[rec.pc];
+            seen.clear();
+            for (uint64_t p : window) {
+                if (seen.insert(p).second)
+                    ++preds[p];
+            }
+        }
+        window.push_back(rec.pc);
+        if (window.size() > cfg.window)
+            window.pop_front();
+    }
+
+    std::vector<HintPlacement> placements;
+    for (const auto &h : hints) {
+        HintPlacement pl;
+        pl.branchPc = h.pc;
+        uint64_t execs = branchExec[h.pc];
+        double bestScore = -1.0;
+        const auto it = cooccur.find(h.pc);
+        if (it != cooccur.end() && execs > 0) {
+            for (const auto &[pred, count] : it->second) {
+                double coverage =
+                    static_cast<double>(count) / execs;
+                double precision = std::min(
+                    1.0,
+                    static_cast<double>(count) / execCount[pred]);
+                double score = coverage * precision;
+                if (coverage >= cfg.minCoverage &&
+                    score > bestScore) {
+                    bestScore = score;
+                    pl.predecessorPc = pred;
+                    pl.coverage = coverage;
+                    pl.precision = precision;
+                }
+            }
+        }
+        if (bestScore < 0.0) {
+            pl.predecessorPc = h.pc;
+            pl.coverage = 1.0;
+            pl.precision = 1.0;
+        }
+        pl.predecessorExecutions = execCount[pl.predecessorPc];
+        placements.push_back(pl);
+    }
+    return placements;
+}
+
+bool
+bitEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Every HintPlacement field equal, the doubles bit for bit. */
+void
+expectSamePlacements(const std::vector<HintPlacement> &got,
+                     const std::vector<HintPlacement> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(got[i].branchPc, want[i].branchPc);
+        EXPECT_EQ(got[i].predecessorPc, want[i].predecessorPc);
+        EXPECT_TRUE(bitEqual(got[i].coverage, want[i].coverage));
+        EXPECT_TRUE(bitEqual(got[i].precision, want[i].precision));
+        EXPECT_EQ(got[i].predecessorExecutions,
+                  want[i].predecessorExecutions);
+    }
+}
+
 /** Synthetic trace: block A (pc 0xA00) always precedes branch B. */
 BranchTrace
 makePredecessorTrace()
@@ -142,10 +248,61 @@ TEST(HintInjection, FindsHighCoveragePredecessor)
     auto placements = injector.place(src, {hint});
     ASSERT_EQ(placements.size(), 1u);
     EXPECT_EQ(placements[0].branchPc, 0xB40u);
-    EXPECT_GE(placements[0].coverage, 0.99);
-    // 0xA00 and the branch itself both fully cover; either is a
-    // valid timely predecessor.
-    EXPECT_GT(placements[0].precision, 0.5);
+    // 0xA00 and the filler 0xC00 (in the window from B's first
+    // execution on, and executing less often than B, so precision
+    // caps at 1) both score 1.0; the first best in the reference's
+    // map order is 0xC00. B itself misses its own first execution.
+    EXPECT_EQ(placements[0].predecessorPc, 0xC00u);
+    EXPECT_EQ(placements[0].coverage, 1.0);
+    EXPECT_EQ(placements[0].precision, 1.0);
+    EXPECT_EQ(placements[0].predecessorExecutions, 667u);
+    expectSamePlacements(placements, referencePlacement(src, {hint}));
+}
+
+TEST(HintInjection, TiedPredecessorsPickTheReferenceChoice)
+{
+    // Blocks 0x100 and 0x200 both execute exactly once before every
+    // execution of branch 0x300, so both score 1.0. The reference
+    // keeps the first best in its map's iteration order.
+    BranchTrace trace("t", 0);
+    for (int i = 0; i < 500; ++i) {
+        for (uint64_t pc : {0x100, 0x200, 0x300}) {
+            BranchRecord r;
+            r.pc = pc;
+            r.kind = BranchKind::Conditional;
+            r.taken = (i + pc) % 3 == 0;
+            trace.append(r);
+        }
+    }
+    TraceSource src(trace);
+    TrainedHint hint;
+    hint.pc = 0x300;
+    auto placements = HintInjector().place(src, {hint});
+    ASSERT_EQ(placements.size(), 1u);
+    EXPECT_EQ(placements[0].predecessorPc, 0x200u);
+    EXPECT_EQ(placements[0].coverage, 1.0);
+    EXPECT_EQ(placements[0].precision, 1.0);
+    expectSamePlacements(placements, referencePlacement(src, {hint}));
+}
+
+TEST(HintInjection, MatchesReferencePlacement)
+{
+    // whisper_train's defaults on three apps' training traces.
+    ExperimentConfig cfg;
+    cfg.trainRecords = 200'000;
+    WhisperTrainer trainer(cfg.whisper, globalTruthTables());
+    for (const char *name : {"mysql", "kafka", "finagle-http"}) {
+        SCOPED_TRACE(name);
+        const AppConfig &app = appByName(name);
+        std::vector<TrainedHint> hints =
+            trainer.train(profileApp(app, 0, cfg));
+        ASSERT_FALSE(hints.empty());
+        AppWorkload trace(app, 0, cfg.trainRecords);
+        HintInjector injector(cfg.injector);
+        expectSamePlacements(
+            injector.place(trace, hints),
+            referencePlacement(trace, hints, cfg.injector));
+    }
 }
 
 TEST(HintInjection, FallbackToSelf)

@@ -612,7 +612,21 @@ TEST_F(FaultTest, SpecParsing)
     EXPECT_FALSE(fi.configure("no-such-fault", &error));
     EXPECT_NE(error.find("unknown fault token"), std::string::npos);
     EXPECT_FALSE(fi.enabled());
-    EXPECT_FALSE(fi.configure("flip-chunks=abc", &error));
+    // flip-chunks takes a whole period >= 1 or a rate in (0, 1).
+    EXPECT_TRUE(fi.configure("flip-chunks=2", &error)) << error;
+    EXPECT_TRUE(fi.configure("flip-chunks=1", &error)) << error;
+    EXPECT_TRUE(fi.configure("flip-chunks=0.5", &error)) << error;
+    EXPECT_TRUE(fi.configure("flip-chunks=1e-3", &error)) << error;
+    for (const char *bad :
+         {"flip-chunks=abc", "flip-chunks=2x", "flip-chunks=0",
+          "flip-chunks=0.0", "flip-chunks=1.0", "flip-chunks=2.5",
+          "flip-chunks=-0.5", "flip-chunks=0.5x", "flip-chunks=nan"}) {
+        EXPECT_FALSE(fi.configure(bad, &error)) << bad;
+        EXPECT_NE(error.find("flip-chunks: bad value"),
+                  std::string::npos)
+            << bad;
+        EXPECT_FALSE(fi.enabled()) << bad;
+    }
     // A training task runs once, so fail-train takes no attempt
     // count.
     EXPECT_FALSE(fi.configure("fail-train=0:2", &error));

@@ -262,6 +262,132 @@ TEST(Profiler, HardSelectionRespectsThresholds)
     }
 }
 
+namespace
+{
+
+/**
+ * The three-pass profiler collectProfile replaced, kept as its
+ * reference: pass 2 finds each conditional's entry in the profile's
+ * unordered_map and pushes a BranchNet token whether or not a store
+ * is attached.
+ */
+BranchProfile
+referenceProfile(BranchSource &trace, BranchPredictor &baseline,
+                 const WhisperConfig &cfg, const ProfileOptions &opt)
+{
+    BranchProfile profile(cfg);
+    trace.rewind();
+    BranchRecord rec;
+    uint64_t totalRecords = 0;
+    while (trace.next(rec))
+        ++totalRecords;
+    uint64_t warmupRecords = static_cast<uint64_t>(
+        opt.statsWarmupFraction * totalRecords);
+
+    trace.rewind();
+    uint64_t seen = 0;
+    while (trace.next(rec)) {
+        bool miss = stepPredictor(baseline, rec);
+        if (++seen > warmupRecords)
+            profile.count(rec, miss);
+    }
+
+    std::vector<BranchProfileEntry *> candidates;
+    for (auto &[pc, e] : profile.entries()) {
+        if (e.baselineMispredicts >= cfg.minMispredictions &&
+            e.baselineAccuracy() <= opt.maxAccuracy) {
+            candidates.push_back(&e);
+        }
+    }
+    std::sort(candidates.begin(), candidates.end(),
+              [](const BranchProfileEntry *a,
+                 const BranchProfileEntry *b) {
+                  if (a->baselineMispredicts !=
+                      b->baselineMispredicts)
+                      return a->baselineMispredicts >
+                             b->baselineMispredicts;
+                  return a->pc < b->pc;
+              });
+    if (candidates.size() > opt.maxHardBranches)
+        candidates.resize(opt.maxHardBranches);
+    std::vector<uint64_t> hardPcs;
+    for (auto *e : candidates) {
+        profile.markHard(e->pc);
+        hardPcs.push_back(e->pc);
+    }
+    if (opt.branchNetStore)
+        opt.branchNetStore->setTracked(hardPcs);
+
+    GlobalHistory history = sampleHistory(cfg);
+    TokenHistory tokens;
+    trace.rewind();
+    seen = 0;
+    while (trace.next(rec)) {
+        bool counting = ++seen > warmupRecords;
+        if (!rec.isConditional())
+            continue;
+        BranchProfileEntry *e =
+            counting ? profile.find(rec.pc) : nullptr;
+        if (e && e->hard) {
+            e->sample(rec.taken, history);
+            if (opt.branchNetStore) {
+                BranchNetSample sample;
+                sample.tokens = tokens.snapshot();
+                sample.taken = rec.taken;
+                opt.branchNetStore->record(rec.pc, sample);
+            }
+        }
+        history.push(rec.taken);
+        tokens.push(rec.pc, rec.taken);
+    }
+    return profile;
+}
+
+} // namespace
+
+TEST(Profiler, MatchesReferenceProfile)
+{
+    ExperimentConfig cfg;
+    for (const char *name : {"mysql", "finagle-http"}) {
+        SCOPED_TRACE(name);
+        AppWorkload trace(appByName(name), 0, 200'000);
+        auto tage = makeTage(64);
+        auto refTage = makeTage(64);
+        BranchProfile profile =
+            collectProfile(trace, *tage, cfg.whisper, cfg.profile);
+        BranchProfile reference = referenceProfile(
+            trace, *refTage, cfg.whisper, cfg.profile);
+        EXPECT_GT(profile.numHardBranches(), 0u);
+        EXPECT_TRUE(profile == reference);
+
+        // With a BranchNet store attached, its samples match too
+        // (the cap is above any branch's execution count).
+        BranchNetSampleStore store(1u << 20), refStore(1u << 20);
+        ProfileOptions opt = cfg.profile;
+        opt.branchNetStore = &store;
+        tage = makeTage(64);
+        profile = collectProfile(trace, *tage, cfg.whisper, opt);
+        opt.branchNetStore = &refStore;
+        refTage = makeTage(64);
+        reference =
+            referenceProfile(trace, *refTage, cfg.whisper, opt);
+        EXPECT_TRUE(profile == reference);
+        ASSERT_EQ(store.numBranches(), refStore.numBranches());
+        for (const BranchProfileEntry *e : reference.hardBranches()) {
+            const auto *got = store.find(e->pc);
+            const auto *want = refStore.find(e->pc);
+            ASSERT_NE(got, nullptr);
+            ASSERT_NE(want, nullptr);
+            ASSERT_EQ(got->size(), want->size());
+            EXPECT_FALSE(want->empty());
+            for (size_t i = 0; i < want->size(); ++i) {
+                EXPECT_EQ((*got)[i].tokens, (*want)[i].tokens);
+                EXPECT_EQ((*got)[i].taken, (*want)[i].taken);
+            }
+        }
+    }
+}
+
 TEST(Profiler, OfflineAndStreamingProfilesCountAlike)
 {
     // Both profilers run the same count step over the same records:

@@ -23,6 +23,19 @@ trap 'rm -rf "$WORK_DIR"' EXIT
     --out "$WORK_DIR/kafka.hints" \
     --profile-out "$WORK_DIR/kafka.profile" | grep -q "hints"
 
+# Profiling and placement are deterministic: the bundle and profile
+# bytes are pinned (POSIX cksum: CRC, then length), so any drift in
+# either pass fails here.
+expect_cksum() {
+    got=$(cksum < "$1")
+    if [ "$got" != "$2" ]; then
+        echo "$1: cksum '$got', want '$2'" >&2
+        exit 1
+    fi
+}
+expect_cksum "$WORK_DIR/kafka.hints" "3631339525 1284"
+expect_cksum "$WORK_DIR/kafka.profile" "1558977036 787736"
+
 "$BIN_DIR/whisper_eval" --trace "$WORK_DIR/test.whrt" \
     --hints "$WORK_DIR/kafka.hints" \
     --profile "$WORK_DIR/kafka.profile" \
@@ -54,6 +67,7 @@ expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
     --out "$WORK_DIR/bad.hints" --tage-kb x
 expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0
 expect_usage_error whisperd --listen 127.0.0.1:abc
+expect_usage_error whisperd --chunks "$WORK_DIR" --fault-spec flip-chunks=2x
 expect_usage_error whisper_trace_stats "$WORK_DIR/train.whrt" --top x
 expect_usage_error whisper_loadgen --port 1 --agents x
 expect_usage_error whisper_loadgen --port 70000

@@ -11,6 +11,7 @@
  *                 [--profile-out mysql.profile] [--verbose]
  */
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,14 @@ using namespace whisper;
 
 namespace
 {
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
 
 void
 usage()
@@ -122,13 +131,16 @@ main(int argc, char **argv)
 
     TraceSource source(trace);
     auto baseline = makeTage(tageKb);
+    auto profileStart = std::chrono::steady_clock::now();
     BranchProfile profile = collectProfile(source, *baseline,
                                            cfg.whisper, cfg.profile);
+    double profileSeconds = secondsSince(profileStart);
     std::printf("  %zu static branches, %zu hard, baseline "
-                "MPKI %.2f\n",
+                "MPKI %.2f (profiled in %.2fs)\n",
                 profile.numBranches(), profile.numHardBranches(),
                 1000.0 * profile.totalMispredicts /
-                    std::max<uint64_t>(1, profile.totalInstructions));
+                    std::max<uint64_t>(1, profile.totalInstructions),
+                profileSeconds);
     if (!profileOut.empty()) {
         if (!saveProfile(profile, profileOut)) {
             std::fprintf(stderr, "error: cannot write %s\n",
@@ -162,7 +174,9 @@ main(int argc, char **argv)
         profile, haveWarm ? &warmBundle.hints : nullptr, &stats);
 
     HintInjector injector(cfg.injector);
+    auto placeStart = std::chrono::steady_clock::now();
     bundle.placements = injector.place(source, bundle.hints);
+    double placeSeconds = secondsSince(placeStart);
     InjectionOverhead overhead = HintInjector::overhead(
         bundle.placements, trace.size(), trace.instructions());
 
@@ -172,12 +186,13 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("  %zu hints (%.2fs, %llu formulas scored, "
-                "%llu warm hits / %llu cold searches) -> %s\n",
+                "%llu warm hits / %llu cold searches; placed in "
+                "%.2fs) -> %s\n",
                 bundle.hints.size(), stats.trainSeconds,
                 static_cast<unsigned long long>(stats.formulasScored),
                 static_cast<unsigned long long>(stats.warmHits),
                 static_cast<unsigned long long>(stats.coldSearches),
-                outPath.c_str());
+                placeSeconds, outPath.c_str());
     std::printf("  expected on-profile reduction: %.1f%% of covered "
                 "mispredictions; dynamic hint overhead %.2f%%\n",
                 stats.coveredMispredicts
