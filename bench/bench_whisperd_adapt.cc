@@ -168,14 +168,13 @@ main()
     // Online: service components wired around the adaptive runner.
     // Each epoch boundary hands the finished window to the profiler;
     // every trainEveryEpochs windows a candidate is trained on the
-    // accumulated profile, validated on the newest window, and
+    // profiler's running profile, validated on the newest window, and
     // proposed to the store the fleet predictor consults.
     ChunkProfiler::Options profOpt;
     profOpt.maxHardBranches = cfg.profile.maxHardBranches;
     profOpt.statsWarmupRecords = window / 2; // half the first window
     ChunkProfiler profiler(cfg.whisper, makeTage(cfg.tageBudgetKB),
                            profOpt);
-    BranchProfile accumulated(cfg.whisper);
     WhisperTrainer trainer(cfg.whisper, globalTruthTables());
     HintInjector injector(cfg.injector);
     HintStore store;
@@ -198,10 +197,10 @@ main()
                                            stream.begin() + to);
 
         if (nextEpoch % trainEveryEpochs == 0) {
-            if (accumulated.numBranches() > 0) {
+            if (profiler.profile().numBranches() > 0) {
                 HintBundle candidate;
-                candidate.hints =
-                    trainer.train(accumulated, nullptr, nullptr, 4);
+                candidate.hints = trainer.train(profiler.profile(),
+                                                nullptr, nullptr, 4);
                 TraceSource placeSrc(finished);
                 candidate.placements =
                     injector.place(placeSrc, candidate.hints);
@@ -217,7 +216,7 @@ main()
             }
         }
 
-        accumulated.mergeFrom(profiler.profileChunk(finished));
+        profiler.profileChunk(finished);
         return consultant.refresh(nextEpoch);
     };
 

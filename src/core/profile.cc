@@ -48,6 +48,8 @@ sampleHistory(const WhisperConfig &cfg)
     GlobalHistory history(2 * cfg.maxHistoryLength);
     for (unsigned len : geometricLengths(cfg))
         history.addFoldedView(len, cfg.hashWidth);
+    whisper_assert(history.numViews() <= BranchProfileEntry::kMaxLengths,
+                   "too many candidate history lengths");
     return history;
 }
 
@@ -80,13 +82,14 @@ BranchProfile::find(uint64_t pc)
 }
 
 BranchProfileEntry *
-BranchProfile::count(const BranchRecord &rec, bool miss)
+BranchProfile::count(const BranchRecord &rec, bool miss,
+                     BranchProfileEntry *known)
 {
     totalInstructions += static_cast<uint64_t>(rec.instGap) + 1;
     if (!rec.isConditional())
         return nullptr;
     ++totalConditionals;
-    BranchProfileEntry &e = entry(rec.pc);
+    BranchProfileEntry &e = known ? *known : entry(rec.pc);
     ++e.executions;
     if (rec.taken)
         ++e.takenCount;
@@ -136,15 +139,6 @@ BranchProfile::hardBranches() const
                   return a->pc < b->pc;
               });
     return hard;
-}
-
-BranchProfile
-BranchProfile::merge(const BranchProfile &a, const BranchProfile &b)
-{
-    BranchProfile out(a.config());
-    out.mergeFrom(a);
-    out.mergeFrom(b);
-    return out;
 }
 
 void

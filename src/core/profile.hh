@@ -76,6 +76,9 @@ struct HashedSampleTable
 /** Profile record for one static conditional branch. */
 struct BranchProfileEntry
 {
+    /** Bound on the candidate history lengths (sampleHistory()). */
+    static constexpr size_t kMaxLengths = 64;
+
     uint64_t pc = 0;
     uint64_t executions = 0;
     uint64_t takenCount = 0;
@@ -112,14 +115,16 @@ struct BranchProfileEntry
     /**
      * Sample step (PT stand-in): record one execution of this hard
      * branch resolving @p taken under every hashed-history view of
-     * @p history (built by sampleHistory()) and under the raw last-4
-     * and last-8 bits.
+     * @p history (built by sampleHistory()), read in one batch, and
+     * under the raw last-4 and last-8 bits.
      */
     void
     sample(bool taken, const GlobalHistory &history)
     {
+        uint32_t folded[kMaxLengths];
+        history.foldedValues(folded);
         for (size_t l = 0; l < byLength.size(); ++l)
-            byLength[l].record(history.foldedValue(l), taken);
+            byLength[l].record(folded[l], taken);
         raw4.record(static_cast<unsigned>(history.lastBits(4)), taken);
         raw8.record(static_cast<unsigned>(history.lastBits(8)), taken);
     }
@@ -154,10 +159,12 @@ class BranchProfile
      * Count step (LBR stand-in): add @p rec's instructions to the
      * totals and, for a conditional, one execution to its branch's
      * entry, with a baseline misprediction when @p miss (the
-     * stepPredictor() verdict of the profiled predictor).
+     * stepPredictor() verdict of the profiled predictor). @p known,
+     * when given, is that entry, which saves the lookup.
      * @return the branch's entry, or nullptr for a non-conditional.
      */
-    BranchProfileEntry *count(const BranchRecord &rec, bool miss);
+    BranchProfileEntry *count(const BranchRecord &rec, bool miss,
+                              BranchProfileEntry *known = nullptr);
 
     /** Allocate the detailed tables for @p pc and mark it hard. */
     void markHard(uint64_t pc);
@@ -184,17 +191,6 @@ class BranchProfile
      * counts; a branch is hard in the union if hard in either.
      */
     void mergeFrom(const BranchProfile &other);
-
-    /**
-     * Associative, commutative combination of two profiles: the
-     * profile of a trace split into chunks equals the merge of the
-     * per-chunk profiles (given identical profiling state threading,
-     * see service/ChunkProfiler). This is what lets N ingest shards
-     * profile independently and combine (and what the paper's
-     * merged-profile experiment, Fig. 18, relies on).
-     */
-    static BranchProfile merge(const BranchProfile &a,
-                               const BranchProfile &b);
 
     /** Structural equality of all counts and tables (test support;
      * the config itself is compared via its length series). */

@@ -5,16 +5,16 @@
  * The offline profiler (sim/collectProfile) makes two passes over a
  * materialized trace; a service consuming an endless chunk stream
  * gets one look at each record. ChunkProfiler therefore keeps the
- * baseline predictor, the global history and the hard-branch set
- * alive across chunks and emits one partial BranchProfile per chunk.
- * Because every piece of profiling state threads through chunk
- * boundaries, the per-chunk profiles combine exactly:
+ * baseline predictor, the global history, the hard-branch set and
+ * the tenant's one running BranchProfile alive across chunks, and
+ * counts every chunk straight into that profile. Because all of
+ * this state threads through chunk boundaries, chunk boundaries do
+ * not change the running profile:
  *
- *   Profile::merge(profile(chunk A), profile(chunk B))
- *     == profile(chunk A ++ chunk B)
+ *   profileChunk(A); profileChunk(B)   ==   profileChunk(A ++ B)
  *
- * so a tenant's accumulated profile after any number of chunks is
- * exactly the profile of their concatenation.
+ * so a tenant's profile after any number of chunks is exactly the
+ * profile of their concatenation.
  *
  * Each record runs the same two steps as the offline profiler:
  * BranchProfile's count step, then its sample step for hard
@@ -22,7 +22,9 @@
  * accumulated WhisperConfig::minMispredictions lifetime
  * mispredictions it starts collecting the hashed-history sample
  * tables of Algorithm 1 (the offline profiler instead selects them
- * between its two passes).
+ * between its two passes). A flat PC table gives each branch a slot
+ * with its profile entry and lifetime mispredictions, so a record
+ * costs one probe.
  */
 
 #ifndef WHISPER_SERVICE_CHUNK_PROFILER_HH
@@ -31,13 +33,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bp/branch_predictor.hh"
 #include "core/profile.hh"
 #include "trace/global_history.hh"
+#include "util/pc_index.hh"
 
 namespace whisper
 {
@@ -60,7 +61,7 @@ class ChunkProfiler
          * offline profiler's statsWarmupFraction: cold-start
          * mispredictions would otherwise make the baseline look
          * worse than its steady state and skew hint selection.
-         * Counted from profiler birth, so merge equality holds.
+         * Counted from profiler birth, so chunking does not move it.
          */
         uint64_t statsWarmupRecords = 0;
     };
@@ -74,17 +75,31 @@ class ChunkProfiler
     {
     }
 
-    /** Profile one chunk, advancing the persistent state. */
-    BranchProfile profileChunk(const std::vector<BranchRecord> &records);
+    /** Count one chunk into the running profile. */
+    void profileChunk(const std::vector<BranchRecord> &records);
+
+    /** The running profile of every record profiled so far. */
+    const BranchProfile &profile() const { return profile_; }
+
+    /** Move the running profile out, ending the stream: the profiler
+     * must not profile again. */
+    BranchProfile takeProfile() && { return std::move(profile_); }
 
   private:
-    WhisperConfig cfg_;
+    /** One branch's slot, by its PcIndex id. */
+    struct Slot
+    {
+        BranchProfileEntry *entry = nullptr; //!< stable across rehash
+        uint64_t lifetimeMispredicts = 0;    //!< drives promotion
+    };
+
     Options opt_;
     std::unique_ptr<BranchPredictor> baseline_;
     GlobalHistory history_;
-    std::unordered_set<uint64_t> hard_;
-    /** Lifetime misprediction counts driving promotion. */
-    std::unordered_map<uint64_t, uint64_t> lifetimeMispredicts_;
+    BranchProfile profile_;
+    PcIndex ids_;
+    std::vector<Slot> slots_;
+    unsigned hardBranches_ = 0;
     uint64_t recordsProfiled_ = 0;
 };
 

@@ -11,8 +11,7 @@ Tenant::Tenant(std::string name_, const TenantQuota &quota_,
                const ChunkProfiler::Options &profileOpt)
     : name(std::move(name_)), quota(quota_),
       queue(std::max<size_t>(1, quota_.maxQueuedChunks)),
-      profiler(whisper, std::move(baseline), profileOpt),
-      accumulated(whisper)
+      profiler(whisper, std::move(baseline), profileOpt)
 {
 }
 

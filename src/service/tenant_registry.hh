@@ -11,7 +11,8 @@
  * profile involved. Each Tenant here is a full per-app pipeline:
  *
  *   bounded chunk queue (quota: maxQueuedChunks, drop-and-count)
- *     -> streaming ChunkProfiler + accumulated BranchProfile
+ *     -> streaming ChunkProfiler, counting every absorbed chunk
+ *        into the tenant's one running BranchProfile
  *     -> epoch train jobs (quota: maxPendingTrainJobs)
  *     -> versioned HintStore, independently deployable,
  *        journaled to its own per-app WAL
@@ -93,8 +94,7 @@ class Tenant
 
     // -- absorber-thread state (only the tenant's worker touches
     //    these after start) --
-    ChunkProfiler profiler;
-    BranchProfile accumulated;
+    ChunkProfiler profiler; //!< owns the running profile
     std::optional<TraceChunk> validationChunk;
     std::vector<BranchRecord> placementWindow;
     unsigned chunksSinceTrain = 0;

@@ -1,6 +1,7 @@
 #include "service/tenant_router.hh"
 
 #include <chrono>
+#include <future>
 
 #include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
@@ -236,8 +237,9 @@ TenantRouter::absorberLoop(Tenant &tenant)
         absorb(tenant, std::move(chunk));
     // Stream over: flush a final partial epoch over anything not yet
     // trained on (the newest chunk stays held out for validation).
+    // Nothing profiles after this, so the profile moves into the job.
     if (tenant.chunksSinceTrain > 0 && tenant.validationChunk)
-        enqueueEpochJob(tenant);
+        enqueueEpochJob(tenant, std::move(tenant.profiler).takeProfile());
 }
 
 void
@@ -252,30 +254,28 @@ TenantRouter::absorb(Tenant &tenant, TraceChunk chunk)
         tenant.validationChunk.reset();
         if (!prev.records.empty()) {
             tenant.placementWindow = prev.records;
-            BranchProfile part =
-                tenant.profiler.profileChunk(prev.records);
-            tenant.accumulated.mergeFrom(part);
+            tenant.profiler.profileChunk(prev.records);
             ++tenant.chunksSinceTrain;
         }
     }
     tenant.validationChunk = std::move(chunk);
 
     if (tenant.chunksSinceTrain >= cfg_.epochChunks)
-        enqueueEpochJob(tenant);
+        enqueueEpochJob(tenant, tenant.profiler.profile());
 }
 
 void
-TenantRouter::enqueueEpochJob(Tenant &tenant)
+TenantRouter::enqueueEpochJob(Tenant &tenant, BranchProfile profile)
 {
     TrainJob job;
     job.tenant = &tenant;
     job.jobIndex = ++tenant.jobsIssued;
-    job.profile = tenant.accumulated;
+    job.profile = std::move(profile);
     job.validation = tenant.validationChunk->records;
     job.placement = tenant.placementWindow;
     if (!scheduler_.submit(std::move(job))) {
         // Quota breach: the epoch is skipped, not lost — absorbed
-        // chunks stay in the accumulated profile, so the tenant's
+        // chunks stay in the running profile, so the tenant's
         // next job trains on strictly more data.
         tenant.withMetrics(
             [](TenantMetrics &m, auto &) { ++m.trainJobsDropped; });
@@ -324,6 +324,12 @@ TenantRouter::trainEpoch(TrainJob &job)
     const std::vector<TrainedHint> *warmSeeds =
         cfg_.warmStart && incumbent ? &incumbent->bundle.hints
                                     : nullptr;
+    // The incumbent's holdout run depends only on the validation
+    // window and the deployed snapshot, so it runs beside training.
+    auto incumbentRun = std::async(std::launch::async, [&] {
+        return evalOnRecords(job.validation,
+                             incumbent ? &incumbent->bundle : nullptr);
+    });
 
     TrainingStats stats;
     HintBundle candidate;
@@ -340,10 +346,9 @@ TenantRouter::trainEpoch(TrainJob &job)
     };
     placeCandidate(candidate);
 
-    PredictorRunStats incumbentStats = evalOnRecords(
-        job.validation, incumbent ? &incumbent->bundle : nullptr);
     PredictorRunStats candidateStats =
         evalOnRecords(job.validation, &candidate);
+    PredictorRunStats incumbentStats = incumbentRun.get();
 
     // Warm-start safety valve: a warm candidate that is worse than
     // the incumbent on the holdout (not merely short of beating it)

@@ -12,18 +12,20 @@
  *        ▼ (tryPush; full queue = backpressure or drop-and-count,
  *        never block)
  *   per-tenant chunk queue ──▶ per-tenant absorber thread:
- *        ChunkProfiler + validation-window holdout; every
- *        epochChunks boundary snapshots (profile, validation,
- *        placement) into a TrainJob
+ *        ChunkProfiler counting into the tenant's running
+ *        profile + validation-window holdout; every epochChunks
+ *        boundary snapshots (profile, validation, placement) into
+ *        a TrainJob
  *        │ FairShareScheduler::submit (maxPendingTrainJobs quota)
  *        ▼
  *   FairShareScheduler: deficit-round-robin across tenants with
  *        pending jobs, weight W = W jobs per round
  *        │
  *        ▼
- *   one dispatcher thread: train on trainWorkers threads,
- *        validate candidate vs incumbent on the tenant's held-out
- *        window, propose to the tenant's own versioned HintStore
+ *   one dispatcher thread: train on trainWorkers threads while
+ *        the incumbent runs the tenant's held-out window on its
+ *        own thread, validate the candidate on that window,
+ *        propose to the tenant's own versioned HintStore
  *        (journaled per app)
  *
  * Isolation: a TrainJob is a pure function of one tenant's chunk
@@ -203,7 +205,7 @@ class TenantRouter
     void absorberLoop(Tenant &tenant);
     void dispatcherLoop();
     void absorb(Tenant &tenant, TraceChunk chunk);
-    void enqueueEpochJob(Tenant &tenant);
+    void enqueueEpochJob(Tenant &tenant, BranchProfile profile);
     void trainEpoch(TrainJob &job);
     PredictorRunStats evalOnRecords(
         const std::vector<BranchRecord> &records,

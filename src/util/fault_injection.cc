@@ -1,5 +1,7 @@
 #include "util/fault_injection.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -33,14 +35,18 @@ splitPair(const std::string &value, std::string &a, std::string &b)
     }
 }
 
+/** A whole number that fits in 64 bits. strtoull alone would skip
+ * leading whitespace, negate a leading '-' and saturate on overflow,
+ * so a digit must come first and ERANGE fails. */
 bool
 parseU64(const std::string &s, uint64_t &out)
 {
-    if (s.empty())
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         return false;
     char *end = nullptr;
+    errno = 0;
     out = std::strtoull(s.c_str(), &end, 0);
-    return end && *end == '\0';
+    return *end == '\0' && errno != ERANGE;
 }
 
 } // namespace

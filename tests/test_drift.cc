@@ -169,7 +169,8 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
             opt.statsWarmupRecords = window / 2;
             ChunkProfiler profiler(cfg.whisper,
                                    makeTage(cfg.tageBudgetKB), opt);
-            BranchProfile profile = profiler.profileChunk(recent);
+            profiler.profileChunk(recent);
+            const BranchProfile &profile = profiler.profile();
             if (profile.numBranches() > 0) {
                 HintBundle candidate;
                 HintStore::Snapshot seed =
@@ -766,7 +767,8 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
     opt.statsWarmupRecords = window / 2;
     ChunkProfiler profiler(cfg.whisper, makeTage(cfg.tageBudgetKB),
                            opt);
-    BranchProfile staleProfile = profiler.profileChunk(prefixRecent);
+    profiler.profileChunk(prefixRecent);
+    const BranchProfile &staleProfile = profiler.profile();
     ASSERT_GT(staleProfile.numBranches(), 0u);
     WhisperTrainer trainer(cfg.whisper, globalTruthTables());
     HintInjector injector(cfg.injector);

@@ -630,6 +630,17 @@ TEST_F(FaultTest, SpecParsing)
     // A training task runs once, so fail-train takes no attempt
     // count.
     EXPECT_FALSE(fi.configure("fail-train=0:2", &error));
+    // Counts are whole numbers that fit in 64 bits: no sign, no
+    // leading space, no saturation.
+    for (const char *bad :
+         {"fail-read=-1", "fail-read= 3", "fail-read=99999999999999999999",
+          "wire-stall=-1:10", "flip-chunks=99999999999999999999"}) {
+        EXPECT_FALSE(fi.configure(bad, &error)) << bad;
+        EXPECT_NE(error.find("bad"), std::string::npos) << bad;
+        EXPECT_FALSE(fi.enabled()) << bad;
+    }
+    EXPECT_TRUE(fi.configure("fail-read=18446744073709551615", &error))
+        << error;
 }
 
 // --------------------------------------------------------------------

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the whisperd service subsystem: bounded queue, streaming
- * trace ingest, merge-exact chunk profiling, the determinism of
- * training on N workers, the versioned hint store, and the
- * one-tenant service loop end to end.
+ * trace ingest, chunk profiling into one running profile, the
+ * determinism of training on N workers, the versioned hint store,
+ * and the one-tenant service loop end to end.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "service/bounded_queue.hh"
@@ -259,85 +261,154 @@ TEST(TraceStream, IngestorDeliversEverythingInOrder)
 }
 
 // --------------------------------------------------------------------
-// ChunkProfiler / Profile::merge
+// ChunkProfiler
 // --------------------------------------------------------------------
 
-TEST(ChunkProfiler, MergedChunkProfilesEqualConcatenatedProfile)
+TEST(ChunkProfiler, ChunkingDoesNotChangeTheProfile)
 {
     // The service's core invariant: profiling a stream chunk by chunk
-    // and merging must give exactly the profile of the whole stream.
+    // gives exactly the profile of the whole stream. The warm-up skip
+    // is a function of lifetime stream position, so it may end
+    // mid-chunk.
     std::vector<BranchRecord> records = kafkaRecords(0, 60'000);
     WhisperConfig cfg;
     ChunkProfiler::Options opt;
     opt.maxHardBranches = 128;
-
-    ChunkProfiler chunked(cfg, makeTage(64), opt);
-    BranchProfile merged(cfg);
-    for (size_t at = 0; at < records.size(); at += 17'000) {
-        size_t end = std::min(records.size(), at + 17'000);
-        BranchProfile part =
-            chunked.profileChunk(slice(records, at, end));
-        merged = BranchProfile::merge(merged, part);
-    }
-
-    ChunkProfiler whole(cfg, makeTage(64), opt);
-    BranchProfile reference = whole.profileChunk(records);
-
-    EXPECT_TRUE(merged == reference);
-    EXPECT_EQ(merged.numBranches(), reference.numBranches());
-}
-
-TEST(ChunkProfiler, MergeEqualityHoldsUnderStatsWarmup)
-{
-    // The warm-up skip is a function of lifetime stream position, so
-    // chunking must still not change the profile.
-    std::vector<BranchRecord> records = kafkaRecords(0, 40'000);
-    WhisperConfig cfg;
-    ChunkProfiler::Options opt;
-    opt.maxHardBranches = 64;
     opt.statsWarmupRecords = 12'500; // lands mid-chunk
 
-    ChunkProfiler chunked(cfg, makeTage(64), opt);
-    BranchProfile merged(cfg);
-    for (size_t at = 0; at < records.size(); at += 10'000) {
-        size_t end = std::min(records.size(), at + 10'000);
-        merged = BranchProfile::merge(
-            merged, chunked.profileChunk(slice(records, at, end)));
-    }
-
-    ChunkProfiler whole(cfg, makeTage(64), opt);
-    BranchProfile reference = whole.profileChunk(records);
-    EXPECT_TRUE(merged == reference);
+    auto profileInSlices = [&](size_t sliceRecords) {
+        ChunkProfiler profiler(cfg, makeTage(64), opt);
+        for (size_t at = 0; at < records.size(); at += sliceRecords) {
+            size_t end = std::min(records.size(), at + sliceRecords);
+            profiler.profileChunk(slice(records, at, end));
+        }
+        return profiler.profile();
+    };
+    BranchProfile whole = profileInSlices(records.size());
+    EXPECT_TRUE(profileInSlices(17'000) == whole);
+    EXPECT_TRUE(profileInSlices(10'000) == whole);
+    EXPECT_GT(whole.numHardBranches(), 0u);
 
     // Warm-up records contribute to no statistic.
     ChunkProfiler noWarmup(cfg, makeTage(64));
-    BranchProfile unskipped = noWarmup.profileChunk(records);
-    EXPECT_LT(reference.totalConditionals,
-              unskipped.totalConditionals);
+    noWarmup.profileChunk(records);
+    EXPECT_LT(whole.totalConditionals,
+              noWarmup.profile().totalConditionals);
+}
+
+namespace
+{
+
+/**
+ * The absorber as it was before the running profile, kept as the
+ * reference: each chunk is profiled into a fresh BranchProfile, with
+ * the hard set and lifetime mispredictions in hash containers, and
+ * then merged into the tenant's accumulated profile.
+ */
+class ReferenceAbsorber
+{
+  public:
+    ReferenceAbsorber(const WhisperConfig &cfg, unsigned tageBudgetKB,
+                      const ChunkProfiler::Options &opt)
+        : accumulated(cfg), cfg_(cfg), opt_(opt),
+          baseline_(makeTage(tageBudgetKB)), history_(sampleHistory(cfg))
+    {
+    }
+
+    void
+    absorb(const std::vector<BranchRecord> &records)
+    {
+        BranchProfile profile(cfg_);
+        for (const BranchRecord &rec : records) {
+            bool miss = stepPredictor(*baseline_, rec);
+            bool warm = recordsProfiled_++ >= opt_.statsWarmupRecords;
+            BranchProfileEntry *e =
+                warm ? profile.count(rec, miss) : nullptr;
+            if (!rec.isConditional())
+                continue;
+            if (e) {
+                if (miss && !hard_.contains(rec.pc) &&
+                    hard_.size() < opt_.maxHardBranches &&
+                    ++lifetimeMispredicts_[rec.pc] >=
+                        cfg_.minMispredictions)
+                    hard_.insert(rec.pc);
+                if (hard_.contains(rec.pc)) {
+                    if (!e->hard)
+                        profile.markHard(rec.pc);
+                    e->sample(rec.taken, history_);
+                }
+            }
+            history_.push(rec.taken);
+        }
+        accumulated.mergeFrom(profile);
+    }
+
+    BranchProfile accumulated;
+
+  private:
+    WhisperConfig cfg_;
+    ChunkProfiler::Options opt_;
+    std::unique_ptr<BranchPredictor> baseline_;
+    GlobalHistory history_;
+    std::unordered_set<uint64_t> hard_;
+    std::unordered_map<uint64_t, uint64_t> lifetimeMispredicts_;
+    uint64_t recordsProfiled_ = 0;
+};
+
+} // namespace
+
+TEST(ChunkProfiler, MatchesReferenceAbsorber)
+{
+    // The running profile equals what profiling each chunk apart and
+    // merging gave, after every chunk, at whisperd's defaults.
+    TenantRouterConfig defaults;
+    for (const char *app : {"mysql", "finagle-http"}) {
+        AppWorkload workload(appByName(app), 0, 8 * defaults.chunkRecords);
+        ChunkProfiler profiler(defaults.whisper,
+                               makeTage(defaults.tageBudgetKB),
+                               defaults.profilePolicy);
+        ReferenceAbsorber reference(defaults.whisper,
+                                    defaults.tageBudgetKB,
+                                    defaults.profilePolicy);
+        std::vector<BranchRecord> chunk;
+        BranchRecord rec;
+        for (int k = 0; k < 8; ++k) {
+            chunk.clear();
+            while (chunk.size() < defaults.chunkRecords &&
+                   workload.next(rec))
+                chunk.push_back(rec);
+            profiler.profileChunk(chunk);
+            reference.absorb(chunk);
+            ASSERT_TRUE(profiler.profile() == reference.accumulated)
+                << app << " chunk " << k;
+        }
+        EXPECT_GT(profiler.profile().numHardBranches(), 0u) << app;
+    }
 }
 
 TEST(ChunkProfiler, MergeIsAssociativeAndCommutative)
 {
+    // mergeFrom combines profiles of separate inputs (Fig. 18).
     std::vector<BranchRecord> records = kafkaRecords(0, 45'000);
     WhisperConfig cfg;
     ChunkProfiler::Options opt;
     opt.maxHardBranches = 128;
-    ChunkProfiler profiler(cfg, makeTage(64), opt);
+    auto profileOf = [&](size_t from, size_t to) {
+        ChunkProfiler profiler(cfg, makeTage(64), opt);
+        profiler.profileChunk(slice(records, from, to));
+        return profiler.profile();
+    };
+    BranchProfile p1 = profileOf(0, 15'000);
+    BranchProfile p2 = profileOf(15'000, 30'000);
+    BranchProfile p3 = profileOf(30'000, 45'000);
+    auto merged = [](const BranchProfile &a, const BranchProfile &b) {
+        BranchProfile out = a;
+        out.mergeFrom(b);
+        return out;
+    };
 
-    BranchProfile p1 = profiler.profileChunk(slice(records, 0, 15'000));
-    BranchProfile p2 =
-        profiler.profileChunk(slice(records, 15'000, 30'000));
-    BranchProfile p3 =
-        profiler.profileChunk(slice(records, 30'000, 45'000));
-
-    BranchProfile leftFirst =
-        BranchProfile::merge(BranchProfile::merge(p1, p2), p3);
-    BranchProfile rightFirst =
-        BranchProfile::merge(p1, BranchProfile::merge(p2, p3));
-    EXPECT_TRUE(leftFirst == rightFirst);
-
-    EXPECT_TRUE(BranchProfile::merge(p1, p2) ==
-                BranchProfile::merge(p2, p1));
+    EXPECT_TRUE(merged(merged(p1, p2), p3) == merged(p1, merged(p2, p3)));
+    EXPECT_TRUE(merged(p1, p2) == merged(p2, p1));
 }
 
 // --------------------------------------------------------------------

@@ -409,7 +409,8 @@ TEST(Profiler, OfflineAndStreamingProfilesCountAlike)
     opt.statsWarmupRecords = static_cast<uint64_t>(
         cfg.profile.statsWarmupFraction * records.size());
     ChunkProfiler streaming(cfg.whisper, makeTage(64), opt);
-    BranchProfile online = streaming.profileChunk(records);
+    streaming.profileChunk(records);
+    const BranchProfile &online = streaming.profile();
 
     EXPECT_EQ(offline.totalInstructions, online.totalInstructions);
     EXPECT_EQ(offline.totalConditionals, online.totalConditionals);

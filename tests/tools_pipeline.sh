@@ -68,6 +68,7 @@ expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
 expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0
 expect_usage_error whisperd --listen 127.0.0.1:abc
 expect_usage_error whisperd --chunks "$WORK_DIR" --fault-spec flip-chunks=2x
+expect_usage_error whisperd --chunks "$WORK_DIR" --fault-spec fail-read=-1
 expect_usage_error whisper_trace_stats "$WORK_DIR/train.whrt" --top x
 expect_usage_error whisper_loadgen --port 1 --agents x
 expect_usage_error whisper_loadgen --port 70000
