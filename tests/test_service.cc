@@ -264,35 +264,63 @@ TEST(TraceStream, IngestorDeliversEverythingInOrder)
 // ChunkProfiler
 // --------------------------------------------------------------------
 
-TEST(ChunkProfiler, ChunkingDoesNotChangeTheProfile)
+namespace
+{
+
+/** Profile `records` through one ChunkProfiler in slices of `sliceRecords`. */
+BranchProfile
+profileInSlices(const std::vector<BranchRecord> &records,
+                size_t sliceRecords, const WhisperConfig &cfg,
+                const ChunkProfiler::Options &opt)
+{
+    ChunkProfiler profiler(cfg, makeTage(64), opt);
+    for (size_t at = 0; at < records.size(); at += sliceRecords) {
+        size_t end = std::min(records.size(), at + sliceRecords);
+        profiler.profileChunk(slice(records, at, end));
+    }
+    return profiler.profile();
+}
+
+} // namespace
+
+TEST(ChunkProfiler, MergedChunkProfilesEqualConcatenatedProfile)
 {
     // The service's core invariant: profiling a stream chunk by chunk
-    // gives exactly the profile of the whole stream. The warm-up skip
-    // is a function of lifetime stream position, so it may end
-    // mid-chunk.
+    // into the running profile gives exactly the profile of the whole
+    // stream.
     std::vector<BranchRecord> records = kafkaRecords(0, 60'000);
     WhisperConfig cfg;
     ChunkProfiler::Options opt;
     opt.maxHardBranches = 128;
+
+    BranchProfile merged = profileInSlices(records, 17'000, cfg, opt);
+    BranchProfile reference =
+        profileInSlices(records, records.size(), cfg, opt);
+
+    EXPECT_TRUE(merged == reference);
+    EXPECT_EQ(merged.numBranches(), reference.numBranches());
+    EXPECT_GT(reference.numHardBranches(), 0u);
+}
+
+TEST(ChunkProfiler, MergeEqualityHoldsUnderStatsWarmup)
+{
+    // The warm-up skip is a function of lifetime stream position, so
+    // chunking must still not change the profile.
+    std::vector<BranchRecord> records = kafkaRecords(0, 40'000);
+    WhisperConfig cfg;
+    ChunkProfiler::Options opt;
+    opt.maxHardBranches = 64;
     opt.statsWarmupRecords = 12'500; // lands mid-chunk
 
-    auto profileInSlices = [&](size_t sliceRecords) {
-        ChunkProfiler profiler(cfg, makeTage(64), opt);
-        for (size_t at = 0; at < records.size(); at += sliceRecords) {
-            size_t end = std::min(records.size(), at + sliceRecords);
-            profiler.profileChunk(slice(records, at, end));
-        }
-        return profiler.profile();
-    };
-    BranchProfile whole = profileInSlices(records.size());
-    EXPECT_TRUE(profileInSlices(17'000) == whole);
-    EXPECT_TRUE(profileInSlices(10'000) == whole);
-    EXPECT_GT(whole.numHardBranches(), 0u);
+    BranchProfile merged = profileInSlices(records, 10'000, cfg, opt);
+    BranchProfile reference =
+        profileInSlices(records, records.size(), cfg, opt);
+    EXPECT_TRUE(merged == reference);
 
     // Warm-up records contribute to no statistic.
     ChunkProfiler noWarmup(cfg, makeTage(64));
     noWarmup.profileChunk(records);
-    EXPECT_LT(whole.totalConditionals,
+    EXPECT_LT(reference.totalConditionals,
               noWarmup.profile().totalConditionals);
 }
 
