@@ -1,12 +1,14 @@
 /**
  * @file
  * Simulation-throughput microbench: branches/sec/core for every
- * predictor on the mysql trace, driven by the runners' per-record
- * step, TAGE-SC-L 64KB with its statistical corrector and loop
- * predictor each switched off (what each component costs the
- * simulator, next to what it buys in mispredicts), the frontend
- * model (PipelineModel with an ideal direction
- * predictor, so only caches, BTB, RAS and IBTB cost), the
+ * predictor on the mysql trace, driven through step() in the
+ * runners' blocks; TAGE-SC-L 64KB and whisper+TAGE both per record
+ * and through step() (what the block step saves); TAGE-SC-L 64KB
+ * with its statistical corrector and loop predictor each switched
+ * off (what each component costs the simulator, next to what it
+ * buys in mispredicts); the frontend model (PipelineModel with an
+ * ideal direction predictor, so only caches, BTB, RAS and IBTB
+ * cost); the
  * hint-buffer hot path measured in isolation, and the CRC-32 that
  * frames every .whrt chunk, wire frame and journal record.
  *
@@ -19,9 +21,12 @@
  * history at the root.
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,14 +62,35 @@ struct Throughput
     uint64_t mispredicts = 0;
 };
 
-/** Time a fresh @p pred over the whole trace. */
+/** Time a fresh @p pred over the whole trace, stepped through
+ * step() in kStepBlock blocks as the runners step it, or with one
+ * predict()/update()/onRecord() per record when @p perRecord. */
 Throughput
-measurePredictor(const BranchTrace &trace, BranchPredictor &pred)
+measurePredictor(const BranchTrace &trace, BranchPredictor &pred,
+                 bool perRecord = false)
 {
     Throughput out;
+    std::span<const BranchRecord> records = trace.records();
+    std::array<uint8_t, kStepBlock> miss;
     auto start = Clock::now();
-    for (const BranchRecord &rec : trace)
-        out.mispredicts += stepPredictor(pred, rec);
+    if (perRecord) {
+        for (const BranchRecord &rec : records) {
+            if (rec.isConditional()) {
+                bool guess = pred.predict(rec.pc, rec.taken);
+                pred.update(rec.pc, rec.taken, guess);
+                out.mispredicts += guess != rec.taken;
+            }
+            pred.onRecord(rec);
+        }
+    } else {
+        for (size_t first = 0; first < records.size(); first += kStepBlock) {
+            auto block = records.subspan(
+                first, std::min(kStepBlock, records.size() - first));
+            pred.step(block, miss.data());
+            for (size_t i = 0; i < block.size(); ++i)
+                out.mispredicts += miss[i];
+        }
+    }
     double seconds = secondsSince(start);
     out.bps = trace.conditionals() / seconds;
     out.rps = trace.size() / seconds;
@@ -172,6 +198,34 @@ main()
         table.addRow(r.name, {r.t.bps / 1e6});
     table.print();
 
+    // --- per record vs block step, on fresh predictors ---
+    struct StepPair
+    {
+        std::string name;
+        Throughput perRecord, block;
+    };
+    std::vector<StepPair> stepPairs;
+    auto runPair = [&](const std::string &label, auto make) {
+        auto perRecord = make();
+        auto block = make();
+        stepPairs.push_back({label, measurePredictor(trace, *perRecord, true),
+                             measurePredictor(trace, *block)});
+    };
+    runPair("tage64", [&] { return makeTage(cfg.tageBudgetKB); });
+    runPair("whisper_tage64",
+            [&] { return makeWhisperPredictor(cfg, build); });
+    TableReporter stepTable("per record vs block step (mysql)");
+    stepTable.setHeader({"predictor", "record Mrec/s", "block Mrec/s",
+                         "speedup", "mispredicts"});
+    for (const auto &p : stepPairs) {
+        stepTable.addRow(
+            {p.name, TableReporter::formatDouble(p.perRecord.rps / 1e6),
+             TableReporter::formatDouble(p.block.rps / 1e6),
+             TableReporter::formatDouble(p.block.rps / p.perRecord.rps),
+             std::to_string(p.block.mispredicts)});
+    }
+    stepTable.print();
+
     // --- TAGE-SC-L 64KB by component ---
     struct Component
     {
@@ -269,8 +323,8 @@ main()
                 whisperOverTage);
 
     // One run record: config, per-predictor rows, the ratio, the
-    // frontend model, the hint-buffer path, the CRC rate, then the
-    // TAGE-SC-L component rows.
+    // per-record vs block pairs, the frontend model, the hint-buffer
+    // path, the CRC rate, then the TAGE-SC-L component rows.
     std::string fields =
         "      \"scale\": " + fixed(scaleFactor(), 3) + ",\n" +
         "      \"trace\": \"" + app.name + "\",\n" +
@@ -288,7 +342,20 @@ main()
     }
     fields += "      },\n      \"whisper_over_tage\": " +
               fixed(whisperOverTage, 3) + ",\n" +
-              "      \"frontend\": {\"records_per_sec\": " +
+              "      \"block_step\": {\n";
+    for (size_t i = 0; i < stepPairs.size(); ++i) {
+        const StepPair &p = stepPairs[i];
+        fields += "        \"" + p.name +
+                  "\": {\"per_record_records_per_sec\": " +
+                  fixed(p.perRecord.rps, 0) +
+                  ", \"block_records_per_sec\": " + fixed(p.block.rps, 0) +
+                  ", \"per_record_mispredicts\": " +
+                  std::to_string(p.perRecord.mispredicts) +
+                  ", \"block_mispredicts\": " +
+                  std::to_string(p.block.mispredicts) + "}" +
+                  (i + 1 < stepPairs.size() ? "," : "") + "\n";
+    }
+    fields += "      },\n      \"frontend\": {\"records_per_sec\": " +
               fixed(feRps, 0) + ", \"l1i_misses\": " +
               std::to_string(fe.l1iMisses) + ", \"btb_misses\": " +
               std::to_string(fe.btbMisses) + "},\n" +

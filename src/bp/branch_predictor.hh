@@ -6,11 +6,14 @@
 #ifndef WHISPER_BP_BRANCH_PREDICTOR_HH
 #define WHISPER_BP_BRANCH_PREDICTOR_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "trace/branch_record.hh"
+#include "trace/branch_source.hh"
 
 namespace whisper
 {
@@ -18,11 +21,12 @@ namespace whisper
 /**
  * Interface shared by every direction predictor in the library.
  *
- * The driver loop calls predict() then update() for each dynamic
- * conditional branch, in trace order. predict() receives the resolved
- * direction as @p oracleTaken purely so that the ideal (limit-study)
- * predictor can be driven through the same interface; every real
- * predictor must ignore it.
+ * A caller calls predict() then update() for each dynamic
+ * conditional branch, in trace order, or step() for a block of
+ * records. predict() receives the resolved direction as
+ * @p oracleTaken purely so that the ideal (limit-study) predictor can
+ * be driven through the same interface; every real predictor must
+ * ignore it.
  */
 class BranchPredictor
 {
@@ -59,6 +63,38 @@ class BranchPredictor
      */
     virtual void onRecord(const BranchRecord &rec) { (void)rec; }
 
+    /**
+     * Step through a block of trace records, the step every trace
+     * loop shares (runners, profilers, the pipeline model, the
+     * analyses). Each conditional is predicted and then updated with
+     * its outcome, and every record is passed to onRecord(), in
+     * trace order. miss[i] is set iff @p records[i] is a conditional
+     * the predictor missed; where @p noAllocate is given,
+     * noAllocate[i] != 0 updates records[i] with allocate = false.
+     *
+     * The default is that loop. A predictor may override it to do
+     * the work that depends only on the trace (history, hashes,
+     * hint-buffer use) for the whole block first, as long as every
+     * prediction and all state it leaves equal the loop's.
+     */
+    virtual void
+    step(std::span<const BranchRecord> records, uint8_t *miss,
+         const uint8_t *noAllocate = nullptr)
+    {
+        for (size_t i = 0; i < records.size(); ++i) {
+            const BranchRecord &rec = records[i];
+            bool missed = false;
+            if (rec.isConditional()) {
+                bool pred = predict(rec.pc, rec.taken);
+                update(rec.pc, rec.taken, pred,
+                       !(noAllocate && noAllocate[i]));
+                missed = pred != rec.taken;
+            }
+            miss[i] = missed;
+            onRecord(rec);
+        }
+    }
+
     /** Human-readable name for reports. */
     virtual std::string name() const = 0;
 
@@ -66,24 +102,29 @@ class BranchPredictor
     virtual uint64_t storageBits() const { return 0; }
 };
 
+/** Records a trace loop reads into one step() block. */
+inline constexpr size_t kStepBlock = 256;
+
 /**
- * Drive @p predictor through one trace record, the step every trace
- * driver shares (runners, profilers, the pipeline model, the
- * analyses): a conditional is predicted and then updated with its
- * outcome, and every record is passed to onRecord().
- * @return true iff @p rec is a conditional the predictor missed.
+ * The one trace-stepping loop: read @p source to its end in blocks of
+ * kStepBlock records, step each block through @p predictor, then
+ * call @p visit(record, miss) for each of its records in order.
  */
-inline bool
-stepPredictor(BranchPredictor &predictor, const BranchRecord &rec)
+template <typename Visit>
+void
+stepBlocks(BranchSource &source, BranchPredictor &predictor, Visit &&visit)
 {
-    bool miss = false;
-    if (rec.isConditional()) {
-        bool pred = predictor.predict(rec.pc, rec.taken);
-        predictor.update(rec.pc, rec.taken, pred);
-        miss = pred != rec.taken;
-    }
-    predictor.onRecord(rec);
-    return miss;
+    std::array<BranchRecord, kStepBlock> block;
+    std::array<uint8_t, kStepBlock> miss;
+    size_t n;
+    do {
+        n = 0;
+        while (n < kStepBlock && source.next(block[n]))
+            ++n;
+        predictor.step({block.data(), n}, miss.data());
+        for (size_t i = 0; i < n; ++i)
+            visit(block[i], miss[i] != 0);
+    } while (n == kStepBlock);
 }
 
 } // namespace whisper

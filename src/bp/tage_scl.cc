@@ -13,7 +13,8 @@ namespace whisper
 TageSclConfig
 TageSclConfig::forBudgetKB(unsigned kb)
 {
-    whisper_assert(kb >= 1, "budget must be >= 1KB");
+    whisper_assert(kb >= 8 && kb <= 8192 && isPowerOfTwo(kb),
+                   "budget must be a power of two from 8 to 8192 KB");
     TageSclConfig cfg;
     // The reference point is the 64KB championship configuration.
     int delta = static_cast<int>(floorLog2(kb)) -
@@ -41,8 +42,6 @@ TageScl::TageScl(const TageSclConfig &cfg)
 {
     whisper_assert(cfg.numTables >= 2 &&
                    cfg.numTables <= kMaxTables);
-    whisper_assert(cfg.numTables % 4 == 0,
-                   "tagged views are read in groups of four tables");
     whisper_assert(cfg.logTagged < 28, "tagged slots must fit 32 bits");
     whisper_assert(cfg.maxHist > cfg.minHist);
     whisper_assert(cfg.maxHist < history_.capacity());
@@ -75,16 +74,12 @@ TageScl::TageScl(const TageSclConfig &cfg)
     tagCtr_.assign(taggedTotal, 0);
     tagUseful_.assign(taggedTotal, 0);
 
-    // Folded history views: one for the index, two for the tag,
-    // registered four tables at a time (layout in tage_scl.hh).
+    // Folded history views: one for the index, two for the tag.
     tagFirstView_ = static_cast<unsigned>(history_.numViews());
-    for (unsigned b = 0; b < cfg.numTables; b += 4) {
-        for (unsigned i = b; i < b + 4; ++i)
-            history_.addFoldedView(histLens_[i], cfg.logTagged);
-        for (unsigned i = b; i < b + 4; ++i)
-            history_.addFoldedView(histLens_[i], tagBits_[i]);
-        for (unsigned i = b; i < b + 4; ++i)
-            history_.addFoldedView(histLens_[i], tagBits_[i] - 1);
+    for (unsigned i = 0; i < cfg.numTables; ++i) {
+        history_.addFoldedView(histLens_[i], cfg.logTagged);
+        history_.addFoldedView(histLens_[i], tagBits_[i]);
+        history_.addFoldedView(histLens_[i], tagBits_[i] - 1);
     }
 
     // Statistical corrector: bias + GEHL components on short
@@ -134,29 +129,46 @@ TageScl::nextRandom()
 }
 
 void
-TageScl::computeTagePrediction(uint64_t pc, const uint32_t *fold)
+TageScl::hashBranches(const uint64_t *pcs, size_t n, const uint32_t *fold,
+                      size_t stride, uint32_t *slots, uint16_t *tags,
+                      uint32_t *scIndices) const
 {
-    // Slot and tag of every table, and a bitmask of the tables
-    // whose key matches (the kFreeEntry sentinel makes the validity
-    // check implicit in the tag compare). Table t's index mixes in
-    // pc >> (logTagged - t % 4): four shifts serve all tables.
-    uint32_t pcBits = static_cast<uint32_t>(pcIndexBits(pc));
-    std::array<uint32_t, 4> pcIdx;
-    for (unsigned k = 0; k < 4; ++k)
-        pcIdx[k] = pcBits ^ static_cast<uint32_t>(pc >> (cfg_.logTagged - k));
-    uint32_t hits = 0;
-    uint32_t slotBase = 0; // table t's first slot, t << logTagged
-    for (unsigned b = 0; b < cfg_.numTables; b += 4, fold += 12) {
-        const uint16_t tagMask = tagMask_[b]; // one tag width per block
-        for (unsigned k = 0; k < 4; ++k, slotBase += idxMask_ + 1) {
-            uint32_t slot = slotBase + ((pcIdx[k] ^ fold[k]) & idxMask_);
-            uint16_t tag = static_cast<uint16_t>(
-                (pcBits ^ fold[4 + k] ^ (fold[8 + k] << 1)) & tagMask);
-            ctx_.slots[b + k] = slot;
-            ctx_.tags[b + k] = tag;
-            hits |= static_cast<uint32_t>(tagKey_[slot] == tag) << (b + k);
+    // Table t's index mixes in pc >> (logTagged - t % 4).
+    for (unsigned t = 0; t < cfg_.numTables; ++t) {
+        const uint32_t *idxFold = fold + (tagFirstView_ + 3 * t) * stride;
+        const uint32_t *tagFold = idxFold + stride;
+        const uint32_t *tag2Fold = idxFold + 2 * stride;
+        uint32_t slotBase = t << cfg_.logTagged;
+        unsigned pcShift = cfg_.logTagged - t % 4;
+        uint32_t tagMask = tagMask_[t];
+        for (size_t j = 0; j < n; ++j) {
+            uint32_t pcBits = static_cast<uint32_t>(pcIndexBits(pcs[j]));
+            uint32_t pcIdx = pcBits ^ static_cast<uint32_t>(pcs[j] >> pcShift);
+            slots[t * stride + j] =
+                slotBase + ((pcIdx ^ idxFold[j]) & idxMask_);
+            tags[t * stride + j] = static_cast<uint16_t>(
+                (pcBits ^ tagFold[j] ^ (tag2Fold[j] << 1)) & tagMask);
         }
     }
+    const uint32_t *sc = fold + scFirstView_ * stride;
+    uint32_t scMask = static_cast<uint32_t>(maskBits(cfg_.logSc));
+    for (size_t t = 0; t < scHistLens_.size(); ++t) {
+        for (size_t j = 0; j < n; ++j) {
+            uint32_t pcBits = static_cast<uint32_t>(pcIndexBits(pcs[j]));
+            scIndices[t * stride + j] = (pcBits ^ sc[t * stride + j]) & scMask;
+        }
+    }
+}
+
+void
+TageScl::computeTagePrediction(uint64_t pc)
+{
+    // A bitmask of the tables whose key matches (the kFreeEntry
+    // sentinel makes the validity check implicit in the tag compare).
+    uint32_t hits = 0;
+    for (unsigned t = 0; t < cfg_.numTables; ++t)
+        hits |= static_cast<uint32_t>(tagKey_[ctx_.slots[t]] == ctx_.tags[t])
+                << t;
 
     // The provider is the longest-history match, the alternate the
     // next longest: the two highest set bits (-1 when absent).
@@ -190,16 +202,15 @@ TageScl::computeTagePrediction(uint64_t pc, const uint32_t *fold)
 }
 
 void
-TageScl::computeScPrediction(uint64_t pc, const uint32_t *fold)
+TageScl::computeScPrediction(uint64_t pc)
 {
     uint64_t pcBits = pcIndexBits(pc);
-    uint64_t tageBit = static_cast<uint64_t>(ctx_.tagePred)
+    uint32_t tageBit = static_cast<uint32_t>(ctx_.tagePred)
                        << (cfg_.logSc - 1);
     int sum = 2 * scBias_[pcBits & maskBits(cfg_.logSc)] + 1;
     sum += ctx_.tagePred ? 8 : -8;
     for (size_t t = 0; t < scTables_.size(); ++t) {
-        ctx_.scIndices[t] = static_cast<uint32_t>(
-            (pcBits ^ fold[t] ^ tageBit) & maskBits(cfg_.logSc));
+        ctx_.scIndices[t] ^= tageBit;
         sum += 2 * scTables_[t][ctx_.scIndices[t]] + 1;
     }
     ctx_.scSum = sum;
@@ -339,16 +350,64 @@ TageScl::predict(uint64_t pc, bool)
 {
     std::array<uint32_t, kMaxViews> fold;
     history_.foldedValues(fold.data());
+    hashBranches(&pc, 1, fold.data(), 1, ctx_.slots.data(),
+                 ctx_.tags.data(), ctx_.scIndices.data());
+    return lookup(pc);
+}
 
+void
+TageScl::step(std::span<const BranchRecord> records, uint8_t *miss,
+              const uint8_t *noAllocate)
+{
+    constexpr size_t B = kBlock;
+    std::array<uint32_t, kMaxViews * B> fold;
+    std::array<uint32_t, kMaxTables * B> slots;
+    std::array<uint16_t, kMaxTables * B> tags;
+    std::array<uint32_t, kMaxScTables * B> scIndices;
+    std::array<uint64_t, B> pcs;
+    std::array<uint8_t, B> taken;
+    std::array<size_t, B> at; // the record of each conditional
+
+    size_t i = 0;
+    while (i < records.size()) {
+        size_t n = 0;
+        for (; i < records.size() && n < B; ++i) {
+            miss[i] = 0;
+            if (records[i].isConditional()) {
+                pcs[n] = records[i].pc;
+                taken[n] = records[i].taken;
+                at[n++] = i;
+            }
+        }
+        history_.pushRun(taken.data(), n, fold.data(), B);
+        hashBranches(pcs.data(), n, fold.data(), B, slots.data(),
+                     tags.data(), scIndices.data());
+        for (size_t j = 0; j < n; ++j) {
+            for (unsigned t = 0; t < cfg_.numTables; ++t) {
+                ctx_.slots[t] = slots[t * B + j];
+                ctx_.tags[t] = tags[t * B + j];
+            }
+            for (size_t t = 0; t < scHistLens_.size(); ++t)
+                ctx_.scIndices[t] = scIndices[t * B + j];
+            bool pred = lookup(pcs[j]);
+            train(taken[j], !(noAllocate && noAllocate[at[j]]));
+            miss[at[j]] = pred != taken[j];
+        }
+    }
+}
+
+bool
+TageScl::lookup(uint64_t pc)
+{
     ctx_.pc = pc;
-    computeTagePrediction(pc, fold.data() + tagFirstView_);
+    computeTagePrediction(pc);
 
     bool pred = ctx_.tagePred;
     ctx_.provider = ctx_.providerTable >= 0 ? Provider::Tagged
                                             : Provider::Bimodal;
 
     if (cfg_.useSc) {
-        computeScPrediction(pc, fold.data() + scFirstView_);
+        computeScPrediction(pc);
         if (ctx_.scUsed) {
             pred = ctx_.scPred;
             ctx_.provider = Provider::Sc;
@@ -450,7 +509,14 @@ TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
 {
     whisper_assert(pc == ctx_.pc, "update() without matching predict()");
     (void)predicted;
-    ++updates_;
+    train(taken, allocate);
+    history_.push(taken);
+}
+
+void
+TageScl::train(bool taken, bool allocate)
+{
+    uint64_t pc = ctx_.pc;
 
     if (cfg_.useLoop)
         updateLoop(taken);
@@ -501,8 +567,6 @@ TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
     // Allocate on a wrong TAGE prediction.
     if (allocate && ctx_.tagePred != taken)
         allocateEntries(taken);
-
-    history_.push(taken);
 }
 
 void

@@ -11,14 +11,16 @@
  * sweep (Fig. 21) and the MTAGE-SC "unlimited" reference (Fig. 12)
  * use the same code.
  *
- * One predict() reads every folded history it needs (index, tag and
- * shifted-tag views of each tagged table, plus the SC views) with a
- * single GlobalHistory::foldedValues() call. The tagged views are
- * registered four tables at a time: for tables 4b..4b+3 the four
- * index views (width logTagged), then the four tag views and the
- * four shifted-tag views (tag widths change only every four tables),
- * so every batch group is four views of one width. The SC views
- * follow. Hence the constructor's numTables % 4 == 0 requirement.
+ * Each tagged table has three folded views (index, tag and shifted
+ * tag), registered table by table, and the SC views follow; one
+ * predict() reads them all with a single
+ * GlobalHistory::foldedValues() call.
+ *
+ * step() knows a block's outcomes before its table walk, so per
+ * kBlock conditionals it reads every view before each push with one
+ * GlobalHistory::pushRun(), hashes them all with the helper predict()
+ * uses, and then walks the tables in order through predict()'s and
+ * update()'s own lookup and training code.
  */
 
 #ifndef WHISPER_BP_TAGE_SCL_HH
@@ -75,9 +77,14 @@ class TageScl : public BranchPredictor
     /** Folded views: three per tagged table plus one per SC table. */
     static constexpr unsigned kMaxViews = 3 * kMaxTables + kMaxScTables;
 
+    /** Conditionals step() hashes at a time. */
+    static constexpr size_t kBlock = GlobalHistory::kMaxRun;
+
     bool predict(uint64_t pc, bool) override;
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
+    void step(std::span<const BranchRecord> records, uint8_t *miss,
+              const uint8_t *noAllocate = nullptr) override;
     std::string name() const override;
     uint64_t storageBits() const override;
 
@@ -136,15 +143,32 @@ class TageScl : public BranchPredictor
          * at (t << logTagged) + idx. */
         std::array<uint32_t, kMaxTables> slots;
         std::array<uint16_t, kMaxTables> tags;
+        /** Without the TAGE-prediction bit until
+         * computeScPrediction() mixes it in. */
         std::array<uint32_t, kMaxScTables> scIndices;
     };
 
+    /**
+     * Table slots, tags and SC indices (before the TAGE-prediction
+     * bit is mixed in) of the @p n conditionals at @p pcs, from their
+     * folded views: view v of branch j is fold[v * stride + j], and
+     * each output's entry for table t and branch j is at
+     * [t * stride + j]. predict() hashes one branch, step() a block.
+     */
+    void hashBranches(const uint64_t *pcs, size_t n, const uint32_t *fold,
+                      size_t stride, uint32_t *slots, uint16_t *tags,
+                      uint32_t *scIndices) const;
+    /** Predict from the hashes in ctx_, filling the rest of ctx_. */
+    bool lookup(uint64_t pc);
+    /** update() without the history push. */
+    void train(bool taken, bool allocate);
+
     // --- tagged path ---
-    void computeTagePrediction(uint64_t pc, const uint32_t *fold);
+    void computeTagePrediction(uint64_t pc);
     void allocateEntries(bool taken);
 
     // --- statistical corrector ---
-    void computeScPrediction(uint64_t pc, const uint32_t *fold);
+    void computeScPrediction(uint64_t pc);
     void updateSc(bool taken);
 
     // --- loop predictor ---
@@ -195,7 +219,6 @@ class TageScl : public BranchPredictor
     std::vector<LoopEntry> loop_;
     uint32_t loopWays_ = 4;
 
-    uint64_t updates_ = 0;
     int tick_ = 0;
     uint32_t lfsr_ = 0xACE1u;
 

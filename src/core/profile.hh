@@ -159,7 +159,7 @@ class BranchProfile
      * Count step (LBR stand-in): add @p rec's instructions to the
      * totals and, for a conditional, one execution to its branch's
      * entry, with a baseline misprediction when @p miss (the
-     * stepPredictor() verdict of the profiled predictor). @p known,
+     * step() verdict of the profiled predictor). @p known,
      * when given, is that entry, which saves the lookup.
      * @return the branch's entry, or nullptr for a non-conditional.
      */

@@ -1,5 +1,6 @@
 #include "core/whisper_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <type_traits>
 
@@ -170,7 +171,19 @@ getBundleBody(Reader &f, HintBundle &bundle)
         f.get(p.precision);
         f.get(p.predecessorExecutions);
     }
-    return f.ok();
+    if (!f.ok())
+        return false;
+    // A placement installs its branch's hint, so it must name one.
+    std::vector<uint64_t> hinted;
+    for (const TrainedHint &h : bundle.hints)
+        hinted.push_back(h.pc);
+    std::sort(hinted.begin(), hinted.end());
+    return std::all_of(
+        bundle.placements.begin(), bundle.placements.end(),
+        [&](const HintPlacement &p) {
+            return std::binary_search(hinted.begin(), hinted.end(),
+                                      p.branchPc);
+        });
 }
 
 } // namespace

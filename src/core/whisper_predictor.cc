@@ -1,5 +1,8 @@
 #include "core/whisper_predictor.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "util/logging.hh"
 
 namespace whisper
@@ -120,6 +123,37 @@ WhisperPredictor::update(uint64_t pc, bool taken, bool predicted,
     // predictor (paper SIV); its capacity serves the rest.
     base_->update(pc, taken, basePred_, allocate && !usedHint_);
     history_.push(taken);
+}
+
+void
+WhisperPredictor::step(std::span<const BranchRecord> records, uint8_t *miss,
+                       const uint8_t *noAllocate)
+{
+    std::array<uint8_t, kStepBlock> hinted, hintPred, skipAllocate;
+    for (size_t first = 0; first < records.size(); first += kStepBlock) {
+        std::span<const BranchRecord> block = records.subspan(
+            first, std::min(kStepBlock, records.size() - first));
+        for (size_t i = 0; i < block.size(); ++i) {
+            const BranchRecord &rec = block[i];
+            hinted[i] = 0;
+            if (rec.isConditional()) {
+                if (const BrHint *hint = buffer_.lookup(rec.pc)) {
+                    hinted[i] = 1;
+                    hintPred[i] = evaluateHint(*hint);
+                    ++hintPredictions_;
+                    hintCorrect_ += hintPred[i] == rec.taken;
+                }
+                history_.push(rec.taken);
+            }
+            skipAllocate[i] =
+                hinted[i] || (noAllocate && noAllocate[first + i]);
+            onRecord(rec);
+        }
+        base_->step(block, miss + first, skipAllocate.data());
+        for (size_t i = 0; i < block.size(); ++i)
+            if (hinted[i])
+                miss[first + i] = hintPred[i] != block[i].taken;
+    }
 }
 
 void

@@ -60,6 +60,14 @@ class WhisperPredictor : public BranchPredictor
     void update(uint64_t pc, bool taken, bool predicted,
                 bool allocate = true) override;
     void onRecord(const BranchRecord &rec) override;
+    /**
+     * Which conditionals use a hint, and what each hint predicts,
+     * depend only on the trace, so each block decides them first and
+     * then steps the base through its own step() with allocation off
+     * where a hint was used (so the base also sees onRecord()).
+     */
+    void step(std::span<const BranchRecord> records, uint8_t *miss,
+              const uint8_t *noAllocate = nullptr) override;
     std::string name() const override;
     uint64_t storageBits() const override;
 
@@ -70,9 +78,6 @@ class WhisperPredictor : public BranchPredictor
     uint64_t staticHintInstructions() const { return hints_.size(); }
     const HintBuffer &hintBuffer() const { return buffer_; }
     BranchPredictor &base() { return *base_; }
-
-    /** Whether the last prediction came from a hint. */
-    bool lastUsedHint() const { return usedHint_; }
 
   private:
     /** One predecessor block carrying brhints: its hints are

@@ -1,6 +1,7 @@
 #include "service/chunk_profiler.hh"
 
 #include "sim/runner.hh"
+#include "trace/branch_trace.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -18,15 +19,15 @@ ChunkProfiler::ChunkProfiler(const WhisperConfig &cfg,
 void
 ChunkProfiler::profileChunk(const std::vector<BranchRecord> &records)
 {
-    for (const BranchRecord &rec : records) {
-        bool miss = stepPredictor(*baseline_, rec);
+    TraceSource source(records);
+    stepBlocks(source, *baseline_, [&](const BranchRecord &rec, bool miss) {
         // During warm-up the baseline and history still train, but
         // nothing is recorded into the profile.
         bool warm = recordsProfiled_++ >= opt_.statsWarmupRecords;
         if (!rec.isConditional()) {
             if (warm)
                 profile_.count(rec, miss);
-            continue;
+            return;
         }
         if (warm) {
             uint32_t id = ids_.insert(rec.pc);
@@ -45,7 +46,7 @@ ChunkProfiler::profileChunk(const std::vector<BranchRecord> &records)
                 e.sample(rec.taken, history_);
         }
         history_.push(rec.taken);
-    }
+    });
 }
 
 } // namespace whisper

@@ -13,10 +13,10 @@ mispredictsPerBranch(BranchSource &source,
 {
     CountHistogram hist;
     source.rewind();
-    BranchRecord rec;
-    while (source.next(rec))
-        if (stepPredictor(predictor, rec))
+    stepBlocks(source, predictor, [&](const BranchRecord &rec, bool miss) {
+        if (miss)
             hist.add(rec.pc);
+    });
     return hist;
 }
 

@@ -47,11 +47,9 @@ classifyMispredictions(BranchSource &source,
     uint64_t accessCounter = 0;
 
     source.rewind();
-    BranchRecord rec;
-    while (source.next(rec)) {
-        bool miss = stepPredictor(predictor, rec);
+    stepBlocks(source, predictor, [&](const BranchRecord &rec, bool miss) {
         if (!rec.isConditional())
-            continue;
+            return;
 
         uint64_t key = hashCombine(
             mix64(rec.pc),
@@ -103,7 +101,7 @@ classifyMispredictions(BranchSource &source,
         else
             ++info.notTakenCount;
         history.push(rec.taken);
-    }
+    });
     return result;
 }
 

@@ -28,11 +28,10 @@ collectProfile(BranchSource &trace, BranchPredictor &baseline,
     // ---- Pass 1: baseline accuracy per branch (LBR stand-in) ----
     trace.rewind();
     uint64_t seen = 0;
-    while (trace.next(rec)) {
-        bool miss = stepPredictor(baseline, rec);
+    stepBlocks(trace, baseline, [&](const BranchRecord &rec, bool miss) {
         if (++seen > warmupRecords)
             profile.count(rec, miss);
-    }
+    });
 
     // ---- Hard-branch selection ----
     std::vector<BranchProfileEntry *> candidates;

@@ -1,5 +1,6 @@
 #include "sim/runner.hh"
 
+#include "trace/branch_trace.hh"
 #include "util/logging.hh"
 
 namespace whisper
@@ -24,10 +25,8 @@ runPredictor(BranchSource &source, BranchPredictor &predictor,
 
     PredictorRunStats stats;
     source.rewind();
-    BranchRecord rec;
     uint64_t seenInstructions = 0;
-    while (source.next(rec)) {
-        bool miss = stepPredictor(predictor, rec);
+    stepBlocks(source, predictor, [&](const BranchRecord &rec, bool miss) {
         uint64_t instructions = static_cast<uint64_t>(rec.instGap) + 1;
         seenInstructions += instructions;
         if (seenInstructions > warmupLimit) {
@@ -37,7 +36,7 @@ runPredictor(BranchSource &source, BranchPredictor &predictor,
         } else {
             stats.warmupInstructions += instructions;
         }
-    }
+    });
     return stats;
 }
 
@@ -52,39 +51,34 @@ runPredictorAdaptive(
 
     AdaptiveRunStats out;
     BranchPredictor *current = &initial;
-    PredictorRunStats epoch;
-    uint64_t inEpoch = 0;
-
-    auto closeEpoch = [&]() {
+    source.rewind();
+    while (true) {
+        // One epoch's window, all stepped by the epoch's predictor.
+        PredictorRunStats epoch;
+        uint64_t inEpoch = 0;
+        LimitSource window(source, recordsPerEpoch);
+        stepBlocks(window, *current, [&](const BranchRecord &rec, bool miss) {
+            epoch.conditionals += rec.isConditional();
+            epoch.mispredicts += miss;
+            epoch.instructions += static_cast<uint64_t>(rec.instGap) + 1;
+            ++inEpoch;
+        });
+        if (inEpoch == 0)
+            break;
         out.total.instructions += epoch.instructions;
         out.total.conditionals += epoch.conditionals;
         out.total.mispredicts += epoch.mispredicts;
         out.perEpoch.push_back(epoch);
-        epoch = PredictorRunStats{};
-        inEpoch = 0;
-    };
-
-    source.rewind();
-    BranchRecord rec;
-    while (source.next(rec)) {
-        epoch.conditionals += rec.isConditional();
-        epoch.mispredicts += stepPredictor(*current, rec);
-        epoch.instructions += static_cast<uint64_t>(rec.instGap) + 1;
-
-        if (++inEpoch >= recordsPerEpoch) {
-            closeEpoch();
-            if (refresh) {
-                BranchPredictor *next =
-                    refresh(out.perEpoch.size());
-                if (next && next != current) {
-                    current = next;
-                    ++out.predictorSwaps;
-                }
+        if (inEpoch < recordsPerEpoch)
+            break;
+        if (refresh) {
+            BranchPredictor *next = refresh(out.perEpoch.size());
+            if (next && next != current) {
+                current = next;
+                ++out.predictorSwaps;
             }
         }
     }
-    if (inEpoch > 0)
-        closeEpoch();
     return out;
 }
 

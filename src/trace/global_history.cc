@@ -45,25 +45,55 @@ GlobalHistory::addFoldedView(unsigned length, unsigned width)
         lane->width = width;
         lane->mask = static_cast<uint32_t>(maskBits(width));
     }
-    size_t slots = std::bit_ceil(length + size_t{1});
-    if (slots > lane->ring.size()) {
-        lane->ring.assign(slots, 0);
+    // A run's stores reach kMaxRun past the oldest slot it reads.
+    size_t slots = std::bit_ceil(length + kMaxRun + 1);
+    if (lane->ring.empty() || slots > lane->ringMask + 1) {
+        lane->ring.assign(slots + kMaxRun, 0);
         lane->ringMask = slots - 1;
     }
-    unsigned laneIdx = static_cast<unsigned>(lane - lanes_.begin());
-    unsigned viewIdx = static_cast<unsigned>(views_.size());
-    views_.push_back({laneIdx, length});
+    unsigned shl = length % width;
+    views_.push_back({static_cast<unsigned>(lane - lanes_.begin()), length,
+                      lane->mask, shl, width - 1 - shl});
+    return views_.size() - 1;
+}
 
-    // Join the previous view's group when it has the same width and
-    // room; otherwise open a group padded with this length.
-    if (groups_.empty() || groups_.back().lane != laneIdx ||
-        groups_.back().count == 4) {
-        groups_.push_back({laneIdx, viewIdx, 0, {}});
-        groups_.back().length.fill(length);
+void
+GlobalHistory::pushRun(const uint8_t *taken, size_t n, uint32_t *out,
+                       size_t stride)
+{
+    whisper_assert(stride >= n);
+    for (size_t done = 0; done < n; done += kMaxRun) {
+        size_t m = std::min(kMaxRun, n - done);
+        const uint8_t *t = taken + done;
+        uint64_t first = count_;
+        for (size_t j = 0; j < m; ++j) {
+            bits_[(first + j) & bitsMask_] = t[j];
+            recent_ = (recent_ << 1) | t[j];
+        }
+        // Registers first: a short view's window reaches into the
+        // run itself.
+        for (Lane &lane : lanes_) {
+            uint32_t reg = lane.reg;
+            for (size_t j = 0; j < m; ++j) {
+                reg = lane.rotl1(reg) ^ t[j];
+                lane.store(first + j + 1, reg);
+            }
+            lane.reg = reg;
+        }
+        // View v before push j: A(first + j) ^ rotate(A(first + j - L)),
+        // over two contiguous runs of ring slots (the mirror).
+        for (size_t v = 0; v < views_.size(); ++v) {
+            const View view = views_[v];
+            const Lane &lane = lanes_[view.lane];
+            const uint32_t *cur = lane.ring.data() + (first & lane.ringMask);
+            const uint32_t *past =
+                lane.ring.data() + ((first - view.length) & lane.ringMask);
+            uint32_t *o = out + v * stride + done;
+            for (size_t j = 0; j < m; ++j)
+                o[j] = cur[j] ^ view.rotate(past[j]);
+        }
+        count_ += m;
     }
-    Group &g = groups_.back();
-    g.length[g.count++] = length;
-    return viewIdx;
 }
 
 void
@@ -74,8 +104,7 @@ GlobalHistory::reset()
     recent_ = 0;
     for (Lane &lane : lanes_) {
         std::fill(lane.ring.begin(), lane.ring.end(), 0);
-        lane.prefix = 0;
-        lane.rshift = 1;
+        lane.reg = 0;
     }
 }
 

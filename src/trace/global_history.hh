@@ -7,7 +7,7 @@
 #ifndef WHISPER_TRACE_GLOBAL_HISTORY_HH
 #define WHISPER_TRACE_GLOBAL_HISTORY_HH
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,35 +32,45 @@ namespace whisper
  *
  *     fold(L) = XOR over i < L of h_i << (i mod w)
  *
- * with h_0 the newest bit. Writing b_a for the a-th bit ever pushed
- * and keeping, per distinct width, the prefix register
+ * with h_0 the newest bit. Keeping, per distinct width, the register
+ * of unbounded length
  *
- *     R(n) = XOR over a < n of b_a << ((-a) mod w)
+ *     A(n) = XOR over i < n of h_i << (i mod w)
  *
- * plus a ring of its past values, every view of that width is
+ * (n bits pushed; A(n + 1) = rotl_w(A(n), 1) ^ b with b the pushed
+ * bit) plus a ring of its past values, every view of that width is
  *
- *     fold(L) = rotl_w(R(n) ^ R(n - L), (n - 1) mod w).
+ *     fold(L) = A(n) ^ rotl_w(A(n - L), L mod w),
  *
- * So push() costs one XOR and one ring store per distinct width,
- * however many views share it, and a read costs two loads, an XOR
- * and a rotate. The rotate's right shift by up to w = 32 is done as
- * two shifts, so no shift reaches the width of its 32-bit operand.
- * Each ring holds the next power of two above its longest view, so
- * R(n - L) is never overwritten; before L pushes that slot has never
- * been written and reads 0, matching a register that has not yet
- * filled its window.
+ * since the bits older than the window sit in A(n - L), each L places
+ * further from the newest. So push() costs one rotate, one XOR and
+ * one ring store per distinct width, however many views share it,
+ * and a read costs a load, a rotate by the view's constant amount
+ * and an XOR. The rotate's right shift by w - (L mod w), up to 32,
+ * is done as two shifts, so no shift reaches the width of its 32-bit
+ * operand. Before L pushes the ring slot of A(n - L) has never been
+ * written and reads 0, matching a register that has not yet filled
+ * its window.
  *
- * foldedValues() reads every view in one call. Views are batched in
- * registration order: each run of up to four consecutively
- * registered views of the same width is one group, read with one
- * load of its width's prefix register and rotate amount and four
- * ring loads, XORs and rotates by that same amount. A caller that
- * registers its views four at a time per width (as TageScl does)
- * gets only full groups; any order is correct.
+ * foldedValues() reads every view at the current position.
+ * pushRun() pushes a run of outcomes and writes every view's value
+ * before each push, the same values push() and foldedValues() would
+ * give one at a time. It steps the registers through up to kMaxRun
+ * outcomes, then reads each view over those positions with one
+ * vectorizable loop: since the rotate amount is a constant of the
+ * view, the values are a lane-wise XOR and rotate of two runs of
+ * ring slots. Each ring holds a power of two above its longest view
+ * plus kMaxRun, so A(n - L) outlives a run's stores, and its first
+ * kMaxRun slots are mirrored past its end, so both runs are
+ * contiguous.
  */
 class GlobalHistory
 {
   public:
+    /** Longest run pushRun() reads in one pass; longer runs are
+     * read in passes of this many outcomes. */
+    static constexpr size_t kMaxRun = 64;
+
     explicit GlobalHistory(unsigned capacity = 4096);
 
     /** Record one resolved conditional-branch direction. */
@@ -72,12 +82,19 @@ class GlobalHistory
         recent_ = (recent_ << 1) | b;
         ++count_;
         for (Lane &lane : lanes_) {
-            // Bit number count-1 lands at (-(count-1)) mod width.
-            lane.prefix ^= b << (lane.rshift - 1);
-            lane.ring[count_ & lane.ringMask] = lane.prefix;
-            lane.rshift = lane.rshift == 1 ? lane.width : lane.rshift - 1;
+            lane.reg = lane.rotl1(lane.reg) ^ b;
+            lane.store(count_, lane.reg);
         }
     }
+
+    /**
+     * Push the @p n outcomes @p taken[0..n) (each 0 or 1), oldest
+     * first. Before each push j, every view's value is written to
+     * out[v * stride + j] for view v; @p stride must be at least
+     * @p n, and @p out must hold numViews() rows of @p stride.
+     */
+    void pushRun(const uint8_t *taken, size_t n, uint32_t *out,
+                 size_t stride);
 
     /** The i-th most recent direction (i = 0 is the newest). */
     bool
@@ -124,8 +141,8 @@ class GlobalHistory
     {
         const View &view = views_[idx];
         const Lane &lane = lanes_[view.lane];
-        return lane.rotate(
-            lane.prefix ^ lane.ring[(count_ - view.length) & lane.ringMask]);
+        return lane.reg ^
+               view.rotate(lane.ring[(count_ - view.length) & lane.ringMask]);
     }
 
     /** Number of registered folded views. */
@@ -138,41 +155,37 @@ class GlobalHistory
     void
     foldedValues(uint32_t *out) const
     {
-        if (groups_.empty())
-            return;
-        // Every group but the last stores all four values: a partial
-        // group's spare values land on the next group's slots, which
-        // that group then overwrites.
-        for (size_t g = 0; g + 1 < groups_.size(); ++g)
-            readGroup(groups_[g], out + groups_[g].first);
-        const Group &last = groups_.back();
-        uint32_t v[4];
-        readGroup(last, v);
-        for (unsigned k = 0; k < last.count; ++k)
-            out[last.first + k] = v[k];
+        for (size_t i = 0; i < views_.size(); ++i)
+            out[i] = foldedValue(i);
     }
 
     void reset();
 
   private:
-    /** The prefix register and its ring for one distinct width. */
+    /** The register A and its ring for one distinct width. */
     struct Lane
     {
         unsigned width = 0;
-        unsigned rshift = 1;  //!< width - ((count - 1) mod width)
         uint32_t mask = 0;    //!< the low 'width' bits
-        uint32_t prefix = 0;  //!< R(count)
+        uint32_t reg = 0;     //!< A(count)
         uint64_t ringMask = 0;
-        std::vector<uint32_t> ring; //!< ring[n & ringMask] = R(n)
+        /** ring[n & ringMask] = A(n); slots below kMaxRun are
+         * mirrored at ringMask + 1 + slot. */
+        std::vector<uint32_t> ring;
 
-        /** rotl_width(@p x, (count - 1) mod width) of a width-bit
-         * @p x. The right shift by rshift (1 .. width, so up to 32)
-         * is split in two so that neither shift reaches 32. */
         uint32_t
-        rotate(uint32_t x) const
+        rotl1(uint32_t x) const
         {
-            return ((x << (width - rshift)) | ((x >> 1) >> (rshift - 1))) &
-                   mask;
+            return ((x << 1) | (x >> (width - 1))) & mask;
+        }
+
+        void
+        store(uint64_t n, uint32_t value)
+        {
+            uint64_t slot = n & ringMask;
+            ring[slot] = value;
+            if (slot < kMaxRun)
+                ring[ringMask + 1 + slot] = value;
         }
     };
 
@@ -180,29 +193,17 @@ class GlobalHistory
     {
         unsigned lane;
         unsigned length;
-    };
+        uint32_t mask;   //!< the lane's width mask
+        unsigned shl;    //!< length mod width
+        unsigned shr;    //!< width - 1 - shl: the right shift less one
 
-    /** Up to four consecutively registered views of one width. A
-     * group of fewer than four repeats its first length in the spare
-     * slots, whose values are computed but not stored. */
-    struct Group
-    {
-        unsigned lane;
-        unsigned first; //!< index of the group's first view
-        unsigned count; //!< views in the group, 1..4
-        std::array<unsigned, 4> length;
-    };
-
-    /** The four values of group @p g (spare slots included). */
-    void
-    readGroup(const Group &g, uint32_t *out) const
-    {
-        const Lane &lane = lanes_[g.lane];
-        for (unsigned k = 0; k < 4; ++k) {
-            out[k] = lane.rotate(
-                lane.prefix ^ lane.ring[(count_ - g.length[k]) & lane.ringMask]);
+        /** rotl_width(@p x, length mod width) of a width-bit @p x. */
+        uint32_t
+        rotate(uint32_t x) const
+        {
+            return ((x << shl) | ((x >> 1) >> shr)) & mask;
         }
-    }
+    };
 
     unsigned capacity_;
     uint64_t bitsMask_;
@@ -211,7 +212,6 @@ class GlobalHistory
     uint64_t recent_ = 0;       //!< the last 64 bits, newest at bit 0
     std::vector<Lane> lanes_;
     std::vector<View> views_;
-    std::vector<Group> groups_;
 };
 
 } // namespace whisper

@@ -39,12 +39,13 @@ PipelineModel::run(BranchSource &source, BranchPredictor &predictor)
     IndirectBtb ibtb(cfg_.ibtbEntries);
 
     source.rewind();
-    BranchRecord rec;
     uint64_t fetchAddr = 0;
     unsigned runAhead = cfg_.ftqEntries;
     const unsigned lineBytes = 64;
 
-    while (source.next(rec)) {
+    // The predictor never reads the frontend state below, so stepping
+    // it a block ahead is the same as stepping it record by record.
+    stepBlocks(source, predictor, [&](const BranchRecord &rec, bool miss) {
         uint64_t instrs = static_cast<uint64_t>(rec.instGap) + 1;
         stats.instructions += instrs;
         stats.baseCycles += static_cast<double>(instrs) *
@@ -70,9 +71,6 @@ PipelineModel::run(BranchSource &source, BranchPredictor &predictor)
             }
         }
 
-        // The predictor never reads the frontend state below, so
-        // stepping it first is the same as stepping it last.
-        bool miss = stepPredictor(predictor, rec);
         if (rec.isConditional()) {
             ++stats.conditionals;
             if (miss) {
@@ -137,7 +135,7 @@ PipelineModel::run(BranchSource &source, BranchPredictor &predictor)
         fetchAddr = rec.taken && rec.target != 0
             ? rec.target
             : rec.pc + cfg_.bytesPerInstruction;
-    }
+    });
     return stats;
 }
 

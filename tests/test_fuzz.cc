@@ -342,6 +342,18 @@ TEST(RecordCodec, BundleMutations)
     ASSERT_TRUE(decodeVersionedBundle(back, good.data(), good.size()));
     ASSERT_EQ(back, v);
 
+    // A placement naming a branch with no hint is rejected: the
+    // first placement's branch PC (after the placement count)
+    // rewritten to 0xdeadbeef0.
+    {
+        Bytes orphan = good;
+        const uint64_t pc = 0xdeadbeef0;
+        std::memcpy(orphan.data() + 24 + 3 * 44 + 8, &pc, sizeof pc);
+        VersionedHintBundle out;
+        EXPECT_FALSE(
+            decodeVersionedBundle(out, orphan.data(), orphan.size()));
+    }
+
     MutationRng rng{0x62756E646C657AULL};
     size_t accepted = 0, rejected = 0;
     for (int i = 0; i < 3000; ++i) {
@@ -350,6 +362,11 @@ TEST(RecordCodec, BundleMutations)
         if (decodeVersionedBundle(out, bytes.data(), bytes.size())) {
             ++accepted;
             ASSERT_EQ(encodeVersionedBundle(out), bytes) << i;
+            for (const HintPlacement &p : out.bundle.placements)
+                ASSERT_TRUE(std::any_of(
+                    out.bundle.hints.begin(), out.bundle.hints.end(),
+                    [&](const TrainedHint &h) { return h.pc == p.branchPc; }))
+                    << i;
         } else {
             ++rejected;
         }

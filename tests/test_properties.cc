@@ -59,6 +59,61 @@ INSTANTIATE_TEST_SUITE_P(
                                          1u)));
 
 // ---------------------------------------------------------------
+// pushRun() equals the reference fold for every width 1..32, with
+// view lengths up to the history's capacity.
+// ---------------------------------------------------------------
+
+class FoldedRunProperty : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(FoldedRunProperty, RunReadEqualsReference)
+{
+    const unsigned width = GetParam();
+    GlobalHistory h(300);
+    std::vector<unsigned> lengths = {1, 2, width, width + 1, 63, 64, 65,
+                                     129, 256, h.capacity()};
+    for (unsigned len : lengths)
+        h.addFoldedView(len, width);
+    const size_t nv = lengths.size();
+
+    Rng rng(width * 7919 + 1);
+    std::vector<uint8_t> bits;
+    std::vector<uint32_t> out;
+    uint64_t pushed = 0;
+    while (pushed < 1200) {
+        // Run lengths 0 .. 2 * kMaxRun + 1, and single push()es.
+        size_t n = rng.nextBelow(2 * GlobalHistory::kMaxRun + 2);
+        bits.resize(n);
+        for (auto &b : bits)
+            b = rng.nextBool(0.41);
+        // The reference before each push, from a copy pushed bit by
+        // bit.
+        GlobalHistory ref = h;
+        std::vector<uint32_t> want(nv * n);
+        for (size_t j = 0; j < n; ++j) {
+            for (size_t v = 0; v < nv; ++v)
+                want[v * n + j] = ref.foldedHash(lengths[v], width);
+            ref.push(bits[j]);
+        }
+        out.assign(nv * n, 0);
+        h.pushRun(bits.data(), n, out.data(), n);
+        ASSERT_EQ(out, want) << "width " << width << " at " << pushed;
+        pushed += n;
+        if (rng.nextBool(0.5)) {
+            h.push(rng.nextBool(0.5));
+            ++pushed;
+        }
+        for (size_t v = 0; v < nv; ++v)
+            ASSERT_EQ(h.foldedValue(v), h.foldedHash(lengths[v], width))
+                << "width " << width << " len " << lengths[v];
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryWidth, FoldedRunProperty,
+                         ::testing::Range(1u, 33u));
+
+// ---------------------------------------------------------------
 // The whole geometric series behaves: every candidate length's
 // planted formula is recovered by the trainer at that length.
 // ---------------------------------------------------------------

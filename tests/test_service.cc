@@ -29,6 +29,8 @@
 #include "trace/trace_reader.hh"
 #include "workloads/app_workload.hh"
 
+#include "step_reference.hh"
+
 using namespace whisper;
 
 namespace
@@ -348,7 +350,7 @@ class ReferenceAbsorber
     {
         BranchProfile profile(cfg_);
         for (const BranchRecord &rec : records) {
-            bool miss = stepPredictor(*baseline_, rec);
+            bool miss = stepRecord(*baseline_, rec);
             bool warm = recordsProfiled_++ >= opt_.statsWarmupRecords;
             BranchProfileEntry *e =
                 warm ? profile.count(rec, miss) : nullptr;

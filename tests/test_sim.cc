@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bp/simple_predictors.hh"
 #include "bp/tage_scl.hh"
@@ -18,6 +21,8 @@
 #include "sim/classifier.hh"
 #include "sim/experiment.hh"
 #include "util/rng.hh"
+
+#include "step_reference.hh"
 
 using namespace whisper;
 
@@ -225,6 +230,135 @@ TEST(WhisperTageGolden, HintedUpdatesMatchTheSnapshot)
     EXPECT_EQ(stats.mispredicts, 2794u);
 }
 
+// ---------------------------------------------------------------
+// Block stepping: step() over blocks of any size, mixed with
+// per-record predict()/update() calls, predicts and trains exactly
+// as per-record stepping does.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Drive @p block and @p ref over @p records: @p block through step()
+ * in random-size blocks (0, 1, around and above TageScl::kBlock and
+ * kStepBlock) with some records per record in between, @p ref one
+ * record at a time. Random records carry noAllocate. Every record's
+ * miss flag must agree. @p between runs after each block with its
+ * number.
+ */
+void
+expectBlockEqualsPerRecord(BranchPredictor &block, BranchPredictor &ref,
+                           std::span<const BranchRecord> records,
+                           uint64_t seed,
+                           const std::function<void(size_t)> &between = {})
+{
+    const size_t k = TageScl::kBlock;
+    const std::vector<size_t> sizes = {0,       1,       2,     7,
+                                       k - 1,   k,       k + 1, 2 * k + 3,
+                                       kStepBlock - 1,   kStepBlock,
+                                       kStepBlock + 1,   1000};
+    Rng rng(seed);
+    std::vector<uint8_t> miss, noAllocate;
+    size_t blocks = 0;
+    for (size_t i = 0; i < records.size();) {
+        size_t left = records.size() - i;
+        if (rng.nextBool(0.1)) {
+            size_t n = std::min<size_t>(1 + rng.nextBelow(4), left);
+            for (size_t r = i; r < i + n; ++r)
+                ASSERT_EQ(stepRecord(block, records[r]),
+                          stepRecord(ref, records[r]))
+                    << "per-record step at " << r;
+            i += n;
+            continue;
+        }
+        size_t n = std::min(sizes[rng.nextBelow(sizes.size())], left);
+        bool withNoAllocate = rng.nextBool(0.3);
+        noAllocate.resize(n);
+        for (auto &a : noAllocate)
+            a = withNoAllocate && rng.nextBool(0.2);
+        miss.assign(n, 0xAA);
+        block.step(records.subspan(i, n), miss.data(),
+                   withNoAllocate ? noAllocate.data() : nullptr);
+        for (size_t r = 0; r < n; ++r)
+            ASSERT_EQ(miss[r] != 0,
+                      stepRecord(ref, records[i + r], !noAllocate[r]))
+                << "block of " << n << " at record " << i + r;
+        i += n;
+        if (between)
+            between(blocks);
+        ++blocks;
+    }
+}
+
+} // namespace
+
+TEST(BlockStep, TageSclMatchesPerRecordStepping)
+{
+    AppWorkload workload(appByName("mysql"), 1, 200'000);
+    BranchTrace trace("mysql", 1);
+    trace.fill(workload, 200'000);
+    for (unsigned kb : {8u, 64u, 1024u}) {
+        SCOPED_TRACE(kb);
+        TageScl block(TageSclConfig::forBudgetKB(kb));
+        TageScl ref(TageSclConfig::forBudgetKB(kb));
+        expectBlockEqualsPerRecord(block, ref, trace.records(), kb);
+        EXPECT_EQ(block.lastProvider(), ref.lastProvider());
+        EXPECT_EQ(block.lastProviderHistLen(), ref.lastProviderHistLen());
+    }
+}
+
+TEST(BlockStep, WhisperMatchesPerRecordStepping)
+{
+    ExperimentConfig cfg = smallConfig();
+    const AppConfig &app = appByName("mysql");
+    BranchProfile profile = profileApp(app, 0, cfg);
+    WhisperBuild build = trainWhisper(app, 0, profile, cfg);
+    ASSERT_GT(build.hints.size(), 0u);
+    // A second deployment: every other hint and its placements.
+    std::vector<TrainedHint> half;
+    std::vector<HintPlacement> halfPlacements;
+    for (size_t h = 0; h < build.hints.size(); h += 2)
+        half.push_back(build.hints[h]);
+    for (const HintPlacement &pl : build.placements)
+        for (const TrainedHint &h : half)
+            if (h.pc == pl.branchPc)
+                halfPlacements.push_back(pl);
+
+    AppWorkload workload(app, 1, 200'000);
+    BranchTrace trace(app.name, 1);
+    trace.fill(workload, 200'000);
+    auto blockPred = makeWhisperPredictor(cfg, build);
+    auto refPred = makeWhisperPredictor(cfg, build);
+    auto &block = static_cast<WhisperPredictor &>(*blockPred);
+    auto &ref = static_cast<WhisperPredictor &>(*refPred);
+    // Redeploy between some blocks, alternating the two bundles.
+    bool full = true;
+    auto redeploy = [&](size_t b) {
+        if (b % 97 != 96)
+            return;
+        full = !full;
+        const auto &hints = full ? build.hints : half;
+        const auto &pls = full ? build.placements : halfPlacements;
+        block.replaceHints(hints, pls);
+        ref.replaceHints(hints, pls);
+    };
+    expectBlockEqualsPerRecord(block, ref, trace.records(), 28, redeploy);
+
+    EXPECT_GT(block.hintPredictions(), 0u);
+    EXPECT_EQ(block.hintPredictions(), ref.hintPredictions());
+    EXPECT_EQ(block.hintCorrect(), ref.hintCorrect());
+    EXPECT_EQ(block.dynamicHintInstructions(), ref.dynamicHintInstructions());
+    const HintBuffer &a = block.hintBuffer(), &b = ref.hintBuffer();
+    EXPECT_EQ(a.hits(), b.hits());
+    EXPECT_EQ(a.misses(), b.misses());
+    EXPECT_EQ(a.insertions(), b.insertions());
+    EXPECT_EQ(a.refreshes(), b.refreshes());
+    EXPECT_EQ(a.evictions(), b.evictions());
+    EXPECT_GT(a.evictions(), 0u);
+    EXPECT_EQ(a.lruOrder(), b.lruOrder());
+}
+
 TEST(Profiler, CollectsEntriesAndHardTables)
 {
     ExperimentConfig cfg = smallConfig();
@@ -287,7 +421,7 @@ referenceProfile(BranchSource &trace, BranchPredictor &baseline,
     trace.rewind();
     uint64_t seen = 0;
     while (trace.next(rec)) {
-        bool miss = stepPredictor(baseline, rec);
+        bool miss = stepRecord(baseline, rec);
         if (++seen > warmupRecords)
             profile.count(rec, miss);
     }

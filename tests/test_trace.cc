@@ -276,6 +276,76 @@ TEST(FoldedHistory, MixedWidthsMatchReferenceThroughResetAndCopy)
     }
 }
 
+TEST(FoldedHistory, PushRunMatchesReferenceFold)
+{
+    // pushRun() hands back every view before each of its pushes. Runs
+    // of length 0, 1, odd lengths, TAGE-SC-L's block (kMaxRun) and
+    // lengths above it (read in several passes) alternate with single
+    // push()es on the TAGE-SC-L, Whisper and classifier widths plus
+    // 1 and 32. Each value must equal the bit-by-bit reference fold
+    // of the history before that push, and after each run the
+    // history must read as if pushed one bit at a time.
+    GlobalHistory h(1700);
+    GlobalHistory shadow(1700); // driven by push() only
+    const std::vector<std::pair<unsigned, unsigned>> views = {
+        {1, 1},   {6, 11},   {6, 9},     {10, 8},  {17, 7},
+        {44, 11}, {64, 32},  {65, 32},   {130, 8}, {411, 10},
+        {1024, 8}, {1600, 11}, {1700, 5}, {33, 12}, {32, 32}};
+    for (auto [len, w] : views) {
+        h.addFoldedView(len, w);
+        shadow.addFoldedView(len, w);
+    }
+    const size_t nv = views.size();
+
+    uint64_t seed = 77;
+    auto nextBit = [&]() -> uint8_t {
+        seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+        return ((seed >> 43) % 5) < 3;
+    };
+    const size_t k = GlobalHistory::kMaxRun;
+    const std::vector<size_t> runs = {0,     1,     7,     k,     1,
+                                      k + 1, 0,     33,    3 * k + 5,
+                                      2 * k, k - 1, 1,     411,   0};
+    std::vector<uint8_t> bits;
+    std::vector<uint32_t> out;
+    for (int round = 0; round < 6; ++round) {
+        for (size_t n : runs) {
+            bits.resize(n);
+            for (auto &b : bits)
+                b = nextBit();
+            out.assign(nv * n, 0xFFFFFFFFu);
+            h.pushRun(bits.data(), n, out.data(), n);
+            for (size_t j = 0; j < n; ++j) {
+                for (size_t v = 0; v < nv; ++v) {
+                    auto [len, w] = views[v];
+                    ASSERT_EQ(out[v * n + j], shadow.foldedHash(len, w))
+                        << "round " << round << " run " << n << " j " << j
+                        << " len " << len << " width " << w;
+                }
+                shadow.push(bits[j]);
+            }
+            ASSERT_EQ(h.count(), shadow.count());
+            ASSERT_EQ(h.lastBits(64), shadow.lastBits(64));
+            for (size_t v = 0; v < nv; ++v)
+                ASSERT_EQ(h.foldedValue(v), shadow.foldedValue(v)) << v;
+            // A single push between runs.
+            uint8_t b = nextBit();
+            h.push(b);
+            shadow.push(b);
+        }
+    }
+    for (unsigned i = 0; i < h.capacity(); ++i)
+        ASSERT_EQ(h.bit(i), shadow.bit(i)) << i;
+
+    // A stride wider than the run leaves the padding alone.
+    bits.assign(5, 1);
+    out.assign(nv * 8, 0xABCDu);
+    h.pushRun(bits.data(), 5, out.data(), 8);
+    for (size_t v = 0; v < nv; ++v)
+        for (size_t j = 5; j < 8; ++j)
+            ASSERT_EQ(out[v * 8 + j], 0xABCDu);
+}
+
 TEST(BranchTrace, AppendAccumulates)
 {
     BranchTrace trace("app", 3);

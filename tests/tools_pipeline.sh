@@ -44,6 +44,23 @@ expect_cksum "$WORK_DIR/kafka.profile" "1558977036 787736"
 grep -q "whisper+tage" "$WORK_DIR/eval.txt"
 grep -q "profile-static" "$WORK_DIR/eval.txt"
 
+# A bundle whose first placement names a branch without a hint is a
+# corrupt file: whisper_eval exits 1 naming it. The placement's
+# branch PC follows the 8-byte header, the hint count, 44 bytes per
+# hint and the placement count; it becomes 0xdeadbeef0.
+hints=$(od -An -t u8 -j 8 -N 8 "$WORK_DIR/kafka.hints" | tr -d ' ')
+cp "$WORK_DIR/kafka.hints" "$WORK_DIR/orphan.hints"
+printf '\360\356\333\352\015\000\000\000' | dd of="$WORK_DIR/orphan.hints" \
+    bs=1 seek=$((24 + 44 * hints)) conv=notrunc 2> /dev/null
+rc=0
+"$BIN_DIR/whisper_eval" --trace "$WORK_DIR/test.whrt" \
+    --hints "$WORK_DIR/orphan.hints" > /dev/null \
+    2> "$WORK_DIR/orphan.err" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "orphan.hints" "$WORK_DIR/orphan.err"; then
+    echo "whisper_eval on a placement without a hint: exit $rc" >&2
+    exit 1
+fi
+
 # Bad numeric flags are usage errors (exit 2), never an abort or a
 # silent default.
 expect_usage_error() {
@@ -61,6 +78,15 @@ expect_usage_error whisper_eval --trace "$EVAL_TRACE" --warmup 1
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" --warmup -0.5
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" --warmup abc
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" --tage-kb 0
+# --tage-kb takes the budgets TAGE-SC-L scales to: powers of two
+# from 8 to 8192.
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --tage-kb 3
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --tage-kb 100000
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --tage-kb 4
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --tage-kb 16384
+expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
+    --out "$WORK_DIR/bad.hints" --tage-kb 96
+expect_usage_error whisperd --chunks "$WORK_DIR" --tage-kb 3
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" \
     --per-epoch --epoch-records 0
 expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \

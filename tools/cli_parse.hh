@@ -57,6 +57,17 @@ parsePositive(const char *flag, const char *value,
     return parseInteger(flag, value, 1, max);
 }
 
+/** A TAGE-SC-L budget in KB: a power of two from 8 to 8192, the
+ * budgets TageSclConfig::forBudgetKB() supports. */
+inline unsigned
+parseTageKb(const char *flag, const char *value)
+{
+    uint64_t kb = parseInteger(flag, value, 8, 8192);
+    if (kb & (kb - 1))
+        badValue(flag, value, "a power of two from 8 to 8192");
+    return static_cast<unsigned>(kb);
+}
+
 /** Whole-string finite number in [@p lo, @p hi]; @p want names the
  * range in the error. */
 inline double

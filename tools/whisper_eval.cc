@@ -49,7 +49,8 @@ usage()
         "                    CBP-style text trace ending in .cbp)\n"
         "  --hints FILE      hint bundle (enables 'whisper')\n"
         "  --profile FILE    saved profile (enables 'profile-static')\n"
-        "  --tage-kb N       baseline budget (default 64)\n"
+        "  --tage-kb N       baseline budget, a power of two in 8..8192\n"
+        "                    (default 64)\n"
         "  --warmup F        stats warm-up fraction (default 0.5)\n"
         "  --pipeline        also run the timing model\n"
         "  --predictors LIST comma list of: tage, whisper, mtage,\n"
@@ -102,8 +103,7 @@ main(int argc, char **argv)
         else if (arg == "--profile")
             profilePath = next();
         else if (arg == "--tage-kb")
-            tageKb = static_cast<unsigned>(
-                parsePositive("--tage-kb", next(), UINT32_MAX));
+            tageKb = parseTageKb("--tage-kb", next());
         else if (arg == "--warmup")
             warmup = parseFraction("--warmup", next());
         else if (arg == "--pipeline")

@@ -47,8 +47,8 @@ usage()
         "usage: whisper_train --trace FILE --out FILE [options]\n"
         "  --trace FILE        training trace (.whrt)\n"
         "  --out FILE          hint bundle to write\n"
-        "  --tage-kb N         profiled predictor budget "
-        "(default 64)\n"
+        "  --tage-kb N         profiled predictor budget, a power of "
+        "two in 8..8192 (default 64)\n"
         "  --fraction F        randomized-testing fraction "
         "(default 0.01)\n"
         "  --max-hard N        hard-branch cap (default 2048)\n"
@@ -88,8 +88,7 @@ main(int argc, char **argv)
         else if (arg == "--out")
             outPath = next();
         else if (arg == "--tage-kb")
-            tageKb = static_cast<unsigned>(
-                parsePositive("--tage-kb", next(), UINT32_MAX));
+            tageKb = parseTageKb("--tage-kb", next());
         else if (arg == "--fraction")
             fraction = parseReal("--fraction", next(),
                                  std::numeric_limits<double>::min(), 1.0,

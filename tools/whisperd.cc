@@ -89,7 +89,8 @@ usage()
         "(default 4)\n"
         "  --workers N          training threads of the one "
         "dispatcher (default 4)\n"
-        "  --tage-kb N          baseline budget (default 64)\n"
+        "  --tage-kb N          baseline budget, a power of two in "
+        "8..8192 (default 64)\n"
         "  --max-hard N         hard-branch cap per app "
         "(default 512)\n"
         "  --fraction F         randomized-testing fraction, in "
@@ -465,7 +466,7 @@ main(int argc, char **argv)
         else if (arg == "--workers")
             cfg.trainWorkers = positive();
         else if (arg == "--tage-kb")
-            cfg.tageBudgetKB = positive();
+            cfg.tageBudgetKB = parseTageKb("--tage-kb", next());
         else if (arg == "--max-hard")
             cfg.profilePolicy.maxHardBranches = positive();
         else if (arg == "--fraction")
