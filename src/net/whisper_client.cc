@@ -115,6 +115,18 @@ WhisperClient::ensureConnected()
         static_cast<long>(cfg_.recvTimeoutMs % 1000) * 1000;
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     stats_.reconnects += 1;
+    // Announce the protocol version without waiting: the reply
+    // (HELLO_OK, or ERROR(BadVersion) from a server on another
+    // version) comes ahead of the first answer, and recvUntil() skips
+    // the one and fails permanently on the other.
+    HelloMsg hello;
+    hello.client = wireStream_;
+    std::vector<unsigned char> frame =
+        encodeFrame(WireOp::Hello, encodeHello(hello));
+    if (!sendAll(frame.data(), frame.size())) {
+        disconnect();
+        return false;
+    }
     return true;
 }
 
@@ -281,14 +293,10 @@ WhisperClient::ingestChunk(const std::string &app, uint32_t inputId,
                            const std::vector<BranchRecord> &records)
 {
     AppState &state = apps_[app];
-    IngestChunkMsg msg;
-    msg.app = app;
-    msg.stream = wireStream_;
-    msg.inputId = inputId;
-    msg.seq = state.nextSeq;
-    msg.records = records;
-    std::vector<unsigned char> frame =
-        encodeFrame(WireOp::IngestChunk, encodeIngestChunk(msg));
+    const uint64_t seq = state.nextSeq;
+    std::vector<unsigned char> frame = encodeFrame(
+        WireOp::IngestChunk,
+        encodeIngestChunk(app, wireStream_, inputId, seq, records));
 
     for (unsigned attempt = 1; attempt <= cfg_.maxAttempts;
          ++attempt) {
@@ -309,7 +317,7 @@ WhisperClient::ingestChunk(const std::string &app, uint32_t inputId,
         case RecvOutcome::Got: {
             ChunkAckMsg ack;
             if (!decodeChunkAck(reply.payload, ack) ||
-                ack.seq != msg.seq) {
+                ack.seq != seq) {
                 disconnect();
                 backoff(attempt, 0);
                 continue;
@@ -317,7 +325,7 @@ WhisperClient::ingestChunk(const std::string &app, uint32_t inputId,
             if (ack.status == ChunkAckMsg::kDuplicate)
                 stats_.duplicateAcks += 1;
             stats_.chunksAcked += 1;
-            state.nextSeq = msg.seq + 1;
+            state.nextSeq = seq + 1;
             return true;
         }
         case RecvOutcome::RetryAfter:
@@ -331,7 +339,7 @@ WhisperClient::ingestChunk(const std::string &app, uint32_t inputId,
             return false;
         }
     }
-    lastError_ = "chunk " + std::to_string(msg.seq) + " for '" +
+    lastError_ = "chunk " + std::to_string(seq) + " for '" +
                  app + "': retries exhausted";
     return false;
 }

@@ -90,17 +90,27 @@ decodeHello(const std::vector<unsigned char> &p, HelloMsg &m)
 }
 
 std::vector<unsigned char>
-encodeIngestChunk(const IngestChunkMsg &m)
+encodeIngestChunk(const std::string &app, const std::string &stream,
+                  uint32_t inputId, uint64_t seq,
+                  std::span<const BranchRecord> records)
 {
     ByteWriter w;
-    w.putStr(m.app);
-    w.putStr(m.stream);
-    w.put(m.inputId);
-    w.put(m.seq);
-    w.put(static_cast<uint32_t>(m.records.size()));
+    w.reserve(4 + app.size() + 4 + stream.size() + 4 + 8 + 4 +
+              4 * records.size());
+    w.putStr(app);
+    w.putStr(stream);
+    w.put(inputId);
+    w.put(seq);
+    w.put(static_cast<uint32_t>(records.size()));
     std::vector<unsigned char> payload = w.take();
-    appendRecordImage(payload, m.records);
+    appendRecordPayload(payload, records);
     return payload;
+}
+
+std::vector<unsigned char>
+encodeIngestChunk(const IngestChunkMsg &m)
+{
+    return encodeIngestChunk(m.app, m.stream, m.inputId, m.seq, m.records);
 }
 
 bool
@@ -114,14 +124,10 @@ decodeIngestChunk(const std::vector<unsigned char> &p,
     r.get(m.inputId);
     r.get(m.seq);
     r.get(count);
-    if (!r.ok() ||
-        static_cast<uint64_t>(count) * sizeof(BranchRecord) !=
-            r.remaining()) {
-        return false;
-    }
-    m.records.resize(count);
-    return r.getBytes(m.records.data(), count * sizeof(BranchRecord)) &&
-           isCanonicalImage(m.records);
+    m.records.clear();
+    return r.ok() &&
+           decodeRecordPayload(p.data() + (p.size() - r.remaining()),
+                               r.remaining(), count, m.records);
 }
 
 std::vector<unsigned char>

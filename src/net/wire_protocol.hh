@@ -12,17 +12,20 @@
  *   length  := payload bytes (<= kMaxPayload, hostile lengths are a
  *              protocol error, never an allocation)
  *   crc     := CRC32 of the payload bytes — the same IEEE CRC32 the
- *              .whrt v2 trace frames and the hint-store journal use
+ *              .whrt trace frames and the hint-store journal use
  *
  * Message payloads (str := len:u32 bytes, capped at kMaxStringBytes):
  *
- *   HELLO            ver:u32 client:str
+ *   HELLO            ver:u32 client:str         (ver is
+ *                    kWireProtocolVersion; any other gets
+ *                    ERROR(BadVersion))
  *   HELLO_OK         ver:u32 server:str
  *   INGEST_CHUNK     app:str stream:str inputId:u32 seq:u64
- *                    count:u32 records[count]   (record images
- *                    from appendRecordImage, exactly the .whrt v2
- *                    frame payload; invalid kind/taken bytes or
- *                    nonzero padding are rejected)
+ *                    count:u32 payload          (the count records'
+ *                    appendRecordPayload bytes up to the frame end,
+ *                    exactly a .whrt v3 frame payload; bytes that
+ *                    are not the canonical payload of count records
+ *                    are rejected)
  *   CHUNK_ACK        seq:u64 status:u32         (0 = accepted,
  *                    1 = duplicate — the idempotency reply)
  *   RETRY_AFTER      seq:u64 waitMs:u32         (backpressure: the
@@ -48,6 +51,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,7 +96,9 @@ struct WireFrame
     std::vector<unsigned char> payload;
 };
 
-constexpr uint32_t kWireProtocolVersion = 1;
+/** 2: INGEST_CHUNK carries the v3 record payload (1 carried 24-byte
+ * native records). */
+constexpr uint32_t kWireProtocolVersion = 2;
 
 /** Serialize one frame (header + CRC32 + payload). */
 std::vector<unsigned char>
@@ -175,6 +181,11 @@ struct ErrorMsg
 std::vector<unsigned char> encodeHello(const HelloMsg &m);
 std::vector<unsigned char> encodeHelloOk(const HelloMsg &m);
 std::vector<unsigned char> encodeIngestChunk(const IngestChunkMsg &m);
+/** The same payload, with @p records read where they lie. */
+std::vector<unsigned char>
+encodeIngestChunk(const std::string &app, const std::string &stream,
+                  uint32_t inputId, uint64_t seq,
+                  std::span<const BranchRecord> records);
 std::vector<unsigned char> encodeChunkAck(const ChunkAckMsg &m);
 std::vector<unsigned char> encodeRetryAfter(const RetryAfterMsg &m);
 std::vector<unsigned char> encodePullBundle(const PullBundleMsg &m);

@@ -6,6 +6,7 @@
 #ifndef WHISPER_TRACE_BRANCH_TRACE_HH
 #define WHISPER_TRACE_BRANCH_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -30,12 +31,14 @@ class BranchTrace
     /** .whrt on-disk format identity; save() writes it and
      * TraceStreamReader (src/trace/trace_reader.hh) is its only
      * parser. The layout is: magic, version, name length + bytes,
-     * input id, record count, then the record array. Version 2
-     * stores the array as CRC32-framed chunks (frame magic, record
-     * count, CRC, record images) so damage is localized to one
-     * frame; version 1 (raw array) is still read. */
+     * input id, record count, then the records in CRC32-framed
+     * chunks, so damage is localized to one frame. A version 3
+     * frame is frame magic, record count, payload bytes, CRC of the
+     * payload, then the appendRecordPayload() bytes. Versions 1 (a
+     * raw array of 24-byte native records) and 2 (frame magic,
+     * record count, CRC, native records) are still read. */
     static constexpr uint32_t kFileMagic = 0x57485254; // "WHRT"
-    static constexpr uint32_t kFileVersion = 2;
+    static constexpr uint32_t kFileVersion = 3;
     static constexpr uint32_t kFrameMagic = 0x57484652; // "WHFR"
     /** Upper bound a reader accepts for one frame's record count —
      * turns hostile length fields into errors, not allocations. */
@@ -161,18 +164,48 @@ class LimitSource : public BranchSource
 };
 
 /**
- * Append the record image of @p records to @p out: each record's
- * native 24-byte layout with its 4 tail-padding bytes zeroed, so
- * equal records always encode to equal bytes. A .whrt v2 frame body
- * and the wire's INGEST_CHUNK record section are exactly this.
+ * The record payload of a .whrt v3 frame and of an INGEST_CHUNK: a
+ * byte stream of records with its own PC dictionary, built in
+ * first-seen order (Intel PT, the paper's trace source, likewise
+ * spends a bit per conditional and sends a target only when the code
+ * does not imply it). Each record is one of
+ *
+ *   new PC   tag:u8 pcDelta:varint targetDelta:varint gap:varint
+ *            tag = 1 | taken << 1 | kind << 2; pcDelta is the
+ *            zigzag delta from the previous new PC (0 first),
+ *            targetDelta the zigzag delta of the target from the PC
+ *   seen PC  head:varint [targetDelta:varint] gap:varint
+ *            head = id << 3 | explicit << 2 | taken << 1; id is the
+ *            PC's dictionary entry, which supplies PC, kind and
+ *            last target; explicit marks a target unlike that last
+ *            one (returns, indirects), sent as a delta from the PC
+ *
+ * and gap is instGap. A PC seen again with another kind takes a new
+ * entry, which supersedes the old one. Varints are LEB128
+ * (util/byte_codec.hh) and deltas wrap mod 2^64, so any record
+ * encodes; a record costs kMinRecordBytes to kMaxRecordBytes.
  */
-void appendRecordImage(std::vector<unsigned char> &out,
-                       std::span<const BranchRecord> records);
+constexpr size_t kMinRecordBytes = 2;
+constexpr size_t kMaxRecordBytes = 24;
 
-/** True when @p records hold exactly the bytes appendRecordImage()
- * writes for valid records: a BranchKind in range, taken 0 or 1, and
- * zero tail padding. Decoders of outside input accept nothing else. */
-bool isCanonicalImage(std::span<const BranchRecord> records);
+/** Append the payload of @p records to @p out. Equal records always
+ * encode to equal bytes. */
+void appendRecordPayload(std::vector<unsigned char> &out,
+                         std::span<const BranchRecord> records);
+
+/**
+ * Decode the payload of exactly @p count records from the @p size
+ * bytes at @p data, appending them to @p out. Only the bytes
+ * appendRecordPayload() writes are accepted: shortest varints, ids
+ * of live entries, a tag with a kind in range, a new entry only for a
+ * PC without a live entry of its kind, an explicit target only when
+ * it differs, gaps that fit instGap, and no byte left over. So every
+ * accepted payload re-encodes to the same bytes. A @p count above
+ * size / kMinRecordBytes fails before anything is allocated.
+ * @return false, with @p out unchanged, on any other input.
+ */
+bool decodeRecordPayload(const unsigned char *data, size_t size,
+                         size_t count, std::vector<BranchRecord> &out);
 
 } // namespace whisper
 

@@ -41,7 +41,7 @@ TraceStreamReader::TraceStreamReader(const std::string &path)
         reject("bad magic (not a .whrt trace)");
         return;
     }
-    if (version_ != 1 && version_ != BranchTrace::kFileVersion) {
+    if (version_ < 1 || version_ > BranchTrace::kFileVersion) {
         reject("unsupported format version");
         return;
     }
@@ -175,8 +175,10 @@ TraceStreamReader::loadNextFrame(std::vector<BranchRecord> &out,
         }
 
         long afterMagic = std::ftell(file_);
-        uint32_t count = 0, crc = 0;
+        uint32_t count = 0, bytes = 0, crc = 0;
         if (readWithRetry(&count, sizeof(count)) != sizeof(count) ||
+            (version_ >= 3 &&
+             readWithRetry(&bytes, sizeof(bytes)) != sizeof(bytes)) ||
             readWithRetry(&crc, sizeof(crc)) != sizeof(crc)) {
             skipFrame("bad frame header"); // torn mid-header
             return false;
@@ -188,32 +190,64 @@ TraceStreamReader::loadNextFrame(std::vector<BranchRecord> &out,
                 return false;
             continue;
         }
+        if (version_ < 3) {
+            bytes = count * sizeof(BranchRecord);
+        } else if (bytes < count * kMinRecordBytes ||
+                   bytes > count * kMaxRecordBytes) {
+            skipFrame("frame byte count out of bounds");
+            if (!resyncToFrameMagic())
+                return false;
+            continue;
+        }
 
-        // A frame that fits the caller's room is read in place; only
-        // one that straddles the chunk boundary is buffered.
+        // A frame that fits the caller's room is decoded in place;
+        // only one that straddles the chunk boundary is buffered.
         std::vector<BranchRecord> &dst = count <= room ? out : frame_;
-        size_t at = dst.size();
-        size_t bytes = count * sizeof(BranchRecord);
-        dst.resize(at + count);
-        BranchRecord *recs = dst.data() + at;
-        bool whole = readWithRetry(recs, bytes) == bytes;
-        if (whole)
-            FaultInjector::instance().corruptFrame(recs, bytes);
-        if (whole && crc32(recs, bytes) == crc)
+        const char *damage = readFrameBody(count, bytes, crc, dst);
+        if (!damage)
             return true;
 
         // Torn, bit-rotted or overwritten — or a smashed count that
         // ran the payload into the frames after it. Never serve the
         // frame; rescan from just past its magic so no intact frame
         // behind it is lost.
-        dst.resize(at);
-        skipFrame(whole ? "frame CRC mismatch" : "truncated frame",
-                  count);
+        skipFrame(damage, count);
         if (std::fseek(file_, afterMagic, SEEK_SET) != 0 ||
             !resyncToFrameMagic()) {
             return false;
         }
     }
+}
+
+const char *
+TraceStreamReader::readFrameBody(uint32_t count, uint32_t bytes,
+                                 uint32_t crc,
+                                 std::vector<BranchRecord> &dst)
+{
+    const size_t at = dst.size();
+    void *body;
+    if (version_ < 3) {
+        // A v2 frame body is the records' native image.
+        dst.resize(at + count);
+        body = dst.data() + at;
+    } else {
+        payload_.resize(bytes);
+        body = payload_.data();
+    }
+    const char *damage = nullptr;
+    if (readWithRetry(body, bytes) != bytes) {
+        damage = "truncated frame";
+    } else {
+        FaultInjector::instance().corruptFrame(body, bytes);
+        if (crc32(body, bytes) != crc)
+            damage = "frame CRC mismatch";
+        else if (version_ >= 3 &&
+                 !decodeRecordPayload(payload_.data(), bytes, count, dst))
+            damage = "malformed frame payload";
+    }
+    if (damage)
+        dst.resize(at);
+    return damage;
 }
 
 size_t

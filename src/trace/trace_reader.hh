@@ -6,8 +6,8 @@
  * skipped) all read traces through it.
  *
  * The reader is hardened against the inputs production actually
- * delivers: version-2 traces are CRC32-framed, and a frame that
- * fails its checksum (bit rot, torn write, fault injection) is
+ * delivers: version-2 and -3 traces are CRC32-framed, and a frame
+ * that fails its checksum or does not decode (bit rot, torn write, fault injection) is
  * skipped and counted instead of poisoning the profile or killing
  * the stream; a damaged frame triggers a bounded resync scan for the
  * next frame magic; transient short reads are retried with
@@ -33,8 +33,9 @@ namespace whisper
 /**
  * Incremental .whrt reader: parses the header eagerly, then returns
  * records in caller-sized chunks so memory stays bounded no matter
- * how large the trace file is. Reads both format versions (raw v1,
- * CRC-framed v2); damaged v2 frames are skipped and counted.
+ * how large the trace file is. Reads every format version (raw v1,
+ * CRC-framed native records in v2, CRC-framed payloads in v3);
+ * damaged frames are skipped and counted.
  */
 class TraceStreamReader
 {
@@ -61,6 +62,9 @@ class TraceStreamReader
     uint32_t inputId() const { return inputId_; }
     const std::string &path() const { return path_; }
 
+    /** The file's format version (BranchTrace::kFileVersion). */
+    uint32_t version() const { return version_; }
+
     /** Records the header promises / already delivered. */
     uint64_t recordsTotal() const { return recordsTotal_; }
     uint64_t recordsRead() const { return recordsRead_; }
@@ -78,7 +82,7 @@ class TraceStreamReader
     /**
      * Read up to @p maxRecords into @p out (replacing its contents).
      * @return number of records delivered; 0 at end of stream.
-     * Damaged v2 frames are skipped (see framesSkipped()); a short
+     * Damaged frames are skipped (see framesSkipped()); a short
      * v1 file (fewer records than the header claimed) invalidates
      * the reader.
      */
@@ -86,10 +90,16 @@ class TraceStreamReader
                      size_t maxRecords);
 
   private:
-    /** Buffer the next intact v2 frame: appended straight to @p out
+    /** Buffer the next intact frame: appended straight to @p out
      * when it fits in @p room records, else held in frame_.
      * @return false at end of stream. */
     bool loadNextFrame(std::vector<BranchRecord> &out, size_t room);
+    /** Read, check and decode one frame body of @p count records and
+     * @p bytes bytes onto @p dst. @return nullptr, or what was wrong
+     * with the frame (then @p dst is as it was). */
+    const char *readFrameBody(uint32_t count, uint32_t bytes,
+                              uint32_t crc,
+                              std::vector<BranchRecord> &dst);
     bool resyncToFrameMagic();
     void skipFrame(const char *why, uint64_t records = 0);
     /** fread with bounded retry/backoff on transient errors; returns
@@ -106,8 +116,9 @@ class TraceStreamReader
     uint64_t recordsTotal_ = 0;
     uint64_t recordsRead_ = 0;
 
-    std::vector<BranchRecord> frame_; //!< validated v2 frame buffer
+    std::vector<BranchRecord> frame_; //!< validated frame buffer
     size_t framePos_ = 0;
+    std::vector<unsigned char> payload_; //!< v3 frame payload
 
     uint64_t framesSkipped_ = 0;
     const char *firstSkipReason_ = "";

@@ -2,7 +2,8 @@
  * @file
  * The one in-memory byte codec: hint bundles, journal records and
  * every wire header and payload are written with ByteWriter and read
- * with ByteReader.
+ * with ByteReader, and the varints of the .whrt v3 / INGEST_CHUNK
+ * record payload with putVarint() and getVarint().
  *
  * Values are stored as native bytes, which is little-endian on every
  * supported host (asserted below): the byte order of .whrt traces and
@@ -31,6 +32,54 @@ static_assert(std::endian::native == std::endian::little,
 /** Cap on every length-prefixed string a reader accepts: wire
  * strings and the .whrt app name. */
 constexpr uint32_t kMaxStringBytes = 4096;
+
+/** Longest varint: ten 7-bit groups hold 64 bits. */
+constexpr size_t kMaxVarintBytes = 10;
+
+/** Write @p v as a LEB128 varint (7 bits a byte, low group first,
+ * the top bit set on every byte but the last) at @p p, which must
+ * have kMaxVarintBytes of room. @return the byte after it. */
+inline unsigned char *
+putVarint(unsigned char *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<unsigned char>(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = static_cast<unsigned char>(v);
+    return p;
+}
+
+/** Read into @p v the varint starting at @p p, reading no byte at
+ * or past @p end. Only the shortest encoding of a 64-bit value is
+ * accepted, so every value has exactly one encoding. @return the
+ * byte after it, or nullptr on an overrun, a last byte of zero (a
+ * longer form than needed) or bits past 64. */
+inline const unsigned char *
+getVarint(const unsigned char *p, const unsigned char *end, uint64_t &v)
+{
+    if (p == end)
+        return nullptr;
+    if (*p < 0x80) {
+        v = *p;
+        return p + 1;
+    }
+    uint64_t x = *p++ & 0x7F;
+    for (unsigned shift = 7;; shift += 7) {
+        if (p == end)
+            return nullptr;
+        uint64_t b = *p++;
+        if (shift == 63 && b > 1)
+            return nullptr;
+        x |= (b & 0x7F) << shift;
+        if (b < 0x80) {
+            if (b == 0)
+                return nullptr;
+            v = x;
+            return p;
+        }
+    }
+}
 
 /** Appends values to a growing byte buffer. */
 class ByteWriter

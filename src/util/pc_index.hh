@@ -37,14 +37,15 @@ class PcIndex
     uint32_t
     insert(uint64_t key)
     {
-        if (uint32_t id = find(key); id != kNone)
-            return id;
+        const size_t i = probe(key);
+        if (slots_[i].id != kNone)
+            return slots_[i].id;
         uint32_t id = static_cast<uint32_t>(size());
         keys_.push_back(key);
         if (4 * size() > 3 * slots_.size())
             rehash(2 * slots_.size());
         else
-            slots_[probe(key)] = {id, top(key)};
+            slots_[i] = {id, top(key)};
         return id;
     }
 

@@ -530,43 +530,50 @@ TEST(TraceStream, TornTraceTailIsSkippedNotFatal)
 TEST(TraceStream, HostileRecordCountDoesNotAllocate)
 {
     // A header claiming 2^60 records must be rejected by the
-    // file-size cap, not drive a giant allocation.
+    // file-size cap, not drive a giant allocation — in a version-2
+    // file of 24-byte records and in a version-3 file, whose cap is
+    // its smallest (2-byte) record.
     std::string path = "/tmp/whisper_test_hostile.whrt";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint32_t magic = BranchTrace::kFileMagic;
-    uint32_t version = BranchTrace::kFileVersion;
-    uint32_t nameLen = 1;
-    uint32_t inputId = 0;
-    uint64_t huge = 1ULL << 60;
-    std::fwrite(&magic, sizeof magic, 1, f);
-    std::fwrite(&version, sizeof version, 1, f);
-    std::fwrite(&nameLen, sizeof nameLen, 1, f);
-    std::fputc('x', f);
-    std::fwrite(&inputId, sizeof inputId, 1, f);
-    std::fwrite(&huge, sizeof huge, 1, f);
-    std::fclose(f);
+    for (uint32_t version : {2u, 3u}) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        uint32_t magic = BranchTrace::kFileMagic;
+        uint32_t nameLen = 1;
+        uint32_t inputId = 0;
+        uint64_t huge = 1ULL << 60;
+        std::fwrite(&magic, sizeof magic, 1, f);
+        std::fwrite(&version, sizeof version, 1, f);
+        std::fwrite(&nameLen, sizeof nameLen, 1, f);
+        std::fputc('x', f);
+        std::fwrite(&inputId, sizeof inputId, 1, f);
+        std::fwrite(&huge, sizeof huge, 1, f);
+        std::fclose(f);
 
-    BranchTrace t;
-    IoStatus st = t.load(path);
-    EXPECT_TRUE(st.corrupt());
-    EXPECT_NE(st.message.find("record count"), std::string::npos);
+        BranchTrace t;
+        IoStatus st = t.load(path);
+        EXPECT_TRUE(st.corrupt()) << version;
+        EXPECT_NE(st.message.find("record count"), std::string::npos)
+            << version;
 
-    // Hostile per-frame count: capped by kMaxFrameRecords, the
-    // streaming reader skips it rather than allocating.
-    f = std::fopen(path.c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    uint32_t frameMagic = BranchTrace::kFrameMagic;
-    uint32_t hugeCount = 0x7fffffff, crc = 0;
-    std::fwrite(&frameMagic, sizeof frameMagic, 1, f);
-    std::fwrite(&hugeCount, sizeof hugeCount, 1, f);
-    std::fwrite(&crc, sizeof crc, 1, f);
-    std::fclose(f);
-    TraceStreamReader reader(path);
-    ASSERT_TRUE(reader.valid());
-    std::vector<BranchRecord> chunk;
-    EXPECT_EQ(reader.readChunk(chunk, 1000), 0u);
-    EXPECT_GE(reader.framesSkipped(), 1u);
+        // Hostile per-frame count: capped by kMaxFrameRecords, the
+        // streaming reader skips it rather than allocating.
+        f = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        uint32_t frameMagic = BranchTrace::kFrameMagic;
+        uint32_t hugeCount = 0x7fffffff, bytes = 0x7fffffff, crc = 0;
+        std::fwrite(&frameMagic, sizeof frameMagic, 1, f);
+        std::fwrite(&hugeCount, sizeof hugeCount, 1, f);
+        if (version >= 3)
+            std::fwrite(&bytes, sizeof bytes, 1, f);
+        std::fwrite(&crc, sizeof crc, 1, f);
+        std::fclose(f);
+        TraceStreamReader reader(path);
+        ASSERT_TRUE(reader.valid());
+        std::vector<BranchRecord> chunk;
+        EXPECT_EQ(reader.readChunk(chunk, 1000), 0u);
+        EXPECT_GE(reader.framesSkipped(), 1u);
+        EXPECT_EQ(chunk.capacity(), 0u);
+    }
     std::remove(path.c_str());
 }
 

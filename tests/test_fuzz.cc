@@ -29,15 +29,18 @@
 #include "core/profile.hh"
 #include "core/whisper_io.hh"
 #include "net/wire_protocol.hh"
+#include "record_image.hh"
 #include "service/hint_journal.hh"
 #include "trace/branch_trace.hh"
 #include "trace/cbp_reader.hh"
 #include "trace/trace_reader.hh"
 #include "util/byte_codec.hh"
 #include "util/crc32.hh"
+#include "workloads/app_config.hh"
 #include "workloads/app_workload.hh"
 
 using namespace whisper;
+using whisper::test::imageOf;
 
 namespace
 {
@@ -120,32 +123,42 @@ kafkaRecords(uint64_t count)
 }
 
 Bytes
-imageOf(std::span<const BranchRecord> records)
+payloadOf(std::span<const BranchRecord> records)
 {
-    Bytes image;
-    appendRecordImage(image, records);
-    return image;
+    Bytes payload;
+    appendRecordPayload(payload, records);
+    return payload;
 }
 
-/** A v2 .whrt file with frames of @p frames records each. */
+/** Bytes of one frame of @p records in a .whrt file of @p version:
+ * the record images of v2, or the payload of v3. */
 Bytes
-traceFile(const std::string &app, uint32_t inputId,
+frameBody(uint32_t version, std::span<const BranchRecord> records)
+{
+    return version == 2 ? imageOf(records) : payloadOf(records);
+}
+
+/** A .whrt v2 or v3 file with frames of @p frames records each. */
+Bytes
+traceFile(uint32_t version, const std::string &app, uint32_t inputId,
           std::span<const BranchRecord> records,
           const std::vector<size_t> &frames)
 {
     ByteWriter w;
     w.put(BranchTrace::kFileMagic);
-    w.put(BranchTrace::kFileVersion);
+    w.put(version);
     w.putStr(app);
     w.put(inputId);
     w.put(static_cast<uint64_t>(records.size()));
     size_t at = 0;
     for (size_t n : frames) {
-        Bytes image = imageOf(records.subspan(at, n));
+        Bytes body = frameBody(version, records.subspan(at, n));
         w.put(BranchTrace::kFrameMagic);
         w.put(static_cast<uint32_t>(n));
-        w.put(crc32(image.data(), image.size()));
-        w.putBytes(image.data(), image.size());
+        if (version >= 3)
+            w.put(static_cast<uint32_t>(body.size()));
+        w.put(crc32(body.data(), body.size()));
+        w.putBytes(body.data(), body.size());
         at += n;
     }
     return w.take();
@@ -239,15 +252,17 @@ journalRecord(const VersionedHintBundle &v)
     return w.take();
 }
 
-} // namespace
-
-TEST(RecordCodec, TraceFileMutations)
+/** Mutate a three-frame .whrt file of @p version: the strict load
+ * and the streaming reader must classify every mutant. */
+void
+checkTraceFileMutations(uint32_t version)
 {
     const std::vector<size_t> frames = {40, 50, 30};
     const std::vector<BranchRecord> records = kafkaRecords(120);
-    const Bytes good = traceFile("kafka", 2, records, frames);
+    const Bytes good = traceFile(version, "kafka", 2, records, frames);
     const Bytes goodImage = imageOf(records);
     const size_t headerBytes = 4 + 4 + 4 + 5 + 4 + 8;
+    const size_t frameHeaderBytes = version >= 3 ? 16 : 12;
 
     // Byte range and record image of each frame.
     std::vector<std::pair<size_t, size_t>> frameRange;
@@ -255,10 +270,14 @@ TEST(RecordCodec, TraceFileMutations)
     std::vector<LengthField> fields = {{8, 4}, {headerBytes - 8, 8}};
     size_t at = headerBytes, first = 0;
     for (size_t n : frames) {
+        std::span<const BranchRecord> part =
+            std::span(records).subspan(first, n);
         fields.push_back({at + 4, 4});
-        frameRange.push_back({at, at + 12 + n * sizeof(BranchRecord)});
-        frameImage.push_back(imageOf(
-            std::span(records).subspan(first, n)));
+        if (version >= 3)
+            fields.push_back({at + 8, 4});
+        frameRange.push_back(
+            {at, at + frameHeaderBytes + frameBody(version, part).size()});
+        frameImage.push_back(imageOf(part));
         at = frameRange.back().second;
         first += n;
     }
@@ -274,18 +293,19 @@ TEST(RecordCodec, TraceFileMutations)
         BranchTrace loaded;
         IoStatus st = loaded.load(path);
         ASSERT_FALSE(st.missing()) << i << ": " << st.message;
-        uint32_t version = BranchTrace::kFileVersion;
+        uint32_t readAs = version;
         if (bytes.size() >= 8)
-            std::memcpy(&version, bytes.data() + 4, sizeof(version));
+            std::memcpy(&readAs, bytes.data() + 4, sizeof(readAs));
         // A header overwritten to version 1 turns the frames into an
         // unchecked raw array: v1 carries no CRC to catch that.
-        bool v1 = version == 1;
+        bool v1 = readAs == 1;
         if (st.ok()) {
             ++accepted;
             if (!v1) {
                 ASSERT_EQ(imageOf(loaded.records()), goodImage) << i;
-                ASSERT_EQ(traceFile(loaded.app(), loaded.inputId(),
-                                    loaded.records(), frames),
+                ASSERT_EQ(traceFile(version, loaded.app(),
+                                    loaded.inputId(), loaded.records(),
+                                    frames),
                           bytes)
                     << i;
             }
@@ -325,9 +345,37 @@ TEST(RecordCodec, TraceFileMutations)
             ASSERT_TRUE(wholeFramesInOrder(got, intact)) << i;
         }
     }
+
+    // Every truncation point: the strict load refuses each cut, and
+    // the reader delivers exactly the frames wholly before it.
+    for (size_t cut = 0; cut < good.size(); ++cut) {
+        writeFile(path, Bytes(good.begin(), good.begin() + cut));
+        BranchTrace loaded;
+        ASSERT_TRUE(loaded.load(path).corrupt()) << cut;
+        TraceStreamReader reader(path);
+        std::vector<BranchRecord> streamed, chunk;
+        while (reader.readChunk(chunk, 64) > 0)
+            streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+        Bytes whole;
+        for (size_t f = 0; f < frames.size() && frameRange[f].second <= cut;
+             ++f)
+            whole.insert(whole.end(), frameImage[f].begin(),
+                         frameImage[f].end());
+        ASSERT_EQ(imageOf(streamed), whole) << cut;
+    }
     std::remove(path.c_str());
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
+}
+
+} // namespace
+
+TEST(RecordCodec, TraceFileMutations)
+{
+    for (uint32_t version : {2u, 3u}) {
+        SCOPED_TRACE(version);
+        checkTraceFileMutations(version);
+    }
 }
 
 TEST(RecordCodec, BundleMutations)
@@ -401,6 +449,9 @@ TEST(RecordCodec, IngestChunkMutations)
         } else {
             ++rejected;
         }
+        // A hostile count is refused before it sizes the records.
+        ASSERT_LE(out.records.capacity(), bytes.size() / kMinRecordBytes)
+            << i;
 
         // The same payload inside a frame: the parser hands over a
         // frame only when its CRC still holds, i.e. the payload is
@@ -415,6 +466,190 @@ TEST(RecordCodec, IngestChunkMutations)
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
+}
+
+namespace
+{
+
+/** One record, all fields given. */
+BranchRecord
+record(uint64_t pc, uint64_t target, BranchKind kind, bool taken,
+       uint16_t instGap)
+{
+    BranchRecord rec;
+    rec.pc = pc;
+    rec.target = target;
+    rec.kind = kind;
+    rec.taken = taken;
+    rec.instGap = instGap;
+    return rec;
+}
+
+/** Decode @p bytes as @p count records; on success they must
+ * re-encode to @p bytes. Nothing is allocated past the payload
+ * bound either way. */
+bool
+decodes(const Bytes &bytes, size_t count,
+        std::vector<BranchRecord> *records = nullptr)
+{
+    std::vector<BranchRecord> out;
+    bool ok = decodeRecordPayload(bytes.data(), bytes.size(), count, out);
+    EXPECT_LE(out.capacity(), bytes.size() / kMinRecordBytes);
+    if (ok) {
+        EXPECT_EQ(payloadOf(out), bytes);
+    } else {
+        EXPECT_TRUE(out.empty());
+    }
+    if (records)
+        *records = out;
+    return ok;
+}
+
+} // namespace
+
+TEST(RecordCodec, PayloadRoundTrips)
+{
+    // Every catalog app, in .whrt frames (16,384 records) and in one
+    // wire-sized chunk (50,000).
+    for (const std::string &app : allAppNames()) {
+        AppWorkload workload(appByName(app), 1, 50'000);
+        std::vector<BranchRecord> records;
+        BranchRecord rec;
+        while (workload.next(rec))
+            records.push_back(rec);
+        for (size_t frame : {size_t{BranchTrace::kDefaultFrameRecords},
+                             records.size()}) {
+            size_t bytes = 0;
+            for (size_t at = 0; at < records.size(); at += frame) {
+                auto part = std::span(records).subspan(
+                    at, std::min(frame, records.size() - at));
+                Bytes payload = payloadOf(part);
+                std::vector<BranchRecord> back;
+                ASSERT_TRUE(decodes(payload, part.size(), &back)) << app;
+                ASSERT_EQ(imageOf(back), imageOf(part)) << app;
+                bytes += payload.size();
+            }
+            // A record costs well under a quarter of its 24-byte
+            // native image.
+            EXPECT_LE(bytes, 6 * records.size()) << app << " " << frame;
+        }
+    }
+
+    // Edge records: no records, one record, gaps at both ends, PCs
+    // and targets at both ends of the address space, a return and an
+    // indirect changing target, and a PC that changes kind.
+    const std::vector<std::vector<BranchRecord>> cases = {
+        {},
+        {record(0x400000, 0x400040, BranchKind::Conditional, true, 7)},
+        {record(0, 0, BranchKind::Conditional, false, 0),
+         record(~0ULL, 0, BranchKind::Unconditional, true, 0xFFFF),
+         record(1ULL << 63, ~0ULL, BranchKind::Call, true, 0xFFFF)},
+        {record(0x500, 0x900, BranchKind::Return, true, 2),
+         record(0x500, 0x948, BranchKind::Return, true, 0),
+         record(0x500, 0x948, BranchKind::Return, true, 0xFFFF),
+         record(0x600, 0x10, BranchKind::Indirect, true, 1),
+         record(0x600, 0x7000, BranchKind::Indirect, true, 1),
+         record(0x500, 0x900, BranchKind::Return, true, 2)},
+        {record(0x700, 0x800, BranchKind::Conditional, true, 1),
+         record(0x700, 0x800, BranchKind::Unconditional, true, 1),
+         record(0x700, 0x800, BranchKind::Conditional, false, 1),
+         record(0x700, 0x800, BranchKind::Unconditional, true, 1)},
+    };
+    for (const std::vector<BranchRecord> &c : cases) {
+        Bytes payload = payloadOf(c);
+        EXPECT_GE(payload.size(), c.size() * kMinRecordBytes);
+        EXPECT_LE(payload.size(), c.size() * kMaxRecordBytes);
+        std::vector<BranchRecord> back;
+        ASSERT_TRUE(decodes(payload, c.size(), &back)) << c.size();
+        EXPECT_EQ(imageOf(back), imageOf(c));
+    }
+
+    // The wire carries the same payload behind its header.
+    for (size_t n : {0, 1, 40}) {
+        IngestChunkMsg msg{"kafka", "agent", 4, 9, kafkaRecords(n)};
+        IngestChunkMsg back;
+        ASSERT_TRUE(decodeIngestChunk(encodeIngestChunk(msg), back)) << n;
+        EXPECT_EQ(imageOf(back.records), imageOf(msg.records)) << n;
+    }
+}
+
+TEST(RecordCodec, PayloadMutations)
+{
+    // Hand-built payloads against the grammar: a new conditional at
+    // 0x8 (tag 1, zigzag pc delta 0x10, zigzag target delta 0x10) with
+    // gap 3, then a reference to entry 0 (head 0x02: taken) with
+    // gap 5.
+    const Bytes good = {0x01, 0x10, 0x10, 0x03, 0x02, 0x05};
+    std::vector<BranchRecord> back;
+    ASSERT_TRUE(decodes(good, 2, &back));
+    EXPECT_EQ(imageOf(back),
+              imageOf(std::vector<BranchRecord>{
+                  record(8, 16, BranchKind::Conditional, false, 3),
+                  record(8, 16, BranchKind::Conditional, true, 5)}));
+
+    struct Bad
+    {
+        const char *what;
+        Bytes bytes;
+        size_t count;
+    };
+    const Bad bad[] = {
+        {"overlong gap", {0x01, 0x10, 0x10, 0x83, 0x00, 0x02, 0x05}, 2},
+        {"overlong pc delta", {0x01, 0x90, 0x00, 0x10, 0x03, 0x02, 0x05}, 2},
+        {"overlong head", {0x01, 0x10, 0x10, 0x03, 0x82, 0x00, 0x05}, 2},
+        {"varint past 64 bits",
+         {0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02,
+          0x10, 0x03},
+         1},
+        {"eleven-byte varint",
+         {0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+          0x01, 0x10, 0x03},
+         1},
+        {"id past the dictionary", {0x01, 0x10, 0x10, 0x03, 0x0A, 0x05}, 2},
+        {"reference before any entry", {0x02, 0x05}, 1},
+        {"kind past Indirect", {0x15, 0x10, 0x10, 0x03}, 1},
+        {"tag bits past the kind", {0x81, 0x10, 0x10, 0x03}, 1},
+        {"gap past 0xFFFF", {0x01, 0x10, 0x10, 0x80, 0x80, 0x04}, 1},
+        {"trailing byte", {0x01, 0x10, 0x10, 0x03, 0x02, 0x05, 0x00}, 2},
+        {"a byte for no record", {0x00}, 0},
+        {"explicit target equal to the last",
+         {0x01, 0x10, 0x10, 0x03, 0x06, 0x10, 0x05}, 2},
+        {"a second entry for the same PC and kind",
+         {0x01, 0x10, 0x10, 0x03, 0x01, 0x00, 0x10, 0x05}, 2},
+        {"a reference to a superseded entry",
+         {0x01, 0x10, 0x10, 0x03, 0x05, 0x00, 0x10, 0x05, 0x00, 0x01}, 3},
+        {"a count the payload cannot hold", good, good.size() / 2 + 1},
+        {"a hostile count", good, size_t{1} << 40},
+    };
+    for (const Bad &b : bad)
+        EXPECT_FALSE(decodes(b.bytes, b.count)) << b.what;
+    // The same gap at its limit, and the superseding entry itself,
+    // are accepted.
+    EXPECT_TRUE(decodes({0x01, 0x10, 0x10, 0xFF, 0xFF, 0x03}, 1));
+    EXPECT_TRUE(decodes({0x01, 0x10, 0x10, 0x03, 0x05, 0x00, 0x10, 0x05,
+                         0x08, 0x01},
+                        3));
+
+    // A real payload: every truncation point and every single-bit
+    // flip. Each cut is refused; a flip that still decodes is some
+    // other canonical payload.
+    const std::vector<BranchRecord> records = kafkaRecords(64);
+    const Bytes payload = payloadOf(records);
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+        EXPECT_FALSE(decodes(Bytes(payload.begin(), payload.begin() + cut),
+                             records.size()))
+            << cut;
+    }
+    size_t accepted = 0;
+    for (size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+        Bytes flipped = payload;
+        flipped[bit / 8] ^= static_cast<unsigned char>(1u << bit % 8);
+        accepted += decodes(flipped, records.size());
+    }
+    EXPECT_LT(accepted, 8 * payload.size());
+    // The count off by one either way.
+    EXPECT_FALSE(decodes(payload, records.size() - 1));
+    EXPECT_FALSE(decodes(payload, records.size() + 1));
 }
 
 TEST(RecordCodec, JournalMutations)

@@ -30,6 +30,7 @@
 #include "net/whisper_client.hh"
 #include "net/wire_protocol.hh"
 #include "net/wire_server.hh"
+#include "record_image.hh"
 #include "service/tenant_router.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
@@ -288,11 +289,7 @@ TEST(WireCodec, FrameRoundTripsThroughParser)
     EXPECT_EQ(back.stream, msg.stream);
     EXPECT_EQ(back.inputId, msg.inputId);
     EXPECT_EQ(back.seq, msg.seq);
-    ASSERT_EQ(back.records.size(), msg.records.size());
-    std::vector<unsigned char> sent, received;
-    appendRecordImage(sent, msg.records);
-    appendRecordImage(received, back.records);
-    EXPECT_EQ(received, sent);
+    EXPECT_EQ(test::imageOf(back.records), test::imageOf(msg.records));
     EXPECT_EQ(parser.next(frame), FrameParser::Result::NeedMore);
     EXPECT_EQ(parser.buffered(), 0u);
 }
@@ -440,17 +437,26 @@ TEST(WireCodec, IngestRecordCountMustMatchPayload)
     msg.app = "kafka";
     msg.stream = "s";
     msg.records = someRecords(8);
-    auto payload = encodeIngestChunk(msg);
-    payload.pop_back(); // count now disagrees with the byte count
+    const auto payload = encodeIngestChunk(msg);
     IngestChunkMsg out;
-    EXPECT_FALSE(decodeIngestChunk(payload, out));
+    auto cut = payload;
+    cut.pop_back(); // the last record is torn
+    EXPECT_FALSE(decodeIngestChunk(cut, out));
+    // The count (after app "kafka", stream "s", inputId and seq) one
+    // off either way.
+    const size_t countAt = 4 + 5 + 4 + 1 + 4 + 8;
+    for (uint32_t count : {7u, 9u}) {
+        auto bad = payload;
+        std::memcpy(bad.data() + countAt, &count, sizeof(count));
+        EXPECT_FALSE(decodeIngestChunk(bad, out)) << count;
+    }
 }
 
 TEST(WireCodec, IngestRecordsAreTheTraceFrameBody)
 {
     // Garbage in BranchRecord's tail padding never reaches the wire:
     // identical chunks encode to identical bytes, and the record
-    // section is the frame body BranchTrace::save() writes.
+    // section is the frame payload BranchTrace::save() writes.
     IngestChunkMsg clean;
     clean.app = "kafka";
     clean.stream = "s";
@@ -475,34 +481,43 @@ TEST(WireCodec, IngestRecordsAreTheTraceFrameBody)
     std::fclose(f);
     std::remove(path.c_str());
 
-    size_t body = 50 * sizeof(BranchRecord);
+    // Header: app "kafka", stream "s", inputId, seq, count.
+    const size_t body = payload.size() - (4 + 5 + 4 + 1 + 4 + 8 + 4);
     ASSERT_GT(file.size(), body);
-    ASSERT_GT(payload.size(), body);
     EXPECT_TRUE(std::equal(payload.end() - body, payload.end(),
                            file.end() - body, file.end()));
 }
 
 TEST(WireCodec, NonCanonicalRecordsAreRejected)
 {
-    // The decoder accepts only what the encoder produces for valid
-    // records, so an accepted chunk re-encodes to the bytes it
-    // arrived as and never carries a bool or kind out of range.
+    // The decoder accepts only what the encoder produces, so an
+    // accepted chunk re-encodes to the bytes it arrived as and never
+    // carries a kind out of range. The last record is a reference
+    // ending in its one-byte gap.
     IngestChunkMsg msg;
     msg.app = "kafka";
     msg.stream = "s";
     msg.records = someRecords(8);
+    msg.records.push_back(msg.records.front());
+    msg.records.back().instGap = 5;
     const std::vector<unsigned char> payload = encodeIngestChunk(msg);
     IngestChunkMsg out;
     ASSERT_TRUE(decodeIngestChunk(payload, out));
     EXPECT_EQ(encodeIngestChunk(out), payload);
+    ASSERT_EQ(payload.back(), 5);
 
-    // Offsets into the last record: kind, taken, padding.
-    const size_t last = payload.size() - sizeof(BranchRecord);
-    for (size_t at : {last + 16, last + 17, last + 22}) {
-        std::vector<unsigned char> bad = payload;
-        bad[at] = 0xAB;
-        EXPECT_FALSE(decodeIngestChunk(bad, out)) << at;
-    }
+    std::vector<unsigned char> overlongGap(payload.begin(),
+                                           payload.end() - 1);
+    overlongGap.push_back(0x85); // gap 5 in two bytes
+    overlongGap.push_back(0x00);
+    auto trailing = payload;
+    trailing.push_back(0x00);
+    auto badKind = payload;
+    const size_t firstRecord = 4 + 5 + 4 + 1 + 4 + 8 + 4;
+    ASSERT_EQ(badKind[firstRecord] & 1, 1); // a new-PC tag
+    badKind[firstRecord] |= 7 << 2;
+    for (const auto &bad : {overlongGap, trailing, badKind})
+        EXPECT_FALSE(decodeIngestChunk(bad, out));
 }
 
 // ---- loopback server/client --------------------------------------
@@ -849,19 +864,23 @@ TEST_F(NetTest, PullUnknownAppFails)
 
 TEST_F(NetTest, BadVersionHelloIsRejected)
 {
+    // Version 1 carried 24-byte native records; a peer still on it
+    // is turned away rather than fed a payload it cannot read.
     ServerHarness h;
-    RawConn conn(h.port());
-    ASSERT_TRUE(conn.connected());
-    HelloMsg hello;
-    hello.version = kWireProtocolVersion + 1;
-    ASSERT_TRUE(conn.sendBytes(
-        encodeFrame(WireOp::Hello, encodeHello(hello))));
-    WireFrame frame;
-    ASSERT_TRUE(conn.recvFrame(frame));
-    ASSERT_EQ(frame.op, WireOp::Error);
-    ErrorMsg err;
-    ASSERT_TRUE(decodeError(frame.payload, err));
-    EXPECT_EQ(err.code, WireError::BadVersion);
+    for (uint32_t version : {1u, kWireProtocolVersion + 1}) {
+        RawConn conn(h.port());
+        ASSERT_TRUE(conn.connected());
+        HelloMsg hello;
+        hello.version = version;
+        ASSERT_TRUE(conn.sendBytes(
+            encodeFrame(WireOp::Hello, encodeHello(hello))));
+        WireFrame frame;
+        ASSERT_TRUE(conn.recvFrame(frame)) << version;
+        ASSERT_EQ(frame.op, WireOp::Error) << version;
+        ErrorMsg err;
+        ASSERT_TRUE(decodeError(frame.payload, err));
+        EXPECT_EQ(err.code, WireError::BadVersion) << version;
+    }
 }
 
 TEST_F(NetTest, SlowLorisWriterIsReaped)

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "record_image.hh"
 #include "trace/branch_trace.hh"
 #include "trace/global_history.hh"
 #include "trace/trace_reader.hh"
@@ -22,6 +23,8 @@
 #include "util/crc32.hh"
 
 using namespace whisper;
+using whisper::test::appendRecordImage;
+using whisper::test::imageOf;
 
 namespace
 {
@@ -45,19 +48,21 @@ lcgRecords(size_t n)
     return records;
 }
 
-std::vector<unsigned char>
-imageOf(std::span<const BranchRecord> records)
-{
-    std::vector<unsigned char> image;
-    appendRecordImage(image, records);
-    return image;
-}
-
 /** Header bytes of the traces built below: app "app", input 3. */
 constexpr size_t kHeaderBytes = 4 + 4 + 4 + 3 + 4 + 8;
 
-/** A .whrt file built by hand: a version-1 raw array, or version-2
- * frames of @p frames records each. */
+/** The v3 payload of @p records alone. */
+std::vector<unsigned char>
+payloadOf(std::span<const BranchRecord> records)
+{
+    std::vector<unsigned char> payload;
+    appendRecordPayload(payload, records);
+    return payload;
+}
+
+/** A .whrt file built by hand: a version-1 raw array, or frames of
+ * @p frames records each, version-2 record images or version-3
+ * payloads. */
 std::vector<unsigned char>
 traceFile(const std::vector<BranchRecord> &records, uint32_t version,
           const std::vector<size_t> &frames = {})
@@ -75,13 +80,17 @@ traceFile(const std::vector<BranchRecord> &records, uint32_t version,
     }
     size_t at = 0;
     for (size_t n : frames) {
-        std::vector<unsigned char> image =
-            imageOf(std::span(records).subspan(at, n));
+        std::span<const BranchRecord> part =
+            std::span(records).subspan(at, n);
+        std::vector<unsigned char> body =
+            version == 2 ? imageOf(part) : payloadOf(part);
         ByteWriter frame;
         frame.put(BranchTrace::kFrameMagic);
         frame.put(static_cast<uint32_t>(n));
-        frame.put(crc32(image.data(), image.size()));
-        frame.putBytes(image.data(), image.size());
+        if (version >= 3)
+            frame.put(static_cast<uint32_t>(body.size()));
+        frame.put(crc32(body.data(), body.size()));
+        frame.putBytes(body.data(), body.size());
         std::vector<unsigned char> bytes = frame.take();
         out.insert(out.end(), bytes.begin(), bytes.end());
         at += n;
@@ -389,12 +398,16 @@ TEST(BranchTrace, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.inputId(), 7u);
     EXPECT_EQ(loaded.instructions(), trace.instructions());
     EXPECT_EQ(loaded.conditionals(), trace.conditionals());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(loaded[i].pc, trace[i].pc);
-        EXPECT_EQ(loaded[i].taken, trace[i].taken);
-        EXPECT_EQ(loaded[i].kind, trace[i].kind);
-        EXPECT_EQ(loaded[i].instGap, trace[i].instGap);
-    }
+    EXPECT_EQ(imageOf(loaded.records()), imageOf(trace.records()));
+    // save() writes version 3: the header (app "roundtrip" is 6
+    // bytes longer than traceFile()'s "app"), then one payload frame.
+    std::vector<unsigned char> file = readFile(path);
+    std::vector<unsigned char> expect = traceFile(
+        std::vector<BranchRecord>(trace.begin(), trace.end()), 3, {1000});
+    ASSERT_EQ(file.size(), expect.size() + 6);
+    EXPECT_EQ(file[4], 3);
+    EXPECT_TRUE(std::equal(expect.begin() + kHeaderBytes, expect.end(),
+                           file.begin() + kHeaderBytes + 6));
     std::remove(path.c_str());
 }
 
@@ -519,22 +532,86 @@ TEST(BranchTrace, LoadRejectsEveryDamageKind)
     std::remove(path.c_str());
 }
 
+TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
+{
+    // The same three frames as version-3 payloads, whose sizes vary:
+    // frame i starts at frameAt[i]. Besides the version-2 damage, a
+    // v3 frame can carry a byte count out of bounds, or a record count
+    // its CRC-intact payload does not decode to.
+    std::vector<BranchRecord> records = lcgRecords(120);
+    const std::vector<unsigned char> good =
+        traceFile(records, 3, {40, 50, 30});
+    const size_t countAt = kHeaderBytes - 8;
+    const size_t frameAt[] = {
+        kHeaderBytes,
+        kHeaderBytes + 16 + payloadOf(std::span(records).first(40)).size(),
+        good.size() - 16 - payloadOf(std::span(records).last(30)).size()};
+    std::string path = "/tmp/whisper_test_damage_v3.whrt";
+
+    // More records than a file of 24-byte records could hold: a cap
+    // at the native record size would refuse this valid file.
+    ASSERT_GT(records.size(), good.size() / sizeof(BranchRecord));
+    writeFile(path, good);
+    BranchTrace loaded;
+    ASSERT_TRUE(loaded.load(path).ok());
+    EXPECT_EQ(imageOf(loaded.records()), imageOf(records));
+
+    struct Damage
+    {
+        const char *what;
+        std::function<void(std::vector<unsigned char> &)> apply;
+    };
+    const Damage damages[] = {
+        {"record count exceeds file size",
+         [&](auto &b) { poke(b, countAt, uint64_t{b.size() / 2 + 1}); }},
+        {"bad frame header", [&](auto &b) { b[frameAt[1]] ^= 0x10; }},
+        {"frame record count out of bounds",
+         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{0}); }},
+        {"frame byte count out of bounds",
+         [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 24 + 1}); }},
+        {"frame byte count out of bounds",
+         [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 2 - 1}); }},
+        {"truncated frame", [](auto &b) { b.resize(b.size() - 5); }},
+        {"frame CRC mismatch",
+         [&](auto &b) { b[frameAt[2] + 16 + 5] ^= 0x01; }},
+        {"malformed frame payload",
+         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{49}); }},
+        {"malformed frame payload",
+         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{51}); }},
+        {"record count disagrees with header",
+         [&](auto &b) { poke(b, countAt, uint64_t{119}); }},
+        {"record count disagrees with header",
+         [&](auto &b) { poke(b, countAt, uint64_t{121}); }},
+    };
+    for (const Damage &d : damages) {
+        std::vector<unsigned char> bytes = good;
+        d.apply(bytes);
+        writeFile(path, bytes);
+        IoStatus st = loaded.load(path);
+        EXPECT_TRUE(st.corrupt()) << d.what;
+        EXPECT_NE(st.message.find(d.what), std::string::npos)
+            << d.what << ": " << st.message;
+        EXPECT_EQ(loaded.size(), records.size()) << d.what;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(RecordImage, ZeroesPaddingAndIsTheFrameBody)
 {
     // Records whose tail padding holds garbage encode exactly like
-    // zero-initialised ones, and the image is byte for byte the
+    // zero-initialised ones, and the payload is byte for byte the
     // frame body save() writes.
     std::vector<BranchRecord> clean = lcgRecords(64);
     std::vector<BranchRecord> dirty = clean;
     auto *raw = reinterpret_cast<unsigned char *>(dirty.data());
     for (size_t i = 0; i < dirty.size(); ++i)
         std::memset(raw + i * sizeof(BranchRecord) + 20, 0xAB, 4);
-    ASSERT_FALSE(isCanonicalImage(dirty));
-    EXPECT_TRUE(isCanonicalImage(clean));
+    ASSERT_NE(std::memcmp(dirty.data(), clean.data(),
+                          64 * sizeof(BranchRecord)),
+              0);
 
-    std::vector<unsigned char> image = imageOf(dirty);
-    EXPECT_EQ(image, imageOf(clean));
-    ASSERT_EQ(image.size(), 64 * sizeof(BranchRecord));
+    std::vector<unsigned char> payload = payloadOf(dirty);
+    EXPECT_EQ(payload, payloadOf(clean));
 
     BranchTrace trace("app", 3);
     for (const BranchRecord &rec : dirty)
@@ -543,10 +620,10 @@ TEST(RecordImage, ZeroesPaddingAndIsTheFrameBody)
     ASSERT_TRUE(trace.save(path));
     std::vector<unsigned char> file = readFile(path);
     std::remove(path.c_str());
-    EXPECT_EQ(file, traceFile(clean, 2, {64}));
-    ASSERT_EQ(file.size(), kHeaderBytes + 12 + image.size());
-    EXPECT_TRUE(std::equal(image.begin(), image.end(),
-                           file.begin() + kHeaderBytes + 12));
+    EXPECT_EQ(file, traceFile(clean, 3, {64}));
+    ASSERT_EQ(file.size(), kHeaderBytes + 16 + payload.size());
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           file.begin() + kHeaderBytes + 16));
 }
 
 TEST(TraceSource, IteratesAndRewinds)
