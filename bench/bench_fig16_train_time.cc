@@ -58,9 +58,10 @@ main()
             stat->add(s.trainSeconds);
         }
         {
+            // One worker, like the single-threaded rows above.
             TrainingStats s;
             WhisperTrainer trainer(cfg.whisper, globalTruthTables());
-            trainer.train(profile, nullptr, &s);
+            trainer.train(profile, nullptr, &s, 1);
             tw.add(s.trainSeconds);
         }
     }

@@ -62,10 +62,10 @@ whisperTageHistory(std::vector<size_t> &views)
     TageSclConfig cfg;
     GlobalHistory h(4096);
     double ratio = std::pow(static_cast<double>(cfg.maxHist) / cfg.minHist,
-                            1.0 / (cfg.numTables - 1));
+                            1.0 / (TageScl::kNumTables - 1));
     double len = cfg.minHist;
     unsigned prev = 0;
-    for (unsigned i = 0; i < cfg.numTables; ++i) {
+    for (unsigned i = 0; i < TageScl::kNumTables; ++i) {
         unsigned l = std::max(static_cast<unsigned>(len + 0.5), prev + 1);
         unsigned tagBits = 8 + std::min(3u, i / 4);
         views.push_back(h.addFoldedView(l, cfg.logTagged));

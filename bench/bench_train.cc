@@ -47,7 +47,8 @@ runMode(const AppConfig &app, const ExperimentConfig &cfg,
         trainer.setScreen(ScreenConfig{});
     TrainingStats stats;
     WhisperBuild build;
-    build.hints = trainer.train(profile, seeds, &stats);
+    // One worker: the recorded seconds compare modes, not core counts.
+    build.hints = trainer.train(profile, seeds, &stats, 1);
 
     ModeResult r;
     r.seconds = stats.trainSeconds;
@@ -116,7 +117,8 @@ main(int argc, char **argv)
         BranchProfile epoch1 = profileApp(app, 0, cfg);
         WhisperTrainer seedTrainer(cfg.whisper, globalTruthTables());
         seedTrainer.setScreen(ScreenConfig{});
-        std::vector<TrainedHint> seeds = seedTrainer.train(epoch1);
+        std::vector<TrainedHint> seeds =
+            seedTrainer.train(epoch1, nullptr, nullptr, 1);
 
         // Epoch 2: retrain on input 1 in each mode.
         BranchProfile epoch2 = profileApp(app, 1, cfg);

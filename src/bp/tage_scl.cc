@@ -37,22 +37,21 @@ TageScl::TageScl(const TageSclConfig &cfg)
     : cfg_(cfg),
       bimodal_(1ULL << cfg.logBimodal, 0),
       history_(4096),
+      scTables_(static_cast<size_t>(kNumScTables) << cfg.logSc, 0),
       scBias_(1ULL << cfg.logSc, 0),
-      loop_((1ULL << cfg.logLoop) * 4)
+      loop_((1ULL << cfg.logLoop) * kLoopWays)
 {
-    whisper_assert(cfg.numTables >= 2 &&
-                   cfg.numTables <= kMaxTables);
     whisper_assert(cfg.logTagged < 28, "tagged slots must fit 32 bits");
+    whisper_assert(cfg.logSc < 28, "SC slots must fit 32 bits");
     whisper_assert(cfg.maxHist > cfg.minHist);
     whisper_assert(cfg.maxHist < history_.capacity());
 
     // Geometric history-length series, a la OGEHL/TAGE.
     double ratio = std::pow(
         static_cast<double>(cfg.maxHist) / cfg.minHist,
-        1.0 / (cfg.numTables - 1));
-    histLens_.resize(cfg.numTables);
+        1.0 / (kNumTables - 1));
     double len = cfg.minHist;
-    for (unsigned i = 0; i < cfg.numTables; ++i) {
+    for (unsigned i = 0; i < kNumTables; ++i) {
         histLens_[i] = std::max<unsigned>(
             static_cast<unsigned>(len + 0.5),
             i == 0 ? cfg.minHist : histLens_[i - 1] + 1);
@@ -60,23 +59,21 @@ TageScl::TageScl(const TageSclConfig &cfg)
     }
 
     // Short-history tables carry shorter tags (championship style).
-    tagBits_.resize(cfg.numTables);
-    for (unsigned i = 0; i < cfg.numTables; ++i)
+    for (unsigned i = 0; i < kNumTables; ++i)
         tagBits_[i] = 8 + std::min(3u, i / 4);
 
     idxMask_ = static_cast<uint32_t>(maskBits(cfg.logTagged));
-    for (unsigned i = 0; i < cfg.numTables; ++i)
+    for (unsigned i = 0; i < kNumTables; ++i)
         tagMask_[i] = static_cast<uint16_t>(maskBits(tagBits_[i]));
 
-    size_t taggedTotal = static_cast<size_t>(cfg.numTables)
-                         << cfg.logTagged;
+    size_t taggedTotal = static_cast<size_t>(kNumTables) << cfg.logTagged;
     tagKey_.assign(taggedTotal, kFreeEntry);
     tagCtr_.assign(taggedTotal, 0);
     tagUseful_.assign(taggedTotal, 0);
 
     // Folded history views: one for the index, two for the tag.
     tagFirstView_ = static_cast<unsigned>(history_.numViews());
-    for (unsigned i = 0; i < cfg.numTables; ++i) {
+    for (unsigned i = 0; i < kNumTables; ++i) {
         history_.addFoldedView(histLens_[i], cfg.logTagged);
         history_.addFoldedView(histLens_[i], tagBits_[i]);
         history_.addFoldedView(histLens_[i], tagBits_[i] - 1);
@@ -84,15 +81,10 @@ TageScl::TageScl(const TageSclConfig &cfg)
 
     // Statistical corrector: bias + GEHL components on short
     // histories.
-    scHistLens_ = {4, 10, 16, 27, 44};
-    whisper_assert(scHistLens_.size() <= kMaxScTables);
-    scTables_.assign(scHistLens_.size(), {});
     scFirstView_ = static_cast<unsigned>(history_.numViews());
-    for (size_t t = 0; t < scHistLens_.size(); ++t) {
-        scTables_[t].assign(1ULL << cfg.logSc, 0);
-        history_.addFoldedView(scHistLens_[t], cfg.logSc);
-    }
-    whisper_assert(history_.numViews() <= kMaxViews);
+    for (unsigned l : kScHistLens)
+        history_.addFoldedView(l, cfg.logSc);
+    whisper_assert(history_.numViews() == kNumViews);
 }
 
 std::string
@@ -106,15 +98,12 @@ uint64_t
 TageScl::storageBits() const
 {
     uint64_t bits = bimodal_.size() * 2;
-    for (unsigned i = 0; i < cfg_.numTables; ++i) {
+    for (unsigned i = 0; i < kNumTables; ++i) {
         bits += (1ULL << cfg_.logTagged) *
                 (tagBits_[i] + cfg_.ctrBits + cfg_.usefulBits);
     }
-    if (cfg_.useSc) {
-        bits += scBias_.size() * cfg_.scCtrBits;
-        for (const auto &t : scTables_)
-            bits += t.size() * cfg_.scCtrBits;
-    }
+    if (cfg_.useSc)
+        bits += (scBias_.size() + scTables_.size()) * cfg_.scCtrBits;
     if (cfg_.useLoop)
         bits += loop_.size() * (16 + 10 + 10 + 3 + 4 + 1 + 1);
     return bits;
@@ -133,30 +122,38 @@ TageScl::hashBranches(const uint64_t *pcs, size_t n, const uint32_t *fold,
                       size_t stride, uint32_t *slots, uint16_t *tags,
                       uint32_t *scIndices) const
 {
-    // Table t's index mixes in pc >> (logTagged - t % 4).
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
+    whisper_assert(n <= kBlock);
+    // Table t's index mixes in pc >> (logTagged - t % 4): each
+    // branch's pcIndexBits and its four index terms, once.
+    std::array<uint32_t, kBlock> pcBits;
+    std::array<std::array<uint32_t, kBlock>, 4> pcIdx;
+    for (size_t j = 0; j < n; ++j) {
+        pcBits[j] = static_cast<uint32_t>(pcIndexBits(pcs[j]));
+        for (unsigned k = 0; k < 4; ++k)
+            pcIdx[k][j] = pcBits[j] ^ static_cast<uint32_t>(
+                                          pcs[j] >> (cfg_.logTagged - k));
+    }
+    for (unsigned t = 0; t < kNumTables; ++t) {
         const uint32_t *idxFold = fold + (tagFirstView_ + 3 * t) * stride;
         const uint32_t *tagFold = idxFold + stride;
         const uint32_t *tag2Fold = idxFold + 2 * stride;
+        const uint32_t *idx = pcIdx[t % 4].data();
         uint32_t slotBase = t << cfg_.logTagged;
-        unsigned pcShift = cfg_.logTagged - t % 4;
         uint32_t tagMask = tagMask_[t];
         for (size_t j = 0; j < n; ++j) {
-            uint32_t pcBits = static_cast<uint32_t>(pcIndexBits(pcs[j]));
-            uint32_t pcIdx = pcBits ^ static_cast<uint32_t>(pcs[j] >> pcShift);
             slots[t * stride + j] =
-                slotBase + ((pcIdx ^ idxFold[j]) & idxMask_);
+                slotBase + ((idx[j] ^ idxFold[j]) & idxMask_);
             tags[t * stride + j] = static_cast<uint16_t>(
-                (pcBits ^ tagFold[j] ^ (tag2Fold[j] << 1)) & tagMask);
+                (pcBits[j] ^ tagFold[j] ^ (tag2Fold[j] << 1)) & tagMask);
         }
     }
     const uint32_t *sc = fold + scFirstView_ * stride;
     uint32_t scMask = static_cast<uint32_t>(maskBits(cfg_.logSc));
-    for (size_t t = 0; t < scHistLens_.size(); ++t) {
-        for (size_t j = 0; j < n; ++j) {
-            uint32_t pcBits = static_cast<uint32_t>(pcIndexBits(pcs[j]));
-            scIndices[t * stride + j] = (pcBits ^ sc[t * stride + j]) & scMask;
-        }
+    for (unsigned t = 0; t < kNumScTables; ++t) {
+        uint32_t scBase = t << cfg_.logSc;
+        for (size_t j = 0; j < n; ++j)
+            scIndices[t * stride + j] =
+                scBase + ((pcBits[j] ^ sc[t * stride + j]) & scMask);
     }
 }
 
@@ -166,9 +163,8 @@ TageScl::computeTagePrediction(uint64_t pc)
     // A bitmask of the tables whose key matches (the kFreeEntry
     // sentinel makes the validity check implicit in the tag compare).
     uint32_t hits = 0;
-    for (unsigned t = 0; t < cfg_.numTables; ++t)
-        hits |= static_cast<uint32_t>(tagKey_[ctx_.slots[t]] == ctx_.tags[t])
-                << t;
+    for (unsigned t = 0; t < kNumTables; ++t)
+        hits |= static_cast<uint32_t>(tagKey_[slot(t)] == tag(t)) << t;
 
     // The provider is the longest-history match, the alternate the
     // next longest: the two highest set bits (-1 when absent).
@@ -179,17 +175,16 @@ TageScl::computeTagePrediction(uint64_t pc)
     bool basePred = bimodal_[pcIndexBits(pc) & maskBits(cfg_.logBimodal)] >= 2;
     ctx_.altPred = basePred;
     if (ctx_.altTable >= 0) {
-        ctx_.altPred =
-            tagCtr_[ctx_.slots[ctx_.altTable]] >= 0;
+        ctx_.altPred = tagCtr_[slot(ctx_.altTable)] >= 0;
     }
 
     if (ctx_.providerTable >= 0) {
-        uint32_t slot = ctx_.slots[ctx_.providerTable];
-        int8_t ctr = tagCtr_[slot];
+        uint32_t s = slot(ctx_.providerTable);
+        int8_t ctr = tagCtr_[s];
         ctx_.providerPred = ctr >= 0;
         // Newly allocated: weak counter and no proven usefulness.
         ctx_.newlyAllocated =
-            tagUseful_[slot] == 0 && (ctr == 0 || ctr == -1);
+            tagUseful_[s] == 0 && (ctr == 0 || ctr == -1);
         if (ctx_.newlyAllocated && useAltOnNa_ >= 0)
             ctx_.tagePred = ctx_.altPred;
         else
@@ -209,9 +204,9 @@ TageScl::computeScPrediction(uint64_t pc)
                        << (cfg_.logSc - 1);
     int sum = 2 * scBias_[pcBits & maskBits(cfg_.logSc)] + 1;
     sum += ctx_.tagePred ? 8 : -8;
-    for (size_t t = 0; t < scTables_.size(); ++t) {
-        ctx_.scIndices[t] ^= tageBit;
-        sum += 2 * scTables_[t][ctx_.scIndices[t]] + 1;
+    for (unsigned t = 0; t < kNumScTables; ++t) {
+        scIndex(t) ^= tageBit;
+        sum += 2 * scTables_[scIndex(t)] + 1;
     }
     ctx_.scSum = sum;
     ctx_.scPred = sum >= 0;
@@ -224,21 +219,22 @@ void
 TageScl::probeLoop(uint64_t pc)
 {
     ctx_.loopSet = static_cast<uint32_t>(
-        (pcIndexBits(pc) & maskBits(cfg_.logLoop)) * loopWays_);
+        (pcIndexBits(pc) & maskBits(cfg_.logLoop)) * kLoopWays);
     ctx_.loopTag = static_cast<uint16_t>((pc >> (1 + cfg_.logLoop)) &
                                          maskBits(14));
-    ctx_.loopHit = -1;
-    ctx_.loopVictim = -1;
-    for (uint32_t w = 0; w < loopWays_; ++w) {
-        int slot = static_cast<int>(ctx_.loopSet + w);
-        const LoopEntry &e = loop_[slot];
-        if (e.valid && e.tag == ctx_.loopTag) {
-            ctx_.loopHit = slot;
-            return;
-        }
-        if (!e.valid || e.age == 0)
-            ctx_.loopVictim = slot;
+    // Bit w of each mask is way w. The first hit is the match; the
+    // victim, used only without one, is the last replaceable way.
+    unsigned hit = 0, replaceable = 0;
+    for (unsigned w = 0; w < kLoopWays; ++w) {
+        const LoopEntry &e = loop_[ctx_.loopSet + w];
+        hit |= static_cast<unsigned>(e.valid && e.tag == ctx_.loopTag) << w;
+        replaceable |= static_cast<unsigned>(!e.valid || e.age == 0) << w;
     }
+    int set = static_cast<int>(ctx_.loopSet);
+    ctx_.loopHit = hit ? set + std::countr_zero(hit) : -1;
+    ctx_.loopVictim =
+        replaceable ? set + static_cast<int>(std::bit_width(replaceable)) - 1
+                    : -1;
 }
 
 void
@@ -262,7 +258,7 @@ TageScl::claimLoopEntry()
     if (ctx_.loopHit >= 0)
         return &loop_[ctx_.loopHit];
     if (ctx_.loopVictim < 0) {
-        for (uint32_t w = 0; w < loopWays_; ++w) {
+        for (unsigned w = 0; w < kLoopWays; ++w) {
             LoopEntry &e = loop_[ctx_.loopSet + w];
             if (e.age > 0)
                 --e.age;
@@ -348,10 +344,14 @@ TageScl::updateLoop(bool taken)
 bool
 TageScl::predict(uint64_t pc, bool)
 {
-    std::array<uint32_t, kMaxViews> fold;
+    std::array<uint32_t, kNumViews> fold;
     history_.foldedValues(fold.data());
-    hashBranches(&pc, 1, fold.data(), 1, ctx_.slots.data(),
-                 ctx_.tags.data(), ctx_.scIndices.data());
+    hashBranches(&pc, 1, fold.data(), 1, oneSlots_.data(), oneTags_.data(),
+                 oneScIndices_.data());
+    ctx_.slots = oneSlots_.data();
+    ctx_.tags = oneTags_.data();
+    ctx_.scIndices = oneScIndices_.data();
+    ctx_.stride = 1;
     return lookup(pc);
 }
 
@@ -360,10 +360,10 @@ TageScl::step(std::span<const BranchRecord> records, uint8_t *miss,
               const uint8_t *noAllocate)
 {
     constexpr size_t B = kBlock;
-    std::array<uint32_t, kMaxViews * B> fold;
-    std::array<uint32_t, kMaxTables * B> slots;
-    std::array<uint16_t, kMaxTables * B> tags;
-    std::array<uint32_t, kMaxScTables * B> scIndices;
+    std::array<uint32_t, kNumViews * B> fold;
+    std::array<uint32_t, kNumTables * B> slots;
+    std::array<uint16_t, kNumTables * B> tags;
+    std::array<uint32_t, kNumScTables * B> scIndices;
     std::array<uint64_t, B> pcs;
     std::array<uint8_t, B> taken;
     std::array<size_t, B> at; // the record of each conditional
@@ -382,13 +382,11 @@ TageScl::step(std::span<const BranchRecord> records, uint8_t *miss,
         history_.pushRun(taken.data(), n, fold.data(), B);
         hashBranches(pcs.data(), n, fold.data(), B, slots.data(),
                      tags.data(), scIndices.data());
+        ctx_.stride = B;
         for (size_t j = 0; j < n; ++j) {
-            for (unsigned t = 0; t < cfg_.numTables; ++t) {
-                ctx_.slots[t] = slots[t * B + j];
-                ctx_.tags[t] = tags[t * B + j];
-            }
-            for (size_t t = 0; t < scHistLens_.size(); ++t)
-                ctx_.scIndices[t] = scIndices[t * B + j];
+            ctx_.slots = slots.data() + j;
+            ctx_.tags = tags.data() + j;
+            ctx_.scIndices = scIndices.data() + j;
             bool pred = lookup(pcs[j]);
             train(taken[j], !(noAllocate && noAllocate[at[j]]));
             miss[at[j]] = pred != taken[j];
@@ -431,21 +429,19 @@ void
 TageScl::allocateEntries(bool taken)
 {
     int start = ctx_.providerTable + 1;
-    if (start >= static_cast<int>(cfg_.numTables))
+    if (start >= static_cast<int>(kNumTables))
         return;
 
     // Skip a random number of tables so allocations spread out.
-    if (nextRandom() % 4 == 0 &&
-        start + 1 < static_cast<int>(cfg_.numTables)) {
+    if (nextRandom() % 4 == 0 && start + 1 < static_cast<int>(kNumTables))
         ++start;
-    }
 
     unsigned allocated = 0, blocked = 0;
-    for (unsigned t = start; t < cfg_.numTables && allocated < 2; ++t) {
-        uint32_t slot = ctx_.slots[t];
-        if (tagUseful_[slot] == 0) {
-            tagKey_[slot] = ctx_.tags[t];
-            tagCtr_[slot] = taken ? 0 : -1;
+    for (unsigned t = start; t < kNumTables && allocated < 2; ++t) {
+        uint32_t s = slot(t);
+        if (tagUseful_[s] == 0) {
+            tagKey_[s] = tag(t);
+            tagCtr_[s] = taken ? 0 : -1;
             ++allocated;
             ++t; // leave a gap between allocations
         } else {
@@ -499,8 +495,8 @@ TageScl::updateSc(bool taken)
             w = static_cast<int8_t>(v);
         };
         adjust(scBias_[pcIndexBits(ctx_.pc) & maskBits(cfg_.logSc)]);
-        for (size_t t = 0; t < scTables_.size(); ++t)
-            adjust(scTables_[t][ctx_.scIndices[t]]);
+        for (unsigned t = 0; t < kNumScTables; ++t)
+            adjust(scTables_[scIndex(t)]);
     }
 }
 
@@ -537,23 +533,23 @@ TageScl::train(bool taken, bool allocate)
 
     // Update the provider (or bimodal).
     if (ctx_.providerTable >= 0) {
-        uint32_t slot = ctx_.slots[ctx_.providerTable];
+        uint32_t s = slot(ctx_.providerTable);
         int lim = (1 << (cfg_.ctrBits - 1)) - 1;
-        int v = tagCtr_[slot] + (taken ? 1 : -1);
-        tagCtr_[slot] = static_cast<int8_t>(std::clamp(v, -lim - 1, lim));
+        int v = tagCtr_[s] + (taken ? 1 : -1);
+        tagCtr_[s] = static_cast<int8_t>(std::clamp(v, -lim - 1, lim));
 
         // Usefulness: provider correct where the alternative failed.
         if (ctx_.providerPred != ctx_.altPred) {
             if (ctx_.providerPred == taken) {
-                if (tagUseful_[slot] < maskBits(cfg_.usefulBits))
-                    ++tagUseful_[slot];
-            } else if (tagUseful_[slot] > 0) {
-                --tagUseful_[slot];
+                if (tagUseful_[s] < maskBits(cfg_.usefulBits))
+                    ++tagUseful_[s];
+            } else if (tagUseful_[s] > 0) {
+                --tagUseful_[s];
             }
         }
         // Weak, useless provider entries also train the base table so
         // the bimodal stays warm for when the entry is evicted.
-        if (tagUseful_[slot] == 0) {
+        if (tagUseful_[s] == 0) {
             auto &b = bimodal_[pcIndexBits(pc) & maskBits(cfg_.logBimodal)];
             int bv = b + (taken ? 1 : -1);
             b = static_cast<int8_t>(std::clamp(bv, 0, 3));

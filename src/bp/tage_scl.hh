@@ -20,7 +20,8 @@
  * kBlock conditionals it reads every view before each push with one
  * GlobalHistory::pushRun(), hashes them all with the helper predict()
  * uses, and then walks the tables in order through predict()'s and
- * update()'s own lookup and training code.
+ * update()'s own lookup and training code, which read each branch's
+ * hashes in place in the block's arrays.
  */
 
 #ifndef WHISPER_BP_TAGE_SCL_HH
@@ -39,7 +40,6 @@ namespace whisper
 /** TAGE-SC-L configuration knobs. */
 struct TageSclConfig
 {
-    unsigned numTables = 12;       //!< tagged components
     unsigned minHist = 6;          //!< shortest tagged history
     unsigned maxHist = 1600;       //!< longest tagged history
     unsigned logBimodal = 16;      //!< log2 bimodal entries
@@ -68,14 +68,19 @@ class TageScl : public BranchPredictor
 {
   public:
     explicit TageScl(const TageSclConfig &cfg = TageSclConfig{});
+    /** The prediction context points into the predictor's own
+     * arrays, so a copy would read the original's. */
+    TageScl(const TageScl &) = delete;
+    TageScl &operator=(const TageScl &) = delete;
 
-    /** Hard limits of the fixed-size per-prediction context (the
-     * context used to be heap-backed vectors, reallocated on every
-     * predict(); the arrays keep the hot path allocation-free). */
-    static constexpr unsigned kMaxTables = 16;
-    static constexpr unsigned kMaxScTables = 8;
+    /** Tagged components, statistical-corrector tables, and loop
+     * predictor ways per set: fixed, so every per-table loop has a
+     * fixed trip count. */
+    static constexpr unsigned kNumTables = 12;
+    static constexpr unsigned kNumScTables = 5;
+    static constexpr unsigned kLoopWays = 4;
     /** Folded views: three per tagged table plus one per SC table. */
-    static constexpr unsigned kMaxViews = 3 * kMaxTables + kMaxScTables;
+    static constexpr unsigned kNumViews = 3 * kNumTables + kNumScTables;
 
     /** Conditionals step() hashes at a time. */
     static constexpr size_t kBlock = GlobalHistory::kMaxRun;
@@ -138,14 +143,20 @@ class TageScl : public BranchPredictor
         uint32_t loopSet;           //!< slot of the set's first way
         int loopHit;                //!< slot of the matching entry, or -1
         int loopVictim;             //!< replaceable slot, or -1
-        /** Entry of each table in the SoA arrays, which hold every
-         * table in one allocation per field: table t's entry idx is
-         * at (t << logTagged) + idx. */
-        std::array<uint32_t, kMaxTables> slots;
-        std::array<uint16_t, kMaxTables> tags;
-        /** Without the TAGE-prediction bit until
-         * computeScPrediction() mixes it in. */
-        std::array<uint32_t, kMaxScTables> scIndices;
+        /**
+         * This branch's hashes, read in place: table t's value is at
+         * [t * stride]. step() points them into its block arrays,
+         * predict() at oneSlots_, oneTags_ and oneScIndices_. slots are
+         * entries of the SoA arrays, which hold every table in one
+         * allocation per field (table t's entry idx is at
+         * (t << logTagged) + idx); scIndices likewise index
+         * scTables_, without the TAGE-prediction bit until
+         * computeScPrediction() mixes it in.
+         */
+        const uint32_t *slots;
+        const uint16_t *tags;
+        uint32_t *scIndices;
+        size_t stride;
     };
 
     /**
@@ -162,6 +173,10 @@ class TageScl : public BranchPredictor
     bool lookup(uint64_t pc);
     /** update() without the history push. */
     void train(bool taken, bool allocate);
+
+    uint32_t slot(unsigned t) const { return ctx_.slots[t * ctx_.stride]; }
+    uint16_t tag(unsigned t) const { return ctx_.tags[t * ctx_.stride]; }
+    uint32_t &scIndex(unsigned t) { return ctx_.scIndices[t * ctx_.stride]; }
 
     // --- tagged path ---
     void computeTagePrediction(uint64_t pc);
@@ -186,10 +201,10 @@ class TageScl : public BranchPredictor
     static constexpr uint16_t kFreeEntry = 0xFFFF;
 
     TageSclConfig cfg_;
-    std::vector<unsigned> histLens_;
-    std::vector<unsigned> tagBits_;
+    std::array<unsigned, kNumTables> histLens_{};
+    std::array<unsigned, kNumTables> tagBits_{};
     // Mask constants of the index and tag hashes.
-    std::array<uint16_t, kMaxTables> tagMask_{}; //!< low tagBits_[t]
+    std::array<uint16_t, kNumTables> tagMask_{}; //!< low tagBits_[t]
     uint32_t idxMask_ = 0;                       //!< low logTagged
     // Tagged components as structure-of-arrays: the lookup loop
     // touches only tagKey_ (tag match + validity in one compare),
@@ -210,17 +225,24 @@ class TageScl : public BranchPredictor
     int useAltOnNa_ = 0;
 
     // SC: bias table + GEHL tables over short folded histories.
-    std::vector<unsigned> scHistLens_;
-    std::vector<std::vector<int8_t>> scTables_;
+    static constexpr std::array<unsigned, kNumScTables> kScHistLens = {
+        4, 10, 16, 27, 44};
+    /** Every GEHL table in one allocation: table t's entry idx is at
+     * (t << logSc) + idx. */
+    std::vector<int8_t> scTables_;
     std::vector<int8_t> scBias_;
     int scThreshold_ = 6;
     int scThresholdCtr_ = 0;
 
     std::vector<LoopEntry> loop_;
-    uint32_t loopWays_ = 4;
 
     int tick_ = 0;
     uint32_t lfsr_ = 0xACE1u;
+
+    // predict()'s hashes of its one branch (stride 1).
+    std::array<uint32_t, kNumTables> oneSlots_{};
+    std::array<uint16_t, kNumTables> oneTags_{};
+    std::array<uint32_t, kNumScTables> oneScIndices_{};
 
     PredictContext ctx_{};
 };

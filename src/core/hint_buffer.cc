@@ -25,15 +25,29 @@ HintBuffer::insert(uint64_t branchPc, const BrHint &hint)
     } else {
         ++insertions_;
         ++evictions_;
-        s = static_cast<size_t>(
-            std::min_element(lastUse_.begin(), lastUse_.end()) -
-            lastUse_.begin());
+        s = leastRecentlyUsed();
         --resident_[bucket(pcs_[s])];
         ++resident_[bucket(branchPc)];
     }
     pcs_[s] = branchPc;
     hints_[s] = hint;
     lastUse_[s] = ++clock_;
+}
+
+size_t
+HintBuffer::leastRecentlyUsed() const
+{
+    // A select per slot, not a branch: which slot holds the running
+    // minimum is a coin flip on a thrashing buffer. Stamps are unique,
+    // so this is the one slot std::min_element would pick.
+    size_t victim = 0;
+    uint64_t least = lastUse_[0];
+    for (size_t s = 1; s < lastUse_.size(); ++s) {
+        bool older = lastUse_[s] < least;
+        least = older ? lastUse_[s] : least;
+        victim = older ? s : victim;
+    }
+    return victim;
 }
 
 std::vector<uint64_t>

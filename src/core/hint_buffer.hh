@@ -8,11 +8,11 @@
  *
  * The model is that structure: parallel PC, payload and last-use
  * stamp arrays. A lookup scans the PCs; an insert evicts the
- * smallest stamp, which is exact LRU. A count of the resident PCs
- * per hash bucket lets a lookup whose bucket is empty (three in four
- * on mysql) skip the scan: WhisperPredictor::step() decides a
- * block's hint uses before its TAGE walk, so the scan no longer
- * hides behind the TAGE lookups.
+ * smallest stamp, found by a branch-free scan, which is exact LRU. A
+ * count of the resident PCs per hash bucket lets a lookup whose
+ * bucket is empty (three in four on mysql) skip the scan:
+ * WhisperPredictor::step() decides a block's hint uses before its
+ * TAGE walk, so the scan no longer hides behind the TAGE lookups.
  * tests/test_hintbuf.cc pins exact LRU equivalence to a list+map
  * reference model defined there.
  */
@@ -101,6 +101,9 @@ class HintBuffer
                 return s;
         return size_;
     }
+
+    /** Slot with the smallest last-use stamp (buffer full). */
+    size_t leastRecentlyUsed() const;
 
     /** The top byte of a Fibonacci hash of @p pc. */
     static size_t bucket(uint64_t pc) { return pc * 0x9E3779B97F4A7C15 >> 56; }

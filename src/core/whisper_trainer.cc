@@ -299,6 +299,12 @@ WhisperTrainer::assemble(const std::vector<TrainingTaskResult> &results,
     return hints;
 }
 
+unsigned
+WhisperTrainer::defaultWorkers()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 std::vector<TrainedHint>
 WhisperTrainer::train(const BranchProfile &profile,
                       const std::vector<TrainedHint> *warmSeeds,

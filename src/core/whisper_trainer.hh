@@ -44,6 +44,8 @@ struct TrainingStats
     uint64_t branchesConsidered = 0;
     uint64_t hintsEmitted = 0;
     uint64_t formulasScored = 0;
+    /** Wall time of the run; branchSecondsSum over it is how many
+     * branches were training at once, on average. */
     double trainSeconds = 0.0;
     /** Profiled mispredictions covered by emitted hints. */
     uint64_t coveredMispredicts = 0;
@@ -83,14 +85,19 @@ class WhisperTrainer
     WhisperTrainer(const WhisperConfig &cfg,
                    const TruthTableCache &cache);
 
+    /** The default training width: one worker per hardware thread
+     * (std::thread::hardware_concurrency(), at least 1). */
+    static unsigned defaultWorkers();
+
     /**
      * Train hints for every hard branch of @p profile (Algorithm 1
      * per branch). Branches train independently: up to @p workers
      * threads each claim the next branch of the work list, and the
-     * results are assembled in work-list order, so the output is
-     * bit-identical for any worker count (1 = the calling thread
-     * alone). A branch whose training throws is degraded, not
-     * retried: it gets no hint, so the predictor falls back to
+     * results are assembled in work-list order, so the output and
+     * every TrainingStats count are bit-identical for any worker
+     * count (1 = the calling thread alone; the default is one per
+     * hardware thread). A branch whose training throws is degraded,
+     * not retried: it gets no hint, so the predictor falls back to
      * TAGE-SC-L for it (TrainingStats::branchesDegraded).
      * @param warmSeeds optional seeds for the per-branch search
      *        (typically the previous epoch's deployed hints);
@@ -100,7 +107,8 @@ class WhisperTrainer
     std::vector<TrainedHint>
     train(const BranchProfile &profile,
           const std::vector<TrainedHint> *warmSeeds = nullptr,
-          TrainingStats *stats = nullptr, unsigned workers = 1) const;
+          TrainingStats *stats = nullptr,
+          unsigned workers = defaultWorkers()) const;
 
     /**
      * Train one branch, optionally warm-started from @p warm (the

@@ -66,7 +66,8 @@ struct TenantRouterConfig
 {
     size_t chunkRecords = 50'000;  //!< ingest chunk granularity
     unsigned epochChunks = 4;      //!< training chunks per epoch
-    unsigned trainWorkers = 4;     //!< WhisperTrainer::train width
+    /** WhisperTrainer::train width: one per hardware thread. */
+    unsigned trainWorkers = WhisperTrainer::defaultWorkers();
     unsigned tageBudgetKB = 64;    //!< baseline predictor budget
     double acceptMargin = 0.0;
     ChunkProfiler::Options profilePolicy;

@@ -17,6 +17,7 @@
 #include <set>
 
 #include "core/correlation_screen.hh"
+#include "core/whisper_io.hh"
 #include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "util/rng.hh"
@@ -180,9 +181,9 @@ TEST(Warm, PoolIsBitIdenticalToSerialForAnyWorkerCount)
 
     TrainingStats serialStats;
     std::vector<TrainedHint> serial =
-        trainer.train(epoch2, &seeds, &serialStats);
+        trainer.train(epoch2, &seeds, &serialStats, 1);
 
-    for (unsigned workers : {1u, 4u}) {
+    for (unsigned workers : {2u, 4u}) {
         TrainingStats stats;
         std::vector<TrainedHint> hints =
             trainer.train(epoch2, &seeds, &stats, workers);
@@ -195,6 +196,47 @@ TEST(Warm, PoolIsBitIdenticalToSerialForAnyWorkerCount)
             << workers;
         EXPECT_EQ(stats.warmHits + stats.coldSearches,
                   stats.branchesConsidered) << workers;
+    }
+}
+
+namespace
+{
+
+/** The bytes a bundle of @p hints journals as. */
+std::vector<unsigned char>
+hintBytes(const std::vector<TrainedHint> &hints)
+{
+    VersionedHintBundle b;
+    b.bundle.hints = hints;
+    return encodeVersionedBundle(b);
+}
+
+} // namespace
+
+TEST(Pool, DefaultWidthEqualsOneWorkerOnApps)
+{
+    // whisper_train and the offline flow train at the default width
+    // (one worker per hardware thread): it must change no output.
+    ExperimentConfig cfg = smallConfig();
+    WhisperTrainer trainer(cfg.whisper, globalTruthTables());
+    for (const char *name : {"mysql", "finagle-http"}) {
+        SCOPED_TRACE(name);
+        BranchProfile profile = profileApp(appByName(name), 0, cfg);
+        TrainingStats one, wide;
+        std::vector<TrainedHint> serial =
+            trainer.train(profile, nullptr, &one, 1);
+        std::vector<TrainedHint> hints = trainer.train(profile, nullptr, &wide);
+        ASSERT_FALSE(serial.empty());
+        EXPECT_EQ(hintBytes(hints), hintBytes(serial));
+        EXPECT_EQ(hints, serial);
+        EXPECT_EQ(wide.branchesConsidered, one.branchesConsidered);
+        EXPECT_EQ(wide.hintsEmitted, one.hintsEmitted);
+        EXPECT_EQ(wide.formulasScored, one.formulasScored);
+        EXPECT_EQ(wide.coveredMispredicts, one.coveredMispredicts);
+        EXPECT_EQ(wide.expectedRemaining, one.expectedRemaining);
+        EXPECT_EQ(wide.warmHits, one.warmHits);
+        EXPECT_EQ(wide.coldSearches, one.coldSearches);
+        EXPECT_EQ(wide.branchesDegraded, one.branchesDegraded);
     }
 }
 

@@ -169,8 +169,9 @@ main(int argc, char **argv)
         trainer.setScreen(ScreenConfig{});
     TrainingStats stats;
     HintBundle bundle;
+    unsigned workers = WhisperTrainer::defaultWorkers();
     bundle.hints = trainer.train(
-        profile, haveWarm ? &warmBundle.hints : nullptr, &stats);
+        profile, haveWarm ? &warmBundle.hints : nullptr, &stats, workers);
 
     HintInjector injector(cfg.injector);
     auto placeStart = std::chrono::steady_clock::now();
@@ -184,10 +185,12 @@ main(int argc, char **argv)
                      outPath.c_str());
         return 1;
     }
-    std::printf("  %zu hints (%.2fs, %llu formulas scored, "
+    std::printf("  %zu hints (%.2fs on %u workers, %.2fs summed over "
+                "branches, %llu formulas scored, "
                 "%llu warm hits / %llu cold searches; placed in "
                 "%.2fs) -> %s\n",
-                bundle.hints.size(), stats.trainSeconds,
+                bundle.hints.size(), stats.trainSeconds, workers,
+                stats.branchSecondsSum,
                 static_cast<unsigned long long>(stats.formulasScored),
                 static_cast<unsigned long long>(stats.warmHits),
                 static_cast<unsigned long long>(stats.coldSearches),

@@ -88,7 +88,8 @@ usage()
         "  --epoch-chunks N     training chunks per epoch "
         "(default 4)\n"
         "  --workers N          training threads of the one "
-        "dispatcher (default 4)\n"
+        "dispatcher (default: one\n"
+        "                       per hardware thread)\n"
         "  --tage-kb N          baseline budget, a power of two in "
         "8..8192 (default 64)\n"
         "  --max-hard N         hard-branch cap per app "
