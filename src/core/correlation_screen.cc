@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -17,38 +19,90 @@ struct BitSplit
 {
     uint64_t taken[2] = {0, 0};
     uint64_t notTaken[2] = {0, 0};
+};
 
-    uint64_t
-    total() const
+/**
+ * One length's table, read once for its sample, taken and oracle
+ * (sum of min(T, NT)) mass. addBitSums() adds each key bit's 1-side
+ * mass, from which every per-bit split follows.
+ */
+struct TableSummary
+{
+    unsigned idx;     //!< index into the length series
+    unsigned keyBits; //!< the table holds 2^keyBits keys
+    uint64_t total = 0, taken = 0, oracle = 0;
+    /** Achievable gain: (bias - oracle) mispredictions as a fraction
+     * of samples. The oracle is the floor any formula can reach, so
+     * a length scoring 0 cannot beat the static bias. */
+    double gain = 0.0;
+    bool perfect = false; //!< some key bit decides every sample
+    bool hasBitSums = false;
+    uint64_t takenHi[32] = {}, notTakenHi[32] = {};
+
+    TableSummary(const HashedSampleTable &table, unsigned idx)
+        : idx(idx), keyBits(static_cast<unsigned>(
+                        std::countr_zero(table.taken.size())))
     {
-        return taken[0] + taken[1] + notTaken[0] + notTaken[1];
+        whisper_assert(keyBits <= 32);
+        const uint32_t *t = table.taken.data();
+        const uint32_t *nt = table.notTaken.data();
+        uint64_t sumT = 0, sumNt = 0, sumMin = 0;
+        for (size_t key = 0; key < table.taken.size(); ++key) {
+            sumT += t[key];
+            sumNt += nt[key];
+            sumMin += std::min(t[key], nt[key]);
+        }
+        taken = sumT;
+        oracle = sumMin;
+        total = sumT + sumNt;
+        if (total > 0)
+            gain = static_cast<double>(std::min(taken, total - taken) -
+                                       oracle) /
+                   static_cast<double>(total);
     }
 
-    uint64_t
-    biasMispredicts() const
+    /** Bit b's 1-side is the keys [run, 2 run) mod 2 run, run = 2^b. */
+    void
+    addBitSums(const HashedSampleTable &table)
     {
-        return std::min(taken[0] + taken[1],
-                        notTaken[0] + notTaken[1]);
+        if (hasBitSums)
+            return;
+        hasBitSums = true;
+        for (unsigned b = 0; b < keyBits; ++b) {
+            size_t run = size_t{1} << b;
+            for (size_t base = run; base < table.taken.size();
+                 base += 2 * run)
+                for (size_t key = base; key < base + run; ++key) {
+                    takenHi[b] += table.taken[key];
+                    notTakenHi[b] += table.notTaken[key];
+                }
+        }
     }
 
-    uint64_t
-    splitMispredicts() const
+    /** The split on @p bit (< 32); a bit above keyBits is 0 on every
+     * key, so its 1-side sums stay 0. */
+    BitSplit
+    split(unsigned bit) const
     {
-        return std::min(taken[0], notTaken[0]) +
-               std::min(taken[1], notTaken[1]);
+        BitSplit s;
+        s.taken[1] = takenHi[bit];
+        s.notTaken[1] = notTakenHi[bit];
+        s.taken[0] = taken - s.taken[1];
+        s.notTaken[0] = (total - taken) - s.notTaken[1];
+        return s;
     }
 };
 
-BitSplit
-splitByBit(const HashedSampleTable &table, unsigned bit)
+/** True when the split's bit decides the outcome on every sample
+ * and both outcomes occur (the never-prune guarantee trigger). */
+bool
+bitPerfectlyCorrelated(const BitSplit &s)
 {
-    BitSplit s;
-    for (size_t key = 0; key < table.taken.size(); ++key) {
-        unsigned side = (key >> bit) & 1;
-        s.taken[side] += table.taken[key];
-        s.notTaken[side] += table.notTaken[key];
-    }
-    return s;
+    return s.taken[0] + s.taken[1] > 0 &&
+           s.notTaken[0] + s.notTaken[1] > 0 &&
+           std::min(s.taken[0], s.notTaken[0]) +
+                   std::min(s.taken[1], s.notTaken[1]) ==
+               0;
 }
 
 double
@@ -57,46 +111,13 @@ entropyTerm(double p)
     return p > 0.0 ? -p * std::log2(p) : 0.0;
 }
 
-} // namespace
-
-CorrelationScreen::CorrelationScreen(const ScreenConfig &cfg)
-    : cfg_(cfg)
-{
-}
-
+/** Mutual information (bits) between the split's bit and the
+ * outcome. */
 double
-CorrelationScreen::lengthGain(const HashedSampleTable &table)
+bitMutualInformation(const BitSplit &s)
 {
-    uint64_t total = table.totalSamples();
-    if (total == 0)
-        return 0.0;
-    uint64_t taken = 0;
-    for (uint32_t t : table.taken)
-        taken += t;
-    uint64_t bias = std::min(taken, total - taken);
-    uint64_t oracle = table.oracleMispredicts();
-    return static_cast<double>(bias - oracle) /
-           static_cast<double>(total);
-}
-
-double
-CorrelationScreen::bitGain(const HashedSampleTable &table, unsigned bit)
-{
-    BitSplit s = splitByBit(table, bit);
-    uint64_t total = s.total();
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(s.biasMispredicts() -
-                               s.splitMispredicts()) /
-           static_cast<double>(total);
-}
-
-double
-CorrelationScreen::bitMutualInformation(const HashedSampleTable &table,
-                                        unsigned bit)
-{
-    BitSplit s = splitByBit(table, bit);
-    double total = static_cast<double>(s.total());
+    double total = static_cast<double>(s.taken[0] + s.taken[1] +
+                                       s.notTaken[0] + s.notTaken[1]);
     if (total == 0.0)
         return 0.0;
 
@@ -116,18 +137,11 @@ CorrelationScreen::bitMutualInformation(const HashedSampleTable &table,
     return std::max(mi, 0.0);
 }
 
-bool
-CorrelationScreen::bitPerfectlyCorrelated(const HashedSampleTable &table,
-                                          unsigned bit)
+} // namespace
+
+CorrelationScreen::CorrelationScreen(const ScreenConfig &cfg)
+    : cfg_(cfg)
 {
-    BitSplit s = splitByBit(table, bit);
-    if (s.total() == 0)
-        return false;
-    // Both outcomes must occur (a constant branch is "predicted"
-    // by anything) and the bit must decide every sample.
-    uint64_t taken = s.taken[0] + s.taken[1];
-    uint64_t notTaken = s.notTaken[0] + s.notTaken[1];
-    return taken > 0 && notTaken > 0 && s.splitMispredicts() == 0;
 }
 
 std::vector<unsigned>
@@ -136,16 +150,11 @@ CorrelationScreen::distinctLengthIndices(
 {
     std::vector<unsigned> out;
     out.reserve(lengths.size());
-    for (unsigned i = 0; i < lengths.size(); ++i) {
-        bool seen = false;
-        for (unsigned j : out)
-            if (lengths[j] == lengths[i]) {
-                seen = true;
-                break;
-            }
-        if (!seen)
+    for (unsigned i = 0; i < lengths.size(); ++i)
+        if (std::none_of(out.begin(), out.end(), [&](unsigned j) {
+                return lengths[j] == lengths[i];
+            }))
             out.push_back(i);
-    }
     return out;
 }
 
@@ -164,49 +173,47 @@ CorrelationScreen::screenBranch(
     // -- length selection: rank distinct lengths by oracle headroom,
     // keep the top maxLengths; a length holding a perfectly
     // correlated bit is kept unconditionally.
-    struct Scored
-    {
-        unsigned idx;
-        double gain;
-        bool perfect;
-    };
-    std::vector<Scored> scored;
+    std::vector<TableSummary> tables;
+    tables.reserve(lengths.size()); // keeps the pointers below valid
+    std::vector<TableSummary *> scored;
     for (unsigned idx : distinctLengthIndices(lengths)) {
         const HashedSampleTable &table = entry.byLength[idx];
-        if (table.empty() || table.totalSamples() == 0)
+        if (table.empty())
             continue;
-        Scored s{idx, lengthGain(table), false};
-        unsigned bits =
-            static_cast<unsigned>(std::countr_zero(table.taken.size()));
-        for (unsigned b = 0; b < bits && !s.perfect; ++b)
-            s.perfect = bitPerfectlyCorrelated(table, b);
-        scored.push_back(s);
+        TableSummary &t = tables.emplace_back(table, idx);
+        if (t.total == 0)
+            continue;
+        // A key seen both ways puts both outcomes on one side of
+        // every bit, so only an oracle-0 table can hold a perfect bit.
+        if (t.oracle == 0) {
+            t.addBitSums(table);
+            for (unsigned b = 0; b < t.keyBits && !t.perfect; ++b)
+                t.perfect = bitPerfectlyCorrelated(t.split(b));
+        }
+        scored.push_back(&t);
     }
     // Stable sort, descending gain, perfect first; ties keep series
     // order so the pass is deterministic.
-    std::stable_sort(scored.begin(), scored.end(),
-                     [](const Scored &a, const Scored &b) {
-                         if (a.perfect != b.perfect)
-                             return a.perfect;
-                         return a.gain > b.gain;
-                     });
+    std::ranges::stable_sort(scored, std::greater<>{},
+                             [](const TableSummary *t) {
+                                 return std::pair(t->perfect, t->gain);
+                             });
     unsigned budget = std::max(1u, cfg_.maxLengths);
-    for (const Scored &s : scored) {
-        if (out.lengthIdx.size() >= budget && !s.perfect)
-            continue;
-        out.lengthIdx.push_back(s.idx);
-    }
-    std::sort(out.lengthIdx.begin(), out.lengthIdx.end());
+    std::vector<TableSummary *> kept;
+    for (TableSummary *t : scored)
+        if (kept.size() < budget || t->perfect)
+            kept.push_back(t);
+    std::ranges::sort(kept, {}, &TableSummary::idx);
+    for (const TableSummary *t : kept)
+        out.lengthIdx.push_back(t->idx);
 
     // -- input-bit selection: union of informative bits over the
     // kept lengths, scored by mutual information. Perfect bits are
     // kept unconditionally; otherwise a bit must reach the relative
     // threshold at some kept length.
     unsigned hashBits = 0;
-    for (unsigned idx : out.lengthIdx)
-        hashBits = std::max(
-            hashBits, static_cast<unsigned>(std::countr_zero(
-                          entry.byLength[idx].taken.size())));
+    for (const TableSummary *t : kept)
+        hashBits = std::max(hashBits, t->keyBits);
     hashBits = std::min(hashBits, 8u);
     if (hashBits == 0) {
         out.inputMask = 0xFF;
@@ -216,12 +223,12 @@ CorrelationScreen::screenBranch(
     double mi[8] = {};
     bool perfect[8] = {};
     double bestMi = 0.0;
-    for (unsigned idx : out.lengthIdx) {
-        const HashedSampleTable &table = entry.byLength[idx];
+    for (TableSummary *t : kept) {
+        t->addBitSums(entry.byLength[t->idx]);
         for (unsigned b = 0; b < hashBits; ++b) {
-            mi[b] = std::max(mi[b], bitMutualInformation(table, b));
-            perfect[b] =
-                perfect[b] || bitPerfectlyCorrelated(table, b);
+            BitSplit s = t->split(b);
+            mi[b] = std::max(mi[b], bitMutualInformation(s));
+            perfect[b] = perfect[b] || bitPerfectlyCorrelated(s);
             bestMi = std::max(bestMi, mi[b]);
         }
     }

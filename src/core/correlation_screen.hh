@@ -29,6 +29,15 @@
  * support touches an uninformative bit (see
  * TruthTableCache::supportMask), and the length list to skip
  * FIND-BOOLEAN-FORMULA calls entirely.
+ *
+ * Cost model: each (branch, length) table is read once for its
+ * sample, taken and oracle (sum of min(T, NT)) mass, which gives the
+ * length's gain. Per-bit side sums cost one more pass, taken only
+ * where they can matter: for a table whose oracle is 0 (a key seen
+ * both ways puts both outcomes on one side of every bit, so no other
+ * table can hold a perfectly correlated bit) and for the at most
+ * maxLengths kept tables, whose bits are scored by mutual
+ * information. The screen thus costs about one pass per table.
  */
 
 #ifndef WHISPER_CORE_CORRELATION_SCREEN_HH
@@ -88,32 +97,6 @@ class CorrelationScreen
      */
     BranchScreen screenBranch(const BranchProfileEntry &entry,
                               const std::vector<unsigned> &lengths) const;
-
-    /**
-     * Achievable gain of a length: (bias - oracle) mispredictions
-     * of its table, as a fraction of samples. The oracle (best
-     * per-key constant) is the floor any formula can reach, so a
-     * length scoring 0 cannot beat the static bias no matter what
-     * formula is searched.
-     */
-    static double lengthGain(const HashedSampleTable &table);
-
-    /**
-     * Gain of the best single-bit predictor on input bit @p bit:
-     * (bias - split) mispredictions as a fraction of samples, where
-     * split = min(T,NT) on each side of the bit.
-     */
-    static double bitGain(const HashedSampleTable &table, unsigned bit);
-
-    /** Mutual information (bits) between input bit @p bit of the
-     * hashed key and the branch outcome. */
-    static double bitMutualInformation(const HashedSampleTable &table,
-                                       unsigned bit);
-
-    /** True when @p bit determines the outcome on every sample and
-     * both outcomes occur (the never-prune guarantee trigger). */
-    static bool bitPerfectlyCorrelated(const HashedSampleTable &table,
-                                       unsigned bit);
 
     /**
      * Indices of the first occurrence of each distinct value of

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -88,6 +89,16 @@ struct BranchBest
     uint16_t formula = 0;
 };
 
+/** The calling thread's CPU seconds: a branch's own cost, however
+ * many threads share the cores. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return ts.tv_sec + 1e-9 * ts.tv_nsec;
+}
+
 /** The warm candidate set: the previous formula plus its one-bit-
  * flip neighborhood in the 15-bit encoding space. */
 std::vector<uint16_t>
@@ -116,7 +127,7 @@ WhisperTrainer::trainBranchSeeded(const BranchProfileEntry &entry,
 {
     whisper_assert(entry.hard, "training needs detailed tables");
     whisper_assert(entry.byLength.size() == lengths.size());
-    auto t0 = std::chrono::steady_clock::now();
+    const double cpu0 = threadCpuSeconds();
 
     const bool screened = screen_.config().enabled;
     BranchScreen scr = screen_.screenBranch(entry, lengths);
@@ -125,9 +136,7 @@ WhisperTrainer::trainBranchSeeded(const BranchProfileEntry &entry,
 
     BranchTrainOutcome local;
     auto finish = [&](bool produced) {
-        local.seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+        local.seconds = threadCpuSeconds() - cpu0;
         if (outcome)
             *outcome = local;
         return produced;

@@ -45,7 +45,7 @@ struct TrainingStats
     uint64_t hintsEmitted = 0;
     uint64_t formulasScored = 0;
     /** Wall time of the run; branchSecondsSum over it is how many
-     * branches were training at once, on average. */
+     * cores the run kept busy, on average. */
     double trainSeconds = 0.0;
     /** Profiled mispredictions covered by emitted hints. */
     uint64_t coveredMispredicts = 0;
@@ -58,8 +58,8 @@ struct TrainingStats
     uint64_t warmHits = 0;
     /** Branches that ran the full (possibly pruned) search. */
     uint64_t coldSearches = 0;
-    /** Per-branch train-time accumulators (mean = sum over
-     * branchesConsidered). */
+    /** Per-branch train CPU-time accumulators, by the training
+     * thread's clock (mean = sum over branchesConsidered). */
     double branchSecondsSum = 0.0;
     double branchSecondsMax = 0.0;
     /** Branches whose training threw: no hint, TAGE-SC-L fallback. */
@@ -71,7 +71,7 @@ struct BranchTrainOutcome
 {
     bool warmHit = false;  //!< emitted straight from the warm seed
     uint64_t scored = 0;   //!< formulas scored for this branch
-    double seconds = 0.0;  //!< wall time spent on this branch
+    double seconds = 0.0;  //!< thread CPU time spent on this branch
 };
 
 /** Whisper's offline trainer. */

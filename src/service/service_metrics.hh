@@ -60,7 +60,7 @@ struct TenantMetrics
     uint64_t warmHits = 0;          //!< branches emitted from seeds
     uint64_t coldSearches = 0;      //!< branches searched cold
     uint64_t warmFallbackEpochs = 0; //!< epochs retrained cold
-    double branchTrainMsMean = 0.0; //!< per-branch train time
+    double branchTrainMsMean = 0.0; //!< per-branch train CPU time
     double branchTrainMsMax = 0.0;
 
     // -- deployment --
@@ -188,9 +188,9 @@ struct ServiceMetrics
         t.addRow({"warm-start hits (branches)", count(a.warmHits)});
         t.addRow({"cold searches (branches)", count(a.coldSearches)});
         t.addRow({"warm-fallback epochs", count(a.warmFallbackEpochs)});
-        t.addRow({"branch train time (ms, mean)",
+        t.addRow({"branch train CPU (ms, mean)",
                   num(a.branchTrainMsMean, 3)});
-        t.addRow({"branch train time (ms, max)",
+        t.addRow({"branch train CPU (ms, max)",
                   num(a.branchTrainMsMax, 3)});
         t.addRow({"bundles accepted", count(a.bundlesAccepted)});
         t.addRow({"bundles rejected", count(a.bundlesRejected)});

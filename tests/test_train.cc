@@ -19,8 +19,11 @@
 #include "core/correlation_screen.hh"
 #include "core/whisper_io.hh"
 #include "core/whisper_trainer.hh"
+#include "screen_reference.hh"
+#include "service/chunk_profiler.hh"
 #include "sim/experiment.hh"
 #include "util/rng.hh"
+#include "workloads/app_workload.hh"
 
 using namespace whisper;
 
@@ -429,6 +432,245 @@ TEST(ScreenProperty, DisabledScreenIsAPassthrough)
         CorrelationScreen(off).screenBranch(entry, lengths);
     EXPECT_EQ(scr.lengthIdx, (std::vector<unsigned>{0, 1, 2}));
     EXPECT_EQ(scr.inputMask, 0xFF);
+}
+
+// ---------------------------------------------------------------
+// Differential: the one-pass screen against the per-bit scan it
+// replaced (tests/screen_reference.hh), exact on every output.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+void
+expectSameScreen(const ScreenConfig &cfg, const BranchProfileEntry &entry,
+                 const std::vector<unsigned> &lengths,
+                 const std::string &what)
+{
+    BranchScreen got = CorrelationScreen(cfg).screenBranch(entry, lengths);
+    BranchScreen want =
+        screen_reference::screenBranch(cfg, entry, lengths);
+    EXPECT_EQ(got.lengthIdx, want.lengthIdx) << what;
+    EXPECT_EQ(got.inputMask, want.inputMask) << what;
+}
+
+/** An entry of @p numLengths tables of @p width key bits. */
+BranchProfileEntry
+entryOfWidth(size_t numLengths, unsigned width)
+{
+    BranchProfileEntry e;
+    e.hard = true;
+    e.byLength.assign(numLengths, HashedSampleTable(width));
+    return e;
+}
+
+/** Fill @p table from one of several sample regimes. */
+void
+fillRandomTable(HashedSampleTable &table, Rng &rng)
+{
+    unsigned keys = static_cast<unsigned>(table.taken.size());
+    switch (rng.nextBelow(5)) {
+    case 0: // empty
+        break;
+    case 1: { // a few samples: oracle 0 is common
+        unsigned n = static_cast<unsigned>(rng.nextBelow(12));
+        for (unsigned i = 0; i < n; ++i)
+            table.record(static_cast<unsigned>(rng.nextBelow(keys)),
+                         rng.nextBool(0.5));
+        break;
+    }
+    case 2: { // dense noise around a random bias
+        double p = rng.nextDouble();
+        for (unsigned i = 0; i < 4 * keys; ++i)
+            table.record(static_cast<unsigned>(rng.nextBelow(keys)),
+                         rng.nextBool(p));
+        break;
+    }
+    case 3: { // one key bit decides, with optional noise
+        unsigned bit = static_cast<unsigned>(
+            rng.nextBelow(std::countr_zero(table.taken.size())));
+        double noise = rng.nextBool(0.5) ? 0.0 : 0.05;
+        for (unsigned i = 0; i < 2 * keys; ++i) {
+            unsigned key = static_cast<unsigned>(rng.nextBelow(keys));
+            bool taken = ((key >> bit) & 1) != rng.nextBool(noise);
+            table.record(key, taken);
+        }
+        break;
+    }
+    default: { // every key pure, outcomes arbitrary
+        for (unsigned key = 0; key < keys; ++key) {
+            if (rng.nextBool(0.3))
+                continue;
+            bool taken = rng.nextBool(0.5);
+            unsigned n = 1 + static_cast<unsigned>(rng.nextBelow(5));
+            for (unsigned i = 0; i < n; ++i)
+                table.record(key, taken);
+        }
+        break;
+    }
+    }
+}
+
+ScreenConfig
+randomScreenConfig(Rng &rng)
+{
+    static const double kFractions[] = {0.0, 1.0 / 64.0, 0.25, 1.0};
+    ScreenConfig cfg;
+    cfg.maxLengths = static_cast<unsigned>(rng.nextBelow(7));
+    cfg.minBits = static_cast<unsigned>(rng.nextBelow(9));
+    cfg.bitKeepFraction = kFractions[rng.nextBelow(4)];
+    return cfg;
+}
+
+} // namespace
+
+TEST(ScreenDifferential, RandomTables)
+{
+    Rng rng(2024);
+    for (int trial = 0; trial < 600; ++trial) {
+        unsigned width = 4 + 2 * static_cast<unsigned>(rng.nextBelow(3));
+        size_t n = 1 + rng.nextBelow(16);
+        std::vector<unsigned> lengths(n);
+        for (unsigned &len : lengths)
+            len = 4 + static_cast<unsigned>(rng.nextBelow(8));
+        BranchProfileEntry entry = entryOfWidth(n, width);
+        for (HashedSampleTable &t : entry.byLength)
+            fillRandomTable(t, rng);
+        ScreenConfig cfg =
+            trial % 3 == 0 ? ScreenConfig{} : randomScreenConfig(rng);
+        expectSameScreen(cfg, entry, lengths,
+                         "trial " + std::to_string(trial));
+    }
+}
+
+TEST(ScreenDifferential, AdversarialTables)
+{
+    const ScreenConfig cfg;
+    ScreenConfig tight;
+    tight.maxLengths = 1;
+    tight.minBits = 0;
+
+    // No lengths, empty tables, tables without samples.
+    expectSameScreen(cfg, BranchProfileEntry{}, {}, "no lengths");
+    BranchProfileEntry empty;
+    empty.byLength.resize(3);
+    expectSameScreen(cfg, empty, {8, 16, 32}, "empty tables");
+    expectSameScreen(cfg, entryOfWidth(3, 8), {8, 16, 32},
+                     "no samples");
+
+    for (unsigned width : {4u, 6u, 8u}) {
+        std::string w = "width " + std::to_string(width) + ": ";
+        unsigned keys = 1u << width;
+
+        // A single key, seen one way and both ways.
+        for (bool both : {false, true}) {
+            BranchProfileEntry e = entryOfWidth(2, width);
+            e.byLength[1].record(keys - 1, true);
+            if (both)
+                e.byLength[1].record(keys - 1, false);
+            for (const ScreenConfig &c : {cfg, tight})
+                expectSameScreen(c, e, {8, 16},
+                                 w + "single key, both=" +
+                                     std::to_string(both));
+        }
+
+        // A perfect bit at each position, on dense and on two-key
+        // tables, behind a noisy length that outranks nothing.
+        for (unsigned bit = 0; bit < width; ++bit) {
+            for (bool dense : {true, false}) {
+                BranchProfileEntry e = entryOfWidth(3, width);
+                Rng rng(bit * 2 + dense);
+                for (unsigned k = 0; k < keys; ++k)
+                    e.byLength[0].record(k, rng.nextBool(0.5));
+                if (dense) {
+                    for (unsigned k = 0; k < keys; ++k)
+                        e.byLength[2].record(k, (k >> bit) & 1);
+                } else {
+                    e.byLength[2].record(0, false);
+                    e.byLength[2].record(1u << bit, true);
+                }
+                for (const ScreenConfig &c : {cfg, tight})
+                    expectSameScreen(c, e, {8, 16, 32},
+                                     w + "perfect bit " +
+                                         std::to_string(bit));
+            }
+        }
+
+        // Oracle-0 tables with no perfect bit: the outcome is the
+        // XOR of two key bits, or constant.
+        for (unsigned a = 0; a < width; ++a)
+            for (unsigned b = a + 1; b < width; ++b) {
+                BranchProfileEntry e = entryOfWidth(2, width);
+                for (unsigned k = 0; k < keys; ++k)
+                    e.byLength[1].record(k, ((k >> a) ^ (k >> b)) & 1);
+                e.byLength[0].record(3, true);
+                expectSameScreen(tight, e, {8, 16},
+                                 w + "xor " + std::to_string(a) + "," +
+                                     std::to_string(b));
+            }
+        BranchProfileEntry constant = entryOfWidth(2, width);
+        for (unsigned k = 0; k < keys; ++k)
+            constant.byLength[1].record(k, true);
+        expectSameScreen(cfg, constant, {8, 16}, w + "constant");
+    }
+
+    // Duplicate lengths: only the first index of a value counts,
+    // even when a later copy holds the better table.
+    BranchProfileEntry dup = entryOfWidth(5, 8);
+    Rng rng(5);
+    for (unsigned k = 0; k < 256; ++k) {
+        dup.byLength[0].record(k, rng.nextBool(0.5));
+        dup.byLength[1].record(k, (k >> 3) & 1);
+        dup.byLength[3].record(k, rng.nextBool(0.3));
+        dup.byLength[4].record(k, (k >> 5) & 1);
+    }
+    for (const ScreenConfig &c : {cfg, tight})
+        expectSameScreen(c, dup, {8, 8, 8, 16, 16}, "duplicates");
+
+    // Mixed widths in one entry: bits above a narrow table's keys.
+    BranchProfileEntry mixed;
+    mixed.byLength = {HashedSampleTable(4), HashedSampleTable(8),
+                      HashedSampleTable(6)};
+    for (unsigned k = 0; k < 256; ++k) {
+        mixed.byLength[0].record(k % 16, rng.nextBool(0.7));
+        mixed.byLength[1].record(k, rng.nextBool(0.5));
+        mixed.byLength[2].record(k % 64, (k >> 2) & 1);
+    }
+    for (const ScreenConfig &c : {cfg, tight})
+        expectSameScreen(c, mixed, {8, 16, 32}, "mixed widths");
+}
+
+TEST(ScreenDifferential, EveryHardBranchOfChunkProfiledApps)
+{
+    // The tables whisperd screens: a ChunkProfiler's running profile
+    // over 350k records, in the service's 50k-record chunks.
+    WhisperConfig wcfg;
+    size_t branches = 0;
+    for (const char *name : {"mysql", "clang", "kafka", "finagle-http"}) {
+        ChunkProfiler profiler(wcfg, makeTage(64));
+        AppWorkload workload(appByName(name), 0, 350'000);
+        std::vector<BranchRecord> chunk;
+        BranchRecord rec;
+        while (workload.next(rec)) {
+            chunk.push_back(rec);
+            if (chunk.size() == 50'000) {
+                profiler.profileChunk(chunk);
+                chunk.clear();
+            }
+        }
+        if (!chunk.empty())
+            profiler.profileChunk(chunk);
+
+        const BranchProfile &profile = profiler.profile();
+        ASSERT_GT(profile.numHardBranches(), 0u) << name;
+        for (const BranchProfileEntry *e : profile.hardBranches()) {
+            expectSameScreen(ScreenConfig{}, *e, profile.lengths(),
+                             std::string(name) + " pc " +
+                                 std::to_string(e->pc));
+            ++branches;
+        }
+    }
+    EXPECT_GT(branches, 400u);
 }
 
 // ---------------------------------------------------------------

@@ -23,7 +23,8 @@
  * Reports sustained chunks/sec and p50/p99 per-chunk ingest latency
  * (wall time from first transmission to acknowledgment, retries
  * included) plus retry/reconnect/duplicate counters, optionally as
- * machine-readable JSON (--json, the BENCH_server.json producer).
+ * a machine-readable run record appended to a JSON history (--json,
+ * the BENCH_server.json producer).
  * Exit status is nonzero if any chunk finished unacknowledged.
  */
 
@@ -48,6 +49,7 @@
 #include "workloads/app_workload.hh"
 
 #include "cli_parse.hh"
+#include "run_record.hh"
 
 using namespace whisper;
 
@@ -82,7 +84,7 @@ usage()
         "(default 50)\n"
         "  --fault-spec SPEC    arm client-side wire faults (see "
         "whisperd --fault-spec)\n"
-        "  --json FILE          machine-readable results\n");
+        "  --json FILE          append a run record to FILE's history\n");
     std::exit(2);
 }
 
@@ -418,40 +420,34 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(fi.wireStalls()));
 
     if (!jsonPath.empty()) {
-        FILE *f = std::fopen(jsonPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         jsonPath.c_str());
-            return 1;
-        }
-        std::fprintf(
-            f,
-            "{\n"
-            "  \"agents\": %zu,\n"
-            "  \"chunk_records\": %zu,\n"
-            "  \"chunks_sent\": %llu,\n"
-            "  \"chunks_acked\": %llu,\n"
-            "  \"chunks_unacked\": %llu,\n"
-            "  \"records_acked\": %llu,\n"
-            "  \"wall_seconds\": %.3f,\n"
-            "  \"chunks_per_sec\": %.1f,\n"
-            "  \"ingest_latency_p50_ms\": %.3f,\n"
-            "  \"ingest_latency_p99_ms\": %.3f,\n"
-            "  \"retries\": %llu,\n"
-            "  \"reconnects\": %llu,\n"
-            "  \"duplicate_acks\": %llu,\n"
-            "  \"retry_afters\": %llu,\n"
-            "  \"crc_rejects\": %llu,\n"
-            "  \"timeouts\": %llu,\n"
-            "  \"bundle_pulls\": %llu,\n"
-            "  \"bundle_cache_hits\": %llu,\n"
-            "  \"injected_corrupt\": %llu,\n"
-            "  \"injected_torn\": %llu,\n"
-            "  \"injected_kills\": %llu,\n"
-            "  \"injected_stalls\": %llu,\n"
-            "  \"fault_spec\": \"%s\",\n"
-            "  \"failed_agents\": %u\n"
-            "}\n",
+        // One run record appended to the history at jsonPath.
+        char fields[2048];
+        int len = std::snprintf(
+            fields, sizeof(fields),
+            "      \"agents\": %zu,\n"
+            "      \"chunk_records\": %zu,\n"
+            "      \"chunks_sent\": %llu,\n"
+            "      \"chunks_acked\": %llu,\n"
+            "      \"chunks_unacked\": %llu,\n"
+            "      \"records_acked\": %llu,\n"
+            "      \"wall_seconds\": %.3f,\n"
+            "      \"chunks_per_sec\": %.1f,\n"
+            "      \"ingest_latency_p50_ms\": %.3f,\n"
+            "      \"ingest_latency_p99_ms\": %.3f,\n"
+            "      \"retries\": %llu,\n"
+            "      \"reconnects\": %llu,\n"
+            "      \"duplicate_acks\": %llu,\n"
+            "      \"retry_afters\": %llu,\n"
+            "      \"crc_rejects\": %llu,\n"
+            "      \"timeouts\": %llu,\n"
+            "      \"bundle_pulls\": %llu,\n"
+            "      \"bundle_cache_hits\": %llu,\n"
+            "      \"injected_corrupt\": %llu,\n"
+            "      \"injected_torn\": %llu,\n"
+            "      \"injected_kills\": %llu,\n"
+            "      \"injected_stalls\": %llu,\n"
+            "      \"fault_spec\": \"%s\",\n"
+            "      \"failed_agents\": %u",
             plans.size(), chunkRecords,
             static_cast<unsigned long long>(sent),
             static_cast<unsigned long long>(acked),
@@ -472,8 +468,18 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(fi.wireConnKills()),
             static_cast<unsigned long long>(fi.wireStalls()),
             faultSpec.c_str(), failedAgents);
-        std::fclose(f);
-        std::printf("loadgen: wrote %s\n", jsonPath.c_str());
+        if (len < 0 || static_cast<size_t>(len) >= sizeof(fields)) {
+            std::fprintf(stderr, "error: run record too long for %s\n",
+                         jsonPath.c_str());
+            return 1;
+        }
+        if (!appendRunRecord(jsonPath, "server", fields)) {
+            std::fprintf(stderr, "error: cannot append to %s\n",
+                         jsonPath.c_str());
+            return 1;
+        }
+        std::printf("loadgen: appended a run to %s\n",
+                    jsonPath.c_str());
     }
 
     if (unacked > 0 || failedAgents > 0) {

@@ -185,8 +185,8 @@ main(int argc, char **argv)
                      outPath.c_str());
         return 1;
     }
-    std::printf("  %zu hints (%.2fs on %u workers, %.2fs summed over "
-                "branches, %llu formulas scored, "
+    std::printf("  %zu hints (%.2fs on %u workers, %.2fs CPU summed "
+                "over branches, %llu formulas scored, "
                 "%llu warm hits / %llu cold searches; placed in "
                 "%.2fs) -> %s\n",
                 bundle.hints.size(), stats.trainSeconds, workers,
