@@ -7,7 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
+#include <span>
 
 #include "bp/tage_scl.hh"
 #include "core/hint_buffer.hh"
@@ -45,8 +47,8 @@ BM_TagePredictUpdate(benchmark::State &state)
     for (auto _ : state) {
         const BranchRecord &rec = trace[i];
         if (rec.isConditional()) {
-            bool pred = tage.predict(rec.pc, rec.taken);
-            tage.update(rec.pc, rec.taken, pred);
+            bool pred = tage.predict(rec.pc);
+            tage.update(rec.pc, rec.taken);
             benchmark::DoNotOptimize(pred);
         }
         i = (i + 1) % trace.size();
@@ -56,7 +58,7 @@ BM_TagePredictUpdate(benchmark::State &state)
 BENCHMARK(BM_TagePredictUpdate)->Arg(8)->Arg(64)->Arg(1024);
 
 void
-BM_WhisperHybridPredictUpdate(benchmark::State &state)
+BM_WhisperHybridStep(benchmark::State &state)
 {
     ExperimentConfig cfg;
     cfg.trainRecords = 150000;
@@ -65,20 +67,21 @@ BM_WhisperHybridPredictUpdate(benchmark::State &state)
     WhisperBuild build = trainWhisper(app, 0, profile, cfg);
     auto pred = makeWhisperPredictor(cfg, build);
 
-    const BranchTrace &trace = sharedTrace();
-    size_t i = 0;
+    // One iteration steps one block of records, as the runners do.
+    std::span<const BranchRecord> records = sharedTrace().records();
+    std::array<uint8_t, kStepBlock> miss;
+    size_t first = 0;
     for (auto _ : state) {
-        const BranchRecord &rec = trace[i];
-        if (rec.isConditional()) {
-            bool p = pred->predict(rec.pc, rec.taken);
-            pred->update(rec.pc, rec.taken, p);
-        }
-        pred->onRecord(rec);
-        i = (i + 1) % trace.size();
+        if (first + kStepBlock > records.size())
+            first = 0;
+        pred->step(records.subspan(first, kStepBlock), miss.data());
+        benchmark::DoNotOptimize(miss.data());
+        benchmark::ClobberMemory();
+        first += kStepBlock;
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() * kStepBlock);
 }
-BENCHMARK(BM_WhisperHybridPredictUpdate);
+BENCHMARK(BM_WhisperHybridStep);
 
 void
 BM_HintBufferInsertLookup(benchmark::State &state)

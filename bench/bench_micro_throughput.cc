@@ -1,9 +1,10 @@
 /**
  * @file
- * Simulation-throughput microbench: branches/sec/core for every
- * predictor on the mysql trace, driven through step() in the
- * runners' blocks; TAGE-SC-L 64KB and whisper+TAGE both per record
- * and through step() (what the block step saves); TAGE-SC-L 64KB
+ * Simulation-throughput microbench: branches/sec/core for TAGE-SC-L
+ * 64KB and whisper+TAGE on the mysql trace, driven through step() in
+ * the runners' blocks; TAGE-SC-L 64KB both through its own per-record
+ * predict()/update() and through step() (what the block step saves),
+ * and whisper+TAGE again through step(); TAGE-SC-L 64KB
  * with its statistical corrector and loop predictor each switched
  * off (what each component costs the simulator, next to what it
  * buys in mispredicts); the frontend model (PipelineModel with an
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "common.hh"
-#include "bp/perceptron.hh"
 #include "bp/tage_scl.hh"
 #include "core/hint_buffer.hh"
 #include "sim/runner.hh"
@@ -82,13 +82,12 @@ struct Throughput
 };
 
 /** Time a fresh predictor from @p make over the whole trace, stepped
- * through step() in kStepBlock blocks as the runners step it, or
- * with one predict()/update()/onRecord() per record when
- * @p perRecord; the best of kPasses passes. */
-template <typename Make>
+ * through step() in kStepBlock blocks as the runners step it, or,
+ * with @p PerRecord, through TageScl's own predict()/update() one
+ * conditional at a time; the best of kPasses passes. */
+template <bool PerRecord = false, typename Make>
 Throughput
-measurePredictor(const BranchTrace &trace, Make &&make,
-                 bool perRecord = false)
+measurePredictor(const BranchTrace &trace, Make &&make)
 {
     Throughput out;
     std::span<const BranchRecord> records = trace.records();
@@ -97,14 +96,13 @@ measurePredictor(const BranchTrace &trace, Make &&make,
         auto pred = make();
         out.mispredicts = 0;
         auto start = Clock::now();
-        if (perRecord) {
+        if constexpr (PerRecord) {
             for (const BranchRecord &rec : records) {
                 if (rec.isConditional()) {
-                    bool guess = pred->predict(rec.pc, rec.taken);
-                    pred->update(rec.pc, rec.taken, guess);
+                    bool guess = pred->predict(rec.pc);
+                    pred->update(rec.pc, rec.taken);
                     out.mispredicts += guess != rec.taken;
                 }
-                pred->onRecord(rec);
             }
         } else {
             for (size_t first = 0; first < records.size();
@@ -212,10 +210,6 @@ main()
     };
 
     runOne("tage64", [&] { return makeTage(cfg.tageBudgetKB); });
-    runOne("bimodal", [] { return std::make_unique<BimodalPredictor>(); });
-    runOne("gshare", [] { return std::make_unique<GsharePredictor>(); });
-    runOne("perceptron",
-           [] { return std::make_unique<PerceptronPredictor>(); });
     runOne("whisper_tage64",
            [&] { return makeWhisperPredictor(cfg, build); });
 
@@ -225,30 +219,28 @@ main()
         table.addRow(r.name, {r.t.bps / 1e6});
     table.print();
 
-    // --- per record vs block step, on fresh predictors ---
-    struct StepPair
-    {
-        std::string name;
-        Throughput perRecord, block;
+    // --- per record vs block step, on fresh predictors: TAGE-SC-L
+    // through its own per-record loop and through step(); the Whisper
+    // hybrid has only step() ---
+    auto makeTageScl = [&] {
+        return std::make_unique<TageScl>(
+            TageSclConfig::forBudgetKB(cfg.tageBudgetKB));
     };
-    std::vector<StepPair> stepPairs;
-    auto runPair = [&](const std::string &label, auto make) {
-        stepPairs.push_back({label, measurePredictor(trace, make, true),
-                             measurePredictor(trace, make)});
-    };
-    runPair("tage64", [&] { return makeTage(cfg.tageBudgetKB); });
-    runPair("whisper_tage64",
-            [&] { return makeWhisperPredictor(cfg, build); });
+    const Throughput tagePerRecord = measurePredictor<true>(trace, makeTageScl);
+    const Throughput tageBlock = measurePredictor(trace, makeTageScl);
+    const Throughput whisperBlock = measurePredictor(
+        trace, [&] { return makeWhisperPredictor(cfg, build); });
     TableReporter stepTable("per record vs block step (mysql)");
     stepTable.setHeader({"predictor", "record Mrec/s", "block Mrec/s",
                          "speedup", "mispredicts"});
-    for (const auto &p : stepPairs) {
-        stepTable.addRow(
-            {p.name, TableReporter::formatDouble(p.perRecord.rps / 1e6),
-             TableReporter::formatDouble(p.block.rps / 1e6),
-             TableReporter::formatDouble(p.block.rps / p.perRecord.rps),
-             std::to_string(p.block.mispredicts)});
-    }
+    stepTable.addRow(
+        {"tage64", TableReporter::formatDouble(tagePerRecord.rps / 1e6),
+         TableReporter::formatDouble(tageBlock.rps / 1e6),
+         TableReporter::formatDouble(tageBlock.rps / tagePerRecord.rps),
+         std::to_string(tageBlock.mispredicts)});
+    stepTable.addRow({"whisper_tage64", "-",
+                      TableReporter::formatDouble(whisperBlock.rps / 1e6),
+                      "-", std::to_string(whisperBlock.mispredicts)});
     stepTable.print();
 
     // --- TAGE-SC-L 64KB by component ---
@@ -429,18 +421,16 @@ main()
     fields += "      },\n      \"whisper_over_tage\": " +
               fixed(whisperOverTage, 3) + ",\n" +
               "      \"block_step\": {\n";
-    for (size_t i = 0; i < stepPairs.size(); ++i) {
-        const StepPair &p = stepPairs[i];
-        fields += "        \"" + p.name +
-                  "\": {\"per_record_records_per_sec\": " +
-                  fixed(p.perRecord.rps, 0) +
-                  ", \"block_records_per_sec\": " + fixed(p.block.rps, 0) +
-                  ", \"per_record_mispredicts\": " +
-                  std::to_string(p.perRecord.mispredicts) +
-                  ", \"block_mispredicts\": " +
-                  std::to_string(p.block.mispredicts) + "}" +
-                  (i + 1 < stepPairs.size() ? "," : "") + "\n";
-    }
+    fields += "        \"tage64\": {\"per_record_records_per_sec\": " +
+              fixed(tagePerRecord.rps, 0) +
+              ", \"block_records_per_sec\": " + fixed(tageBlock.rps, 0) +
+              ", \"per_record_mispredicts\": " +
+              std::to_string(tagePerRecord.mispredicts) +
+              ", \"block_mispredicts\": " +
+              std::to_string(tageBlock.mispredicts) + "},\n" +
+              "        \"whisper_tage64\": {\"block_records_per_sec\": " +
+              fixed(whisperBlock.rps, 0) + ", \"block_mispredicts\": " +
+              std::to_string(whisperBlock.mispredicts) + "}\n";
     fields += "      },\n      \"frontend\": {\"records_per_sec\": " +
               fixed(feRps, 0) + ", \"l1i_misses\": " +
               std::to_string(fe.l1iMisses) + ", \"btb_misses\": " +

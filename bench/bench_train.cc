@@ -5,16 +5,18 @@
  * second epoch's hints three ways — cold (the paper's exhaustive
  * length x formula scan), pruned (correlation-screened candidate
  * sets), and pruned+warm (screened, seeded with epoch 1's hints) —
- * and report train time against the coverage/accuracy each mode
- * achieves. Appends a run record to BENCH_train.json's history;
- * CI's train-smoke job runs `bench_train --quick`, which exits
- * nonzero unless warm-started retraining beats the cold scan on mean
- * train time.
+ * and report train time (the best of kPasses train() calls) against
+ * the coverage/accuracy each mode achieves. Appends a run record to
+ * BENCH_train.json's history; CI's train-smoke job runs
+ * `bench_train --quick`, which exits nonzero unless warm-started
+ * retraining beats the cold scan on mean train time.
  */
 
 #include "common.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 using namespace whisper;
 using namespace whisper::bench;
@@ -32,9 +34,14 @@ struct ModeResult
     uint64_t warmHits = 0;
 };
 
+/** Timed train() calls per mode: a shared host slows single calls
+ * at random, so each mode's seconds are the fewest of these. */
+constexpr int kPasses = 5;
+
 /**
- * Train the epoch-2 profile in one mode and (full runs only)
- * evaluate the resulting bundle on the held-out third input.
+ * Train the epoch-2 profile in one mode, kPasses times on fresh
+ * trainers, and (full runs only) evaluate the resulting bundle on the
+ * held-out third input.
  */
 ModeResult
 runMode(const AppConfig &app, const ExperimentConfig &cfg,
@@ -42,16 +49,20 @@ runMode(const AppConfig &app, const ExperimentConfig &cfg,
         const std::vector<TrainedHint> *seeds, bool prune,
         bool doEval)
 {
-    WhisperTrainer trainer(cfg.whisper, globalTruthTables());
-    if (prune)
-        trainer.setScreen(ScreenConfig{});
     TrainingStats stats;
     WhisperBuild build;
-    // One worker: the recorded seconds compare modes, not core counts.
-    build.hints = trainer.train(profile, seeds, &stats, 1);
-
     ModeResult r;
-    r.seconds = stats.trainSeconds;
+    r.seconds = std::numeric_limits<double>::infinity();
+    for (int pass = 0; pass < kPasses; ++pass) {
+        WhisperTrainer trainer(cfg.whisper, globalTruthTables());
+        if (prune)
+            trainer.setScreen(ScreenConfig{});
+        stats = TrainingStats{};
+        // One worker: the recorded seconds compare modes, not core
+        // counts.
+        build.hints = trainer.train(profile, seeds, &stats, 1);
+        r.seconds = std::min(r.seconds, stats.trainSeconds);
+    }
     r.scored = stats.formulasScored;
     r.hints = build.hints.size();
     r.coveragePct = profile.totalMispredicts

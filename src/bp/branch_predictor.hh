@@ -6,9 +6,11 @@
 #ifndef WHISPER_BP_BRANCH_PREDICTOR_HH
 #define WHISPER_BP_BRANCH_PREDICTOR_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -19,14 +21,9 @@ namespace whisper
 {
 
 /**
- * Interface shared by every direction predictor in the library.
- *
- * A caller calls predict() then update() for each dynamic
- * conditional branch, in trace order, or step() for a block of
- * records. predict() receives the resolved direction as
- * @p oracleTaken purely so that the ideal (limit-study) predictor can
- * be driven through the same interface; every real predictor must
- * ignore it.
+ * Interface shared by every direction predictor in the library: a
+ * driver steps a predictor through the trace in blocks of records,
+ * in trace order.
  */
 class BranchPredictor
 {
@@ -34,66 +31,18 @@ class BranchPredictor
     virtual ~BranchPredictor() = default;
 
     /**
-     * Predict the direction of the conditional branch at @p pc.
-     *
-     * @param pc branch instruction address
-     * @param oracleTaken resolved direction (for IdealPredictor only)
-     * @return predicted direction
-     */
-    virtual bool predict(uint64_t pc, bool oracleTaken) = 0;
-
-    /**
-     * Train on the resolved branch and advance internal history.
-     *
-     * @param pc branch address
-     * @param taken resolved direction
-     * @param predicted the direction predict() returned
-     * @param allocate false to suppress new-entry allocation (used by
-     *        Whisper for hinted branches so the underlying predictor's
-     *        capacity is reserved for unhinted branches)
-     */
-    virtual void update(uint64_t pc, bool taken, bool predicted,
-                        bool allocate = true) = 0;
-
-    /**
-     * Observe a retired control-transfer record of any kind. The
-     * driver calls this for every trace record after predict/update;
-     * Whisper's hybrid uses it to model brhint execution in
-     * predecessor blocks. Default: no-op.
-     */
-    virtual void onRecord(const BranchRecord &rec) { (void)rec; }
-
-    /**
      * Step through a block of trace records, the step every trace
      * loop shares (runners, profilers, the pipeline model, the
-     * analyses). Each conditional is predicted and then updated with
-     * its outcome, and every record is passed to onRecord(), in
-     * trace order. miss[i] is set iff @p records[i] is a conditional
-     * the predictor missed; where @p noAllocate is given,
-     * noAllocate[i] != 0 updates records[i] with allocate = false.
-     *
-     * The default is that loop. A predictor may override it to do
-     * the work that depends only on the trace (history, hashes,
-     * hint-buffer use) for the whole block first, as long as every
-     * prediction and all state it leaves equal the loop's.
+     * analyses). Each conditional is predicted and then trained on
+     * its outcome, in trace order, and records of every kind advance
+     * whatever state the predictor keeps from them. miss[i] is set
+     * iff @p records[i] is a conditional the predictor missed; where
+     * @p noAllocate is given, noAllocate[i] != 0 trains records[i]
+     * without allocating new entries (Whisper passes it for hinted
+     * branches, so the base predictor's capacity serves the rest).
      */
-    virtual void
-    step(std::span<const BranchRecord> records, uint8_t *miss,
-         const uint8_t *noAllocate = nullptr)
-    {
-        for (size_t i = 0; i < records.size(); ++i) {
-            const BranchRecord &rec = records[i];
-            bool missed = false;
-            if (rec.isConditional()) {
-                bool pred = predict(rec.pc, rec.taken);
-                update(rec.pc, rec.taken, pred,
-                       !(noAllocate && noAllocate[i]));
-                missed = pred != rec.taken;
-            }
-            miss[i] = missed;
-            onRecord(rec);
-        }
-    }
+    virtual void step(std::span<const BranchRecord> records, uint8_t *miss,
+                      const uint8_t *noAllocate = nullptr) = 0;
 
     /** Human-readable name for reports. */
     virtual std::string name() const = 0;
@@ -104,6 +53,39 @@ class BranchPredictor
 
 /** Records a trace loop reads into one step() block. */
 inline constexpr size_t kStepBlock = 256;
+
+/**
+ * The step of a hybrid that overrides some conditionals' predictions
+ * in front of a @p base predictor (Whisper, ROMBF, BranchNet). Per
+ * block of at most kStepBlock records, @p decide(record) runs once
+ * per record in trace order and returns the hybrid's own prediction
+ * for a conditional it overrides (it reads and advances the hybrid's
+ * own history); then @p base steps the block, training overridden
+ * conditionals without allocating, and their miss flags are patched
+ * with the overriding prediction.
+ */
+template <typename Decide>
+void
+stepOverriding(BranchPredictor &base, std::span<const BranchRecord> records,
+               uint8_t *miss, const uint8_t *noAllocate, Decide &&decide)
+{
+    std::array<uint8_t, kStepBlock> overridden, own, skipAllocate;
+    for (size_t first = 0; first < records.size(); first += kStepBlock) {
+        std::span<const BranchRecord> block = records.subspan(
+            first, std::min(kStepBlock, records.size() - first));
+        for (size_t i = 0; i < block.size(); ++i) {
+            std::optional<bool> pred = decide(block[i]);
+            overridden[i] = pred.has_value();
+            own[i] = pred.value_or(false);
+            skipAllocate[i] =
+                overridden[i] || (noAllocate && noAllocate[first + i]);
+        }
+        base.step(block, miss + first, skipAllocate.data());
+        for (size_t i = 0; i < block.size(); ++i)
+            if (overridden[i])
+                miss[first + i] = own[i] != block[i].taken;
+    }
+}
 
 /**
  * The one trace-stepping loop: read @p source to its end in blocks of

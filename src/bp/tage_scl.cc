@@ -342,7 +342,7 @@ TageScl::updateLoop(bool taken)
 }
 
 bool
-TageScl::predict(uint64_t pc, bool)
+TageScl::predict(uint64_t pc)
 {
     std::array<uint32_t, kNumViews> fold;
     history_.foldedValues(fold.data());
@@ -501,10 +501,9 @@ TageScl::updateSc(bool taken)
 }
 
 void
-TageScl::update(uint64_t pc, bool taken, bool predicted, bool allocate)
+TageScl::update(uint64_t pc, bool taken, bool allocate)
 {
     whisper_assert(pc == ctx_.pc, "update() without matching predict()");
-    (void)predicted;
     train(taken, allocate);
     history_.push(taken);
 }

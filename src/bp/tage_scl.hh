@@ -85,9 +85,15 @@ class TageScl : public BranchPredictor
     /** Conditionals step() hashes at a time. */
     static constexpr size_t kBlock = GlobalHistory::kMaxRun;
 
-    bool predict(uint64_t pc, bool) override;
-    void update(uint64_t pc, bool taken, bool predicted,
-                bool allocate = true) override;
+    /**
+     * The per-record protocol step() walks block by block: predict
+     * the conditional at @p pc, then update() it with its outcome
+     * (allocate = false suppresses new tagged entries) before the
+     * next predict(). Tests use it as step()'s reference.
+     */
+    bool predict(uint64_t pc);
+    void update(uint64_t pc, bool taken, bool allocate = true);
+
     void step(std::span<const BranchRecord> records, uint8_t *miss,
               const uint8_t *noAllocate = nullptr) override;
     std::string name() const override;

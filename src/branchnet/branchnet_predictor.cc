@@ -29,29 +29,24 @@ BranchNetPredictor::storageBits() const
            models_.size() * BranchNetGeometry::modelBytes() * 8;
 }
 
-bool
-BranchNetPredictor::predict(uint64_t pc, bool oracleTaken)
-{
-    basePred_ = base_->predict(pc, oracleTaken);
-    usedCnn_ = false;
-
-    auto it = byPc_.find(pc);
-    if (it == byPc_.end())
-        return basePred_;
-
-    usedCnn_ = true;
-    ++cnnPredictions_;
-    return models_[it->second].model.predict(history_.snapshot());
-}
-
 void
-BranchNetPredictor::update(uint64_t pc, bool taken, bool predicted,
-                           bool allocate)
+BranchNetPredictor::step(std::span<const BranchRecord> records,
+                         uint8_t *miss, const uint8_t *noAllocate)
 {
-    if (usedCnn_ && predicted == taken)
-        ++cnnCorrect_;
-    base_->update(pc, taken, basePred_, allocate && !usedCnn_);
-    history_.push(pc, taken);
+    auto decide = [this](const BranchRecord &rec) {
+        std::optional<bool> pred;
+        if (!rec.isConditional())
+            return pred;
+        auto it = byPc_.find(rec.pc);
+        if (it != byPc_.end()) {
+            pred = models_[it->second].model.predict(history_.snapshot());
+            ++cnnPredictions_;
+            cnnCorrect_ += *pred == rec.taken;
+        }
+        history_.push(rec.pc, rec.taken);
+        return pred;
+    };
+    stepOverriding(*base_, records, miss, noAllocate, decide);
 }
 
 } // namespace whisper

@@ -63,9 +63,8 @@ class BranchNetPredictor : public BranchPredictor
                        std::vector<BranchNetDeployment> models,
                        std::string label);
 
-    bool predict(uint64_t pc, bool oracleTaken) override;
-    void update(uint64_t pc, bool taken, bool predicted,
-                bool allocate = true) override;
+    void step(std::span<const BranchRecord> records, uint8_t *miss,
+              const uint8_t *noAllocate = nullptr) override;
     std::string name() const override;
     uint64_t storageBits() const override;
 
@@ -79,8 +78,6 @@ class BranchNetPredictor : public BranchPredictor
     std::string label_;
     TokenHistory history_;
 
-    bool usedCnn_ = false;
-    bool basePred_ = false;
     uint64_t cnnPredictions_ = 0;
     uint64_t cnnCorrect_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "core/brhint.hh"
 
-#include <sstream>
-
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -47,27 +45,6 @@ uint16_t
 BrHint::pcPointerFor(uint64_t branchPc)
 {
     return static_cast<uint16_t>((branchPc >> 1) & maskBits(12));
-}
-
-std::string
-BrHint::toString() const
-{
-    std::ostringstream os;
-    os << "brhint{len#" << static_cast<int>(historyIdx) << ", f=0x"
-       << std::hex << formula << std::dec << ", bias=";
-    switch (bias) {
-      case HintBias::Formula:
-        os << "formula";
-        break;
-      case HintBias::AlwaysTaken:
-        os << "always";
-        break;
-      case HintBias::NeverTaken:
-        os << "never";
-        break;
-    }
-    os << ", pc=0x" << std::hex << pcPointer << std::dec << "}";
-    return os.str();
 }
 
 } // namespace whisper

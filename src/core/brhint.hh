@@ -14,7 +14,6 @@
 #define WHISPER_CORE_BRHINT_HH
 
 #include <cstdint>
-#include <string>
 
 namespace whisper
 {
@@ -50,8 +49,6 @@ struct BrHint
 
     /** 12-bit PC pointer derived from a full branch address. */
     static uint16_t pcPointerFor(uint64_t branchPc);
-
-    std::string toString() const;
 
     bool operator==(const BrHint &o) const = default;
 };

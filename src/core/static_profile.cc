@@ -15,11 +15,19 @@ StaticProfilePredictor::StaticProfilePredictor(
     }
 }
 
-bool
-StaticProfilePredictor::predict(uint64_t pc, bool)
+void
+StaticProfilePredictor::step(std::span<const BranchRecord> records,
+                             uint8_t *miss, const uint8_t *)
 {
-    auto it = direction_.find(pc);
-    return it == direction_.end() ? fallbackTaken_ : it->second;
+    for (size_t i = 0; i < records.size(); ++i) {
+        const BranchRecord &rec = records[i];
+        miss[i] = 0;
+        if (!rec.isConditional())
+            continue;
+        auto it = direction_.find(rec.pc);
+        miss[i] = (it == direction_.end() ? fallbackTaken_ : it->second) !=
+                  rec.taken;
+    }
 }
 
 } // namespace whisper

@@ -34,8 +34,8 @@ class StaticProfilePredictor : public BranchPredictor
     explicit StaticProfilePredictor(const BranchProfile &profile,
                                     bool fallbackTaken = true);
 
-    bool predict(uint64_t pc, bool) override;
-    void update(uint64_t, bool, bool, bool = true) override {}
+    void step(std::span<const BranchRecord> records, uint8_t *miss,
+              const uint8_t *noAllocate = nullptr) override;
     std::string name() const override { return "profile-static"; }
 
     size_t coveredBranches() const { return direction_.size(); }

@@ -1,8 +1,5 @@
 #include "core/whisper_predictor.hh"
 
-#include <algorithm>
-#include <array>
-
 #include "util/logging.hh"
 
 namespace whisper
@@ -95,69 +92,28 @@ WhisperPredictor::evaluateHint(const BrHint &hint) const
     return cache_.evaluate(hint.formula, hashed);
 }
 
-bool
-WhisperPredictor::predict(uint64_t pc, bool oracleTaken)
-{
-    // Query the dynamic predictor unconditionally: real hardware
-    // looks up both structures in parallel, and the base predictor
-    // needs its prediction context for update().
-    basePred_ = base_->predict(pc, oracleTaken);
-    usedHint_ = false;
-
-    const BrHint *hint = buffer_.lookup(pc);
-    if (hint) {
-        usedHint_ = true;
-        ++hintPredictions_;
-        return evaluateHint(*hint);
-    }
-    return basePred_;
-}
-
-void
-WhisperPredictor::update(uint64_t pc, bool taken, bool predicted,
-                         bool allocate)
-{
-    if (usedHint_ && predicted == taken)
-        ++hintCorrect_;
-    // Hinted branches never allocate new entries in the dynamic
-    // predictor (paper SIV); its capacity serves the rest.
-    base_->update(pc, taken, basePred_, allocate && !usedHint_);
-    history_.push(taken);
-}
-
 void
 WhisperPredictor::step(std::span<const BranchRecord> records, uint8_t *miss,
                        const uint8_t *noAllocate)
 {
-    std::array<uint8_t, kStepBlock> hinted, hintPred, skipAllocate;
-    for (size_t first = 0; first < records.size(); first += kStepBlock) {
-        std::span<const BranchRecord> block = records.subspan(
-            first, std::min(kStepBlock, records.size() - first));
-        for (size_t i = 0; i < block.size(); ++i) {
-            const BranchRecord &rec = block[i];
-            hinted[i] = 0;
-            if (rec.isConditional()) {
-                if (const BrHint *hint = buffer_.lookup(rec.pc)) {
-                    hinted[i] = 1;
-                    hintPred[i] = evaluateHint(*hint);
-                    ++hintPredictions_;
-                    hintCorrect_ += hintPred[i] == rec.taken;
-                }
-                history_.push(rec.taken);
+    auto decide = [this](const BranchRecord &rec) {
+        std::optional<bool> pred;
+        if (rec.isConditional()) {
+            if (const BrHint *hint = buffer_.lookup(rec.pc)) {
+                pred = evaluateHint(*hint);
+                ++hintPredictions_;
+                hintCorrect_ += *pred == rec.taken;
             }
-            skipAllocate[i] =
-                hinted[i] || (noAllocate && noAllocate[first + i]);
-            onRecord(rec);
+            history_.push(rec.taken);
         }
-        base_->step(block, miss + first, skipAllocate.data());
-        for (size_t i = 0; i < block.size(); ++i)
-            if (hinted[i])
-                miss[first + i] = hintPred[i] != block[i].taken;
-    }
+        executeBrhints(rec);
+        return pred;
+    };
+    stepOverriding(*base_, records, miss, noAllocate, decide);
 }
 
 void
-WhisperPredictor::onRecord(const BranchRecord &rec)
+WhisperPredictor::executeBrhints(const BranchRecord &rec)
 {
     // A block carrying brhint instructions decodes each hint into
     // the hint buffer; other blocks are not in the table.

@@ -56,15 +56,11 @@ class WhisperPredictor : public BranchPredictor
     void replaceHints(const std::vector<TrainedHint> &hints,
                       const std::vector<HintPlacement> &placements);
 
-    bool predict(uint64_t pc, bool oracleTaken) override;
-    void update(uint64_t pc, bool taken, bool predicted,
-                bool allocate = true) override;
-    void onRecord(const BranchRecord &rec) override;
     /**
      * Which conditionals use a hint, and what each hint predicts,
      * depend only on the trace, so each block decides them first and
      * then steps the base through its own step() with allocation off
-     * where a hint was used (so the base also sees onRecord()).
+     * where a hint was used.
      */
     void step(std::span<const BranchRecord> records, uint8_t *miss,
               const uint8_t *noAllocate = nullptr) override;
@@ -89,6 +85,9 @@ class WhisperPredictor : public BranchPredictor
     };
 
     bool evaluateHint(const BrHint &hint) const;
+    /** Decode the brhints a retired block @p rec carries into the
+     * hint buffer. */
+    void executeBrhints(const BranchRecord &rec);
 
     std::unique_ptr<BranchPredictor> base_;
     WhisperConfig cfg_;
@@ -108,8 +107,6 @@ class WhisperPredictor : public BranchPredictor
     HintBuffer buffer_;
     GlobalHistory history_;
 
-    bool usedHint_ = false;
-    bool basePred_ = false;
     uint64_t hintPredictions_ = 0;
     uint64_t hintCorrect_ = 0;
     uint64_t dynamicHints_ = 0;

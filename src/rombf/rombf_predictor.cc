@@ -28,35 +28,32 @@ RombfPredictor::storageBits() const
     return base_->storageBits();
 }
 
-bool
-RombfPredictor::predict(uint64_t pc, bool oracleTaken)
-{
-    basePred_ = base_->predict(pc, oracleTaken);
-    usedHint_ = false;
-
-    auto it = hints_.find(pc);
-    if (it == hints_.end())
-        return basePred_;
-
-    usedHint_ = true;
-    ++hintPredictions_;
-    const Annotation &a = it->second;
-    if (a.tableIdx < 0)
-        return a.biasTaken;
-    unsigned bits =
-        static_cast<unsigned>(history_.lastBits(histLen_));
-    const TruthTable &tt = enum_.tables[a.tableIdx];
-    return (tt[bits / 64] >> (bits % 64)) & 1;
-}
-
 void
-RombfPredictor::update(uint64_t pc, bool taken, bool predicted,
-                       bool allocate)
+RombfPredictor::step(std::span<const BranchRecord> records, uint8_t *miss,
+                     const uint8_t *noAllocate)
 {
-    if (usedHint_ && predicted == taken)
-        ++hintCorrect_;
-    base_->update(pc, taken, basePred_, allocate && !usedHint_);
-    history_.push(taken);
+    auto decide = [this](const BranchRecord &rec) {
+        std::optional<bool> pred;
+        if (!rec.isConditional())
+            return pred;
+        auto it = hints_.find(rec.pc);
+        if (it != hints_.end()) {
+            const Annotation &a = it->second;
+            if (a.tableIdx < 0) {
+                pred = a.biasTaken;
+            } else {
+                unsigned bits =
+                    static_cast<unsigned>(history_.lastBits(histLen_));
+                const TruthTable &tt = enum_.tables[a.tableIdx];
+                pred = ((tt[bits / 64] >> (bits % 64)) & 1) != 0;
+            }
+            ++hintPredictions_;
+            hintCorrect_ += *pred == rec.taken;
+        }
+        history_.push(rec.taken);
+        return pred;
+    };
+    stepOverriding(*base_, records, miss, noAllocate, decide);
 }
 
 } // namespace whisper

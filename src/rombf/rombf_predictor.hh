@@ -30,9 +30,8 @@ class RombfPredictor : public BranchPredictor
                    const RombfTrainer &trainer,
                    const std::vector<RombfHint> &hints);
 
-    bool predict(uint64_t pc, bool oracleTaken) override;
-    void update(uint64_t pc, bool taken, bool predicted,
-                bool allocate = true) override;
+    void step(std::span<const BranchRecord> records, uint8_t *miss,
+              const uint8_t *noAllocate = nullptr) override;
     std::string name() const override;
     uint64_t storageBits() const override;
 
@@ -52,8 +51,6 @@ class RombfPredictor : public BranchPredictor
     std::unordered_map<uint64_t, Annotation> hints_;
     GlobalHistory history_;
 
-    bool usedHint_ = false;
-    bool basePred_ = false;
     uint64_t hintPredictions_ = 0;
     uint64_t hintCorrect_ = 0;
 };

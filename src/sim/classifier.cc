@@ -9,22 +9,6 @@
 namespace whisper
 {
 
-const char *
-mispredictClassName(MispredictClass c)
-{
-    switch (c) {
-      case MispredictClass::Compulsory:
-        return "Compulsory";
-      case MispredictClass::Capacity:
-        return "Capacity";
-      case MispredictClass::Conflict:
-        return "Conflict";
-      case MispredictClass::ConditionalOnData:
-        return "Conditional-on-data";
-    }
-    return "?";
-}
-
 MispredictBreakdown
 classifyMispredictions(BranchSource &source,
                        BranchPredictor &predictor,

@@ -37,8 +37,6 @@ enum class MispredictClass : uint8_t
     ConditionalOnData = 3,
 };
 
-const char *mispredictClassName(MispredictClass c);
-
 /** Classifier knobs. */
 struct ClassifierConfig
 {

@@ -97,8 +97,8 @@ class PipelineModel
 
     /**
      * Run @p source to exhaustion with @p predictor supplying
-     * conditional directions. The predictor's onRecord() hook is
-     * invoked for every record (Whisper's brhint modeling).
+     * conditional directions. The predictor steps every record
+     * (Whisper's brhint modeling sees them all).
      */
     PipelineStats run(BranchSource &source,
                       BranchPredictor &predictor);

@@ -34,14 +34,6 @@ RunningStat::stddev() const
 }
 
 double
-percentChange(double baseline, double value)
-{
-    if (baseline == 0.0)
-        return 0.0;
-    return 100.0 * (value - baseline) / baseline;
-}
-
-double
 speedupPercent(double cyclesBase, double cyclesNew)
 {
     if (cyclesNew == 0.0)

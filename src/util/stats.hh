@@ -77,9 +77,6 @@ class RatioStat
     uint64_t total_ = 0;
 };
 
-/** Percent change of @p value over @p baseline, in percent units. */
-double percentChange(double baseline, double value);
-
 /** Speedup (%) implied by going from @p cyclesBase to @p cyclesNew. */
 double speedupPercent(double cyclesBase, double cyclesNew);
 

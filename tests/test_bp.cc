@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for src/bp: simple predictors, perceptron, and
- * TAGE-SC-L learning behaviour.
+ * Unit tests for src/bp: the fixed-direction and ideal reference
+ * predictors, and TAGE-SC-L learning behaviour.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <vector>
 
-#include "bp/perceptron.hh"
 #include "bp/simple_predictors.hh"
 #include "bp/tage_scl.hh"
 #include "util/rng.hh"
@@ -18,29 +19,37 @@ using namespace whisper;
 namespace
 {
 
+BranchRecord
+conditional(uint64_t pc, bool taken)
+{
+    BranchRecord rec;
+    rec.pc = pc;
+    rec.kind = BranchKind::Conditional;
+    rec.taken = taken;
+    return rec;
+}
+
 /**
- * Drive @p predictor with outcomes from @p oracle for @p n branches
- * over @p numPcs rotating PCs; returns the misprediction rate over
- * the second half (first half = warm-up).
+ * Step @p predictor through @p n conditionals, outcomes from
+ * @p oracle, over @p numPcs rotating PCs; returns the misprediction
+ * rate over the second half (first half = warm-up).
  */
 double
 missRate(BranchPredictor &p,
          const std::function<bool(int, uint64_t)> &oracle, int n,
          int numPcs = 7)
 {
-    int miss = 0, counted = 0;
+    std::vector<BranchRecord> records;
     for (int i = 0; i < n; ++i) {
         uint64_t pc = 0x40A010 + (i % numPcs) * 144;
-        bool taken = oracle(i, pc);
-        bool pred = p.predict(pc, taken);
-        p.update(pc, taken, pred);
-        if (i >= n / 2) {
-            ++counted;
-            if (pred != taken)
-                ++miss;
-        }
+        records.push_back(conditional(pc, oracle(i, pc)));
     }
-    return static_cast<double>(miss) / counted;
+    std::vector<uint8_t> miss(records.size());
+    p.step(records, miss.data());
+    int misses = 0;
+    for (int i = n / 2; i < n; ++i)
+        misses += miss[i];
+    return static_cast<double>(misses) / (n - n / 2);
 }
 
 } // namespace
@@ -48,8 +57,23 @@ missRate(BranchPredictor &p,
 TEST(StaticPredictor, FixedDirection)
 {
     StaticPredictor taken(true), notTaken(false);
-    EXPECT_TRUE(taken.predict(0x10, false));
-    EXPECT_FALSE(notTaken.predict(0x10, true));
+    const BranchRecord notTakenRec = conditional(0x10, false);
+    const BranchRecord takenRec = conditional(0x10, true);
+    uint8_t miss = 0;
+    taken.step({&notTakenRec, 1}, &miss);
+    EXPECT_TRUE(miss);
+    notTaken.step({&takenRec, 1}, &miss);
+    EXPECT_TRUE(miss);
+
+    // A short span: only conditionals against the direction miss.
+    BranchRecord call;
+    call.pc = 0x20;
+    call.kind = BranchKind::Call;
+    call.taken = true;
+    const std::array<BranchRecord, 3> span = {takenRec, notTakenRec, call};
+    std::array<uint8_t, 3> misses;
+    notTaken.step(span, misses.data());
+    EXPECT_EQ(misses, (std::array<uint8_t, 3>{1, 0, 0}));
 }
 
 TEST(IdealPredictor, AlwaysCorrect)
@@ -57,44 +81,10 @@ TEST(IdealPredictor, AlwaysCorrect)
     IdealPredictor p;
     auto oracle = [](int i, uint64_t) { return (i * 7) % 3 == 0; };
     EXPECT_DOUBLE_EQ(missRate(p, oracle, 1000), 0.0);
-}
-
-TEST(Bimodal, LearnsBias)
-{
-    BimodalPredictor p(14);
-    auto oracle = [](int, uint64_t pc) { return (pc >> 4) & 1; };
-    EXPECT_LT(missRate(p, oracle, 4000), 0.01);
-}
-
-TEST(Bimodal, CannotLearnPattern)
-{
-    BimodalPredictor p(14);
-    auto oracle = [](int i, uint64_t) { return i % 2 == 0; };
-    // Alternating outcomes defeat a 2-bit counter.
-    EXPECT_GT(missRate(p, oracle, 4000), 0.3);
-}
-
-TEST(Gshare, LearnsShortPattern)
-{
-    GsharePredictor p(16, 12);
-    auto oracle = [](int i, uint64_t) { return i % 4 == 0; };
-    EXPECT_LT(missRate(p, oracle, 40000), 0.02);
-}
-
-TEST(Perceptron, LearnsLinearlySeparable)
-{
-    PerceptronPredictor p;
-    // Outcome equals the direction 3 branches ago: linearly
-    // separable in history, classic perceptron win.
-    static bool hist[1 << 20];
-    auto oracle = [](int i, uint64_t) {
-        bool t = i < 3 ? true : hist[i - 3];
-        if (i % 11 == 0)
-            t = !t;
-        hist[i] = t;
-        return t;
-    };
-    EXPECT_LT(missRate(p, oracle, 60000), 0.12);
+    const BranchRecord rec = conditional(0x10, true);
+    uint8_t miss = 1;
+    p.step({&rec, 1}, &miss);
+    EXPECT_FALSE(miss);
 }
 
 TEST(TageScl, ConfigScalesWithBudget)
@@ -197,8 +187,8 @@ TEST(TageScl, NoAllocFreezesLearning)
     int miss = 0;
     for (int i = 0; i < 20000; ++i) {
         bool taken = i % 2 == 0;
-        bool pred = p.predict(0x5000, taken);
-        p.update(0x5000, taken, pred, /*allocate=*/false);
+        bool pred = p.predict(0x5000);
+        p.update(0x5000, taken, /*allocate=*/false);
         if (i > 10000 && pred != taken)
             ++miss;
     }
@@ -209,7 +199,7 @@ TEST(TageScl, ProviderAttribution)
 {
     TageScl p(TageSclConfig::forBudgetKB(64));
     // Cold predictor: first prediction must come from the bimodal.
-    p.predict(0x9000, true);
+    p.predict(0x9000);
     EXPECT_EQ(p.lastProvider(), TageScl::Provider::Bimodal);
     EXPECT_EQ(p.lastProviderHistLen(), 0u);
 }

@@ -13,6 +13,8 @@
 #include "branchnet/branchnet_trainer.hh"
 #include "util/rng.hh"
 
+#include "step_reference.hh"
+
 using namespace whisper;
 
 namespace
@@ -192,13 +194,11 @@ TEST(BranchNetPredictor, HybridRouting)
 
     BranchNetPredictor pred(std::make_unique<StaticPredictor>(true),
                             std::move(models), "test-bn");
-    pred.predict(covered, true);
-    pred.update(covered, true, true);
+    predictedDirection(pred, covered, true);
     EXPECT_EQ(pred.cnnPredictions(), 1u);
 
     // Uncovered branch -> base predictor (always true).
-    EXPECT_TRUE(pred.predict(0x9999, false));
-    pred.update(0x9999, false, true);
+    EXPECT_TRUE(predictedDirection(pred, 0x9999, false));
     EXPECT_EQ(pred.cnnPredictions(), 1u);
 }
 

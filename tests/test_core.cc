@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -24,6 +25,8 @@
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/rng.hh"
+
+#include "step_reference.hh"
 
 using namespace whisper;
 
@@ -454,20 +457,32 @@ TEST(WhisperPredictor, UsesHintWhenBuffered)
 
     // Before the brhint executes, the base predictor (never-taken)
     // answers.
-    EXPECT_FALSE(wp.predict(0xB40, true));
-    wp.update(0xB40, true, false);
+    EXPECT_FALSE(predictedDirection(wp, 0xB40, true));
 
     // Execute the predecessor: hint enters the buffer.
     BranchRecord trigger;
     trigger.pc = 0xA00;
     trigger.kind = BranchKind::Call;
-    wp.onRecord(trigger);
+    EXPECT_FALSE(stepRecord(wp, trigger));
     EXPECT_EQ(wp.dynamicHintInstructions(), 1u);
 
-    EXPECT_TRUE(wp.predict(0xB40, true));
-    wp.update(0xB40, true, true);
+    EXPECT_TRUE(predictedDirection(wp, 0xB40, true));
     EXPECT_EQ(wp.hintPredictions(), 1u);
     EXPECT_EQ(wp.hintCorrect(), 1u);
+
+    // The same three records as one span, on a fresh predictor.
+    WhisperPredictor fresh(std::make_unique<StaticPredictor>(false), cfg,
+                           cache, {hint}, {pl});
+    BranchRecord branch;
+    branch.pc = 0xB40;
+    branch.taken = true;
+    const std::array<BranchRecord, 3> records = {branch, trigger, branch};
+    std::array<uint8_t, 3> miss;
+    fresh.step(records, miss.data());
+    EXPECT_EQ(miss, (std::array<uint8_t, 3>{1, 0, 0}));
+    EXPECT_EQ(fresh.dynamicHintInstructions(), 1u);
+    EXPECT_EQ(fresh.hintPredictions(), 1u);
+    EXPECT_EQ(fresh.hintCorrect(), 1u);
 }
 
 TEST(WhisperPredictor, FormulaHintTracksHashedHistory)
@@ -490,27 +505,28 @@ TEST(WhisperPredictor, FormulaHintTracksHashedHistory)
                         cache, {hint}, {pl});
 
     // Warm the buffer via a first execution.
-    wp.predict(0xB40, true);
-    wp.update(0xB40, true, false);
-    BranchRecord self;
-    self.pc = 0xB40;
-    self.kind = BranchKind::Conditional;
-    wp.onRecord(self);
+    predictedDirection(wp, 0xB40, true);
 
-    // Now drive 200 branches; Whisper's prediction for 0xB40 must
-    // equal the formula applied to the last 8 outcomes.
+    // Now drive 200 branches in one span; Whisper's prediction for
+    // 0xB40 must equal the formula applied to the last 8 outcomes.
     GlobalHistory shadow(64);
     Rng rng(17);
     BoolFormula f(0x2A51, 8);
-    for (int i = 0; i < 200; ++i) {
-        bool taken = rng.nextBool(0.5);
-        bool pred = wp.predict(0xB40, taken);
+    std::vector<BranchRecord> records(200);
+    for (BranchRecord &rec : records) {
+        rec.pc = 0xB40;
+        rec.kind = BranchKind::Conditional;
+        rec.taken = rng.nextBool(0.5);
+    }
+    std::vector<uint8_t> miss(records.size());
+    wp.step(records, miss.data());
+    for (size_t i = 0; i < records.size(); ++i) {
+        bool taken = records[i].taken;
+        bool pred = (miss[i] != 0) != taken;
         EXPECT_EQ(pred, f.evaluate(static_cast<uint8_t>(
                             shadow.lastBits(8))))
             << i;
-        wp.update(0xB40, taken, pred);
         shadow.push(taken);
-        wp.onRecord(self);
     }
     EXPECT_GT(wp.hintPredictions(), 190u);
 }
@@ -529,13 +545,14 @@ TEST(WhisperPredictor, StatsAndReset)
                         cache, {hint}, {pl});
     EXPECT_EQ(wp.staticHintInstructions(), 1u);
 
-    wp.predict(0x10, true);
-    wp.update(0x10, true, true);
+    // The first execution places the self-placed hint; the second
+    // uses it.
     BranchRecord rec;
     rec.pc = 0x10;
-    wp.onRecord(rec);
-    wp.predict(0x10, true);
-    wp.update(0x10, true, true);
+    rec.taken = true;
+    const std::array<BranchRecord, 2> records = {rec, rec};
+    std::array<uint8_t, 2> miss;
+    wp.step(records, miss.data());
     EXPECT_EQ(wp.hintPredictions(), 1u);
 }
 
@@ -578,12 +595,12 @@ TEST(StaticProfilePredictor, MajorityDirections)
 
     StaticProfilePredictor pred(profile);
     EXPECT_EQ(pred.coveredBranches(), 2u);
-    EXPECT_TRUE(pred.predict(0x10, false));
-    EXPECT_FALSE(pred.predict(0x20, true));
+    EXPECT_TRUE(predictedDirection(pred, 0x10, false));
+    EXPECT_FALSE(predictedDirection(pred, 0x20, true));
     // Unseen branch: fallback direction.
-    EXPECT_TRUE(pred.predict(0x999, false));
+    EXPECT_TRUE(predictedDirection(pred, 0x999, false));
     StaticProfilePredictor nt(profile, false);
-    EXPECT_FALSE(nt.predict(0x999, true));
+    EXPECT_FALSE(predictedDirection(nt, 0x999, true));
 }
 
 TEST(StaticProfilePredictor, AccuracyEqualsProfileBias)
@@ -598,12 +615,16 @@ TEST(StaticProfilePredictor, AccuracyEqualsProfileBias)
     StaticProfilePredictor pred(profile);
 
     Rng rng(77);
-    int correct = 0;
-    for (int i = 0; i < 20000; ++i) {
-        bool taken = rng.nextBool(0.8);
-        bool p = pred.predict(0x40, taken);
-        pred.update(0x40, taken, p);
-        correct += p == taken;
+    std::vector<BranchRecord> records(20000);
+    for (BranchRecord &rec : records) {
+        rec.pc = 0x40;
+        rec.kind = BranchKind::Conditional;
+        rec.taken = rng.nextBool(0.8);
     }
+    std::vector<uint8_t> miss(records.size());
+    pred.step(records, miss.data());
+    int correct = 0;
+    for (uint8_t m : miss)
+        correct += !m;
     EXPECT_NEAR(correct / 20000.0, 0.8, 0.02);
 }

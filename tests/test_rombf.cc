@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "bp/simple_predictors.hh"
 #include "core/formula_trainer.hh"
@@ -14,6 +15,8 @@
 #include "rombf/rombf_predictor.hh"
 #include "rombf/rombf_trainer.hh"
 #include "util/rng.hh"
+
+#include "step_reference.hh"
 
 using namespace whisper;
 
@@ -162,18 +165,18 @@ TEST(RombfPredictor, PredictsViaAnnotation)
 
     // Drive history so the last 8 outcomes are all taken: planted
     // function fires.
-    Rng rng(3);
-    for (int i = 0; i < 8; ++i) {
-        bool pd = pred.predict(0x999, true);
-        pred.update(0x999, true, pd);
+    std::vector<BranchRecord> warm(8);
+    for (BranchRecord &rec : warm) {
+        rec.pc = 0x999;
+        rec.taken = true;
     }
-    EXPECT_TRUE(pred.predict(0x500, true));
-    pred.update(0x500, true, true);
+    std::vector<uint8_t> miss(warm.size());
+    pred.step(warm, miss.data());
+    EXPECT_TRUE(predictedDirection(pred, 0x500, true));
     EXPECT_EQ(pred.hintPredictions(), 1u);
 
     // Un-annotated branches fall through to the base predictor.
-    EXPECT_FALSE(pred.predict(0x777, true));
-    pred.update(0x777, true, false);
+    EXPECT_FALSE(predictedDirection(pred, 0x777, true));
 }
 
 TEST(RombfPredictor, BiasAnnotation)
@@ -193,6 +196,5 @@ TEST(RombfPredictor, BiasAnnotation)
 
     RombfPredictor pred(std::make_unique<StaticPredictor>(false),
                         trainer, hints);
-    EXPECT_TRUE(pred.predict(0x10, false));
-    pred.update(0x10, false, true);
+    EXPECT_TRUE(predictedDirection(pred, 0x10, false));
 }

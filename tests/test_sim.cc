@@ -14,7 +14,9 @@
 
 #include "bp/simple_predictors.hh"
 #include "bp/tage_scl.hh"
+#include "branchnet/branchnet_predictor.hh"
 #include "core/whisper_predictor.hh"
+#include "rombf/rombf_predictor.hh"
 #include "service/chunk_profiler.hh"
 #include "sim/analysis.hh"
 #include "trace/branch_trace.hh"
@@ -232,8 +234,8 @@ TEST(WhisperTageGolden, HintedUpdatesMatchTheSnapshot)
 
 // ---------------------------------------------------------------
 // Block stepping: step() over blocks of any size, mixed with
-// per-record predict()/update() calls, predicts and trains exactly
-// as per-record stepping does.
+// one-record step() calls, predicts and trains exactly as the
+// per-record references of step_reference.hh do.
 // ---------------------------------------------------------------
 
 namespace
@@ -242,13 +244,14 @@ namespace
 /**
  * Drive @p block and @p ref over @p records: @p block through step()
  * in random-size blocks (0, 1, around and above TageScl::kBlock and
- * kStepBlock) with some records per record in between, @p ref one
- * record at a time. Random records carry noAllocate. Every record's
- * miss flag must agree. @p between runs after each block with its
- * number.
+ * kStepBlock) with some one-record blocks in between, @p ref one
+ * record at a time through its step(record, allocate). Random
+ * records carry noAllocate. Every record's miss flag must agree.
+ * @p between runs after each block with its number.
  */
+template <typename Ref>
 void
-expectBlockEqualsPerRecord(BranchPredictor &block, BranchPredictor &ref,
+expectBlockEqualsPerRecord(BranchPredictor &block, Ref &ref,
                            std::span<const BranchRecord> records,
                            uint64_t seed,
                            const std::function<void(size_t)> &between = {})
@@ -267,7 +270,7 @@ expectBlockEqualsPerRecord(BranchPredictor &block, BranchPredictor &ref,
             size_t n = std::min<size_t>(1 + rng.nextBelow(4), left);
             for (size_t r = i; r < i + n; ++r)
                 ASSERT_EQ(stepRecord(block, records[r]),
-                          stepRecord(ref, records[r]))
+                          ref.step(records[r]))
                     << "per-record step at " << r;
             i += n;
             continue;
@@ -281,8 +284,7 @@ expectBlockEqualsPerRecord(BranchPredictor &block, BranchPredictor &ref,
         block.step(records.subspan(i, n), miss.data(),
                    withNoAllocate ? noAllocate.data() : nullptr);
         for (size_t r = 0; r < n; ++r)
-            ASSERT_EQ(miss[r] != 0,
-                      stepRecord(ref, records[i + r], !noAllocate[r]))
+            ASSERT_EQ(miss[r] != 0, ref.step(records[i + r], !noAllocate[r]))
                 << "block of " << n << " at record " << i + r;
         i += n;
         if (between)
@@ -301,10 +303,11 @@ TEST(BlockStep, TageSclMatchesPerRecordStepping)
     for (unsigned kb : {8u, 64u, 1024u}) {
         SCOPED_TRACE(kb);
         TageScl block(TageSclConfig::forBudgetKB(kb));
-        TageScl ref(TageSclConfig::forBudgetKB(kb));
+        TageSclReference ref(TageSclConfig::forBudgetKB(kb));
         expectBlockEqualsPerRecord(block, ref, trace.records(), kb);
-        EXPECT_EQ(block.lastProvider(), ref.lastProvider());
-        EXPECT_EQ(block.lastProviderHistLen(), ref.lastProviderHistLen());
+        EXPECT_EQ(block.lastProvider(), ref.tage.lastProvider());
+        EXPECT_EQ(block.lastProviderHistLen(),
+                  ref.tage.lastProviderHistLen());
     }
 }
 
@@ -329,9 +332,10 @@ TEST(BlockStep, WhisperMatchesPerRecordStepping)
     BranchTrace trace(app.name, 1);
     trace.fill(workload, 200'000);
     auto blockPred = makeWhisperPredictor(cfg, build);
-    auto refPred = makeWhisperPredictor(cfg, build);
     auto &block = static_cast<WhisperPredictor &>(*blockPred);
-    auto &ref = static_cast<WhisperPredictor &>(*refPred);
+    WhisperReference ref(TageSclConfig::forBudgetKB(cfg.tageBudgetKB),
+                         cfg.whisper, globalTruthTables(), build.hints,
+                         build.placements);
     // Redeploy between some blocks, alternating the two bundles.
     bool full = true;
     auto redeploy = [&](size_t b) {
@@ -346,10 +350,10 @@ TEST(BlockStep, WhisperMatchesPerRecordStepping)
     expectBlockEqualsPerRecord(block, ref, trace.records(), 28, redeploy);
 
     EXPECT_GT(block.hintPredictions(), 0u);
-    EXPECT_EQ(block.hintPredictions(), ref.hintPredictions());
-    EXPECT_EQ(block.hintCorrect(), ref.hintCorrect());
-    EXPECT_EQ(block.dynamicHintInstructions(), ref.dynamicHintInstructions());
-    const HintBuffer &a = block.hintBuffer(), &b = ref.hintBuffer();
+    EXPECT_EQ(block.hintPredictions(), ref.hintPredictions);
+    EXPECT_EQ(block.hintCorrect(), ref.hintCorrect);
+    EXPECT_EQ(block.dynamicHintInstructions(), ref.dynamicHints);
+    const HintBuffer &a = block.hintBuffer(), &b = ref.buffer;
     EXPECT_EQ(a.hits(), b.hits());
     EXPECT_EQ(a.misses(), b.misses());
     EXPECT_EQ(a.insertions(), b.insertions());
@@ -357,6 +361,51 @@ TEST(BlockStep, WhisperMatchesPerRecordStepping)
     EXPECT_EQ(a.evictions(), b.evictions());
     EXPECT_GT(a.evictions(), 0u);
     EXPECT_EQ(a.lruOrder(), b.lruOrder());
+}
+
+TEST(BlockStep, RombfMatchesPerRecordStepping)
+{
+    ExperimentConfig cfg = smallConfig();
+    const AppConfig &app = appByName("mysql");
+    BranchProfile profile = profileApp(app, 0, cfg);
+    AppWorkload workload(app, 1, 200'000);
+    BranchTrace trace(app.name, 1);
+    trace.fill(workload, 200'000);
+    for (unsigned bits : {4u, 8u}) {
+        SCOPED_TRACE(bits);
+        RombfTrainer trainer(bits);
+        std::vector<RombfHint> hints = trainer.train(profile);
+        ASSERT_GT(hints.size(), 0u);
+        RombfPredictor block(makeTage(cfg.tageBudgetKB), trainer, hints);
+        RombfReference ref(TageSclConfig::forBudgetKB(cfg.tageBudgetKB),
+                           trainer, hints);
+        expectBlockEqualsPerRecord(block, ref, trace.records(), 40 + bits);
+        EXPECT_GT(block.hintPredictions(), 0u);
+        EXPECT_EQ(block.hintPredictions(), ref.hintPredictions);
+        EXPECT_EQ(block.hintCorrect(), ref.hintCorrect);
+    }
+}
+
+TEST(BlockStep, BranchNetMatchesPerRecordStepping)
+{
+    ExperimentConfig cfg = smallConfig();
+    const AppConfig &app = appByName("mysql");
+    BranchNetSampleStore store;
+    BranchProfile profile = profileApp(app, 0, cfg, &store);
+    std::vector<BranchNetDeployment> models =
+        BranchNetTrainer(8 * 1024).train(profile, store);
+    ASSERT_GT(models.size(), 0u);
+
+    AppWorkload workload(app, 1, 200'000);
+    BranchTrace trace(app.name, 1);
+    trace.fill(workload, 200'000);
+    BranchNetPredictor block(makeTage(cfg.tageBudgetKB), models, "bn");
+    BranchNetReference ref(TageSclConfig::forBudgetKB(cfg.tageBudgetKB),
+                           models);
+    expectBlockEqualsPerRecord(block, ref, trace.records(), 53);
+    EXPECT_GT(block.cnnPredictions(), 0u);
+    EXPECT_EQ(block.cnnPredictions(), ref.cnnPredictions);
+    EXPECT_EQ(block.cnnCorrect(), ref.cnnCorrect);
 }
 
 TEST(Profiler, CollectsEntriesAndHardTables)

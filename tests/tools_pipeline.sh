@@ -89,6 +89,8 @@ expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
 expect_usage_error whisperd --chunks "$WORK_DIR" --tage-kb 3
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" \
     --per-epoch --epoch-records 0
+# Predictors outside the paper's figures are not offered.
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" --predictors gshare
 expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
     --out "$WORK_DIR/bad.hints" --tage-kb x
 expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0

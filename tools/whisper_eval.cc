@@ -8,7 +8,7 @@
  * Usage:
  *   whisper_eval --trace mysql_i1.whrt [--hints mysql.hints]
  *                [--tage-kb 64] [--warmup 0.5] [--pipeline]
- *                [--predictors tage,whisper,mtage,ideal,gshare,...]
+ *                [--predictors tage,whisper,mtage,ideal,...]
  *
  * Each predictor runs once over the whole trace, in order, with its
  * state carried from the first record to the last.
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "bp/perceptron.hh"
 #include "bp/simple_predictors.hh"
 #include "core/static_profile.hh"
 #include "core/whisper_io.hh"
@@ -54,7 +53,7 @@ usage()
         "  --warmup F        stats warm-up fraction (default 0.5)\n"
         "  --pipeline        also run the timing model\n"
         "  --predictors LIST comma list of: tage, whisper, mtage,\n"
-        "                    ideal, gshare, bimodal, perceptron\n"
+        "                    ideal, profile-static\n"
         "  --per-epoch       dump per-epoch accuracy lines (one\n"
         "                    key=value line per epoch window) from\n"
         "                    an epoch-adaptive run of each predictor\n"
@@ -156,12 +155,6 @@ main(int argc, char **argv)
             return makeMtage(cfg);
         if (name == "ideal")
             return std::make_unique<IdealPredictor>();
-        if (name == "gshare")
-            return std::make_unique<GsharePredictor>();
-        if (name == "bimodal")
-            return std::make_unique<BimodalPredictor>();
-        if (name == "perceptron")
-            return std::make_unique<PerceptronPredictor>();
         if (name == "profile-static") {
             if (profilePath.empty()) {
                 std::fprintf(stderr,
