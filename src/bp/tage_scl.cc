@@ -571,12 +571,4 @@ TageScl::decayUseful()
         u >>= 1;
 }
 
-unsigned
-TageScl::lastProviderHistLen() const
-{
-    if (ctx_.providerTable < 0)
-        return 0;
-    return histLens_[ctx_.providerTable];
-}
-
 } // namespace whisper

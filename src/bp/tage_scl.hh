@@ -105,9 +105,6 @@ class TageScl : public BranchPredictor
     enum class Provider { Bimodal, Tagged, Sc, Loop };
     Provider lastProvider() const { return ctx_.provider; }
 
-    /** History length of the providing tagged table (0 if bimodal). */
-    unsigned lastProviderHistLen() const;
-
   private:
     struct LoopEntry
     {

@@ -16,12 +16,6 @@ BranchNetSampleStore::setTracked(const std::vector<uint64_t> &pcs)
         samples_[pc].reserve(64);
 }
 
-bool
-BranchNetSampleStore::tracked(uint64_t pc) const
-{
-    return samples_.count(pc) != 0;
-}
-
 void
 BranchNetSampleStore::record(uint64_t pc,
                              const BranchNetSample &sample)

@@ -35,7 +35,6 @@ class BranchNetSampleStore
 
     /** Restrict collection to these PCs (the hard branches). */
     void setTracked(const std::vector<uint64_t> &pcs);
-    bool tracked(uint64_t pc) const;
 
     void record(uint64_t pc, const BranchNetSample &sample);
 

@@ -9,10 +9,6 @@
 namespace whisper
 {
 
-HintInjector::HintInjector() : HintInjector(Config{})
-{
-}
-
 HintInjector::HintInjector(const Config &cfg) : cfg_(cfg)
 {
     whisper_assert(cfg.window >= 1);

@@ -62,7 +62,6 @@ class HintInjector
         double minCoverage = 0.30;
     };
 
-    HintInjector();
     explicit HintInjector(const Config &cfg);
 
     /**

@@ -67,20 +67,6 @@ BranchProfile::entry(uint64_t pc)
     return it->second;
 }
 
-const BranchProfileEntry *
-BranchProfile::find(uint64_t pc) const
-{
-    auto it = entries_.find(pc);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-BranchProfileEntry *
-BranchProfile::find(uint64_t pc)
-{
-    auto it = entries_.find(pc);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
 BranchProfileEntry *
 BranchProfile::count(const BranchRecord &rec, bool miss,
                      BranchProfileEntry *known)

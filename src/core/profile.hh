@@ -152,8 +152,6 @@ class BranchProfile
 
     /** Find-or-create the entry for @p pc. */
     BranchProfileEntry &entry(uint64_t pc);
-    const BranchProfileEntry *find(uint64_t pc) const;
-    BranchProfileEntry *find(uint64_t pc);
 
     /**
      * Count step (LBR stand-in): add @p rec's instructions to the

@@ -86,16 +86,6 @@ FairShareScheduler::close()
     ready_.notify_all();
 }
 
-size_t
-FairShareScheduler::pending() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t n = 0;
-    for (const auto &e : ring_)
-        n += e->jobs.size();
-    return n;
-}
-
 // --------------------------------------------------------------------
 // TenantRouter
 // --------------------------------------------------------------------

@@ -124,9 +124,6 @@ class FairShareScheduler
     /** No further submissions; next() drains what remains. */
     void close();
 
-    /** Jobs currently queued (all tenants). */
-    size_t pending() const;
-
   private:
     struct Entry
     {
@@ -137,7 +134,7 @@ class FairShareScheduler
 
     Entry *entryFor(Tenant *tenant);
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable ready_;
     std::vector<std::unique_ptr<Entry>> ring_;
     size_t cursor_ = 0;

@@ -226,17 +226,15 @@ BranchTrace::load(const std::string &path)
         return reader.status();
 
     // Cap the claimed record count by what the file can actually
-    // hold at its version's smallest record, so a corrupted (or
-    // hostile) length field errors out instead of driving a
-    // multi-gigabyte allocation.
+    // hold at the smallest record, so a corrupted (or hostile)
+    // length field errors out instead of driving a multi-gigabyte
+    // allocation.
     std::error_code ec;
     uint64_t fileBytes = std::filesystem::file_size(path, ec);
     if (ec)
         return IoStatus::corruptFile(path, "unsized file");
     uint64_t n = reader.recordsTotal();
-    size_t minRecordBytes =
-        reader.version() < 3 ? sizeof(BranchRecord) : kMinRecordBytes;
-    if (n > fileBytes / minRecordBytes)
+    if (n > fileBytes / kMinRecordBytes)
         return IoStatus::corruptFile(path,
                                      "record count exceeds file size");
 

@@ -32,11 +32,10 @@ class BranchTrace
      * TraceStreamReader (src/trace/trace_reader.hh) is its only
      * parser. The layout is: magic, version, name length + bytes,
      * input id, record count, then the records in CRC32-framed
-     * chunks, so damage is localized to one frame. A version 3
-     * frame is frame magic, record count, payload bytes, CRC of the
-     * payload, then the appendRecordPayload() bytes. Versions 1 (a
-     * raw array of 24-byte native records) and 2 (frame magic,
-     * record count, CRC, native records) are still read. */
+     * chunks, so damage is localized to one frame. A frame is frame
+     * magic, record count, payload bytes, CRC of the payload, then
+     * the appendRecordPayload() bytes. Version 3 is the only format
+     * read or written. */
     static constexpr uint32_t kFileMagic = 0x57485254; // "WHRT"
     static constexpr uint32_t kFileVersion = 3;
     static constexpr uint32_t kFrameMagic = 0x57484652; // "WHFR"
@@ -164,7 +163,7 @@ class LimitSource : public BranchSource
 };
 
 /**
- * The record payload of a .whrt v3 frame and of an INGEST_CHUNK: a
+ * The record payload of a .whrt frame and of an INGEST_CHUNK: a
  * byte stream of records with its own PC dictionary, built in
  * first-seen order (Intel PT, the paper's trace source, likewise
  * spends a bit per conditional and sends a target only when the code

@@ -23,8 +23,8 @@ GlobalHistory::foldedHash(unsigned length, unsigned width) const
     // Walk the history oldest-to-newest, the circular-shift
     // register's insertion order.
     for (unsigned i = length; i-- > 0;) {
-        bool b = count_ > i ? bit(i) : false;
-        folded = (folded << 1) | static_cast<uint64_t>(b);
+        uint64_t b = count_ > i ? bits_[(count_ - 1 - i) & bitsMask_] : 0;
+        folded = (folded << 1) | b;
         folded ^= folded >> width;
         folded &= maskBits(width);
     }

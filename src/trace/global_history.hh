@@ -23,7 +23,7 @@ namespace whisper
  *
  * The raw ring stores the most recent 'capacity' outcomes (default
  * 4096, comfortably above Whisper's N = 1024 maximum correlation
- * length). bit(0) is the most recent outcome.
+ * length).
  *
  * A folded view of length L and width w is the value of TAGE's
  * circular-shift register over the last L bits (paper SIII-A:
@@ -95,14 +95,6 @@ class GlobalHistory
      */
     void pushRun(const uint8_t *taken, size_t n, uint32_t *out,
                  size_t stride);
-
-    /** The i-th most recent direction (i = 0 is the newest). */
-    bool
-    bit(unsigned i) const
-    {
-        whisper_assert(i < capacity_);
-        return bits_[(count_ - 1 - i) & bitsMask_];
-    }
 
     /** Number of outcomes pushed so far (not capped). */
     uint64_t count() const { return count_; }

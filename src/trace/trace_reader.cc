@@ -32,16 +32,16 @@ TraceStreamReader::TraceStreamReader(const std::string &path)
         status_ = IoStatus::corruptFile(path_, why);
     };
 
-    uint32_t magic = 0;
+    uint32_t magic = 0, version = 0;
     get(&magic, sizeof(magic));
-    get(&version_, sizeof(version_));
+    get(&version, sizeof(version));
     uint32_t nameLen = 0;
     get(&nameLen, sizeof(nameLen));
     if (!ok || magic != BranchTrace::kFileMagic) {
         reject("bad magic (not a .whrt trace)");
         return;
     }
-    if (version_ < 1 || version_ > BranchTrace::kFileVersion) {
+    if (version != BranchTrace::kFileVersion) {
         reject("unsupported format version");
         return;
     }
@@ -91,7 +91,7 @@ TraceStreamReader::readWithRetry(void *p, size_t n)
 }
 
 void
-TraceStreamReader::finishStream(bool corrupt)
+TraceStreamReader::finishStream()
 {
     if (file_) {
         std::fclose(file_);
@@ -104,9 +104,6 @@ TraceStreamReader::finishStream(bool corrupt)
         recordsSkipped_ = std::max(recordsSkipped_,
                                    recordsTotal_ - recordsRead_);
     }
-    if (corrupt && status_.ok())
-        status_ = IoStatus::corruptFile(path_, "truncated record "
-                                               "array");
 }
 
 void
@@ -177,8 +174,7 @@ TraceStreamReader::loadNextFrame(std::vector<BranchRecord> &out,
         long afterMagic = std::ftell(file_);
         uint32_t count = 0, bytes = 0, crc = 0;
         if (readWithRetry(&count, sizeof(count)) != sizeof(count) ||
-            (version_ >= 3 &&
-             readWithRetry(&bytes, sizeof(bytes)) != sizeof(bytes)) ||
+            readWithRetry(&bytes, sizeof(bytes)) != sizeof(bytes) ||
             readWithRetry(&crc, sizeof(crc)) != sizeof(crc)) {
             skipFrame("bad frame header"); // torn mid-header
             return false;
@@ -190,10 +186,8 @@ TraceStreamReader::loadNextFrame(std::vector<BranchRecord> &out,
                 return false;
             continue;
         }
-        if (version_ < 3) {
-            bytes = count * sizeof(BranchRecord);
-        } else if (bytes < count * kMinRecordBytes ||
-                   bytes > count * kMaxRecordBytes) {
+        if (bytes < count * kMinRecordBytes ||
+            bytes > count * kMaxRecordBytes) {
             skipFrame("frame byte count out of bounds");
             if (!resyncToFrameMagic())
                 return false;
@@ -224,30 +218,16 @@ TraceStreamReader::readFrameBody(uint32_t count, uint32_t bytes,
                                  uint32_t crc,
                                  std::vector<BranchRecord> &dst)
 {
-    const size_t at = dst.size();
-    void *body;
-    if (version_ < 3) {
-        // A v2 frame body is the records' native image.
-        dst.resize(at + count);
-        body = dst.data() + at;
-    } else {
-        payload_.resize(bytes);
-        body = payload_.data();
-    }
-    const char *damage = nullptr;
-    if (readWithRetry(body, bytes) != bytes) {
-        damage = "truncated frame";
-    } else {
-        FaultInjector::instance().corruptFrame(body, bytes);
-        if (crc32(body, bytes) != crc)
-            damage = "frame CRC mismatch";
-        else if (version_ >= 3 &&
-                 !decodeRecordPayload(payload_.data(), bytes, count, dst))
-            damage = "malformed frame payload";
-    }
-    if (damage)
-        dst.resize(at);
-    return damage;
+    payload_.resize(bytes);
+    if (readWithRetry(payload_.data(), bytes) != bytes)
+        return "truncated frame";
+    FaultInjector::instance().corruptFrame(payload_.data(), bytes);
+    if (crc32(payload_.data(), bytes) != crc)
+        return "frame CRC mismatch";
+    // The decoder leaves dst as it was when it fails.
+    if (!decodeRecordPayload(payload_.data(), bytes, count, dst))
+        return "malformed frame payload";
+    return nullptr;
 }
 
 size_t
@@ -258,24 +238,6 @@ TraceStreamReader::readChunk(std::vector<BranchRecord> &out,
     if (!file_ || maxRecords == 0)
         return 0;
 
-    if (version_ == 1) {
-        // Legacy raw array: bounded read, short file = corrupt.
-        if (recordsRead_ >= recordsTotal_) {
-            finishStream(false);
-            return 0;
-        }
-        size_t want = static_cast<size_t>(std::min<uint64_t>(
-            maxRecords, recordsTotal_ - recordsRead_));
-        out.resize(want);
-        size_t got = std::fread(out.data(), sizeof(BranchRecord),
-                                want, file_);
-        out.resize(got);
-        recordsRead_ += got;
-        if (got < want)
-            finishStream(true);
-        return got;
-    }
-
     while (out.size() < maxRecords) {
         if (framePos_ < frame_.size()) {
             size_t take = std::min(maxRecords - out.size(),
@@ -285,7 +247,7 @@ TraceStreamReader::readChunk(std::vector<BranchRecord> &out,
             framePos_ += take;
         } else if (!loadNextFrame(out, maxRecords - out.size())) {
             if (out.empty())
-                finishStream(false);
+                finishStream();
             break;
         }
     }

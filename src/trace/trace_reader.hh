@@ -6,10 +6,11 @@
  * skipped) all read traces through it.
  *
  * The reader is hardened against the inputs production actually
- * delivers: version-2 and -3 traces are CRC32-framed, and a frame
- * that fails its checksum or does not decode (bit rot, torn write, fault injection) is
- * skipped and counted instead of poisoning the profile or killing
- * the stream; a damaged frame triggers a bounded resync scan for the
+ * delivers: a .whrt trace (format version 3, the only one) is
+ * CRC32-framed, and a frame that fails its checksum or does not
+ * decode (bit rot, torn write, fault injection) is skipped and
+ * counted instead of poisoning the profile or killing the stream;
+ * a damaged frame triggers a bounded resync scan for the
  * next frame magic; transient short reads are retried with
  * exponential backoff; and every length field is hard-capped so a
  * corrupt (or hostile) size can never drive an unbounded
@@ -33,8 +34,8 @@ namespace whisper
 /**
  * Incremental .whrt reader: parses the header eagerly, then returns
  * records in caller-sized chunks so memory stays bounded no matter
- * how large the trace file is. Reads every format version (raw v1,
- * CRC-framed native records in v2, CRC-framed payloads in v3);
+ * how large the trace file is. Reads format version 3, CRC-framed
+ * record payloads; any other version is rejected as corrupt, and
  * damaged frames are skipped and counted.
  */
 class TraceStreamReader
@@ -54,16 +55,12 @@ class TraceStreamReader
 
     /** Header parsed and magic/version verified. */
     bool valid() const { return file_ != nullptr; }
-    /** Why the header was rejected (missing vs corrupt), or why a
-     * v1 record array ended early. */
+    /** Why the header was rejected (missing vs corrupt). */
     const IoStatus &status() const { return status_; }
 
     const std::string &app() const { return app_; }
     uint32_t inputId() const { return inputId_; }
     const std::string &path() const { return path_; }
-
-    /** The file's format version (BranchTrace::kFileVersion). */
-    uint32_t version() const { return version_; }
 
     /** Records the header promises / already delivered. */
     uint64_t recordsTotal() const { return recordsTotal_; }
@@ -82,9 +79,7 @@ class TraceStreamReader
     /**
      * Read up to @p maxRecords into @p out (replacing its contents).
      * @return number of records delivered; 0 at end of stream.
-     * Damaged frames are skipped (see framesSkipped()); a short
-     * v1 file (fewer records than the header claimed) invalidates
-     * the reader.
+     * Damaged frames are skipped (see framesSkipped()).
      */
     size_t readChunk(std::vector<BranchRecord> &out,
                      size_t maxRecords);
@@ -105,12 +100,11 @@ class TraceStreamReader
     /** fread with bounded retry/backoff on transient errors; returns
      * bytes actually read (< @p n only on EOF or hard error). */
     size_t readWithRetry(void *p, size_t n);
-    void finishStream(bool corrupt);
+    void finishStream();
 
     std::string path_;
     std::FILE *file_ = nullptr;
     IoStatus status_;
-    uint32_t version_ = 0;
     std::string app_;
     uint32_t inputId_ = 0;
     uint64_t recordsTotal_ = 0;
@@ -118,7 +112,7 @@ class TraceStreamReader
 
     std::vector<BranchRecord> frame_; //!< validated frame buffer
     size_t framePos_ = 0;
-    std::vector<unsigned char> payload_; //!< v3 frame payload
+    std::vector<unsigned char> payload_; //!< frame payload
 
     uint64_t framesSkipped_ = 0;
     const char *firstSkipReason_ = "";

@@ -46,19 +46,6 @@ Cache::access(uint64_t addr)
     return hit;
 }
 
-bool
-Cache::contains(uint64_t addr) const
-{
-    uint64_t line = addr >> lineShift_;
-    const uint64_t *set = &lines_[(line & setMask_) * ways_];
-    return std::find(set, set + ways_, line) != set + ways_;
-}
-
-InstructionHierarchy::InstructionHierarchy()
-    : InstructionHierarchy(Config{})
-{
-}
-
 InstructionHierarchy::InstructionHierarchy(const Config &cfg)
     : cfg_(cfg), l1_(cfg.l1Bytes, cfg.l1Ways),
       l2_(cfg.l2Bytes, cfg.l2Ways), l3_(cfg.l3Bytes, cfg.l3Ways)

@@ -39,9 +39,6 @@ class Cache
      */
     bool access(uint64_t addr);
 
-    /** Probe without fill or LRU update. */
-    bool contains(uint64_t addr) const;
-
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
     unsigned numSets() const { return static_cast<unsigned>(setMask_ + 1); }
@@ -72,7 +69,6 @@ class InstructionHierarchy
         unsigned memLatency = 200;
     };
 
-    InstructionHierarchy();
     explicit InstructionHierarchy(const Config &cfg);
 
     /**

@@ -2,7 +2,7 @@
  * @file
  * The one in-memory byte codec: hint bundles, journal records and
  * every wire header and payload are written with ByteWriter and read
- * with ByteReader, and the varints of the .whrt v3 / INGEST_CHUNK
+ * with ByteReader, and the varints of the .whrt / INGEST_CHUNK
  * record payload with putVarint() and getVarint().
  *
  * Values are stored as native bytes, which is little-endian on every

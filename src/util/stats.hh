@@ -8,14 +8,12 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace whisper
 {
 
 /**
- * Accumulates a stream of doubles; reports count/mean/min/max/stddev.
+ * Accumulates a stream of doubles; reports count/mean/min/max/sum.
  */
 class RunningStat
 {
@@ -28,14 +26,9 @@ class RunningStat
     double max() const { return n_ ? max_ : 0.0; }
     double sum() const { return sum_; }
 
-    /** Population variance / standard deviation. */
-    double variance() const;
-    double stddev() const;
-
   private:
     uint64_t n_ = 0;
     double sum_ = 0.0;
-    double sumSq_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -79,9 +72,6 @@ class RatioStat
 
 /** Speedup (%) implied by going from @p cyclesBase to @p cyclesNew. */
 double speedupPercent(double cyclesBase, double cyclesNew);
-
-/** Geometric mean of a vector of positive values (1.0 if empty). */
-double geoMean(const std::vector<double> &values);
 
 } // namespace whisper
 

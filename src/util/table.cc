@@ -94,21 +94,4 @@ TableReporter::print() const
     print(std::cout);
 }
 
-void
-TableReporter::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ',';
-            os << row[i];
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &r : rows_)
-        emit(r);
-}
-
 } // namespace whisper

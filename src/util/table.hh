@@ -39,9 +39,6 @@ class TableReporter
     void print(std::ostream &os) const;
     void print() const;
 
-    /** Render as CSV (for plotting scripts). */
-    void printCsv(std::ostream &os) const;
-
     static std::string formatDouble(double v, int precision = 2);
 
   private:

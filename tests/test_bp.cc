@@ -201,5 +201,4 @@ TEST(TageScl, ProviderAttribution)
     // Cold predictor: first prediction must come from the bimodal.
     p.predict(0x9000);
     EXPECT_EQ(p.lastProvider(), TageScl::Provider::Bimodal);
-    EXPECT_EQ(p.lastProviderHistLen(), 0u);
 }

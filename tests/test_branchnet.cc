@@ -104,8 +104,9 @@ TEST(SampleStore, TracksOnlyRequestedPcs)
     EXPECT_NE(store.find(0x10), nullptr);
     EXPECT_EQ(store.find(0x10)->size(), 1u);
     EXPECT_EQ(store.find(0x30), nullptr);
-    EXPECT_TRUE(store.tracked(0x20));
-    EXPECT_FALSE(store.tracked(0x30));
+    // A tracked PC without samples has an empty list.
+    ASSERT_NE(store.find(0x20), nullptr);
+    EXPECT_TRUE(store.find(0x20)->empty());
 }
 
 TEST(SampleStore, CapsSamples)

@@ -247,7 +247,7 @@ TEST(HintInjection, FindsHighCoveragePredecessor)
 
     TrainedHint hint;
     hint.pc = 0xB40;
-    HintInjector injector;
+    HintInjector injector(HintInjector::Config{});
     auto placements = injector.place(src, {hint});
     ASSERT_EQ(placements.size(), 1u);
     EXPECT_EQ(placements[0].branchPc, 0xB40u);
@@ -280,7 +280,7 @@ TEST(HintInjection, TiedPredecessorsPickTheReferenceChoice)
     TraceSource src(trace);
     TrainedHint hint;
     hint.pc = 0x300;
-    auto placements = HintInjector().place(src, {hint});
+    auto placements = HintInjector(HintInjector::Config{}).place(src, {hint});
     ASSERT_EQ(placements.size(), 1u);
     EXPECT_EQ(placements[0].predecessorPc, 0x200u);
     EXPECT_EQ(placements[0].coverage, 1.0);
@@ -316,7 +316,7 @@ TEST(HintInjection, FallbackToSelf)
     TraceSource src(trace);
     TrainedHint hint;
     hint.pc = 0xDEAD;
-    HintInjector injector;
+    HintInjector injector(HintInjector::Config{});
     auto placements = injector.place(src, {hint});
     ASSERT_EQ(placements.size(), 1u);
     EXPECT_EQ(placements[0].predecessorPc, 0xDEADu);

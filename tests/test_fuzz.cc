@@ -29,7 +29,6 @@
 #include "core/profile.hh"
 #include "core/whisper_io.hh"
 #include "net/wire_protocol.hh"
-#include "record_image.hh"
 #include "service/hint_journal.hh"
 #include "trace/branch_trace.hh"
 #include "trace/cbp_reader.hh"
@@ -40,7 +39,6 @@
 #include "workloads/app_workload.hh"
 
 using namespace whisper;
-using whisper::test::imageOf;
 
 namespace
 {
@@ -130,33 +128,24 @@ payloadOf(std::span<const BranchRecord> records)
     return payload;
 }
 
-/** Bytes of one frame of @p records in a .whrt file of @p version:
- * the record images of v2, or the payload of v3. */
+/** A .whrt file with frames of @p frames records each. */
 Bytes
-frameBody(uint32_t version, std::span<const BranchRecord> records)
-{
-    return version == 2 ? imageOf(records) : payloadOf(records);
-}
-
-/** A .whrt v2 or v3 file with frames of @p frames records each. */
-Bytes
-traceFile(uint32_t version, const std::string &app, uint32_t inputId,
+traceFile(const std::string &app, uint32_t inputId,
           std::span<const BranchRecord> records,
           const std::vector<size_t> &frames)
 {
     ByteWriter w;
     w.put(BranchTrace::kFileMagic);
-    w.put(version);
+    w.put(BranchTrace::kFileVersion);
     w.putStr(app);
     w.put(inputId);
     w.put(static_cast<uint64_t>(records.size()));
     size_t at = 0;
     for (size_t n : frames) {
-        Bytes body = frameBody(version, records.subspan(at, n));
+        Bytes body = payloadOf(records.subspan(at, n));
         w.put(BranchTrace::kFrameMagic);
         w.put(static_cast<uint32_t>(n));
-        if (version >= 3)
-            w.put(static_cast<uint32_t>(body.size()));
+        w.put(static_cast<uint32_t>(body.size()));
         w.put(crc32(body.data(), body.size()));
         w.putBytes(body.data(), body.size());
         at += n;
@@ -192,14 +181,20 @@ sameRange(const Bytes &a, const Bytes &b, size_t from, size_t to)
                       b.begin() + from);
 }
 
-/** @p got is some of @p frames, whole and in order. */
+using Frame = std::span<const BranchRecord>;
+
+/** @p got is some of @p frames, whole and in order. Records compare
+ * by their payload bytes: the codec is canonical, so equal bytes mean
+ * equal records. */
 bool
-wholeFramesInOrder(const Bytes &got, const std::vector<Bytes> &frames)
+wholeFramesInOrder(const std::vector<BranchRecord> &got,
+                   const std::vector<Frame> &frames)
 {
     size_t p = 0;
-    for (const Bytes &f : frames) {
+    for (Frame f : frames) {
         if (got.size() - p >= f.size() &&
-            std::equal(f.begin(), f.end(), got.begin() + p)) {
+            payloadOf(std::span(got).subspan(p, f.size())) ==
+                payloadOf(f)) {
             p += f.size();
         }
     }
@@ -252,32 +247,31 @@ journalRecord(const VersionedHintBundle &v)
     return w.take();
 }
 
-/** Mutate a three-frame .whrt file of @p version: the strict load
- * and the streaming reader must classify every mutant. */
-void
-checkTraceFileMutations(uint32_t version)
+} // namespace
+
+TEST(RecordCodec, TraceFileMutations)
 {
+    // Mutate a three-frame .whrt file: the strict load and the
+    // streaming reader must classify every mutant.
     const std::vector<size_t> frames = {40, 50, 30};
     const std::vector<BranchRecord> records = kafkaRecords(120);
-    const Bytes good = traceFile(version, "kafka", 2, records, frames);
-    const Bytes goodImage = imageOf(records);
+    const Bytes good = traceFile("kafka", 2, records, frames);
+    const Bytes goodPayload = payloadOf(records);
     const size_t headerBytes = 4 + 4 + 4 + 5 + 4 + 8;
-    const size_t frameHeaderBytes = version >= 3 ? 16 : 12;
+    const size_t frameHeaderBytes = 16;
 
-    // Byte range and record image of each frame.
+    // Byte range and records of each frame.
     std::vector<std::pair<size_t, size_t>> frameRange;
-    std::vector<Bytes> frameImage;
+    std::vector<Frame> frameRecords;
     std::vector<LengthField> fields = {{8, 4}, {headerBytes - 8, 8}};
     size_t at = headerBytes, first = 0;
     for (size_t n : frames) {
-        std::span<const BranchRecord> part =
-            std::span(records).subspan(first, n);
+        Frame part = std::span(records).subspan(first, n);
         fields.push_back({at + 4, 4});
-        if (version >= 3)
-            fields.push_back({at + 8, 4});
+        fields.push_back({at + 8, 4});
         frameRange.push_back(
-            {at, at + frameHeaderBytes + frameBody(version, part).size()});
-        frameImage.push_back(imageOf(part));
+            {at, at + frameHeaderBytes + payloadOf(part).size()});
+        frameRecords.push_back(part);
         at = frameRange.back().second;
         first += n;
     }
@@ -293,22 +287,13 @@ checkTraceFileMutations(uint32_t version)
         BranchTrace loaded;
         IoStatus st = loaded.load(path);
         ASSERT_FALSE(st.missing()) << i << ": " << st.message;
-        uint32_t readAs = version;
-        if (bytes.size() >= 8)
-            std::memcpy(&readAs, bytes.data() + 4, sizeof(readAs));
-        // A header overwritten to version 1 turns the frames into an
-        // unchecked raw array: v1 carries no CRC to catch that.
-        bool v1 = readAs == 1;
         if (st.ok()) {
             ++accepted;
-            if (!v1) {
-                ASSERT_EQ(imageOf(loaded.records()), goodImage) << i;
-                ASSERT_EQ(traceFile(version, loaded.app(),
-                                    loaded.inputId(), loaded.records(),
-                                    frames),
-                          bytes)
-                    << i;
-            }
+            ASSERT_EQ(payloadOf(loaded.records()), goodPayload) << i;
+            ASSERT_EQ(traceFile(loaded.app(), loaded.inputId(),
+                                loaded.records(), frames),
+                      bytes)
+                << i;
         } else {
             ++rejected;
             ASSERT_TRUE(st.corrupt()) << i;
@@ -318,31 +303,28 @@ checkTraceFileMutations(uint32_t version)
         std::vector<BranchRecord> streamed, chunk;
         while (reader.readChunk(chunk, 64) > 0)
             streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-        if (v1)
-            continue;
-        Bytes got = imageOf(streamed);
         if (st.ok()) {
-            ASSERT_EQ(got, goodImage) << i;
+            ASSERT_EQ(payloadOf(streamed), goodPayload) << i;
         }
 
-        std::vector<Bytes> intact;
-        Bytes intactImage;
+        std::vector<Frame> intact;
+        std::vector<BranchRecord> intactRecords;
         for (size_t f = 0; f < frames.size(); ++f) {
             if (sameRange(bytes, good, frameRange[f].first,
                           frameRange[f].second)) {
-                intact.push_back(frameImage[f]);
-                intactImage.insert(intactImage.end(),
-                                   frameImage[f].begin(),
-                                   frameImage[f].end());
+                intact.push_back(frameRecords[f]);
+                intactRecords.insert(intactRecords.end(),
+                                     frameRecords[f].begin(),
+                                     frameRecords[f].end());
             }
         }
         // With the header intact the reader starts at the first
         // frame and must deliver every frame that passes its CRC,
         // nothing else; a damaged header may misplace the start.
         if (sameRange(bytes, good, 0, headerBytes)) {
-            ASSERT_EQ(got, intactImage) << i;
+            ASSERT_EQ(payloadOf(streamed), payloadOf(intactRecords)) << i;
         } else {
-            ASSERT_TRUE(wholeFramesInOrder(got, intact)) << i;
+            ASSERT_TRUE(wholeFramesInOrder(streamed, intact)) << i;
         }
     }
 
@@ -356,26 +338,17 @@ checkTraceFileMutations(uint32_t version)
         std::vector<BranchRecord> streamed, chunk;
         while (reader.readChunk(chunk, 64) > 0)
             streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-        Bytes whole;
+        size_t whole = 0;
         for (size_t f = 0; f < frames.size() && frameRange[f].second <= cut;
              ++f)
-            whole.insert(whole.end(), frameImage[f].begin(),
-                         frameImage[f].end());
-        ASSERT_EQ(imageOf(streamed), whole) << cut;
+            whole += frames[f];
+        ASSERT_EQ(payloadOf(streamed),
+                  payloadOf(std::span(records).first(whole)))
+            << cut;
     }
     std::remove(path.c_str());
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
-}
-
-} // namespace
-
-TEST(RecordCodec, TraceFileMutations)
-{
-    for (uint32_t version : {2u, 3u}) {
-        SCOPED_TRACE(version);
-        checkTraceFileMutations(version);
-    }
 }
 
 TEST(RecordCodec, BundleMutations)
@@ -526,7 +499,7 @@ TEST(RecordCodec, PayloadRoundTrips)
                 Bytes payload = payloadOf(part);
                 std::vector<BranchRecord> back;
                 ASSERT_TRUE(decodes(payload, part.size(), &back)) << app;
-                ASSERT_EQ(imageOf(back), imageOf(part)) << app;
+                ASSERT_EQ(payloadOf(back), payloadOf(part)) << app;
                 bytes += payload.size();
             }
             // A record costs well under a quarter of its 24-byte
@@ -561,7 +534,7 @@ TEST(RecordCodec, PayloadRoundTrips)
         EXPECT_LE(payload.size(), c.size() * kMaxRecordBytes);
         std::vector<BranchRecord> back;
         ASSERT_TRUE(decodes(payload, c.size(), &back)) << c.size();
-        EXPECT_EQ(imageOf(back), imageOf(c));
+        EXPECT_EQ(payloadOf(back), payloadOf(c));
     }
 
     // The wire carries the same payload behind its header.
@@ -569,7 +542,7 @@ TEST(RecordCodec, PayloadRoundTrips)
         IngestChunkMsg msg{"kafka", "agent", 4, 9, kafkaRecords(n)};
         IngestChunkMsg back;
         ASSERT_TRUE(decodeIngestChunk(encodeIngestChunk(msg), back)) << n;
-        EXPECT_EQ(imageOf(back.records), imageOf(msg.records)) << n;
+        EXPECT_EQ(payloadOf(back.records), payloadOf(msg.records)) << n;
     }
 }
 
@@ -582,8 +555,8 @@ TEST(RecordCodec, PayloadMutations)
     const Bytes good = {0x01, 0x10, 0x10, 0x03, 0x02, 0x05};
     std::vector<BranchRecord> back;
     ASSERT_TRUE(decodes(good, 2, &back));
-    EXPECT_EQ(imageOf(back),
-              imageOf(std::vector<BranchRecord>{
+    EXPECT_EQ(payloadOf(back),
+              payloadOf(std::vector<BranchRecord>{
                   record(8, 16, BranchKind::Conditional, false, 3),
                   record(8, 16, BranchKind::Conditional, true, 5)}));
 
@@ -785,7 +758,7 @@ bool
 sameTrace(const BranchTrace &a, const BranchTrace &b)
 {
     return a.app() == b.app() && a.inputId() == b.inputId() &&
-           imageOf(a.records()) == imageOf(b.records());
+           payloadOf(a.records()) == payloadOf(b.records());
 }
 
 /** @p bytes with [at, at + len) replaced by @p text. */
@@ -861,8 +834,8 @@ TEST(RecordCodec, CbpMutations)
                lineStart[4 + whole + 1] <= cut)
             ++whole;
         ASSERT_EQ(t.size(), whole) << what;
-        EXPECT_EQ(imageOf(t.records().subspan(0, whole)),
-                  imageOf(std::span(records).subspan(0, whole)))
+        EXPECT_EQ(payloadOf(t.records().subspan(0, whole)),
+                  payloadOf(std::span(records).subspan(0, whole)))
             << what;
     }
 
@@ -935,7 +908,7 @@ TEST(RecordCodec, ProfileMutations)
         e.baselineMispredicts = 50 + i;
     }
     original.markHard(0x400040);
-    BranchProfileEntry &hard = *original.find(0x400040);
+    BranchProfileEntry &hard = original.entries().at(0x400040);
     for (unsigned k = 0; k < 4; ++k) {
         hard.byLength[0].record(k, k % 2 == 0);
         hard.byLength[1].record(k, true);

@@ -129,8 +129,8 @@ TEST(ProfileIo, RoundTrip)
     EXPECT_EQ(loaded.lengths(), original.lengths());
 
     for (const auto &[pc, e] : original.entries()) {
-        const BranchProfileEntry *l = loaded.find(pc);
-        ASSERT_NE(l, nullptr);
+        ASSERT_TRUE(loaded.entries().contains(pc));
+        const BranchProfileEntry *l = &loaded.entries().at(pc);
         EXPECT_EQ(l->executions, e.executions);
         EXPECT_EQ(l->takenCount, e.takenCount);
         EXPECT_EQ(l->baselineMispredicts, e.baselineMispredicts);

@@ -228,12 +228,18 @@ TEST(FairShare, PendingQuotaRejectsExcessJobs)
     EXPECT_TRUE(sched.submit(jobFor(a.get(), 0)));
     EXPECT_TRUE(sched.submit(jobFor(a.get(), 1)));
     EXPECT_FALSE(sched.submit(jobFor(a.get(), 2)));
-    EXPECT_EQ(sched.pending(), 2u);
 
-    // Draining one pending job frees a slot.
+    // Draining one pending job frees a slot; the rejected job was
+    // never queued.
     TrainJob job;
     ASSERT_TRUE(sched.next(job));
+    EXPECT_EQ(job.jobIndex, 0u);
     EXPECT_TRUE(sched.submit(jobFor(a.get(), 3)));
+    sched.close();
+    std::vector<uint64_t> rest;
+    while (sched.next(job))
+        rest.push_back(job.jobIndex);
+    EXPECT_EQ(rest, (std::vector<uint64_t>{1, 3}));
 }
 
 // --------------------------------------------------------------------

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "record_image.hh"
 #include "trace/branch_trace.hh"
 #include "trace/global_history.hh"
 #include "trace/trace_reader.hh"
@@ -23,8 +22,6 @@
 #include "util/crc32.hh"
 
 using namespace whisper;
-using whisper::test::appendRecordImage;
-using whisper::test::imageOf;
 
 namespace
 {
@@ -60,35 +57,27 @@ payloadOf(std::span<const BranchRecord> records)
     return payload;
 }
 
-/** A .whrt file built by hand: a version-1 raw array, or frames of
- * @p frames records each, version-2 record images or version-3
- * payloads. */
+/** A .whrt file built by hand, in frames of @p frames records
+ * each. */
 std::vector<unsigned char>
-traceFile(const std::vector<BranchRecord> &records, uint32_t version,
-          const std::vector<size_t> &frames = {})
+traceFile(const std::vector<BranchRecord> &records,
+          const std::vector<size_t> &frames)
 {
     ByteWriter w;
     w.put(BranchTrace::kFileMagic);
-    w.put(version);
+    w.put(BranchTrace::kFileVersion);
     w.putStr("app");
     w.put(uint32_t{3});
     w.put(static_cast<uint64_t>(records.size()));
     std::vector<unsigned char> out = w.take();
-    if (version == 1) {
-        appendRecordImage(out, records);
-        return out;
-    }
     size_t at = 0;
     for (size_t n : frames) {
-        std::span<const BranchRecord> part =
-            std::span(records).subspan(at, n);
         std::vector<unsigned char> body =
-            version == 2 ? imageOf(part) : payloadOf(part);
+            payloadOf(std::span(records).subspan(at, n));
         ByteWriter frame;
         frame.put(BranchTrace::kFrameMagic);
         frame.put(static_cast<uint32_t>(n));
-        if (version >= 3)
-            frame.put(static_cast<uint32_t>(body.size()));
+        frame.put(static_cast<uint32_t>(body.size()));
         frame.put(crc32(body.data(), body.size()));
         frame.putBytes(body.data(), body.size());
         std::vector<unsigned char> bytes = frame.take();
@@ -129,9 +118,8 @@ TEST(GlobalHistory, PushAndBit)
     h.push(true);
     h.push(false);
     h.push(true);
-    EXPECT_TRUE(h.bit(0));
-    EXPECT_FALSE(h.bit(1));
-    EXPECT_TRUE(h.bit(2));
+    EXPECT_EQ(h.lastBits(3), 0b101u);
+    EXPECT_EQ(h.foldedHash(3, 3), 0b101u); // read from the ring
     EXPECT_EQ(h.count(), 3u);
 }
 
@@ -152,10 +140,10 @@ TEST(GlobalHistory, WrapsAround)
     GlobalHistory h(8);
     for (int i = 0; i < 20; ++i)
         h.push(i % 3 == 0);
-    // Most recent push was i=19 (19%3!=0 -> false).
-    EXPECT_FALSE(h.bit(0));
-    // i=18 -> true.
-    EXPECT_TRUE(h.bit(1));
+    // Newest first, i = 19 down to 12: the multiples of 3 are 18, 15
+    // and 12. The ring has wrapped and must read the same.
+    EXPECT_EQ(h.lastBits(8), 0b10010010u);
+    EXPECT_EQ(h.foldedHash(8, 8), 0b10010010u);
 }
 
 TEST(FoldedHistory, MatchesReferenceFold)
@@ -343,8 +331,10 @@ TEST(FoldedHistory, PushRunMatchesReferenceFold)
             shadow.push(b);
         }
     }
-    for (unsigned i = 0; i < h.capacity(); ++i)
-        ASSERT_EQ(h.bit(i), shadow.bit(i)) << i;
+    // Equal folds at every length mean equal rings: fold(L) and
+    // fold(L - 1) differ exactly in the bit L - 1 places back.
+    for (unsigned len = 1; len <= h.capacity(); ++len)
+        ASSERT_EQ(h.foldedHash(len, 32), shadow.foldedHash(len, 32)) << len;
 
     // A stride wider than the run leaves the padding alone.
     bits.assign(5, 1);
@@ -398,12 +388,12 @@ TEST(BranchTrace, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.inputId(), 7u);
     EXPECT_EQ(loaded.instructions(), trace.instructions());
     EXPECT_EQ(loaded.conditionals(), trace.conditionals());
-    EXPECT_EQ(imageOf(loaded.records()), imageOf(trace.records()));
+    EXPECT_EQ(payloadOf(loaded.records()), payloadOf(trace.records()));
     // save() writes version 3: the header (app "roundtrip" is 6
     // bytes longer than traceFile()'s "app"), then one payload frame.
     std::vector<unsigned char> file = readFile(path);
     std::vector<unsigned char> expect = traceFile(
-        std::vector<BranchRecord>(trace.begin(), trace.end()), 3, {1000});
+        std::vector<BranchRecord>(trace.begin(), trace.end()), {1000});
     ASSERT_EQ(file.size(), expect.size() + 6);
     EXPECT_EQ(file[4], 3);
     EXPECT_TRUE(std::equal(expect.begin() + kHeaderBytes, expect.end(),
@@ -422,125 +412,14 @@ TEST(BranchTrace, LoadRejectsGarbage)
     std::remove(path.c_str());
 }
 
-TEST(BranchTrace, ReadsVersion1RawArray)
-{
-    std::vector<BranchRecord> records = lcgRecords(100);
-    std::string path = "/tmp/whisper_test_v1.whrt";
-    writeFile(path, traceFile(records, 1));
-
-    BranchTrace loaded;
-    ASSERT_TRUE(loaded.load(path).ok());
-    EXPECT_EQ(loaded.app(), "app");
-    EXPECT_EQ(loaded.inputId(), 3u);
-    EXPECT_EQ(imageOf(loaded.records()), imageOf(records));
-
-    TraceStreamReader reader(path);
-    ASSERT_TRUE(reader.valid());
-    std::vector<BranchRecord> streamed, chunk;
-    while (reader.readChunk(chunk, 7) > 0)
-        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-    EXPECT_TRUE(reader.status().ok());
-    EXPECT_EQ(imageOf(streamed), imageOf(records));
-    std::remove(path.c_str());
-}
-
-TEST(BranchTrace, TruncatedVersion1IsCorrupt)
-{
-    std::vector<BranchRecord> records = lcgRecords(100);
-    std::vector<unsigned char> bytes = traceFile(records, 1);
-    bytes.resize(bytes.size() - 10); // tear the last record
-    std::string path = "/tmp/whisper_test_v1_torn.whrt";
-    writeFile(path, bytes);
-
-    BranchTrace loaded;
-    IoStatus st = loaded.load(path);
-    EXPECT_TRUE(st.corrupt());
-    EXPECT_NE(st.message.find("truncated record array"),
-              std::string::npos);
-
-    TraceStreamReader reader(path);
-    ASSERT_TRUE(reader.valid());
-    std::vector<BranchRecord> chunk;
-    size_t got = 0;
-    while (reader.readChunk(chunk, 16) > 0)
-        got += chunk.size();
-    EXPECT_EQ(got, 99u);
-    EXPECT_TRUE(reader.status().corrupt());
-    EXPECT_NE(reader.status().message.find("truncated record array"),
-              std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(BranchTrace, LoadRejectsEveryDamageKind)
-{
-    // Three frames of 40, 50 and 30 records; frame i starts at
-    // frameAt[i]. Every rejection the strict load makes, each with
-    // the message that names it.
-    std::vector<BranchRecord> records = lcgRecords(120);
-    const std::vector<unsigned char> good =
-        traceFile(records, 2, {40, 50, 30});
-    const size_t countAt = kHeaderBytes - 8;
-    const size_t frameAt[] = {kHeaderBytes, kHeaderBytes + 12 + 40 * 24,
-                              kHeaderBytes + 24 + 90 * 24};
-    std::string path = "/tmp/whisper_test_damage.whrt";
-
-    writeFile(path, good);
-    BranchTrace loaded;
-    ASSERT_TRUE(loaded.load(path).ok());
-    EXPECT_EQ(imageOf(loaded.records()), imageOf(records));
-
-    struct Damage
-    {
-        const char *what;
-        std::function<void(std::vector<unsigned char> &)> apply;
-    };
-    const Damage damages[] = {
-        {"bad magic", [](auto &b) { b[0] ^= 1; }},
-        {"unsupported format version",
-         [](auto &b) { poke(b, 4, uint32_t{7}); }},
-        {"oversized app-name",
-         [](auto &b) { poke(b, 8, kMaxStringBytes + 1); }},
-        {"record count exceeds file size",
-         [&](auto &b) { poke(b, countAt, uint64_t{1} << 40); }},
-        {"bad frame header",
-         [&](auto &b) { b[frameAt[1]] ^= 0x10; }},
-        {"frame record count out of bounds",
-         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{0}); }},
-        {"frame record count out of bounds",
-         [&](auto &b) {
-             poke(b, frameAt[2] + 4, BranchTrace::kMaxFrameRecords + 1);
-         }},
-        {"truncated frame", [](auto &b) { b.resize(b.size() - 5); }},
-        {"frame CRC mismatch",
-         [&](auto &b) { b[frameAt[2] + 12 + 100] ^= 0x01; }},
-        {"record count disagrees with header",
-         [&](auto &b) { poke(b, countAt, uint64_t{119}); }},
-        {"record count disagrees with header",
-         [&](auto &b) { poke(b, countAt, uint64_t{121}); }},
-    };
-    for (const Damage &d : damages) {
-        std::vector<unsigned char> bytes = good;
-        d.apply(bytes);
-        writeFile(path, bytes);
-        IoStatus st = loaded.load(path);
-        EXPECT_TRUE(st.corrupt()) << d.what;
-        EXPECT_NE(st.message.find(d.what), std::string::npos)
-            << d.what << ": " << st.message;
-        // A failed load leaves the previous contents alone.
-        EXPECT_EQ(loaded.size(), records.size()) << d.what;
-    }
-    std::remove(path.c_str());
-}
-
 TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
 {
-    // The same three frames as version-3 payloads, whose sizes vary:
-    // frame i starts at frameAt[i]. Besides the version-2 damage, a
-    // v3 frame can carry a byte count out of bounds, or a record count
-    // its CRC-intact payload does not decode to.
+    // Three frames of 40, 50 and 30 records, whose payload sizes
+    // vary: frame i starts at frameAt[i]. Every rejection the strict
+    // load makes, each with the message that names it.
     std::vector<BranchRecord> records = lcgRecords(120);
     const std::vector<unsigned char> good =
-        traceFile(records, 3, {40, 50, 30});
+        traceFile(records, {40, 50, 30});
     const size_t countAt = kHeaderBytes - 8;
     const size_t frameAt[] = {
         kHeaderBytes,
@@ -554,7 +433,7 @@ TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
     writeFile(path, good);
     BranchTrace loaded;
     ASSERT_TRUE(loaded.load(path).ok());
-    EXPECT_EQ(imageOf(loaded.records()), imageOf(records));
+    EXPECT_EQ(payloadOf(loaded.records()), payloadOf(records));
 
     struct Damage
     {
@@ -562,11 +441,26 @@ TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
         std::function<void(std::vector<unsigned char> &)> apply;
     };
     const Damage damages[] = {
+        {"bad magic", [](auto &b) { b[0] ^= 1; }},
+        // Versions 1 and 2 (native 24-byte records) are no longer
+        // read.
+        {"unsupported format version",
+         [](auto &b) { poke(b, 4, uint32_t{1}); }},
+        {"unsupported format version",
+         [](auto &b) { poke(b, 4, uint32_t{2}); }},
+        {"unsupported format version",
+         [](auto &b) { poke(b, 4, uint32_t{7}); }},
+        {"oversized app-name",
+         [](auto &b) { poke(b, 8, kMaxStringBytes + 1); }},
         {"record count exceeds file size",
          [&](auto &b) { poke(b, countAt, uint64_t{b.size() / 2 + 1}); }},
         {"bad frame header", [&](auto &b) { b[frameAt[1]] ^= 0x10; }},
         {"frame record count out of bounds",
          [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{0}); }},
+        {"frame record count out of bounds",
+         [&](auto &b) {
+             poke(b, frameAt[2] + 4, BranchTrace::kMaxFrameRecords + 1);
+         }},
         {"frame byte count out of bounds",
          [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 24 + 1}); }},
         {"frame byte count out of bounds",
@@ -591,6 +485,7 @@ TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
         EXPECT_TRUE(st.corrupt()) << d.what;
         EXPECT_NE(st.message.find(d.what), std::string::npos)
             << d.what << ": " << st.message;
+        // A failed load leaves the previous contents alone.
         EXPECT_EQ(loaded.size(), records.size()) << d.what;
     }
     std::remove(path.c_str());
@@ -620,7 +515,7 @@ TEST(RecordImage, ZeroesPaddingAndIsTheFrameBody)
     ASSERT_TRUE(trace.save(path));
     std::vector<unsigned char> file = readFile(path);
     std::remove(path.c_str());
-    EXPECT_EQ(file, traceFile(clean, 3, {64}));
+    EXPECT_EQ(file, traceFile(clean, {64}));
     ASSERT_EQ(file.size(), kHeaderBytes + 16 + payload.size());
     EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                            file.begin() + kHeaderBytes + 16));

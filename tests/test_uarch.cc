@@ -45,9 +45,9 @@ TEST(Cache, LruEvictionWithinSet)
     c.access(128);   // set 0
     c.access(0);     // refresh 0 -> 128 is LRU
     c.access(256);   // set 0, evicts 128
-    EXPECT_TRUE(c.contains(0));
-    EXPECT_FALSE(c.contains(128));
-    EXPECT_TRUE(c.contains(256));
+    EXPECT_TRUE(c.access(0));
+    EXPECT_TRUE(c.access(256));
+    EXPECT_FALSE(c.access(128));
 }
 
 TEST(Cache, CapacitySweepMonotone)
@@ -210,9 +210,14 @@ TEST(Cache, MatchesTimestampLruReference)
         EXPECT_EQ(cache.misses(), accesses - refHits);
         EXPECT_GT(refHits, 0u);
         EXPECT_GT(accesses - refHits, lines);
-        for (uint64_t line = 0; line < 2 * lines; ++line)
-            ASSERT_EQ(cache.contains(line * 64),
-                      ref.find(line % sets, line) != nullptr) << line;
+        // A sweep over every line: each access must hit exactly when
+        // the reference still holds the line.
+        for (uint64_t line = 0; line < 2 * lines; ++line) {
+            bool hit = ref.touch(line % sets, line) != nullptr;
+            if (!hit)
+                ref.fill(line % sets, line, 0);
+            ASSERT_EQ(cache.access(line * 64), hit) << line;
+        }
     }
 }
 

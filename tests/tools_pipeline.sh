@@ -91,6 +91,15 @@ expect_usage_error whisper_eval --trace "$EVAL_TRACE" \
     --per-epoch --epoch-records 0
 # Predictors outside the paper's figures are not offered.
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" --predictors gshare
+# The whole --predictors list is checked before the trace is read: a
+# bad name fails as usage even when the trace is missing, and so do
+# names whose input option is absent.
+expect_usage_error whisper_eval --trace /nonexistent.whrt \
+    --predictors tage,gshare
+expect_usage_error whisper_eval --trace /nonexistent.whrt \
+    --predictors tage,whisper
+expect_usage_error whisper_eval --trace /nonexistent.whrt \
+    --predictors profile-static
 expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
     --out "$WORK_DIR/bad.hints" --tage-kb x
 expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -118,6 +120,61 @@ main(int argc, char **argv)
     }
     if (tracePath.empty())
         usage();
+    if (!hintsPath.empty() &&
+        predictors == std::vector<std::string>{"tage"})
+        predictors = {"tage", "whisper"};
+
+    ExperimentConfig cfg;
+    cfg.tageBudgetKB = tageKb;
+    HintBundle bundle;
+
+    // The --predictors names: each one's factory, and the option it
+    // needs (nullptr when none) with whether that option was given.
+    struct PredictorKind
+    {
+        const char *needs;
+        bool given;
+        std::function<std::unique_ptr<BranchPredictor>()> make;
+    };
+    const std::map<std::string, PredictorKind> kinds = {
+        {"tage", {nullptr, true, [&] { return makeTage(tageKb); }}},
+        {"mtage", {nullptr, true, [&] { return makeMtage(cfg); }}},
+        {"ideal",
+         {nullptr, true, [] { return std::make_unique<IdealPredictor>(); }}},
+        {"profile-static",
+         {"--profile", !profilePath.empty(),
+          [&] {
+              BranchProfile profile;
+              if (IoStatus st = loadProfile(profile, profilePath); !st) {
+                  std::fprintf(stderr, "error: %s\n", st.message.c_str());
+                  std::exit(1);
+              }
+              return std::make_unique<StaticProfilePredictor>(profile);
+          }}},
+        {"whisper",
+         {"--hints", !hintsPath.empty(),
+          [&] {
+              WhisperBuild build;
+              build.hints = bundle.hints;
+              build.placements = bundle.placements;
+              return makeWhisperPredictor(cfg, build);
+          }}},
+    };
+    // Every name is checked before the trace loads, so a bad list
+    // fails at once instead of after the predictors ahead of it ran.
+    for (const auto &name : predictors) {
+        auto kind = kinds.find(name);
+        if (kind == kinds.end()) {
+            std::fprintf(stderr, "error: unknown predictor '%s'\n",
+                         name.c_str());
+            return 2;
+        }
+        if (!kind->second.given) {
+            std::fprintf(stderr, "error: '%s' needs %s\n", name.c_str(),
+                         kind->second.needs);
+            return 2;
+        }
+    }
 
     BranchTrace trace;
     bool isCbp = tracePath.size() >= 4 &&
@@ -130,62 +187,12 @@ main(int argc, char **argv)
         return 1;
     }
 
-    HintBundle bundle;
-    bool haveHints = false;
     if (!hintsPath.empty()) {
-        if (IoStatus st = loadHintBundle(bundle, hintsPath);
-            !st) {
+        if (IoStatus st = loadHintBundle(bundle, hintsPath); !st) {
             std::fprintf(stderr, "error: %s\n", st.message.c_str());
             return 1;
         }
-        haveHints = true;
-        if (predictors == std::vector<std::string>{"tage"})
-            predictors = {"tage", "whisper"};
     }
-
-    ExperimentConfig cfg;
-    cfg.tageBudgetKB = tageKb;
-
-    auto makeByName =
-        [&](const std::string &name)
-        -> std::unique_ptr<BranchPredictor> {
-        if (name == "tage")
-            return makeTage(tageKb);
-        if (name == "mtage")
-            return makeMtage(cfg);
-        if (name == "ideal")
-            return std::make_unique<IdealPredictor>();
-        if (name == "profile-static") {
-            if (profilePath.empty()) {
-                std::fprintf(stderr,
-                             "error: 'profile-static' needs "
-                             "--profile\n");
-                std::exit(2);
-            }
-            BranchProfile profile;
-            if (IoStatus st = loadProfile(profile, profilePath);
-                !st) {
-                std::fprintf(stderr, "error: %s\n",
-                             st.message.c_str());
-                std::exit(1);
-            }
-            return std::make_unique<StaticProfilePredictor>(profile);
-        }
-        if (name == "whisper") {
-            if (!haveHints) {
-                std::fprintf(stderr,
-                             "error: 'whisper' needs --hints\n");
-                std::exit(2);
-            }
-            WhisperBuild build;
-            build.hints = bundle.hints;
-            build.placements = bundle.placements;
-            return makeWhisperPredictor(cfg, build);
-        }
-        std::fprintf(stderr, "error: unknown predictor '%s'\n",
-                     name.c_str());
-        std::exit(2);
-    };
 
     TableReporter table("evaluation: " + trace.app() + " input #" +
                         std::to_string(trace.inputId()));
@@ -196,7 +203,7 @@ main(int argc, char **argv)
     table.setHeader(header);
 
     for (const auto &name : predictors) {
-        auto pred = makeByName(name);
+        auto pred = kinds.at(name).make();
         TraceSource src(trace);
         PredictorRunStats stats = runPredictor(src, *pred, warmup);
         std::vector<std::string> row = {
@@ -204,7 +211,7 @@ main(int argc, char **argv)
             TableReporter::formatDouble(100.0 * stats.accuracy()),
             std::to_string(stats.mispredicts)};
         if (pipeline) {
-            auto fresh = makeByName(name);
+            auto fresh = kinds.at(name).make();
             TraceSource src2(trace);
             PipelineModel model(cfg.pipeline);
             auto p = model.run(src2, *fresh);
@@ -220,7 +227,7 @@ main(int argc, char **argv)
         // refresh hook stays empty, so this shows how a fixed bundle
         // ages across a drifting stream).
         for (const auto &name : predictors) {
-            auto pred = makeByName(name);
+            auto pred = kinds.at(name).make();
             TraceSource src(trace);
             AdaptiveRunStats stats =
                 runPredictorAdaptive(src, *pred, epochRecords, nullptr);
