@@ -412,34 +412,61 @@ TEST(BranchTrace, LoadRejectsGarbage)
     std::remove(path.c_str());
 }
 
-TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
+namespace
 {
-    // Three frames of 40, 50 and 30 records, whose payload sizes
-    // vary: frame i starts at frameAt[i]. Every rejection the strict
-    // load makes, each with the message that names it.
+
+/** One damage to a good trace file and the message its load names. */
+struct Damage
+{
+    const char *what;
+    std::function<void(std::vector<unsigned char> &)> apply;
+};
+
+/** Three frames of 40, 50 and 30 records, whose payload sizes vary:
+ * frame i starts at frameAt[i]. */
+struct ThreeFrameFile
+{
     std::vector<BranchRecord> records = lcgRecords(120);
-    const std::vector<unsigned char> good =
-        traceFile(records, {40, 50, 30});
-    const size_t countAt = kHeaderBytes - 8;
-    const size_t frameAt[] = {
+    std::vector<unsigned char> good = traceFile(records, {40, 50, 30});
+    size_t countAt = kHeaderBytes - 8;
+    size_t frameAt[3] = {
         kHeaderBytes,
         kHeaderBytes + 16 + payloadOf(std::span(records).first(40)).size(),
         good.size() - 16 - payloadOf(std::span(records).last(30)).size()};
-    std::string path = "/tmp/whisper_test_damage_v3.whrt";
 
-    // More records than a file of 24-byte records could hold: a cap
-    // at the native record size would refuse this valid file.
-    ASSERT_GT(records.size(), good.size() / sizeof(BranchRecord));
-    writeFile(path, good);
-    BranchTrace loaded;
-    ASSERT_TRUE(loaded.load(path).ok());
-    EXPECT_EQ(payloadOf(loaded.records()), payloadOf(records));
-
-    struct Damage
+    /** Loads the good file, then each damaged copy: every one is
+     * corrupt with the message that names it, and a failed load
+     * leaves the previous contents alone. */
+    void
+    expectRejected(std::span<const Damage> damages,
+                   const std::string &path) const
     {
-        const char *what;
-        std::function<void(std::vector<unsigned char> &)> apply;
-    };
+        writeFile(path, good);
+        BranchTrace loaded;
+        ASSERT_TRUE(loaded.load(path).ok());
+        EXPECT_EQ(payloadOf(loaded.records()), payloadOf(records));
+        for (const Damage &d : damages) {
+            std::vector<unsigned char> bytes = good;
+            d.apply(bytes);
+            writeFile(path, bytes);
+            IoStatus st = loaded.load(path);
+            EXPECT_TRUE(st.corrupt()) << d.what;
+            EXPECT_NE(st.message.find(d.what), std::string::npos)
+                << d.what << ": " << st.message;
+            EXPECT_EQ(loaded.size(), records.size()) << d.what;
+        }
+        std::remove(path.c_str());
+    }
+};
+
+} // namespace
+
+TEST(BranchTrace, LoadRejectsEveryDamageKind)
+{
+    // Every rejection of the header and of the frame framing.
+    const ThreeFrameFile f;
+    const size_t countAt = f.countAt;
+    const size_t *frameAt = f.frameAt;
     const Damage damages[] = {
         {"bad magic", [](auto &b) { b[0] ^= 1; }},
         // Versions 1 and 2 (native 24-byte records) are no longer
@@ -461,34 +488,38 @@ TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
          [&](auto &b) {
              poke(b, frameAt[2] + 4, BranchTrace::kMaxFrameRecords + 1);
          }},
-        {"frame byte count out of bounds",
-         [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 24 + 1}); }},
-        {"frame byte count out of bounds",
-         [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 2 - 1}); }},
         {"truncated frame", [](auto &b) { b.resize(b.size() - 5); }},
         {"frame CRC mismatch",
          [&](auto &b) { b[frameAt[2] + 16 + 5] ^= 0x01; }},
-        {"malformed frame payload",
-         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{49}); }},
-        {"malformed frame payload",
-         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{51}); }},
         {"record count disagrees with header",
          [&](auto &b) { poke(b, countAt, uint64_t{119}); }},
         {"record count disagrees with header",
          [&](auto &b) { poke(b, countAt, uint64_t{121}); }},
     };
-    for (const Damage &d : damages) {
-        std::vector<unsigned char> bytes = good;
-        d.apply(bytes);
-        writeFile(path, bytes);
-        IoStatus st = loaded.load(path);
-        EXPECT_TRUE(st.corrupt()) << d.what;
-        EXPECT_NE(st.message.find(d.what), std::string::npos)
-            << d.what << ": " << st.message;
-        // A failed load leaves the previous contents alone.
-        EXPECT_EQ(loaded.size(), records.size()) << d.what;
-    }
-    std::remove(path.c_str());
+    f.expectRejected(damages, "/tmp/whisper_test_damage.whrt");
+}
+
+TEST(BranchTrace, LoadRejectsEveryVersion3DamageKind)
+{
+    // A version-3 frame carries its payload's byte count, so it can
+    // also be out of bounds, or name a record count its CRC-intact
+    // payload does not decode to.
+    const ThreeFrameFile f;
+    const size_t *frameAt = f.frameAt;
+    // More records than a file of 24-byte records could hold: a cap
+    // at the native record size would refuse this valid file.
+    ASSERT_GT(f.records.size(), f.good.size() / sizeof(BranchRecord));
+    const Damage damages[] = {
+        {"frame byte count out of bounds",
+         [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 24 + 1}); }},
+        {"frame byte count out of bounds",
+         [&](auto &b) { poke(b, frameAt[1] + 8, uint32_t{50 * 2 - 1}); }},
+        {"malformed frame payload",
+         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{49}); }},
+        {"malformed frame payload",
+         [&](auto &b) { poke(b, frameAt[1] + 4, uint32_t{51}); }},
+    };
+    f.expectRejected(damages, "/tmp/whisper_test_damage_v3.whrt");
 }
 
 TEST(RecordImage, ZeroesPaddingAndIsTheFrameBody)
