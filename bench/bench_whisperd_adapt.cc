@@ -1,7 +1,8 @@
 /**
  * @file
- * Continuous-PGO replay: whisperd's train/validate/deploy loop
- * running alongside an adaptive fleet simulation while the workload
+ * Continuous-PGO replay: whisperd's epoch step (trainEpochStep,
+ * the train/place/validate/deploy code every tenant epoch runs)
+ * retraining beside an adaptive fleet simulation while the workload
  * drifts from kafka input #0 to input #1 mid-stream, followed by a
  * mixed-fleet scenario where every data center app of Table I
  * streams into one multi-tenant service at a different rate (kafka
@@ -48,6 +49,18 @@ driftStream(const AppConfig &app, uint64_t perInput)
     return records;
 }
 
+/** whisperd's configuration with the experiment's predictor, Whisper
+ * and injector settings. */
+TenantRouterConfig
+serviceConfig(const ExperimentConfig &cfg)
+{
+    TenantRouterConfig tcfg;
+    tcfg.tageBudgetKB = cfg.tageBudgetKB;
+    tcfg.whisper = cfg.whisper;
+    tcfg.injector = cfg.injector;
+    return tcfg;
+}
+
 /** One tenant's outcome in the mixed-fleet scenario. */
 struct FleetAppResult
 {
@@ -76,14 +89,11 @@ FleetRunResult
 runMixedFleet(const ExperimentConfig &cfg, const std::string &noisy,
               uint64_t chunkRecords, unsigned quietChunks)
 {
-    TenantRouterConfig tcfg;
+    TenantRouterConfig tcfg = serviceConfig(cfg);
     tcfg.chunkRecords = chunkRecords;
     tcfg.epochChunks = 2;
     tcfg.trainWorkers = 2;
-    tcfg.tageBudgetKB = cfg.tageBudgetKB;
     tcfg.profilePolicy.maxHardBranches = cfg.profile.maxHardBranches;
-    tcfg.whisper = cfg.whisper;
-    tcfg.injector = cfg.injector;
     tcfg.verbose = false;
     tcfg.defaultQuota.maxQueuedChunks = 64;
     tcfg.defaultQuota.maxPendingTrainJobs = 64;
@@ -165,30 +175,25 @@ main()
     WhisperBuild staticBuild =
         trainWhisper(app, 0, staticProfile, cfg);
 
-    // Online: service components wired around the adaptive runner.
+    // Online: whisperd's epoch step driving the adaptive runner.
     // Each epoch boundary hands the finished window to the profiler;
-    // every trainEveryEpochs windows a candidate is trained on the
-    // profiler's running profile, validated on the newest window, and
-    // proposed to the store the fleet predictor consults.
+    // every trainEveryEpochs windows trainEpochStep trains a
+    // candidate on the profiler's running profile, places and
+    // validates it on the newest window, and proposes it to the
+    // store the fleet predictor consults. Screening and warm starts
+    // stay off, as in the paper's offline training.
+    TenantRouterConfig stepCfg = serviceConfig(cfg);
+    stepCfg.trainPrune = false;
+    stepCfg.warmStart = false;
     ChunkProfiler::Options profOpt;
     profOpt.maxHardBranches = cfg.profile.maxHardBranches;
     profOpt.statsWarmupRecords = window / 2; // half the first window
     ChunkProfiler profiler(cfg.whisper, makeTage(cfg.tageBudgetKB),
                            profOpt);
-    WhisperTrainer trainer(cfg.whisper, globalTruthTables());
-    HintInjector injector(cfg.injector);
     HintStore store;
     HintStoreConsultant consultant(
         store, cfg.whisper, globalTruthTables(),
         [&] { return makeTage(cfg.tageBudgetKB); });
-
-    auto evalWindow = [&](const std::vector<BranchRecord> &records,
-                          const HintBundle *bundle) {
-        TraceSource src(records);
-        auto pred = makeBundlePredictor(cfg.tageBudgetKB, cfg.whisper,
-                                        globalTruthTables(), bundle);
-        return runPredictor(src, *pred);
-    };
 
     auto onEpoch = [&](uint64_t nextEpoch) -> BranchPredictor * {
         size_t from = (nextEpoch - 1) * window;
@@ -196,25 +201,10 @@ main()
         std::vector<BranchRecord> finished(stream.begin() + from,
                                            stream.begin() + to);
 
-        if (nextEpoch % trainEveryEpochs == 0) {
-            if (profiler.profile().numBranches() > 0) {
-                HintBundle candidate;
-                candidate.hints = trainer.train(profiler.profile(),
-                                                nullptr, nullptr, 4);
-                TraceSource placeSrc(finished);
-                candidate.placements =
-                    injector.place(placeSrc, candidate.hints);
-
-                HintStore::Snapshot incumbent = store.current();
-                auto incStats = evalWindow(
-                    finished,
-                    incumbent ? &incumbent->bundle : nullptr);
-                auto candStats = evalWindow(finished, &candidate);
-                store.propose(std::move(candidate),
-                              candStats.accuracy(),
-                              incStats.accuracy());
-            }
-        }
+        if (nextEpoch % trainEveryEpochs == 0 &&
+            profiler.profile().numBranches() > 0)
+            trainEpochStep(stepCfg, globalTruthTables(),
+                           profiler.profile(), finished, finished, store);
 
         profiler.profileChunk(finished);
         return consultant.refresh(nextEpoch);

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <future>
 
-#include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/logging.hh"
@@ -84,6 +83,91 @@ FairShareScheduler::close()
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
     ready_.notify_all();
+}
+
+// --------------------------------------------------------------------
+// The epoch step
+// --------------------------------------------------------------------
+
+EpochOutcome
+trainEpochStep(const TenantRouterConfig &cfg, const TruthTableCache &cache,
+               const BranchProfile &profile,
+               const std::vector<BranchRecord> &placement,
+               const std::vector<BranchRecord> &validation,
+               HintStore &store)
+{
+    using clock = std::chrono::steady_clock;
+    auto t0 = clock::now();
+
+    WhisperTrainer trainer(cfg.whisper, cache);
+    if (cfg.trainPrune)
+        trainer.setScreen(ScreenConfig{});
+
+    auto evalOnValidation = [&](const HintBundle *bundle) {
+        TraceSource source(validation);
+        auto predictor = makeBundlePredictor(cfg.tageBudgetKB, cfg.whisper,
+                                             cache, bundle);
+        return runPredictor(source, *predictor);
+    };
+
+    HintStore::Snapshot incumbent = store.current();
+    const std::vector<TrainedHint> *warmSeeds =
+        cfg.warmStart && incumbent ? &incumbent->bundle.hints : nullptr;
+    // The incumbent's holdout run depends only on the validation
+    // window and the deployed snapshot, so it runs beside training.
+    auto incumbentRun = std::async(std::launch::async, [&] {
+        return evalOnValidation(incumbent ? &incumbent->bundle : nullptr);
+    });
+
+    EpochOutcome out;
+    TrainingStats &stats = out.training;
+    HintBundle candidate;
+    candidate.hints =
+        trainer.train(profile, warmSeeds, &stats, cfg.trainWorkers);
+
+    HintInjector injector(cfg.injector);
+    auto placeCandidate = [&](HintBundle &bundle) {
+        if (placement.empty())
+            return;
+        TraceSource placementSource(placement);
+        bundle.placements = injector.place(placementSource, bundle.hints);
+    };
+    placeCandidate(candidate);
+
+    out.candidate = evalOnValidation(&candidate);
+    out.incumbent = incumbentRun.get();
+
+    // Warm-start safety valve: a warm candidate that is worse than
+    // the incumbent on the holdout (not merely short of beating it)
+    // means stale formulas pinned the search, so this epoch is
+    // retrained cold.
+    if (warmSeeds && stats.warmHits > 0 &&
+        out.candidate.accuracy() + cfg.warmFallbackMargin <
+            out.incumbent.accuracy()) {
+        out.warmFallback = true;
+        TrainingStats coldStats;
+        HintBundle coldCandidate;
+        coldCandidate.hints = trainer.train(profile, nullptr, &coldStats,
+                                            cfg.trainWorkers);
+        placeCandidate(coldCandidate);
+        candidate = std::move(coldCandidate);
+        out.candidate = evalOnValidation(&candidate);
+        stats.formulasScored += coldStats.formulasScored;
+        stats.branchSecondsSum += coldStats.branchSecondsSum;
+        stats.branchSecondsMax = std::max(stats.branchSecondsMax,
+                                          coldStats.branchSecondsMax);
+        stats.warmHits = 0;
+        stats.coldSearches = coldStats.coldSearches;
+        stats.hintsEmitted = coldStats.hintsEmitted;
+        stats.branchesDegraded += coldStats.branchesDegraded;
+    }
+
+    out.seconds = std::chrono::duration<double>(clock::now() - t0).count();
+    out.hints = candidate.hints.size();
+    out.accepted = store.propose(std::move(candidate),
+                                 out.candidate.accuracy(),
+                                 out.incumbent.accuracy(), cfg.acceptMargin);
+    return out;
 }
 
 // --------------------------------------------------------------------
@@ -286,106 +370,27 @@ TenantRouter::dispatcherLoop()
     }
 }
 
-PredictorRunStats
-TenantRouter::evalOnRecords(const std::vector<BranchRecord> &records,
-                            const HintBundle *bundle) const
-{
-    TraceSource source(records);
-    auto predictor = makeBundlePredictor(cfg_.tageBudgetKB, cfg_.whisper,
-                                         cache_, bundle);
-    return runPredictor(source, *predictor);
-}
-
 void
 TenantRouter::trainEpoch(TrainJob &job)
 {
     Tenant &tenant = *job.tenant;
-    using clock = std::chrono::steady_clock;
-    auto t0 = clock::now();
+    EpochOutcome out = trainEpochStep(cfg_, cache_, job.profile,
+                                      job.placement, job.validation,
+                                      tenant.store);
+    const TrainingStats &stats = out.training;
 
-    WhisperTrainer trainer(cfg_.whisper, cache_);
-    if (cfg_.trainPrune) {
-        ScreenConfig screen = cfg_.screen;
-        screen.enabled = true;
-        trainer.setScreen(screen);
-    }
-
-    HintStore::Snapshot incumbent = tenant.store.current();
-    const std::vector<TrainedHint> *warmSeeds =
-        cfg_.warmStart && incumbent ? &incumbent->bundle.hints
-                                    : nullptr;
-    // The incumbent's holdout run depends only on the validation
-    // window and the deployed snapshot, so it runs beside training.
-    auto incumbentRun = std::async(std::launch::async, [&] {
-        return evalOnRecords(job.validation,
-                             incumbent ? &incumbent->bundle : nullptr);
-    });
-
-    TrainingStats stats;
-    HintBundle candidate;
-    candidate.hints = trainer.train(job.profile, warmSeeds, &stats,
-                                    cfg_.trainWorkers);
-
-    HintInjector injector(cfg_.injector);
-    auto placeCandidate = [&](HintBundle &bundle) {
-        if (job.placement.empty())
-            return;
-        TraceSource placementSource(job.placement);
-        bundle.placements =
-            injector.place(placementSource, bundle.hints);
-    };
-    placeCandidate(candidate);
-
-    PredictorRunStats candidateStats =
-        evalOnRecords(job.validation, &candidate);
-    PredictorRunStats incumbentStats = incumbentRun.get();
-
-    // Warm-start safety valve: a warm candidate that is worse than
-    // the incumbent on the holdout (not merely short of beating it)
-    // means stale formulas pinned the search, so this epoch is
-    // retrained cold.
-    uint64_t warmFallback = 0;
-    if (warmSeeds && stats.warmHits > 0 &&
-        candidateStats.accuracy() + cfg_.warmFallbackMargin <
-            incumbentStats.accuracy()) {
-        warmFallback = 1;
-        TrainingStats coldStats;
-        HintBundle coldCandidate;
-        coldCandidate.hints = trainer.train(job.profile, nullptr,
-                                            &coldStats, cfg_.trainWorkers);
-        placeCandidate(coldCandidate);
-        candidate = std::move(coldCandidate);
-        candidateStats = evalOnRecords(job.validation, &candidate);
-        stats.formulasScored += coldStats.formulasScored;
-        stats.branchSecondsSum += coldStats.branchSecondsSum;
-        stats.branchSecondsMax = std::max(stats.branchSecondsMax,
-                                          coldStats.branchSecondsMax);
-        stats.warmHits = 0;
-        stats.coldSearches = coldStats.coldSearches;
-        stats.hintsEmitted = coldStats.hintsEmitted;
-        stats.branchesDegraded += coldStats.branchesDegraded;
-    }
-
-    double trainSecs =
-        std::chrono::duration<double>(clock::now() - t0).count();
-
-    size_t hints = candidate.hints.size();
-    bool accepted = tenant.store.propose(
-        std::move(candidate), candidateStats.accuracy(),
-        incumbentStats.accuracy(), cfg_.acceptMargin);
-
-    double deployedAccuracy = accepted ? candidateStats.accuracy()
-                                       : incumbentStats.accuracy();
+    double deployedAccuracy = out.accepted ? out.candidate.accuracy()
+                                           : out.incumbent.accuracy();
     tenant.withMetrics([&](TenantMetrics &m, Tenant::EpochSamples &s) {
         ++m.epochsRun;
-        s.trainLatency.add(trainSecs);
-        s.hintsPerEpoch.add(static_cast<double>(hints));
+        s.trainLatency.add(out.seconds);
+        s.hintsPerEpoch.add(static_cast<double>(out.hints));
         s.deployedMpkiDelta.add(
-            accepted ? candidateStats.mpki() - incumbentStats.mpki()
-                     : 0.0);
+            out.accepted ? out.candidate.mpki() - out.incumbent.mpki()
+                         : 0.0);
         m.warmHits += stats.warmHits;
         m.coldSearches += stats.coldSearches;
-        m.warmFallbackEpochs += warmFallback;
+        m.warmFallbackEpochs += out.warmFallback;
         if (stats.branchesConsidered > 0)
             s.branchTrainMs.add(
                 1e3 * stats.branchSecondsSum /
@@ -397,17 +402,17 @@ TenantRouter::trainEpoch(TrainJob &job)
     if (cfg_.verbose) {
         whisper_inform(
             "whisperd[", tenant.name, "] epoch ", job.jobIndex, ": ",
-            hints, " hints in ",
-            TableReporter::formatDouble(trainSecs, 2), "s — "
+            out.hints, " hints in ",
+            TableReporter::formatDouble(out.seconds, 2), "s — "
             "candidate acc ",
             TableReporter::formatDouble(
-                100.0 * candidateStats.accuracy(), 4),
+                100.0 * out.candidate.accuracy(), 4),
             "% vs incumbent ",
             TableReporter::formatDouble(
-                100.0 * incumbentStats.accuracy(), 4),
+                100.0 * out.incumbent.accuracy(), 4),
             "% -> ",
-            accepted ? "ACCEPTED (deployed epoch "
-                     : "REJECTED (deployed epoch ",
+            out.accepted ? "ACCEPTED (deployed epoch "
+                         : "REJECTED (deployed epoch ",
             tenant.store.epoch(), ")");
     }
 }

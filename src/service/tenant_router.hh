@@ -22,11 +22,13 @@
  *        pending jobs, weight W = W jobs per round
  *        │
  *        ▼
- *   one dispatcher thread: train on trainWorkers threads while
- *        the incumbent runs the tenant's held-out window on its
- *        own thread, validate the candidate on that window,
- *        propose to the tenant's own versioned HintStore
- *        (journaled per app)
+ *   one dispatcher thread: trainEpochStep() per job — train on
+ *        trainWorkers threads while the incumbent runs the tenant's
+ *        held-out window on its own thread, place brhints, validate
+ *        the candidate on that window (a warm candidate that loses
+ *        retrains cold), propose to the tenant's own versioned
+ *        HintStore (journaled per app); the router itself only
+ *        records metrics and logs the verdict
  *
  * Isolation: a TrainJob is a pure function of one tenant's chunk
  * sequence, and the one dispatcher runs one job at a time, so each
@@ -52,9 +54,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/correlation_screen.hh"
 #include "core/formula_trainer.hh"
 #include "core/hint_injection.hh"
+#include "core/whisper_trainer.hh"
 #include "service/tenant_registry.hh"
 #include "sim/runner.hh"
 
@@ -78,10 +80,9 @@ struct TenantRouterConfig
     /** Directory for per-app journals (<app>.journal); "" = none. */
     std::string journalDir;
 
-    /** Sparse-correlation screening before formula search
-     * (--train-prune); applies to every tenant. */
+    /** Sparse-correlation screening (ScreenConfig defaults) before
+     * formula search (--train-prune); applies to every tenant. */
     bool trainPrune = true;
-    ScreenConfig screen;
     /** Warm-start each tenant epoch from its deployed bundle
      * (--warm-start); a warm candidate regressing vs the incumbent
      * beyond warmFallbackMargin retrains the epoch cold. */
@@ -94,6 +95,38 @@ struct TenantRouterConfig
     /** Register unknown apps on first chunk instead of dropping. */
     bool autoRegister = false;
 };
+
+/** What one trainEpochStep() did. */
+struct EpochOutcome
+{
+    bool accepted = false;       //!< the store deployed the candidate
+    PredictorRunStats candidate; //!< candidate on the validation window
+    PredictorRunStats incumbent; //!< deployed bundle (or bare TAGE) there
+    TrainingStats training;      //!< both searches after a fallback
+    size_t hints = 0;            //!< hints in the proposed candidate
+    bool warmFallback = false;   //!< warm candidate lost; retrained cold
+    double seconds = 0.0;        //!< wall time up to the proposal
+};
+
+/**
+ * One epoch of whisperd's deployment loop (Fig. 10: train hints,
+ * place brhints, ship the bundle), gated on a held-out window.
+ * Trains a candidate on @p profile on cfg.trainWorkers threads
+ * (screened when cfg.trainPrune, seeded with the deployed bundle's
+ * hints when cfg.warmStart) while the incumbent runs @p validation
+ * on its own thread; places brhints over @p placement (none when it
+ * is empty); runs the candidate on @p validation; retrains cold when
+ * a warm candidate trails the incumbent by more than
+ * cfg.warmFallbackMargin; and proposes the candidate to @p store with
+ * cfg.acceptMargin. Every tenant epoch, bench_whisperd_adapt's
+ * retraining and the drift tests' online loop run this function.
+ */
+EpochOutcome trainEpochStep(const TenantRouterConfig &cfg,
+                            const TruthTableCache &cache,
+                            const BranchProfile &profile,
+                            const std::vector<BranchRecord> &placement,
+                            const std::vector<BranchRecord> &validation,
+                            HintStore &store);
 
 /**
  * Deficit-round-robin scheduler over per-tenant training-job queues.
@@ -205,9 +238,6 @@ class TenantRouter
     void absorb(Tenant &tenant, TraceChunk chunk);
     void enqueueEpochJob(Tenant &tenant, BranchProfile profile);
     void trainEpoch(TrainJob &job);
-    PredictorRunStats evalOnRecords(
-        const std::vector<BranchRecord> &records,
-        const HintBundle *bundle) const;
 
     TenantRouterConfig cfg_;
     const TruthTableCache &cache_;

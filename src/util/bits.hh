@@ -27,28 +27,6 @@ bitsOf(uint64_t value, unsigned lo, unsigned len)
 }
 
 /**
- * XOR-fold @p value down to @p width bits.
- *
- * This mirrors the index-hashing performed by real branch predictors
- * (and by Whisper's history hashing): the value is sliced into
- * width-bit chunks which are XORed together.
- */
-inline uint64_t
-foldXor(uint64_t value, unsigned width)
-{
-    if (width == 0)
-        return 0;
-    if (width >= 64)
-        return value;
-    uint64_t folded = 0;
-    while (value != 0) {
-        folded ^= value & maskBits(width);
-        value >>= width;
-    }
-    return folded;
-}
-
-/**
  * Mix a 64-bit value into a well-distributed 64-bit hash
  * (splitmix64 finalizer). Used for table indexing and synthetic
  * workload decisions; cheap and deterministic.

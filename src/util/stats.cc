@@ -8,8 +8,6 @@ RunningStat::add(double x)
 {
     ++n_;
     sum_ += x;
-    if (x < min_)
-        min_ = x;
     if (x > max_)
         max_ = x;
 }

@@ -3,8 +3,8 @@
  * Scenario-diversity stress suite (registered under the `drift.`
  * ctest prefix): DriftSpec parsing, drifting/adversarial AppWorkload
  * semantics, CBP-style foreign-trace import, and — the headline —
- * an end-to-end whisperd adaptation harness asserting concrete
- * recovery contracts:
+ * an end-to-end adaptation harness around whisperd's own epoch
+ * step (trainEpochStep) asserting concrete recovery contracts:
  *
  *  - after a phase change, retraining + validated redeployment pulls
  *    the per-epoch mispredict rate back to within a stated bound of
@@ -27,6 +27,7 @@
 
 #include "service/chunk_profiler.hh"
 #include "service/hint_store.hh"
+#include "service/tenant_router.hh"
 #include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
@@ -105,30 +106,28 @@ epochRate(const AdaptiveRunStats &stats, size_t epoch)
                : 0.0;
 }
 
-/** One validation-gate outcome from the online loop. */
+/** One epoch step of the online loop and the epoch it ran at. */
 struct Proposal
 {
     uint64_t epoch;
-    bool accepted;
-    double candAcc;
-    double incAcc;
+    EpochOutcome outcome;
 };
 using ProposalLog = std::vector<Proposal>;
 
 /**
- * whisperd's adaptive loop, the way the drift harness needs it: at
- * every @p trainEvery epoch boundary, retrain on the most recent
+ * The drift harness around whisperd's epoch step (trainEpochStep):
+ * at every @p trainEvery epoch boundary, profile the most recent
  * @p historyWindows windows with a FRESH streaming profiler (a
  * cumulative profile would dilute post-drift statistics with
- * pre-drift history), validate candidate vs incumbent on the newest
- * window, and propose to the store with @p margin. The fleet
- * predictor is the consultant-managed Whisper-over-TAGE, swapped in
- * place on every accepted deployment.
+ * pre-drift history), then run the step: train on that profile,
+ * place brhints over those windows, validate candidate vs incumbent
+ * on the newest window and propose to the store with @p margin. The
+ * fleet predictor is the consultant-managed Whisper-over-TAGE,
+ * swapped in place on every accepted deployment.
  *
- * @p trainPrune enables the sparse-correlation screen; @p warmStart
- * seeds each retraining with the deployed bundle's hints (whisperd's
- * production defaults). @p trainTotals accumulates per-retrain
- * TrainingStats counters (warmHits/coldSearches/formulasScored).
+ * @p trainPrune and @p warmStart switch the step's sparse-correlation
+ * screen and its warm start (with the cold fallback), as whisperd's
+ * --train-prune and --warm-start do.
  */
 AdaptiveRunStats
 runOnlineWhisperd(const std::vector<BranchRecord> &stream,
@@ -136,24 +135,19 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
                   unsigned historyWindows, double margin,
                   const ExperimentConfig &cfg, HintStore &store,
                   ProposalLog *proposals = nullptr,
-                  bool trainPrune = false, bool warmStart = false,
-                  TrainingStats *trainTotals = nullptr)
+                  bool trainPrune = false, bool warmStart = false)
 {
-    WhisperTrainer trainer(cfg.whisper, globalTruthTables());
-    if (trainPrune)
-        trainer.setScreen(ScreenConfig{});
-    HintInjector injector(cfg.injector);
+    TenantRouterConfig step;
+    step.trainWorkers = 2;
+    step.tageBudgetKB = cfg.tageBudgetKB;
+    step.acceptMargin = margin;
+    step.whisper = cfg.whisper;
+    step.injector = cfg.injector;
+    step.trainPrune = trainPrune;
+    step.warmStart = warmStart;
     HintStoreConsultant consultant(
         store, cfg.whisper, globalTruthTables(),
         [&] { return makeTage(cfg.tageBudgetKB); });
-
-    auto evalWindow = [&](const std::vector<BranchRecord> &records,
-                          const HintBundle *bundle) {
-        TraceSource src(records);
-        auto pred = makeBundlePredictor(cfg.tageBudgetKB, cfg.whisper,
-                                        globalTruthTables(), bundle);
-        return runPredictor(src, *pred);
-    };
 
     auto onEpoch = [&](uint64_t nextEpoch) -> BranchPredictor * {
         if (nextEpoch % trainEvery == 0) {
@@ -170,44 +164,16 @@ runOnlineWhisperd(const std::vector<BranchRecord> &stream,
             ChunkProfiler profiler(cfg.whisper,
                                    makeTage(cfg.tageBudgetKB), opt);
             profiler.profileChunk(recent);
-            const BranchProfile &profile = profiler.profile();
-            if (profile.numBranches() > 0) {
-                HintBundle candidate;
-                HintStore::Snapshot seed =
-                    warmStart ? store.current() : nullptr;
-                TrainingStats tstats;
-                candidate.hints = trainer.train(
-                    profile, seed ? &seed->bundle.hints : nullptr,
-                    &tstats, 2);
-                if (trainTotals) {
-                    trainTotals->branchesConsidered +=
-                        tstats.branchesConsidered;
-                    trainTotals->warmHits += tstats.warmHits;
-                    trainTotals->coldSearches += tstats.coldSearches;
-                    trainTotals->formulasScored +=
-                        tstats.formulasScored;
-                }
-                TraceSource placeSrc(recent);
-                candidate.placements =
-                    injector.place(placeSrc, candidate.hints);
-
+            if (profiler.profile().numBranches() > 0) {
                 size_t newestSpan = std::min<size_t>(to, window);
                 std::vector<BranchRecord> newest(
                     stream.begin() + (to - newestSpan),
                     stream.begin() + to);
-                HintStore::Snapshot incumbent = store.current();
-                auto incStats = evalWindow(
-                    newest, incumbent ? &incumbent->bundle
-                                      : nullptr);
-                auto candStats = evalWindow(newest, &candidate);
-                double candAcc = candStats.accuracy();
-                double incAcc = incStats.accuracy();
-                bool accepted = store.propose(std::move(candidate),
-                                              candAcc, incAcc,
-                                              margin);
+                EpochOutcome out = trainEpochStep(
+                    step, globalTruthTables(), profiler.profile(),
+                    recent, newest, store);
                 if (proposals)
-                    proposals->push_back(
-                        {nextEpoch, accepted, candAcc, incAcc});
+                    proposals->push_back({nextEpoch, out});
             }
         }
         return consultant.refresh(nextEpoch);
@@ -689,19 +655,32 @@ TEST(Recovery, WarmStartDoesNotSlowRecoveryAfterDrift)
         genDrift(app, 0, total, drift);
 
     HintStore store;
-    TrainingStats totals;
+    ProposalLog proposals;
     AdaptiveRunStats online = runOnlineWhisperd(
         stream, window, /*trainEvery=*/2, /*historyWindows=*/2,
-        /*margin=*/0.0, cfg, store, nullptr, /*trainPrune=*/true,
-        /*warmStart=*/true, &totals);
+        /*margin=*/0.0, cfg, store, &proposals, /*trainPrune=*/true,
+        /*warmStart=*/true);
 
     ASSERT_EQ(online.perEpoch.size(), 16u);
     EXPECT_GE(store.accepted(), 2u);
     // The warm path must actually engage across the run, and the
     // accounting must balance.
+    TrainingStats totals;
+    uint64_t warmFallbacks = 0;
+    for (const Proposal &p : proposals) {
+        const TrainingStats &t = p.outcome.training;
+        totals.branchesConsidered += t.branchesConsidered;
+        totals.warmHits += t.warmHits;
+        totals.coldSearches += t.coldSearches;
+        warmFallbacks += p.outcome.warmFallback;
+    }
     EXPECT_GT(totals.warmHits, 0u);
     EXPECT_EQ(totals.warmHits + totals.coldSearches,
               totals.branchesConsidered);
+    // As in whisperd, a warm candidate that loses to the incumbent
+    // on its holdout is retrained cold; the phase change makes at
+    // least one do so.
+    EXPECT_GE(warmFallbacks, 1u);
 
     double preDrift = epochRate(online, 3);
     // Post-redeploy recovery within the cold loop's bounds: +0.02
@@ -741,7 +720,7 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
     // Deployment happened while the stream was correlated...
     bool acceptedInPrefix = false;
     for (const auto &p : proposals)
-        if (p.accepted && p.epoch <= 9)
+        if (p.outcome.accepted && p.epoch <= 9)
             acceptedInPrefix = true;
     EXPECT_TRUE(acceptedInPrefix);
     // ...and no accepted deployment ever regressed its validation
@@ -749,8 +728,9 @@ TEST(Recovery, AdversarialDecorrelationRejectsInsteadOfDeploying)
     // that beat the stale incumbent on decorrelated traffic, which
     // is adaptation, not a bad deploy.
     for (const auto &p : proposals) {
-        if (p.accepted) {
-            EXPECT_GT(p.candAcc, p.incAcc)
+        if (p.outcome.accepted) {
+            EXPECT_GT(p.outcome.candidate.accuracy(),
+                      p.outcome.incumbent.accuracy())
                 << "epoch " << p.epoch;
         }
     }

@@ -26,8 +26,15 @@
 #
 # Blind spot: inline functions, templates and header-only code (such
 # as a class defined entirely in a header) are not in the libraries'
-# symbol tables as T/t symbols, so this gate cannot see them; review
-# headers by hand.
+# symbol tables as T/t symbols, so this gate cannot see them. To list
+# header-only functions no binary reaches, after a run of this script:
+# compile a probe TU that includes every src/**/*.hh with
+#   c++ -std=c++20 -O0 -ffunction-sections -fkeep-inline-functions \
+#       -I src -c probe.cc -o probe.o
+# take its whisper:: W/T symbols through the same nm | awk | c++filt
+# filter as textSymbols below, and diff them (comm -23) against
+# BUILD_DIR/bin_symbols.txt. Most of what it lists are accessors the
+# tests read; it is a review aid, not part of the gate.
 set -eu
 export LC_ALL=C
 
