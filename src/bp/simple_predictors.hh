@@ -1,7 +1,7 @@
 /**
  * @file
- * Reference predictors with no learned state: a fixed direction, and
- * the ideal direction oracle used for limit studies.
+ * The ideal direction oracle used for limit studies: a reference
+ * predictor with no learned state.
  */
 
 #ifndef WHISPER_BP_SIMPLE_PREDICTORS_HH
@@ -14,26 +14,6 @@
 
 namespace whisper
 {
-
-/** Always predicts one fixed direction. */
-class StaticPredictor : public BranchPredictor
-{
-  public:
-    explicit StaticPredictor(bool taken = true) : taken_(taken) {}
-
-    void
-    step(std::span<const BranchRecord> records, uint8_t *miss,
-         const uint8_t * = nullptr) override
-    {
-        for (size_t i = 0; i < records.size(); ++i)
-            miss[i] = records[i].isConditional() &&
-                      records[i].taken != taken_;
-    }
-    std::string name() const override { return "static"; }
-
-  private:
-    bool taken_;
-};
 
 /**
  * The ideal direction predictor of the paper's limit study (SII-B):

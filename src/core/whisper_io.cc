@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <type_traits>
 
 #include "util/byte_codec.hh"
 
@@ -12,166 +11,74 @@ namespace whisper
 namespace
 {
 
-constexpr uint32_t kProfileMagic = 0x57485052; // "WHPR"
-constexpr uint32_t kHintMagic = 0x57484E54;    // "WHNT"
-constexpr uint32_t kEpochMagic = 0x57484550;   // "WHEP"
+constexpr uint32_t kHintMagic = 0x57484E54; // "WHNT"
 constexpr uint32_t kVersion = 1;
 
-/** Hard caps on untrusted length fields (counts, not bytes). */
+/** Hard cap on the hint and placement counts of a bundle. */
 constexpr uint64_t kMaxHints = 1ULL << 24;
-constexpr uint64_t kMaxBranches = 1ULL << 32;
-/** Widest hashed history a 256-bit formula truth table can score. */
-constexpr unsigned kMaxHashWidth = 8;
-
-/** Checked binary writer/reader over stdio: the file-backed twin
- * of ByteWriter/ByteReader, same put/get/putVec32/getVec32/ok()
- * interface, so putBundleBody/getBundleBody serve files and byte
- * buffers alike. */
-class BinFile
-{
-  public:
-    BinFile(const std::string &path, const char *mode)
-        : f_(std::fopen(path.c_str(), mode))
-    {
-    }
-    ~BinFile()
-    {
-        if (f_)
-            std::fclose(f_);
-    }
-    BinFile(const BinFile &) = delete;
-    BinFile &operator=(const BinFile &) = delete;
-
-    bool opened() const { return f_ != nullptr; }
-    bool ok() const { return f_ != nullptr && ok_; }
-
-    template <typename T>
-    void
-    put(const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (ok() && std::fwrite(&v, 1, sizeof(T), f_) != sizeof(T))
-            ok_ = false;
-    }
-
-    template <typename T>
-    void
-    get(T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (ok() && std::fread(&v, 1, sizeof(T), f_) != sizeof(T))
-            ok_ = false;
-    }
-
-    void
-    putVec32(const std::vector<uint32_t> &v)
-    {
-        put(static_cast<uint64_t>(v.size()));
-        if (ok() && !v.empty() &&
-            std::fwrite(v.data(), sizeof(uint32_t), v.size(), f_) !=
-                v.size()) {
-            ok_ = false;
-        }
-    }
-
-    bool
-    getVec32(std::vector<uint32_t> &v, uint64_t maxSize)
-    {
-        uint64_t n = 0;
-        get(n);
-        if (!ok() || n > maxSize)
-            return false;
-        v.resize(n);
-        if (!v.empty() &&
-            std::fread(v.data(), sizeof(uint32_t), v.size(), f_) !=
-                v.size()) {
-            ok_ = false;
-        }
-        return ok();
-    }
-
-  private:
-    std::FILE *f_;
-    bool ok_ = true;
-};
+/** The largest .hints file the caps allow: magic and version, two
+ * counts, kMaxHints 44-byte hints and as many 40-byte placements. A
+ * larger file is rejected before any of it is read. */
+constexpr uint64_t kMaxHintFileBytes = 8 + 2 * 8 + kMaxHints * (44 + 40);
 
 void
-putSampleTable(BinFile &f, const HashedSampleTable &t)
+putBundleBody(ByteWriter &w, const HintBundle &bundle)
 {
-    f.putVec32(t.taken);
-    f.putVec32(t.notTaken);
-}
-
-/** Read one T/NT table pair; both halves must have exactly
- * 2^@p keyBits entries. */
-bool
-getSampleTable(BinFile &f, HashedSampleTable &t, unsigned keyBits)
-{
-    uint64_t keys = 1ULL << keyBits;
-    return f.getVec32(t.taken, keys) && t.taken.size() == keys &&
-           f.getVec32(t.notTaken, keys) && t.notTaken.size() == keys;
-}
-
-template <typename Writer>
-void
-putBundleBody(Writer &f, const HintBundle &bundle)
-{
-    f.put(static_cast<uint64_t>(bundle.hints.size()));
+    w.put(static_cast<uint64_t>(bundle.hints.size()));
     for (const auto &h : bundle.hints) {
-        f.put(h.pc);
-        f.put(h.hint.encode());
-        f.put(h.historyLength);
-        f.put(h.expectedMispredicts);
-        f.put(h.profiledMispredicts);
-        f.put(h.executions);
+        w.put(h.pc);
+        w.put(h.hint.encode());
+        w.put(h.historyLength);
+        w.put(h.expectedMispredicts);
+        w.put(h.profiledMispredicts);
+        w.put(h.executions);
     }
-    f.put(static_cast<uint64_t>(bundle.placements.size()));
+    w.put(static_cast<uint64_t>(bundle.placements.size()));
     for (const auto &p : bundle.placements) {
-        f.put(p.branchPc);
-        f.put(p.predecessorPc);
-        f.put(p.coverage);
-        f.put(p.precision);
-        f.put(p.predecessorExecutions);
+        w.put(p.branchPc);
+        w.put(p.predecessorPc);
+        w.put(p.coverage);
+        w.put(p.precision);
+        w.put(p.predecessorExecutions);
     }
 }
 
-template <typename Reader>
 bool
-getBundleBody(Reader &f, HintBundle &bundle)
+getBundleBody(ByteReader &r, HintBundle &bundle)
 {
     // Entries are appended as they arrive, so a smashed count can
     // allocate no more than the input actually holds.
     uint64_t n = 0;
-    f.get(n);
-    if (!f.ok() || n > kMaxHints)
+    r.get(n);
+    if (!r.ok() || n > kMaxHints)
         return false;
     bundle.hints.clear();
     for (uint64_t i = 0; i < n; ++i) {
         TrainedHint &h = bundle.hints.emplace_back();
         uint64_t encoded = 0;
-        f.get(h.pc);
-        f.get(encoded);
-        if (!f.ok() || !BrHint::validEncoding(encoded))
+        r.get(h.pc);
+        r.get(encoded);
+        if (!r.ok() || !BrHint::validEncoding(encoded))
             return false;
         h.hint = BrHint::decode(encoded);
-        f.get(h.historyLength);
-        f.get(h.expectedMispredicts);
-        f.get(h.profiledMispredicts);
-        f.get(h.executions);
+        r.get(h.historyLength);
+        r.get(h.expectedMispredicts);
+        r.get(h.profiledMispredicts);
+        r.get(h.executions);
     }
-    f.get(n);
-    if (!f.ok() || n > kMaxHints)
+    r.get(n);
+    if (!r.ok() || n > kMaxHints)
         return false;
     bundle.placements.clear();
-    for (uint64_t i = 0; i < n && f.ok(); ++i) {
+    for (uint64_t i = 0; i < n && r.ok(); ++i) {
         HintPlacement &p = bundle.placements.emplace_back();
-        f.get(p.branchPc);
-        f.get(p.predecessorPc);
-        f.get(p.coverage);
-        f.get(p.precision);
-        f.get(p.predecessorExecutions);
+        r.get(p.branchPc);
+        r.get(p.predecessorPc);
+        r.get(p.coverage);
+        r.get(p.precision);
+        r.get(p.predecessorExecutions);
     }
-    if (!f.ok())
+    if (!r.ok())
         return false;
     // A placement installs its branch's hint, so it must name one.
     std::vector<uint64_t> hinted;
@@ -186,194 +93,68 @@ getBundleBody(Reader &f, HintBundle &bundle)
         });
 }
 
-} // namespace
-
+/** Read all of @p f into @p out. @return false on a read error or
+ * when the file holds more than @p maxBytes, which is checked before
+ * anything is allocated. */
 bool
-saveProfile(const BranchProfile &profile, const std::string &path)
+readAll(std::FILE *f, uint64_t maxBytes, std::vector<unsigned char> &out)
 {
-    BinFile f(path, "wb");
-    if (!f.ok())
+    if (std::fseek(f, 0, SEEK_END) != 0)
         return false;
-
-    f.put(kProfileMagic);
-    f.put(kVersion);
-    const WhisperConfig &cfg = profile.config();
-    f.put(cfg.minHistoryLength);
-    f.put(cfg.maxHistoryLength);
-    f.put(cfg.numHistoryLengths);
-    f.put(cfg.hashWidth);
-    f.put(profile.totalInstructions);
-    f.put(profile.totalConditionals);
-    f.put(profile.totalMispredicts);
-
-    f.put(static_cast<uint64_t>(profile.numBranches()));
-    for (const auto &[pc, e] : profile.entries()) {
-        f.put(e.pc);
-        f.put(e.executions);
-        f.put(e.takenCount);
-        f.put(e.baselineMispredicts);
-        f.put(static_cast<uint8_t>(e.hard));
-        if (e.hard) {
-            for (const auto &table : e.byLength)
-                putSampleTable(f, table);
-            putSampleTable(f, e.raw4);
-            putSampleTable(f, e.raw8);
-        }
-    }
-    return f.ok();
+    long size = std::ftell(f);
+    if (size < 0 || static_cast<uint64_t>(size) > maxBytes ||
+        std::fseek(f, 0, SEEK_SET) != 0)
+        return false;
+    out.resize(static_cast<size_t>(size));
+    // fread's buffer must not be null, even for zero bytes.
+    return out.empty() ||
+           std::fread(out.data(), 1, out.size(), f) == out.size();
 }
 
-IoStatus
-loadProfile(BranchProfile &profile, const std::string &path)
-{
-    BinFile f(path, "rb");
-    if (!f.opened())
-        return IoStatus::missingFile(path);
-
-    uint32_t magic = 0, version = 0;
-    f.get(magic);
-    f.get(version);
-    if (!f.ok() || magic != kProfileMagic)
-        return IoStatus::corruptFile(path,
-                                     "bad magic (not a profile)");
-    if (version != kVersion)
-        return IoStatus::corruptFile(path,
-                                     "unsupported profile version");
-
-    WhisperConfig cfg;
-    f.get(cfg.minHistoryLength);
-    f.get(cfg.maxHistoryLength);
-    f.get(cfg.numHistoryLengths);
-    f.get(cfg.hashWidth);
-    if (!f.ok() || cfg.numHistoryLengths < 2 ||
-        cfg.numHistoryLengths > 16 || cfg.minHistoryLength < 1 ||
-        cfg.minHistoryLength >= cfg.maxHistoryLength ||
-        cfg.hashWidth < 1 || cfg.hashWidth > kMaxHashWidth) {
-        return IoStatus::corruptFile(path,
-                                     "implausible profile config");
-    }
-
-    BranchProfile loaded(cfg);
-    f.get(loaded.totalInstructions);
-    f.get(loaded.totalConditionals);
-    f.get(loaded.totalMispredicts);
-
-    uint64_t numBranches = 0;
-    f.get(numBranches);
-    if (!f.ok() || numBranches > kMaxBranches)
-        return IoStatus::corruptFile(path,
-                                     "branch count out of bounds");
-
-    for (uint64_t i = 0; i < numBranches; ++i) {
-        uint64_t pc = 0;
-        f.get(pc);
-        if (!f.ok())
-            return IoStatus::corruptFile(path, "truncated entry");
-        BranchProfileEntry &e = loaded.entry(pc);
-        f.get(e.executions);
-        f.get(e.takenCount);
-        f.get(e.baselineMispredicts);
-        uint8_t hard = 0;
-        f.get(hard);
-        if (!f.ok())
-            return IoStatus::corruptFile(path, "truncated entry");
-        if (hard) {
-            loaded.markHard(pc);
-            for (auto &table : e.byLength) {
-                if (!getSampleTable(f, table, cfg.hashWidth)) {
-                    return IoStatus::corruptFile(
-                        path, "damaged sample table");
-                }
-            }
-            if (!getSampleTable(f, e.raw4, 4) ||
-                !getSampleTable(f, e.raw8, 8)) {
-                return IoStatus::corruptFile(path,
-                                             "damaged sample table");
-            }
-        }
-    }
-    if (!f.ok())
-        return IoStatus::corruptFile(path, "truncated profile");
-    profile = std::move(loaded);
-    return IoStatus::okStatus();
-}
+} // namespace
 
 bool
 saveHintBundle(const HintBundle &bundle, const std::string &path)
 {
-    BinFile f(path, "wb");
-    if (!f.ok())
+    ByteWriter w;
+    w.put(kHintMagic);
+    w.put(kVersion);
+    putBundleBody(w, bundle);
+    const std::vector<unsigned char> bytes = w.take();
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
         return false;
-    f.put(kHintMagic);
-    f.put(kVersion);
-    putBundleBody(f, bundle);
-    return f.ok();
+    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 IoStatus
 loadHintBundle(HintBundle &bundle, const std::string &path)
 {
-    BinFile f(path, "rb");
-    if (!f.opened())
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
         return IoStatus::missingFile(path);
+    std::vector<unsigned char> bytes;
+    bool read = readAll(f, kMaxHintFileBytes, bytes);
+    std::fclose(f);
+    if (!read)
+        return IoStatus::corruptFile(
+            path, "unreadable or larger than any bundle");
+
+    ByteReader r(bytes);
     uint32_t magic = 0, version = 0;
-    f.get(magic);
-    f.get(version);
-    if (!f.ok() || magic != kHintMagic)
+    r.get(magic);
+    r.get(version);
+    if (!r.ok() || magic != kHintMagic)
         return IoStatus::corruptFile(
             path, "bad magic (not a hint bundle)");
     if (version != kVersion)
         return IoStatus::corruptFile(path,
                                      "unsupported bundle version");
-
     HintBundle loaded;
-    if (!getBundleBody(f, loaded))
-        return IoStatus::corruptFile(path,
-                                     "truncated or damaged bundle");
-    bundle = std::move(loaded);
-    return IoStatus::okStatus();
-}
-
-bool
-saveVersionedBundle(const VersionedHintBundle &bundle,
-                    const std::string &path)
-{
-    BinFile f(path, "wb");
-    if (!f.ok())
-        return false;
-    f.put(kEpochMagic);
-    f.put(kVersion);
-    f.put(bundle.epoch);
-    f.put(bundle.validationAccuracy);
-    putBundleBody(f, bundle.bundle);
-    return f.ok();
-}
-
-IoStatus
-loadVersionedBundle(VersionedHintBundle &bundle,
-                    const std::string &path)
-{
-    BinFile f(path, "rb");
-    if (!f.opened())
-        return IoStatus::missingFile(path);
-    uint32_t magic = 0, version = 0;
-    f.get(magic);
-    f.get(version);
-    if (!f.ok() || magic != kEpochMagic)
+    if (!getBundleBody(r, loaded) || !r.done())
         return IoStatus::corruptFile(
-            path, "bad magic (not a versioned bundle)");
-    if (version != kVersion)
-        return IoStatus::corruptFile(path,
-                                     "unsupported bundle version");
-
-    VersionedHintBundle loaded;
-    f.get(loaded.epoch);
-    f.get(loaded.validationAccuracy);
-    if (!f.ok())
-        return IoStatus::corruptFile(path, "truncated epoch header");
-    if (!getBundleBody(f, loaded.bundle))
-        return IoStatus::corruptFile(path,
-                                     "truncated or damaged bundle");
+            path, "truncated, damaged or trailing bytes");
     bundle = std::move(loaded);
     return IoStatus::okStatus();
 }

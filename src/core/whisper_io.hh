@@ -1,21 +1,19 @@
 /**
  * @file
- * Binary (de)serialization for Whisper's offline artifacts.
+ * The deployable hint bundle and its two encodings.
  *
- * Two artifact kinds cross process boundaries in a deployment
- * pipeline (paper Fig. 10): the collected profile (steps 1-2) and
- * the trained hint bundle (step 3, the inputs to binary rewriting).
- * Both get simple versioned binary formats so the CLI tools in
- * tools/ can split the flow across invocations.
+ * Offline analysis hands the binary one artifact (paper Fig. 10,
+ * step 3): the trained hints and their brhint placements. The .hints
+ * file holds one bundle; whisper_train and whisperd --out-dir write
+ * it, whisper_eval --hints and whisper_train --warm-hints read it.
+ * loadHintBundle returns IoStatus so a caller can tell a missing
+ * file (regenerate it) from a corrupt one (raise an incident); every
+ * count is bounds-checked, so a damaged or hostile length can never
+ * drive an unbounded allocation.
  *
- * Load paths return IoStatus instead of bool so callers can tell a
- * missing file (regenerate it) from a corrupt one (raise an
- * incident); every size field is bounds-checked so a damaged or
- * hostile length can never drive an unbounded allocation.
- *
- * Versioned bundles can additionally be encoded to / decoded from a
- * memory buffer — the payload format of the hint-store journal,
- * which wraps each encoded bundle in its own CRC-framed record.
+ * A bundle stamped with its deployment epoch is encoded to / decoded
+ * from a memory buffer: the payload of a hint-store journal record
+ * and of the wire protocol's BUNDLE reply.
  */
 
 #ifndef WHISPER_CORE_WHISPER_IO_HH
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "core/hint_injection.hh"
-#include "core/profile.hh"
 #include "core/whisper_trainer.hh"
 #include "util/io_status.hh"
 
@@ -57,22 +54,11 @@ struct VersionedHintBundle
     bool operator==(const VersionedHintBundle &o) const = default;
 };
 
-/** Save/load a profile. Loads report missing-vs-corrupt. */
-bool saveProfile(const BranchProfile &profile,
-                 const std::string &path);
-IoStatus loadProfile(BranchProfile &profile, const std::string &path);
-
-/** Save/load a hint bundle. */
+/** Save/load a hint bundle (.hints). A load rejects a bad header,
+ * a damaged body and trailing bytes as corrupt. */
 bool saveHintBundle(const HintBundle &bundle,
                     const std::string &path);
 IoStatus loadHintBundle(HintBundle &bundle, const std::string &path);
-
-/** Save/load an epoch-stamped bundle (own magic; bad magic or a
- * truncated epoch header is rejected). */
-bool saveVersionedBundle(const VersionedHintBundle &bundle,
-                         const std::string &path);
-IoStatus loadVersionedBundle(VersionedHintBundle &bundle,
-                             const std::string &path);
 
 /** Serialize a versioned bundle to bytes (journal record payload). */
 std::vector<unsigned char>

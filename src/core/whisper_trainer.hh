@@ -132,10 +132,6 @@ class WhisperTrainer
 
     /** Enable/replace the sparse-correlation screening pass. */
     void setScreen(const ScreenConfig &cfg);
-    const ScreenConfig &screenConfig() const
-    {
-        return screen_.config();
-    }
 
     const FormulaCandidates &candidates() const { return candidates_; }
     const WhisperConfig &config() const { return cfg_; }

@@ -96,12 +96,6 @@ TenantRegistry::find(const std::string &name)
     return nullptr;
 }
 
-const Tenant *
-TenantRegistry::find(const std::string &name) const
-{
-    return const_cast<TenantRegistry *>(this)->find(name);
-}
-
 std::vector<Tenant *>
 TenantRegistry::all()
 {

@@ -155,7 +155,6 @@ class TenantRegistry
 
     /** @return the tenant named @p name, or nullptr. */
     Tenant *find(const std::string &name);
-    const Tenant *find(const std::string &name) const;
 
     /** All tenants in registration order. */
     std::vector<Tenant *> all();

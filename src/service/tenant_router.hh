@@ -222,7 +222,6 @@ class TenantRouter
     void finish();
 
     TenantRegistry &registry() { return registry_; }
-    const TenantRegistry &registry() const { return registry_; }
     const TenantRouterConfig &config() const { return cfg_; }
 
     /** Ingest counters + one record per tenant (callable anytime,

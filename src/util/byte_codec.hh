@@ -7,9 +7,9 @@
  *
  * Values are stored as native bytes, which is little-endian on every
  * supported host (asserted below): the byte order of .whrt traces and
- * of the file-backed BinFile in core/whisper_io.cc. A ByteReader never
- * reads past its buffer; an overrun or an over-cap length poisons it
- * (ok() turns false) and every later get is a no-op.
+ * .hints files, which are read whole and decoded here. A ByteReader
+ * never reads past its buffer; an overrun or an over-cap length
+ * poisons it (ok() turns false) and every later get is a no-op.
  */
 
 #ifndef WHISPER_UTIL_BYTE_CODEC_HH
@@ -85,10 +85,6 @@ getVarint(const unsigned char *p, const unsigned char *end, uint64_t &v)
 class ByteWriter
 {
   public:
-    /** Memory writes cannot fail; ok() lets one template drive this,
-     * ByteReader and BinFile alike. */
-    bool ok() const { return true; }
-
     void reserve(size_t bytes) { buf_.reserve(bytes); }
 
     template <typename T>
@@ -112,14 +108,6 @@ class ByteWriter
     {
         put(static_cast<uint32_t>(s.size()));
         putBytes(s.data(), s.size());
-    }
-
-    /** u64 element count, then the elements. */
-    void
-    putVec32(const std::vector<uint32_t> &v)
-    {
-        put(static_cast<uint64_t>(v.size()));
-        putBytes(v.data(), v.size() * sizeof(uint32_t));
     }
 
     std::vector<unsigned char> take() { return std::move(buf_); }
@@ -177,18 +165,6 @@ class ByteReader
         s.assign(reinterpret_cast<const char *>(data_ + pos_), len);
         pos_ += len;
         return true;
-    }
-
-    /** A putVec32() vector of at most @p maxSize elements. */
-    bool
-    getVec32(std::vector<uint32_t> &v, uint64_t maxSize)
-    {
-        uint64_t n = 0;
-        get(n);
-        if (!ok_ || n > maxSize || remaining() / sizeof(uint32_t) < n)
-            return ok_ = false;
-        v.resize(n);
-        return getBytes(v.data(), n * sizeof(uint32_t));
     }
 
   private:

@@ -6,15 +6,14 @@
  * lines; without protection the next printf delivers SIGPIPE and the
  * tool dies mid-report with a 141. guardStdio() turns that into the
  * POSIX error path: writes to the dead pipe fail with EPIPE, the
- * stream's error flag latches, and the tool can finish (or cut its
- * output short via stdoutClosed()) and exit normally.
+ * stream's error flag latches, and the tool can finish and exit
+ * normally.
  */
 
 #ifndef WHISPER_UTIL_STDIO_GUARD_HH
 #define WHISPER_UTIL_STDIO_GUARD_HH
 
 #include <csignal>
-#include <cstdio>
 
 namespace whisper
 {
@@ -24,15 +23,6 @@ inline void
 guardStdio()
 {
     std::signal(SIGPIPE, SIG_IGN);
-}
-
-/** True once a write to stdout has failed (reader went away).
- * Callers producing large reports should stop early — everything
- * further would be dropped anyway. */
-inline bool
-stdoutClosed()
-{
-    return std::ferror(stdout) != 0;
 }
 
 } // namespace whisper

@@ -14,6 +14,8 @@
 #include "bp/tage_scl.hh"
 #include "util/rng.hh"
 
+#include "static_predictor.hh"
+
 using namespace whisper;
 
 namespace

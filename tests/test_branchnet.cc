@@ -7,12 +7,12 @@
 
 #include <memory>
 
-#include "bp/simple_predictors.hh"
 #include "branchnet/branchnet_model.hh"
 #include "branchnet/branchnet_predictor.hh"
 #include "branchnet/branchnet_trainer.hh"
 #include "util/rng.hh"
 
+#include "static_predictor.hh"
 #include "step_reference.hh"
 
 using namespace whisper;

@@ -14,18 +14,17 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "bp/simple_predictors.hh"
 #include "core/brhint.hh"
 #include "core/hint_buffer.hh"
 #include "core/hint_injection.hh"
 #include "core/profile.hh"
-#include "core/static_profile.hh"
 #include "core/whisper_predictor.hh"
 #include "core/whisper_trainer.hh"
 #include "sim/experiment.hh"
 #include "trace/branch_trace.hh"
 #include "util/rng.hh"
 
+#include "static_predictor.hh"
 #include "step_reference.hh"
 
 using namespace whisper;
@@ -580,51 +579,4 @@ TEST(BranchProfileMerge, SumsCounts)
     EXPECT_EQ(a.entry(0x10).byLength[0].notTaken[5], 1u);
     EXPECT_EQ(a.entry(0x20).executions, 2u);
     EXPECT_EQ(a.numBranches(), 2u);
-}
-
-TEST(StaticProfilePredictor, MajorityDirections)
-{
-    WhisperConfig cfg;
-    BranchProfile profile(cfg);
-    auto &a = profile.entry(0x10);
-    a.executions = 100;
-    a.takenCount = 90;
-    auto &b = profile.entry(0x20);
-    b.executions = 100;
-    b.takenCount = 10;
-
-    StaticProfilePredictor pred(profile);
-    EXPECT_EQ(pred.coveredBranches(), 2u);
-    EXPECT_TRUE(predictedDirection(pred, 0x10, false));
-    EXPECT_FALSE(predictedDirection(pred, 0x20, true));
-    // Unseen branch: fallback direction.
-    EXPECT_TRUE(predictedDirection(pred, 0x999, false));
-    StaticProfilePredictor nt(profile, false);
-    EXPECT_FALSE(predictedDirection(nt, 0x999, true));
-}
-
-TEST(StaticProfilePredictor, AccuracyEqualsProfileBias)
-{
-    // On a stationary stream, static prediction converges to the
-    // per-branch majority rate.
-    WhisperConfig cfg;
-    BranchProfile profile(cfg);
-    auto &e = profile.entry(0x40);
-    e.executions = 1000;
-    e.takenCount = 800;
-    StaticProfilePredictor pred(profile);
-
-    Rng rng(77);
-    std::vector<BranchRecord> records(20000);
-    for (BranchRecord &rec : records) {
-        rec.pc = 0x40;
-        rec.kind = BranchKind::Conditional;
-        rec.taken = rng.nextBool(0.8);
-    }
-    std::vector<uint8_t> miss(records.size());
-    pred.step(records, miss.data());
-    int correct = 0;
-    for (uint8_t m : miss)
-        correct += !m;
-    EXPECT_NEAR(correct / 20000.0, 0.8, 0.02);
 }

@@ -6,7 +6,7 @@
  * hint bundle (the journal record and BUNDLE payload), a hint-store
  * journal file replayed by HintJournal, an INGEST_CHUNK wire
  * payload and frame, a CBP-style text trace read by loadCbpTrace,
- * and a profile file read by loadProfile.
+ * and a .hints file read by loadHintBundle.
  *
  * Each valid input is mutated from a fixed seed — bit flips, byte
  * overwrites, truncations and smashed length fields — and every
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/profile.hh"
 #include "core/whisper_io.hh"
 #include "net/wire_protocol.hh"
 #include "service/hint_journal.hh"
@@ -394,6 +393,53 @@ TEST(RecordCodec, BundleMutations)
     }
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
+
+    // The same body as a .hints file: magic and version, then the
+    // bundle. Every cut, every bit flip and an oversized count must
+    // load as corrupt or to a bundle that re-saves byte-identical.
+    const std::string path = "/tmp/whisper_fuzz_bundle.hints";
+    const std::string again = "/tmp/whisper_fuzz_bundle_again.hints";
+    ASSERT_TRUE(saveHintBundle(v.bundle, path));
+    const Bytes file = readFile(path);
+    ASSERT_EQ(file.size(), 8 + good.size() - 16);
+    auto loads = [&](const Bytes &bytes, const std::string &what) {
+        writeFile(path, bytes);
+        HintBundle b;
+        IoStatus st = loadHintBundle(b, path);
+        EXPECT_FALSE(st.missing()) << what;
+        if (!st.ok()) {
+            EXPECT_TRUE(st.corrupt()) << what;
+            return false;
+        }
+        EXPECT_TRUE(saveHintBundle(b, again)) << what;
+        EXPECT_EQ(readFile(again), bytes) << what;
+        return true;
+    };
+    ASSERT_TRUE(loads(file, "intact"));
+    // The format has no optional tail, so every cut is corrupt.
+    for (size_t cut = 0; cut < file.size(); ++cut)
+        EXPECT_FALSE(loads(Bytes(file.begin(), file.begin() + cut),
+                           "cut at " + std::to_string(cut)));
+    size_t flipsAccepted = 0;
+    for (size_t i = 0; i < file.size(); ++i) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            Bytes bytes = file;
+            bytes[i] ^= static_cast<unsigned char>(1u << bit);
+            flipsAccepted += loads(bytes, "flip " + std::to_string(i) +
+                                              "." + std::to_string(bit));
+        }
+    }
+    EXPECT_GT(flipsAccepted, 0u); // the counters carry no redundancy
+    // Hint and placement counts past the 2^24 cap: corrupt, and no
+    // allocation beyond what the file holds.
+    for (size_t at : {size_t{8}, size_t{16 + 3 * 44}}) {
+        Bytes bytes = file;
+        const uint64_t count = (1ULL << 24) + 1;
+        std::memcpy(bytes.data() + at, &count, sizeof count);
+        EXPECT_FALSE(loads(bytes, "count at " + std::to_string(at)));
+    }
+    std::remove(path.c_str());
+    std::remove(again.c_str());
 }
 
 TEST(RecordCodec, IngestChunkMutations)
@@ -884,154 +930,6 @@ TEST(RecordCodec, CbpMutations)
     ASSERT_TRUE(check(splice(good, inputAt, inputLen, "4294967295"), &t,
                       "max input id"));
     EXPECT_EQ(t.inputId(), 0xFFFFFFFFu);
-    std::remove(path.c_str());
-    std::remove(again.c_str());
-}
-
-TEST(RecordCodec, ProfileMutations)
-{
-    // Three branches, the middle one hard; two history lengths of a
-    // 2-bit hash keep the hard tables small (4 keys).
-    WhisperConfig cfg;
-    cfg.minHistoryLength = 4;
-    cfg.maxHistoryLength = 16;
-    cfg.numHistoryLengths = 2;
-    cfg.hashWidth = 2;
-    BranchProfile original(cfg);
-    original.totalInstructions = 90000;
-    original.totalConditionals = 12000;
-    original.totalMispredicts = 700;
-    for (uint64_t i = 0; i < 3; ++i) {
-        BranchProfileEntry &e = original.entry(0x400000 + 0x40 * i);
-        e.executions = 1000 * (i + 1);
-        e.takenCount = 300 * (i + 1);
-        e.baselineMispredicts = 50 + i;
-    }
-    original.markHard(0x400040);
-    BranchProfileEntry &hard = original.entries().at(0x400040);
-    for (unsigned k = 0; k < 4; ++k) {
-        hard.byLength[0].record(k, k % 2 == 0);
-        hard.byLength[1].record(k, true);
-        hard.raw4.record(k * 3, false);
-        hard.raw8.record(k * 60, true);
-    }
-
-    const std::string path = "/tmp/whisper_fuzz_profile.bin";
-    const std::string again = "/tmp/whisper_fuzz_profile_again.bin";
-    ASSERT_TRUE(saveProfile(original, path));
-    const Bytes good = readFile(path);
-
-    BranchProfile none;
-    EXPECT_TRUE(loadProfile(none, "/tmp/whisper_fuzz_no_such.bin")
-                    .missing());
-
-    auto sameConfig = [](const WhisperConfig &a, const WhisperConfig &b) {
-        return a.minHistoryLength == b.minHistoryLength &&
-               a.maxHistoryLength == b.maxHistoryLength &&
-               a.numHistoryLengths == b.numHistoryLengths &&
-               a.hashWidth == b.hashWidth;
-    };
-    // Load @p bytes; an accepted profile must survive save + load
-    // unchanged, a rejected one must be reported corrupt.
-    auto check = [&](const Bytes &bytes, const std::string &what) {
-        writeFile(path, bytes);
-        BranchProfile p;
-        IoStatus st = loadProfile(p, path);
-        EXPECT_FALSE(st.missing()) << what;
-        if (!st.ok()) {
-            EXPECT_TRUE(st.corrupt()) << what;
-            return false;
-        }
-        BranchProfile back;
-        EXPECT_TRUE(saveProfile(p, again)) << what;
-        EXPECT_TRUE(loadProfile(back, again).ok()) << what;
-        EXPECT_TRUE(back == p) << what;
-        EXPECT_TRUE(sameConfig(back.config(), p.config())) << what;
-        return true;
-    };
-
-    ASSERT_TRUE(check(good, "intact"));
-    {
-        BranchProfile p;
-        ASSERT_TRUE(loadProfile(p, path).ok());
-        ASSERT_TRUE(p == original);
-        ASSERT_TRUE(sameConfig(p.config(), cfg));
-    }
-
-    // Header: magic, version, the four config words, three totals and
-    // the branch count. Entries follow in the file's order; the hard
-    // entry's tables are each a 64-bit length and that many words.
-    const size_t headerBytes = 4 + 4 + 4 * 4 + 3 * 8 + 8;
-    const size_t countAt = headerBytes - 8;
-    struct Field
-    {
-        size_t at;
-        uint64_t cap;
-    };
-    std::vector<Field> lengths;
-    size_t at = headerBytes;
-    for (int i = 0; i < 3; ++i) {
-        at += 4 * 8;
-        bool isHard = good[at] != 0;
-        at += 1;
-        if (!isHard)
-            continue;
-        for (uint64_t keys : {4, 4, 16, 256}) {
-            for (int half = 0; half < 2; ++half) {
-                lengths.push_back({at, keys});
-                at += 8 + 4 * keys;
-            }
-        }
-    }
-    ASSERT_EQ(at, good.size());
-    ASSERT_EQ(lengths.size(), 8u);
-
-    // A cut at every byte: the format has no optional tail, so every
-    // cut is corrupt.
-    for (size_t cut = 0; cut < good.size(); ++cut) {
-        EXPECT_FALSE(check(Bytes(good.begin(), good.begin() + cut),
-                           "cut at " + std::to_string(cut)));
-    }
-
-    // Every bit of the header and of every table length.
-    std::vector<size_t> flipAt;
-    for (size_t i = 0; i < headerBytes; ++i)
-        flipAt.push_back(i);
-    for (const Field &f : lengths)
-        for (size_t i = 0; i < 8; ++i)
-            flipAt.push_back(f.at + i);
-    size_t accepted = 0;
-    for (size_t i : flipAt) {
-        for (unsigned bit = 0; bit < 8; ++bit) {
-            Bytes bytes = good;
-            bytes[i] ^= static_cast<unsigned char>(1u << bit);
-            accepted += check(bytes, "flip " + std::to_string(i) + "." +
-                                         std::to_string(bit));
-        }
-    }
-    EXPECT_GT(accepted, 0u); // the totals carry no redundancy
-
-    // Counts at cap + 1 and at 0xFFFFFFFF: the branch count (cap
-    // 2^32, but the file holds three), the number of history lengths
-    // (cap 16), the hash width (cap 8) and every table length (cap
-    // its key count). All are corrupt, and none may allocate more
-    // than the file holds.
-    auto setCount = [&](size_t where, size_t bytes, uint64_t value) {
-        Bytes b = good;
-        std::memcpy(b.data() + where, &value, bytes);
-        return b;
-    };
-    std::vector<std::pair<Field, size_t>> counts = {
-        {{countAt, 1ULL << 32}, 8}, {{16, 16}, 4}, {{20, 8}, 4}};
-    for (const Field &f : lengths)
-        counts.push_back({f, 8});
-    for (const auto &[f, bytes] : counts) {
-        for (uint64_t value : {f.cap + 1, uint64_t{0xFFFFFFFF}}) {
-            EXPECT_FALSE(check(setCount(f.at, bytes, value),
-                               "count at " + std::to_string(f.at) +
-                                   " = " + std::to_string(value)));
-        }
-    }
     std::remove(path.c_str());
     std::remove(again.c_str());
 }

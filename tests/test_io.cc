@@ -1,11 +1,15 @@
 /**
  * @file
- * Round-trip tests for the profile / hint-bundle serialization.
+ * Tests for the hint-bundle encodings: the .hints file and the
+ * in-memory versioned codec of the journal and the wire.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -18,176 +22,45 @@ using namespace whisper;
 namespace
 {
 
-BranchProfile
-smallProfile()
+using Bytes = std::vector<unsigned char>;
+
+Bytes
+readFile(const std::string &path)
 {
-    ExperimentConfig cfg;
-    cfg.trainRecords = 120'000;
-    cfg.profile.maxHardBranches = 64;
-    return profileApp(appByName("kafka"), 0, cfg);
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
 }
 
-/**
- * Hand-written profile file with one hard branch: the header claims
- * @p hashWidth and every per-length table has @p keys entries (raw4
- * and raw8 are well formed). Returns its path.
- */
-std::string
-craftProfile(const char *name, unsigned hashWidth, uint64_t keys)
+void
+writeFile(const std::string &path, const Bytes &bytes)
 {
-    std::string path =
-        std::string("/tmp/whisper_test_crafted_") + name + ".bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    auto put = [f](auto v) { std::fwrite(&v, sizeof(v), 1, f); };
-    auto table = [&](uint64_t n) {
-        std::vector<uint32_t> counts(n, 1);
-        for (int half = 0; half < 2; ++half) {
-            put(n);
-            std::fwrite(counts.data(), sizeof(uint32_t), n, f);
-        }
-    };
-    WhisperConfig cfg;
-    put(uint32_t{0x57485052}); // "WHPR"
-    put(uint32_t{1});          // version
-    put(cfg.minHistoryLength);
-    put(cfg.maxHistoryLength);
-    put(cfg.numHistoryLengths);
-    put(hashWidth);
-    put(uint64_t{1000}); // instructions
-    put(uint64_t{100});  // conditionals
-    put(uint64_t{10});   // mispredicts
-    put(uint64_t{1});    // branches
-    put(uint64_t{0x400000});
-    put(uint64_t{100}); // executions
-    put(uint64_t{50});  // taken
-    put(uint64_t{10});  // baseline mispredicts
-    put(uint8_t{1});    // hard
-    for (size_t l = 0; l < geometricLengths(cfg).size(); ++l)
-        table(keys);
-    table(16);
-    table(256);
-    std::fclose(f);
-    return path;
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Two hints, each with one placement. */
+HintBundle
+twoHintBundle()
+{
+    HintBundle b;
+    for (uint64_t pc : {0x401000u, 0x402000u}) {
+        TrainedHint h;
+        h.pc = pc;
+        h.hint.formula = 0x1234;
+        h.hint.pcPointer = BrHint::pcPointerFor(pc);
+        h.historyLength = 32;
+        b.hints.push_back(h);
+        HintPlacement p;
+        p.branchPc = pc;
+        p.predecessorPc = pc - 0x40;
+        p.coverage = 0.5;
+        b.placements.push_back(p);
+    }
+    return b;
 }
 
 } // namespace
-
-TEST(ProfileIo, CraftedWellFormedProfileLoads)
-{
-    // Control for the rejections below: the crafted layout itself
-    // is accepted when its widths are consistent.
-    std::string path = craftProfile("ok", 8, 256);
-    BranchProfile p;
-    EXPECT_TRUE(loadProfile(p, path).ok());
-    std::remove(path.c_str());
-    EXPECT_EQ(p.numHardBranches(), 1u);
-}
-
-TEST(ProfileIo, RejectsHashWidthBeyondShiftRange)
-{
-    // 1u << 40 would be undefined behaviour when marking the branch
-    // hard; the header check must stop it first.
-    std::string path = craftProfile("w40", 40, 256);
-    BranchProfile p;
-    EXPECT_TRUE(loadProfile(p, path).corrupt());
-    std::remove(path.c_str());
-}
-
-TEST(ProfileIo, RejectsHashWidthWiderThanTruthTable)
-{
-    // Nine bits is 512 keys: more than a 256-bit truth table covers.
-    std::string path = craftProfile("w9", 9, 512);
-    BranchProfile p;
-    EXPECT_TRUE(loadProfile(p, path).corrupt());
-    std::remove(path.c_str());
-}
-
-TEST(ProfileIo, RejectsTableLengthNotMatchingHashWidth)
-{
-    std::string path = craftProfile("t1024", 8, 1024);
-    BranchProfile p;
-    EXPECT_TRUE(loadProfile(p, path).corrupt());
-    std::remove(path.c_str());
-}
-
-TEST(ProfileIo, RoundTrip)
-{
-    BranchProfile original = smallProfile();
-    std::string path = "/tmp/whisper_test_profile.bin";
-    ASSERT_TRUE(saveProfile(original, path));
-
-    BranchProfile loaded;
-    ASSERT_TRUE(loadProfile(loaded, path).ok());
-    std::remove(path.c_str());
-
-    EXPECT_EQ(loaded.numBranches(), original.numBranches());
-    EXPECT_EQ(loaded.numHardBranches(),
-              original.numHardBranches());
-    EXPECT_EQ(loaded.totalInstructions,
-              original.totalInstructions);
-    EXPECT_EQ(loaded.totalMispredicts, original.totalMispredicts);
-    EXPECT_EQ(loaded.lengths(), original.lengths());
-
-    for (const auto &[pc, e] : original.entries()) {
-        ASSERT_TRUE(loaded.entries().contains(pc));
-        const BranchProfileEntry *l = &loaded.entries().at(pc);
-        EXPECT_EQ(l->executions, e.executions);
-        EXPECT_EQ(l->takenCount, e.takenCount);
-        EXPECT_EQ(l->baselineMispredicts, e.baselineMispredicts);
-        EXPECT_EQ(l->hard, e.hard);
-        if (e.hard) {
-            for (size_t i = 0; i < e.byLength.size(); ++i) {
-                EXPECT_EQ(l->byLength[i].taken, e.byLength[i].taken);
-                EXPECT_EQ(l->byLength[i].notTaken,
-                          e.byLength[i].notTaken);
-            }
-            EXPECT_EQ(l->raw8.taken, e.raw8.taken);
-        }
-    }
-}
-
-TEST(ProfileIo, LoadedProfileTrainsIdentically)
-{
-    // The serialized profile must drive the trainer to the exact
-    // same hints as the in-memory one.
-    BranchProfile original = smallProfile();
-    std::string path = "/tmp/whisper_test_profile2.bin";
-    ASSERT_TRUE(saveProfile(original, path));
-    BranchProfile loaded;
-    ASSERT_TRUE(loadProfile(loaded, path).ok());
-    std::remove(path.c_str());
-
-    WhisperConfig cfg;
-    WhisperTrainer trainer(cfg, globalTruthTables());
-    auto a = trainer.train(original);
-    auto b = trainer.train(loaded);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].pc, b[i].pc);
-        EXPECT_EQ(a[i].hint, b[i].hint);
-        EXPECT_EQ(a[i].expectedMispredicts,
-                  b[i].expectedMispredicts);
-    }
-}
-
-TEST(ProfileIo, RejectsGarbage)
-{
-    std::string path = "/tmp/whisper_test_garbage_profile.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("garbage garbage garbage", f);
-    std::fclose(f);
-    BranchProfile p;
-    EXPECT_TRUE(loadProfile(p, path).corrupt());
-    std::remove(path.c_str());
-}
-
-TEST(ProfileIo, MissingFileFails)
-{
-    BranchProfile p;
-    EXPECT_TRUE(
-        loadProfile(p, "/tmp/does_not_exist_whisper.bin").missing());
-    EXPECT_FALSE(saveProfile(p, "/nonexistent-dir/x.bin"));
-}
 
 TEST(HintBundleIo, RoundTrip)
 {
@@ -275,6 +148,44 @@ TEST(HintBundleIo, RejectsGarbage)
     std::remove(path.c_str());
 }
 
+TEST(HintBundleIo, RejectsTrailingBytes)
+{
+    // The file is one bundle: bytes after it are damage, not padding.
+    const HintBundle original = twoHintBundle();
+    std::string path = "/tmp/whisper_test_trailing_hints.bin";
+    ASSERT_TRUE(saveHintBundle(original, path));
+    HintBundle loaded;
+    ASSERT_TRUE(loadHintBundle(loaded, path).ok());
+    EXPECT_EQ(loaded, original);
+
+    Bytes bytes = readFile(path);
+    bytes.insert(bytes.end(), 16, 0);
+    writeFile(path, bytes);
+    EXPECT_TRUE(loadHintBundle(loaded, path).corrupt());
+    std::remove(path.c_str());
+}
+
+TEST(HintBundleIo, RejectsFileLargerThanAnyBundle)
+{
+    // An empty bundle grown sparse to one byte past the largest
+    // bundle the count caps allow (2^24 hints and placements): refused
+    // by its size, before any of it is read.
+    std::string path = "/tmp/whisper_test_huge_hints.bin";
+    ASSERT_TRUE(saveHintBundle(HintBundle{}, path));
+    std::filesystem::resize_file(path, 8 + 2 * 8 + (1ULL << 24) * 84 + 1);
+    HintBundle b;
+    EXPECT_TRUE(loadHintBundle(b, path).corrupt());
+    std::remove(path.c_str());
+}
+
+TEST(HintBundleIo, MissingFileFails)
+{
+    HintBundle b;
+    EXPECT_TRUE(
+        loadHintBundle(b, "/tmp/does_not_exist_whisper.bin").missing());
+    EXPECT_FALSE(saveHintBundle(b, "/nonexistent-dir/x.bin"));
+}
+
 TEST(VersionedBundleIo, RoundTripPreservesEpochHeader)
 {
     Rng rng(77);
@@ -299,11 +210,10 @@ TEST(VersionedBundleIo, RoundTripPreservesEpochHeader)
         original.bundle.placements.push_back(p);
     }
 
-    std::string path = "/tmp/whisper_test_versioned.bin";
-    ASSERT_TRUE(saveVersionedBundle(original, path));
+    const std::vector<unsigned char> bytes =
+        encodeVersionedBundle(original);
     VersionedHintBundle loaded;
-    ASSERT_TRUE(loadVersionedBundle(loaded, path).ok());
-    std::remove(path.c_str());
+    ASSERT_TRUE(decodeVersionedBundle(loaded, bytes.data(), bytes.size()));
 
     EXPECT_EQ(loaded.epoch, original.epoch);
     EXPECT_DOUBLE_EQ(loaded.validationAccuracy,
@@ -313,19 +223,14 @@ TEST(VersionedBundleIo, RoundTripPreservesEpochHeader)
 
 TEST(VersionedBundleIo, RejectsBadMagic)
 {
-    // A plain (un-versioned) hint bundle has a different magic; the
-    // versioned loader must refuse it rather than misparse.
-    HintBundle plain;
-    plain.hints.resize(1);
-    std::string path = "/tmp/whisper_test_versioned_badmagic.bin";
-    ASSERT_TRUE(saveHintBundle(plain, path));
-    VersionedHintBundle v;
-    EXPECT_TRUE(loadVersionedBundle(v, path).corrupt());
-
-    // And vice versa: a versioned file is not a plain bundle.
+    // A versioned bundle's bytes are not a .hints file: they carry no
+    // bundle magic, so the file loader refuses them rather than
+    // misparse.
     VersionedHintBundle versioned;
     versioned.epoch = 1;
-    ASSERT_TRUE(saveVersionedBundle(versioned, path));
+    versioned.bundle.hints.resize(1);
+    std::string path = "/tmp/whisper_test_versioned_badmagic.bin";
+    writeFile(path, encodeVersionedBundle(versioned));
     HintBundle b;
     EXPECT_TRUE(loadHintBundle(b, path).corrupt());
     std::remove(path.c_str());
@@ -333,13 +238,13 @@ TEST(VersionedBundleIo, RejectsBadMagic)
 
 TEST(VersionedBundleIo, RejectsTruncatedHeader)
 {
-    std::string path = "/tmp/whisper_test_versioned_trunc.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint32_t magic = 0x57484550; // kEpochMagic, but nothing after it
-    std::fwrite(&magic, sizeof magic, 1, f);
-    std::fclose(f);
+    // The epoch and accuracy header cut short, and a header with no
+    // body after it.
+    const std::vector<unsigned char> bytes =
+        encodeVersionedBundle(VersionedHintBundle{});
     VersionedHintBundle v;
-    EXPECT_TRUE(loadVersionedBundle(v, path).corrupt());
-    std::remove(path.c_str());
+    for (size_t size : {size_t{0}, size_t{4}, size_t{12}, size_t{16}})
+        EXPECT_FALSE(decodeVersionedBundle(v, bytes.data(), size))
+            << size;
+    EXPECT_TRUE(decodeVersionedBundle(v, bytes.data(), bytes.size()));
 }

@@ -9,13 +9,13 @@
 #include <set>
 #include <vector>
 
-#include "bp/simple_predictors.hh"
 #include "core/formula_trainer.hh"
 #include "rombf/rombf_formula.hh"
 #include "rombf/rombf_predictor.hh"
 #include "rombf/rombf_trainer.hh"
 #include "util/rng.hh"
 
+#include "static_predictor.hh"
 #include "step_reference.hh"
 
 using namespace whisper;

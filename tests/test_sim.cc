@@ -22,8 +22,10 @@
 #include "trace/branch_trace.hh"
 #include "sim/classifier.hh"
 #include "sim/experiment.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 
+#include "static_predictor.hh"
 #include "step_reference.hh"
 
 using namespace whisper;
@@ -569,6 +571,59 @@ TEST(Profiler, MatchesReferenceProfile)
             }
         }
     }
+}
+
+TEST(Profiler, KafkaProfileMatchesThePinnedCrc)
+{
+    // whisper_train's profile of the tools pipeline's training trace
+    // (kafka input 0, 150k records, 64KB TAGE-SC-L, 2048 hard
+    // branches at most), pinned by a CRC-32 over the three totals,
+    // then each branch in PC order: its PC, executions, taken count,
+    // baseline mispredictions and hard flag, and for a hard branch
+    // every sample table's taken and not-taken counts. Any drift in
+    // either profiling pass changes it.
+    ExperimentConfig cfg;
+    cfg.profile.maxHardBranches = 2048;
+    BranchTrace trace;
+    AppWorkload workload(appByName("kafka"), 0, 150'000);
+    trace.fill(workload, 150'000);
+    TraceSource source(trace);
+    auto tage = makeTage(64);
+    const BranchProfile profile =
+        collectProfile(source, *tage, cfg.whisper, cfg.profile);
+
+    uint32_t crc = 0;
+    auto add = [&crc](const void *data, size_t bytes) {
+        crc = crc32(data, bytes, crc);
+    };
+    auto addTable = [&add](const HashedSampleTable &t) {
+        add(t.taken.data(), t.taken.size() * sizeof(uint32_t));
+        add(t.notTaken.data(), t.notTaken.size() * sizeof(uint32_t));
+    };
+    add(&profile.totalInstructions, sizeof(uint64_t));
+    add(&profile.totalConditionals, sizeof(uint64_t));
+    add(&profile.totalMispredicts, sizeof(uint64_t));
+    std::vector<const BranchProfileEntry *> byPc;
+    for (const auto &[pc, e] : profile.entries())
+        byPc.push_back(&e);
+    std::sort(byPc.begin(), byPc.end(),
+              [](const auto *a, const auto *b) { return a->pc < b->pc; });
+    for (const BranchProfileEntry *e : byPc) {
+        const uint64_t counts[] = {e->pc, e->executions, e->takenCount,
+                                   e->baselineMispredicts};
+        const uint8_t hard = e->hard;
+        add(counts, sizeof counts);
+        add(&hard, 1);
+        if (!e->hard)
+            continue;
+        for (const HashedSampleTable &t : e->byLength)
+            addTable(t);
+        addTable(e->raw4);
+        addTable(e->raw8);
+    }
+    EXPECT_EQ(profile.numBranches(), 3584u);
+    EXPECT_EQ(profile.numHardBranches(), 19u);
+    EXPECT_EQ(crc, 1609008105u);
 }
 
 TEST(Profiler, OfflineAndStreamingProfilesCountAlike)

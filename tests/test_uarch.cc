@@ -22,6 +22,8 @@
 #include "util/rng.hh"
 #include "workloads/app_workload.hh"
 
+#include "static_predictor.hh"
+
 using namespace whisper;
 
 TEST(Cache, HitAfterFill)

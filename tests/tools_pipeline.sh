@@ -20,12 +20,12 @@ trap 'rm -rf "$WORK_DIR"' EXIT
     | grep -q "app=kafka"
 
 "$BIN_DIR/whisper_train" --trace "$WORK_DIR/train.whrt" \
-    --out "$WORK_DIR/kafka.hints" \
-    --profile-out "$WORK_DIR/kafka.profile" | grep -q "hints"
+    --out "$WORK_DIR/kafka.hints" | grep -q "hints"
 
-# Profiling and placement are deterministic: the bundle and profile
+# Profiling, training and placement are deterministic: the bundle
 # bytes are pinned (POSIX cksum: CRC, then length), so any drift in
-# either pass fails here.
+# them fails here. The profile itself is pinned in process by
+# Profiler.KafkaProfileMatchesThePinnedCrc (tests/test_sim.cc).
 expect_cksum() {
     got=$(cksum < "$1")
     if [ "$got" != "$2" ]; then
@@ -34,15 +34,12 @@ expect_cksum() {
     fi
 }
 expect_cksum "$WORK_DIR/kafka.hints" "3631339525 1284"
-expect_cksum "$WORK_DIR/kafka.profile" "1558977036 787736"
 
 "$BIN_DIR/whisper_eval" --trace "$WORK_DIR/test.whrt" \
     --hints "$WORK_DIR/kafka.hints" \
-    --profile "$WORK_DIR/kafka.profile" \
-    --predictors tage,whisper,profile-static \
+    --predictors tage,whisper \
     > "$WORK_DIR/eval.txt"
 grep -q "whisper+tage" "$WORK_DIR/eval.txt"
-grep -q "profile-static" "$WORK_DIR/eval.txt"
 
 # A bundle whose first placement names a branch without a hint is a
 # corrupt file: whisper_eval exits 1 naming it. The placement's
@@ -91,6 +88,8 @@ expect_usage_error whisper_eval --trace "$EVAL_TRACE" \
     --per-epoch --epoch-records 0
 # Predictors outside the paper's figures are not offered.
 expect_usage_error whisper_eval --trace "$EVAL_TRACE" --predictors gshare
+expect_usage_error whisper_eval --trace "$EVAL_TRACE" \
+    --predictors profile-static
 # The whole --predictors list is checked before the trace is read: a
 # bad name fails as usage even when the trace is missing, and so do
 # names whose input option is absent.
@@ -98,8 +97,6 @@ expect_usage_error whisper_eval --trace /nonexistent.whrt \
     --predictors tage,gshare
 expect_usage_error whisper_eval --trace /nonexistent.whrt \
     --predictors tage,whisper
-expect_usage_error whisper_eval --trace /nonexistent.whrt \
-    --predictors profile-static
 expect_usage_error whisper_train --trace "$WORK_DIR/train.whrt" \
     --out "$WORK_DIR/bad.hints" --tage-kb x
 expect_usage_error whisperd --chunks "$WORK_DIR" --epoch-chunks 0

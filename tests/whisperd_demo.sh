@@ -2,8 +2,9 @@
 # End-to-end demo of the whisperd continuous-optimization service:
 # stream kafka input-0 chunks followed by input-1 chunks (workload
 # drift), train across several epochs with validated deployment, and
-# check that the final online bundle is no worse than a static
-# single-shot whisper_train bundle on the drifted input.
+# check with whisper_eval that the deployed online bundle
+# (--out-dir DIR/kafka.hints) is no worse than a static single-shot
+# whisper_train bundle on the drifted input.
 #
 # Every chunk file is kafka, so whisperd (default --tenants auto) runs
 # as a one-tenant router and reports on whisperd[kafka] summary lines.
@@ -15,7 +16,7 @@
 #   whisperd_demo.sh BIN_DIR --fault-spec SPEC
 # the main run instead executes under the deterministic
 # fault-injection harness and must still complete with a deployed
-# bundle whose MPKI is no worse than the TAGE-SC-L baseline.
+# bundle that mispredicts no more than the TAGE-SC-L baseline.
 set -e
 
 BIN_DIR="$1"
@@ -29,6 +30,19 @@ JOURNAL="$JOURNAL_DIR/kafka.journal"
 mkdir -p "$WORK_DIR/chunks" "$JOURNAL_DIR" "$WORK_DIR/out" \
     "$WORK_DIR/out_cold" "$WORK_DIR/out2" "$WORK_DIR/out3"
 trap 'rm -rf "$WORK_DIR"' EXIT
+
+# Mispredicts of the first row of whisper_eval table $1 whose
+# predictor name starts with $2.
+mispredicts() {
+    awk -v p="$2" 'index($1, p) == 1 { print $NF; exit }' "$1"
+}
+
+# Evaluate bundle $1 on the held-out trace as predictors $2 into $3.
+evaluate() {
+    "$BIN_DIR/whisper_eval" --trace "$WORK_DIR/eval_i1.whrt" \
+        --hints "$1" --predictors "$2" > "$3"
+    cat "$3"
+}
 
 # Drift stream: names encode arrival order (input 0, then input 1).
 "$BIN_DIR/whisper_trace_gen" --app kafka --input 0 \
@@ -54,7 +68,6 @@ if [ -n "$FAULT_SPEC" ]; then
         --fault-spec "$FAULT_SPEC" \
         --chunk-records 40000 --epoch-chunks 3 \
         --workers 4 --max-hard 256 \
-        --eval-trace "$WORK_DIR/eval_i1.whrt" \
         > "$WORK_DIR/whisperd.txt" 2>&1
     cat "$WORK_DIR/whisperd.txt"
 
@@ -67,18 +80,16 @@ if [ -n "$FAULT_SPEC" ]; then
         tr ' ' '\n' | sed -n 's/.*=\([0-9]*\)$/\1/p' |
         awk '{s += $1} END {print s}')
     [ "$FAULT_SUM" -ge 1 ]
-    # Graceful degradation: the deployed bundle's MPKI may not be
-    # worse than plain TAGE-SC-L on the held-out trace.
-    TAGE_MPKI=$(sed -n 's/.*tage accuracy=.*mpki=\([0-9.]*\)/\1/p' \
-        "$WORK_DIR/whisperd.txt")
-    ONLINE_MPKI=$(sed -n \
-        's/.*online-whisper accuracy=.*mpki=\([0-9.]*\)/\1/p' \
-        "$WORK_DIR/whisperd.txt")
-    awk -v tage="$TAGE_MPKI" -v online="$ONLINE_MPKI" \
-        'BEGIN { exit !(online <= tage + 0.001) }'
+    # Graceful degradation: the deployed bundle may not mispredict
+    # more than plain TAGE-SC-L on the held-out trace.
+    evaluate "$WORK_DIR/out/kafka.hints" tage,whisper \
+        "$WORK_DIR/eval.txt"
+    TAGE_MISSES=$(mispredicts "$WORK_DIR/eval.txt" tage-)
+    ONLINE_MISSES=$(mispredicts "$WORK_DIR/eval.txt" whisper+)
+    [ "$ONLINE_MISSES" -le "$TAGE_MISSES" ]
 
     echo "whisperd fault demo OK (faults fired: $FAULT_SUM," \
-        "online mpki $ONLINE_MPKI <= tage mpki $TAGE_MPKI)"
+        "online mispredicts $ONLINE_MISSES <= tage $TAGE_MISSES)"
     exit 0
 fi
 
@@ -87,8 +98,6 @@ fi
     --journal-dir "$JOURNAL_DIR" \
     --chunk-records 40000 --epoch-chunks 3 \
     --workers 4 --max-hard 256 \
-    --eval-trace "$WORK_DIR/eval_i1.whrt" \
-    --compare-hints "$WORK_DIR/static.hints" \
     > "$WORK_DIR/whisperd.txt" 2>&1
 cat "$WORK_DIR/whisperd.txt"
 
@@ -109,7 +118,11 @@ grep -q "deployed bundle (epoch" "$WORK_DIR/whisperd.txt"
 grep -q "whisperd service metrics" "$WORK_DIR/whisperd.txt"
 # ...and the online bundle matches or beats the static one on the
 # drifted input (the continuous-PGO payoff).
-grep -q "online wins or ties" "$WORK_DIR/whisperd.txt"
+evaluate "$WORK_DIR/out/kafka.hints" whisper "$WORK_DIR/online_eval.txt"
+evaluate "$WORK_DIR/static.hints" whisper "$WORK_DIR/static_eval.txt"
+ONLINE_MISSES=$(mispredicts "$WORK_DIR/online_eval.txt" whisper+)
+STATIC_MISSES=$(mispredicts "$WORK_DIR/static_eval.txt" whisper+)
+[ "$ONLINE_MISSES" -le "$STATIC_MISSES" ]
 
 # Training-knob phase: with the default --train-prune=on
 # --warm-start=on the summary must expose the warm/cold training

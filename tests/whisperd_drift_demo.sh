@@ -4,8 +4,9 @@
 # whisperd adaptive loop. Asserts the continuous-PGO contracts on a
 # drifting workload:
 #   1. whisperd trains across epochs and deploys validated bundles;
-#   2. the online bundle matches or beats both plain TAGE-SC-L and a
-#      static bundle trained on the pre-drift prefix;
+#   2. the deployed online bundle (whisper_eval on --out-dir
+#      DIR/kafka.hints) mispredicts no more than plain TAGE-SC-L or
+#      a static bundle trained on the pre-drift prefix;
 #   3. per whisper_eval --per-epoch, the drift visibly dents the
 #      baseline at the phase boundary, and the static prefix-trained
 #      bundle goes stale: its accuracy edge over TAGE collapses on
@@ -17,6 +18,12 @@ BIN_DIR="$1"
 WORK_DIR="${TMPDIR:-/tmp}/whisperd_drift_$$"
 mkdir -p "$WORK_DIR/chunks" "$WORK_DIR/journal" "$WORK_DIR/out"
 trap 'rm -rf "$WORK_DIR"' EXIT
+
+# Mispredicts of the first row of whisper_eval table $1 whose
+# predictor name starts with $2.
+mispredicts() {
+    awk -v p="$2" 'index($1, p) == 1 { print $NF; exit }' "$1"
+}
 
 DRIFT="phase:period=225000,phases=2,intensity=0.7,seed=11"
 
@@ -40,8 +47,6 @@ cp "$WORK_DIR/chunks/000_kafka_drift.whrt" "$WORK_DIR/eval.whrt"
     --journal-dir "$WORK_DIR/journal" \
     --chunk-records 45000 --epoch-chunks 2 \
     --workers 4 --max-hard 256 \
-    --eval-trace "$WORK_DIR/eval.whrt" \
-    --compare-hints "$WORK_DIR/static.hints" \
     > "$WORK_DIR/whisperd.txt" 2>&1
 cat "$WORK_DIR/whisperd.txt"
 
@@ -57,14 +62,19 @@ grep -q "deployed bundle (epoch" "$WORK_DIR/whisperd.txt"
 
 # Contract 2: online beats (or ties) both references on the full
 # drifting trace.
-grep -q "online wins or ties" "$WORK_DIR/whisperd.txt"
-TAGE_MPKI=$(sed -n 's/.*tage accuracy=.*mpki=\([0-9.]*\)/\1/p' \
-    "$WORK_DIR/whisperd.txt")
-ONLINE_MPKI=$(sed -n \
-    's/.*online-whisper accuracy=.*mpki=\([0-9.]*\)/\1/p' \
-    "$WORK_DIR/whisperd.txt")
-awk -v tage="$TAGE_MPKI" -v online="$ONLINE_MPKI" \
-    'BEGIN { exit !(online <= tage + 0.001) }'
+"$BIN_DIR/whisper_eval" --trace "$WORK_DIR/eval.whrt" \
+    --hints "$WORK_DIR/out/kafka.hints" --predictors tage,whisper \
+    > "$WORK_DIR/online_eval.txt"
+cat "$WORK_DIR/online_eval.txt"
+"$BIN_DIR/whisper_eval" --trace "$WORK_DIR/eval.whrt" \
+    --hints "$WORK_DIR/static.hints" --predictors whisper \
+    > "$WORK_DIR/static_eval.txt"
+cat "$WORK_DIR/static_eval.txt"
+TAGE_MISSES=$(mispredicts "$WORK_DIR/online_eval.txt" tage-)
+ONLINE_MISSES=$(mispredicts "$WORK_DIR/online_eval.txt" whisper+)
+STATIC_MISSES=$(mispredicts "$WORK_DIR/static_eval.txt" whisper+)
+[ "$ONLINE_MISSES" -le "$TAGE_MISSES" ]
+[ "$ONLINE_MISSES" -le "$STATIC_MISSES" ]
 
 # Contract 3: the machine-readable per-epoch dump shows the drift
 # and the staleness of the static bundle.
@@ -92,4 +102,5 @@ awk -v tpre="$(acc tage 2)" -v wpre="$(acc whisper 2)" \
     'BEGIN { exit !((wpre - tpre) >= (wpost - tpost) + 0.001) }'
 
 echo "whisperd drift demo OK (epochs=$EPOCHS accepted=$ACCEPTED" \
-    "online mpki $ONLINE_MPKI vs tage $TAGE_MPKI)"
+    "online mispredicts $ONLINE_MISSES vs tage $TAGE_MISSES," \
+    "static $STATIC_MISSES)"

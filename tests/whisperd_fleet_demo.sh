@@ -5,7 +5,8 @@
 # trains and deploys through its own pipeline, and the run asserts
 #
 #   isolation  — every tenant's deployed bundle is byte-identical to
-#                the bundle from a solo run over the same chunks, and
+#                the bundle from a solo run over the same chunks and
+#                deployed at the same epoch, and
 #   fairness   — the noisy tenant cannot starve the others: every
 #                app completes at least one training epoch.
 #
@@ -27,6 +28,12 @@ mkdir -p "$WORK_DIR/chunks" "$WORK_DIR/journals" "$WORK_DIR/out" \
     "$WORK_DIR/solo_chunks" "$WORK_DIR/solo_journals" \
     "$WORK_DIR/solo_out"
 trap 'rm -rf "$WORK_DIR"' EXIT
+
+# Epoch at which whisperd log $1 reports app $2's bundle deployed.
+deployed_epoch() {
+    sed -n "s/^whisperd\[$2\]: deployed bundle (epoch \([0-9]*\),.*/\1/p" \
+        "$1"
+}
 
 APPS="cassandra clang drupal finagle-chirper finagle-http kafka \
 mediawiki mysql postgres python tomcat wordpress"
@@ -99,12 +106,13 @@ TOTAL_ACCEPTED=$(sed -n \
     echo "FAIL: no tenant deployed a bundle"; exit 1; }
 
 # Isolation: rerun one quiet tenant's chunks alone; its bundle must
-# be byte-identical to the one produced in the full fleet.
+# be byte-identical to the one produced in the full fleet, and
+# deployed at the same epoch.
 ISO_APP="mysql"
-if [ ! -f "$WORK_DIR/out/$ISO_APP.vhints" ]; then
+if [ ! -f "$WORK_DIR/out/$ISO_APP.hints" ]; then
     # Validation happened to reject mysql's bundles; fall back to
     # any tenant that did deploy.
-    ISO_APP=$(ls "$WORK_DIR/out" | sed -n 's/\.vhints$//p' |
+    ISO_APP=$(ls "$WORK_DIR/out" | sed -n 's/\.hints$//p' |
         head -n 1)
 fi
 cp "$WORK_DIR"/chunks/*_${ISO_APP}_*.whrt "$WORK_DIR/solo_chunks/"
@@ -115,10 +123,15 @@ cp "$WORK_DIR"/chunks/*_${ISO_APP}_*.whrt "$WORK_DIR/solo_chunks/"
     --chunk-records 20000 --epoch-chunks 2 \
     --workers 2 --max-hard 128 \
     > "$WORK_DIR/solo.txt" 2>&1
-cmp "$WORK_DIR/out/$ISO_APP.vhints" \
-    "$WORK_DIR/solo_out/$ISO_APP.vhints" || {
+cmp "$WORK_DIR/out/$ISO_APP.hints" \
+    "$WORK_DIR/solo_out/$ISO_APP.hints" || {
     echo "FAIL: $ISO_APP fleet bundle differs from solo bundle"
     exit 1; }
+FLEET_EPOCH=$(deployed_epoch "$WORK_DIR/fleet.txt" "$ISO_APP")
+SOLO_EPOCH=$(deployed_epoch "$WORK_DIR/solo.txt" "$ISO_APP")
+[ -n "$FLEET_EPOCH" ] && [ "$FLEET_EPOCH" = "$SOLO_EPOCH" ] || {
+    echo "FAIL: $ISO_APP deployed at epoch '$FLEET_EPOCH' in the" \
+        "fleet, '$SOLO_EPOCH' solo"; exit 1; }
 
 # Crash-recovery: run again on the same journals, kill -9 mid-run,
 # then check a restarted service resumes every previously deployed

@@ -10,7 +10,8 @@
 #   byte-identity— the same traffic (dumped chunk-for-chunk by the
 #                  load generator) is replayed through the in-process
 #                  --chunks ingest path; every tenant's deployed
-#                  bundle must be byte-identical to the wire run's.
+#                  bundle must be byte-identical to the wire run's,
+#                  and deployed at the same epoch.
 #   kill-9/WAL   — a second server deploys from a seed load, then is
 #                  kill -9ed mid-way through a live load on the same
 #                  tenants; a restart on the same port resumes them
@@ -36,6 +37,12 @@ cleanup() {
     rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
+
+# Epoch at which whisperd log $1 reports app $2's bundle deployed.
+deployed_epoch() {
+    sed -n "s/^whisperd\[$2\]: deployed bundle (epoch \([0-9]*\),.*/\1/p" \
+        "$1"
+}
 
 wait_port_file() {
     i=0
@@ -108,20 +115,25 @@ DROPPED=$(sed -n \
     --quota-chunks 1000000 --quota-jobs 65536 --max-hard 64 \
     > "$WORK_DIR/local.txt" 2>&1
 
-WIRE_BUNDLES=$(ls "$WORK_DIR/wire_out" | grep -c '\.vhints$' ||
+WIRE_BUNDLES=$(ls "$WORK_DIR/wire_out" | grep -c '\.hints$' ||
     true)
-LOCAL_BUNDLES=$(ls "$WORK_DIR/local_out" | grep -c '\.vhints$' ||
+LOCAL_BUNDLES=$(ls "$WORK_DIR/local_out" | grep -c '\.hints$' ||
     true)
 [ "$WIRE_BUNDLES" -ge 1 ] || {
     echo "FAIL: wire run deployed no bundles"; exit 1; }
 [ "$WIRE_BUNDLES" -eq "$LOCAL_BUNDLES" ] || {
     echo "FAIL: wire run deployed $WIRE_BUNDLES bundles," \
         "in-process run deployed $LOCAL_BUNDLES"; exit 1; }
-for vhints in "$WORK_DIR"/wire_out/*.vhints; do
-    app=$(basename "$vhints")
-    cmp "$vhints" "$WORK_DIR/local_out/$app" || {
+for hints in "$WORK_DIR"/wire_out/*.hints; do
+    app=$(basename "$hints" .hints)
+    cmp "$hints" "$WORK_DIR/local_out/$app.hints" || {
         echo "FAIL: $app differs between wire and in-process"
         exit 1; }
+    WIRE_EPOCH=$(deployed_epoch "$WORK_DIR/wire_server.txt" "$app")
+    LOCAL_EPOCH=$(deployed_epoch "$WORK_DIR/local.txt" "$app")
+    [ -n "$WIRE_EPOCH" ] && [ "$WIRE_EPOCH" = "$LOCAL_EPOCH" ] || {
+        echo "FAIL: $app deployed at epoch '$WIRE_EPOCH' over the" \
+            "wire, '$LOCAL_EPOCH' in process"; exit 1; }
 done
 
 # ---- leg 3: kill -9 mid-load, restart, WAL resume ------------------

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bp/simple_predictors.hh"
-#include "core/static_profile.hh"
 #include "core/whisper_io.hh"
 #include "trace/branch_trace.hh"
 #include "util/stdio_guard.hh"
@@ -49,13 +48,12 @@ usage()
         "  --trace FILE      evaluation trace (.whrt, or a\n"
         "                    CBP-style text trace ending in .cbp)\n"
         "  --hints FILE      hint bundle (enables 'whisper')\n"
-        "  --profile FILE    saved profile (enables 'profile-static')\n"
         "  --tage-kb N       baseline budget, a power of two in 8..8192\n"
         "                    (default 64)\n"
         "  --warmup F        stats warm-up fraction (default 0.5)\n"
         "  --pipeline        also run the timing model\n"
         "  --predictors LIST comma list of: tage, whisper, mtage,\n"
-        "                    ideal, profile-static\n"
+        "                    ideal\n"
         "  --per-epoch       dump per-epoch accuracy lines (one\n"
         "                    key=value line per epoch window) from\n"
         "                    an epoch-adaptive run of each predictor\n"
@@ -82,7 +80,7 @@ int
 main(int argc, char **argv)
 {
     guardStdio();
-    std::string tracePath, hintsPath, profilePath;
+    std::string tracePath, hintsPath;
     unsigned tageKb = 64;
     double warmup = 0.5;
     bool pipeline = false;
@@ -101,8 +99,6 @@ main(int argc, char **argv)
             tracePath = next();
         else if (arg == "--hints")
             hintsPath = next();
-        else if (arg == "--profile")
-            profilePath = next();
         else if (arg == "--tage-kb")
             tageKb = parseTageKb("--tage-kb", next());
         else if (arg == "--warmup")
@@ -141,16 +137,6 @@ main(int argc, char **argv)
         {"mtage", {nullptr, true, [&] { return makeMtage(cfg); }}},
         {"ideal",
          {nullptr, true, [] { return std::make_unique<IdealPredictor>(); }}},
-        {"profile-static",
-         {"--profile", !profilePath.empty(),
-          [&] {
-              BranchProfile profile;
-              if (IoStatus st = loadProfile(profile, profilePath); !st) {
-                  std::fprintf(stderr, "error: %s\n", st.message.c_str());
-                  std::exit(1);
-              }
-              return std::make_unique<StaticProfilePredictor>(profile);
-          }}},
         {"whisper",
          {"--hints", !hintsPath.empty(),
           [&] {

@@ -3,12 +3,11 @@
  * whisper_train — the offline half of the paper's usage model
  * (Fig. 10, steps 1-2): profile a training trace under the deployed
  * predictor, run Whisper's branch analysis, and emit a deployable
- * hint bundle (and optionally the raw profile).
+ * hint bundle.
  *
  * Usage:
  *   whisper_train --trace mysql_i0.whrt --out mysql.hints \
- *                 [--tage-kb 64] [--fraction 0.01] \
- *                 [--profile-out mysql.profile] [--verbose]
+ *                 [--tage-kb 64] [--fraction 0.01] [--verbose]
  */
 
 #include <chrono>
@@ -58,7 +57,6 @@ usage()
         "paper's exhaustive scan)\n"
         "  --warm-hints FILE   warm-start the search from a "
         "previously trained bundle\n"
-        "  --profile-out FILE  also save the collected profile\n"
         "  --verbose           per-hint report\n");
     std::exit(2);
 }
@@ -69,7 +67,7 @@ int
 main(int argc, char **argv)
 {
     guardStdio();
-    std::string tracePath, outPath, profileOut, warmPath;
+    std::string tracePath, outPath, warmPath;
     unsigned tageKb = 64;
     double fraction = -1.0;
     unsigned maxHard = 2048;
@@ -104,8 +102,6 @@ main(int argc, char **argv)
             trainPrune = parseOnOff("--train-prune", v);
         } else if (arg == "--warm-hints")
             warmPath = next();
-        else if (arg == "--profile-out")
-            profileOut = next();
         else if (arg == "--verbose")
             verbose = true;
         else
@@ -140,14 +136,6 @@ main(int argc, char **argv)
                 1000.0 * profile.totalMispredicts /
                     std::max<uint64_t>(1, profile.totalInstructions),
                 profileSeconds);
-    if (!profileOut.empty()) {
-        if (!saveProfile(profile, profileOut)) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         profileOut.c_str());
-            return 1;
-        }
-        std::printf("  profile saved to %s\n", profileOut.c_str());
-    }
 
     HintBundle warmBundle;
     bool haveWarm = false;

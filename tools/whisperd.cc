@@ -21,18 +21,16 @@
  *   whisperd (--chunks DIR | --listen [ADDR:]PORT) [--tenants LIST]
  *            [--journal-dir DIR] [--out-dir DIR] [--chunk-records N]
  *            [--epoch-chunks N] [--workers N] [--tage-kb N]
- *            [--max-hard N] [--margin F] [--fault-spec SPEC]
- *            [--eval-trace FILE] [--compare-hints FILE] [--quiet]
+ *            [--max-hard N] [--margin F] [--fault-spec SPEC] [--quiet]
  *
  * With --journal-dir every app's deployed-generation history goes
  * through a crash-safe write-ahead journal (DIR/<app>.journal); a
  * restarted daemon replays it and resumes from the last durable
- * epoch. --out-dir writes each deployed bundle to DIR/<app>.vhints.
- * --eval-trace evaluates the deployed bundle of the trace's own app
- * (and --compare-hints a static bundle) on that trace. --fault-spec
- * installs the deterministic fault-injection harness (see
- * fault_injection.hh); its read faults hit every .whrt read, so a
- * flipped frame in the --eval-trace file fails that strict load.
+ * epoch. --out-dir writes each app's deployed bundle to
+ * DIR/<app>.hints, the file whisper_eval --hints evaluates and
+ * whisper_train --warm-hints seeds from. --fault-spec installs the
+ * deterministic fault-injection harness (see fault_injection.hh); its
+ * read faults hit every .whrt read.
  * Numeric flags are parsed strictly (cli_parse.hh): a malformed or
  * out-of-range value exits 2 naming the flag.
  */
@@ -48,15 +46,12 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "core/whisper_io.hh"
 #include "net/wire_server.hh"
 #include "service/tenant_router.hh"
 #include "sim/experiment.hh"
-#include "trace/branch_trace.hh"
 #include "util/fault_injection.hh"
-#include "util/table.hh"
 
 #include "cli_parse.hh"
 
@@ -83,7 +78,7 @@ usage()
         "  --journal-dir DIR    per-app crash-safe journals "
         "(DIR/<app>.journal, resume on restart)\n"
         "  --out-dir DIR        per-app deployed bundles "
-        "(DIR/<app>.vhints)\n"
+        "(DIR/<app>.hints)\n"
         "  --chunk-records N    ingest chunk size (default 50000)\n"
         "  --epoch-chunks N     training chunks per epoch "
         "(default 4)\n"
@@ -114,9 +109,6 @@ usage()
         "(default 25)\n"
         "  --idle-timeout-ms N  reap connections stalled mid-frame "
         "(default 10000)\n"
-        "  --eval-trace FILE    evaluate the deployed bundle of the "
-        "trace's app on it\n"
-        "  --compare-hints FILE also evaluate a static bundle on it\n"
         "  --quiet              no per-epoch log\n"
         "A malformed or out-of-range value exits 2 naming its "
         "flag.\n");
@@ -130,20 +122,6 @@ extern "C" void
 handleShutdownSignal(int)
 {
     gShutdownRequested.store(true);
-}
-
-double
-evalBundleAccuracy(const BranchTrace &trace, unsigned tageKb,
-                   const WhisperConfig &cfg, const HintBundle *bundle,
-                   double *mpki)
-{
-    auto pred =
-        makeBundlePredictor(tageKb, cfg, globalTruthTables(), bundle);
-    TraceSource src(trace);
-    PredictorRunStats stats = runPredictor(src, *pred, 0.5);
-    if (mpki)
-        *mpki = stats.mpki();
-    return stats.accuracy();
 }
 
 } // namespace
@@ -253,9 +231,8 @@ reportTenants(TenantRouter &router, const std::string &outDir)
                              tenant->name.c_str());
                 continue;
             }
-            std::string path =
-                outDir + "/" + tenant->name + ".vhints";
-            if (!saveVersionedBundle(*deployed, path)) {
+            std::string path = outDir + "/" + tenant->name + ".hints";
+            if (!saveHintBundle(deployed->bundle, path)) {
                 std::fprintf(stderr, "error: cannot write %s\n",
                              path.c_str());
                 status = 1;
@@ -368,60 +345,6 @@ runServer(TenantRouter &router, WireServerConfig scfg,
     return 0;
 }
 
-/** Evaluate the bundle deployed for @p evalPath's app (and, with
- * @p comparePath, a static bundle) against plain TAGE on that trace. */
-int
-evalDeployed(const TenantRouter &router, const std::string &evalPath,
-             const std::string &comparePath)
-{
-    BranchTrace evalTrace;
-    if (IoStatus st = evalTrace.load(evalPath); !st) {
-        std::fprintf(stderr, "error: %s\n", st.message.c_str());
-        return 1;
-    }
-    const Tenant *tenant = router.registry().find(evalTrace.app());
-    HintStore::Snapshot deployed =
-        tenant ? tenant->store.current() : nullptr;
-    if (!deployed) {
-        std::fprintf(stderr,
-                     "whisperd: no bundle deployed for app '%s'\n",
-                     evalTrace.app().c_str());
-        return 1;
-    }
-
-    const TenantRouterConfig &cfg = router.config();
-    double baseMpki = 0.0, onlineMpki = 0.0;
-    double baseAcc = evalBundleAccuracy(evalTrace, cfg.tageBudgetKB,
-                                        cfg.whisper, nullptr,
-                                        &baseMpki);
-    double onlineAcc = evalBundleAccuracy(
-        evalTrace, cfg.tageBudgetKB, cfg.whisper, &deployed->bundle,
-        &onlineMpki);
-    std::printf("eval %s: tage accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * baseAcc, baseMpki);
-    std::printf("eval %s: online-whisper accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * onlineAcc, onlineMpki);
-
-    if (comparePath.empty())
-        return 0;
-    HintBundle staticBundle;
-    if (IoStatus st = loadHintBundle(staticBundle, comparePath); !st) {
-        std::fprintf(stderr, "error: %s\n", st.message.c_str());
-        return 1;
-    }
-    double staticMpki = 0.0;
-    double staticAcc = evalBundleAccuracy(
-        evalTrace, cfg.tageBudgetKB, cfg.whisper, &staticBundle,
-        &staticMpki);
-    std::printf("eval %s: static-whisper accuracy=%.4f%% mpki=%.3f\n",
-                evalPath.c_str(), 100.0 * staticAcc, staticMpki);
-    std::printf("online-vs-static: %+.4fpp (%s)\n",
-                100.0 * (onlineAcc - staticAcc),
-                onlineAcc >= staticAcc ? "online wins or ties"
-                                       : "online loses");
-    return 0;
-}
-
 int
 main(int argc, char **argv)
 {
@@ -433,7 +356,7 @@ main(int argc, char **argv)
     // beats sudden death.
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::string chunkDir, outDir, evalPath, comparePath;
+    std::string chunkDir, outDir;
     std::string faultSpec;
     std::string portFile;
     bool serverMode = false;
@@ -525,10 +448,6 @@ main(int argc, char **argv)
             cfg.warmStart = parseOnOff("--warm-start", v);
         } else if (arg == "--fault-spec")
             faultSpec = next();
-        else if (arg == "--eval-trace")
-            evalPath = next();
-        else if (arg == "--compare-hints")
-            comparePath = next();
         else if (arg == "--quiet")
             cfg.verbose = false;
         else
@@ -575,9 +494,5 @@ main(int argc, char **argv)
         router.run(chunkDir);
     }
 
-    if (int status = reportTenants(router, outDir))
-        return status;
-    if (evalPath.empty())
-        return 0;
-    return evalDeployed(router, evalPath, comparePath);
+    return reportTenants(router, outDir);
 }
